@@ -39,9 +39,10 @@
 //! thief wins) and re-run the cell to the byte-identical checkpoint. Even
 //! the pathological double-run — thief and a slow-but-alive owner both
 //! finishing the same cell — is harmless: both write the same bytes. The
-//! final `report.json` is therefore byte-identical to a single-process
-//! [`Campaign::run`] no matter how many workers raced, which
-//! `tests/campaign.rs` and the CI kill/resume smoke pin down.
+//! final `report.json` is therefore byte-identical no matter how many
+//! workers raced, which `tests/campaign.rs` and the CI kill/resume smoke
+//! pin down. [`Campaign::run`] is the same protocol on `jobs` in-process
+//! loops, so every run exercises the lease and heartbeat code.
 //!
 //! [`Session::save_report`]: crate::storage::Session::save_report
 
@@ -51,7 +52,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use waffle_sim::Workload;
 use waffle_telemetry::TelemetrySummary;
@@ -163,6 +163,14 @@ pub struct CampaignManifest {
     pub cells: Vec<CellSpec>,
 }
 
+/// Treats a missing file as already removed.
+fn ignore_missing(r: io::Result<()>) -> io::Result<()> {
+    match r {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+        r => r,
+    }
+}
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in bytes {
@@ -253,15 +261,16 @@ pub enum CheckpointState {
 /// Options for one `run` invocation.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Worker threads for the cell fan-out (results are identical at any
-    /// count; clamped to at least 1).
+    /// In-process claim loops running cells concurrently (results are
+    /// identical at any count; clamped to at least 1).
     pub jobs: usize,
     /// Keep existing checkpoints and run only outstanding cells. When
     /// `false`, all checkpoints (and any stale report) are cleared first.
+    /// Claim files are cleared either way: a `run` owns its directory.
     pub resume: bool,
-    /// Stop after checkpointing this many cells (used by tests and the CI
-    /// smoke job to simulate a kill between cells; `None` = run to the
-    /// end).
+    /// Stop after checkpointing this many cells in total across all loops
+    /// (used by tests and the CI smoke job to simulate a kill between
+    /// cells; `None` = run to the end).
     pub max_cells: Option<usize>,
 }
 
@@ -382,23 +391,6 @@ pub struct WorkerClaim {
     pub pid: u32,
 }
 
-/// What one `work` invocation did.
-#[derive(Debug, Clone)]
-pub struct WorkProgress {
-    /// Cells this worker executed (and checkpointed), in execution order,
-    /// with their terminal status.
-    pub ran: Vec<(usize, CellStatus)>,
-    /// Stale claims this worker recovered (taken over via the lease).
-    pub recovered: usize,
-    /// Cells still outstanding when this worker returned (0 unless
-    /// `wait = false` or `max_cells` cut the loop short).
-    pub outstanding: usize,
-    /// The final report, present when this worker observed the campaign
-    /// complete (also written to `report.json` — idempotently, since every
-    /// worker computes identical bytes).
-    pub report: Option<CampaignReport>,
-}
-
 /// One live claim, as reported by [`Campaign::status`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ClaimInfo {
@@ -459,18 +451,24 @@ pub struct CampaignStatus {
     pub cells: Vec<CellStatusLine>,
 }
 
-/// What one `run` invocation did.
+/// What one `run` or `work` invocation did.
 #[derive(Debug, Clone)]
 pub struct CampaignProgress {
     /// Cells executed (and checkpointed) by this invocation, in cell
     /// order, with their terminal status.
     pub ran: Vec<(usize, CellStatus)>,
-    /// Cells skipped because a valid checkpoint already existed.
+    /// Cells skipped because a valid checkpoint already existed when the
+    /// invocation started.
     pub skipped: usize,
-    /// Cells still outstanding after this invocation.
+    /// Stale claims taken over through the lease.
+    pub recovered: usize,
+    /// Cells still outstanding when the invocation returned (0 unless
+    /// `max_cells`, `wait = false`, or another worker's live claim cut it
+    /// short).
     pub outstanding: usize,
     /// The final report, present once every cell is checkpointed (also
-    /// written to `report.json`).
+    /// written to `report.json` — idempotently, since every worker
+    /// computes identical bytes).
     pub report: Option<CampaignReport>,
 }
 
@@ -703,16 +701,19 @@ impl Campaign {
             .collect()
     }
 
+    /// Removes every claim file.
+    fn clear_claims(&self) -> io::Result<()> {
+        for i in 0..self.manifest.cells.len() {
+            ignore_missing(fs::remove_file(self.claim_path(i)))?;
+        }
+        Ok(())
+    }
+
     /// Removes every checkpoint, claim, and any stale report (fresh start).
     pub fn clear_checkpoints(&self) -> io::Result<()> {
-        let ignore_missing = |r: io::Result<()>| match r {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
-        };
+        self.clear_claims()?;
         for i in 0..self.manifest.cells.len() {
             ignore_missing(fs::remove_file(self.checkpoint_path(i)))?;
-            ignore_missing(fs::remove_file(self.claim_path(i)))?;
         }
         ignore_missing(fs::remove_file(self.dir.join(REPORT_FILE)))
     }
@@ -798,87 +799,30 @@ impl Campaign {
         )
     }
 
-    /// Runs outstanding cells across a worker pool, checkpointing each as
-    /// it finishes. `resolve` maps a cell's workload name to the workload
-    /// (typically the app registry); an unresolvable name fails before any
-    /// cell runs. When every cell is checkpointed afterwards, the final
-    /// report is assembled and written to `report.json`.
+    /// Runs outstanding cells on `opts.jobs` in-process loops of the
+    /// claim protocol [`Campaign::work`] runs, checkpointing each cell as
+    /// it finishes. A `run` owns its directory, so it first deletes the
+    /// claim files a killed run left behind: `resume` never waits out a
+    /// lease. `resolve` maps a cell's workload name to the workload
+    /// (typically the app registry). When every cell is checkpointed
+    /// afterwards, the final report is assembled and written to
+    /// `report.json`.
     pub fn run(
         &self,
         opts: &RunOptions,
-        resolve: impl Fn(&str) -> Option<Workload>,
+        resolve: impl Fn(&str) -> Option<Workload> + Sync,
     ) -> io::Result<CampaignProgress> {
-        if !opts.resume {
+        if opts.resume {
+            self.clear_claims()?;
+        } else {
             self.clear_checkpoints()?;
         }
-        let todo_all = self.outstanding();
-        let skipped = self.manifest.cells.len() - todo_all.len();
-        let todo: Vec<usize> = match opts.max_cells {
-            Some(k) => todo_all.iter().copied().take(k).collect(),
-            None => todo_all,
+        let work = WorkOptions {
+            worker: format!("run-{}", std::process::id()),
+            max_cells: opts.max_cells,
+            ..WorkOptions::default()
         };
-        // Resolve every workload up front: failing after half the grid ran
-        // would waste the pool, and the error names the missing input.
-        let mut work: Vec<(usize, Workload)> = Vec::with_capacity(todo.len());
-        for &i in &todo {
-            let name = &self.manifest.cells[i].workload;
-            let w = resolve(name).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("cell {i}: unknown workload {name}"),
-                )
-            })?;
-            work.push((i, w));
-        }
-        let ran: Mutex<Vec<(usize, CellStatus)>> = Mutex::new(Vec::with_capacity(work.len()));
-        let first_io_error: Mutex<Option<io::Error>> = Mutex::new(None);
-        if !work.is_empty() {
-            let jobs = opts.jobs.max(1).min(work.len());
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..jobs {
-                    s.spawn(|| loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((idx, workload)) = work.get(k) else {
-                            break;
-                        };
-                        let ckpt = self.run_cell(*idx, &self.manifest.cells[*idx], workload);
-                        let status = ckpt.status;
-                        match self.save_checkpoint(&ckpt) {
-                            Ok(()) => ran.lock().push((*idx, status)),
-                            Err(e) => {
-                                let mut g = first_io_error.lock();
-                                if g.is_none() {
-                                    *g = Some(e);
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        if let Some(e) = first_io_error.into_inner() {
-            return Err(e);
-        }
-        let mut ran = ran.into_inner();
-        ran.sort_unstable_by_key(|(i, _)| *i);
-        let outstanding = self.outstanding();
-        let report = if outstanding.is_empty() {
-            let report = self.assemble_report()?;
-            write_atomic(
-                &self.dir.join(REPORT_FILE),
-                &serde_json::to_string_pretty(&report).map_err(|e| corrupt(REPORT_FILE, e))?,
-            )?;
-            Some(report)
-        } else {
-            None
-        };
-        Ok(CampaignProgress {
-            ran,
-            skipped,
-            outstanding: outstanding.len(),
-            report,
-        })
+        self.drive(&work, opts.jobs, &resolve)
     }
 
     fn claim_path(&self, cell: usize) -> PathBuf {
@@ -993,14 +937,72 @@ impl Campaign {
     pub fn work(
         &self,
         opts: &WorkOptions,
-        resolve: impl Fn(&str) -> Option<Workload>,
-    ) -> io::Result<WorkProgress> {
+        resolve: impl Fn(&str) -> Option<Workload> + Sync,
+    ) -> io::Result<CampaignProgress> {
+        self.drive(opts, 1, &resolve)
+    }
+
+    /// Runs `loops` concurrent claim loops sharing one `max_cells` budget,
+    /// then writes the report if the campaign is complete.
+    fn drive(
+        &self,
+        opts: &WorkOptions,
+        loops: usize,
+        resolve: &(impl Fn(&str) -> Option<Workload> + Sync),
+    ) -> io::Result<CampaignProgress> {
+        let todo = self.outstanding().len();
+        let budget = AtomicUsize::new(opts.max_cells.unwrap_or(usize::MAX));
+        let results: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..loops.clamp(1, todo.max(1)))
+                .map(|_| s.spawn(|| self.claim_loop(opts, &budget, resolve)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        let (mut ran, mut recovered) = (Vec::new(), 0);
+        for result in results {
+            let (cells, stolen) = result?;
+            ran.extend(cells);
+            recovered += stolen;
+        }
+        ran.sort_unstable_by_key(|(i, _)| *i);
+        let outstanding = self.outstanding().len();
+        let report = if outstanding == 0 {
+            let report = self.assemble_report()?;
+            write_atomic(
+                &self.dir.join(REPORT_FILE),
+                &serde_json::to_string_pretty(&report).map_err(|e| corrupt(REPORT_FILE, e))?,
+            )?;
+            Some(report)
+        } else {
+            None
+        };
+        Ok(CampaignProgress {
+            ran,
+            skipped: self.manifest.cells.len() - todo,
+            recovered,
+            outstanding,
+            report,
+        })
+    }
+
+    /// One worker's loop of the claim protocol. Each checkpointed cell
+    /// takes one unit of `budget`, which every loop of the invocation
+    /// shares. Returns the cells run and the stale claims recovered.
+    fn claim_loop(
+        &self,
+        opts: &WorkOptions,
+        budget: &AtomicUsize,
+        resolve: &impl Fn(&str) -> Option<Workload>,
+    ) -> io::Result<(Vec<(usize, CellStatus)>, usize)> {
         let mut ran = Vec::new();
         let mut recovered = 0usize;
         'outer: loop {
             let mut progressed = false;
             for i in 0..self.manifest.cells.len() {
-                if opts.max_cells.is_some_and(|k| ran.len() >= k) {
+                if budget.load(Ordering::Relaxed) == 0 {
                     break 'outer;
                 }
                 if matches!(self.checkpoint_state(i), CheckpointState::Ready(_)) {
@@ -1015,6 +1017,14 @@ impl Campaign {
                 if matches!(self.checkpoint_state(i), CheckpointState::Ready(_)) {
                     self.release_claim(i);
                     continue;
+                }
+                // A sibling loop may have spent the budget since the check.
+                if budget
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+                    .is_err()
+                {
+                    self.release_claim(i);
+                    break 'outer;
                 }
                 let spec = &self.manifest.cells[i];
                 let Some(workload) = resolve(&spec.workload) else {
@@ -1050,23 +1060,7 @@ impl Campaign {
                 std::thread::sleep(std::time::Duration::from_millis(opts.poll_ms.max(1)));
             }
         }
-        let outstanding = self.outstanding();
-        let report = if outstanding.is_empty() {
-            let report = self.assemble_report()?;
-            write_atomic(
-                &self.dir.join(REPORT_FILE),
-                &serde_json::to_string_pretty(&report).map_err(|e| corrupt(REPORT_FILE, e))?,
-            )?;
-            Some(report)
-        } else {
-            None
-        };
-        Ok(WorkProgress {
-            ran,
-            recovered,
-            outstanding: outstanding.len(),
-            report,
-        })
+        Ok((ran, recovered))
     }
 
     /// A point-in-time progress view across every worker sharing this
@@ -1637,6 +1631,62 @@ mod tests {
         assert!(!path.exists(), "heartbeat recreated a stolen claim");
         drop(hb); // prompt stop, no lingering touches
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_deletes_a_killed_runs_claim_instead_of_waiting_out_the_lease() {
+        let rdir = tmpdir("resume-claim-ref");
+        let rc = Campaign::create(&rdir, small_config(), grid(3)).unwrap();
+        rc.run(&RunOptions::default(), resolve).unwrap();
+
+        let dir = tmpdir("resume-claim");
+        let c = Campaign::create(&dir, small_config(), grid(3)).unwrap();
+        let partial = c
+            .run(
+                &RunOptions {
+                    max_cells: Some(1),
+                    ..RunOptions::default()
+                },
+                resolve,
+            )
+            .unwrap();
+        assert_eq!(partial.ran, vec![(0, CellStatus::Completed)]);
+        // A run killed mid-cell leaves a fresh claim that a worker would
+        // honour for a whole lease.
+        fs::write(
+            c.claim_path(1),
+            serde_json::to_string_pretty(&WorkerClaim {
+                cell: 1,
+                fingerprint: c.manifest().fingerprint,
+                worker: "killed-run".into(),
+                pid: 1,
+            })
+            .unwrap(),
+        )
+        .unwrap();
+        let started = std::time::Instant::now();
+        let progress = c
+            .run(
+                &RunOptions {
+                    jobs: 2,
+                    resume: true,
+                    ..RunOptions::default()
+                },
+                resolve,
+            )
+            .unwrap();
+        let lease = std::time::Duration::from_secs(WorkOptions::default().lease_secs);
+        assert!(started.elapsed() < lease / 2, "resume waited on the dead claim");
+        assert_eq!(progress.skipped, 1);
+        assert_eq!(progress.recovered, 0, "the claim was deleted, not stolen");
+        let ran: Vec<usize> = progress.ran.iter().map(|(i, _)| *i).collect();
+        assert_eq!(ran, vec![1, 2]);
+        assert_eq!(
+            fs::read(dir.join(REPORT_FILE)).unwrap(),
+            fs::read(rdir.join(REPORT_FILE)).unwrap()
+        );
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&rdir);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod storage;
 pub use campaign::{
     retry_seed, Campaign, CampaignConfig, CampaignManifest, CampaignProgress, CampaignReport,
     CampaignStatus, CellCheckpoint, CellFailure, CellFault, CellSpec, CellStatus, CellStatusLine,
-    CheckpointState, ClaimInfo, RunOptions, WorkOptions, WorkProgress, WorkerClaim,
+    CheckpointState, ClaimInfo, RunOptions, WorkOptions, WorkerClaim,
 };
 pub use detector::{Detector, DetectorConfig, Tool};
 pub use engine::{attempt_seed, ExperimentEngine, GridCell};

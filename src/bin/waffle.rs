@@ -1,40 +1,11 @@
 //! `waffle` — command-line front end for the detection workflow.
 //!
-//! ```text
-//! waffle list                         # applications and test inputs
-//! waffle bugs                         # the 18 seeded Table 4 bugs
-//! waffle analyze <test> [--stats]     # preparation run + trace analysis only
-//! waffle analyze <test> --spill DIR   # same, out-of-core over an on-disk
-//!                                     # segment file under a resident budget
-//! waffle detect <test> [options]      # run a tool on one test input
-//! waffle step <test> --session DIR    # one process-step of the workflow
-//! waffle scan <app> [options]         # run a tool on an app's whole suite
-//! waffle report <bug-id> [options]    # expose a seeded bug, full report
-//! waffle stats <dir> [--json]         # aggregate saved telemetry journals
-//! waffle dot <test>                   # render a workload as Graphviz
-//! waffle serve --socket S --dir D     # streaming trace ingestion server
-//! waffle ingest --socket S --test T   # stream one test's trace to a server
-//! waffle campaign init DIR [options]  # lay out a crash-safe campaign grid
-//! waffle campaign run DIR [options]   # run/resume it (checkpoint per cell)
-//! waffle campaign work DIR [options]  # join as one coordinator-free worker
-//! waffle campaign status DIR [--json] # per-cell state, claims, quarantine
-//! waffle bench --all [--out DIR]      # refresh the BENCH_*.json reports
-//! waffle fuzz [options]               # differential fuzzing vs the oracle
-//! waffle fuzz --repair [options]      # + synthesize a certified repair
-//!                                     # for every oracle-confirmed bug
-//! waffle fix <test> [options]         # oracle-certified fix synthesis
-//!                                     # for one test input
-//!
-//! options:
-//!   --tool waffle|basic|noprep|no-parent-child|fixed-delay|no-interference
-//!   --max-runs N     detection-run budget (default 10)
-//!   --seed N         attempt seed (default 1)
-//!   --attempts N     repetition attempts, summarized per §6.1 (default 1)
-//!   --jobs N         worker threads for --attempts and scan (default 1)
-//!   --session DIR    persist plan/decay/reports to a session directory
-//!   --telemetry DIR  write per-attempt telemetry journals (JSON) to DIR
-//!   --json           machine-readable output
-//! ```
+//! Every subcommand, the positional argument it takes and the flags it
+//! accepts are declared once, in [`COMMANDS`]. One parser checks a command
+//! line against that table, and `waffle help` is generated from it, so the
+//! listing cannot drift from what the parser accepts. Flags shared by
+//! several subcommands (`--jobs`, `--json`, `--seed`, `--memory-model`,
+//! `--max-runs`, …) are single constants referenced from each list.
 //!
 //! Repetition attempts use the fixed seed ladder 1..=N (see
 //! `waffle_core::attempt_seed`), so `--jobs` changes wall-clock time only:
@@ -42,16 +13,313 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use waffle_repro::apps::{all_apps, all_bugs};
 use waffle_repro::core::{
-    attempt_seed, summarize, Campaign, CampaignConfig, CellSpec, CellStatus, CheckpointState,
-    Detector, DetectorConfig, DetectionOutcome, ExperimentEngine, GridCell, RunOptions, Session,
-    Tool, WorkOptions,
+    attempt_seed, summarize, Campaign, CampaignConfig, CampaignProgress, CellSpec, CellStatus,
+    CheckpointState, Detector, DetectorConfig, DetectionOutcome, ExperimentEngine, RunOptions,
+    Session, Tool, WorkOptions,
 };
 use waffle_repro::sim::{MemoryConfig, MemoryModel, Workload};
 use waffle_repro::telemetry::{AttemptJournal, MetricsRegistry};
 
+/// How a flag takes its value.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// Present or absent; takes no value.
+    Switch,
+    /// Takes one value, shown as the metavariable in `waffle help`.
+    Text(&'static str),
+    /// Takes an unsigned integer in `min..=max`; `why` is appended to the
+    /// below-minimum error.
+    Num {
+        min: u64,
+        max: u64,
+        why: &'static str,
+    },
+}
+
+/// One command-line flag.
+#[derive(Clone, Copy)]
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    help: &'static str,
+}
+
+const fn switch(name: &'static str, help: &'static str) -> Flag {
+    Flag { name, kind: Kind::Switch, help }
+}
+
+const fn text(name: &'static str, meta: &'static str, help: &'static str) -> Flag {
+    Flag { name, kind: Kind::Text(meta), help }
+}
+
+const fn num(name: &'static str, min: u64, max: u64, help: &'static str) -> Flag {
+    Flag { name, kind: Kind::Num { min, max, why: "" }, help }
+}
+
+// Upper bounds of the integer types the flags land in.
+const U32: u64 = u32::MAX as u64;
+const USIZE: u64 = usize::MAX as u64;
+
+const JOBS: Flag = num("--jobs", 1, USIZE, "worker threads (default 1); output is identical at any count");
+const JSON: Flag = switch("--json", "machine-readable output");
+const SEED: Flag = num("--seed", 0, u64::MAX, "attempt / preparation-run seed (default 1)");
+const MEMORY_MODEL: Flag = text("--memory-model", "sc|tso|pso", "simulated consistency model (default sc); tso/pso add store buffers");
+const MAX_RUNS: Flag = num("--max-runs", 0, U32, "detection-run budget per attempt (default 10; fuzz 16, campaign init 50)");
+const ATTEMPTS: Flag = num("--attempts", 1, U32, "repetition attempts, summarized per §6.1 (default 1; campaign init 5)");
+const TOOL: Flag = text("--tool", "NAME", "waffle (default), basic, noprep, no-parent-child, fixed-delay, no-interference");
+const SESSION: Flag = text("--session", "DIR", "persist plan/decay/reports to a session directory");
+const TELEMETRY: Flag = text("--telemetry", "DIR", "write per-attempt telemetry journals (JSON)");
+const MAX_CELLS: Flag = num("--max-cells", 0, USIZE, "stop after checkpointing N cells");
+const SOCKET: Flag = text("--socket", "PATH", "Unix socket of the serve session");
+const PREEMPTION_BOUND: Flag = Flag {
+    name: "--preemption-bound",
+    kind: Kind::Num {
+        min: 1,
+        max: U32,
+        why: ": at bound 0 no access can be reordered, so every planted bug is vacuously unexposable",
+    },
+    help: "oracle preemption bound (default 2)",
+};
+
+/// The flags of `detect`, `scan` and `report`.
+const DETECT_FLAGS: &[Flag] =
+    &[TOOL, MAX_RUNS, SEED, ATTEMPTS, JOBS, SESSION, TELEMETRY, JSON, MEMORY_MODEL];
+
+/// The positional argument a command requires: its metavariable, and the
+/// noun the missing-argument error names.
+type Positional = Option<(&'static str, &'static str)>;
+
+const TEST: Positional = Some(("<test>", "test name"));
+const CAMPAIGN_DIR: Positional = Some(("<dir>", "campaign directory"));
+
+/// One subcommand: its name (`campaign <verb>` for the campaign verbs),
+/// its positional argument, what it does, its handler, and its flags.
+struct Command {
+    name: &'static str,
+    arg: Positional,
+    about: &'static str,
+    run: fn(&Args) -> Result<(), String>,
+    flags: &'static [Flag],
+}
+
+const fn command(
+    name: &'static str,
+    arg: Positional,
+    about: &'static str,
+    run: fn(&Args) -> Result<(), String>,
+    flags: &'static [Flag],
+) -> Command {
+    Command { name, arg, about, run, flags }
+}
+
+/// Every subcommand `waffle` dispatches, in `waffle help` order.
+static COMMANDS: &[Command] = &[
+    command("help", None, "this listing", help_cmd, &[]),
+    command("list", None, "applications and test inputs", list_cmd, &[]),
+    command("bugs", None, "the 18 seeded Table 4 bugs", bugs_cmd, &[]),
+    command("analyze", TEST, "preparation run + trace analysis only", analyze_cmd, &[
+        JOBS, SEED, JSON, MEMORY_MODEL,
+        switch("--stats", "index/scan timings and telemetry counters"),
+        switch("--plan-only", "print the serve-session report shape"),
+        text("--spill", "DIR", "analyze out-of-core from an on-disk segment file"),
+        num("--budget-mb", 1, u64::MAX, "resident budget for --spill (default 64)"),
+    ]),
+    command("serve", None, "streaming ingestion server; reports match batch analyze", serve_cmd, &[
+        SOCKET, JOBS, JSON,
+        text("--dir", "DIR", "where serve writes segments and reports"),
+        num("--seal-events", 1, USIZE, "events per sealed generation"),
+        num("--queue-events", 1, USIZE, "per-session queue bound"),
+        text("--policy", "block|shed", "backpressure under a full queue (default block)"),
+        num("--max-sessions", 0, USIZE, "exit after N sessions"),
+    ]),
+    command("ingest", None, "stream one test's trace to a serve socket", ingest_cmd, &[
+        SOCKET, SEED,
+        text("--test", "NAME", "the test input whose trace is streamed"),
+        num("--batch", 1, USIZE, "events per Events frame (default 4096)"),
+    ]),
+    command("detect", TEST, "run a tool on one test input", detect_cmd, DETECT_FLAGS),
+    command("step", TEST, "one process-step of the workflow (needs --session)", step_cmd, &[
+        TOOL, SEED, SESSION, JSON, MEMORY_MODEL,
+    ]),
+    command("scan", Some(("<app>", "app name")), "run a tool on an app's whole suite", scan_cmd, DETECT_FLAGS),
+    command("report", Some(("<bug-id>", "bug id")), "expose a seeded bug, full report", report_cmd, DETECT_FLAGS),
+    command("stats", Some(("<dir>", "journal directory")), "aggregate telemetry journals", stats_cmd, &[JSON]),
+    command("dot", TEST, "render a workload as Graphviz", dot_cmd, &[]),
+    command("campaign init", CAMPAIGN_DIR, "lay out a crash-safe campaign grid", campaign_init, &[
+        ATTEMPTS, MAX_RUNS,
+        text("--tests", "a,b,c", "comma-separated test inputs"),
+        text("--app", "NAME", "every test input of an app"),
+        text("--tools", "t1,t2", "comma-separated tools (default waffle)"),
+        num("--retries", 0, U32, "retries of a panicking cell before quarantine"),
+    ]),
+    command("campaign run", CAMPAIGN_DIR, "run or resume it on N in-process workers", campaign_run, &[
+        JOBS, MAX_CELLS, JSON,
+        switch("--resume", "keep existing checkpoints"),
+        switch("--fresh", "discard existing checkpoints"),
+    ]),
+    command("campaign work", CAMPAIGN_DIR, "join as one coordinator-free worker process", campaign_work, &[
+        MAX_CELLS, JSON,
+        text("--worker", "NAME", "worker name recorded in claim files"),
+        num("--lease-secs", 0, u64::MAX, "claim lease before takeover (default 60)"),
+        num("--poll-ms", 0, u64::MAX, "sleep between scans (default 50)"),
+        switch("--no-wait", "return instead of polling other workers' claims"),
+    ]),
+    command("campaign status", CAMPAIGN_DIR, "per-cell state, live claims, quarantine", campaign_status, &[JSON]),
+    command("bench", None, "refresh the BENCH_*.json throughput reports", bench_cmd, &[
+        switch("--all", "refresh every BENCH_*.json report"),
+        text("--out", "DIR", "where the reports go (default .)"),
+    ]),
+    command("fuzz", None, "differential fuzzing vs the schedule oracle", fuzz_cmd, &[
+        JOBS, PREEMPTION_BOUND, MAX_RUNS, MEMORY_MODEL, JSON,
+        num("--seeds", 0, u64::MAX, "generated workloads (default 100)"),
+        num("--seed-base", 0, u64::MAX, "first generator seed (default 0)"),
+        text("--corpus", "DIR", "write minimized disagreeing cases"),
+        switch("--no-reduction", "disable the oracle's partial-order reduction"),
+        switch("--repair", "synthesize a certified repair for every confirmed bug"),
+    ]),
+    command("fix", TEST, "oracle-certified fix synthesis for one test input", fix_cmd, &[
+        MEMORY_MODEL, PREEMPTION_BOUND, SEED, JSON,
+    ]),
+];
+
+/// A command line checked against one [`Command`]'s table.
+struct Args {
+    arg: Option<String>,
+    set: Vec<(&'static str, String)>,
+}
+
+impl Args {
+    /// The required positional argument.
+    fn arg(&self) -> &str {
+        self.arg.as_deref().unwrap_or_default()
+    }
+
+    /// The last value given for `name` (`""` for a switch).
+    fn get(&self, name: &str) -> Option<&str> {
+        self.set.iter().rev().find(|(n, _)| *n == name).map(|(_, v)| v.as_str())
+    }
+
+    fn on(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    fn path(&self, name: &str) -> Option<PathBuf> {
+        self.get(name).map(PathBuf::from)
+    }
+
+    /// A numeric flag; the parser has already range-checked it against
+    /// the flag's declared type.
+    fn num<T: FromStr>(&self, name: &str) -> Option<T> {
+        self.get(name)
+            .map(|v| v.parse().ok().expect("range-checked by parse_args"))
+    }
+}
+
+/// Checks `args` against `cmd`'s flags. Every missing-value, bad-number,
+/// below-minimum and unknown-option error comes from here.
+fn parse_args(cmd: &Command, args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args { arg: None, set: Vec::new() };
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let Some(flag) = cmd.flags.iter().find(|f| f.name == a) else {
+            if cmd.arg.is_some() && parsed.arg.is_none() && !a.starts_with("--") {
+                parsed.arg = Some(a.clone());
+                continue;
+            }
+            return Err(format!("{}: unknown option {a}", cmd.name));
+        };
+        let value = match flag.kind {
+            Kind::Switch => String::new(),
+            _ => it.next().ok_or_else(|| format!("{a} needs a value"))?.clone(),
+        };
+        if let Kind::Num { min, max, why } = flag.kind {
+            let n: u64 = value.parse().map_err(|e| format!("{a}: {e}"))?;
+            if n < min {
+                return Err(format!("{a} must be at least {min}{why}"));
+            }
+            if n > max {
+                return Err(format!("{a}: number too large to fit in target type"));
+            }
+        }
+        parsed.set.push((flag.name, value));
+    }
+    match cmd.arg {
+        Some((_, what)) if parsed.arg.is_none() => Err(format!("{}: missing {what}", cmd.name)),
+        _ => Ok(parsed),
+    }
+}
+
+/// `waffle help`, generated from [`COMMANDS`].
+fn help_cmd(_: &Args) -> Result<(), String> {
+    println!("waffle — active delay injection for MemOrder bugs\n\ncommands:");
+    let mut listed: Vec<&Flag> = Vec::new();
+    for c in COMMANDS {
+        let mut words = vec![c.name.to_owned()];
+        words.extend(c.arg.map(|(meta, _)| meta.to_owned()));
+        words.extend(c.flags.iter().map(|f| format!("[{}]", usage(f))));
+        let mut line = String::from(" ");
+        for w in words {
+            if line.len() + w.len() >= 78 {
+                println!("{line}");
+                line = String::from("     ");
+            }
+            line = format!("{line} {w}");
+        }
+        println!("{line}\n        {}", c.about);
+        for f in c.flags {
+            if !listed.iter().any(|l| l.name == f.name) {
+                listed.push(f);
+            }
+        }
+    }
+    println!("\noptions:");
+    for f in listed {
+        println!("  {:<28} {}", usage(f), f.help);
+    }
+    Ok(())
+}
+
+/// `--flag META` as `waffle help` shows it.
+fn usage(f: &Flag) -> String {
+    match f.kind {
+        Kind::Switch => f.name.to_owned(),
+        Kind::Text(meta) => format!("{} {meta}", f.name),
+        Kind::Num { .. } => format!("{} N", f.name),
+    }
+}
+
+/// Prints a JSON rendering, surfacing its error as a CLI error.
+fn print_json<E: std::fmt::Display>(rendered: Result<String, E>) -> Result<(), String> {
+    println!("{}", rendered.map_err(|e| e.to_string())?);
+    Ok(())
+}
+
+fn memory_model(a: &Args) -> Result<MemoryModel, String> {
+    match a.get("--memory-model") {
+        None => Ok(MemoryModel::Sc),
+        Some(v) => MemoryModel::parse(v)
+            .ok_or_else(|| format!("--memory-model: unknown model {v} (sc|tso|pso)")),
+    }
+}
+
+fn find_test(name: &str) -> Option<Workload> {
+    all_apps()
+        .into_iter()
+        .flat_map(|a| a.tests)
+        .find(|t| t.workload.name == name)
+        .map(|t| t.workload)
+        .or_else(|| waffle_repro::apps::weak_scenario(name).map(|s| s.workload))
+}
+
+fn test_named(name: &str) -> Result<Workload, String> {
+    find_test(name).ok_or_else(|| format!("unknown test {name}"))
+}
+
+/// The options of `detect`, `step`, `scan` and `report`.
 struct Options {
     tool: Tool,
     tool_name: String,
@@ -65,93 +333,20 @@ struct Options {
     memory: MemoryModel,
 }
 
-fn parse_memory_model(v: &str) -> Result<MemoryModel, String> {
-    MemoryModel::parse(v).ok_or_else(|| format!("--memory-model: unknown model {v} (sc|tso|pso)"))
-}
-
-fn parse_tool(name: &str) -> Option<Tool> {
-    Tool::by_name(name)
-}
-
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        tool: Tool::waffle(),
-        tool_name: "waffle".into(),
-        max_runs: 10,
-        seed: 1,
-        attempts: 1,
-        jobs: 1,
-        session: None,
-        telemetry: None,
-        json: false,
-        memory: MemoryModel::Sc,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tool" => {
-                let v = it.next().ok_or("--tool needs a value")?;
-                opts.tool = parse_tool(v).ok_or_else(|| format!("unknown tool {v}"))?;
-                opts.tool_name = v.clone();
-            }
-            "--max-runs" => {
-                opts.max_runs = it
-                    .next()
-                    .ok_or("--max-runs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--max-runs: {e}"))?;
-            }
-            "--seed" => {
-                opts.seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--attempts" => {
-                opts.attempts = it
-                    .next()
-                    .ok_or("--attempts needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--attempts: {e}"))?;
-                if opts.attempts == 0 {
-                    return Err("--attempts must be at least 1".into());
-                }
-            }
-            "--jobs" => {
-                opts.jobs = it
-                    .next()
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
-                if opts.jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
-            "--session" => {
-                opts.session = Some(it.next().ok_or("--session needs a value")?.clone());
-            }
-            "--telemetry" => {
-                opts.telemetry =
-                    Some(PathBuf::from(it.next().ok_or("--telemetry needs a value")?));
-            }
-            "--memory-model" => {
-                opts.memory = parse_memory_model(it.next().ok_or("--memory-model needs a value")?)?;
-            }
-            "--json" => opts.json = true,
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
-    Ok(opts)
-}
-
-fn find_test(name: &str) -> Option<Workload> {
-    all_apps()
-        .into_iter()
-        .flat_map(|a| a.tests)
-        .find(|t| t.workload.name == name)
-        .map(|t| t.workload)
-        .or_else(|| waffle_repro::apps::weak_scenario(name).map(|s| s.workload))
+fn options(a: &Args) -> Result<Options, String> {
+    let tool_name = a.get("--tool").unwrap_or("waffle").to_owned();
+    Ok(Options {
+        tool: Tool::by_name(&tool_name).ok_or_else(|| format!("unknown tool {tool_name}"))?,
+        tool_name,
+        max_runs: a.num("--max-runs").unwrap_or(10),
+        seed: a.num("--seed").unwrap_or(1),
+        attempts: a.num("--attempts").unwrap_or(1),
+        jobs: a.num("--jobs").unwrap_or(1),
+        session: a.get("--session").map(str::to_owned),
+        telemetry: a.path("--telemetry"),
+        json: a.on("--json"),
+        memory: memory_model(a)?,
+    })
 }
 
 fn detector(opts: &Options) -> Detector {
@@ -211,10 +406,7 @@ fn detect_experiment(w: &Workload, opts: &Options) -> Result<bool, String> {
         }
     }
     if opts.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?
-        );
+        print_json(serde_json::to_string_pretty(&summary))?;
     } else {
         println!(
             "{} [{}]: {}/{} attempts exposed the bug",
@@ -255,10 +447,7 @@ fn detect_one(w: &Workload, opts: &Options) -> Result<bool, String> {
         }
     }
     if opts.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&outcome).map_err(|e| e.to_string())?
-        );
+        print_json(serde_json::to_string_pretty(&outcome))?;
     } else {
         println!(
             "{} [{}]: base {}, {} runs",
@@ -293,6 +482,174 @@ fn detect_one(w: &Workload, opts: &Options) -> Result<bool, String> {
     Ok(outcome.exposed.is_some() || outcome.tsv_exposed.is_some())
 }
 
+fn detect_cmd(a: &Args) -> Result<(), String> {
+    let opts = options(a)?;
+    detect_one(&test_named(a.arg())?, &opts)?;
+    Ok(())
+}
+
+/// `waffle scan <app>`: `detect` on every test input of the app, in suite
+/// order. Each input's attempts fan out over `--jobs`, so the output is
+/// identical at any worker count.
+fn scan_cmd(a: &Args) -> Result<(), String> {
+    let opts = options(a)?;
+    let name = a.arg();
+    let app = all_apps()
+        .into_iter()
+        .find(|app| app.name == name)
+        .ok_or_else(|| format!("unknown app {name}"))?;
+    let mut found = 0;
+    for t in &app.tests {
+        if detect_one(&t.workload, &opts)? {
+            found += 1;
+        }
+        println!();
+    }
+    println!("{found} bug(s) exposed across {} inputs", app.tests.len());
+    Ok(())
+}
+
+fn report_cmd(a: &Args) -> Result<(), String> {
+    let id: u32 = a.arg().parse().map_err(|e| format!("bug id: {e}"))?;
+    let opts = options(a)?;
+    let spec = all_bugs()
+        .into_iter()
+        .find(|b| b.id == id)
+        .ok_or_else(|| format!("unknown bug id {id}"))?;
+    let app = all_apps().into_iter().find(|a| a.name == spec.app).unwrap();
+    let w = app
+        .bug_workload(id)
+        .ok_or("bug workload missing")?
+        .clone();
+    println!("Bug-{id} ({} issue {}): {}\n", spec.app, spec.issue, spec.summary);
+    detect_one(&w, &opts)?;
+    Ok(())
+}
+
+/// `waffle step`: the real tool's process model, where each invocation
+/// is one run. The first step (no plan in the session yet) is the
+/// preparation run; later steps are detection runs resuming the persisted
+/// probabilities.
+fn step_cmd(a: &Args) -> Result<(), String> {
+    let opts = options(a)?;
+    let dir = opts
+        .session
+        .clone()
+        .ok_or("step requires --session DIR")?;
+    let session = Session::open(dir).map_err(|e| e.to_string())?;
+    let w = test_named(a.arg())?;
+    let det = Detector::with_config(
+        opts.tool.clone(),
+        DetectorConfig {
+            memory: MemoryConfig::from_model(opts.memory),
+            ..DetectorConfig::default()
+        },
+    );
+    let outcome = det
+        .step_with_session(&w, opts.seed, &session)
+        .map_err(|e| e.to_string())?;
+    if opts.json {
+        print_json(serde_json::to_string_pretty(&outcome))?;
+    } else if outcome.prep.is_some() {
+        println!(
+            "preparation run complete; plan saved to {}",
+            session.path().display()
+        );
+    } else {
+        match &outcome.exposed {
+            Some(r) => print!("{}", r.render(&w.sites)),
+            None => println!("detection run complete; no bug this run"),
+        }
+    }
+    Ok(())
+}
+
+fn list_cmd(_: &Args) -> Result<(), String> {
+    for app in all_apps() {
+        println!("{} ({} tests)", app.name, app.tests.len());
+        for t in &app.tests {
+            let tag = match t.seeded_bug {
+                Some(id) => format!("  [Bug-{id}]"),
+                None => String::new(),
+            };
+            println!("  {}{}", t.workload.name, tag);
+        }
+    }
+    println!("weak-memory scenarios (run with --memory-model):");
+    for s in waffle_repro::apps::weak_scenarios() {
+        let tag = match s.expected {
+            Some(k) => format!("  [{} under {}]", k.label(), s.model),
+            None => "  [control]".into(),
+        };
+        println!("  {}{}", s.name, tag);
+    }
+    Ok(())
+}
+
+fn bugs_cmd(_: &Args) -> Result<(), String> {
+    for b in all_bugs() {
+        println!(
+            "Bug-{:<3} {:<20} issue {:<6} {:<8} {}",
+            b.id,
+            b.app,
+            b.issue,
+            if b.known { "known" } else { "unknown" },
+            b.summary
+        );
+    }
+    Ok(())
+}
+
+fn dot_cmd(a: &Args) -> Result<(), String> {
+    print!("{}", waffle_repro::sim::dot::to_dot(&test_named(a.arg())?));
+    Ok(())
+}
+
+fn stats_cmd(a: &Args) -> Result<(), String> {
+    let dir = a.arg();
+    let mut names: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map_err(|e| format!("{dir}: {e}"))?
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    if names.is_empty() {
+        return Err(format!("{dir}: no .json telemetry journals found"));
+    }
+    // Sorted paths + commutative counters: the aggregate does not
+    // depend on directory iteration order.
+    names.sort();
+    let mut registry = MetricsRegistry::new();
+    for path in &names {
+        let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+        let attempt = AttemptJournal::from_json(&text)
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        registry.absorb_attempt(&attempt);
+    }
+    if a.on("--json") {
+        return print_json(serde_json::to_string_pretty(&registry));
+    }
+    println!("{} journal(s) aggregated\n", names.len());
+    for (name, value) in registry.counters() {
+        println!("{name:<50} {value}");
+    }
+    if let Some(h) = registry.histogram("total/delay") {
+        if !h.is_empty() {
+            println!("\ninjected delay lengths (log2 µs buckets):");
+            for (lo, hi, n) in h.nonzero_buckets() {
+                println!("  [{lo:>9}µs, {hi:>9}µs)  {n}");
+            }
+            println!(
+                "  count {}, mean {:.1}µs, max {}µs",
+                h.count(),
+                h.mean_us(),
+                h.max_us()
+            );
+        }
+    }
+    Ok(())
+}
+
 /// `waffle analyze` — run the delay-free preparation run, build the
 /// columnar trace index once, and run the fused analysis pipeline over it;
 /// `--stats` adds index/scan timings, size statistics and the telemetry
@@ -300,29 +657,7 @@ fn detect_one(w: &Workload, opts: &Options) -> Result<bool, String> {
 /// on-disk segment file and analyzed out-of-core under a resident-bytes
 /// budget (`--budget-mb`, default 64) — the plans are byte-identical to
 /// the in-memory path at every budget.
-struct AnalyzeOptions {
-    jobs: usize,
-    seed: u64,
-    stats: bool,
-    json: bool,
-    plan_only: bool,
-    spill: Option<PathBuf>,
-    budget_mb: Option<u64>,
-    memory: MemoryModel,
-}
-
-fn analyze_cmd(w: &Workload, opts: &AnalyzeOptions) -> Result<(), String> {
-    let AnalyzeOptions {
-        jobs,
-        seed,
-        stats,
-        json,
-        plan_only,
-        ref spill,
-        budget_mb,
-        memory,
-    } = *opts;
-    let spill = spill.as_deref();
+fn analyze_cmd(a: &Args) -> Result<(), String> {
     use std::time::Instant;
     use waffle_repro::analysis::{
         analyze_indexed, analyze_segments, analyze_tsv_indexed, analyze_tsv_segments, ooc_stats,
@@ -331,9 +666,19 @@ fn analyze_cmd(w: &Workload, opts: &AnalyzeOptions) -> Result<(), String> {
     use waffle_repro::sim::{time::ms, SimConfig, Simulator};
     use waffle_repro::trace::{SegmentReader, TraceIndex, TraceRecorder};
 
-    let mut rec = TraceRecorder::new(w);
-    let sim_cfg = SimConfig::with_seed(seed).with_memory(MemoryConfig::from_model(memory));
-    let _ = Simulator::run(w, sim_cfg, &mut rec);
+    let jobs = a.num("--jobs").unwrap_or(1);
+    let spill = a.path("--spill");
+    let budget_mb: Option<u64> = a.num("--budget-mb");
+    let memory = memory_model(a)?;
+    if budget_mb.is_some() && spill.is_none() {
+        return Err("analyze: --budget-mb only applies with --spill DIR".into());
+    }
+    let w = test_named(a.arg())?;
+
+    let mut rec = TraceRecorder::new(&w);
+    let sim_cfg = SimConfig::with_seed(a.num("--seed").unwrap_or(1))
+        .with_memory(MemoryConfig::from_model(memory));
+    let _ = Simulator::run(&w, sim_cfg, &mut rec);
     let trace = rec.into_trace();
 
     let t0 = Instant::now();
@@ -344,7 +689,7 @@ fn analyze_cmd(w: &Workload, opts: &AnalyzeOptions) -> Result<(), String> {
     let config = AnalyzerConfig::default().with_memory(memory);
     let t1 = Instant::now();
     let mut spill_note = None;
-    let (plan, tsv) = match spill {
+    let (plan, tsv) = match &spill {
         Some(dir) => {
             std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
             let path = dir.join(format!("{}.seg", w.name));
@@ -377,16 +722,12 @@ fn analyze_cmd(w: &Workload, opts: &AnalyzeOptions) -> Result<(), String> {
     registry.observe_us("analysis/index_build", build_us);
     registry.observe_us("analysis/scan", scan_us);
 
-    if plan_only {
+    if a.on("--plan-only") {
         // Exactly the serve-session report shape, for byte-diffing a
         // streamed session's report against the batch path in CI.
-        println!(
-            "{}",
-            waffle_repro::core::session_report_json(&plan, &tsv).map_err(|e| e.to_string())?
-        );
-        return Ok(());
+        return print_json(waffle_repro::core::session_report_json(&plan, &tsv));
     }
-    if json {
+    if a.on("--json") {
         // Composite object: the deterministic plans plus the index shape.
         // Timings are intentionally excluded — they vary run to run.
         println!(
@@ -435,7 +776,7 @@ fn analyze_cmd(w: &Workload, opts: &AnalyzeOptions) -> Result<(), String> {
             ostats.max_batch_bytes
         );
     }
-    if stats {
+    if a.on("--stats") {
         let dedup = istats.events.max(1) as f64 / istats.distinct_clocks.max(1) as f64;
         println!("\nindex: {} distinct clock snapshot(s), {dedup:.1} events/snapshot", istats.distinct_clocks);
         println!(
@@ -457,428 +798,217 @@ fn analyze_cmd(w: &Workload, opts: &AnalyzeOptions) -> Result<(), String> {
     Ok(())
 }
 
-/// `waffle campaign <init|run|status>` — the crash-safe, resumable
-/// campaign workflow. A campaign directory holds a fingerprinted manifest
-/// plus one atomically-written checkpoint per finished cell; `run
-/// --resume` skips checkpointed cells and the final report is
-/// byte-identical to an uninterrupted run at any `--jobs`.
-fn campaign_cmd(args: &[String]) -> Result<(), String> {
-    let sub = args
-        .first()
-        .ok_or("campaign: missing subcommand (init|run|work|status)")?;
-    let dir = args.get(1).ok_or("campaign: missing campaign directory")?;
-    let rest = &args[2..];
-    match sub.as_str() {
-        "init" => {
-            let mut tests: Vec<String> = Vec::new();
-            let mut app: Option<String> = None;
-            let mut tools: Vec<String> = vec!["waffle".into()];
-            let mut attempts: u32 = 5;
-            let mut config = CampaignConfig::default();
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--tests" => {
-                        tests = it
-                            .next()
-                            .ok_or("--tests needs a comma-separated list")?
-                            .split(',')
-                            .map(str::to_owned)
-                            .collect();
-                    }
-                    "--app" => app = Some(it.next().ok_or("--app needs a value")?.clone()),
-                    "--tools" => {
-                        tools = it
-                            .next()
-                            .ok_or("--tools needs a comma-separated list")?
-                            .split(',')
-                            .map(str::to_owned)
-                            .collect();
-                    }
-                    "--attempts" => {
-                        attempts = it
-                            .next()
-                            .ok_or("--attempts needs a value")?
-                            .parse()
-                            .map_err(|e| format!("--attempts: {e}"))?;
-                    }
-                    "--max-runs" => {
-                        config.max_detection_runs = it
-                            .next()
-                            .ok_or("--max-runs needs a value")?
-                            .parse()
-                            .map_err(|e| format!("--max-runs: {e}"))?;
-                    }
-                    "--retries" => {
-                        config.max_retries = it
-                            .next()
-                            .ok_or("--retries needs a value")?
-                            .parse()
-                            .map_err(|e| format!("--retries: {e}"))?;
-                    }
-                    other => return Err(format!("campaign init: unknown option {other}")),
-                }
-            }
-            if let Some(app) = app {
-                let app = all_apps()
-                    .into_iter()
-                    .find(|a| a.name == app)
-                    .ok_or_else(|| format!("unknown app {app}"))?;
-                tests.extend(app.tests.iter().map(|t| t.workload.name.clone()));
-            }
-            if tests.is_empty() {
-                return Err("campaign init: pass --tests a,b,c and/or --app NAME".into());
-            }
-            for t in &tests {
-                if find_test(t).is_none() {
-                    return Err(format!("unknown test {t}"));
-                }
-            }
-            let cells: Vec<CellSpec> = tests
-                .iter()
-                .flat_map(|w| tools.iter().map(|t| CellSpec::new(w.clone(), t.clone(), attempts)))
-                .collect();
-            let campaign = Campaign::create(dir, config, cells).map_err(|e| e.to_string())?;
-            println!(
-                "campaign initialized: {} cells ({} inputs × {} tools, {} attempts each)",
-                campaign.manifest().cells.len(),
-                tests.len(),
-                tools.len(),
-                attempts
-            );
-            println!("manifest fingerprint {:016x}", campaign.manifest().fingerprint);
-            println!("run it with: waffle campaign run {dir}");
-            Ok(())
-        }
-        "run" => {
-            let mut opts = RunOptions {
-                jobs: 1,
-                resume: false,
-                max_cells: None,
-            };
-            let mut fresh = false;
-            let mut json = false;
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--jobs" => {
-                        opts.jobs = it
-                            .next()
-                            .ok_or("--jobs needs a value")?
-                            .parse()
-                            .map_err(|e| format!("--jobs: {e}"))?;
-                        if opts.jobs == 0 {
-                            return Err("--jobs must be at least 1".into());
-                        }
-                    }
-                    "--resume" => opts.resume = true,
-                    "--fresh" => fresh = true,
-                    "--max-cells" => {
-                        opts.max_cells = Some(
-                            it.next()
-                                .ok_or("--max-cells needs a value")?
-                                .parse()
-                                .map_err(|e| format!("--max-cells: {e}"))?,
-                        );
-                    }
-                    "--json" => json = true,
-                    other => return Err(format!("campaign run: unknown option {other}")),
-                }
-            }
-            if opts.resume && fresh {
-                return Err("campaign run: --resume and --fresh are mutually exclusive".into());
-            }
-            let campaign = Campaign::open(dir).map_err(|e| e.to_string())?;
-            let done = campaign.manifest().cells.len() - campaign.outstanding().len();
-            if done > 0 && !opts.resume && !fresh {
-                return Err(format!(
-                    "campaign run: {done} checkpointed cell(s) exist; pass --resume to \
-                     continue where the last run stopped or --fresh to discard them"
-                ));
-            }
-            let progress = campaign
-                .run(&opts, find_test)
-                .map_err(|e| e.to_string())?;
-            if !json {
-                if progress.skipped > 0 {
-                    println!(
-                        "resume: skipped {} checkpointed cell(s)",
-                        progress.skipped
-                    );
-                }
-                for (i, status) in &progress.ran {
-                    let spec = &campaign.manifest().cells[*i];
-                    println!(
-                        "cell [{i:04}] {} / {} -> {}",
-                        spec.workload,
-                        spec.tool,
-                        match status {
-                            CellStatus::Completed => "completed",
-                            CellStatus::TimedOut => "completed (TimeOut)",
-                            CellStatus::Failed => "FAILED (quarantined)",
-                        }
-                    );
-                }
-            }
-            match progress.report {
-                Some(report) => {
-                    if json {
-                        println!(
-                            "{}",
-                            serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-                        );
-                    } else {
-                        print!("{}", report.render());
-                        println!("report written to {}/report.json", dir);
-                    }
-                }
-                None => {
-                    if json {
-                        println!(
-                            "{{\"outstanding\": {}, \"ran\": {}}}",
-                            progress.outstanding,
-                            progress.ran.len()
-                        );
-                    } else {
-                        println!(
-                            "{} cell(s) still outstanding; continue with: waffle campaign run {dir} --resume",
-                            progress.outstanding
-                        );
-                    }
-                }
-            }
-            Ok(())
-        }
-        "work" => {
-            let mut opts = WorkOptions::default();
-            let mut json = false;
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--worker" => {
-                        opts.worker = it.next().ok_or("--worker needs a name")?.clone();
-                    }
-                    "--lease-secs" => {
-                        opts.lease_secs = it
-                            .next()
-                            .ok_or("--lease-secs needs a value")?
-                            .parse()
-                            .map_err(|e| format!("--lease-secs: {e}"))?;
-                    }
-                    "--max-cells" => {
-                        opts.max_cells = Some(
-                            it.next()
-                                .ok_or("--max-cells needs a value")?
-                                .parse()
-                                .map_err(|e| format!("--max-cells: {e}"))?,
-                        );
-                    }
-                    "--poll-ms" => {
-                        opts.poll_ms = it
-                            .next()
-                            .ok_or("--poll-ms needs a value")?
-                            .parse()
-                            .map_err(|e| format!("--poll-ms: {e}"))?;
-                    }
-                    "--no-wait" => opts.wait = false,
-                    "--json" => json = true,
-                    other => return Err(format!("campaign work: unknown option {other}")),
-                }
-            }
-            let campaign = Campaign::open(dir).map_err(|e| e.to_string())?;
-            let progress = campaign.work(&opts, find_test).map_err(|e| e.to_string())?;
-            if !json {
-                for (i, status) in &progress.ran {
-                    let spec = &campaign.manifest().cells[*i];
-                    println!(
-                        "cell [{i:04}] {} / {} -> {}",
-                        spec.workload,
-                        spec.tool,
-                        match status {
-                            CellStatus::Completed => "completed",
-                            CellStatus::TimedOut => "completed (TimeOut)",
-                            CellStatus::Failed => "FAILED (quarantined)",
-                        }
-                    );
-                }
-                if progress.recovered > 0 {
-                    println!("recovered {} stale claim(s)", progress.recovered);
-                }
-            }
-            match progress.report {
-                Some(report) => {
-                    if json {
-                        println!(
-                            "{}",
-                            serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-                        );
-                    } else {
-                        print!("{}", report.render());
-                        println!("report written to {dir}/report.json");
-                    }
-                }
-                None => {
-                    if json {
-                        println!(
-                            "{{\"ran\": {}, \"recovered\": {}, \"outstanding\": {}}}",
-                            progress.ran.len(),
-                            progress.recovered,
-                            progress.outstanding
-                        );
-                    } else {
-                        println!(
-                            "{} cell(s) still outstanding (held by other workers or --no-wait/--max-cells)",
-                            progress.outstanding
-                        );
-                    }
-                }
-            }
-            Ok(())
-        }
-        "status" => {
-            let json = rest.iter().any(|a| a == "--json");
-            let campaign = Campaign::open(dir).map_err(|e| e.to_string())?;
-            let status = campaign.status().map_err(|e| e.to_string())?;
-            if json {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&status).map_err(|e| e.to_string())?
-                );
-                return Ok(());
-            }
-            let mut registry = MetricsRegistry::new();
-            for (i, spec) in campaign.manifest().cells.iter().enumerate() {
-                let ckpt = campaign.checkpoint_state(i);
-                if let CheckpointState::Ready(c) = &ckpt {
-                    if let Some(s) = &c.summary {
-                        registry.absorb_summary(&spec.workload, &spec.tool, &s.telemetry);
-                    }
-                }
-                let line = &status.cells[i];
-                let state = match line.state.as_str() {
-                    "completed" => "completed".to_owned(),
-                    "timed_out" => "completed (TimeOut)".to_owned(),
-                    "failed" => format!(
-                        "FAILED (quarantined): {}",
-                        line.last_failure.as_deref().unwrap_or("no panic recorded")
-                    ),
-                    "claimed" => {
-                        let c = line.claim.as_ref().expect("claimed cells carry a claim");
-                        format!("claimed by {} (pid {}, {}s ago)", c.worker, c.pid, c.age_secs)
-                    }
-                    _ if matches!(ckpt, CheckpointState::Invalid) => {
-                        "invalid checkpoint (will re-run)".to_owned()
-                    }
-                    _ => "outstanding".to_owned(),
-                };
-                println!(
-                    "[{i:04}] {} / {} ({} attempts): {state}",
-                    spec.workload, spec.tool, spec.attempts
-                );
-            }
-            println!(
-                "{}/{} cells checkpointed ({} completed, {} timed out, {} quarantined); \
-                 {} live claim(s){}",
-                status.done,
-                status.total,
-                status.completed,
-                status.timed_out,
-                status.quarantined.len(),
-                status.claims.len(),
-                if status.report_written {
-                    "; report.json written"
-                } else {
-                    ""
-                }
-            );
-            println!(
-                "telemetry so far: {} runs, {} delays injected",
-                registry.counter("total/runs"),
-                registry.counter("total/injected"),
-            );
-            Ok(())
-        }
-        other => Err(format!("campaign: unknown subcommand {other}")),
+/// `waffle campaign init` — lay out the grid: every test input × every
+/// tool, each cell `--attempts` repetitions.
+fn campaign_init(a: &Args) -> Result<(), String> {
+    let list = |name: &str| a.get(name).map(|v| v.split(',').map(str::to_owned).collect());
+    let mut tests: Vec<String> = list("--tests").unwrap_or_default();
+    let tools: Vec<String> = list("--tools").unwrap_or_else(|| vec!["waffle".into()]);
+    let attempts: u32 = a.num("--attempts").unwrap_or(5);
+    let mut config = CampaignConfig::default();
+    config.max_detection_runs = a.num("--max-runs").unwrap_or(config.max_detection_runs);
+    config.max_retries = a.num("--retries").unwrap_or(config.max_retries);
+    if let Some(app) = a.get("--app") {
+        let app = all_apps()
+            .into_iter()
+            .find(|x| x.name == app)
+            .ok_or_else(|| format!("unknown app {app}"))?;
+        tests.extend(app.tests.iter().map(|t| t.workload.name.clone()));
     }
+    if tests.is_empty() {
+        return Err("campaign init: pass --tests a,b,c and/or --app NAME".into());
+    }
+    for t in &tests {
+        test_named(t)?;
+    }
+    let cells: Vec<CellSpec> = tests
+        .iter()
+        .flat_map(|w| tools.iter().map(|t| CellSpec::new(w.clone(), t.clone(), attempts)))
+        .collect();
+    let dir = a.arg();
+    let campaign = Campaign::create(dir, config, cells).map_err(|e| e.to_string())?;
+    println!(
+        "campaign initialized: {} cells ({} inputs × {} tools, {} attempts each)",
+        campaign.manifest().cells.len(),
+        tests.len(),
+        tools.len(),
+        attempts
+    );
+    println!("manifest fingerprint {:016x}", campaign.manifest().fingerprint);
+    println!("run it with: waffle campaign run {dir}");
+    Ok(())
+}
+
+/// `waffle campaign run` — the crash-safe, resumable campaign workflow on
+/// `--jobs` in-process workers of the claim protocol. `--resume` skips
+/// checkpointed cells, and the final report is byte-identical to an
+/// uninterrupted run at any `--jobs`.
+fn campaign_run(a: &Args) -> Result<(), String> {
+    let opts = RunOptions {
+        jobs: a.num("--jobs").unwrap_or(1),
+        resume: a.on("--resume"),
+        max_cells: a.num("--max-cells"),
+    };
+    let fresh = a.on("--fresh");
+    if opts.resume && fresh {
+        return Err("campaign run: --resume and --fresh are mutually exclusive".into());
+    }
+    let campaign = Campaign::open(a.arg()).map_err(|e| e.to_string())?;
+    let done = campaign.manifest().cells.len() - campaign.outstanding().len();
+    if done > 0 && !opts.resume && !fresh {
+        return Err(format!(
+            "campaign run: {done} checkpointed cell(s) exist; pass --resume to \
+             continue where the last run stopped or --fresh to discard them"
+        ));
+    }
+    let progress = campaign.run(&opts, find_test).map_err(|e| e.to_string())?;
+    print_progress(&campaign, &progress, a.on("--json"))
+}
+
+/// `waffle campaign work` — join the campaign as one coordinator-free
+/// worker process.
+fn campaign_work(a: &Args) -> Result<(), String> {
+    let defaults = WorkOptions::default();
+    let opts = WorkOptions {
+        worker: a.get("--worker").map_or(defaults.worker, str::to_owned),
+        lease_secs: a.num("--lease-secs").unwrap_or(defaults.lease_secs),
+        max_cells: a.num("--max-cells"),
+        poll_ms: a.num("--poll-ms").unwrap_or(defaults.poll_ms),
+        wait: !a.on("--no-wait"),
+    };
+    let campaign = Campaign::open(a.arg()).map_err(|e| e.to_string())?;
+    let progress = campaign.work(&opts, find_test).map_err(|e| e.to_string())?;
+    print_progress(&campaign, &progress, a.on("--json"))
+}
+
+/// Prints what one `campaign run` or `campaign work` invocation did.
+fn print_progress(campaign: &Campaign, p: &CampaignProgress, json: bool) -> Result<(), String> {
+    let dir = campaign.dir().display();
+    if !json {
+        if p.skipped > 0 {
+            println!("resume: skipped {} checkpointed cell(s)", p.skipped);
+        }
+        for (i, status) in &p.ran {
+            let spec = &campaign.manifest().cells[*i];
+            let status = match status {
+                CellStatus::Completed => "completed",
+                CellStatus::TimedOut => "completed (TimeOut)",
+                CellStatus::Failed => "FAILED (quarantined)",
+            };
+            println!("cell [{i:04}] {} / {} -> {status}", spec.workload, spec.tool);
+        }
+        if p.recovered > 0 {
+            println!("recovered {} stale claim(s)", p.recovered);
+        }
+    }
+    match &p.report {
+        Some(report) if json => print_json(serde_json::to_string_pretty(report))?,
+        Some(report) => {
+            print!("{}", report.render());
+            println!("report written to {dir}/report.json");
+        }
+        None if json => println!(
+            "{{\"ran\": {}, \"recovered\": {}, \"outstanding\": {}}}",
+            p.ran.len(),
+            p.recovered,
+            p.outstanding
+        ),
+        None => println!(
+            "{} cell(s) still outstanding; continue with: waffle campaign run {dir} --resume \
+             (or join another: waffle campaign work {dir})",
+            p.outstanding
+        ),
+    }
+    Ok(())
+}
+
+fn campaign_status(a: &Args) -> Result<(), String> {
+    let campaign = Campaign::open(a.arg()).map_err(|e| e.to_string())?;
+    let status = campaign.status().map_err(|e| e.to_string())?;
+    if a.on("--json") {
+        return print_json(serde_json::to_string_pretty(&status));
+    }
+    let mut registry = MetricsRegistry::new();
+    for (i, spec) in campaign.manifest().cells.iter().enumerate() {
+        let ckpt = campaign.checkpoint_state(i);
+        if let CheckpointState::Ready(c) = &ckpt {
+            if let Some(s) = &c.summary {
+                registry.absorb_summary(&spec.workload, &spec.tool, &s.telemetry);
+            }
+        }
+        let line = &status.cells[i];
+        let state = match line.state.as_str() {
+            "completed" => "completed".to_owned(),
+            "timed_out" => "completed (TimeOut)".to_owned(),
+            "failed" => format!(
+                "FAILED (quarantined): {}",
+                line.last_failure.as_deref().unwrap_or("no panic recorded")
+            ),
+            "claimed" => {
+                let c = line.claim.as_ref().expect("claimed cells carry a claim");
+                format!("claimed by {} (pid {}, {}s ago)", c.worker, c.pid, c.age_secs)
+            }
+            _ if matches!(ckpt, CheckpointState::Invalid) => {
+                "invalid checkpoint (will re-run)".to_owned()
+            }
+            _ => "outstanding".to_owned(),
+        };
+        println!(
+            "[{i:04}] {} / {} ({} attempts): {state}",
+            spec.workload, spec.tool, spec.attempts
+        );
+    }
+    println!(
+        "{}/{} cells checkpointed ({} completed, {} timed out, {} quarantined); \
+         {} live claim(s){}",
+        status.done,
+        status.total,
+        status.completed,
+        status.timed_out,
+        status.quarantined.len(),
+        status.claims.len(),
+        if status.report_written {
+            "; report.json written"
+        } else {
+            ""
+        }
+    );
+    println!(
+        "telemetry so far: {} runs, {} delays injected",
+        registry.counter("total/runs"),
+        registry.counter("total/injected"),
+    );
+    Ok(())
 }
 
 /// `waffle fuzz` — run a block of generated workloads through the bounded
 /// schedule oracle and all detector configurations, failing (non-zero
 /// exit) on any ground-truth disagreement. With `--corpus DIR`, each
 /// disagreeing workload is delta-debugged to a minimal op sequence and
-/// persisted as a replayable corpus case.
-fn fuzz_cmd(args: &[String]) -> Result<(), String> {
+/// persisted as a replayable corpus case. `--repair` also synthesizes a
+/// certified repair for every oracle-confirmed bug.
+fn fuzz_cmd(a: &Args) -> Result<(), String> {
     use waffle_repro::fuzz::{classify_case, run_fuzz, shrink_case, CorpusCase, FuzzCase, FuzzConfig};
 
-    let mut cfg = FuzzConfig::default();
-    let mut corpus: Option<PathBuf> = None;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seeds" => {
-                cfg.seeds = it
-                    .next()
-                    .ok_or("--seeds needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?;
-            }
-            "--seed-base" => {
-                cfg.seed_base = it
-                    .next()
-                    .ok_or("--seed-base needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seed-base: {e}"))?;
-            }
-            "--jobs" => {
-                cfg.jobs = it
-                    .next()
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
-                if cfg.jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
-            "--preemption-bound" => {
-                cfg.preemption_bound = it
-                    .next()
-                    .ok_or("--preemption-bound needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--preemption-bound: {e}"))?;
-                if cfg.preemption_bound == 0 {
-                    return Err(
-                        "--preemption-bound must be at least 1: at bound 0 no access can be \
-                         reordered, so every planted bug is vacuously unexposable"
-                            .into(),
-                    );
-                }
-            }
-            "--max-runs" => {
-                cfg.max_detection_runs = it
-                    .next()
-                    .ok_or("--max-runs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--max-runs: {e}"))?;
-            }
-            "--corpus" => {
-                corpus = Some(PathBuf::from(it.next().ok_or("--corpus needs a value")?));
-            }
-            "--memory-model" => {
-                cfg.memory = parse_memory_model(it.next().ok_or("--memory-model needs a value")?)?;
-            }
-            "--no-reduction" => cfg.reduction = false,
-            "--repair" => cfg.repair = true,
-            "--json" => json = true,
-            other => return Err(format!("fuzz: unknown option {other}")),
-        }
-    }
+    let d = FuzzConfig::default();
+    let cfg = FuzzConfig {
+        seeds: a.num("--seeds").unwrap_or(d.seeds),
+        seed_base: a.num("--seed-base").unwrap_or(d.seed_base),
+        jobs: a.num("--jobs").unwrap_or(d.jobs),
+        preemption_bound: a.num("--preemption-bound").unwrap_or(d.preemption_bound),
+        max_detection_runs: a.num("--max-runs").unwrap_or(d.max_detection_runs),
+        memory: memory_model(a)?,
+        reduction: d.reduction && !a.on("--no-reduction"),
+        repair: d.repair || a.on("--repair"),
+        ..d
+    };
+    let json = a.on("--json");
 
     let report = run_fuzz(&cfg);
 
-    if let Some(dir) = &corpus {
+    if let Some(dir) = a.path("--corpus") {
         if !report.disagreements.is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+            std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
         }
         // One minimized corpus case per disagreeing seed. Shrink while the
         // same disagreement kind reproduces under the sweep config AND the
@@ -923,7 +1053,7 @@ fn fuzz_cmd(args: &[String]) -> Result<(), String> {
     }
 
     if json {
-        println!("{}", report.to_json().map_err(|e| e.to_string())?);
+        print_json(report.to_json())?;
     } else {
         print!("{}", report.render());
     }
@@ -945,44 +1075,19 @@ fn fuzz_cmd(args: &[String]) -> Result<(), String> {
 /// no exposable bug within the bound needs no repair; a confirmed bug
 /// whose fix lies outside the grammar is reported unrepairable rather
 /// than patched with an uncertified guess.
-fn fix_cmd(args: &[String]) -> Result<(), String> {
+fn fix_cmd(a: &Args) -> Result<(), String> {
     use waffle_repro::fuzz::{
         derive_plan, explore, synthesize_with_oracle, OracleConfig, OracleVerdict,
     };
 
-    let mut name: Option<String> = None;
-    let mut cfg = OracleConfig::default();
-    let mut seed: u64 = 1;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--memory-model" => {
-                cfg.memory = parse_memory_model(it.next().ok_or("--memory-model needs a value")?)?;
-            }
-            "--preemption-bound" => {
-                cfg.preemption_bound = it
-                    .next()
-                    .ok_or("--preemption-bound needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--preemption-bound: {e}"))?;
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--json" => json = true,
-            other if name.is_none() && !other.starts_with("--") => {
-                name = Some(other.to_owned());
-            }
-            other => return Err(format!("fix: unknown option {other}")),
-        }
-    }
-    let name = name.ok_or("fix: missing test name")?;
-    let w = find_test(&name).ok_or_else(|| format!("unknown test {name}"))?;
+    let d = OracleConfig::default();
+    let cfg = OracleConfig {
+        memory: memory_model(a)?,
+        preemption_bound: a.num("--preemption-bound").unwrap_or(d.preemption_bound),
+        ..d
+    };
+    let json = a.on("--json");
+    let w = test_named(a.arg())?;
 
     let oracle = explore(&w, &cfg);
     let (kind, obj) = match oracle.verdict {
@@ -1006,13 +1111,10 @@ fn fix_cmd(args: &[String]) -> Result<(), String> {
             ));
         }
     };
-    let plan = derive_plan(&w, seed, cfg.memory);
+    let plan = derive_plan(&w, a.num("--seed").unwrap_or(1), cfg.memory);
     let report = synthesize_with_oracle(&w, &plan, kind, obj, &cfg);
     if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-        );
+        print_json(serde_json::to_string_pretty(&report))?;
     } else {
         print!("{}", report.render());
     }
@@ -1027,29 +1129,19 @@ fn fix_cmd(args: &[String]) -> Result<(), String> {
 }
 
 /// `waffle bench --all [--out DIR]` — refresh the committed throughput
-/// reports by shelling out to the three `waffle-bench` rate harnesses
-/// (`engine_rate`, `analysis_rate`, `scale`), steering each one's output
-/// into `DIR` (default: the current directory) via its `WAFFLE_BENCH_*`
-/// environment variable. The scale harness defaults to a 10M-event trace;
-/// set `WAFFLE_SCALE_EVENTS` to shrink it for smoke runs.
-fn bench_cmd(args: &[String]) -> Result<(), String> {
-    let mut all = false;
-    let mut out = PathBuf::from(".");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--all" => all = true,
-            "--out" => out = PathBuf::from(it.next().ok_or("--out needs a directory")?),
-            other => return Err(format!("bench: unknown option {other}")),
-        }
-    }
-    if !all {
+/// reports by shelling out to the `waffle-bench` rate harnesses, steering
+/// each one's output into `DIR` (default: the current directory) via its
+/// `WAFFLE_BENCH_*` environment variable. The scale harness defaults to a
+/// 10M-event trace; set `WAFFLE_SCALE_EVENTS` to shrink it for smoke runs.
+fn bench_cmd(a: &Args) -> Result<(), String> {
+    if !a.on("--all") {
         return Err(
             "bench: pass --all to refresh BENCH_core.json, BENCH_analysis.json and \
              BENCH_scale.json (optionally --out DIR)"
                 .into(),
         );
     }
+    let out = a.path("--out").unwrap_or_else(|| PathBuf::from("."));
     std::fs::create_dir_all(&out).map_err(|e| format!("{}: {e}", out.display()))?;
     let targets = [
         ("engine_rate", "WAFFLE_BENCH_OUT", "BENCH_core.json"),
@@ -1083,84 +1175,21 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
 /// provide backpressure: `--policy block` (default) throttles the client
 /// through socket flow control, `--policy shed` drops event batches under
 /// overload and counts them.
-fn serve_cmd(args: &[String]) -> Result<(), String> {
+fn serve_cmd(a: &Args) -> Result<(), String> {
     use waffle_repro::core::{serve, QueuePolicy, ServeOptions};
-    let mut socket: Option<PathBuf> = None;
-    let mut dir: Option<PathBuf> = None;
-    let mut json = false;
-    let mut it = args.iter();
-    let mut seal_events: Option<usize> = None;
-    let mut queue_events: Option<usize> = None;
-    let mut policy = QueuePolicy::Block;
-    let mut jobs = 1usize;
-    let mut max_sessions: Option<usize> = None;
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => socket = Some(PathBuf::from(it.next().ok_or("--socket needs a path")?)),
-            "--dir" => dir = Some(PathBuf::from(it.next().ok_or("--dir needs a directory")?)),
-            "--seal-events" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--seal-events needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seal-events: {e}"))?;
-                if n == 0 {
-                    return Err("--seal-events must be at least 1".into());
-                }
-                seal_events = Some(n);
-            }
-            "--queue-events" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--queue-events needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--queue-events: {e}"))?;
-                if n == 0 {
-                    return Err("--queue-events must be at least 1".into());
-                }
-                queue_events = Some(n);
-            }
-            "--policy" => {
-                policy = match it.next().ok_or("--policy needs block|shed")?.as_str() {
-                    "block" => QueuePolicy::Block,
-                    "shed" => QueuePolicy::Shed,
-                    other => return Err(format!("--policy: unknown policy {other}")),
-                };
-            }
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
-                if jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
-            "--max-sessions" => {
-                max_sessions = Some(
-                    it.next()
-                        .ok_or("--max-sessions needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--max-sessions: {e}"))?,
-                );
-            }
-            "--json" => json = true,
-            other => return Err(format!("serve: unknown option {other}")),
-        }
-    }
-    let socket = socket.ok_or("serve: --socket PATH is required")?;
-    let dir = dir.ok_or("serve: --dir DIR is required")?;
+    let socket = a.path("--socket").ok_or("serve: --socket PATH is required")?;
+    let dir = a.path("--dir").ok_or("serve: --dir DIR is required")?;
     let mut opts = ServeOptions::new(socket, dir);
-    if let Some(n) = seal_events {
-        opts.seal_events = n;
-    }
-    if let Some(n) = queue_events {
-        opts.queue_events = n;
-    }
-    opts.policy = policy;
-    opts.jobs = jobs;
-    opts.max_sessions = max_sessions;
+    opts.policy = match a.get("--policy").unwrap_or("block") {
+        "block" => QueuePolicy::Block,
+        "shed" => QueuePolicy::Shed,
+        other => return Err(format!("--policy: unknown policy {other}")),
+    };
+    opts.seal_events = a.num("--seal-events").unwrap_or(opts.seal_events);
+    opts.queue_events = a.num("--queue-events").unwrap_or(opts.queue_events);
+    opts.jobs = a.num("--jobs").unwrap_or(opts.jobs);
+    opts.max_sessions = a.num("--max-sessions");
+    let json = a.on("--json");
     if !json {
         println!(
             "serve: listening on {} (reports under {})",
@@ -1170,10 +1199,7 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
     }
     let report = serve(&opts).map_err(|e| e.to_string())?;
     if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report.metrics).map_err(|e| e.to_string())?
-        );
+        print_json(serde_json::to_string_pretty(&report.metrics))?;
     } else {
         println!("serve: {} session(s) handled", report.sessions);
         for (name, value) in report.metrics.counters() {
@@ -1187,46 +1213,18 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
 /// records the test's preparation-run trace, streams it to a running
 /// `waffle serve` as one session (Events frames of `--batch` events), and
 /// prints the server's report JSON.
-fn ingest_cmd(args: &[String]) -> Result<(), String> {
+fn ingest_cmd(a: &Args) -> Result<(), String> {
     use waffle_repro::core::replay_trace;
     use waffle_repro::sim::{SimConfig, Simulator};
     use waffle_repro::trace::TraceRecorder;
-    let mut socket: Option<PathBuf> = None;
-    let mut test: Option<String> = None;
-    let mut batch = 4096usize;
-    let mut seed = 1u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => socket = Some(PathBuf::from(it.next().ok_or("--socket needs a path")?)),
-            "--test" => test = Some(it.next().ok_or("--test needs a test name")?.clone()),
-            "--batch" => {
-                batch = it
-                    .next()
-                    .ok_or("--batch needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--batch: {e}"))?;
-                if batch == 0 {
-                    return Err("--batch must be at least 1".into());
-                }
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            other => return Err(format!("ingest: unknown option {other}")),
-        }
-    }
-    let socket = socket.ok_or("ingest: --socket PATH is required")?;
-    let name = test.ok_or("ingest: --test NAME is required")?;
-    let w = find_test(&name).ok_or_else(|| format!("unknown test {name}"))?;
+    let socket = a.path("--socket").ok_or("ingest: --socket PATH is required")?;
+    let name = a.get("--test").ok_or("ingest: --test NAME is required")?;
+    let w = test_named(name)?;
     let mut rec = TraceRecorder::new(&w);
-    let _ = Simulator::run(&w, SimConfig::with_seed(seed), &mut rec);
+    let _ = Simulator::run(&w, SimConfig::with_seed(a.num("--seed").unwrap_or(1)), &mut rec);
     let trace = rec.into_trace();
-    let json = replay_trace(&socket, &trace, batch).map_err(|e| e.to_string())?;
+    let json = replay_trace(&socket, &trace, a.num("--batch").unwrap_or(4096))
+        .map_err(|e| e.to_string())?;
     println!("{json}");
     // A report carrying a "shed" member means the server (under
     // --policy shed) dropped some of this session's Events batches; the
@@ -1239,354 +1237,26 @@ fn ingest_cmd(args: &[String]) -> Result<(), String> {
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        return Err("usage: waffle <list|bugs|detect|scan|report|campaign> …".into());
+    let Some(first) = args.first() else {
+        return Err("usage: waffle <command> [args]; `waffle help` lists the commands".into());
     };
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => {
-            println!("waffle — active delay injection for MemOrder bugs\n");
-            println!("commands:");
-            println!("  list                        applications and test inputs");
-            println!("  bugs                        the 18 seeded Table 4 bugs");
-            println!("  analyze <test> [--jobs N] [--seed N] [--stats] [--json] [--plan-only]");
-            println!("          [--spill DIR [--budget-mb N]]");
-            println!("                              preparation run + trace analysis only;");
-            println!("                              --spill analyzes out-of-core from an on-disk");
-            println!("                              segment file under a resident-bytes budget;");
-            println!("                              --plan-only prints the serve-session report");
-            println!("  serve --socket PATH --dir DIR [--seal-events N] [--queue-events N]");
-            println!("        [--policy block|shed] [--jobs N] [--max-sessions N] [--json]");
-            println!("                              streaming ingestion server: sessions stream");
-            println!("                              trace events, reports match batch analyze");
-            println!("  ingest --socket PATH --test NAME [--batch N] [--seed N]");
-            println!("                              stream one test's trace to a serve socket");
-            println!("  detect <test> [options]     run a tool on one test input");
-            println!("  step <test> --session DIR   one process-step of the workflow");
-            println!("  scan <app> [options]        run a tool on an app's whole suite");
-            println!("  report <bug-id> [options]   expose a seeded bug, full report");
-            println!("  stats <dir> [--json]        aggregate saved telemetry journals");
-            println!("  campaign init DIR [--tests a,b|--app NAME] [--tools t1,t2]");
-            println!("                    [--attempts N] [--max-runs N] [--retries N]");
-            println!("  campaign run DIR [--jobs N] [--resume|--fresh] [--max-cells N] [--json]");
-            println!("  campaign work DIR [--worker NAME] [--lease-secs N] [--max-cells N]");
-            println!("                    [--poll-ms N] [--no-wait] [--json]");
-            println!("                              join DIR as one coordinator-free worker;");
-            println!("                              run several processes to share the grid");
-            println!("  campaign status DIR [--json]");
-            println!("                              per-cell state, live claims, quarantine");
-            println!("  bench --all [--out DIR]     refresh the BENCH_*.json throughput reports");
-            println!("  fuzz [--seeds N] [--seed-base N] [--jobs N] [--preemption-bound K]");
-            println!("       [--max-runs N] [--corpus DIR] [--memory-model sc|tso|pso]");
-            println!("       [--no-reduction] [--json]");
-            println!("                              generated workloads vs the schedule oracle;");
-            println!("                              non-zero exit on any disagreement");
-            println!("\noptions:");
-            println!("  --tool waffle|basic|noprep|no-parent-child|fixed-delay|no-interference");
-            println!("  --max-runs N     detection-run budget (default 10)");
-            println!("  --seed N         attempt seed (default 1)");
-            println!("  --attempts N     repetition attempts, summarized (default 1)");
-            println!("  --jobs N         worker threads for --attempts/scan (default 1)");
-            println!("  --session DIR    persist plan/decay/reports");
-            println!("  --telemetry DIR  write per-attempt telemetry journals (JSON)");
-            println!("  --memory-model sc|tso|pso");
-            println!("                   simulated consistency model (default sc); tso/pso put");
-            println!("                   a store buffer under every thread and let injected");
-            println!("                   delays stretch store drains (detect/step/analyze/fuzz)");
-            println!("  --json           machine-readable output");
-            Ok(())
-        }
-        "list" => {
-            for app in all_apps() {
-                println!("{} ({} tests)", app.name, app.tests.len());
-                for t in &app.tests {
-                    let tag = match t.seeded_bug {
-                        Some(id) => format!("  [Bug-{id}]"),
-                        None => String::new(),
-                    };
-                    println!("  {}{}", t.workload.name, tag);
-                }
-            }
-            println!("weak-memory scenarios (run with --memory-model):");
-            for s in waffle_repro::apps::weak_scenarios() {
-                let tag = match s.expected {
-                    Some(k) => format!("  [{} under {}]", k.label(), s.model),
-                    None => "  [control]".into(),
-                };
-                println!("  {}{}", s.name, tag);
-            }
-            Ok(())
-        }
-        "bugs" => {
-            for b in all_bugs() {
-                println!(
-                    "Bug-{:<3} {:<20} issue {:<6} {:<8} {}",
-                    b.id,
-                    b.app,
-                    b.issue,
-                    if b.known { "known" } else { "unknown" },
-                    b.summary
-                );
-            }
-            Ok(())
-        }
-        "analyze" => {
-            let name = args.get(1).ok_or("analyze: missing test name")?;
-            let mut jobs = 1usize;
-            let mut seed = 1u64;
-            let mut stats = false;
-            let mut json = false;
-            let mut plan_only = false;
-            let mut spill: Option<PathBuf> = None;
-            let mut budget_mb: Option<u64> = None;
-            let mut memory = MemoryModel::Sc;
-            let mut it = args[2..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--jobs" => {
-                        jobs = it
-                            .next()
-                            .ok_or("--jobs needs a value")?
-                            .parse()
-                            .map_err(|e| format!("--jobs: {e}"))?;
-                        if jobs == 0 {
-                            return Err("--jobs must be at least 1".into());
-                        }
-                    }
-                    "--seed" => {
-                        seed = it
-                            .next()
-                            .ok_or("--seed needs a value")?
-                            .parse()
-                            .map_err(|e| format!("--seed: {e}"))?;
-                    }
-                    "--stats" => stats = true,
-                    "--json" => json = true,
-                    "--plan-only" => plan_only = true,
-                    "--spill" => {
-                        spill = Some(PathBuf::from(it.next().ok_or("--spill needs a directory")?));
-                    }
-                    "--budget-mb" => {
-                        let mb: u64 = it
-                            .next()
-                            .ok_or("--budget-mb needs a value")?
-                            .parse()
-                            .map_err(|e| format!("--budget-mb: {e}"))?;
-                        if mb == 0 {
-                            return Err("--budget-mb must be at least 1".into());
-                        }
-                        budget_mb = Some(mb);
-                    }
-                    "--memory-model" => {
-                        memory = parse_memory_model(
-                            it.next().ok_or("--memory-model needs a value")?,
-                        )?;
-                    }
-                    other => return Err(format!("analyze: unknown option {other}")),
-                }
-            }
-            if budget_mb.is_some() && spill.is_none() {
-                return Err("analyze: --budget-mb only applies with --spill DIR".into());
-            }
-            let w = find_test(name).ok_or_else(|| format!("unknown test {name}"))?;
-            analyze_cmd(
-                &w,
-                &AnalyzeOptions {
-                    jobs,
-                    seed,
-                    stats,
-                    json,
-                    plan_only,
-                    spill,
-                    budget_mb,
-                    memory,
-                },
-            )
-        }
-        "serve" => serve_cmd(&args[1..]),
-        "ingest" => ingest_cmd(&args[1..]),
-        "detect" => {
-            let name = args.get(1).ok_or("detect: missing test name")?;
-            let opts = parse_options(&args[2..])?;
-            let w = find_test(name).ok_or_else(|| format!("unknown test {name}"))?;
-            detect_one(&w, &opts)?;
-            Ok(())
-        }
-        "step" => {
-            // The real tool's process model: each invocation is one run.
-            // The first step (no plan in the session yet) is the
-            // preparation run; later steps are detection runs resuming the
-            // persisted probabilities.
-            let name = args.get(1).ok_or("step: missing test name")?;
-            let opts = parse_options(&args[2..])?;
-            let dir = opts
-                .session
-                .clone()
-                .ok_or("step requires --session DIR")?;
-            let session = Session::open(dir).map_err(|e| e.to_string())?;
-            let w = find_test(name).ok_or_else(|| format!("unknown test {name}"))?;
-            let det = Detector::with_config(
-                opts.tool.clone(),
-                DetectorConfig {
-                    memory: MemoryConfig::from_model(opts.memory),
-                    ..DetectorConfig::default()
-                },
-            );
-            let outcome = det
-                .step_with_session(&w, opts.seed, &session)
-                .map_err(|e| e.to_string())?;
-            if opts.json {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&outcome).map_err(|e| e.to_string())?
-                );
-            } else if outcome.prep.is_some() {
-                println!(
-                    "preparation run complete; plan saved to {}",
-                    session.path().display()
-                );
-            } else {
-                match &outcome.exposed {
-                    Some(r) => print!("{}", r.render(&w.sites)),
-                    None => println!("detection run complete; no bug this run"),
-                }
-            }
-            Ok(())
-        }
-        "dot" => {
-            let name = args.get(1).ok_or("dot: missing test name")?;
-            let w = find_test(name).ok_or_else(|| format!("unknown test {name}"))?;
-            print!("{}", waffle_repro::sim::dot::to_dot(&w));
-            Ok(())
-        }
-        "stats" => {
-            let dir = args.get(1).ok_or("stats: missing journal directory")?;
-            let json = args.iter().any(|a| a == "--json");
-            let mut names: Vec<PathBuf> = std::fs::read_dir(dir)
-                .map_err(|e| format!("{dir}: {e}"))?
-                .filter_map(Result::ok)
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|x| x == "json"))
-                .collect();
-            if names.is_empty() {
-                return Err(format!("{dir}: no .json telemetry journals found"));
-            }
-            // Sorted paths + commutative counters: the aggregate does not
-            // depend on directory iteration order.
-            names.sort();
-            let mut registry = MetricsRegistry::new();
-            for path in &names {
-                let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-                let attempt = AttemptJournal::from_json(&text)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                registry.absorb_attempt(&attempt);
-            }
-            if json {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&registry).map_err(|e| e.to_string())?
-                );
-                return Ok(());
-            }
-            println!("{} journal(s) aggregated\n", names.len());
-            for (name, value) in registry.counters() {
-                println!("{name:<50} {value}");
-            }
-            if let Some(h) = registry.histogram("total/delay") {
-                if !h.is_empty() {
-                    println!("\ninjected delay lengths (log2 µs buckets):");
-                    for (lo, hi, n) in h.nonzero_buckets() {
-                        println!("  [{lo:>9}µs, {hi:>9}µs)  {n}");
-                    }
-                    println!(
-                        "  count {}, mean {:.1}µs, max {}µs",
-                        h.count(),
-                        h.mean_us(),
-                        h.max_us()
-                    );
-                }
-            }
-            Ok(())
-        }
-        "campaign" => campaign_cmd(&args[1..]),
-        "bench" => bench_cmd(&args[1..]),
-        "fuzz" => fuzz_cmd(&args[1..]),
-        "fix" => fix_cmd(&args[1..]),
-        "scan" => {
-            let name = args.get(1).ok_or("scan: missing app name")?;
-            let opts = parse_options(&args[2..])?;
-            let app = all_apps()
-                .into_iter()
-                .find(|a| a.name == *name)
-                .ok_or_else(|| format!("unknown app {name}"))?;
-            if opts.jobs > 1 {
-                // Parallel scan: one grid cell per test input, fanned over
-                // the worker pool. Attempt seeds are fixed per index, so
-                // the per-input summaries match a sequential scan.
-                let det = detector(&opts);
-                let cells: Vec<GridCell> = app
-                    .tests
-                    .iter()
-                    .map(|t| GridCell {
-                        workload: t.workload.clone(),
-                        detector: det.clone(),
-                        attempts: opts.attempts,
-                    })
-                    .collect();
-                let summaries = ExperimentEngine::new(opts.jobs).run_grid(&cells);
-                let mut found = 0;
-                for s in &summaries {
-                    if s.exposed_attempts > 0 || s.tsv_attempts > 0 {
-                        found += 1;
-                    }
-                    let runs = s
-                        .reported_runs()
-                        .map(|r| format!(", typical exposure in {r} runs"))
-                        .unwrap_or_default();
-                    let tsv = if s.tsv_attempts > 0 {
-                        format!(" ({} thread-safety violations)", s.tsv_attempts)
-                    } else {
-                        String::new()
-                    };
-                    println!(
-                        "{} [{}]: {}/{} attempts exposed{runs}{tsv}",
-                        s.workload, opts.tool_name, s.exposed_attempts, s.attempts
-                    );
-                }
-                println!("{found} bug(s) exposed across {} inputs", app.tests.len());
-                return Ok(());
-            }
-            let mut found = 0;
-            for t in &app.tests {
-                if detect_one(&t.workload, &opts)? {
-                    found += 1;
-                }
-                println!();
-            }
-            println!("{found} bug(s) exposed across {} inputs", app.tests.len());
-            Ok(())
-        }
-        "report" => {
-            let id: u32 = args
+    let (name, rest) = match first.as_str() {
+        "--help" | "-h" => ("help".to_owned(), &args[1..]),
+        "campaign" => {
+            let verb = args
                 .get(1)
-                .ok_or("report: missing bug id")?
-                .parse()
-                .map_err(|e| format!("bug id: {e}"))?;
-            let opts = parse_options(&args[2..])?;
-            let spec = all_bugs()
-                .into_iter()
-                .find(|b| b.id == id)
-                .ok_or_else(|| format!("unknown bug id {id}"))?;
-            let app = all_apps().into_iter().find(|a| a.name == spec.app).unwrap();
-            let w = app
-                .bug_workload(id)
-                .ok_or("bug workload missing")?
-                .clone();
-            println!("Bug-{id} ({} issue {}): {}\n", spec.app, spec.issue, spec.summary);
-            detect_one(&w, &opts)?;
-            Ok(())
+                .ok_or("campaign: missing subcommand (init|run|work|status)")?;
+            (format!("campaign {verb}"), &args[2..])
         }
-        other => Err(format!("unknown command {other}")),
-    }
+        _ => (first.clone(), &args[1..]),
+    };
+    let cmd = COMMANDS.iter().find(|c| c.name == name).ok_or_else(|| {
+        match name.strip_prefix("campaign ") {
+            Some(verb) => format!("campaign: unknown subcommand {verb}"),
+            None => format!("unknown command {name}"),
+        }
+    })?;
+    (cmd.run)(&parse_args(cmd, rest)?)
 }
 
 fn main() -> ExitCode {

@@ -130,6 +130,24 @@ fn unknown_inputs_fail_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown test"));
     let out = waffle(&["frobnicate"]);
     assert!(!out.status.success());
+    // `step` is one run: it takes no run budget, attempts, workers or
+    // journals. `stats` and `campaign status` take only `--json`.
+    let session = std::env::temp_dir().join(format!("waffle-cli-unknown-{}", std::process::id()));
+    let session = session.to_string_lossy().to_string();
+    for (args, flag) in [
+        (&["step", "SshNet.channel_disconnect", "--session", &session, "--max-runs", "3"][..], "--max-runs"),
+        (&["step", "SshNet.channel_disconnect", "--session", &session, "--attempts", "2"][..], "--attempts"),
+        (&["step", "SshNet.channel_disconnect", "--session", &session, "--jobs", "2"][..], "--jobs"),
+        (&["step", "SshNet.channel_disconnect", "--session", &session, "--telemetry", "tj"][..], "--telemetry"),
+        (&["stats", &session, "--frobnicate"][..], "--frobnicate"),
+        (&["campaign", "status", &session, "--frobnicate"][..], "--frobnicate"),
+    ] {
+        let out = waffle(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown option {flag}")), "{args:?}: {err}");
+    }
+    assert!(!std::path::Path::new(&session).exists(), "a rejected step ran");
 }
 
 #[test]
@@ -287,4 +305,44 @@ fn campaign_bare_rerun_refuses_existing_checkpoints() {
     assert!(!out.status.success(), "bare rerun must refuse");
     assert!(String::from_utf8_lossy(&out.stderr).contains("pass --resume"));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `scan` prints the same bytes at any `--jobs`, as text and as `--json`:
+/// each input's attempts fan out over the workers, but the seed ladder and
+/// the output order are fixed.
+#[test]
+fn scan_output_is_identical_at_any_job_count() {
+    for json in [false, true] {
+        let run = |jobs: &str| {
+            let mut args = vec!["scan", "LiteDB", "--attempts", "2", "--jobs", jobs];
+            if json {
+                args.push("--json");
+            }
+            let out = waffle(&args);
+            assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+            out.stdout
+        };
+        let one = run("1");
+        assert!(String::from_utf8_lossy(&one).contains("bug(s) exposed across 6 inputs"));
+        assert_eq!(one, run("2"), "scan output differs across --jobs (json = {json})");
+    }
+}
+
+/// `waffle help` is generated from the command table, so it names every
+/// subcommand `waffle` dispatches.
+#[test]
+fn help_names_every_subcommand() {
+    let out = waffle(&["help"]);
+    assert!(out.status.success());
+    let help = String::from_utf8_lossy(&out.stdout);
+    for name in [
+        "help", "list", "bugs", "analyze", "serve", "ingest", "detect", "step", "scan", "report",
+        "stats", "dot", "campaign init", "campaign run", "campaign work", "campaign status",
+        "bench", "fuzz", "fix", "--repair",
+    ] {
+        assert!(
+            help.lines().any(|l| l.trim_start().starts_with(name) || l.contains(&format!(" [{name}]"))),
+            "waffle help does not mention {name}:\n{help}"
+        );
+    }
 }
