@@ -91,7 +91,7 @@ pub fn build_interference(
     }
     // Re-discover the observation times of every candidate pair: for each
     // (obj, delay_site event e1, other_site event e2) within the window,
-    // find candidate locations executed by e2's thread in [τ1 − δ, τ2].
+    // find candidate locations executed by e2's thread in (τ1 − δ, τ2].
     // Index events by thread for the window scan.
     let mut by_thread: HashMap<waffle_sim::ThreadId, Vec<(SimTime, SiteId)>> = HashMap::new();
     for e in trace.mem_order_events() {

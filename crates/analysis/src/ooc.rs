@@ -198,7 +198,7 @@ pub(crate) fn stream_interference(
             );
         }
     }
-    Ok(window_interference(candidates, &obs, &mut by_thread, delta))
+    Ok(window_interference(&obs, &mut by_thread, delta))
 }
 
 /// Analyzes a segment stream's TSV events into a [`TsvPlan`] under the

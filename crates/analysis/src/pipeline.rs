@@ -14,6 +14,10 @@
 //!   observations are then gathered by a short second walk restricted to
 //!   the *candidate* site pairs, so the observation heap is bounded by
 //!   candidate activity instead of by window pairs;
+//! - interference windows are resolved per delay site, not per
+//!   observation: the windows become index ranges over each thread's
+//!   sorted delay-site executions, merged so every execution is visited
+//!   at most once per (delay site, thread);
 //! - happens-before checks go through interned [`ClockId`] handles with a
 //!   symmetric memo table, so each distinct snapshot pair is compared once
 //!   instead of once per event pair;
@@ -389,39 +393,77 @@ pub(crate) fn collect_delay_execs(
     }
 }
 
-/// Resolves the interference set from the sweep's observations: for each
-/// observation `(τ1, τ2, thread-of-ℓ2)` of a *candidate* pair, every
-/// delay-site execution by ℓ2's thread inside the strict window
-/// `(τ1 − δ, τ2]` interferes with ℓ1. Per-thread execution lists are
-/// sorted here, so collection order never matters.
+/// Resolves the interference set from the candidate observations: for each
+/// observation `(τ1, τ2, thread-of-ℓ2)`, every delay-site execution by ℓ2's
+/// thread inside the strict window `(τ1 − δ, τ2]` interferes with ℓ1.
+///
+/// A delay site's windows overlap heavily (δ can span a whole trace), so
+/// they are not walked one by one. Every observation of ℓ1, across all of
+/// its partner sites ℓ2, becomes an index range over its thread's sorted
+/// executions (two binary searches); the ranges are merged per thread and
+/// only their union is walked, so each execution is visited at most once
+/// per (ℓ1, thread). A dense per-site stamp dedupes ℓ\* per ℓ1 before the
+/// set insert. Cost: O(obs · log E + Σ merged-range sizes) instead of
+/// O(obs × E). Per-thread execution lists are sorted here, so collection
+/// order never matters.
 pub(crate) fn window_interference(
-    candidates: &[CandidatePair],
     obs: &ObsMap,
     by_thread: &mut DelayExecs,
     delta: SimTime,
 ) -> InterferenceSet {
     let mut set = InterferenceSet::new();
-    let cand_keys = candidate_keys(candidates);
+    let mut site_count = 0;
     for execs in by_thread.values_mut() {
         execs.sort_unstable();
-    }
-    for ((l1, l2), observations) in obs {
-        if !cand_keys.contains(&(*l1, *l2)) {
-            continue;
+        for &(_, l_star) in execs.iter() {
+            site_count = site_count.max(l_star.0 as usize + 1);
         }
-        for &(t1, t2, thd2) in observations {
-            let Some(execs) = by_thread.get(&thd2) else {
-                continue;
-            };
-            // First execution strictly inside the look-behind: the strict
-            // `< δ` boundary matches the reference builder and the
-            // near-miss window convention.
-            let start = execs.partition_point(|&(t, _)| t1.saturating_sub(t) >= delta);
-            for &(t_star, l_star) in &execs[start..] {
-                if t_star > t2 {
-                    break;
+    }
+    let mut keys: Vec<(SiteId, SiteId)> = obs.keys().copied().collect();
+    keys.sort_unstable();
+    // `stamp[ℓ*]` is the 1-based number of the last ℓ1 group that recorded
+    // ℓ*; zero means never.
+    let mut stamp = vec![0usize; site_count];
+    // One scratch buffer of `(thread, start, end)` execution ranges, reused
+    // for every ℓ1.
+    let mut ranges: Vec<(ThreadId, usize, usize)> = Vec::new();
+    let mut group = 0;
+    let mut k = 0;
+    while k < keys.len() {
+        let l1 = keys[k].0;
+        group += 1;
+        ranges.clear();
+        while k < keys.len() && keys[k].0 == l1 {
+            for &(t1, t2, thd2) in &obs[&keys[k]] {
+                let Some(execs) = by_thread.get(&thd2) else {
+                    continue;
+                };
+                // First execution strictly inside the look-behind: the
+                // strict `< δ` boundary matches the reference builder and
+                // the near-miss window convention. The end is inclusive.
+                let start = execs.partition_point(|&(t, _)| t1.saturating_sub(t) >= delta);
+                let end = start + execs[start..].partition_point(|&(t, _)| t <= t2);
+                if start < end {
+                    ranges.push((thd2, start, end));
                 }
-                set.insert(*l1, l_star);
+            }
+            k += 1;
+        }
+        ranges.sort_unstable();
+        let mut r = 0;
+        while r < ranges.len() {
+            let (thd, start, mut end) = ranges[r];
+            r += 1;
+            while r < ranges.len() && ranges[r].0 == thd && ranges[r].1 <= end {
+                end = end.max(ranges[r].2);
+                r += 1;
+            }
+            for &(_, l_star) in &by_thread[&thd][start..end] {
+                let seen = &mut stamp[l_star.0 as usize];
+                if *seen != group {
+                    *seen = group;
+                    set.insert(l1, l_star);
+                }
             }
         }
     }
@@ -444,7 +486,7 @@ fn finalize_interference(
     collect_candidate_obs(cols, delta, &candidate_keys(candidates), &mut obs);
     let mut by_thread = DelayExecs::new();
     collect_delay_execs(&cols.times, &cols.threads, &cols.sites, &delay_sites, &mut by_thread);
-    window_interference(candidates, &obs, &mut by_thread, delta)
+    window_interference(&obs, &mut by_thread, delta)
 }
 
 /// Analyzes an indexed preparation trace into a detection [`Plan`] using
@@ -737,6 +779,74 @@ mod tests {
         assert_eq!(reference.stats.window_pairs, 3);
         assert_eq!(indexed.stats.window_pairs, 3);
         assert_eq!(indexed.stats.examined, reference.stats.examined);
+    }
+
+    /// One delay site ℓ1 with three observations against two partner
+    /// sites: on thread 1 the window `(920, 1040]` (partner `b`) lies
+    /// inside `(900, 1080]` (partner `a`), and on thread 2 the window
+    /// `(4900, 5050]` (partner `b`) is disjoint from both. Delay-site
+    /// executions sit exactly on every window edge, so the range merge
+    /// must keep the strict look-behind, the inclusive end, the outer
+    /// window's end past the nested one, and the per-thread split.
+    #[test]
+    fn window_resolution_is_exact_at_every_edge() {
+        let delta = SimTime::from_us(100);
+        let mut b = TB::new();
+        // The three observations, each on its own object.
+        b.ev(1_000, 0, "l1", 0, AccessKind::Init, &[(0, 1)]);
+        b.ev(1_080, 1, "a", 0, AccessKind::Use, &[(1, 1)]);
+        b.ev(1_020, 0, "l1", 1, AccessKind::Init, &[(0, 2)]);
+        b.ev(1_040, 1, "b", 1, AccessKind::Use, &[(1, 2)]);
+        b.ev(5_000, 0, "l1", 2, AccessKind::Init, &[(0, 3)]);
+        b.ev(5_050, 2, "b", 2, AccessKind::Use, &[(2, 1)]);
+        // Delay-site executions `x<thread>_<time>`, each on an object of
+        // its own so it forms no observation.
+        let execs = [
+            (1, 900),   // τ1 − δ of the first window: out
+            (1, 901),   // τ1 − δ + 1: in
+            (1, 1_040), // τ2 of the nested window: in
+            (1, 1_041), // past the nested window, inside the outer: in
+            (1, 1_080), // τ2 of the outer window: in
+            (1, 1_081), // τ2 + 1: out
+            (1, 5_000), // thread 1 inside thread 2's window: out
+            (2, 1_000), // thread 2 inside thread 1's windows: out
+            (2, 4_900), // τ1 − δ of the third window: out
+            (2, 4_901), // τ1 − δ + 1: in
+            (2, 5_050), // τ2: in
+            (2, 5_051), // τ2 + 1: out
+        ];
+        for (k, &(thread, t)) in execs.iter().enumerate() {
+            let name = format!("x{thread}_{t}");
+            b.ev(t, thread, &name, 10 + k as u32, AccessKind::Use, &[(thread, 9)]);
+        }
+        let trace = b.trace();
+        let site = |name: &str| trace.sites.lookup(name).unwrap();
+        let pair = |delay_site, other_site| CandidatePair {
+            delay_site,
+            other_site,
+            kind: BugKind::UseBeforeInit,
+            obj: ObjectId(0),
+            max_gap: SimTime::from_us(60),
+            observations: 1,
+        };
+        // The execution sites become delay sites (eligible ℓ*) through
+        // candidate pairs of their own that are never observed.
+        let mut candidates = vec![pair(site("l1"), site("a")), pair(site("l1"), site("b"))];
+        for &(thread, t) in &execs {
+            candidates.push(pair(site(&format!("x{thread}_{t}")), site("a")));
+        }
+        let index = TraceIndex::build(&trace);
+        let got = finalize_interference(&index.mem, &candidates, delta);
+
+        let mut expected = InterferenceSet::new();
+        for name in ["x1_901", "x1_1040", "x1_1041", "x1_1080", "x2_4901", "x2_5050"] {
+            expected.insert(site("l1"), site(name));
+        }
+        assert_eq!(got, expected);
+        assert_eq!(
+            got,
+            crate::interference::build_interference(&trace, &candidates, delta)
+        );
     }
 
     #[test]

@@ -44,15 +44,37 @@ fn events_strategy() -> impl Strategy<Value = Vec<Ev>> {
     )
 }
 
-fn build_trace(mut evs: Vec<Ev>) -> Trace {
+/// Dense traces for the interference resolution: every event falls inside
+/// one 150 ms stretch (so δ = 100 ms windows overlap heavily), and sites
+/// are per (thread, kind, object), so one thread runs several delay sites.
+fn dense_events_strategy() -> impl Strategy<Value = Vec<Ev>> {
+    proptest::collection::vec(
+        (0u64..150_000, 0u32..4, 0u32..3, kind_strategy(), 1u64..5).prop_map(
+            |(t_us, thread, obj, kind, tick)| Ev {
+                t_us,
+                thread,
+                obj,
+                kind,
+                tick,
+            },
+        ),
+        0..120,
+    )
+}
+
+fn build_trace(evs: Vec<Ev>) -> Trace {
+    // One site per (thread, kind) pair, like static code locations.
+    build_trace_sited(evs, |e| format!("s{}k{}", e.thread, e.kind))
+}
+
+fn build_trace_sited(mut evs: Vec<Ev>, site_name: impl Fn(&Ev) -> String) -> Trace {
     evs.sort_by_key(|e| e.t_us);
     let mut sites = SiteRegistry::new();
     let mut clocks = ClockPool::new();
     let events = evs
         .iter()
         .map(|e| {
-            // One site per (thread, kind) pair, like static code locations.
-            let site = sites.register(&format!("s{}k{}", e.thread, e.kind), e.kind);
+            let site = sites.register(&site_name(e), e.kind);
             TraceEvent {
                 time: SimTime::from_us(e.t_us),
                 thread: ThreadId(e.thread),
@@ -187,6 +209,21 @@ proptest! {
         jobs in 1usize..5,
     ) {
         let trace = build_trace(evs);
+        let reference = analyze_unindexed(&trace, &AnalyzerConfig::default());
+        let indexed = waffle_analysis::analyze_jobs(&trace, &AnalyzerConfig::default(), jobs);
+        prop_assert_eq!(indexed.to_json().unwrap(), reference.to_json().unwrap());
+    }
+
+    /// The same equivalence on dense traces, where a delay site's windows
+    /// overlap and one thread runs several delay sites: the cases the
+    /// interference resolution's per-thread range merge and per-site
+    /// dedupe handle.
+    #[test]
+    fn indexed_pipeline_matches_reference_on_dense_windows(
+        evs in dense_events_strategy(),
+        jobs in 1usize..5,
+    ) {
+        let trace = build_trace_sited(evs, |e| format!("s{}k{}o{}", e.thread, e.kind, e.obj));
         let reference = analyze_unindexed(&trace, &AnalyzerConfig::default());
         let indexed = waffle_analysis::analyze_jobs(&trace, &AnalyzerConfig::default(), jobs);
         prop_assert_eq!(indexed.to_json().unwrap(), reference.to_json().unwrap());

@@ -13,6 +13,7 @@ use waffle_repro::analysis::{
     analyze_tsv_unindexed, analyze_unindexed, AnalyzerConfig,
 };
 use waffle_repro::apps::all_bugs;
+use waffle_repro::core::DetectorConfig;
 use waffle_repro::sim::{SimConfig, SimTime, Simulator, Workload};
 use waffle_repro::trace::{SegmentReader, Trace, TraceIndex, TraceRecorder};
 
@@ -58,6 +59,69 @@ fn indexed_plan_is_byte_identical_for_every_bug_at_every_job_count() {
             );
         }
     }
+}
+
+/// The preparation trace of one detection attempt, recorded as the
+/// detector's prepare step records it: run seed `attempt·10000 + 1` under
+/// the detector's default timing noise. (Its 40× base-time deadline
+/// cannot fire on a delay-free run, so it is left out.)
+fn noised_prep_trace(w: &Workload, attempt_seed: u64) -> Trace {
+    let config = SimConfig {
+        seed: attempt_seed * 10_000 + 1,
+        timing_noise_pct: DetectorConfig::default().timing_noise_pct,
+        ..SimConfig::default()
+    };
+    let mut rec = TraceRecorder::new(w);
+    Simulator::run(w, config, &mut rec);
+    rec.into_trace()
+}
+
+/// Table 4 analyzes noised preparation traces, not seed-0 deterministic
+/// ones: every bug under every attempt seed of the table must analyze
+/// byte-identically to the reference scanners, and the interference-heavy
+/// Bug-12/16/17 traces must also stream identically out of core.
+#[test]
+fn noised_prep_traces_are_byte_identical_for_every_bug_and_attempt_seed() {
+    let config = AnalyzerConfig::default();
+    let dir = std::env::temp_dir().join(format!("waffle-noised-eq-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for spec in all_bugs() {
+        let w = workload_for(spec.id);
+        for seed in 0..15 {
+            let trace = noised_prep_trace(&w, seed);
+            let reference = analyze_unindexed(&trace, &config)
+                .to_json()
+                .expect("plan serializes");
+            for jobs in [1, 2] {
+                let indexed = analyze_jobs(&trace, &config, jobs)
+                    .to_json()
+                    .expect("plan serializes");
+                assert_eq!(
+                    indexed, reference,
+                    "Bug-{} attempt {seed}: indexed plan diverged at jobs={jobs}",
+                    spec.id
+                );
+            }
+            if [12, 16, 17].contains(&spec.id) {
+                let path = dir.join(format!("bug-{}-s{seed}.wseg", spec.id));
+                TraceIndex::build(&trace)
+                    .write_segments(&path)
+                    .expect("segments write");
+                let mut reader = SegmentReader::open(&path).expect("segments open");
+                let ooc = analyze_segments(&mut reader, &config, 1, 1)
+                    .expect("out-of-core analysis")
+                    .to_json()
+                    .expect("plan serializes");
+                assert_eq!(
+                    ooc, reference,
+                    "Bug-{} attempt {seed}: out-of-core plan diverged",
+                    spec.id
+                );
+                std::fs::remove_file(&path).ok();
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
