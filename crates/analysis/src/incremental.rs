@@ -7,31 +7,30 @@
 //! [`IncrementalAnalysis`] instead sweeps **fresh events only** per seal
 //! and keeps three things between seals:
 //!
-//! - the per-pair accumulators (`PairMap` and the TSV candidate map),
-//!   whose folds are commutative (max gap, summed observations, **min**
-//!   representative object — see
-//!   [`merge_mem_out`](crate::pipeline::merge_mem_out));
-//! - the sweep stats;
+//! - the shared folds ([`MemFold`] and [`TsvFold`]), whose per-pair folds
+//!   are commutative (max gap, summed observations, **min** representative
+//!   object);
+//! - the sweep stats, inside the MemOrder fold;
 //! - a per-object **δ-window tail**: the suffix of each object's events
 //!   still within `δ` of the session's latest timestamp.
 //!
 //! At each [`absorb`](IncrementalAnalysis::absorb), the tail is prepended
-//! to the generation's fresh columns and the generalized sweep
-//! ([`sweep_mem_shard_from`](crate::pipeline::sweep_mem_shard_from))
-//! counts only pairs whose *later* event is fresh. Session streams are
-//! time-ordered, so any event that can still pair with a future event is
-//! by definition within `δ` of the stream head — exactly the tail that
-//! was kept. Each cross-seal pair is therefore examined exactly once, in
-//! the absorb where its later event arrives, and the accumulated
-//! candidates, gaps, observation counts, and window statistics are
-//! byte-identical to a batch sweep over the concatenated trace (pinned at
-//! jobs 1/2/8 across ≥3 seal boundaries by `tests/analysis_equivalence.rs`).
+//! to the generation's fresh columns and the folds' `fresh_from` sweep
+//! ([`MemFold::absorb`]) counts only pairs whose *later* event is fresh.
+//! Session streams are time-ordered, so any event that can still pair with
+//! a future event is by definition within `δ` of the stream head — exactly
+//! the tail that was kept. Each cross-seal pair is therefore examined
+//! exactly once, in the absorb where its later event arrives, and the
+//! accumulated candidates, gaps, observation counts, and window statistics
+//! are byte-identical to a batch sweep over the concatenated trace (pinned
+//! at jobs 1/2/8 across ≥3 seal boundaries by
+//! `tests/analysis_equivalence.rs`).
 //!
 //! Interference windows also cross seal boundaries, but the interference
 //! pass needs the final candidate set, so there is nothing to fold early:
-//! [`finish`](IncrementalAnalysis::finish) streams the standard
-//! second pass (shared with [`crate::analyze_segments`]) over the
-//! session's **compacted** segment file.
+//! [`finish`](IncrementalAnalysis::finish) replays the session's
+//! **compacted** segment file through the same streaming pass
+//! [`crate::analyze_segments`] uses.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -41,15 +40,10 @@ use waffle_sim::{SimTime, ThreadId};
 use waffle_trace::{ClassColumns, ClockId, ClockPool, SegmentReader};
 
 use crate::analyzer::AnalyzerConfig;
-use crate::candidates::NearMissStats;
-use crate::interference::InterferenceSet;
-use crate::ooc::stream_interference;
-use crate::pipeline::{
-    candidates_from_pairs, merge_mem_out, merge_tsv_out, run_shards, shard_ranges,
-    sweep_mem_shard_from, sweep_tsv_shard_from, tsv_plan_from, PairMap,
-};
+use crate::ooc::replay_interference;
+use crate::pipeline::{MemFold, TsvFold};
 use crate::plan::Plan;
-use crate::tsv::{TsvCandidate, TsvPlan};
+use crate::tsv::TsvPlan;
 
 /// One object's carried δ-window suffix between seals.
 #[derive(Debug, Default, Clone)]
@@ -87,10 +81,8 @@ pub struct IncrementalStats {
 #[derive(Debug)]
 pub struct IncrementalAnalysis {
     config: AnalyzerConfig,
-    default_window: SimTime,
-    stats: NearMissStats,
-    pairs: PairMap,
-    tsv_seen: BTreeMap<(SiteId, SiteId), TsvCandidate>,
+    mem: MemFold,
+    tsv: TsvFold,
     mem_tails: TailMap,
     tsv_tails: TailMap,
 }
@@ -180,10 +172,8 @@ impl IncrementalAnalysis {
     pub fn new(config: AnalyzerConfig, default_window: SimTime) -> Self {
         Self {
             config,
-            default_window,
-            stats: NearMissStats::default(),
-            pairs: PairMap::new(),
-            tsv_seen: BTreeMap::new(),
+            mem: MemFold::default(),
+            tsv: TsvFold::new(config.delta, default_window),
             mem_tails: TailMap::new(),
             tsv_tails: TailMap::new(),
         }
@@ -206,42 +196,20 @@ impl IncrementalAnalysis {
         jobs: usize,
     ) {
         let delta = self.config.delta;
-        {
-            let (combined, fresh_from) = combine(&self.mem_tails, mem);
-            let shards = shard_ranges(combined.object_count(), jobs);
-            let outs = run_shards(shards, jobs, |slots| {
-                sweep_mem_shard_from(
-                    &combined,
-                    pool,
-                    slots,
-                    delta,
-                    self.config.prune_parent_child,
-                    Some(&fresh_from),
-                )
-            });
-            for out in outs {
-                merge_mem_out(out, &mut self.stats, &mut self.pairs);
-            }
-            update_tails(&mut self.mem_tails, &combined, horizon, delta);
-        }
-        {
-            let (combined, fresh_from) = combine(&self.tsv_tails, tsv);
-            let shards = shard_ranges(combined.object_count(), jobs);
-            let outs = run_shards(shards, jobs, |slots| {
-                sweep_tsv_shard_from(&combined, slots, delta, self.default_window, Some(&fresh_from))
-            });
-            for out in outs {
-                merge_tsv_out(out, &mut self.tsv_seen);
-            }
-            update_tails(&mut self.tsv_tails, &combined, horizon, delta);
-        }
+        let (combined, fresh_from) = combine(&self.mem_tails, mem);
+        self.mem
+            .absorb(&combined, pool, &self.config, Some(&fresh_from), jobs);
+        update_tails(&mut self.mem_tails, &combined, horizon, delta);
+        let (combined, fresh_from) = combine(&self.tsv_tails, tsv);
+        self.tsv.absorb(&combined, Some(&fresh_from), jobs);
+        update_tails(&mut self.tsv_tails, &combined, horizon, delta);
     }
 
     /// Sizes of the carried state (bounded by δ and site-pair diversity).
     pub fn state_stats(&self) -> IncrementalStats {
         IncrementalStats {
-            pairs: self.pairs.len(),
-            tsv_pairs: self.tsv_seen.len(),
+            pairs: self.mem.len(),
+            tsv_pairs: self.tsv.len(),
             mem_tail_events: self.mem_tails.values().map(Tail::len).sum(),
             tsv_tail_events: self.tsv_tails.values().map(Tail::len).sum(),
         }
@@ -255,31 +223,18 @@ impl IncrementalAnalysis {
     /// yields an empty interference set, matching the batch path on an
     /// empty trace.
     pub fn finish(
-        mut self,
+        self,
         workload: &str,
         compacted: Option<&mut SegmentReader>,
         resident_bytes: u64,
     ) -> io::Result<(Plan, TsvPlan)> {
-        let candidates = candidates_from_pairs(self.pairs);
-        self.stats.admitted = candidates.len();
-        let delay_len = crate::analyzer::delay_plan(&candidates, &self.config);
-        let interference = match (self.config.interference_control, compacted) {
-            (true, Some(reader)) => {
-                stream_interference(reader, &candidates, self.config.delta, resident_bytes)?
-            }
-            _ => InterferenceSet::new(),
-        };
-        let plan = Plan {
-            workload: workload.to_string(),
-            candidates,
-            delay_len,
-            interference,
-            delta: self.config.delta,
-            stats: self.stats,
-            memory_model: self.config.memory,
-        };
-        let tsv = tsv_plan_from(workload.to_string(), self.tsv_seen);
-        Ok((plan, tsv))
+        let plan = self
+            .mem
+            .finish(workload.to_string(), &self.config, |pass| match compacted {
+                Some(reader) => replay_interference(reader, pass, resident_bytes),
+                None => Ok(()),
+            })?;
+        Ok((plan, self.tsv.finish(workload.to_string())))
     }
 }
 

@@ -14,16 +14,20 @@
 //! 3. **Interference set `I`** ([`interference`], §4.4): pairs of candidate
 //!    locations whose concurrent delays would cancel — for each candidate
 //!    pair {ℓ1, ℓ2}, any candidate location ℓ* exercised by ℓ2's thread
-//!    within `[τ1 − δ, τ2]` interferes with ℓ1.
+//!    within the strict window `(τ1 − δ, τ2]` interferes with ℓ1.
 //!
 //! The resulting plan is serializable: the real tool writes it to disk
 //! after the preparation run and loads it in every detection run.
 //!
-//! Production analysis runs as one fused pass over the columnar
-//! [`waffle_trace::TraceIndex`] ([`pipeline`]), optionally sharded across
-//! threads ([`analyze_jobs`]) with a deterministic merge; the per-pass
-//! scanners above survive as the reference semantics the pipeline is
-//! equivalence-tested against.
+//! Production analysis reads columnar event batches from one of three
+//! sources: the resident [`waffle_trace::TraceIndex`]
+//! ([`analyze_indexed`], [`analyze_jobs`]), an on-disk segment file
+//! streamed under a resident budget ([`analyze_segments`]), or a serve
+//! session's sealed generations ([`IncrementalAnalysis`]). All three feed
+//! the same fold ([`pipeline`]): a sharded candidate sweep with a
+//! deterministic merge, then one interference pass over the replayed
+//! batches. The per-pass scanners above survive as the reference
+//! semantics every source is equivalence-tested against.
 //!
 //! # Examples
 //!

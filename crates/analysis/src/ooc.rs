@@ -13,36 +13,29 @@
 //!
 //! Event columns stream through a **resident-bytes budget**: object
 //! segments are loaded in ascending object order until the next segment
-//! would overflow the budget, the batch is swept (sharded across `jobs`
-//! exactly like the in-memory path), merged, and dropped. The shard merge
-//! was built for determinism across arbitrary contiguous partitions — max
-//! and sum folds plus a first-seen representative resolved by ascending
-//! object order — so batch boundaries are as invisible to the output as
-//! shard boundaries are.
+//! would overflow the budget, and each batch is absorbed by the same
+//! [`MemFold`] the in-memory path uses (sharded across `jobs`), then
+//! dropped. The fold was built for determinism across arbitrary
+//! contiguous partitions — max and sum folds plus a min representative
+//! object — so batch boundaries are as invisible to the output as shard
+//! boundaries are.
 //!
 //! Interference resolution needs the candidate pairs' observations and
 //! delay-site executions, and the candidates are only known once every
-//! batch has merged. Rather than buffer either during the sweep, the
-//! stream is replayed a second time after the candidate merge, collecting
-//! just the candidate-pair observations and delay-site executions — both
-//! bounded by how often candidate sites run, typically a sliver of the
-//! trace.
+//! batch has been absorbed. Rather than buffer either during the sweep,
+//! [`MemFold::finish`] has the stream replayed a second time into an
+//! [`InterferencePass`], which keeps just the candidate-pair observations
+//! and delay-site executions — both bounded by how often candidate sites
+//! run, typically a sliver of the trace.
 
-use std::collections::HashSet;
 use std::io;
+use std::ops::Range;
 
-use waffle_mem::SiteId;
 use waffle_sim::SimTime;
-use waffle_trace::{ClassColumns, SegmentClass, SegmentColumns, SegmentReader};
+use waffle_trace::{ClassColumns, ClockPool, SegmentClass, SegmentReader};
 
 use crate::analyzer::AnalyzerConfig;
-use crate::candidates::NearMissStats;
-use crate::interference::InterferenceSet;
-use crate::pipeline::{
-    candidate_keys, candidates_from_pairs, collect_candidate_obs, collect_delay_execs,
-    merge_mem_out, merge_tsv_out, run_shards, shard_ranges, sweep_mem_shard, sweep_tsv_shard,
-    tsv_plan_from, window_interference, DelayExecs, ObsMap, PairMap,
-};
+use crate::pipeline::{InterferencePass, MemFold, TsvFold};
 use crate::plan::Plan;
 use crate::tsv::TsvPlan;
 
@@ -54,7 +47,7 @@ pub const DEFAULT_RESIDENT_BYTES: u64 = 64 << 20;
 /// Yields `[start, end)` segment-index batches whose summed on-disk sizes
 /// respect `budget` (every batch holds at least one segment, so a single
 /// oversized segment still streams).
-fn budget_batches(sizes: &[u64], budget: u64) -> Vec<std::ops::Range<usize>> {
+fn budget_batches(sizes: &[u64], budget: u64) -> Vec<Range<usize>> {
     let mut batches = Vec::new();
     let mut k = 0;
     while k < sizes.len() {
@@ -70,39 +63,29 @@ fn budget_batches(sizes: &[u64], budget: u64) -> Vec<std::ops::Range<usize>> {
     batches
 }
 
-/// Loads segments `[range)` of `class` into one batch-local
-/// [`ClassColumns`] (CSR offsets are batch-relative; `objects` keeps the
-/// global ascending order the merge relies on).
-fn load_batch(
+/// On-disk byte sizes of `class`'s segments, in catalog order.
+fn segment_sizes(reader: &SegmentReader, class: SegmentClass) -> Vec<u64> {
+    reader
+        .catalog()
+        .class(class)
+        .iter()
+        .map(|m| m.bytes)
+        .collect()
+}
+
+/// Streams `class` through `f` one budget batch at a time, handing it the
+/// batch's columns and the resident clock pool.
+fn for_each_batch(
     reader: &mut SegmentReader,
     class: SegmentClass,
-    range: std::ops::Range<usize>,
-) -> io::Result<ClassColumns> {
-    let metas: Vec<_> = reader.catalog().class(class)[range.clone()].to_vec();
-    let total: usize = metas.iter().map(|m| m.events as usize).sum();
-    let mut cols = ClassColumns {
-        times: Vec::with_capacity(total),
-        threads: Vec::with_capacity(total),
-        sites: Vec::with_capacity(total),
-        objs: Vec::with_capacity(total),
-        kinds: Vec::with_capacity(total),
-        clocks: Vec::with_capacity(total),
-        objects: Vec::with_capacity(metas.len()),
-        offsets: Vec::with_capacity(metas.len() + 1),
-    };
-    cols.offsets.push(0);
-    for (meta, k) in metas.iter().zip(range) {
-        let mut seg: SegmentColumns = reader.load(class, k)?;
-        cols.objs.extend(std::iter::repeat_n(meta.object, seg.len()));
-        cols.times.append(&mut seg.times);
-        cols.threads.append(&mut seg.threads);
-        cols.sites.append(&mut seg.sites);
-        cols.kinds.append(&mut seg.kinds);
-        cols.clocks.append(&mut seg.clocks);
-        cols.objects.push(meta.object);
-        cols.offsets.push(cols.times.len() as u32);
+    resident_bytes: u64,
+    mut f: impl FnMut(&ClassColumns, &ClockPool),
+) -> io::Result<()> {
+    for batch in budget_batches(&segment_sizes(reader, class), resident_bytes) {
+        let cols = reader.read_segments(class, batch)?;
+        f(&cols, reader.clocks());
     }
-    Ok(cols)
+    Ok(())
 }
 
 /// Analyzes a segment stream into a detection [`Plan`] under a resident
@@ -117,88 +100,33 @@ pub fn analyze_segments(
     jobs: usize,
     resident_bytes: u64,
 ) -> io::Result<Plan> {
-    let pool = reader.clocks().clone();
+    let mut fold = MemFold::default();
+    for_each_batch(
+        reader,
+        SegmentClass::MemOrder,
+        resident_bytes,
+        |cols, pool| fold.absorb(cols, pool, config, None, jobs),
+    )?;
     let workload = reader.catalog().workload.clone();
-    let sizes: Vec<u64> = reader
-        .catalog()
-        .class(SegmentClass::MemOrder)
-        .iter()
-        .map(|m| m.bytes)
-        .collect();
-    let mut stats = NearMissStats::default();
-    let mut pairs = PairMap::new();
-    let batches = budget_batches(&sizes, resident_bytes);
-    for batch in batches.iter().cloned() {
-        let cols = load_batch(reader, SegmentClass::MemOrder, batch)?;
-        let shards = shard_ranges(cols.object_count(), jobs);
-        let outs = run_shards(shards, jobs, |slots| {
-            sweep_mem_shard(&cols, &pool, slots, config.delta, config.prune_parent_child)
-        });
-        for out in outs {
-            merge_mem_out(out, &mut stats, &mut pairs);
-        }
-    }
-    let candidates = candidates_from_pairs(pairs);
-    stats.admitted = candidates.len();
-    let delay_len = crate::analyzer::delay_plan(&candidates, config);
-
-    let interference = if config.interference_control {
-        stream_interference(reader, &candidates, config.delta, resident_bytes)?
-    } else {
-        InterferenceSet::new()
-    };
-
-    Ok(Plan {
-        workload,
-        candidates,
-        delay_len,
-        interference,
-        delta: config.delta,
-        stats,
-        memory_model: config.memory,
+    fold.finish(workload, config, |pass| {
+        replay_interference(reader, pass, resident_bytes)
     })
 }
 
-/// The streaming interference pass: re-walks the MemOrder segment stream
-/// under the resident budget, collecting only candidate-pair observations
-/// and delay-site executions, then resolves the windows. Shared by
-/// [`analyze_segments`] and the incremental finish
+/// The streaming interference pass: replays the MemOrder segment stream
+/// under the resident budget into `pass`. Shared by [`analyze_segments`]
+/// and the incremental finish
 /// ([`crate::incremental::IncrementalAnalysis::finish`]) — interference
 /// windows cross seal boundaries, so the incremental path compacts its
-/// generations first and streams the pass from the compacted file.
-pub(crate) fn stream_interference(
+/// generations first and replays the compacted file.
+pub(crate) fn replay_interference(
     reader: &mut SegmentReader,
-    candidates: &[crate::candidates::CandidatePair],
-    delta: SimTime,
+    pass: &mut InterferencePass,
     resident_bytes: u64,
-) -> io::Result<InterferenceSet> {
-    let delay_sites: HashSet<SiteId> = candidates.iter().map(|c| c.delay_site).collect();
-    let cand_keys = candidate_keys(candidates);
-    let mut by_thread = DelayExecs::new();
-    let mut obs = ObsMap::new();
-    if !delay_sites.is_empty() {
-        // Second streaming pass now that the needle set is known: only
-        // candidate-pair observations and (time, thread, site) of
-        // delay-site executions survive.
-        let sizes: Vec<u64> = reader
-            .catalog()
-            .class(SegmentClass::MemOrder)
-            .iter()
-            .map(|m| m.bytes)
-            .collect();
-        for batch in budget_batches(&sizes, resident_bytes) {
-            let cols = load_batch(reader, SegmentClass::MemOrder, batch)?;
-            collect_candidate_obs(&cols, delta, &cand_keys, &mut obs);
-            collect_delay_execs(
-                &cols.times,
-                &cols.threads,
-                &cols.sites,
-                &delay_sites,
-                &mut by_thread,
-            );
-        }
-    }
-    Ok(window_interference(&obs, &mut by_thread, delta))
+) -> io::Result<()> {
+    for_each_batch(reader, SegmentClass::MemOrder, resident_bytes, |cols, _| {
+        pass.collect(cols)
+    })
 }
 
 /// Analyzes a segment stream's TSV events into a [`TsvPlan`] under the
@@ -211,25 +139,11 @@ pub fn analyze_tsv_segments(
     jobs: usize,
     resident_bytes: u64,
 ) -> io::Result<TsvPlan> {
-    let workload = reader.catalog().workload.clone();
-    let sizes: Vec<u64> = reader
-        .catalog()
-        .class(SegmentClass::Tsv)
-        .iter()
-        .map(|m| m.bytes)
-        .collect();
-    let mut seen = std::collections::BTreeMap::new();
-    for batch in budget_batches(&sizes, resident_bytes) {
-        let cols = load_batch(reader, SegmentClass::Tsv, batch)?;
-        let shards = shard_ranges(cols.object_count(), jobs);
-        let outs = run_shards(shards, jobs, |slots| {
-            sweep_tsv_shard(&cols, slots, delta, default_window)
-        });
-        for out in outs {
-            merge_tsv_out(out, &mut seen);
-        }
-    }
-    Ok(tsv_plan_from(workload, seen))
+    let mut fold = TsvFold::new(delta, default_window);
+    for_each_batch(reader, SegmentClass::Tsv, resident_bytes, |cols, _| {
+        fold.absorb(cols, None, jobs)
+    })?;
+    Ok(fold.finish(reader.catalog().workload.clone()))
 }
 
 /// Resident-footprint telemetry for one out-of-core run: how the stream
@@ -247,12 +161,7 @@ pub struct OocStats {
 /// Computes the batching telemetry for `reader`'s MemOrder stream at the
 /// given budget, without loading anything.
 pub fn ooc_stats(reader: &SegmentReader, resident_bytes: u64) -> OocStats {
-    let sizes: Vec<u64> = reader
-        .catalog()
-        .class(SegmentClass::MemOrder)
-        .iter()
-        .map(|m| m.bytes)
-        .collect();
+    let sizes = segment_sizes(reader, SegmentClass::MemOrder);
     let batches = budget_batches(&sizes, resident_bytes);
     OocStats {
         batches: batches.len(),
@@ -279,7 +188,7 @@ mod tests {
             let total: u64 = sizes[b.clone()].iter().sum();
             assert!(b.len() == 1 || total <= 35);
         }
-        assert_eq!(budget_batches(&[], 10), Vec::<std::ops::Range<usize>>::new());
+        assert_eq!(budget_batches(&[], 10), Vec::<Range<usize>>::new());
         assert_eq!(budget_batches(&sizes, u64::MAX), vec![0..6]);
     }
 }

@@ -1,17 +1,28 @@
-//! The fused single-pass analysis pipeline over the columnar trace index.
+//! The analysis fold: one accumulator for every analysis source.
 //!
 //! The reference scanners ([`crate::candidates::near_miss_candidates`],
 //! [`crate::interference::build_interference`],
 //! [`crate::tsv::analyze_tsv_unindexed`]) each re-walk the whole event
-//! vector and regroup it per object on the heap. This module replaces them
-//! with one sweep over the shared [`TraceIndex`]:
+//! vector and regroup it per object on the heap. Production analysis
+//! instead feeds column batches ([`ClassColumns`]) into three types, and
+//! every source — the resident [`TraceIndex`] ([`analyze_indexed`]), a
+//! streamed segment file ([`crate::analyze_segments`]) and a serve
+//! session's sealed generations ([`crate::IncrementalAnalysis`]) — only
+//! decides which batches to feed:
+//!
+//! - [`MemFold`] sweeps each batch for near-miss candidates and folds the
+//!   per-pair aggregates; [`MemFold::finish`] turns them into the [`Plan`];
+//! - [`TsvFold`] does the same for thread-safety-violation pairs;
+//! - [`InterferencePass`] replays the batches once the candidates are
+//!   known and resolves the interference set.
+//!
+//! The sweep itself:
 //!
 //! - the near-miss window scan is a **two-pointer sweep** over each
 //!   object's contiguous, time-sorted column segment (the window frontier
 //!   `j_hi` only moves forward, so every timestamp is compared O(1) times
 //!   amortized);
-//! - candidate aggregation happens in the same pass; interference
-//!   observations are then gathered by a short second walk restricted to
+//! - interference observations are gathered by a second walk restricted to
 //!   the *candidate* site pairs, so the observation heap is bounded by
 //!   candidate activity instead of by window pairs;
 //! - interference windows are resolved per delay site, not per
@@ -22,63 +33,37 @@
 //!   symmetric memo table, so each distinct snapshot pair is compared once
 //!   instead of once per event pair;
 //! - objects are sharded across a scoped thread pool (`jobs` workers over
-//!   contiguous object-slot ranges) and shard outputs merge **in shard
-//!   order** with commutative per-key folds (max gap, summed counts,
-//!   first-shard representative object), so the resulting [`Plan`] is
-//!   bit-identical for every `jobs` value.
+//!   contiguous object-slot ranges) and shard outputs merge with
+//!   commutative per-key folds (max gap, summed counts, **min**
+//!   representative object), so the resulting [`Plan`] is bit-identical
+//!   for every `jobs` value and every batching of the objects.
 //!
 //! Equivalence with the reference scanners is pinned by
 //! `tests/analysis_equivalence.rs` across every seeded bug workload.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::convert::Infallible;
 use std::ops::Range;
 
 use waffle_mem::{AccessKind, ObjectId, SiteId};
 use waffle_sim::{SimTime, ThreadId};
 use waffle_trace::{ClassColumns, ClockId, ClockPool, TraceIndex};
 
-use crate::analyzer::AnalyzerConfig;
+use crate::analyzer::{delay_plan, AnalyzerConfig};
 use crate::candidates::{BugKind, CandidatePair, NearMissStats};
 use crate::interference::InterferenceSet;
 use crate::plan::Plan;
 use crate::tsv::{TsvCandidate, TsvPlan};
 
 /// Per-pair aggregate built during the sweep; becomes a [`CandidatePair`]
-/// once shards are merged.
+/// at [`MemFold::finish`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CandAgg {
-    /// Representative object: the first admitted observation in ascending
-    /// object order within the shard (globally resolved by keeping the
-    /// first shard's value on merge).
+struct CandAgg {
+    /// Representative object: the lowest-numbered object with an admitted
+    /// observation (a min fold, so shard and batch order never matter).
     obj: ObjectId,
     max_gap: SimTime,
     observations: u32,
-}
-
-/// Near-miss observations of one site pair: `(τ1, τ2, thread-of-ℓ2)`.
-pub(crate) type PairObservations = Vec<(SimTime, SimTime, ThreadId)>;
-
-/// The candidate-pair accumulator the shard merge folds into.
-pub(crate) type PairMap = HashMap<(SiteId, SiteId, BugKind), CandAgg>;
-
-/// The interference-observation accumulator.
-pub(crate) type ObsMap = HashMap<(SiteId, SiteId), PairObservations>;
-
-/// Delay-site executions grouped by thread, time-sorted before use.
-pub(crate) type DelayExecs = HashMap<ThreadId, Vec<(SimTime, SiteId)>>;
-
-/// Everything one shard's sweep produces. Interference observations are
-/// deliberately *not* collected here: they are only needed for candidate
-/// site pairs, which are unknown until every shard has merged, and
-/// recording one per examined pair made the sweep's heap (and time) scale
-/// with window pairs. [`collect_candidate_obs`] re-walks the columns for
-/// just the candidate keys afterwards.
-#[derive(Debug, Default)]
-pub(crate) struct ShardOut {
-    pairs: PairMap,
-    window_pairs: u64,
-    examined: u64,
-    pruned_ordered: u64,
 }
 
 /// Memoized symmetric happens-before check over pooled clock handles.
@@ -94,7 +79,7 @@ pub(crate) struct ShardOut {
 /// simply overwrites its slot — deterministic (the slot is a pure function
 /// of the key) and always correct, because a miss only costs recomputing
 /// the pure `order()` comparison.
-pub(crate) struct OrderMemo<'p> {
+struct OrderMemo<'p> {
     pool: &'p ClockPool,
     mask: u64,
     /// `(lo, hi, ordered)` keyed slots; `u32::MAX` ids mark an empty slot
@@ -105,7 +90,7 @@ pub(crate) struct OrderMemo<'p> {
 impl<'p> OrderMemo<'p> {
     const EMPTY_SLOT: (u32, u32, bool) = (u32::MAX, u32::MAX, false);
 
-    pub(crate) fn new(pool: &'p ClockPool) -> Self {
+    fn new(pool: &'p ClockPool) -> Self {
         let cap = Self::capacity_for(pool.len());
         Self {
             pool,
@@ -121,7 +106,7 @@ impl<'p> OrderMemo<'p> {
     /// whose diversity grows faster than the pool: a direct-mapped table
     /// sized near the key count thrashes (every collision recomputes a
     /// full clock comparison), and slots are 12 bytes.
-    pub(crate) fn capacity_for(n: usize) -> usize {
+    fn capacity_for(n: usize) -> usize {
         n.saturating_mul(16).next_power_of_two().clamp(1 << 10, 1 << 18)
     }
 
@@ -151,7 +136,7 @@ impl<'p> OrderMemo<'p> {
 
 /// Splits `n` object slots into at most `jobs` contiguous, near-even
 /// ranges. Deterministic in `(n, jobs)`.
-pub(crate) fn shard_ranges(n: usize, jobs: usize) -> Vec<Range<usize>> {
+fn shard_ranges(n: usize, jobs: usize) -> Vec<Range<usize>> {
     let jobs = jobs.max(1).min(n.max(1));
     if n == 0 {
         return Vec::new();
@@ -171,13 +156,14 @@ pub(crate) fn shard_ranges(n: usize, jobs: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Runs `f` over each shard, on a scoped thread pool when `jobs > 1`.
-/// Results come back in shard order either way.
-pub(crate) fn run_shards<T, F>(shards: Vec<Range<usize>>, jobs: usize, f: F) -> Vec<T>
+/// Runs `f` over the shards of `n` object slots, on a scoped thread pool
+/// when `jobs > 1`. Results come back in shard order either way.
+fn run_shards<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
+    let shards = shard_ranges(n, jobs);
     if jobs <= 1 || shards.len() <= 1 {
         return shards.into_iter().map(f).collect();
     }
@@ -194,390 +180,434 @@ where
     })
 }
 
-/// Sweeps one shard (a contiguous range of object slots) of the MemOrder
-/// columns: the fused candidate + interference-observation scan.
-pub(crate) fn sweep_mem_shard(
-    cols: &ClassColumns,
-    pool: &ClockPool,
-    slots: Range<usize>,
-    delta: SimTime,
-    prune_ordered: bool,
-) -> ShardOut {
-    sweep_mem_shard_from(cols, pool, slots, delta, prune_ordered, None)
+/// The MemOrder candidate accumulator: sweep stats plus one aggregate per
+/// `(delay site, other site, kind)`, bounded by distinct site pairs.
+#[derive(Debug, Default)]
+pub(crate) struct MemFold {
+    stats: NearMissStats,
+    pairs: HashMap<(SiteId, SiteId, BugKind), CandAgg>,
 }
 
-/// [`sweep_mem_shard`] generalized for incremental absorption: when
-/// `fresh_from` is given, `fresh_from[k]` is the offset *within slot `k`'s
-/// segment* where this generation's fresh events begin (everything before
-/// it is the carried δ-window tail of earlier generations), and only pairs
-/// whose **later** event is fresh are counted. Each cross-generation pair
-/// is therefore counted in exactly one absorb — the one where its later
-/// event arrives — which is what makes the incremental fold byte-identical
-/// to a batch sweep over the concatenated trace. `fresh_from = None` (or
-/// all zeros) is the plain batch sweep.
-pub(crate) fn sweep_mem_shard_from(
-    cols: &ClassColumns,
-    pool: &ClockPool,
-    slots: Range<usize>,
-    delta: SimTime,
-    prune_ordered: bool,
-    fresh_from: Option<&[u32]>,
-) -> ShardOut {
-    let mut out = ShardOut::default();
-    let mut ord = OrderMemo::new(pool);
-    for k in slots {
-        let r = cols.range(k);
-        let fresh = fresh_from.map_or(r.start, |f| r.start + f[k] as usize);
-        // Two-pointer sweep: `j_hi` is the exclusive frontier of the δ
-        // window for `i`. Timestamps ascend within the segment, so the
-        // frontier never retreats as `i` advances.
-        let mut j_hi = r.start;
-        for i in r.clone() {
-            if j_hi < i + 1 {
-                j_hi = i + 1;
-            }
-            while j_hi < r.end && cols.times[j_hi].saturating_sub(cols.times[i]) < delta {
-                j_hi += 1;
-            }
-            // Pairs whose later event predates the fresh region were
-            // already counted by the absorb that brought that event in.
-            let j_lo = (i + 1).max(fresh);
-            out.window_pairs += j_hi.saturating_sub(j_lo) as u64;
-            for j in j_lo..j_hi {
-                if cols.threads[j] == cols.threads[i] {
-                    continue;
-                }
-                let kind = match (cols.kinds[i], cols.kinds[j]) {
-                    (AccessKind::Init, AccessKind::Use) => BugKind::UseBeforeInit,
-                    (AccessKind::Use, AccessKind::Dispose) => BugKind::UseAfterFree,
-                    _ => continue,
-                };
-                out.examined += 1;
-                if prune_ordered && ord.ordered(cols.clocks[i], cols.clocks[j]) {
-                    out.pruned_ordered += 1;
-                    continue;
-                }
-                let gap = cols.times[j].saturating_sub(cols.times[i]);
-                let entry = out
-                    .pairs
-                    .entry((cols.sites[i], cols.sites[j], kind))
-                    .or_insert(CandAgg {
-                        obj: cols.objects[k],
-                        max_gap: SimTime::ZERO,
-                        observations: 0,
-                    });
-                entry.max_gap = entry.max_gap.max(gap);
-                entry.observations += 1;
+impl MemFold {
+    /// Distinct candidate site pairs accumulated so far.
+    pub(crate) fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// Sweeps one column batch, sharded across up to `jobs` threads, and
+    /// folds it in.
+    ///
+    /// `fresh_from[k]`, when given, is the offset *within slot `k`'s
+    /// segment* where this generation's fresh events begin (everything
+    /// before it is the carried δ-window tail of earlier generations), and
+    /// only pairs whose **later** event is fresh are counted. Each
+    /// cross-generation pair is therefore counted in exactly one absorb —
+    /// the one where its later event arrives — which is what makes an
+    /// incremental fold byte-identical to a batch sweep over the
+    /// concatenated trace.
+    pub(crate) fn absorb(
+        &mut self,
+        cols: &ClassColumns,
+        pool: &ClockPool,
+        config: &AnalyzerConfig,
+        fresh_from: Option<&[u32]>,
+        jobs: usize,
+    ) {
+        let shards = run_shards(cols.object_count(), jobs, |slots| {
+            Self::sweep(cols, pool, slots, config, fresh_from)
+        });
+        for shard in shards {
+            self.stats.window_pairs += shard.stats.window_pairs;
+            self.stats.examined += shard.stats.examined;
+            self.stats.pruned_ordered += shard.stats.pruned_ordered;
+            for (key, agg) in shard.pairs {
+                self.pairs
+                    .entry(key)
+                    .and_modify(|e| {
+                        e.obj = e.obj.min(agg.obj);
+                        e.max_gap = e.max_gap.max(agg.max_gap);
+                        e.observations += agg.observations;
+                    })
+                    .or_insert(agg);
             }
         }
     }
-    out
-}
 
-/// Folds one shard's sweep output into the global accumulators. Every
-/// per-key fold is commutative — max gap, summed observations, and a
-/// **min** fold on the representative object. For the batch path (shards
-/// merged in ascending object order) the min fold is identical to the
-/// historical keep-first-seen rule, since the first shard to see a pair
-/// holds its globally lowest object; making it an explicit min keeps the
-/// fold order-robust for the incremental path, where a later generation
-/// can introduce a lower-numbered object for an already-known pair.
-pub(crate) fn merge_mem_out(out: ShardOut, stats: &mut NearMissStats, pairs: &mut PairMap) {
-    stats.window_pairs += out.window_pairs;
-    stats.examined += out.examined;
-    stats.pruned_ordered += out.pruned_ordered;
-    for (key, agg) in out.pairs {
-        pairs
-            .entry(key)
-            .and_modify(|e| {
-                e.obj = e.obj.min(agg.obj);
-                e.max_gap = e.max_gap.max(agg.max_gap);
-                e.observations += agg.observations;
+    /// The candidate sweep over one shard (a contiguous range of object
+    /// slots).
+    fn sweep(
+        cols: &ClassColumns,
+        pool: &ClockPool,
+        slots: Range<usize>,
+        config: &AnalyzerConfig,
+        fresh_from: Option<&[u32]>,
+    ) -> MemFold {
+        let mut out = MemFold::default();
+        let mut ord = OrderMemo::new(pool);
+        for k in slots {
+            let r = cols.range(k);
+            let fresh = fresh_from.map_or(r.start, |f| r.start + f[k] as usize);
+            // Two-pointer sweep: `j_hi` is the exclusive frontier of the δ
+            // window for `i`. Timestamps ascend within the segment, so the
+            // frontier never retreats as `i` advances.
+            let mut j_hi = r.start;
+            for i in r.clone() {
+                if j_hi < i + 1 {
+                    j_hi = i + 1;
+                }
+                while j_hi < r.end && cols.times[j_hi].saturating_sub(cols.times[i]) < config.delta
+                {
+                    j_hi += 1;
+                }
+                // Pairs whose later event predates the fresh region were
+                // already counted by the absorb that brought that event in.
+                let j_lo = (i + 1).max(fresh);
+                out.stats.window_pairs += j_hi.saturating_sub(j_lo) as u64;
+                for j in j_lo..j_hi {
+                    if cols.threads[j] == cols.threads[i] {
+                        continue;
+                    }
+                    let kind = match (cols.kinds[i], cols.kinds[j]) {
+                        (AccessKind::Init, AccessKind::Use) => BugKind::UseBeforeInit,
+                        (AccessKind::Use, AccessKind::Dispose) => BugKind::UseAfterFree,
+                        _ => continue,
+                    };
+                    out.stats.examined += 1;
+                    if config.prune_parent_child && ord.ordered(cols.clocks[i], cols.clocks[j]) {
+                        out.stats.pruned_ordered += 1;
+                        continue;
+                    }
+                    let gap = cols.times[j].saturating_sub(cols.times[i]);
+                    let entry = out
+                        .pairs
+                        .entry((cols.sites[i], cols.sites[j], kind))
+                        .or_insert(CandAgg {
+                            obj: cols.objects[k],
+                            max_gap: SimTime::ZERO,
+                            observations: 0,
+                        });
+                    entry.max_gap = entry.max_gap.max(gap);
+                    entry.observations += 1;
+                }
+            }
+        }
+        out
+    }
+
+    /// Finalizes the fold into a [`Plan`]: sorted candidates, `α · max gap`
+    /// delay lengths, and — when interference control is on and a
+    /// candidate exists — the interference set. The source supplies
+    /// `replay`, which must feed the same column batches it absorbed to
+    /// [`InterferencePass::collect`].
+    pub(crate) fn finish<E>(
+        self,
+        workload: String,
+        config: &AnalyzerConfig,
+        replay: impl FnOnce(&mut InterferencePass) -> Result<(), E>,
+    ) -> Result<Plan, E> {
+        let MemFold { mut stats, pairs } = self;
+        let mut candidates: Vec<CandidatePair> = pairs
+            .into_iter()
+            .map(|((delay_site, other_site, kind), agg)| CandidatePair {
+                delay_site,
+                other_site,
+                kind,
+                obj: agg.obj,
+                max_gap: agg.max_gap,
+                observations: agg.observations,
             })
-            .or_insert(agg);
-    }
-}
-
-/// Converts the merged pair accumulator into the plan's sorted candidate
-/// list.
-pub(crate) fn candidates_from_pairs(pairs: PairMap) -> Vec<CandidatePair> {
-    let mut candidates: Vec<CandidatePair> = pairs
-        .into_iter()
-        .map(|((delay_site, other_site, kind), agg)| CandidatePair {
-            delay_site,
-            other_site,
-            kind,
-            obj: agg.obj,
-            max_gap: agg.max_gap,
-            observations: agg.observations,
+            .collect();
+        candidates.sort_by_key(|p| (p.delay_site, p.other_site, p.kind as u8));
+        stats.admitted = candidates.len();
+        let delay_len = delay_plan(&candidates, config);
+        let mut interference = InterferenceSet::new();
+        if config.interference_control && !candidates.is_empty() {
+            let mut pass = InterferencePass::new(&candidates, config.delta);
+            replay(&mut pass)?;
+            interference = pass.resolve();
+        }
+        Ok(Plan {
+            workload,
+            candidates,
+            delay_len,
+            interference,
+            delta: config.delta,
+            stats,
+            memory_model: config.memory,
         })
-        .collect();
-    candidates.sort_by_key(|p| (p.delay_site, p.other_site, p.kind as u8));
-    candidates
+    }
 }
 
-/// Re-walks the δ windows of `cols` recording interference observations
-/// `(τ1, τ2, thread-of-ℓ2)` for the *candidate* site pairs only — the same
-/// cross-thread, kind-matched pairs the sweep examined (including
-/// clock-ordered ones: the reference interference scan does not prune by
-/// clock), narrowed to the keys [`window_interference`] will actually
-/// read. Keeping this out of the hot sweep bounds the observation heap by
-/// candidate activity instead of by window pairs.
-pub(crate) fn collect_candidate_obs(
-    cols: &ClassColumns,
+/// Near-miss observations of one candidate site pair:
+/// `(τ1, τ2, thread-of-ℓ2)`.
+type PairObservations = Vec<(SimTime, SimTime, ThreadId)>;
+
+/// The interference pass (§4.4): collects the candidate pairs' near-miss
+/// observations and the delay-site executions from replayed column
+/// batches, then resolves the interference set.
+pub(crate) struct InterferencePass {
     delta: SimTime,
-    cand_keys: &HashSet<(SiteId, SiteId)>,
-    obs: &mut ObsMap,
-) {
-    // Only events at a candidate *delay* site can open an observation, so
-    // everything else skips the pair walk — the frontier advance below
-    // stays O(events) amortized either way.
-    let first_sites: HashSet<SiteId> = cand_keys.iter().map(|&(l1, _)| l1).collect();
-    for k in 0..cols.object_count() {
-        let r = cols.range(k);
-        let mut j_hi = r.start;
-        for i in r.clone() {
-            if j_hi < i + 1 {
-                j_hi = i + 1;
-            }
-            while j_hi < r.end && cols.times[j_hi].saturating_sub(cols.times[i]) < delta {
-                j_hi += 1;
-            }
-            if !first_sites.contains(&cols.sites[i]) {
-                continue;
-            }
-            for j in (i + 1)..j_hi {
-                if cols.threads[j] == cols.threads[i] {
+    /// Candidate delay sites: the only events that open an observation,
+    /// and the eligible interferers ℓ\*.
+    delay_sites: HashSet<SiteId>,
+    /// Candidate `(ℓ1, ℓ2)` site pairs, the observation filter.
+    keys: HashSet<(SiteId, SiteId)>,
+    obs: HashMap<(SiteId, SiteId), PairObservations>,
+    /// Delay-site executions per thread, sorted before resolution.
+    execs: HashMap<ThreadId, Vec<(SimTime, SiteId)>>,
+}
+
+impl InterferencePass {
+    /// An empty pass for `candidates` under window `delta`.
+    pub(crate) fn new(candidates: &[CandidatePair], delta: SimTime) -> Self {
+        Self {
+            delta,
+            delay_sites: candidates.iter().map(|c| c.delay_site).collect(),
+            keys: candidates
+                .iter()
+                .map(|c| (c.delay_site, c.other_site))
+                .collect(),
+            obs: HashMap::new(),
+            execs: HashMap::new(),
+        }
+    }
+
+    /// Walks the δ windows of one column batch, recording every delay-site
+    /// execution and, for the candidate site pairs only, the observations
+    /// `(τ1, τ2, thread-of-ℓ2)` — the same cross-thread, kind-matched pairs
+    /// the sweep examined, including clock-ordered ones (the reference
+    /// interference scan does not prune by clock).
+    pub(crate) fn collect(&mut self, cols: &ClassColumns) {
+        for k in 0..cols.object_count() {
+            let r = cols.range(k);
+            let mut j_hi = r.start;
+            for i in r.clone() {
+                if j_hi < i + 1 {
+                    j_hi = i + 1;
+                }
+                while j_hi < r.end && cols.times[j_hi].saturating_sub(cols.times[i]) < self.delta {
+                    j_hi += 1;
+                }
+                // Only events at a candidate delay site matter; everything
+                // else skips the pair walk, and the frontier advance above
+                // stays O(events) amortized either way.
+                if !self.delay_sites.contains(&cols.sites[i]) {
                     continue;
                 }
-                match (cols.kinds[i], cols.kinds[j]) {
-                    (AccessKind::Init, AccessKind::Use)
-                    | (AccessKind::Use, AccessKind::Dispose) => {}
-                    _ => continue,
-                }
-                if !cand_keys.contains(&(cols.sites[i], cols.sites[j])) {
-                    continue;
-                }
-                obs.entry((cols.sites[i], cols.sites[j]))
+                self.execs
+                    .entry(cols.threads[i])
                     .or_default()
-                    .push((cols.times[i], cols.times[j], cols.threads[j]));
-            }
-        }
-    }
-}
-
-/// The candidate pairs' site keys, the filter for observation collection.
-pub(crate) fn candidate_keys(candidates: &[CandidatePair]) -> HashSet<(SiteId, SiteId)> {
-    candidates
-        .iter()
-        .map(|c| (c.delay_site, c.other_site))
-        .collect()
-}
-
-/// Collects delay-site executions (the interference pass's needle set)
-/// from one stretch of column data into the per-thread accumulator.
-pub(crate) fn collect_delay_execs(
-    times: &[SimTime],
-    threads: &[ThreadId],
-    sites: &[SiteId],
-    delay_sites: &HashSet<SiteId>,
-    by_thread: &mut DelayExecs,
-) {
-    for i in 0..times.len() {
-        if delay_sites.contains(&sites[i]) {
-            by_thread
-                .entry(threads[i])
-                .or_default()
-                .push((times[i], sites[i]));
-        }
-    }
-}
-
-/// Resolves the interference set from the candidate observations: for each
-/// observation `(τ1, τ2, thread-of-ℓ2)`, every delay-site execution by ℓ2's
-/// thread inside the strict window `(τ1 − δ, τ2]` interferes with ℓ1.
-///
-/// A delay site's windows overlap heavily (δ can span a whole trace), so
-/// they are not walked one by one. Every observation of ℓ1, across all of
-/// its partner sites ℓ2, becomes an index range over its thread's sorted
-/// executions (two binary searches); the ranges are merged per thread and
-/// only their union is walked, so each execution is visited at most once
-/// per (ℓ1, thread). A dense per-site stamp dedupes ℓ\* per ℓ1 before the
-/// set insert. Cost: O(obs · log E + Σ merged-range sizes) instead of
-/// O(obs × E). Per-thread execution lists are sorted here, so collection
-/// order never matters.
-pub(crate) fn window_interference(
-    obs: &ObsMap,
-    by_thread: &mut DelayExecs,
-    delta: SimTime,
-) -> InterferenceSet {
-    let mut set = InterferenceSet::new();
-    let mut site_count = 0;
-    for execs in by_thread.values_mut() {
-        execs.sort_unstable();
-        for &(_, l_star) in execs.iter() {
-            site_count = site_count.max(l_star.0 as usize + 1);
-        }
-    }
-    let mut keys: Vec<(SiteId, SiteId)> = obs.keys().copied().collect();
-    keys.sort_unstable();
-    // `stamp[ℓ*]` is the 1-based number of the last ℓ1 group that recorded
-    // ℓ*; zero means never.
-    let mut stamp = vec![0usize; site_count];
-    // One scratch buffer of `(thread, start, end)` execution ranges, reused
-    // for every ℓ1.
-    let mut ranges: Vec<(ThreadId, usize, usize)> = Vec::new();
-    let mut group = 0;
-    let mut k = 0;
-    while k < keys.len() {
-        let l1 = keys[k].0;
-        group += 1;
-        ranges.clear();
-        while k < keys.len() && keys[k].0 == l1 {
-            for &(t1, t2, thd2) in &obs[&keys[k]] {
-                let Some(execs) = by_thread.get(&thd2) else {
-                    continue;
-                };
-                // First execution strictly inside the look-behind: the
-                // strict `< δ` boundary matches the reference builder and
-                // the near-miss window convention. The end is inclusive.
-                let start = execs.partition_point(|&(t, _)| t1.saturating_sub(t) >= delta);
-                let end = start + execs[start..].partition_point(|&(t, _)| t <= t2);
-                if start < end {
-                    ranges.push((thd2, start, end));
+                    .push((cols.times[i], cols.sites[i]));
+                for j in (i + 1)..j_hi {
+                    if cols.threads[j] == cols.threads[i] {
+                        continue;
+                    }
+                    match (cols.kinds[i], cols.kinds[j]) {
+                        (AccessKind::Init, AccessKind::Use)
+                        | (AccessKind::Use, AccessKind::Dispose) => {}
+                        _ => continue,
+                    }
+                    if !self.keys.contains(&(cols.sites[i], cols.sites[j])) {
+                        continue;
+                    }
+                    self.obs
+                        .entry((cols.sites[i], cols.sites[j]))
+                        .or_default()
+                        .push((cols.times[i], cols.times[j], cols.threads[j]));
                 }
             }
-            k += 1;
         }
-        ranges.sort_unstable();
-        let mut r = 0;
-        while r < ranges.len() {
-            let (thd, start, mut end) = ranges[r];
-            r += 1;
-            while r < ranges.len() && ranges[r].0 == thd && ranges[r].1 <= end {
-                end = end.max(ranges[r].2);
+    }
+
+    /// Resolves the interference set from the collected observations: for
+    /// each observation `(τ1, τ2, thread-of-ℓ2)`, every delay-site
+    /// execution by ℓ2's thread inside the strict window `(τ1 − δ, τ2]`
+    /// interferes with ℓ1.
+    ///
+    /// A delay site's windows overlap heavily (δ can span a whole trace),
+    /// so they are not walked one by one. Every observation of ℓ1, across
+    /// all of its partner sites ℓ2, becomes an index range over its
+    /// thread's sorted executions (two binary searches); the ranges are
+    /// merged per thread and only their union is walked, so each execution
+    /// is visited at most once per (ℓ1, thread). A dense per-site stamp
+    /// dedupes ℓ\* per ℓ1 before the set insert. Cost: O(obs · log E +
+    /// Σ merged-range sizes) instead of O(obs × E). Per-thread execution
+    /// lists are sorted here, so collection order never matters.
+    pub(crate) fn resolve(mut self) -> InterferenceSet {
+        let delta = self.delta;
+        let mut set = InterferenceSet::new();
+        let mut site_count = 0;
+        for execs in self.execs.values_mut() {
+            execs.sort_unstable();
+            for &(_, l_star) in execs.iter() {
+                site_count = site_count.max(l_star.0 as usize + 1);
+            }
+        }
+        let by_thread = &self.execs;
+        let mut keys: Vec<(SiteId, SiteId)> = self.obs.keys().copied().collect();
+        keys.sort_unstable();
+        // `stamp[ℓ*]` is the 1-based number of the last ℓ1 group that
+        // recorded ℓ*; zero means never.
+        let mut stamp = vec![0usize; site_count];
+        // One scratch buffer of `(thread, start, end)` execution ranges,
+        // reused for every ℓ1.
+        let mut ranges: Vec<(ThreadId, usize, usize)> = Vec::new();
+        let mut group = 0;
+        let mut k = 0;
+        while k < keys.len() {
+            let l1 = keys[k].0;
+            group += 1;
+            ranges.clear();
+            while k < keys.len() && keys[k].0 == l1 {
+                for &(t1, t2, thd2) in &self.obs[&keys[k]] {
+                    let Some(execs) = by_thread.get(&thd2) else {
+                        continue;
+                    };
+                    // First execution strictly inside the look-behind: the
+                    // strict `< δ` boundary matches the reference builder
+                    // and the near-miss window convention. The end is
+                    // inclusive.
+                    let start = execs.partition_point(|&(t, _)| t1.saturating_sub(t) >= delta);
+                    let end = start + execs[start..].partition_point(|&(t, _)| t <= t2);
+                    if start < end {
+                        ranges.push((thd2, start, end));
+                    }
+                }
+                k += 1;
+            }
+            ranges.sort_unstable();
+            let mut r = 0;
+            while r < ranges.len() {
+                let (thd, start, mut end) = ranges[r];
                 r += 1;
-            }
-            for &(_, l_star) in &by_thread[&thd][start..end] {
-                let seen = &mut stamp[l_star.0 as usize];
-                if *seen != group {
-                    *seen = group;
-                    set.insert(l1, l_star);
+                while r < ranges.len() && ranges[r].0 == thd && ranges[r].1 <= end {
+                    end = end.max(ranges[r].2);
+                    r += 1;
+                }
+                for &(_, l_star) in &by_thread[&thd][start..end] {
+                    let seen = &mut stamp[l_star.0 as usize];
+                    if *seen != group {
+                        *seen = group;
+                        set.insert(l1, l_star);
+                    }
                 }
             }
         }
+        set
     }
-    set
 }
 
-/// The in-memory interference finalizer: one extra pass over the resident
-/// columns for candidate observations and delay-site executions, then the
-/// shared window resolution.
-fn finalize_interference(
-    cols: &ClassColumns,
-    candidates: &[CandidatePair],
+/// The TSV candidate accumulator: one [`TsvCandidate`] per
+/// `(delay site, other site)`, in key order.
+#[derive(Debug)]
+pub(crate) struct TsvFold {
     delta: SimTime,
-) -> InterferenceSet {
-    let delay_sites: HashSet<SiteId> = candidates.iter().map(|c| c.delay_site).collect();
-    if delay_sites.is_empty() {
-        return InterferenceSet::new();
+    default_window: SimTime,
+    seen: BTreeMap<(SiteId, SiteId), TsvCandidate>,
+}
+
+impl TsvFold {
+    /// An empty fold under near-miss window `delta`, stamping
+    /// `default_window` on every candidate.
+    pub(crate) fn new(delta: SimTime, default_window: SimTime) -> Self {
+        Self {
+            delta,
+            default_window,
+            seen: BTreeMap::new(),
+        }
     }
-    let mut obs = ObsMap::new();
-    collect_candidate_obs(cols, delta, &candidate_keys(candidates), &mut obs);
-    let mut by_thread = DelayExecs::new();
-    collect_delay_execs(&cols.times, &cols.threads, &cols.sites, &delay_sites, &mut by_thread);
-    window_interference(&obs, &mut by_thread, delta)
+
+    /// Distinct TSV site pairs accumulated so far.
+    pub(crate) fn len(&self) -> usize {
+        self.seen.len()
+    }
+
+    /// Sweeps one column batch, sharded across up to `jobs` threads, and
+    /// folds it in: gap is a max and the representative object a min.
+    /// `fresh_from` has the [`MemFold::absorb`] contract.
+    pub(crate) fn absorb(&mut self, cols: &ClassColumns, fresh_from: Option<&[u32]>, jobs: usize) {
+        let shards = run_shards(cols.object_count(), jobs, |slots| {
+            self.sweep(cols, slots, fresh_from)
+        });
+        for shard in shards {
+            for (key, cand) in shard {
+                self.seen
+                    .entry(key)
+                    .and_modify(|e| {
+                        e.gap = e.gap.max(cand.gap);
+                        e.obj = e.obj.min(cand.obj);
+                    })
+                    .or_insert(cand);
+            }
+        }
+    }
+
+    /// The TSV sweep over one shard of object slots.
+    fn sweep(
+        &self,
+        cols: &ClassColumns,
+        slots: Range<usize>,
+        fresh_from: Option<&[u32]>,
+    ) -> BTreeMap<(SiteId, SiteId), TsvCandidate> {
+        let mut seen = BTreeMap::new();
+        for k in slots {
+            let r = cols.range(k);
+            let fresh = fresh_from.map_or(r.start, |f| r.start + f[k] as usize);
+            for i in r.clone() {
+                for j in (i + 1).max(fresh)..r.end {
+                    let gap = cols.times[j].saturating_sub(cols.times[i]);
+                    if gap >= self.delta {
+                        break;
+                    }
+                    if cols.threads[i] == cols.threads[j] {
+                        continue;
+                    }
+                    let entry = seen
+                        .entry((cols.sites[i], cols.sites[j]))
+                        .or_insert_with(|| TsvCandidate {
+                            delay_site: cols.sites[i],
+                            other_site: cols.sites[j],
+                            obj: cols.objects[k],
+                            gap: SimTime::ZERO,
+                            window: self.default_window,
+                        });
+                    entry.gap = entry.gap.max(gap);
+                }
+            }
+        }
+        seen
+    }
+
+    /// Finalizes the fold into a [`TsvPlan`]: each delay site's planned
+    /// delay is the largest gap among its pairs.
+    pub(crate) fn finish(self, workload: String) -> TsvPlan {
+        let candidates: Vec<TsvCandidate> = self.seen.into_values().collect();
+        let mut delay_len = BTreeMap::new();
+        for c in &candidates {
+            let cur = delay_len.entry(c.delay_site).or_insert(SimTime::ZERO);
+            *cur = (*cur).max(c.gap);
+        }
+        TsvPlan {
+            workload,
+            candidates,
+            delay_len,
+        }
+    }
 }
 
 /// Analyzes an indexed preparation trace into a detection [`Plan`] using
-/// the fused single-pass sweep, sharded across up to `jobs` threads.
+/// the fused sweep, sharded across up to `jobs` threads.
 ///
 /// Produces byte-identical plans to the reference scanners
 /// ([`crate::analyze_unindexed`]) at every `jobs` value.
 pub fn analyze_indexed(index: &TraceIndex<'_>, config: &AnalyzerConfig, jobs: usize) -> Plan {
-    let cols = &index.mem;
-    let pool = &index.trace.clocks;
-    let shards = shard_ranges(cols.object_count(), jobs);
-    let outs = run_shards(shards, jobs, |slots| {
-        sweep_mem_shard(cols, pool, slots, config.delta, config.prune_parent_child)
+    let mut fold = MemFold::default();
+    fold.absorb(&index.mem, &index.trace.clocks, config, None, jobs);
+    let Ok(plan) = fold.finish(index.trace.workload.clone(), config, |pass| {
+        pass.collect(&index.mem);
+        Ok::<(), Infallible>(())
     });
-
-    // Deterministic merge: shard order is object order; per-key folds are
-    // commutative except the representative object, which keeps the first
-    // shard's value — the globally lowest-numbered admitted object, the
-    // same representative the reference scanner picks.
-    let mut stats = NearMissStats::default();
-    let mut pairs = PairMap::new();
-    for out in outs {
-        merge_mem_out(out, &mut stats, &mut pairs);
-    }
-    let candidates = candidates_from_pairs(pairs);
-    stats.admitted = candidates.len();
-
-    let delay_len = crate::analyzer::delay_plan(&candidates, config);
-    let interference = if config.interference_control {
-        finalize_interference(cols, &candidates, config.delta)
-    } else {
-        InterferenceSet::new()
-    };
-    Plan {
-        workload: index.trace.workload.clone(),
-        candidates,
-        delay_len,
-        interference,
-        delta: config.delta,
-        stats,
-        memory_model: config.memory,
-    }
-}
-
-/// Sweeps one shard of the TSV columns.
-pub(crate) fn sweep_tsv_shard(
-    cols: &ClassColumns,
-    slots: Range<usize>,
-    delta: SimTime,
-    default_window: SimTime,
-) -> BTreeMap<(SiteId, SiteId), TsvCandidate> {
-    sweep_tsv_shard_from(cols, slots, delta, default_window, None)
-}
-
-/// [`sweep_tsv_shard`] generalized for incremental absorption, with the
-/// same `fresh_from` contract as [`sweep_mem_shard_from`]: only pairs
-/// whose later event is fresh are recorded.
-pub(crate) fn sweep_tsv_shard_from(
-    cols: &ClassColumns,
-    slots: Range<usize>,
-    delta: SimTime,
-    default_window: SimTime,
-    fresh_from: Option<&[u32]>,
-) -> BTreeMap<(SiteId, SiteId), TsvCandidate> {
-    let mut seen: BTreeMap<(SiteId, SiteId), TsvCandidate> = BTreeMap::new();
-    for k in slots {
-        let r = cols.range(k);
-        let fresh = fresh_from.map_or(r.start, |f| r.start + f[k] as usize);
-        for i in r.clone() {
-            for j in (i + 1).max(fresh)..r.end {
-                let gap = cols.times[j].saturating_sub(cols.times[i]);
-                if gap >= delta {
-                    break;
-                }
-                if cols.threads[i] == cols.threads[j] {
-                    continue;
-                }
-                let entry = seen
-                    .entry((cols.sites[i], cols.sites[j]))
-                    .or_insert_with(|| TsvCandidate {
-                        delay_site: cols.sites[i],
-                        other_site: cols.sites[j],
-                        obj: cols.objects[k],
-                        gap: SimTime::ZERO,
-                        window: default_window,
-                    });
-                entry.gap = entry.gap.max(gap);
-            }
-        }
-    }
-    seen
+    plan
 }
 
 /// Analyzes the indexed trace's TSV events into a [`TsvPlan`] with the
@@ -589,52 +619,9 @@ pub fn analyze_tsv_indexed(
     default_window: SimTime,
     jobs: usize,
 ) -> TsvPlan {
-    let cols = &index.tsv;
-    let shards = shard_ranges(cols.object_count(), jobs);
-    let outs = run_shards(shards, jobs, |slots| {
-        sweep_tsv_shard(cols, slots, delta, default_window)
-    });
-    let mut seen: BTreeMap<(SiteId, SiteId), TsvCandidate> = BTreeMap::new();
-    for shard in outs {
-        merge_tsv_out(shard, &mut seen);
-    }
-    tsv_plan_from(index.trace.workload.clone(), seen)
-}
-
-/// Folds one TSV shard into the accumulator: gap is a max and the
-/// representative object an explicit min — equal to the historical
-/// first-seen rule under ascending-object merge order, but order-robust
-/// for incremental generation folds (see [`merge_mem_out`]).
-pub(crate) fn merge_tsv_out(
-    shard: BTreeMap<(SiteId, SiteId), TsvCandidate>,
-    seen: &mut BTreeMap<(SiteId, SiteId), TsvCandidate>,
-) {
-    for (key, cand) in shard {
-        seen.entry(key)
-            .and_modify(|e| {
-                e.gap = e.gap.max(cand.gap);
-                e.obj = e.obj.min(cand.obj);
-            })
-            .or_insert(cand);
-    }
-}
-
-/// Assembles the final [`TsvPlan`] from the merged candidate accumulator.
-pub(crate) fn tsv_plan_from(
-    workload: String,
-    seen: BTreeMap<(SiteId, SiteId), TsvCandidate>,
-) -> TsvPlan {
-    let candidates: Vec<TsvCandidate> = seen.into_values().collect();
-    let mut delay_len = BTreeMap::new();
-    for c in &candidates {
-        let cur = delay_len.entry(c.delay_site).or_insert(SimTime::ZERO);
-        *cur = (*cur).max(c.gap);
-    }
-    TsvPlan {
-        workload,
-        candidates,
-        delay_len,
-    }
+    let mut fold = TsvFold::new(delta, default_window);
+    fold.absorb(&index.tsv, None, jobs);
+    fold.finish(index.trace.workload.clone())
 }
 
 #[cfg(test)]
@@ -836,7 +823,9 @@ mod tests {
             candidates.push(pair(site(&format!("x{thread}_{t}")), site("a")));
         }
         let index = TraceIndex::build(&trace);
-        let got = finalize_interference(&index.mem, &candidates, delta);
+        let mut pass = InterferencePass::new(&candidates, delta);
+        pass.collect(&index.mem);
+        let got = pass.resolve();
 
         let mut expected = InterferenceSet::new();
         for name in ["x1_901", "x1_1040", "x1_1041", "x1_1080", "x2_4901", "x2_5050"] {

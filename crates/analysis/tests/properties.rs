@@ -2,11 +2,14 @@
 
 use proptest::prelude::*;
 use waffle_analysis::{
-    analyze, analyze_unindexed, AnalyzerConfig, BugKind, InterferenceSet,
+    analyze, analyze_segments, analyze_tsv_segments, analyze_tsv_unindexed, analyze_unindexed,
+    AnalyzerConfig, BugKind, IncrementalAnalysis, InterferenceSet,
 };
 use waffle_mem::{AccessKind, ObjectId, SiteId, SiteRegistry};
 use waffle_sim::{SimTime, ThreadId};
-use waffle_trace::{ClockPool, Trace, TraceEvent};
+use waffle_trace::{
+    compact_segments, ClockPool, SegmentReader, SessionIndexBuilder, Trace, TraceEvent, TraceIndex,
+};
 use waffle_vclock::ClockSnapshot;
 
 /// A compact random event description.
@@ -257,5 +260,116 @@ proptest! {
                 prop_assert_eq!(set.interferes(a, b), expected);
             }
         }
+    }
+}
+
+/// A fresh scratch path per call, so property cases never share files.
+fn scratch_path(tag: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "waffle-prop-src-{}-{n}-{tag}.wseg",
+        std::process::id()
+    ))
+}
+
+/// Streams `trace` through a serve-style session: seals every `seal`
+/// events into a generation, absorbs each into an [`IncrementalAnalysis`]
+/// at `jobs`, compacts the generations and finishes the fold over the
+/// compacted file under a one-byte budget. Returns the plan and TSV JSON.
+fn incremental_json(
+    trace: &Trace,
+    config: &AnalyzerConfig,
+    window: SimTime,
+    seal: usize,
+    jobs: usize,
+) -> (String, String) {
+    let mut b = SessionIndexBuilder::new(trace.workload.clone());
+    let sites: Vec<_> = trace
+        .sites
+        .iter()
+        .map(|(_, info)| (info.name.clone(), info.kind))
+        .collect();
+    b.add_sites(&sites).unwrap();
+    let snaps = trace.clocks.snapshots();
+    if snaps.len() > 1 {
+        b.add_clocks(snaps[1..].to_vec()).unwrap();
+    }
+    b.declare_end_time(trace.end_time);
+    let mut inc = IncrementalAnalysis::new(*config, window);
+    let mut generations = Vec::new();
+    for events in trace.events.chunks(seal) {
+        b.push_batch(events.to_vec()).unwrap();
+        let path = scratch_path("gen");
+        let out = b.seal(&path).unwrap();
+        inc.absorb(&out.mem, &out.tsv, b.clocks(), b.last_time(), jobs);
+        generations.push(path);
+    }
+    let (plan, tsv) = if generations.is_empty() {
+        inc.finish(&trace.workload, None, 1).unwrap()
+    } else {
+        let compacted = scratch_path("compacted");
+        compact_segments(&generations, &compacted).unwrap();
+        let mut reader = SegmentReader::open(&compacted).unwrap();
+        let done = inc.finish(&trace.workload, Some(&mut reader), 1).unwrap();
+        generations.push(compacted);
+        done
+    };
+    for p in &generations {
+        let _ = std::fs::remove_file(p);
+    }
+    (plan.to_json().unwrap(), tsv.to_json().unwrap())
+}
+
+proptest! {
+    /// Every production source — the streamed segment file at a one-byte
+    /// budget and the serve-side incremental fold at a drawn seal size —
+    /// yields plan and TSV JSON identical to the reference scanners on
+    /// dense random traces. Events whose tick matches `tsv_tick` become
+    /// unsafe API calls, so both classes share each trace. Sites are per
+    /// (thread, kind), so one site pair recurs on several objects and the
+    /// representative-object fold across batches and generations matters,
+    /// or per (thread, kind, object), so one thread runs many delay sites.
+    #[test]
+    fn every_analysis_source_matches_reference_on_dense_windows(
+        evs in dense_events_strategy(),
+        tsv_tick in 1u64..6,
+        seal in 1usize..40,
+        per_object_sites in 0u8..2,
+    ) {
+        let evs: Vec<Ev> = evs
+            .into_iter()
+            .map(|mut e| {
+                if e.tick == tsv_tick {
+                    e.kind = AccessKind::UnsafeApiCall;
+                }
+                e
+            })
+            .collect();
+        let trace = if per_object_sites == 1 {
+            build_trace_sited(evs, |e| format!("s{}k{}o{}", e.thread, e.kind, e.obj))
+        } else {
+            build_trace(evs)
+        };
+        let config = AnalyzerConfig::default();
+        let window = SimTime::from_ms(1);
+        let plan_ref = analyze_unindexed(&trace, &config).to_json().unwrap();
+        let tsv_ref = analyze_tsv_unindexed(&trace, config.delta, window).to_json().unwrap();
+
+        let path = scratch_path("batch");
+        TraceIndex::build(&trace).write_segments(&path).unwrap();
+        for jobs in [1, 2] {
+            let mut reader = SegmentReader::open(&path).unwrap();
+            let plan = analyze_segments(&mut reader, &config, jobs, 1).unwrap();
+            let tsv = analyze_tsv_segments(&mut reader, config.delta, window, jobs, 1).unwrap();
+            prop_assert_eq!(plan.to_json().unwrap(), plan_ref.clone(), "segments, jobs={}", jobs);
+            prop_assert_eq!(tsv.to_json().unwrap(), tsv_ref.clone(), "segments tsv, jobs={}", jobs);
+
+            let (plan, tsv) = incremental_json(&trace, &config, window, seal, jobs);
+            prop_assert_eq!(plan, plan_ref.clone(), "incremental, seal={}, jobs={}", seal, jobs);
+            prop_assert_eq!(tsv, tsv_ref.clone(), "incremental tsv, seal={}, jobs={}", seal, jobs);
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -146,11 +146,6 @@ pub struct DetectorConfig {
     /// process-per-run model isolates, §5); `None` (the default) disables
     /// it.
     pub panic_on_seed: Option<u64>,
-    /// Worker threads for the trace-analysis sweep after the preparation
-    /// run (1 = sequential). The produced plan is bit-identical at every
-    /// value — sharding only changes wall-clock time — so this is safe to
-    /// raise for trace-heavy workloads.
-    pub analysis_jobs: usize,
     /// Memory model every run (base, preparation, detection) simulates.
     /// The default is sequential consistency — byte-identical to the
     /// pre-weak-memory detector; `tso`/`pso` put a store buffer under each
@@ -166,7 +161,6 @@ impl Default for DetectorConfig {
             deadline_factor: 40,
             telemetry_events: false,
             panic_on_seed: None,
-            analysis_jobs: 1,
             memory: MemoryConfig::sc(),
         }
     }
@@ -413,7 +407,7 @@ impl Detector {
                 session.save_trace(&trace)?;
                 let index = TraceIndex::build(&trace);
                 let analyzer = analyzer.with_memory(self.config.memory.model);
-                let plan = analyze_indexed(&index, &analyzer, self.config.analysis_jobs);
+                let plan = analyze_indexed(&index, &analyzer, 1);
                 session.save_plan(&plan)?;
             }
             Some(plan) => {
@@ -457,7 +451,7 @@ impl Detector {
         let index = TraceIndex::build(&trace);
         // Stamp the plan with the model the preparation run simulated.
         let analyzer = analyzer.with_memory(self.config.memory.model);
-        analyze_indexed(&index, &analyzer, self.config.analysis_jobs)
+        analyze_indexed(&index, &analyzer, 1)
     }
 
     /// Records one detection run; returns `true` when a bug was exposed.

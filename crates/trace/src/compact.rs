@@ -145,23 +145,14 @@ pub fn compact_segments(inputs: &[PathBuf], out: &Path) -> io::Result<CompactSta
         for (object, parts) in by_obj {
             let mut loaded = Vec::with_capacity(parts.len());
             for &(ri, k) in &parts {
+                // `load` rejects ids outside the input's registry and
+                // pool, which the remap tables cover one-to-one.
                 let mut seg = readers[ri].load(class, k)?;
                 for s in &mut seg.sites {
-                    *s = *site_maps[ri].get(s.0 as usize).ok_or_else(|| {
-                        invalid(format!(
-                            "{}: segment for {object} references unknown site {s}",
-                            inputs[ri].display()
-                        ))
-                    })?;
+                    *s = site_maps[ri][s.0 as usize];
                 }
                 for c in &mut seg.clocks {
-                    *c = *clock_maps[ri].get(c.0 as usize).ok_or_else(|| {
-                        invalid(format!(
-                            "{}: segment for {object} references unknown clock id {}",
-                            inputs[ri].display(),
-                            c.0
-                        ))
-                    })?;
+                    *c = clock_maps[ri][c.0 as usize];
                 }
                 loaded.push(seg);
             }

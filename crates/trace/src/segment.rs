@@ -36,6 +36,7 @@
 
 use std::fs;
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
@@ -513,7 +514,10 @@ impl SegmentReader {
         &self.catalog.clocks
     }
 
-    /// Loads segment `k` of `class` into memory, verifying its checksum.
+    /// Loads segment `k` of `class` into memory, verifying its checksum and
+    /// that every clock id and site id resolves in the catalog's pool and
+    /// registry (a checksummed segment can still carry ids its footer never
+    /// defined, and the analyzer indexes the pool by them).
     pub fn load(&mut self, class: SegmentClass, k: usize) -> io::Result<SegmentColumns> {
         let meta = self.catalog.class(class)[k].clone();
         let n = meta.events as usize;
@@ -541,22 +545,53 @@ impl SegmentReader {
                 )
             })?);
         }
-        Ok(SegmentColumns {
+        let seg = SegmentColumns {
             object: meta.object,
             times: (0..n).map(|i| SimTime::from_us(le_u64(times_b, i))).collect(),
             threads: (0..n).map(|i| ThreadId(le_u32(threads_b, i))).collect(),
             sites: (0..n).map(|i| SiteId(le_u32(sites_b, i))).collect(),
             kinds,
             clocks: (0..n).map(|i| ClockId(le_u32(clocks_b, i))).collect(),
-        })
+        };
+        let pool = self.catalog.clocks.len();
+        if let Some(c) = seg.clocks.iter().find(|c| c.0 as usize >= pool) {
+            return Err(invalid(
+                &self.path,
+                format!(
+                    "segment for {} references clock id {} outside the {pool}-snapshot pool",
+                    meta.object, c.0
+                ),
+            ));
+        }
+        let registry = self.catalog.sites.len();
+        if let Some(s) = seg.sites.iter().find(|s| s.0 as usize >= registry) {
+            return Err(invalid(
+                &self.path,
+                format!(
+                    "segment for {} references site {s} outside the {registry}-site registry",
+                    meta.object
+                ),
+            ));
+        }
+        Ok(seg)
     }
 
-    /// Reassembles one class's full [`ClassColumns`] by loading every
-    /// segment — the round-trip used by tests and small-trace callers; the
-    /// streaming analysis path loads bounded batches instead.
-    pub fn read_class_columns(&mut self, class: SegmentClass) -> io::Result<ClassColumns> {
-        let metas = self.catalog.class(class).to_vec();
-        let total: usize = metas.iter().map(|m| m.events as usize).sum();
+    /// Loads segments `range` of `class` into one validated
+    /// [`ClassColumns`]: CSR offsets are relative to the range, and
+    /// `objects` keeps the catalog's ascending order. This is the batch
+    /// loader the streaming analysis feeds its budget windows through.
+    ///
+    /// # Panics
+    /// When `range` reaches past the catalog's segment list for `class`.
+    pub fn read_segments(
+        &mut self,
+        class: SegmentClass,
+        range: Range<usize>,
+    ) -> io::Result<ClassColumns> {
+        let total: usize = self.catalog.class(class)[range.clone()]
+            .iter()
+            .map(|m| m.events as usize)
+            .sum();
         let mut cols = ClassColumns {
             times: Vec::with_capacity(total),
             threads: Vec::with_capacity(total),
@@ -564,25 +599,33 @@ impl SegmentReader {
             objs: Vec::with_capacity(total),
             kinds: Vec::with_capacity(total),
             clocks: Vec::with_capacity(total),
-            objects: Vec::with_capacity(metas.len()),
-            offsets: Vec::with_capacity(metas.len() + 1),
+            objects: Vec::with_capacity(range.len()),
+            offsets: Vec::with_capacity(range.len() + 1),
         };
         cols.offsets.push(0);
-        for (k, meta) in metas.iter().enumerate() {
+        for k in range {
             let mut seg = self.load(class, k)?;
-            debug_assert_eq!(seg.len(), meta.events as usize, "catalog entry {k} consistent");
-            cols.objs.extend(std::iter::repeat_n(meta.object, seg.len()));
+            cols.objs.extend(std::iter::repeat_n(seg.object, seg.len()));
             cols.times.append(&mut seg.times);
             cols.threads.append(&mut seg.threads);
             cols.sites.append(&mut seg.sites);
             cols.kinds.append(&mut seg.kinds);
             cols.clocks.append(&mut seg.clocks);
-            cols.objects.push(meta.object);
+            cols.objects.push(seg.object);
             cols.offsets.push(cols.times.len() as u32);
         }
         cols.validate()
             .map_err(|e| invalid(&self.path, format!("reassembled columns invalid: {e}")))?;
         Ok(cols)
+    }
+
+    /// Reassembles one class's full [`ClassColumns`]: [`read_segments`]
+    /// over every segment of `class`.
+    ///
+    /// [`read_segments`]: Self::read_segments
+    pub fn read_class_columns(&mut self, class: SegmentClass) -> io::Result<ClassColumns> {
+        let n = self.catalog.class(class).len();
+        self.read_segments(class, 0..n)
     }
 }
 

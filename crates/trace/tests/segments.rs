@@ -7,9 +7,12 @@
 use std::path::PathBuf;
 
 use proptest::prelude::*;
-use waffle_mem::{AccessKind, ObjectId, SiteRegistry};
+use waffle_mem::{AccessKind, ObjectId, SiteId, SiteRegistry};
 use waffle_sim::{SimTime, ThreadId};
-use waffle_trace::{ClockPool, SegmentClass, SegmentReader, Trace, TraceEvent, TraceIndex};
+use waffle_trace::{
+    ClockId, ClockPool, ColumnSlice, SegmentClass, SegmentReader, SegmentWriter, Trace, TraceEvent,
+    TraceIndex,
+};
 use waffle_vclock::ClockSnapshot;
 
 fn kind_strategy() -> impl Strategy<Value = AccessKind> {
@@ -128,6 +131,57 @@ proptest! {
                 }
             }
         }
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// A segment whose checksum is valid but whose clock or site ids lie past
+/// the footer's pool or registry: the writer checks neither, so only the
+/// reader stands between such a file and the analyzer, which indexes the
+/// pool by clock id. Both `load` and the whole-class read must reject it
+/// as `InvalidData` rather than hand the ids on.
+#[test]
+fn checksummed_segment_with_undefined_ids_is_invalid_data() {
+    let mut sites = SiteRegistry::new();
+    sites.register("init", AccessKind::Init);
+    let cases = [
+        ("clock", SiteId(0), ClockId(7), "clock id 7"),
+        ("site", SiteId(3), ClockId::EMPTY, "site"),
+    ];
+    for (tag, site, clock, needle) in cases {
+        let path = std::env::temp_dir().join(format!(
+            "waffle-segprop-hostile-{tag}-{}.wseg",
+            std::process::id()
+        ));
+        let mut w = SegmentWriter::create(&path).unwrap();
+        w.append(
+            SegmentClass::MemOrder,
+            ColumnSlice {
+                object: ObjectId(0),
+                times: &[SimTime::from_us(1), SimTime::from_us(2)],
+                threads: &[ThreadId(0), ThreadId(1)],
+                sites: &[SiteId(0), site],
+                kinds: &[AccessKind::Init, AccessKind::Init],
+                clocks: &[ClockId::EMPTY, clock],
+            },
+        )
+        .unwrap();
+        w.finish(
+            "seg.hostile",
+            SimTime::from_ms(1),
+            &ClockPool::new(),
+            &sites,
+        )
+        .unwrap();
+
+        let mut reader = SegmentReader::open(&path).expect("footer and checksums are valid");
+        let err = reader.load(SegmentClass::MemOrder, 0).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{tag}: {err}");
+        assert!(err.to_string().contains(needle), "{tag}: {err}");
+        let err = reader
+            .read_class_columns(SegmentClass::MemOrder)
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{tag}: {err}");
         let _ = std::fs::remove_file(&path);
     }
 }
