@@ -8,7 +8,7 @@
 //! length on Bug-11 and on NetMQ's background inputs.
 
 use waffle_apps::all_apps;
-use waffle_inject::{BasicState, WaffleBasicPolicy};
+use waffle_inject::{OnlinePolicy, OnlineState, Pairing};
 use waffle_sim::time::ms;
 use waffle_sim::{NullMonitor, SimConfig, Simulator};
 
@@ -22,17 +22,18 @@ fn main() {
         "delay(ms)", "exposed?", "runs to expose", "avg run slowdown"
     );
     for delay_ms in [5u64, 10, 25, 50, 100, 200] {
-        let mut state = BasicState::default();
+        let mut state = OnlineState::default();
         let mut exposed = None;
         let mut total = waffle_sim::SimTime::ZERO;
         let mut runs = 0u32;
         for run in 1..=25u64 {
             state.decay = Default::default();
-            let mut p = WaffleBasicPolicy::with_params(
+            let mut p = OnlinePolicy::with_params(
+                Pairing::MemOrder,
                 state,
                 run,
                 ms(delay_ms),
-                WaffleBasicPolicy::DELTA,
+                OnlinePolicy::DELTA,
             );
             let r = Simulator::run(
                 &bug,

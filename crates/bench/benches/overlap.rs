@@ -6,7 +6,7 @@
 //! of dynamic instances per object-initialization site.
 
 use waffle_apps::all_apps;
-use waffle_inject::{BasicState, TsvdPolicy, TsvdState, WaffleBasicPolicy};
+use waffle_inject::{OnlinePolicy, OnlineState, Pairing};
 use waffle_mem::AccessKind;
 use waffle_sim::{SimConfig, Simulator};
 use waffle_trace::{TraceRecorder, TraceStats};
@@ -23,24 +23,19 @@ fn main() {
         let mut medians = Vec::new();
         for t in &app.tests {
             let w = &t.workload;
-            // TSVD: identification run then measured run.
-            let mut st = TsvdState::default();
-            for seed in [1u64, 2] {
-                let mut p = TsvdPolicy::new(st, seed);
-                let r = Simulator::run(w, SimConfig::with_seed(seed), &mut p);
-                st = p.into_state();
-                if seed == 2 && !r.delays.is_empty() {
-                    tsvd_ratios.push(r.delay_overlap_ratio());
-                }
-            }
-            // WaffleBasic: same protocol.
-            let mut st = BasicState::default();
-            for seed in [1u64, 2] {
-                let mut p = WaffleBasicPolicy::new(st, seed);
-                let r = Simulator::run(w, SimConfig::with_seed(seed), &mut p);
-                st = p.into_state();
-                if seed == 2 && !r.delays.is_empty() {
-                    basic_ratios.push(r.delay_overlap_ratio());
+            // TSVD, then WaffleBasic: identification run, then measured run.
+            for (pairing, ratios) in [
+                (Pairing::Tsv, &mut tsvd_ratios),
+                (Pairing::MemOrder, &mut basic_ratios),
+            ] {
+                let mut st = OnlineState::default();
+                for seed in [1u64, 2] {
+                    let mut p = OnlinePolicy::new(pairing, st, seed);
+                    let r = Simulator::run(w, SimConfig::with_seed(seed), &mut p);
+                    st = p.into_state();
+                    if seed == 2 && !r.delays.is_empty() {
+                        ratios.push(r.delay_overlap_ratio());
+                    }
                 }
             }
             // Dynamic instances of init sites (delay-free trace).

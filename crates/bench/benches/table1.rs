@@ -23,9 +23,9 @@ fn main() {
         }
     }
     println!("\nImplemented in this repository:");
-    println!("  Tsvd              -> waffle_inject::TsvdPolicy (thread-safety violations)");
+    println!("  Tsvd              -> waffle_inject::OnlinePolicy, Pairing::Tsv (thread-safety violations)");
     println!("  Waffle            -> waffle_core::Tool::waffle()");
-    println!("  WaffleBasic (§3)  -> waffle_core::Tool::waffle_basic()");
+    println!("  WaffleBasic (§3)  -> waffle_core::Tool::waffle_basic() (OnlinePolicy, Pairing::MemOrder)");
     println!("  sampled-location  -> waffle_inject::SingleDelayPolicy (RaceFuzzer/CTrigger-style)");
     println!("  unguided          -> waffle_inject::RandomSleepPolicy (DataCollider-style)");
     println!("  ablations (Tbl 7) -> Tool::waffle_no_parent_child / waffle_no_prep /");

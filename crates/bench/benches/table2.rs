@@ -9,7 +9,7 @@
 
 use waffle_analysis::{analyze, AnalyzerConfig};
 use waffle_apps::all_apps;
-use waffle_inject::{TsvdPolicy, TsvdState};
+use waffle_inject::{OnlinePolicy, Pairing};
 use waffle_sim::{SimConfig, Simulator};
 use waffle_trace::{TraceRecorder, TraceStats};
 
@@ -37,7 +37,7 @@ fn main() {
             let plan = analyze(&trace, &AnalyzerConfig::default());
             inj_mo += plan.delay_len.len();
             // TSV side: one TSVD identification run.
-            let mut tsvd = TsvdPolicy::new(TsvdState::default(), 1);
+            let mut tsvd = OnlinePolicy::new(Pairing::Tsv, Default::default(), 1);
             let _ = Simulator::run(w, SimConfig::with_seed(1), &mut tsvd);
             inj_tsv += tsvd.into_state().delay_sites();
         }

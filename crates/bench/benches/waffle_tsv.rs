@@ -6,16 +6,16 @@
 
 use waffle_analysis::analyze_tsv;
 use waffle_apps::all_apps;
-use waffle_inject::{DecayState, TsvdPolicy, TsvdState, WaffleTsvPolicy};
+use waffle_inject::{DecayState, OnlinePolicy, OnlineState, Pairing, WaffleTsvPolicy};
 use waffle_sim::time::ms;
 use waffle_sim::{SimConfig, SimTime, Simulator, Workload};
 use waffle_trace::TraceRecorder;
 
 fn tsvd_runs(w: &Workload, cap: u64) -> (Option<u64>, SimTime) {
-    let mut state = TsvdState::default();
+    let mut state = OnlineState::default();
     let mut total = SimTime::ZERO;
     for run in 1..=cap {
-        let mut p = TsvdPolicy::new(state, run);
+        let mut p = OnlinePolicy::new(Pairing::Tsv, state, run);
         let r = Simulator::run(w, SimConfig::with_seed(run), &mut p);
         state = p.into_state();
         total += r.total_delay();

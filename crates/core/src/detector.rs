@@ -2,16 +2,24 @@
 
 use std::collections::BTreeSet;
 
-use waffle_analysis::{analyze_indexed, AnalyzerConfig};
+use waffle_analysis::{analyze_indexed, AnalyzerConfig, Plan};
 use waffle_inject::{
-    BasicState, DecayState, NoPrepPolicy, NoPrepState, SingleDelayPolicy, TsvdPolicy, TsvdState,
-    WaffleBasicPolicy, WaffleConfig, WafflePolicy,
+    DecayState, NoPrepPolicy, NoPrepState, OnlinePolicy, OnlineState, Pairing, SingleDelayPolicy,
+    WaffleConfig, WafflePolicy,
 };
+use waffle_mem::SiteId;
 use waffle_sim::{MemoryConfig, NullMonitor, RunResult, SimConfig, SimTime, Simulator, Workload};
 use waffle_trace::{TraceIndex, TraceRecorder};
 
-use crate::report::{BugReport, DetectionOutcome, RunSummary};
+use crate::report::{BugReport, DetectionOutcome, RunSummary, TsvReport};
 use crate::storage::Session;
+
+/// The seed of run `run` of attempt `attempt_seed`: run 0 is the base
+/// run, and preparation and detection runs follow. Wraps rather than
+/// overflows, so every `u64` attempt seed is valid.
+pub fn run_seed(attempt_seed: u64, run: u64) -> u64 {
+    attempt_seed.wrapping_mul(10_000).wrapping_add(run)
+}
 
 /// Which tool drives the detection runs.
 #[derive(Debug, Clone)]
@@ -23,12 +31,9 @@ pub enum Tool {
         /// Runtime configuration.
         policy: WaffleConfig,
     },
-    /// WaffleBasic (§3): online identification, fixed delays, no
+    /// WaffleBasic (§3): online identification, fixed 100 ms delays, no
     /// coordination.
-    WaffleBasic {
-        /// The fixed delay length (100 ms in the paper).
-        fixed_delay: SimTime,
-    },
+    WaffleBasic,
     /// The "no preparation run" ablation (Table 7 row 2).
     NoPrep,
     /// One sampled delay per run (RaceFuzzer/CTrigger-style baseline). The
@@ -54,9 +59,7 @@ impl Tool {
 
     /// WaffleBasic with the paper's 100 ms fixed delay.
     pub fn waffle_basic() -> Self {
-        Tool::WaffleBasic {
-            fixed_delay: WaffleBasicPolicy::FIXED_DELAY,
-        }
+        Tool::WaffleBasic
     }
 
     /// Table 7 row 1: Waffle without parent-child analysis.
@@ -116,7 +119,7 @@ impl Tool {
     pub fn name(&self) -> &'static str {
         match self {
             Tool::Waffle { .. } => "waffle",
-            Tool::WaffleBasic { .. } => "waffle-basic",
+            Tool::WaffleBasic => "waffle-basic",
             Tool::NoPrep => "waffle-noprep",
             Tool::SingleDelay { .. } => "single-delay",
             Tool::Tsvd => "tsvd",
@@ -164,6 +167,22 @@ impl Default for DetectorConfig {
             memory: MemoryConfig::sc(),
         }
     }
+}
+
+/// One tool's state across the detection runs of an attempt: what each
+/// run's policy is built from, and what the run hands on to the next.
+enum RunState {
+    Waffle {
+        plan: Plan,
+        decay: DecayState,
+        config: WaffleConfig,
+    },
+    Online(Pairing, OnlineState),
+    NoPrep(NoPrepState),
+    Single {
+        targets: Vec<SiteId>,
+        delay: SimTime,
+    },
 }
 
 /// Runs a tool's full workflow on one workload.
@@ -218,136 +237,84 @@ impl Detector {
                 workload.name
             );
         }
-        let seed_of = |run: u64| attempt_seed.wrapping_mul(10_000).wrapping_add(run);
-        // Base: uninstrumented, no deadline.
-        let base = Simulator::run(
-            workload,
-            SimConfig {
-                seed: seed_of(0),
-                timing_noise_pct: self.config.timing_noise_pct,
-                deadline: None,
-                memory: self.config.memory,
-                ..SimConfig::default()
+        let mut outcome = self.base_run(workload, run_seed(attempt_seed, 0));
+        let prep_seed = run_seed(attempt_seed, 1);
+        let mut state = match &self.tool {
+            Tool::Waffle { analyzer, policy } => RunState::Waffle {
+                plan: self.prepare(workload, prep_seed, &mut outcome, analyzer),
+                decay: DecayState::default(),
+                config: *policy,
             },
-            &mut NullMonitor,
-        );
-        let mut outcome = DetectionOutcome {
-            workload: workload.name.clone(),
-            base_time: base.end_time,
-            ..DetectionOutcome::default()
-        };
-        match &self.tool {
-            Tool::Waffle { analyzer, policy } => {
-                let plan = self.prepare(workload, seed_of(1), &mut outcome, analyzer);
-                if outcome.exposed.is_some() {
-                    return outcome;
-                }
-                let mut decay = DecayState::default();
-                for run in 0..self.config.max_detection_runs {
-                    let mut p =
-                        WafflePolicy::with_config(plan.clone(), decay, seed_of(2 + run as u64), *policy);
-                    p.record_events(self.config.telemetry_events);
-                    let r = Simulator::run(
-                        workload,
-                        self.sim_config(seed_of(2 + run as u64), base.end_time),
-                        &mut p,
-                    );
-                    outcome.telemetry.push(p.take_journal());
-                    decay = p.into_decay();
-                    if self.absorb(workload, &r, &mut outcome, false) {
-                        return outcome;
-                    }
-                }
-            }
-            Tool::WaffleBasic { fixed_delay } => {
-                let mut state = BasicState::default();
-                for run in 0..self.config.max_detection_runs {
-                    // WaffleBasic adapts TSVD, a per-run tool: the candidate
-                    // set `S` persists across runs, but injection
-                    // probabilities restart at 100% each run. (Waffle is the
-                    // design that saves probabilities to disk between runs,
-                    // §5.)
-                    state.decay = DecayState::default();
-                    let mut p = WaffleBasicPolicy::with_params(
-                        state,
-                        seed_of(1 + run as u64),
-                        *fixed_delay,
-                        WaffleBasicPolicy::DELTA,
-                    );
-                    p.record_events(self.config.telemetry_events);
-                    let r = Simulator::run(
-                        workload,
-                        self.sim_config(seed_of(1 + run as u64), base.end_time),
-                        &mut p,
-                    );
-                    outcome.telemetry.push(p.take_journal());
-                    state = p.into_state();
-                    if self.absorb(workload, &r, &mut outcome, false) {
-                        return outcome;
-                    }
-                }
-            }
-            Tool::NoPrep => {
-                let mut state = NoPrepState::default();
-                for run in 0..self.config.max_detection_runs {
-                    let mut p = NoPrepPolicy::new(state, seed_of(1 + run as u64));
-                    p.record_events(self.config.telemetry_events);
-                    let r = Simulator::run(
-                        workload,
-                        self.sim_config(seed_of(1 + run as u64), base.end_time),
-                        &mut p,
-                    );
-                    outcome.telemetry.push(p.take_journal());
-                    state = p.into_state();
-                    if self.absorb(workload, &r, &mut outcome, false) {
-                        return outcome;
-                    }
-                }
-            }
-            Tool::Tsvd => {
-                let mut state = TsvdState::default();
-                for run in 0..self.config.max_detection_runs {
-                    let mut p = TsvdPolicy::new(state, seed_of(1 + run as u64));
-                    p.record_events(self.config.telemetry_events);
-                    let r = Simulator::run(
-                        workload,
-                        self.sim_config(seed_of(1 + run as u64), base.end_time),
-                        &mut p,
-                    );
-                    outcome.telemetry.push(p.take_journal());
-                    state = p.into_state();
-                    outcome.detection_runs.push(RunSummary::from_run(&r));
-                    if let Some(v) = r.tsv_violations.first() {
-                        outcome.tsv_exposed = Some(crate::report::TsvReport {
-                            workload: workload.name.clone(),
-                            first_site: workload.sites.name(v.first_site).to_owned(),
-                            second_site: workload.sites.name(v.second_site).to_owned(),
-                            obj: v.obj,
-                            time: v.time,
-                            exposed_in_run: outcome.total_runs(),
-                        });
-                        return outcome;
-                    }
-                }
-            }
+            Tool::WaffleBasic => RunState::Online(Pairing::MemOrder, OnlineState::default()),
+            Tool::Tsvd => RunState::Online(Pairing::Tsv, OnlineState::default()),
+            Tool::NoPrep => RunState::NoPrep(NoPrepState::default()),
             Tool::SingleDelay { delay } => {
-                let plan = self.prepare(workload, seed_of(1), &mut outcome, &AnalyzerConfig::default());
-                if outcome.exposed.is_some() {
-                    return outcome;
+                let analyzer = AnalyzerConfig::default();
+                let plan = self.prepare(workload, prep_seed, &mut outcome, &analyzer);
+                let targets = plan.delay_sites().collect();
+                RunState::Single {
+                    targets,
+                    delay: *delay,
                 }
-                let targets: Vec<_> = plan.delay_sites().collect();
-                for run in 0..self.config.max_detection_runs {
-                    let mut p =
-                        SingleDelayPolicy::new(targets.clone(), *delay, seed_of(1 + run as u64));
-                    let r = Simulator::run(
-                        workload,
-                        self.sim_config(seed_of(1 + run as u64), base.end_time),
-                        &mut p,
-                    );
-                    if self.absorb(workload, &r, &mut outcome, false) {
-                        return outcome;
+            }
+        };
+        // Waffle's detection runs follow its preparation run. The other
+        // tools start at seed index 1, so SingleDelay's first detection run
+        // reuses its preparation seed.
+        let first = if matches!(state, RunState::Waffle { .. }) {
+            2
+        } else {
+            1
+        };
+        let events = self.config.telemetry_events;
+        for run in 0..self.config.max_detection_runs {
+            let seed = run_seed(attempt_seed, first + u64::from(run));
+            let sim = self.sim_config(seed, outcome.base_time);
+            let r = match &mut state {
+                RunState::Waffle {
+                    plan,
+                    decay,
+                    config,
+                } => {
+                    let decay_in = std::mem::take(decay);
+                    let mut p = WafflePolicy::with_config(plan.clone(), decay_in, seed, *config);
+                    p.record_events(events);
+                    let r = Simulator::run(workload, sim, &mut p);
+                    outcome.telemetry.push(p.take_journal());
+                    *decay = p.into_decay();
+                    r
+                }
+                RunState::Online(pairing, state) => {
+                    // WaffleBasic keeps its candidate set `S` across runs but
+                    // restarts injection probabilities at 100% each run; TSVD
+                    // keeps both. (Waffle is the design that saves
+                    // probabilities to disk between runs, §5.)
+                    if *pairing == Pairing::MemOrder {
+                        state.decay = DecayState::default();
                     }
+                    let mut p = OnlinePolicy::new(*pairing, std::mem::take(state), seed);
+                    p.record_events(events);
+                    let r = Simulator::run(workload, sim, &mut p);
+                    outcome.telemetry.push(p.take_journal());
+                    *state = p.into_state();
+                    r
                 }
+                RunState::NoPrep(state) => {
+                    let mut p = NoPrepPolicy::new(std::mem::take(state), seed);
+                    p.record_events(events);
+                    let r = Simulator::run(workload, sim, &mut p);
+                    outcome.telemetry.push(p.take_journal());
+                    *state = p.into_state();
+                    r
+                }
+                // The single-delay baseline keeps no journal.
+                RunState::Single { targets, delay } => {
+                    let mut p = SingleDelayPolicy::new(targets.clone(), *delay, seed);
+                    Simulator::run(workload, sim, &mut p)
+                }
+            };
+            if self.absorb(workload, &r, &mut outcome) {
+                break;
             }
         }
         outcome
@@ -377,22 +344,7 @@ impl Detector {
                 "session-driven detection is the Waffle workflow",
             ));
         };
-        let base = Simulator::run(
-            workload,
-            SimConfig {
-                seed,
-                timing_noise_pct: self.config.timing_noise_pct,
-                deadline: None,
-                memory: self.config.memory,
-                ..SimConfig::default()
-            },
-            &mut NullMonitor,
-        );
-        let mut outcome = DetectionOutcome {
-            workload: workload.name.clone(),
-            base_time: base.end_time,
-            ..DetectionOutcome::default()
-        };
+        let mut outcome = self.base_run(workload, seed);
         match session.load_plan()? {
             None => {
                 let mut rec = TraceRecorder::new(workload);
@@ -421,13 +373,24 @@ impl Detector {
                 );
                 outcome.telemetry.push(p.take_journal());
                 session.save_decay(&p.into_decay())?;
-                if self.absorb(workload, &r, &mut outcome, false) {
+                if self.absorb(workload, &r, &mut outcome) {
                     let report = outcome.exposed.as_ref().expect("absorb set it");
                     session.save_report(report, &report.render(&workload.sites))?;
                 }
             }
         }
         Ok(outcome)
+    }
+
+    /// The uninstrumented base run, with no deadline; its end time scales
+    /// every later run's deadline.
+    fn base_run(&self, workload: &Workload, seed: u64) -> DetectionOutcome {
+        let base = Simulator::run(workload, self.sim_config(seed, SimTime::ZERO), &mut NullMonitor);
+        DetectionOutcome {
+            workload: workload.name.clone(),
+            base_time: base.end_time,
+            ..DetectionOutcome::default()
+        }
     }
 
     /// Runs the preparation run, recording it into the outcome; returns the
@@ -438,7 +401,7 @@ impl Detector {
         seed: u64,
         outcome: &mut DetectionOutcome,
         analyzer: &AnalyzerConfig,
-    ) -> waffle_analysis::Plan {
+    ) -> Plan {
         let mut rec = TraceRecorder::new(workload);
         let r = Simulator::run(workload, self.sim_config(seed, outcome.base_time), &mut rec);
         outcome.prep = Some(RunSummary::from_run(&r));
@@ -455,14 +418,24 @@ impl Detector {
     }
 
     /// Records one detection run; returns `true` when a bug was exposed.
-    fn absorb(
-        &self,
-        workload: &Workload,
-        r: &RunResult,
-        outcome: &mut DetectionOutcome,
-        _prep: bool,
-    ) -> bool {
+    /// TSVD's verdict is a thread-safety violation, reported in the
+    /// outcome's `tsv_exposed` instead of a MemOrder report.
+    fn absorb(&self, workload: &Workload, r: &RunResult, outcome: &mut DetectionOutcome) -> bool {
         outcome.detection_runs.push(RunSummary::from_run(r));
+        if matches!(self.tool, Tool::Tsvd) {
+            let Some(v) = r.tsv_violations.first() else {
+                return false;
+            };
+            outcome.tsv_exposed = Some(TsvReport {
+                workload: workload.name.clone(),
+                first_site: workload.sites.name(v.first_site).to_owned(),
+                second_site: workload.sites.name(v.second_site).to_owned(),
+                obj: v.obj,
+                time: v.time,
+                exposed_in_run: outcome.total_runs(),
+            });
+            return true;
+        }
         if !r.manifested() {
             return false;
         }

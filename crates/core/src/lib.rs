@@ -59,7 +59,7 @@ pub use campaign::{
     CampaignStatus, CellCheckpoint, CellFailure, CellFault, CellSpec, CellStatus, CellStatusLine,
     CheckpointState, ClaimInfo, RunOptions, WorkOptions, WorkerClaim,
 };
-pub use detector::{Detector, DetectorConfig, Tool};
+pub use detector::{run_seed, Detector, DetectorConfig, Tool};
 pub use engine::{attempt_seed, ExperimentEngine, GridCell};
 pub use experiment::{run_experiment, summarize, ExperimentSummary};
 pub use report::{BugReport, DetectionOutcome, RunSummary, TsvReport};

@@ -32,7 +32,7 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 use waffle_analysis::{analyze_indexed, AnalyzerConfig, Plan, RepairReport};
-use waffle_core::{DetectionOutcome, Detector, DetectorConfig, Tool};
+use waffle_core::{run_seed, DetectionOutcome, Detector, DetectorConfig, Tool};
 use waffle_mem::NullRefKind;
 use waffle_sim::{MemoryConfig, MemoryModel, SimConfig, SimTime, Simulator, Workload};
 use waffle_telemetry::MetricsRegistry;
@@ -537,11 +537,11 @@ impl CorpusCase {
 
 /// Derives the delay plan from a delay-free recorded trace of `workload`
 /// — the exact preparation-run recipe the detectors use (seed
-/// `attempt_seed * 10_000 + 1`), so plan sanity and repair synthesis see
+/// `run_seed(attempt_seed, 1)`), so plan sanity and repair synthesis see
 /// the same racing-pair evidence delay injection targets.
 pub fn derive_plan(workload: &Workload, attempt_seed: u64, memory: MemoryModel) -> Plan {
     let mut rec = TraceRecorder::new(workload);
-    let cfg = SimConfig::with_seed(attempt_seed * 10_000 + 1)
+    let cfg = SimConfig::with_seed(run_seed(attempt_seed, 1))
         .with_memory(MemoryConfig::from_model(memory));
     let _ = Simulator::run(workload, cfg, &mut rec);
     let trace = rec.into_trace();

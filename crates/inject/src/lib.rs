@@ -1,4 +1,4 @@
-//! Delay-injection policies: Waffle, WaffleBasic, TSVD, ablations, baselines.
+//! Delay-injection policies: Waffle, WaffleBasic and TSVD, ablations, baselines.
 //!
 //! Each policy is a [`Monitor`](waffle_sim::Monitor): it observes every
 //! instrumented access and decides, per dynamic instance, whether to pause
@@ -8,8 +8,8 @@
 //! | Policy | Identification | Delay length | Coordination |
 //! |---|---|---|---|
 //! | [`WafflePolicy`] | preparation run (plan) | per-location `α·gap` | decay + interference skip |
-//! | [`WaffleBasicPolicy`] | online (same run) | fixed 100 ms | decay, parallel delays |
-//! | [`TsvdPolicy`] | online, TSV sites | fixed 100 ms | decay, parallel delays |
+//! | [`OnlinePolicy`] with [`Pairing::MemOrder`] (WaffleBasic) | online (same run) | fixed 100 ms | decay, parallel delays |
+//! | [`OnlinePolicy`] with [`Pairing::Tsv`] (TSVD) | online, TSV sites | fixed 100 ms | decay, parallel delays |
 //! | [`NoPrepPolicy`] | online + runtime vclock pruning | `α·observed gap` | decay (Table 7 row 2) |
 //! | [`SingleDelayPolicy`] | sampled location | fixed | one delay per run (RaceFuzzer/CTrigger-style) |
 //! | [`RandomSleepPolicy`] | none | fixed | coin flip per access |
@@ -17,21 +17,19 @@
 //! Probability-decay state ([`DecayState`]) persists across runs, as the
 //! real tool saves it to disk after each detection run (§5).
 
-pub mod basic;
 pub mod baselines;
 pub mod clock_tracker;
 pub mod decay;
 pub mod noprep;
+pub mod online;
 pub(crate) mod recent;
-pub mod tsvd;
 pub mod waffle;
 pub mod waffle_tsv;
 
-pub use basic::{BasicState, WaffleBasicPolicy};
 pub use baselines::{RandomSleepPolicy, SingleDelayPolicy};
 pub use clock_tracker::ClockTracker;
 pub use decay::{DecayConfig, DecayState};
 pub use noprep::{NoPrepPolicy, NoPrepState};
-pub use tsvd::{TsvdPolicy, TsvdState};
+pub use online::{OnlinePolicy, OnlineState, Pairing};
 pub use waffle::{WaffleConfig, WafflePolicy};
 pub use waffle_tsv::WaffleTsvPolicy;

@@ -1,11 +1,20 @@
-//! WaffleBasic: the straight adaptation of TSVD to MemOrder bugs (§3).
+//! The online near-miss policy shared by WaffleBasic (§3) and TSVD (§2).
 //!
-//! One policy does everything in the same run: near-miss candidate
-//! identification, happens-before inference (pair removal when an injected
-//! delay propagates through synchronization to the partner location), and
-//! injection of fixed 100 ms delays gated by probability decay — with no
-//! coordination between parallel delays, which is exactly the interference
-//! weakness §3.3/§4.4 analyzes.
+//! Both tools sit at the same point of the paper's Table 1: one policy does
+//! everything in the same run — near-miss candidate identification,
+//! happens-before inference (pair removal when an injected delay propagates
+//! through synchronization to the partner location), and injection of
+//! fixed 100 ms delays gated by probability decay — with no coordination
+//! between parallel delays, which is exactly the interference weakness
+//! §3.3/§4.4 analyzes. They differ only in which accesses they instrument
+//! and how they pair them, the [`Pairing`]:
+//!
+//! - WaffleBasic, the straight adaptation of TSVD to MemOrder bugs,
+//!   instruments init/use/dispose and pairs init → use and use → dispose;
+//! - TSVD instruments only thread-unsafe API call sites. Two calls on the
+//!   same object from different threads within δ form a candidate pair in
+//!   *both* directions, since delaying either call can make the execution
+//!   windows overlap.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -19,10 +28,19 @@ use waffle_telemetry::{RunJournal, RunTelemetry};
 use crate::decay::DecayState;
 use crate::recent::{RecentAccess, RecentWindow};
 
-/// The cross-run state of WaffleBasic: candidate pairs and decay
+/// Which accesses an online policy instruments and pairs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pairing {
+    /// WaffleBasic: MemOrder accesses; init → use and use → dispose.
+    MemOrder,
+    /// TSVD: thread-unsafe API calls; any two calls, both directions.
+    Tsv,
+}
+
+/// The cross-run state of an online policy: candidate pairs and decay
 /// probabilities (both persist between detection runs).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct BasicState {
+pub struct OnlineState {
     /// Candidate pairs: delay location → partner locations.
     pub candidates: BTreeMap<SiteId, BTreeSet<SiteId>>,
     /// Pairs removed by happens-before inference. Tombstoned so the
@@ -37,7 +55,7 @@ pub struct BasicState {
     pub decay: DecayState,
 }
 
-impl BasicState {
+impl OnlineState {
     /// Serializes the state for the next run; errors propagate to the
     /// caller instead of aborting the campaign.
     pub fn to_json(&self) -> Result<String, serde_json::Error> {
@@ -57,7 +75,7 @@ impl BasicState {
 
 /// Per-run statistics.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct BasicRunStats {
+pub struct OnlineRunStats {
     /// Delays injected this run.
     pub injected: u64,
     /// Pairs added to `S` this run.
@@ -74,54 +92,62 @@ struct OwnDelay {
     end: SimTime,
 }
 
-/// The WaffleBasic policy (one run). Construct per run with the persisted
-/// [`BasicState`]; extract the evolved state with
-/// [`into_state`](WaffleBasicPolicy::into_state) afterwards.
+/// The online policy (one run). Construct per run with the persisted
+/// [`OnlineState`]; extract the evolved state with
+/// [`into_state`](OnlinePolicy::into_state) afterwards.
 #[derive(Debug)]
-pub struct WaffleBasicPolicy {
-    state: BasicState,
+pub struct OnlinePolicy {
+    pairing: Pairing,
+    state: OnlineState,
     fixed_delay: SimTime,
     rng: SmallRng,
     window: RecentWindow,
     own_delays: Vec<OwnDelay>,
-    stats: BasicRunStats,
+    stats: OnlineRunStats,
     telemetry: RunTelemetry,
 }
 
-impl WaffleBasicPolicy {
+impl OnlinePolicy {
     /// The fixed delay length (100 ms, exactly as in TSVD, §3.2).
     pub const FIXED_DELAY: SimTime = SimTime::from_ms(100);
     /// The near-miss window δ (100 ms, §6.1).
     pub const DELTA: SimTime = SimTime::from_ms(100);
 
     /// Creates a policy for one run.
-    pub fn new(state: BasicState, seed: u64) -> Self {
-        Self::with_params(state, seed, Self::FIXED_DELAY, Self::DELTA)
+    pub fn new(pairing: Pairing, state: OnlineState, seed: u64) -> Self {
+        Self::with_params(pairing, state, seed, Self::FIXED_DELAY, Self::DELTA)
     }
 
     /// Creates a policy with explicit delay length and window (used by the
     /// delay-length sensitivity experiments of §4.3).
-    pub fn with_params(state: BasicState, seed: u64, fixed_delay: SimTime, delta: SimTime) -> Self {
+    pub fn with_params(
+        pairing: Pairing,
+        state: OnlineState,
+        seed: u64,
+        fixed_delay: SimTime,
+        delta: SimTime,
+    ) -> Self {
         Self {
+            pairing,
             state,
             fixed_delay,
             rng: SmallRng::seed_from_u64(seed),
             window: RecentWindow::new(delta),
             own_delays: Vec::new(),
-            stats: BasicRunStats::default(),
+            stats: OnlineRunStats::default(),
             telemetry: RunTelemetry::counters_only(),
         }
     }
 
     /// Extracts the evolved cross-run state.
-    pub fn into_state(self) -> BasicState {
+    pub fn into_state(self) -> OnlineState {
         self.state
     }
 
     /// Run statistics. The injection count is read from the telemetry
     /// counters (the single source of truth).
-    pub fn stats(&self) -> BasicRunStats {
-        BasicRunStats {
+    pub fn stats(&self) -> OnlineRunStats {
+        OnlineRunStats {
             injected: self.telemetry.journal().counters.injected,
             ..self.stats
         }
@@ -135,6 +161,14 @@ impl WaffleBasicPolicy {
     /// Takes this run's finished telemetry journal.
     pub fn take_journal(&mut self) -> RunJournal {
         self.telemetry.take_journal()
+    }
+
+    /// Whether the pairing instruments accesses of this kind.
+    fn instruments(&self, kind: AccessKind) -> bool {
+        match self.pairing {
+            Pairing::MemOrder => kind.is_mem_order(),
+            Pairing::Tsv => kind.is_tsv(),
+        }
     }
 
     fn remove_pair(&mut self, l1: SiteId, l2: SiteId) -> bool {
@@ -165,12 +199,13 @@ impl WaffleBasicPolicy {
     ///    unreliable).
     fn infer_happens_before(&mut self, ctx: &AccessCtx<'_>) {
         let mut removed = 0;
-        // Signal 1: blocked-interval overlap.
+        // Signal 1: blocked-interval overlap. `last_block` is the accessing
+        // thread's own most recent block.
         if let Some(block) = ctx.last_block.filter(|b| !b.is_empty()).copied() {
             let hits: Vec<SiteId> = self
                 .own_delays
                 .iter()
-                .filter(|d| d.thread != block.thread)
+                .filter(|d| d.thread != ctx.thread)
                 .filter(|d| {
                     let lo = d.start.max(block.start);
                     let hi = d.end.min(block.end);
@@ -183,10 +218,9 @@ impl WaffleBasicPolicy {
             // Thread 2 is caused by a synchronization operation or is
             // solely the effect of the second delay" — so it only acts on
             // an unambiguous, single-delay explanation.
-            if hits.len() == 1
-                && self.remove_pair(hits[0], ctx.site) {
-                    removed += 1;
-                }
+            if hits.len() == 1 && self.remove_pair(hits[0], ctx.site) {
+                removed += 1;
+            }
         }
         // Signal 2: timestamp shift against the delay-free baseline (first
         // dynamic instance only, to keep the reference stable). The
@@ -268,40 +302,51 @@ impl WaffleBasicPolicy {
     }
 
     /// Near-miss identification (§3.1): executed when this access plays the
-    /// role of ℓ2.
+    /// role of ℓ2 (or, for TSV pairs, either role).
     fn identify(&mut self, ctx: &AccessCtx<'_>) {
-        let wanted = match ctx.kind {
-            AccessKind::Use => AccessKind::Init,
-            AccessKind::Dispose => AccessKind::Use,
-            _ => return,
+        let (wanted, both_ways) = match (self.pairing, ctx.kind) {
+            (Pairing::MemOrder, AccessKind::Use) => (AccessKind::Init, false),
+            (Pairing::MemOrder, AccessKind::Dispose) => (AccessKind::Use, false),
+            (Pairing::MemOrder, _) => return,
+            (Pairing::Tsv, _) => (AccessKind::UnsafeApiCall, true),
         };
-        let pairs: Vec<SiteId> = self
+        let others: Vec<SiteId> = self
             .window
             .others(ctx.obj, ctx.thread, ctx.time)
             .filter(|a| a.kind == wanted)
             .map(|a| a.site)
             .collect();
-        for l1 in pairs {
-            if self.state.removed.contains(&(l1, ctx.site)) {
-                continue;
+        for other in others {
+            self.add_pair(other, ctx.site);
+            if both_ways {
+                self.add_pair(ctx.site, other);
             }
-            let partners = self.state.candidates.entry(l1).or_default();
-            if partners.insert(ctx.site) {
-                self.stats.pairs_added += 1;
-            }
+        }
+    }
+
+    fn add_pair(&mut self, l1: SiteId, l2: SiteId) {
+        if !self.state.removed.contains(&(l1, l2))
+            && self.state.candidates.entry(l1).or_default().insert(l2)
+        {
+            self.stats.pairs_added += 1;
         }
     }
 }
 
-impl Monitor for WaffleBasicPolicy {
-    fn instr_overhead(&self, _kind: AccessKind) -> SimTime {
-        // Online identification does more per-access work than Waffle's
-        // plan lookup (history scan + candidate update).
-        SimTime::from_us(5)
+impl Monitor for OnlinePolicy {
+    fn instr_overhead(&self, kind: AccessKind) -> SimTime {
+        match self.pairing {
+            // Online identification does more per-access work than Waffle's
+            // plan lookup (history scan + candidate update).
+            Pairing::MemOrder => SimTime::from_us(5),
+            // TSVD only instruments thread-unsafe API call sites.
+            Pairing::Tsv if kind.is_tsv() => SimTime::from_us(2),
+            Pairing::Tsv => SimTime::ZERO,
+        }
     }
 
     fn on_access_pre(&mut self, ctx: &AccessCtx<'_>) -> PreAction {
-        if !ctx.kind.is_mem_order() {
+        if !self.instruments(ctx.kind) {
             return PreAction::Proceed;
         }
         self.infer_happens_before(ctx);
@@ -338,7 +383,7 @@ impl Monitor for WaffleBasicPolicy {
     fn on_access_post(&mut self, rec: &AccessRecord) {
         let overhead = Monitor::instr_overhead(self, rec.kind);
         self.telemetry.instrumented(overhead);
-        if !rec.kind.is_mem_order() {
+        if !self.instruments(rec.kind) {
             return;
         }
         self.window.push(
@@ -404,28 +449,28 @@ mod tests {
         // WaffleBasic: round 1 identifies {Worker.poll, Main.cleanup}; a
         // later round's use gets the 100ms delay and lands after the
         // dispose.
-        let mut policy = WaffleBasicPolicy::new(BasicState::default(), 7);
+        let mut policy = OnlinePolicy::new(Pairing::MemOrder, OnlineState::default(), 7);
         let r = Simulator::run(&w, SimConfig::with_seed(0).deterministic(), &mut policy);
         assert!(r.manifested(), "delays: {:?}", r.delays.len());
         assert!(policy.stats().pairs_added >= 1);
         assert!(policy.stats().injected >= 1);
-        assert_eq!(r.delays[0].dur, WaffleBasicPolicy::FIXED_DELAY);
+        assert_eq!(r.delays[0].dur, OnlinePolicy::FIXED_DELAY);
     }
 
     #[test]
     fn candidates_persist_across_runs() {
         let w = recurring_uaf(1);
-        let mut policy = WaffleBasicPolicy::new(BasicState::default(), 7);
+        let mut policy = OnlinePolicy::new(Pairing::MemOrder, OnlineState::default(), 7);
         let _ = Simulator::run(&w, SimConfig::with_seed(0).deterministic(), &mut policy);
         let state = policy.into_state();
         // Both the UBI pair (init → use) and the UAF pair (use → dispose)
         // were identified: two delay locations.
         assert_eq!(state.delay_sites(), 2);
         // Round-trip through the persistence format.
-        let state = BasicState::from_json(&state.to_json().unwrap()).unwrap();
+        let state = OnlineState::from_json(&state.to_json().unwrap()).unwrap();
         // Second run starts with the candidate already known: the single
         // use instance gets delayed and the bug manifests.
-        let mut policy = WaffleBasicPolicy::new(state, 7);
+        let mut policy = OnlinePolicy::new(Pairing::MemOrder, state, 7);
         let r = Simulator::run(&w, SimConfig::with_seed(1).deterministic(), &mut policy);
         assert!(r.manifested());
     }
@@ -458,9 +503,9 @@ mod tests {
         // Run 1: identify the pair. Run 2: inject at the use; the delay
         // propagates through the event into main's block before the
         // dispose; the inference removes the pair. Run 3: no candidates.
-        let mut state = BasicState::default();
+        let mut state = OnlineState::default();
         for run in 0..3u64 {
-            let mut policy = WaffleBasicPolicy::new(state, run);
+            let mut policy = OnlinePolicy::new(Pairing::MemOrder, state, run);
             let r = Simulator::run(&w, SimConfig::with_seed(run).deterministic(), &mut policy);
             assert!(!r.manifested(), "ordered pair must never manifest");
             let stats = policy.stats();
@@ -490,14 +535,15 @@ mod tests {
         let w = recurring_uaf(1);
         // Make the bug un-exposable by using a tiny delay; the site decays
         // to zero across runs and injections stop.
-        let mut state = BasicState::default();
+        let mut state = OnlineState::default();
         let mut total_injected = 0;
         for run in 0..30u64 {
-            let mut policy = WaffleBasicPolicy::with_params(
+            let mut policy = OnlinePolicy::with_params(
+                Pairing::MemOrder,
                 state,
                 run,
                 SimTime::from_us(10),
-                WaffleBasicPolicy::DELTA,
+                OnlinePolicy::DELTA,
             );
             let r = Simulator::run(&w, SimConfig::with_seed(run).deterministic(), &mut policy);
             assert!(!r.manifested());
@@ -510,5 +556,82 @@ mod tests {
         assert!(state.decay.exhausted(
             *state.candidates.keys().next().expect("candidate survives")
         ));
+    }
+
+    /// Two threads each make `rounds` thread-unsafe calls on the same
+    /// dictionary, offset so the windows never overlap without delays.
+    fn tsv_workload(rounds: u32) -> Workload {
+        let mut b = WorkloadBuilder::new("tsv");
+        let dict = b.object("dict");
+        let started = b.event("started");
+        let worker = b.script("worker", move |s| {
+            s.wait(started);
+            s.repeat(rounds, |s, _| {
+                s.compute(SimTime::from_us(500))
+                    .unsafe_call(dict, "Worker.Add:3", SimTime::from_us(50));
+            });
+        });
+        let main = b.script("main", move |s| {
+            s.init(dict, "Main.ctor:1", SimTime::from_us(5))
+                .fork(worker)
+                .signal(started);
+            s.repeat(rounds, |s, _| {
+                s.compute(SimTime::from_us(200))
+                    .unsafe_call(dict, "Main.Add:7", SimTime::from_us(50))
+                    .compute(SimTime::from_us(350));
+            });
+            s.join_children();
+        });
+        b.main(main);
+        b.build()
+    }
+
+    #[test]
+    fn delay_free_run_has_no_violation_but_near_misses() {
+        let w = tsv_workload(3);
+        let r = Simulator::run(
+            &w,
+            SimConfig::with_seed(0).deterministic(),
+            &mut waffle_sim::NullMonitor,
+        );
+        assert!(r.tsv_violations.is_empty());
+    }
+
+    #[test]
+    fn tsvd_exposes_overlap_within_one_run() {
+        let w = tsv_workload(6);
+        let mut policy = OnlinePolicy::new(Pairing::Tsv, OnlineState::default(), 3);
+        let r = Simulator::run(&w, SimConfig::with_seed(0).deterministic(), &mut policy);
+        assert!(
+            !r.tsv_violations.is_empty(),
+            "injected={} pairs={}",
+            policy.stats().injected,
+            policy.stats().pairs_added
+        );
+        assert!(policy.stats().injected >= 1);
+    }
+
+    #[test]
+    fn tsvd_ignores_mem_order_accesses() {
+        let mut b = WorkloadBuilder::new("mo-only");
+        let o = b.object("o");
+        let started = b.event("s");
+        let worker = b.script("worker", move |s| {
+            s.wait(started).use_(o, "W.use:1", SimTime::from_us(10));
+        });
+        let main = b.script("main", move |s| {
+            s.init(o, "M.init:1", SimTime::from_us(5))
+                .fork(worker)
+                .signal(started)
+                .compute(SimTime::from_us(500))
+                .dispose(o, "M.dispose:2", SimTime::from_us(5))
+                .join_children();
+        });
+        b.main(main);
+        let w = b.build();
+        let mut policy = OnlinePolicy::new(Pairing::Tsv, OnlineState::default(), 0);
+        let r = Simulator::run(&w, SimConfig::with_seed(0).deterministic(), &mut policy);
+        assert!(r.delays.is_empty());
+        assert_eq!(policy.into_state().delay_sites(), 0);
     }
 }

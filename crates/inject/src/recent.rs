@@ -62,12 +62,6 @@ impl RecentWindow {
             .flatten()
             .filter(move |a| a.thread != thread && a.time >= cutoff && a.time <= now)
     }
-
-    /// Clears all windows (fresh run).
-    #[allow(dead_code)]
-    pub fn clear(&mut self) {
-        self.per_obj.clear();
-    }
 }
 
 #[cfg(test)]
@@ -108,17 +102,6 @@ mod tests {
             .map(|a| a.site)
             .collect();
         assert_eq!(sites, vec![SiteId(0)]);
-    }
-
-    #[test]
-    fn clear_resets_all_windows() {
-        let mut w = RecentWindow::new(SimTime::from_us(100));
-        w.push(ObjectId(0), acc(10, 0, 0, AccessKind::Init));
-        w.clear();
-        assert_eq!(
-            w.others(ObjectId(0), ThreadId(1), SimTime::from_us(20)).count(),
-            0
-        );
     }
 
     #[test]

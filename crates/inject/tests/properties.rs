@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use waffle_analysis::{analyze, AnalyzerConfig};
-use waffle_inject::{DecayConfig, DecayState, WaffleBasicPolicy, WafflePolicy};
+use waffle_inject::{DecayConfig, DecayState, OnlinePolicy, Pairing, WafflePolicy};
 use waffle_mem::SiteId;
 use waffle_sim::time::{ms, us};
 use waffle_sim::{SimConfig, SimTime, Simulator, Workload, WorkloadBuilder};
@@ -92,7 +92,7 @@ proptest! {
     #[test]
     fn basic_policy_bookkeeping_is_consistent(seed in 0u64..200) {
         let w = racy(10);
-        let mut p = WaffleBasicPolicy::new(Default::default(), seed);
+        let mut p = OnlinePolicy::new(Pairing::MemOrder, Default::default(), seed);
         let r = Simulator::run(&w, SimConfig::with_seed(seed), &mut p);
         let stats = p.stats();
         let state = p.into_state();

@@ -151,6 +151,23 @@ fn unknown_inputs_fail_cleanly() {
 }
 
 #[test]
+fn fix_accepts_the_largest_seed() {
+    // Run seeds wrap like the detector's, so no attempt seed overflows.
+    let out = waffle(&[
+        "fix",
+        "weak.tso_handoff",
+        "--memory-model",
+        "tso",
+        "--seed",
+        &u64::MAX.to_string(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("certified patch [fence]"), "{text}");
+}
+
+#[test]
 fn analyze_rejects_unknown_test() {
     let out = waffle(&["analyze", "No.such_test"]);
     assert!(!out.status.success());

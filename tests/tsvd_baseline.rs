@@ -1,7 +1,7 @@
 //! The TSVD comparison tooling: thread-safety-violation detection over the
 //! same simulator.
 
-use waffle_repro::inject::{TsvdPolicy, TsvdState};
+use waffle_repro::inject::{OnlinePolicy, OnlineState, Pairing};
 use waffle_repro::sim::time::{ms, us};
 use waffle_repro::sim::{NullMonitor, SimConfig, Simulator, Workload, WorkloadBuilder};
 
@@ -43,10 +43,10 @@ fn no_violation_without_delays() {
 #[test]
 fn tsvd_exposes_the_overlap_within_two_runs() {
     let w = tsv_workload();
-    let mut state = TsvdState::default();
+    let mut state = OnlineState::default();
     let mut exposed_in = None;
     for run in 1..=3u64 {
-        let mut p = TsvdPolicy::new(state, run);
+        let mut p = OnlinePolicy::new(Pairing::Tsv, state, run);
         let r = Simulator::run(&w, SimConfig::with_seed(run), &mut p);
         state = p.into_state();
         if !r.tsv_violations.is_empty() {
@@ -63,7 +63,7 @@ fn tsvd_exposes_the_overlap_within_two_runs() {
 #[test]
 fn tsvd_candidates_are_bidirectional() {
     let w = tsv_workload();
-    let mut p = TsvdPolicy::new(TsvdState::default(), 1);
+    let mut p = OnlinePolicy::new(Pairing::Tsv, OnlineState::default(), 1);
     let _ = Simulator::run(&w, SimConfig::with_seed(1), &mut p);
     let st = p.into_state();
     // Near-missing calls produce delay candidates in both directions.
@@ -77,10 +77,10 @@ fn tsvd_candidates_are_bidirectional() {
 fn tsvd_overlap_stays_low_on_staggered_schedules() {
     // The §3.3 claim: TSVD's sparse candidate sites keep delay overlap low.
     let w = tsv_workload();
-    let mut state = TsvdState::default();
+    let mut state = OnlineState::default();
     let mut ratios = Vec::new();
     for run in 1..=4u64 {
-        let mut p = TsvdPolicy::new(state, run);
+        let mut p = OnlinePolicy::new(Pairing::Tsv, state, run);
         let r = Simulator::run(&w, SimConfig::with_seed(run * 17), &mut p);
         state = p.into_state();
         if !r.delays.is_empty() {
