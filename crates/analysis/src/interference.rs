@@ -1,7 +1,8 @@
 //! The interference set `I` (§4.4).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
+use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use waffle_mem::SiteId;
 use waffle_sim::SimTime;
@@ -24,15 +25,43 @@ type PairObservations = Vec<(SimTime, SimTime, waffle_sim::ThreadId)>;
 /// for candidate identification in `candidates.rs`. Self-pairs `(ℓ, ℓ)`
 /// are meaningful: they capture the "interfering dynamic instances"
 /// pattern of Fig. 4b.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct InterferenceSet {
-    pairs: BTreeSet<(SiteId, SiteId)>,
+    /// Normalized `(min, max)` pairs, sorted and deduplicated.
+    pairs: Vec<(SiteId, SiteId)>,
+}
+
+// Hand-written so a plan file's pairs are normalized exactly as
+// [`InterferenceSet::insert`] would store them: `[[5,2]]` reads as the
+// pair `(2, 5)`, and `[[2,5],[5,2]]` as that one pair. Valid plans read
+// back unchanged, so they serialize byte-identically.
+impl Deserialize for InterferenceSet {
+    fn from_value(v: &Value) -> Result<Self, serde::value::Error> {
+        let m = v
+            .as_map()
+            .ok_or_else(|| serde::value::Error::expected("map", v))?;
+        match serde::value::get(m, "pairs") {
+            Some(pairs) => Ok(Self::from_pairs(Vec::from_value(pairs)?)),
+            None => Deserialize::missing_field("pairs"),
+        }
+    }
 }
 
 impl InterferenceSet {
     /// Creates an empty set.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Builds a set from pairs in any order and orientation (linear when
+    /// they are already normalized and sorted).
+    pub(crate) fn from_pairs(mut pairs: Vec<(SiteId, SiteId)>) -> Self {
+        for p in &mut pairs {
+            *p = Self::norm(p.0, p.1);
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        Self { pairs }
     }
 
     /// Normalizes a pair to `(min, max)`.
@@ -46,12 +75,15 @@ impl InterferenceSet {
 
     /// Records that delays at `a` and `b` interfere.
     pub fn insert(&mut self, a: SiteId, b: SiteId) {
-        self.pairs.insert(Self::norm(a, b));
+        let p = Self::norm(a, b);
+        if let Err(at) = self.pairs.binary_search(&p) {
+            self.pairs.insert(at, p);
+        }
     }
 
     /// Whether delays at `a` and `b` interfere.
     pub fn interferes(&self, a: SiteId, b: SiteId) -> bool {
-        self.pairs.contains(&Self::norm(a, b))
+        self.pairs.binary_search(&Self::norm(a, b)).is_ok()
     }
 
     /// Number of interfering pairs.
@@ -64,7 +96,7 @@ impl InterferenceSet {
         self.pairs.is_empty()
     }
 
-    /// Iterates over normalized pairs.
+    /// Iterates over normalized pairs, in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = (SiteId, SiteId)> + '_ {
         self.pairs.iter().copied()
     }

@@ -71,6 +71,7 @@ pub mod interference;
 pub mod ooc;
 pub mod pipeline;
 pub mod plan;
+mod ranks;
 pub mod repair;
 pub mod tsv;
 
@@ -80,6 +81,6 @@ pub use incremental::{IncrementalAnalysis, IncrementalStats};
 pub use interference::InterferenceSet;
 pub use ooc::{analyze_segments, analyze_tsv_segments, ooc_stats, OocStats, DEFAULT_RESIDENT_BYTES};
 pub use pipeline::{analyze_indexed, analyze_tsv_indexed};
-pub use plan::Plan;
+pub use plan::{Plan, PlanTables};
 pub use repair::{enumerate_candidates, synthesize, Certification, RepairReport};
 pub use tsv::{analyze_tsv, analyze_tsv_unindexed, TsvCandidate, TsvPlan};

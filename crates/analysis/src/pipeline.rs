@@ -41,7 +41,7 @@
 //! Equivalence with the reference scanners is pinned by
 //! `tests/analysis_equivalence.rs` across every seeded bug workload.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::convert::Infallible;
 use std::ops::Range;
 
@@ -53,6 +53,7 @@ use crate::analyzer::{delay_plan, AnalyzerConfig};
 use crate::candidates::{BugKind, CandidatePair, NearMissStats};
 use crate::interference::InterferenceSet;
 use crate::plan::Plan;
+use crate::ranks::{IdMap, SiteRanks};
 use crate::tsv::{TsvCandidate, TsvPlan};
 
 /// Per-pair aggregate built during the sweep; becomes a [`CandidatePair`]
@@ -338,37 +339,64 @@ impl MemFold {
     }
 }
 
-/// Near-miss observations of one candidate site pair:
-/// `(τ1, τ2, thread-of-ℓ2)`.
-type PairObservations = Vec<(SimTime, SimTime, ThreadId)>;
+/// Near-miss observations of one delay site ℓ1, across all of its
+/// partner sites: `(τ1, τ2, thread-of-ℓ2)`.
+type Observations = Vec<(SimTime, SimTime, ThreadId)>;
 
 /// The interference pass (§4.4): collects the candidate pairs' near-miss
 /// observations and the delay-site executions from replayed column
 /// batches, then resolves the interference set.
+///
+/// Every per-site table is a `Vec` indexed by delay-site rank (rank order
+/// is site order), and every per-thread table a `Vec` indexed by a slot
+/// from a compact thread map — never by a raw `ThreadId`, which a serve
+/// client chooses freely.
 pub(crate) struct InterferencePass {
     delta: SimTime,
     /// Candidate delay sites: the only events that open an observation,
     /// and the eligible interferers ℓ\*.
-    delay_sites: HashSet<SiteId>,
-    /// Candidate `(ℓ1, ℓ2)` site pairs, the observation filter.
-    keys: HashSet<(SiteId, SiteId)>,
-    obs: HashMap<(SiteId, SiteId), PairObservations>,
-    /// Delay-site executions per thread, sorted before resolution.
-    execs: HashMap<ThreadId, Vec<(SimTime, SiteId)>>,
+    ranks: SiteRanks,
+    /// The candidate `(ℓ1, ℓ2)` keys, the observation filter: the sorted
+    /// partner sites ℓ2 of rank `r` are `partners[key_lo[r]..key_lo[r + 1]]`.
+    partners: Vec<SiteId>,
+    key_lo: Vec<usize>,
+    /// Observations per ℓ1 rank.
+    obs: Vec<Observations>,
+    /// `ThreadId` → slot in `execs`.
+    threads: IdMap,
+    /// Delay-site executions `(time, rank)` per thread slot, sorted before
+    /// resolution.
+    execs: Vec<Vec<(SimTime, u32)>>,
 }
 
 impl InterferencePass {
     /// An empty pass for `candidates` under window `delta`.
     pub(crate) fn new(candidates: &[CandidatePair], delta: SimTime) -> Self {
+        let ranks = SiteRanks::new(candidates.iter().map(|c| c.delay_site).collect());
+        let mut keys: Vec<(usize, SiteId)> = candidates
+            .iter()
+            .map(|c| {
+                let rank = ranks.rank(c.delay_site).expect("every delay site is ranked");
+                (rank, c.other_site)
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut key_lo = vec![0; ranks.len() + 1];
+        for &(r, _) in &keys {
+            key_lo[r + 1] += 1;
+        }
+        for r in 0..ranks.len() {
+            key_lo[r + 1] += key_lo[r];
+        }
         Self {
             delta,
-            delay_sites: candidates.iter().map(|c| c.delay_site).collect(),
-            keys: candidates
-                .iter()
-                .map(|c| (c.delay_site, c.other_site))
-                .collect(),
-            obs: HashMap::new(),
-            execs: HashMap::new(),
+            obs: vec![Vec::new(); ranks.len()],
+            ranks,
+            partners: keys.into_iter().map(|(_, l2)| l2).collect(),
+            key_lo,
+            threads: IdMap::default(),
+            execs: Vec::new(),
         }
     }
 
@@ -391,13 +419,17 @@ impl InterferencePass {
                 // Only events at a candidate delay site matter; everything
                 // else skips the pair walk, and the frontier advance above
                 // stays O(events) amortized either way.
-                if !self.delay_sites.contains(&cols.sites[i]) {
+                let Some(rank) = self.ranks.rank(cols.sites[i]) else {
                     continue;
+                };
+                let slot = self
+                    .threads
+                    .get_or_insert(cols.threads[i].0, self.execs.len() as u32);
+                if slot as usize == self.execs.len() {
+                    self.execs.push(Vec::new());
                 }
-                self.execs
-                    .entry(cols.threads[i])
-                    .or_default()
-                    .push((cols.times[i], cols.sites[i]));
+                self.execs[slot as usize].push((cols.times[i], rank as u32));
+                let partners = &self.partners[self.key_lo[rank]..self.key_lo[rank + 1]];
                 for j in (i + 1)..j_hi {
                     if cols.threads[j] == cols.threads[i] {
                         continue;
@@ -407,13 +439,10 @@ impl InterferencePass {
                         | (AccessKind::Use, AccessKind::Dispose) => {}
                         _ => continue,
                     }
-                    if !self.keys.contains(&(cols.sites[i], cols.sites[j])) {
+                    if partners.binary_search(&cols.sites[j]).is_err() {
                         continue;
                     }
-                    self.obs
-                        .entry((cols.sites[i], cols.sites[j]))
-                        .or_default()
-                        .push((cols.times[i], cols.times[j], cols.threads[j]));
+                    self.obs[rank].push((cols.times[i], cols.times[j], cols.threads[j]));
                 }
             }
         }
@@ -429,72 +458,103 @@ impl InterferencePass {
     /// all of its partner sites ℓ2, becomes an index range over its
     /// thread's sorted executions (two binary searches); the ranges are
     /// merged per thread and only their union is walked, so each execution
-    /// is visited at most once per (ℓ1, thread). A dense per-site stamp
-    /// dedupes ℓ\* per ℓ1 before the set insert. Cost: O(obs · log E +
-    /// Σ merged-range sizes) instead of O(obs × E). Per-thread execution
-    /// lists are sorted here, so collection order never matters.
+    /// is visited at most once per (ℓ1, thread). A bit row over the ranks
+    /// dedupes ℓ\* per ℓ1, and the normalized rank pairs are put in order
+    /// by a counting sort over the ranks. Cost: O(obs · log E + Σ
+    /// merged-range sizes + |I| + ranks) instead of O(obs × E). Per-thread
+    /// execution lists are sorted here, so collection order never matters.
+    ///
+    /// The bit row is reused across ℓ1 rather than kept as a rank × rank
+    /// matrix: the rank count is the candidate delay-site count, which a
+    /// serve client controls, and a matrix would be quadratic in it.
     pub(crate) fn resolve(mut self) -> InterferenceSet {
         let delta = self.delta;
-        let mut set = InterferenceSet::new();
-        let mut site_count = 0;
-        for execs in self.execs.values_mut() {
+        for execs in &mut self.execs {
             execs.sort_unstable();
-            for &(_, l_star) in execs.iter() {
-                site_count = site_count.max(l_star.0 as usize + 1);
-            }
         }
-        let by_thread = &self.execs;
-        let mut keys: Vec<(SiteId, SiteId)> = self.obs.keys().copied().collect();
-        keys.sort_unstable();
-        // `stamp[ℓ*]` is the 1-based number of the last ℓ1 group that
-        // recorded ℓ*; zero means never.
-        let mut stamp = vec![0usize; site_count];
-        // One scratch buffer of `(thread, start, end)` execution ranges,
-        // reused for every ℓ1.
-        let mut ranges: Vec<(ThreadId, usize, usize)> = Vec::new();
-        let mut group = 0;
-        let mut k = 0;
-        while k < keys.len() {
-            let l1 = keys[k].0;
-            group += 1;
+        let mut row = vec![0u64; self.ranks.len().div_ceil(64)];
+        let mut hits: Vec<u32> = Vec::new();
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        // One scratch buffer of `(thread slot, start, end)` execution
+        // ranges, reused for every ℓ1.
+        let mut ranges: Vec<(usize, usize, usize)> = Vec::new();
+        // Each ℓ1's observations are dropped once its row is resolved, so
+        // the pair buffer grows into the memory they free.
+        for (l1, obs) in std::mem::take(&mut self.obs).into_iter().enumerate() {
             ranges.clear();
-            while k < keys.len() && keys[k].0 == l1 {
-                for &(t1, t2, thd2) in &self.obs[&keys[k]] {
-                    let Some(execs) = by_thread.get(&thd2) else {
-                        continue;
-                    };
-                    // First execution strictly inside the look-behind: the
-                    // strict `< δ` boundary matches the reference builder
-                    // and the near-miss window convention. The end is
-                    // inclusive.
-                    let start = execs.partition_point(|&(t, _)| t1.saturating_sub(t) >= delta);
-                    let end = start + execs[start..].partition_point(|&(t, _)| t <= t2);
-                    if start < end {
-                        ranges.push((thd2, start, end));
-                    }
+            for (t1, t2, thd2) in obs {
+                let Some(slot) = self.threads.get(thd2.0) else {
+                    continue;
+                };
+                let execs = &self.execs[slot as usize];
+                // First execution strictly inside the look-behind: the
+                // strict `< δ` boundary matches the reference builder and
+                // the near-miss window convention. The end is inclusive.
+                let start = execs.partition_point(|&(t, _)| t1.saturating_sub(t) >= delta);
+                let end = start + execs[start..].partition_point(|&(t, _)| t <= t2);
+                if start < end {
+                    ranges.push((slot as usize, start, end));
                 }
-                k += 1;
             }
             ranges.sort_unstable();
             let mut r = 0;
             while r < ranges.len() {
-                let (thd, start, mut end) = ranges[r];
+                let (slot, start, mut end) = ranges[r];
                 r += 1;
-                while r < ranges.len() && ranges[r].0 == thd && ranges[r].1 <= end {
+                while r < ranges.len() && ranges[r].0 == slot && ranges[r].1 <= end {
                     end = end.max(ranges[r].2);
                     r += 1;
                 }
-                for &(_, l_star) in &by_thread[&thd][start..end] {
-                    let seen = &mut stamp[l_star.0 as usize];
-                    if *seen != group {
-                        *seen = group;
-                        set.insert(l1, l_star);
+                for &(_, l_star) in &self.execs[slot][start..end] {
+                    let (word, bit) = (l_star as usize / 64, 1u64 << (l_star % 64));
+                    if row[word] & bit == 0 {
+                        row[word] |= bit;
+                        hits.push(l_star);
                     }
                 }
             }
+            // Every set bit is one of this row's hits, so zeroing their
+            // words resets the row for the next ℓ1.
+            let l1 = l1 as u32;
+            for l_star in hits.drain(..) {
+                row[l_star as usize / 64] = 0;
+                pairs.push((l1.min(l_star), l1.max(l_star)));
+            }
         }
-        set
+        // Rank order is site order, so the sorted pairs stay sorted as site
+        // pairs and `from_pairs` only has to drop the repeats.
+        let pairs = sort_rank_pairs(pairs, self.ranks.len());
+        InterferenceSet::from_pairs(
+            pairs
+                .into_iter()
+                .map(|(a, b)| (self.ranks.site(a as usize), self.ranks.site(b as usize)))
+                .collect(),
+        )
     }
+}
+
+/// Sorts rank pairs below `ranks` in O(pairs + ranks): two stable
+/// counting passes, by the second rank and then by the first.
+fn sort_rank_pairs(mut pairs: Vec<(u32, u32)>, ranks: usize) -> Vec<(u32, u32)> {
+    let mut out = vec![(0, 0); pairs.len()];
+    let mut next = vec![0usize; ranks + 1];
+    for by_first in [false, true] {
+        let key = |p: &(u32, u32)| if by_first { p.0 } else { p.1 } as usize;
+        next.fill(0);
+        for p in &pairs {
+            next[key(p) + 1] += 1;
+        }
+        for r in 0..ranks {
+            next[r + 1] += next[r];
+        }
+        for p in &pairs {
+            let at = &mut next[key(p)];
+            out[*at] = *p;
+            *at += 1;
+        }
+        std::mem::swap(&mut pairs, &mut out);
+    }
+    pairs
 }
 
 /// The TSV candidate accumulator: one [`TsvCandidate`] per

@@ -9,6 +9,7 @@ use waffle_sim::{MemoryModel, SimTime};
 
 use crate::candidates::{CandidatePair, NearMissStats};
 use crate::interference::InterferenceSet;
+use crate::ranks::SiteRanks;
 
 /// Everything a detection run needs from the preparation run.
 ///
@@ -97,11 +98,6 @@ impl Plan {
         self.delay_len.get(&site).copied().unwrap_or(SimTime::ZERO)
     }
 
-    /// Whether `site` is a delay-injection candidate.
-    pub fn is_delay_site(&self, site: SiteId) -> bool {
-        self.delay_len.contains_key(&site)
-    }
-
     /// Serializes the plan (cross-run persistence format); errors propagate
     /// to the caller instead of aborting the campaign.
     pub fn to_json(&self) -> Result<String, serde_json::Error> {
@@ -111,6 +107,119 @@ impl Plan {
     /// Parses a plan from JSON.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
+    }
+}
+
+/// A [`Plan`] compiled into dense per-site tables for detection runs.
+///
+/// Every site the detection policy looks up — each delay site and each
+/// site named by the interference set — gets a rank ([`SiteRanks`]); the
+/// planned delay length and the interference row of a site are then a
+/// `Vec` index and a bit test. A detection attempt compiles its plan once
+/// and every run borrows the tables, so a run neither clones the plan
+/// nor walks a `BTreeMap` per access.
+#[derive(Debug, Clone)]
+pub struct PlanTables {
+    ranks: SiteRanks,
+    /// Planned delay length per rank (zero for interference-only sites).
+    delay: Vec<SimTime>,
+    /// `u64` words per interference row.
+    words: usize,
+    /// Interference rows, `words` per rank: bit `q` of row `r` is set when
+    /// delays at ranks `r` and `q` interfere.
+    rows: Vec<u64>,
+}
+
+impl PlanTables {
+    /// Compiles `plan` for a workload with `site_count` registered sites.
+    ///
+    /// Sites at or above `site_count` are dropped: no access of the
+    /// workload can reach them. That bounds the tables by the workload's
+    /// site registry rather than by whatever ids a plan file names; the
+    /// rows are quadratic in the ranks they cover. Pass `usize::MAX` to
+    /// keep every site.
+    pub fn compile(plan: &Plan, site_count: usize) -> Self {
+        let known = |s: SiteId| (s.0 as usize) < site_count;
+        let planned = || plan.delay_sites().filter(|&s| known(s));
+        let mut ranks = SiteRanks::new(planned().collect());
+        // Sites that only the interference set names (an analyzed plan
+        // has none) join the ranks in a second, rare build.
+        let unplanned: Vec<SiteId> = plan
+            .interference
+            .iter()
+            .flat_map(|(a, b)| [a, b])
+            .filter(|&s| known(s) && ranks.rank(s).is_none())
+            .collect();
+        if !unplanned.is_empty() {
+            ranks = SiteRanks::new(planned().chain(unplanned).collect());
+        }
+        let n = ranks.len();
+        let mut delay = vec![SimTime::ZERO; n];
+        for (&site, &len) in &plan.delay_len {
+            if let Some(r) = ranks.rank(site) {
+                delay[r] = len;
+            }
+        }
+        let words = n.div_ceil(64);
+        let mut rows = vec![0u64; n * words];
+        for (a, b) in plan.interference.iter() {
+            let (Some(ra), Some(rb)) = (ranks.rank(a), ranks.rank(b)) else {
+                continue;
+            };
+            rows[ra * words + rb / 64] |= 1 << (rb % 64);
+            rows[rb * words + ra / 64] |= 1 << (ra % 64);
+        }
+        Self {
+            ranks,
+            delay,
+            words,
+            rows,
+        }
+    }
+
+    /// Number of ranked sites.
+    pub fn len(&self) -> usize {
+        self.ranks.len()
+    }
+
+    /// Whether no site is ranked.
+    pub fn is_empty(&self) -> bool {
+        self.ranks.is_empty()
+    }
+
+    /// The rank of `site`, or `None` when the plan neither delays it nor
+    /// names it in the interference set.
+    #[inline]
+    pub fn rank(&self, site: SiteId) -> Option<usize> {
+        self.ranks.rank(site)
+    }
+
+    /// The site of rank `rank`.
+    #[inline]
+    pub fn site(&self, rank: usize) -> SiteId {
+        self.ranks.site(rank)
+    }
+
+    /// Planned delay length of rank `rank` (zero when it is not a delay
+    /// site).
+    #[inline]
+    pub fn delay(&self, rank: usize) -> SimTime {
+        self.delay[rank]
+    }
+
+    /// Whether delays at ranks `a` and `b` interfere: one bit test.
+    #[inline]
+    pub fn interferes_rank(&self, a: usize, b: usize) -> bool {
+        self.rows[a * self.words + b / 64] & (1 << (b % 64)) != 0
+    }
+
+    /// Whether delays at `a` and `b` interfere; agrees with
+    /// [`InterferenceSet::interferes`] on every compiled site.
+    pub fn interferes(&self, a: SiteId, b: SiteId) -> bool {
+        match (self.rank(a), self.rank(b)) {
+            (Some(ra), Some(rb)) => self.interferes_rank(ra, rb),
+            _ => false,
+        }
     }
 }
 
@@ -146,11 +255,37 @@ mod tests {
     #[test]
     fn plan_lookups_work() {
         let p = plan();
-        assert!(p.is_delay_site(SiteId(0)));
-        assert!(!p.is_delay_site(SiteId(1)));
         assert_eq!(p.delay_for(SiteId(0)), SimTime::from_us(115));
         assert_eq!(p.delay_for(SiteId(9)), SimTime::ZERO);
         assert_eq!(p.delay_sites().count(), 1);
+    }
+
+    /// A plan file's interference pairs are normalized on read: a
+    /// reversed pair is found in both orientations, and a pair written
+    /// both ways is one pair.
+    #[test]
+    fn plan_json_normalizes_interference_pairs() {
+        let json = plan().to_json().unwrap();
+        assert!(
+            json.contains(r#""interference":{"pairs":[[0,2]]}"#),
+            "{json}"
+        );
+        for (pairs, len) in [
+            ("[[5,2]]", 1),
+            ("[[2,5],[5,2]]", 1),
+            ("[[9,9],[5,2],[2,0]]", 3),
+        ] {
+            let back = Plan::from_json(&json.replace("[[0,2]]", pairs)).unwrap();
+            let set = &back.interference;
+            assert_eq!(set.len(), len, "{pairs}");
+            assert!(set.interferes(SiteId(2), SiteId(5)), "{pairs}");
+            assert!(set.interferes(SiteId(5), SiteId(2)), "{pairs}");
+        }
+        let back = Plan::from_json(&json.replace("[[0,2]]", "[[5,2],[2,5]]")).unwrap();
+        let mut expected = InterferenceSet::new();
+        expected.insert(SiteId(2), SiteId(5));
+        assert_eq!(back.interference, expected);
+        assert!(back.to_json().unwrap().contains(r#""pairs":[[2,5]]"#));
     }
 
     #[test]

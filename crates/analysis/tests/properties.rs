@@ -1,9 +1,12 @@
 //! Property tests: analyzer invariants over randomly generated traces.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use proptest::prelude::*;
+use serde::Serialize;
 use waffle_analysis::{
     analyze, analyze_segments, analyze_tsv_segments, analyze_tsv_unindexed, analyze_unindexed,
-    AnalyzerConfig, BugKind, IncrementalAnalysis, InterferenceSet,
+    AnalyzerConfig, BugKind, IncrementalAnalysis, InterferenceSet, Plan, PlanTables,
 };
 use waffle_mem::{AccessKind, ObjectId, SiteId, SiteRegistry};
 use waffle_sim::{SimTime, ThreadId};
@@ -258,6 +261,88 @@ proptest! {
                         (SiteId(x), SiteId(y)) == (a, b) || (SiteId(x), SiteId(y)) == (b, a)
                     });
                 prop_assert_eq!(set.interferes(a, b), expected);
+            }
+        }
+    }
+}
+
+/// A site id: mostly small, sometimes at the top of the id space.
+fn site_strategy() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..6, (u32::MAX - 2)..=u32::MAX]
+}
+
+/// The interference set's JSON layout before it became a sorted `Vec`: the
+/// byte-identity reference for its serialization.
+#[derive(Serialize)]
+struct ModelSet {
+    pairs: BTreeSet<(SiteId, SiteId)>,
+}
+
+proptest! {
+    /// The sorted-`Vec` [`InterferenceSet`] and the policy's compiled
+    /// interference rows ([`PlanTables`]) agree with a `BTreeSet` model
+    /// under random insert sequences — self-pairs, reversed pairs, ids at
+    /// the top of the id space, and sites with no delay length (ℓ\* that
+    /// only the interference set names): membership, length, iteration
+    /// order and JSON bytes.
+    #[test]
+    fn interference_set_and_compiled_rows_match_a_btreeset_model(
+        inserts in proptest::collection::vec((site_strategy(), site_strategy()), 0..40),
+        delays in proptest::collection::btree_map(site_strategy(), 0u64..3, 0..4),
+    ) {
+        let mut set = InterferenceSet::new();
+        let mut model = BTreeSet::new();
+        for &(a, b) in &inserts {
+            set.insert(SiteId(a), SiteId(b));
+            model.insert((SiteId(a.min(b)), SiteId(a.max(b))));
+        }
+        prop_assert_eq!(set.len(), model.len());
+        prop_assert_eq!(set.is_empty(), model.is_empty());
+        let in_order: Vec<(SiteId, SiteId)> = model.iter().copied().collect();
+        prop_assert_eq!(set.iter().collect::<Vec<_>>(), in_order);
+        let json = serde_json::to_string(&set).unwrap();
+        let model_json = serde_json::to_string(&ModelSet { pairs: model.clone() }).unwrap();
+        prop_assert_eq!(&json, &model_json);
+
+        // Every insert written as stored, reversed and repeated reads
+        // back as the same set.
+        let raw: Vec<String> = inserts
+            .iter()
+            .flat_map(|&(a, b)| [format!("[{a},{b}]"), format!("[{b},{a}]")])
+            .collect();
+        let parsed: InterferenceSet =
+            serde_json::from_str(&format!("{{\"pairs\":[{}]}}", raw.join(","))).unwrap();
+        prop_assert_eq!(&parsed, &set);
+        prop_assert_eq!(serde_json::to_string(&parsed).unwrap(), json);
+
+        let plan = Plan {
+            workload: "model".into(),
+            candidates: vec![],
+            delay_len: delays
+                .iter()
+                .map(|(&s, &us)| (SiteId(s), SimTime::from_us(us)))
+                .collect::<BTreeMap<_, _>>(),
+            interference: set.clone(),
+            delta: SimTime::from_ms(100),
+            stats: Default::default(),
+            memory_model: Default::default(),
+        };
+        let tables = PlanTables::compile(&plan, usize::MAX);
+        let universe: BTreeSet<u32> = inserts
+            .iter()
+            .flat_map(|&(a, b)| [a, b])
+            .chain(delays.keys().copied())
+            .chain([3, u32::MAX - 1])
+            .collect();
+        for &a in &universe {
+            let a = SiteId(a);
+            let delay = tables.rank(a).map_or(SimTime::ZERO, |r| tables.delay(r));
+            prop_assert_eq!(delay, plan.delay_for(a));
+            for &b in &universe {
+                let b = SiteId(b);
+                let expected = model.contains(&(a.min(b), a.max(b)));
+                prop_assert_eq!(set.interferes(a, b), expected);
+                prop_assert_eq!(tables.interferes(a, b), expected);
             }
         }
     }

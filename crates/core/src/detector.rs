@@ -2,7 +2,7 @@
 
 use std::collections::BTreeSet;
 
-use waffle_analysis::{analyze_indexed, AnalyzerConfig, Plan};
+use waffle_analysis::{analyze_indexed, AnalyzerConfig, Plan, PlanTables};
 use waffle_inject::{
     DecayState, NoPrepPolicy, NoPrepState, OnlinePolicy, OnlineState, Pairing, SingleDelayPolicy,
     WaffleConfig, WafflePolicy,
@@ -172,8 +172,9 @@ impl Default for DetectorConfig {
 /// One tool's state across the detection runs of an attempt: what each
 /// run's policy is built from, and what the run hands on to the next.
 enum RunState {
+    /// The plan is compiled once per attempt; every run borrows it.
     Waffle {
-        plan: Plan,
+        tables: PlanTables,
         decay: DecayState,
         config: WaffleConfig,
     },
@@ -240,11 +241,14 @@ impl Detector {
         let mut outcome = self.base_run(workload, run_seed(attempt_seed, 0));
         let prep_seed = run_seed(attempt_seed, 1);
         let mut state = match &self.tool {
-            Tool::Waffle { analyzer, policy } => RunState::Waffle {
-                plan: self.prepare(workload, prep_seed, &mut outcome, analyzer),
-                decay: DecayState::default(),
-                config: *policy,
-            },
+            Tool::Waffle { analyzer, policy } => {
+                let plan = self.prepare(workload, prep_seed, &mut outcome, analyzer);
+                RunState::Waffle {
+                    tables: PlanTables::compile(&plan, workload.sites.len()),
+                    decay: DecayState::default(),
+                    config: *policy,
+                }
+            }
             Tool::WaffleBasic => RunState::Online(Pairing::MemOrder, OnlineState::default()),
             Tool::Tsvd => RunState::Online(Pairing::Tsv, OnlineState::default()),
             Tool::NoPrep => RunState::NoPrep(NoPrepState::default()),
@@ -272,12 +276,12 @@ impl Detector {
             let sim = self.sim_config(seed, outcome.base_time);
             let r = match &mut state {
                 RunState::Waffle {
-                    plan,
+                    tables,
                     decay,
                     config,
                 } => {
                     let decay_in = std::mem::take(decay);
-                    let mut p = WafflePolicy::with_config(plan.clone(), decay_in, seed, *config);
+                    let mut p = WafflePolicy::compiled(tables, decay_in, seed, *config);
                     p.record_events(events);
                     let r = Simulator::run(workload, sim, &mut p);
                     outcome.telemetry.push(p.take_journal());
@@ -364,7 +368,8 @@ impl Detector {
             }
             Some(plan) => {
                 let decay = session.load_decay()?;
-                let mut p = WafflePolicy::with_config(plan, decay, seed, *policy);
+                let tables = PlanTables::compile(&plan, workload.sites.len());
+                let mut p = WafflePolicy::compiled(&tables, decay, seed, *policy);
                 p.record_events(self.config.telemetry_events);
                 let r = Simulator::run(
                     workload,

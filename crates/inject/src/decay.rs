@@ -69,22 +69,26 @@ impl DecayState {
 
     /// Draws an injection decision for `site`.
     pub fn roll(&self, site: SiteId, rng: &mut impl Rng) -> bool {
-        let p = self.permille(site);
-        if p == 0 {
-            return false;
-        }
-        if p >= 1000 {
-            return true;
-        }
-        rng.gen_range(0..1000) < p
+        roll_permille(self.permille(site), rng)
     }
 
     /// Records a (presumed) failed injection at `site`: probability drops
     /// by λ, pinned at zero.
     pub fn record_injection(&mut self, site: SiteId) {
-        let p = self.permille(site);
-        self.permille
-            .insert(site, p.saturating_sub(self.config.lambda_permille));
+        let p = self.decayed(self.permille(site));
+        self.permille.insert(site, p);
+    }
+
+    /// The probability one failed injection leaves behind at `permille`.
+    pub(crate) fn decayed(&self, permille: u32) -> u32 {
+        permille.saturating_sub(self.config.lambda_permille)
+    }
+
+    /// Stores `site`'s probability, as [`record_injection`] does.
+    ///
+    /// [`record_injection`]: DecayState::record_injection
+    pub(crate) fn set_permille(&mut self, site: SiteId, permille: u32) {
+        self.permille.insert(site, permille);
     }
 
     /// Serializes the state (saved to disk between detection runs, §5).
@@ -103,6 +107,18 @@ impl DecayState {
     pub fn touched_sites(&self) -> usize {
         self.permille.len()
     }
+}
+
+/// Draws an injection decision at probability `permille`: never at zero,
+/// always at 1000 or more, and one RNG draw in between.
+pub(crate) fn roll_permille(permille: u32, rng: &mut impl Rng) -> bool {
+    if permille == 0 {
+        return false;
+    }
+    if permille >= 1000 {
+        return true;
+    }
+    rng.gen_range(0..1000) < permille
 }
 
 #[cfg(test)]

@@ -1,12 +1,14 @@
 //! The Waffle detection-run policy (§4).
 
+use std::borrow::Cow;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use waffle_analysis::Plan;
+use waffle_analysis::{Plan, PlanTables};
 use waffle_sim::{AccessCtx, AccessRecord, Monitor, PreAction, SimTime};
 use waffle_telemetry::{RunJournal, RunTelemetry};
 
-use crate::decay::DecayState;
+use crate::decay::{roll_permille, DecayState};
 
 /// Knobs of the detection-run policy (defaults match the paper).
 #[derive(Debug, Clone, Copy)]
@@ -39,16 +41,24 @@ pub struct WaffleRunStats {
 /// Plan-guided delay injection: variable-length delays at the candidate
 /// locations of the plan, gated by probability decay and interference
 /// avoidance.
+///
+/// The policy reads the plan through its dense [`PlanTables`], which it
+/// either owns ([`WafflePolicy::with_config`] compiles them from a `Plan`)
+/// or borrows ([`WafflePolicy::compiled`], which lets every detection run
+/// of an attempt share one compilation).
 #[derive(Debug)]
-pub struct WafflePolicy {
-    plan: Plan,
+pub struct WafflePolicy<'p> {
+    tables: Cow<'p, PlanTables>,
     decay: DecayState,
+    /// This run's injection probability per rank, and whether the run
+    /// decayed it; written back to `decay` by [`WafflePolicy::into_decay`].
+    permille: Vec<(u32, bool)>,
     config: WaffleConfig,
     rng: SmallRng,
     telemetry: RunTelemetry,
 }
 
-impl WafflePolicy {
+impl WafflePolicy<'static> {
     /// Creates a policy for one detection run. `decay` carries the
     /// persisted probabilities from earlier runs; `seed` drives the
     /// probability rolls.
@@ -56,11 +66,38 @@ impl WafflePolicy {
         Self::with_config(plan, decay, seed, WaffleConfig::default())
     }
 
-    /// Creates a policy with explicit configuration.
+    /// Creates a policy with explicit configuration, compiling `plan`.
     pub fn with_config(plan: Plan, decay: DecayState, seed: u64, config: WaffleConfig) -> Self {
+        let tables = PlanTables::compile(&plan, usize::MAX);
+        WafflePolicy::build(Cow::Owned(tables), decay, seed, config)
+    }
+}
+
+impl<'p> WafflePolicy<'p> {
+    /// Creates a policy for one detection run over a plan compiled once
+    /// per attempt.
+    pub fn compiled(
+        tables: &'p PlanTables,
+        decay: DecayState,
+        seed: u64,
+        config: WaffleConfig,
+    ) -> Self {
+        Self::build(Cow::Borrowed(tables), decay, seed, config)
+    }
+
+    fn build(
+        tables: Cow<'p, PlanTables>,
+        decay: DecayState,
+        seed: u64,
+        config: WaffleConfig,
+    ) -> Self {
+        let permille = (0..tables.len())
+            .map(|r| (decay.permille(tables.site(r)), false))
+            .collect();
         Self {
-            plan,
+            tables,
             decay,
+            permille,
             config,
             rng: SmallRng::seed_from_u64(seed),
             telemetry: RunTelemetry::counters_only(),
@@ -68,7 +105,12 @@ impl WafflePolicy {
     }
 
     /// Extracts the evolved decay state (persist it for the next run).
-    pub fn into_decay(self) -> DecayState {
+    pub fn into_decay(mut self) -> DecayState {
+        for (r, &(p, decayed)) in self.permille.iter().enumerate() {
+            if decayed {
+                self.decay.set_permille(self.tables.site(r), p);
+            }
+        }
         self.decay
     }
 
@@ -97,14 +139,9 @@ impl WafflePolicy {
     pub fn journal(&self) -> &RunJournal {
         self.telemetry.journal()
     }
-
-    /// Access to the plan (reporting).
-    pub fn plan(&self) -> &Plan {
-        &self.plan
-    }
 }
 
-impl Monitor for WafflePolicy {
+impl Monitor for WafflePolicy<'_> {
     fn instr_overhead(&self, _kind: waffle_mem::AccessKind) -> SimTime {
         // The detection runtime performs a candidate-set lookup per access;
         // cheaper than the preparation run's trace write.
@@ -112,10 +149,11 @@ impl Monitor for WafflePolicy {
     }
 
     fn on_access_pre(&mut self, ctx: &AccessCtx<'_>) -> PreAction {
-        if !self.plan.is_delay_site(ctx.site) {
+        let tables = &*self.tables;
+        let Some(rank) = tables.rank(ctx.site) else {
             return PreAction::Proceed;
-        }
-        let len = self.plan.delay_for(ctx.site);
+        };
+        let len = tables.delay(rank);
         if len == SimTime::ZERO {
             return PreAction::Proceed;
         }
@@ -127,7 +165,9 @@ impl Monitor for WafflePolicy {
             let interferes = ctx.active_delays.iter().any(|d| {
                 d.thread != ctx.thread
                     && d.end > ctx.time
-                    && self.plan.interference.interferes(ctx.site, d.site)
+                    && tables
+                        .rank(d.site)
+                        .is_some_and(|other| tables.interferes_rank(rank, other))
             });
             if interferes {
                 self.telemetry
@@ -136,17 +176,19 @@ impl Monitor for WafflePolicy {
             }
         }
         // Probability decay.
-        let permille = self.decay.permille(ctx.site);
-        if !self.decay.roll(ctx.site, &mut self.rng) {
+        let (permille, decayed) = &mut self.permille[rank];
+        let before = *permille;
+        if !roll_permille(before, &mut self.rng) {
             self.telemetry
-                .skipped_probability(ctx.site, ctx.thread, ctx.time, permille);
+                .skipped_probability(ctx.site, ctx.thread, ctx.time, before);
             return PreAction::Proceed;
         }
-        self.decay.record_injection(ctx.site);
+        *permille = self.decay.decayed(before);
+        *decayed = true;
         self.telemetry
-            .injected(ctx.site, ctx.thread, ctx.time, len, permille);
+            .injected(ctx.site, ctx.thread, ctx.time, len, before);
         self.telemetry
-            .decay_step(ctx.site, ctx.thread, ctx.time, self.decay.permille(ctx.site));
+            .decay_step(ctx.site, ctx.thread, ctx.time, *permille);
         PreAction::Delay(len)
     }
 

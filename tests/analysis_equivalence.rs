@@ -9,13 +9,14 @@
 //! representative choice, stats, interference membership — fails loudly.
 
 use waffle_repro::analysis::{
-    analyze_jobs, analyze_segments, analyze_tsv_indexed, analyze_tsv_segments,
+    analyze_indexed, analyze_jobs, analyze_segments, analyze_tsv_indexed, analyze_tsv_segments,
     analyze_tsv_unindexed, analyze_unindexed, AnalyzerConfig,
 };
 use waffle_repro::apps::all_bugs;
 use waffle_repro::core::DetectorConfig;
-use waffle_repro::sim::{SimConfig, SimTime, Simulator, Workload};
-use waffle_repro::trace::{SegmentReader, Trace, TraceIndex, TraceRecorder};
+use waffle_repro::sim::{SimConfig, SimTime, Simulator, ThreadId, Workload};
+use waffle_repro::trace::{ClockPool, SegmentReader, Trace, TraceIndex, TraceRecorder};
+use waffle_repro::vclock::ClockSnapshot;
 
 /// Worker counts exercised for every workload: sequential, the common CI
 /// core count, and more shards than most traces have objects.
@@ -122,6 +123,81 @@ fn noised_prep_traces_are_byte_identical_for_every_bug_and_attempt_seed() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Thread ids are arbitrary `u32`s at every boundary — a serve client
+/// picks them freely — so the analyzer keys threads through a compact
+/// map, never a table indexed by the raw id. Moving every thread of the
+/// interference-heavy Bug-16 trace to the top of the id space, up to
+/// `ThreadId(u32::MAX - 1)`, must give the plan of the densely numbered
+/// trace, in memory and out of core, without a thread-sized allocation.
+#[test]
+fn hostile_thread_ids_analyze_like_densely_numbered_ones() {
+    let config = AnalyzerConfig::default();
+    let dense = noised_prep_trace(&workload_for(16), 0);
+    let mut threads: Vec<ThreadId> = dense.events.iter().map(|e| e.thread).collect();
+    threads.extend(dense.forks.iter().flat_map(|f| [f.parent, f.child]));
+    for snap in dense.clocks.snapshots() {
+        threads.extend(snap.iter().map(|(&t, _)| t));
+    }
+    threads.sort_unstable();
+    threads.dedup();
+    // Order-preserving, so equal-time events keep their index order.
+    let top = |t: ThreadId| {
+        let below = threads.len() - 1 - threads.binary_search(&t).expect("known thread");
+        ThreadId(u32::MAX - 1 - below as u32)
+    };
+    let mut hostile = dense.clone();
+    for e in &mut hostile.events {
+        e.thread = top(e.thread);
+    }
+    for f in &mut hostile.forks {
+        f.parent = top(f.parent);
+        f.child = top(f.child);
+    }
+    // Same snapshots at the same ids, keyed by the moved threads.
+    assert!(dense.clocks.snapshots()[0].is_empty());
+    let mut clocks = ClockPool::new();
+    for snap in &dense.clocks.snapshots()[1..] {
+        let moved = ClockSnapshot::from_entries(snap.iter().map(|(&t, &v)| (top(t), v)));
+        clocks.try_push(moved).expect("clock ids fit");
+    }
+    hostile.clocks = clocks;
+    assert!(hostile
+        .events
+        .iter()
+        .any(|e| e.thread == ThreadId(u32::MAX - 1)));
+
+    let reference = analyze_jobs(&dense, &config, 1);
+    assert!(
+        reference.interference.len() > 100,
+        "the pass must do real work"
+    );
+    let reference = reference.to_json().expect("plan serializes");
+    let index = TraceIndex::build(&hostile);
+    for jobs in [1, 2] {
+        let got = analyze_indexed(&index, &config, jobs)
+            .to_json()
+            .expect("plan serializes");
+        assert_eq!(
+            got, reference,
+            "hostile thread ids changed the plan at jobs={jobs}"
+        );
+    }
+    let path = std::env::temp_dir().join(format!("waffle-hostile-tid-{}.wseg", std::process::id()));
+    index.write_segments(&path).expect("segments write");
+    for budget in BUDGETS {
+        let mut reader = SegmentReader::open(&path).expect("segments open");
+        let ooc = analyze_segments(&mut reader, &config, 1, budget)
+            .expect("out-of-core analysis")
+            .to_json()
+            .expect("plan serializes");
+        assert_eq!(
+            ooc, reference,
+            "hostile thread ids changed the streamed plan at budget={budget}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
