@@ -135,7 +135,7 @@ impl SiteRegistry {
     }
 
     /// Iterates over `(id, info)` pairs in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = (SiteId, &SiteInfo)> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (SiteId, &SiteInfo)> {
         self.sites
             .iter()
             .enumerate()

@@ -19,6 +19,7 @@
 //! - [`TraceStats`]: per-site statistics backing Table 2 (instrumentation
 //!   site counts) and the §3.3 dynamic-instance observations.
 
+mod codec;
 pub mod compact;
 pub mod event;
 pub mod index;

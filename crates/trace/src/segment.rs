@@ -23,7 +23,19 @@
 //!   plus the interned [`ClockPool`] and the trace's [`SiteRegistry`]
 //!   stored **once** — the happens-before structure is the only part of
 //!   the trace that must stay hot (cf. partial-order BMC: keep the
-//!   ordering skeleton resident, stream the events).
+//!   ordering skeleton resident, stream the events). The footer is
+//!   binary, little-endian, and reuses the serve wire codec's `str`,
+//!   `sites` and `clocks` encodings (see `crate::codec`):
+//!
+//!   ```text
+//!   footer := version:u32 | workload:str | end_time:u64
+//!             | mem:metas | tsv:metas | clocks | sites
+//!   metas  := count:u32 | (object:u32 | offset:u64 | bytes:u64 | events:u32
+//!                          | min_time:u64 | max_time:u64 | checksum:u64){count}
+//!   ```
+//!
+//!   `clocks` holds the pool's snapshots from id 1 on; id 0 is always the
+//!   implicit empty snapshot. `sites` lists the registry in id order.
 //! - **Trailer**: `footer_offset u64 | footer_len u64 | footer_fnv u64`
 //!   followed by the closing magic, so a reader can locate the footer
 //!   from the end of the file and reject truncation before trusting any
@@ -31,22 +43,30 @@
 //!
 //! Corruption discipline matches the PR 3 storage rules: a missing file
 //! is the caller's absent case; a present-but-unusable file (bad magic,
-//! truncated footer, checksum mismatch, future version) is always a
-//! distinct [`io::ErrorKind::InvalidData`] error naming what failed.
+//! truncated footer, checksum mismatch, another version — including the
+//! JSON-footer version 1) is always a distinct
+//! [`io::ErrorKind::InvalidData`] error naming what failed. Footer
+//! decoding is bounded by the footer's length: every count is checked
+//! against the bytes that remain before anything is reserved, a site name
+//! defined twice or a trailing byte is rejected, and every offset sum is
+//! checked for overflow.
 
 use std::fs;
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
 use waffle_mem::{AccessKind, ObjectId, SiteId, SiteRegistry};
 use waffle_sim::{SimTime, ThreadId};
 
+use crate::codec::{
+    self, kind_from_tag, kind_tag, put_clocks, put_sites, put_str, put_u32, put_u64, Cursor,
+};
 use crate::index::{ClassColumns, ClockId, ClockPool, TraceIndex};
 
 /// Segment file schema version; bumped on incompatible layout changes.
-pub const SEGMENT_VERSION: u32 = 1;
+/// Version 1 stored the footer catalog as JSON; version 2 is binary.
+pub const SEGMENT_VERSION: u32 = 2;
 
 const HEAD_MAGIC: &[u8; 8] = b"WFLSEG00";
 const FOOT_MAGIC: &[u8; 8] = b"WFLSEGFT";
@@ -56,6 +76,10 @@ const TRAILER_LEN: u64 = 8 + 8 + 8 + 8;
 /// Bytes one event occupies in a segment (8 time + 4 thread + 4 site +
 /// 1 kind + 4 clock).
 pub const EVENT_BYTES: u64 = 21;
+
+/// Bytes one [`SegmentMeta`] occupies in the footer (object 4 + offset 8 +
+/// bytes 8 + events 4 + min 8 + max 8 + checksum 8).
+const META_BYTES: usize = 48;
 
 /// FNV-1a over a byte slice — the same checksum the campaign manifest
 /// uses, cheap enough to verify on every segment load.
@@ -69,7 +93,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Which event class a segment belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentClass {
     /// MemOrder-instrumented events (init/use/dispose).
     MemOrder,
@@ -78,7 +102,7 @@ pub enum SegmentClass {
 }
 
 /// Catalog entry for one on-disk object segment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentMeta {
     /// The object every event in the segment touches (the `objs` column,
     /// stored once instead of per event).
@@ -102,7 +126,7 @@ pub struct SegmentMeta {
 /// The clock pool lives here — stored once for the whole trace — because
 /// happens-before checks are the one part of analysis that needs random
 /// access while event columns stream through a bounded window.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SegmentCatalog {
     /// Schema version ([`SEGMENT_VERSION`]).
     pub version: u32,
@@ -135,6 +159,117 @@ impl SegmentCatalog {
     }
 }
 
+fn put_metas(buf: &mut Vec<u8>, metas: &[SegmentMeta]) {
+    put_u32(buf, metas.len() as u32);
+    for m in metas {
+        put_u32(buf, m.object.0);
+        put_u64(buf, m.offset);
+        put_u64(buf, m.bytes);
+        put_u32(buf, m.events);
+        put_u64(buf, m.min_time.as_us());
+        put_u64(buf, m.max_time.as_us());
+        put_u64(buf, m.checksum);
+    }
+}
+
+fn get_metas(c: &mut Cursor<'_>) -> io::Result<Vec<SegmentMeta>> {
+    let n = c.count(META_BYTES)?;
+    let mut metas = Vec::with_capacity(n);
+    for _ in 0..n {
+        metas.push(SegmentMeta {
+            object: ObjectId(c.u32()?),
+            offset: c.u64()?,
+            bytes: c.u64()?,
+            events: c.u32()?,
+            min_time: SimTime::from_us(c.u64()?),
+            max_time: SimTime::from_us(c.u64()?),
+            checksum: c.u64()?,
+        });
+    }
+    Ok(metas)
+}
+
+/// Appends the version-2 footer (layout in the module docs) to `buf`.
+/// `InvalidData` when `clocks` does not hold the empty snapshot at id 0,
+/// which the footer leaves implicit.
+fn encode_footer(
+    buf: &mut Vec<u8>,
+    workload: &str,
+    end_time: SimTime,
+    mem: &[SegmentMeta],
+    tsv: &[SegmentMeta],
+    clocks: &ClockPool,
+    sites: &SiteRegistry,
+) -> io::Result<()> {
+    let Some((empty, snaps)) = clocks.snapshots().split_first() else {
+        return Err(codec::invalid("clock pool has no empty snapshot at id 0"));
+    };
+    if !empty.is_empty() {
+        return Err(codec::invalid("clock pool id 0 is not the empty snapshot"));
+    }
+    put_u32(buf, SEGMENT_VERSION);
+    put_str(buf, workload);
+    put_u64(buf, end_time.as_us());
+    put_metas(buf, mem);
+    put_metas(buf, tsv);
+    put_clocks(buf, snaps);
+    put_sites(
+        buf,
+        sites
+            .iter()
+            .map(|(_, info)| (info.name.as_str(), info.kind)),
+    );
+    Ok(())
+}
+
+/// Decodes a footer written by [`encode_footer`]. Rejects the JSON footer
+/// of version 1 and any other version before reading further, and a site
+/// name defined twice (which [`SiteRegistry::register`] would otherwise
+/// merge or panic on).
+fn decode_footer(footer: &[u8]) -> io::Result<SegmentCatalog> {
+    if footer.first() == Some(&b'{') {
+        return Err(codec::invalid(format!(
+            "segment format version 1 (a JSON footer; this build speaks {SEGMENT_VERSION})"
+        )));
+    }
+    let mut c = Cursor::new(footer, "segment footer");
+    let version = c.u32()?;
+    if version != SEGMENT_VERSION {
+        return Err(codec::invalid(format!(
+            "segment format version {version} (this build speaks {SEGMENT_VERSION})"
+        )));
+    }
+    let workload = c.str()?;
+    let end_time = SimTime::from_us(c.u64()?);
+    let mem = get_metas(&mut c)?;
+    let tsv = get_metas(&mut c)?;
+    let mut clocks = ClockPool::new();
+    for snap in c.clocks()? {
+        clocks
+            .try_push(snap)
+            .ok_or_else(|| codec::invalid("clock pool overflows the 32-bit id space"))?;
+    }
+    let mut sites = SiteRegistry::new();
+    for (name, kind) in c.sites()? {
+        if sites.lookup(&name).is_some() {
+            return Err(codec::invalid(format!(
+                "site {name:?} defined twice in segment footer"
+            )));
+        }
+        sites.register(&name, kind);
+    }
+    c.done()?;
+    Ok(SegmentCatalog {
+        version,
+        workload,
+        end_time,
+        mem,
+        tsv,
+        clocks,
+        sites,
+    })
+}
+
 /// What [`TraceIndex::write_segments`] wrote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentWriteStats {
@@ -151,27 +286,6 @@ fn invalid(path: &Path, what: impl std::fmt::Display) -> io::Error {
         io::ErrorKind::InvalidData,
         format!("{}: {what}", path.display()),
     )
-}
-
-/// On-disk tag for an [`AccessKind`] (shared with the ingest wire format).
-pub(crate) fn kind_tag(kind: AccessKind) -> u8 {
-    match kind {
-        AccessKind::Init => 0,
-        AccessKind::Use => 1,
-        AccessKind::Dispose => 2,
-        AccessKind::UnsafeApiCall => 3,
-    }
-}
-
-/// Inverse of [`kind_tag`]; `None` for unknown tags.
-pub(crate) fn kind_from_tag(tag: u8) -> Option<AccessKind> {
-    Some(match tag {
-        0 => AccessKind::Init,
-        1 => AccessKind::Use,
-        2 => AccessKind::Dispose,
-        3 => AccessKind::UnsafeApiCall,
-        _ => return None,
-    })
 }
 
 /// Borrowed, equal-length column slices for one object's time-sorted
@@ -343,23 +457,23 @@ impl SegmentWriter {
         clocks: &ClockPool,
         sites: &SiteRegistry,
     ) -> io::Result<SegmentWriteStats> {
-        let catalog = SegmentCatalog {
-            version: SEGMENT_VERSION,
-            workload: workload.to_string(),
+        let mut footer = std::mem::take(&mut self.buf);
+        footer.clear();
+        encode_footer(
+            &mut footer,
+            workload,
             end_time,
-            mem: std::mem::take(&mut self.mem),
-            tsv: std::mem::take(&mut self.tsv),
-            clocks: clocks.clone(),
-            sites: sites.clone(),
-        };
-        let footer = serde_json::to_string(&catalog)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let footer_bytes = footer.as_bytes();
+            &self.mem,
+            &self.tsv,
+            clocks,
+            sites,
+        )
+        .map_err(|e| invalid(&self.path, e))?;
         let mut f = self.file.take().expect("writer already finished");
-        f.write_all(footer_bytes)?;
+        f.write_all(&footer)?;
         f.write_all(&self.offset.to_le_bytes())?;
-        f.write_all(&(footer_bytes.len() as u64).to_le_bytes())?;
-        f.write_all(&fnv1a(footer_bytes).to_le_bytes())?;
+        f.write_all(&(footer.len() as u64).to_le_bytes())?;
+        f.write_all(&fnv1a(&footer).to_le_bytes())?;
         f.write_all(FOOT_MAGIC)?;
         f.flush()?;
         drop(f);
@@ -367,9 +481,14 @@ impl SegmentWriter {
             let _ = fs::remove_file(&self.tmp);
         })?;
         Ok(SegmentWriteStats {
-            segments: catalog.mem.len() + catalog.tsv.len(),
-            events: catalog.events(),
-            file_bytes: self.offset + footer_bytes.len() as u64 + TRAILER_LEN,
+            segments: self.mem.len() + self.tsv.len(),
+            events: self
+                .mem
+                .iter()
+                .chain(&self.tsv)
+                .map(|s| u64::from(s.events))
+                .sum(),
+            file_bytes: self.offset + footer.len() as u64 + TRAILER_LEN,
         })
     }
 }
@@ -468,8 +587,10 @@ impl SegmentReader {
         let footer_offset = u64::from_le_bytes(trailer[0..8].try_into().unwrap());
         let footer_len = u64::from_le_bytes(trailer[8..16].try_into().unwrap());
         let footer_fnv = u64::from_le_bytes(trailer[16..24].try_into().unwrap());
-        let footer_end = footer_offset.checked_add(footer_len);
-        if footer_end.is_none() || footer_end.unwrap() + TRAILER_LEN != size {
+        let file_end = footer_offset
+            .checked_add(footer_len)
+            .and_then(|end| end.checked_add(TRAILER_LEN));
+        if file_end != Some(size) {
             return Err(invalid(&path, "truncated segment file (footer out of bounds)"));
         }
         file.seek(SeekFrom::Start(footer_offset))?;
@@ -478,22 +599,11 @@ impl SegmentReader {
         if fnv1a(&footer) != footer_fnv {
             return Err(invalid(&path, "footer checksum mismatch (corrupt catalog)"));
         }
-        let footer_text = std::str::from_utf8(&footer)
-            .map_err(|e| invalid(&path, format!("footer is not UTF-8: {e}")))?;
-        let catalog: SegmentCatalog = serde_json::from_str(footer_text)
-            .map_err(|e| invalid(&path, format!("corrupt footer catalog: {e}")))?;
-        if catalog.version != SEGMENT_VERSION {
-            return Err(invalid(
-                &path,
-                format!(
-                    "segment format version {} (this build speaks {SEGMENT_VERSION})",
-                    catalog.version
-                ),
-            ));
-        }
+        let catalog = decode_footer(&footer).map_err(|e| invalid(&path, e))?;
         for meta in catalog.mem.iter().chain(&catalog.tsv) {
+            let end = meta.offset.checked_add(meta.bytes);
             if meta.bytes != u64::from(meta.events) * EVENT_BYTES
-                || meta.offset + meta.bytes > footer_offset
+                || end.is_none_or(|end| end > footer_offset)
             {
                 return Err(invalid(
                     &path,
@@ -749,32 +859,129 @@ mod tests {
         let _ = fs::remove_file(&path);
     }
 
+    /// Splits a segment file into its pre-footer bytes and its footer.
+    fn split_footer(file: &[u8]) -> (&[u8], &[u8]) {
+        let size = file.len();
+        let off = u64::from_le_bytes(file[size - 32..size - 24].try_into().unwrap()) as usize;
+        let len = u64::from_le_bytes(file[size - 24..size - 16].try_into().unwrap()) as usize;
+        (&file[..off], &file[off..off + len])
+    }
+
+    /// Reassembles a file around `footer`, fixing up the trailer so only
+    /// the footer's contents can fail.
+    fn with_footer(body: &[u8], footer: &[u8]) -> Vec<u8> {
+        let mut out = body.to_vec();
+        out.extend_from_slice(footer);
+        out.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        out.extend_from_slice(&(footer.len() as u64).to_le_bytes());
+        out.extend_from_slice(&fnv1a(footer).to_le_bytes());
+        out.extend_from_slice(FOOT_MAGIC);
+        out
+    }
+
+    fn open_err(tag: &str, bytes: &[u8]) -> io::Error {
+        let path = tmpfile(tag);
+        fs::write(&path, bytes).unwrap();
+        let err = SegmentReader::open(&path).unwrap_err();
+        let _ = fs::remove_file(&path);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        err
+    }
+
     #[test]
     fn future_version_is_rejected() {
         let trace = sample_trace(2, 4);
         let path = tmpfile("version");
         TraceIndex::build(&trace).write_segments(&path).unwrap();
-        let text = fs::read(&path).unwrap();
-        // Rewrite the footer with a bumped version, fixing up the trailer
-        // so only the version check can fail.
-        let size = text.len();
-        let footer_off =
-            u64::from_le_bytes(text[size - 32..size - 24].try_into().unwrap()) as usize;
-        let footer_len = u64::from_le_bytes(text[size - 24..size - 16].try_into().unwrap()) as usize;
-        let footer = String::from_utf8(text[footer_off..footer_off + footer_len].to_vec()).unwrap();
-        let bumped = footer.replacen("\"version\":1", "\"version\":99", 1);
-        assert_ne!(footer, bumped, "footer carries the version field");
-        let mut out = text[..footer_off].to_vec();
-        out.extend_from_slice(bumped.as_bytes());
-        out.extend_from_slice(&(footer_off as u64).to_le_bytes());
-        out.extend_from_slice(&(bumped.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a(bumped.as_bytes()).to_le_bytes());
-        out.extend_from_slice(FOOT_MAGIC);
-        fs::write(&path, out).unwrap();
-        let err = SegmentReader::open(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("version 99"), "{err}");
+        let file = fs::read(&path).unwrap();
         let _ = fs::remove_file(&path);
+        // Patch the footer's leading u32 version, refixing the checksum so
+        // only the version check can fail.
+        let (body, footer) = split_footer(&file);
+        assert_eq!(
+            footer[..4],
+            SEGMENT_VERSION.to_le_bytes(),
+            "footer leads with the version"
+        );
+        let mut bumped = footer.to_vec();
+        bumped[..4].copy_from_slice(&99u32.to_le_bytes());
+        let err = open_err("version", &with_footer(body, &bumped));
+        assert!(err.to_string().contains("version 99"), "{err}");
+    }
+
+    #[test]
+    fn json_footer_of_version_1_is_rejected_by_name() {
+        let trace = sample_trace(2, 4);
+        let path = tmpfile("version1");
+        TraceIndex::build(&trace).write_segments(&path).unwrap();
+        let file = fs::read(&path).unwrap();
+        let _ = fs::remove_file(&path);
+        let (body, _) = split_footer(&file);
+        let v1 = br#"{"version":1,"workload":"seg.sample","end_time":0,"mem":[],"tsv":[],"clocks":{"snapshots":[{"entries":{}}]},"sites":{"sites":[],"by_name":{}}}"#;
+        let err = open_err("version1", &with_footer(body, v1));
+        assert!(err.to_string().contains("version 1 "), "{err}");
+    }
+
+    /// A 40-byte file — head magic plus a trailer whose footer offset sits
+    /// just below `u64::MAX` — used to overflow the bounds sum.
+    #[test]
+    fn trailer_offset_near_u64_max_is_invalid_not_overflow() {
+        let mut file = HEAD_MAGIC.to_vec();
+        file.extend_from_slice(&(u64::MAX - 8).to_le_bytes());
+        file.extend_from_slice(&0u64.to_le_bytes());
+        file.extend_from_slice(&fnv1a(&[]).to_le_bytes());
+        file.extend_from_slice(FOOT_MAGIC);
+        assert_eq!(file.len(), 40);
+        let err = open_err("offset-overflow", &file);
+        assert!(err.to_string().contains("footer out of bounds"), "{err}");
+    }
+
+    /// A catalog entry whose `offset + bytes` overflows, under a valid
+    /// footer checksum.
+    #[test]
+    fn catalog_entry_offset_overflow_is_invalid_not_overflow() {
+        let meta = SegmentMeta {
+            object: ObjectId(0),
+            offset: u64::MAX - 10,
+            bytes: EVENT_BYTES,
+            events: 1,
+            min_time: SimTime::ZERO,
+            max_time: SimTime::ZERO,
+            checksum: 0,
+        };
+        let mut footer = Vec::new();
+        let (clocks, sites) = (ClockPool::new(), SiteRegistry::new());
+        encode_footer(
+            &mut footer,
+            "w",
+            SimTime::ZERO,
+            &[meta],
+            &[],
+            &clocks,
+            &sites,
+        )
+        .unwrap();
+        let err = open_err("meta-overflow", &with_footer(HEAD_MAGIC, &footer));
+        let needle = "catalog entry for obj#0 out of bounds";
+        assert!(err.to_string().contains(needle), "{err}");
+    }
+
+    #[test]
+    fn writer_rejects_a_pool_without_the_empty_snapshot_at_id_0() {
+        let path = tmpfile("writer-pool");
+        let mut clocks = ClockPool::new();
+        clocks.try_push(ClockSnapshot::from_entries([(ThreadId(0), 1)]));
+        // Drop the empty snapshot at id 0, as a hand-edited trace could.
+        let json = serde_json::to_string(&clocks).unwrap();
+        let full: ClockPool = serde_json::from_str(&json.replace("{\"entries\":{}},", "")).unwrap();
+        assert!(!full.get(ClockId::EMPTY).is_empty());
+        let err = SegmentWriter::create(&path)
+            .unwrap()
+            .finish("w", SimTime::ZERO, &full, &SiteRegistry::new())
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("empty snapshot"), "{err}");
+        assert!(!path.exists());
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   site is id 0). Incremental: later Sites frames extend the table.
 //! - **Clocks** appends vector-clock snapshots in dense pool order
 //!   starting at id 1 (id 0 is always the empty snapshot). The producer
-//!   interns on its side; the server pools them without rescanning.
+//!   interns on its side; the server pools them without rescanning. Each
+//!   snapshot's entries ascend by thread with non-zero values, the form
+//!   [`ClockSnapshot::iter`] yields; anything else is `InvalidData`.
 //! - **Events** carries packed 25-byte rows
 //!   (`time:u64 | thread:u32 | site:u32 | obj:u32 | kind:u8 | clock:u32`),
 //!   non-decreasing in time within the session. `dyn_index` is not
@@ -26,7 +28,9 @@
 //!
 //! Every frame is bounded by [`MAX_FRAME_BYTES`]; an oversized length
 //! prefix is `InvalidData` *before* any allocation, so a malicious or
-//! corrupt length can't balloon server memory.
+//! corrupt length can't balloon server memory. The Sites and Clocks
+//! payloads are encoded by `crate::codec`, which the segment-file footer
+//! shares.
 
 use std::io::{self, Read, Write};
 
@@ -34,9 +38,9 @@ use waffle_mem::{AccessKind, ObjectId, SiteId};
 use waffle_sim::{SimTime, ThreadId};
 use waffle_vclock::ClockSnapshot;
 
+use crate::codec::{invalid, kind_from_tag, kind_tag, put_clocks, put_sites, Cursor};
 use crate::event::TraceEvent;
 use crate::index::ClockId;
-use crate::segment::{kind_from_tag, kind_tag};
 
 /// Upper bound on one frame's payload: 16 MiB (≈670k events per Events
 /// frame) — far above any sane batch, low enough that a corrupt length
@@ -81,15 +85,6 @@ pub enum Frame {
     Error(String),
 }
 
-fn invalid(what: impl std::fmt::Display) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, what.to_string())
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
 /// Serializes `frame` into a length-prefixed byte vector (the exact bytes
 /// [`write_frame`] emits).
 pub fn encode_frame(frame: &Frame) -> io::Result<Vec<u8>> {
@@ -100,22 +95,14 @@ pub fn encode_frame(frame: &Frame) -> io::Result<Vec<u8>> {
             TAG_HELLO
         }
         Frame::Sites(sites) => {
-            payload.extend_from_slice(&(sites.len() as u32).to_le_bytes());
-            for (name, kind) in sites {
-                payload.push(kind_tag(*kind));
-                put_str(&mut payload, name);
-            }
+            put_sites(
+                &mut payload,
+                sites.iter().map(|(name, kind)| (name.as_str(), *kind)),
+            );
             TAG_SITES
         }
         Frame::Clocks(snaps) => {
-            payload.extend_from_slice(&(snaps.len() as u32).to_le_bytes());
-            for snap in snaps {
-                payload.extend_from_slice(&(snap.len() as u32).to_le_bytes());
-                for (tid, val) in snap.iter() {
-                    payload.extend_from_slice(&tid.0.to_le_bytes());
-                    payload.extend_from_slice(&val.to_le_bytes());
-                }
-            }
+            put_clocks(&mut payload, snaps);
             TAG_CLOCKS
         }
         Frame::Events(events) => {
@@ -162,58 +149,6 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     w.write_all(&encode_frame(frame)?)
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
-            return Err(invalid("frame payload truncated"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> io::Result<String> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| invalid(format!("non-UTF-8 string: {e}")))
-    }
-
-    /// A count-prefixed list can't hold more entries than bytes remain in
-    /// the (already size-bounded) payload; checking it first keeps a
-    /// corrupt count from pre-allocating gigabytes.
-    fn count(&mut self, min_entry_bytes: usize) -> io::Result<usize> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_entry_bytes) > self.buf.len() - self.pos {
-            return Err(invalid(format!("count {n} exceeds frame payload")));
-        }
-        Ok(n)
-    }
-
-    fn done(&self) -> io::Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(invalid("trailing bytes after frame payload"));
-        }
-        Ok(())
-    }
-}
-
 fn utf8(bytes: &[u8]) -> io::Result<String> {
     String::from_utf8(bytes.to_vec()).map_err(|e| invalid(format!("non-UTF-8 payload: {e}")))
 }
@@ -248,34 +183,16 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
     let (tag, payload) = (body[0], &body[1..]);
-    let mut c = Cursor { buf: payload, pos: 0 };
+    let mut c = Cursor::new(payload, "frame payload");
     let frame = match tag {
         TAG_HELLO => Frame::Hello { workload: utf8(payload)? },
         TAG_SITES => {
-            let n = c.count(5)?;
-            let mut sites = Vec::with_capacity(n);
-            for _ in 0..n {
-                let kind = kind_from_tag(c.u8()?)
-                    .ok_or_else(|| invalid("unknown access-kind tag in Sites frame"))?;
-                let name = c.str()?;
-                sites.push((name, kind));
-            }
+            let sites = c.sites()?;
             c.done()?;
             Frame::Sites(sites)
         }
         TAG_CLOCKS => {
-            let n = c.count(4)?;
-            let mut snaps = Vec::with_capacity(n);
-            for _ in 0..n {
-                let entries = c.count(12)?;
-                let mut snap = Vec::with_capacity(entries);
-                for _ in 0..entries {
-                    let tid = ThreadId(c.u32()?);
-                    let val = c.u64()?;
-                    snap.push((tid, val));
-                }
-                snaps.push(ClockSnapshot::from_entries(snap));
-            }
+            let snaps = c.clocks()?;
             c.done()?;
             Frame::Clocks(snaps)
         }

@@ -2,7 +2,9 @@
 //! survive the write → read round trip with byte-identical columns, and
 //! any single-byte corruption of the file must be *detected* — either
 //! rejected at open (header/footer/trailer damage) or at segment load
-//! (payload damage) — never silently accepted as different data.
+//! (payload damage) — never silently accepted as different data. Footer
+//! mutations with a refixed checksum reach the binary catalog decoder
+//! itself, which must reject them or decode exactly the mutated bytes.
 
 use std::path::PathBuf;
 
@@ -10,8 +12,8 @@ use proptest::prelude::*;
 use waffle_mem::{AccessKind, ObjectId, SiteId, SiteRegistry};
 use waffle_sim::{SimTime, ThreadId};
 use waffle_trace::{
-    ClockId, ClockPool, ColumnSlice, SegmentClass, SegmentReader, SegmentWriter, Trace, TraceEvent,
-    TraceIndex,
+    ClockId, ClockPool, ColumnSlice, SegmentCatalog, SegmentClass, SegmentMeta, SegmentReader,
+    SegmentWriter, Trace, TraceEvent, TraceIndex,
 };
 use waffle_vclock::ClockSnapshot;
 
@@ -71,6 +73,132 @@ fn tmpfile(tag: u64) -> PathBuf {
     std::env::temp_dir().join(format!("waffle-segprop-{}-{tag}.wseg", std::process::id()))
 }
 
+/// FNV-1a, the footer checksum the trailer carries.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Splits a segment file into its pre-footer bytes and its footer.
+fn split_footer(file: &[u8]) -> (&[u8], &[u8]) {
+    let size = file.len();
+    let off = u64::from_le_bytes(file[size - 32..size - 24].try_into().unwrap()) as usize;
+    let len = u64::from_le_bytes(file[size - 24..size - 16].try_into().unwrap()) as usize;
+    (&file[..off], &file[off..off + len])
+}
+
+/// Reassembles a file around `footer` with a matching trailer and
+/// checksum, so only the footer decoder can reject it.
+fn with_footer(body: &[u8], footer: &[u8]) -> Vec<u8> {
+    let mut out = body.to_vec();
+    out.extend_from_slice(footer);
+    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(footer.len() as u64).to_le_bytes());
+    out.extend_from_slice(&fnv1a(footer).to_le_bytes());
+    out.extend_from_slice(b"WFLSEGFT");
+    out
+}
+
+/// The version-2 footer layout, encoded independently of the writer from
+/// its documented grammar. Also returns where the mem, tsv, clocks and
+/// sites counts sit, for tests that patch them.
+fn spec_footer(
+    workload: &str,
+    end_time: SimTime,
+    mem: &[SegmentMeta],
+    tsv: &[SegmentMeta],
+    clocks: &[ClockSnapshot<ThreadId>],
+    sites: &[(&str, AccessKind)],
+) -> (Vec<u8>, [usize; 4]) {
+    fn str(b: &mut Vec<u8>, s: &str) {
+        b.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        b.extend_from_slice(s.as_bytes());
+    }
+    fn metas(b: &mut Vec<u8>, metas: &[SegmentMeta]) {
+        b.extend_from_slice(&(metas.len() as u32).to_le_bytes());
+        for m in metas {
+            b.extend_from_slice(&m.object.0.to_le_bytes());
+            b.extend_from_slice(&m.offset.to_le_bytes());
+            b.extend_from_slice(&m.bytes.to_le_bytes());
+            b.extend_from_slice(&m.events.to_le_bytes());
+            b.extend_from_slice(&m.min_time.as_us().to_le_bytes());
+            b.extend_from_slice(&m.max_time.as_us().to_le_bytes());
+            b.extend_from_slice(&m.checksum.to_le_bytes());
+        }
+    }
+    let mut b = 2u32.to_le_bytes().to_vec();
+    str(&mut b, workload);
+    b.extend_from_slice(&end_time.as_us().to_le_bytes());
+    let mut counts = [0; 4];
+    counts[0] = b.len();
+    metas(&mut b, mem);
+    counts[1] = b.len();
+    metas(&mut b, tsv);
+    counts[2] = b.len();
+    b.extend_from_slice(&(clocks.len() as u32).to_le_bytes());
+    for snap in clocks {
+        b.extend_from_slice(&(snap.len() as u32).to_le_bytes());
+        for (tid, val) in snap.iter() {
+            b.extend_from_slice(&tid.0.to_le_bytes());
+            b.extend_from_slice(&val.to_le_bytes());
+        }
+    }
+    counts[3] = b.len();
+    b.extend_from_slice(&(sites.len() as u32).to_le_bytes());
+    for (name, kind) in sites {
+        b.push(match kind {
+            AccessKind::Init => 0,
+            AccessKind::Use => 1,
+            AccessKind::Dispose => 2,
+            AccessKind::UnsafeApiCall => 3,
+        });
+        str(&mut b, name);
+    }
+    (b, counts)
+}
+
+/// [`spec_footer`] of a whole catalog.
+fn catalog_footer(cat: &SegmentCatalog) -> (Vec<u8>, [usize; 4]) {
+    let sites: Vec<_> = cat
+        .sites
+        .iter()
+        .map(|(_, i)| (i.name.as_str(), i.kind))
+        .collect();
+    spec_footer(
+        &cat.workload,
+        cat.end_time,
+        &cat.mem,
+        &cat.tsv,
+        &cat.clocks.snapshots()[1..],
+        &sites,
+    )
+}
+
+/// How a footer is damaged before its checksum and trailer are refixed.
+#[derive(Debug, Clone)]
+enum FooterMutation {
+    /// XOR one byte (position as a fraction of the footer) with a mask.
+    Flip { at: u64, mask: u8 },
+    /// Keep only a prefix (as a fraction of the footer).
+    Truncate { keep: u64 },
+    /// Append bytes.
+    Extend { tail: Vec<u8> },
+}
+
+fn footer_mutation() -> impl Strategy<Value = FooterMutation> {
+    let flip =
+        || (0u64..10_000, 1u8..=255).prop_map(|(at, mask)| FooterMutation::Flip { at, mask });
+    prop_oneof![
+        flip(),
+        flip(),
+        flip(),
+        (0u64..10_000).prop_map(|keep| FooterMutation::Truncate { keep }),
+        proptest::collection::vec(0u8..=255, 1..16)
+            .prop_map(|tail| FooterMutation::Extend { tail }),
+    ]
+}
+
 proptest! {
     /// write_segments → SegmentReader reproduces the in-memory index
     /// byte for byte: both column classes, the clock pool, and the
@@ -94,10 +222,8 @@ proptest! {
     }
 
     /// Flipping any single byte of the file is detected: open fails with
-    /// `InvalidData`, or some segment load fails, or — when the flip lands
-    /// in JSON the parser tolerates (e.g. an insignificant char of the
-    /// footer it would re-derive) — the columns still match. What never
-    /// happens is a clean read of *different* data.
+    /// `InvalidData`, or some segment load fails, or the columns still
+    /// match. What never happens is a clean read of *different* data.
     #[test]
     fn corruption_never_reads_back_differently(
         trace in trace_strategy(),
@@ -132,6 +258,151 @@ proptest! {
             }
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The footer decoder, reached past the checksum: the writer's footer
+    /// is exactly the documented layout, and a mutated footer is either
+    /// `InvalidData` or decodes to a catalog that re-encodes to exactly
+    /// the mutated bytes — nothing dropped, nothing invented. A truncated
+    /// or extended footer can only be rejected. Nothing panics, and a
+    /// catalog that opens still reads as data or `InvalidData`.
+    #[test]
+    fn mutated_footers_are_rejected_or_decoded_exactly(
+        trace in trace_strategy(),
+        mutations in proptest::collection::vec(footer_mutation(), 1..24),
+        tag in 0u64..u64::MAX,
+    ) {
+        let path = tmpfile(tag.wrapping_add(2));
+        TraceIndex::build(&trace).write_segments(&path).unwrap();
+        let file = std::fs::read(&path).unwrap();
+        let (body, footer) = split_footer(&file);
+        let original = SegmentReader::open(&path).unwrap();
+        prop_assert_eq!(&catalog_footer(original.catalog()).0[..], footer);
+
+        for mutation in mutations {
+            let mut mutated = footer.to_vec();
+            let resized = match &mutation {
+                FooterMutation::Flip { at, mask } => {
+                    let pos = ((mutated.len() as u64 - 1) * at / 10_000) as usize;
+                    mutated[pos] ^= mask;
+                    false
+                }
+                FooterMutation::Truncate { keep } => {
+                    mutated.truncate((mutated.len() as u64 * keep / 10_000) as usize);
+                    true
+                }
+                FooterMutation::Extend { tail } => {
+                    mutated.extend_from_slice(tail);
+                    true
+                }
+            };
+            std::fs::write(&path, with_footer(body, &mutated)).unwrap();
+            match SegmentReader::open(&path) {
+                Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{}", e),
+                Ok(mut reader) => {
+                    prop_assert!(!resized, "resized footer accepted: {:?}", mutation);
+                    prop_assert_eq!(&catalog_footer(reader.catalog()).0, &mutated);
+                    for class in [SegmentClass::MemOrder, SegmentClass::Tsv] {
+                        if let Err(e) = reader.read_class_columns(class) {
+                            prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                        }
+                    }
+                }
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// Opens `file` and returns its error, which must be `InvalidData`.
+fn open_invalid(tag: &str, file: &[u8]) -> std::io::Error {
+    let path =
+        std::env::temp_dir().join(format!("waffle-segprop-{tag}-{}.wseg", std::process::id()));
+    std::fs::write(&path, file).unwrap();
+    let err = SegmentReader::open(&path).unwrap_err();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{tag}: {err}");
+    err
+}
+
+/// A count of `u32::MAX` in any list of the footer — or as the workload
+/// string's length — is rejected against the bytes that remain, before
+/// anything is reserved.
+#[test]
+fn footer_count_of_u32_max_is_invalid_data() {
+    let snap = ClockSnapshot::from_entries([(ThreadId(1), 4)]);
+    let (footer, counts) = spec_footer(
+        "seg.counts",
+        SimTime::ZERO,
+        &[],
+        &[],
+        std::slice::from_ref(&snap),
+        &[("init", AccessKind::Init)],
+    );
+    let snap_entries = counts[2] + 4;
+    for at in [4, counts[0], counts[1], counts[2], snap_entries, counts[3]] {
+        let mut hostile = footer.clone();
+        hostile[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = open_invalid("count-max", &with_footer(b"WFLSEG00", &hostile));
+        let msg = err.to_string();
+        assert!(
+            msg.contains("exceeds") || msg.contains("truncated"),
+            "offset {at}: {msg}"
+        );
+    }
+}
+
+/// Clock snapshot entries must be in the one form the encoder emits:
+/// threads strictly ascending, values non-zero. Anything else would decode
+/// to a snapshot whose encoding differs from the bytes that were read.
+#[test]
+fn footer_non_canonical_clock_snapshot_is_invalid_data() {
+    let snap = ClockSnapshot::from_entries([(ThreadId(1), 4), (ThreadId(2), 5)]);
+    let (footer, counts) = spec_footer(
+        "seg.clocks",
+        SimTime::ZERO,
+        &[],
+        &[],
+        std::slice::from_ref(&snap),
+        &[],
+    );
+    let first_tid = counts[2] + 8;
+    let (second_tid, first_val) = (first_tid + 12, first_tid + 4);
+    let patches: [(usize, &[u8]); 3] = [
+        (second_tid, &1u32.to_le_bytes()),
+        (second_tid, &0u32.to_le_bytes()),
+        (first_val, &0u64.to_le_bytes()),
+    ];
+    for (at, bytes) in patches {
+        let mut hostile = footer.clone();
+        hostile[at..at + bytes.len()].copy_from_slice(bytes);
+        let err = open_invalid("clock-canon", &with_footer(b"WFLSEG00", &hostile));
+        assert!(
+            err.to_string().contains("non-canonical"),
+            "offset {at}: {err}"
+        );
+    }
+}
+
+/// A site name defined twice is rejected — with another kind, which
+/// `SiteRegistry::register` would panic on, and with the same kind, which
+/// it would silently merge and so shift every later site id.
+#[test]
+fn footer_site_defined_twice_is_invalid_data() {
+    for second in [AccessKind::Use, AccessKind::Init] {
+        let (footer, _) = spec_footer(
+            "seg.dup",
+            SimTime::ZERO,
+            &[],
+            &[],
+            &[],
+            &[("a", AccessKind::Init), ("a", second)],
+        );
+        let err = open_invalid("dup-site", &with_footer(b"WFLSEG00", &footer));
+        assert!(
+            err.to_string().contains("defined twice"),
+            "{second:?}: {err}"
+        );
     }
 }
 
