@@ -29,19 +29,25 @@
 //! Interference windows also cross seal boundaries, but the interference
 //! pass needs the final candidate set, so there is nothing to fold early:
 //! [`finish`](IncrementalAnalysis::finish) replays the session's
-//! **compacted** segment file through the same streaming pass
-//! [`crate::analyze_segments`] uses.
+//! **generation files** in seal order, one open at a time, into the
+//! interference pass, and carries the same δ-window tail across their
+//! boundaries. Only a fresh event records a delay-site execution, and only
+//! a pair whose later event is fresh records an observation, so each is
+//! recorded once. Nothing is merged first: within a session, site and
+//! clock ids are already global (the registry and pool only grow), and an
+//! object's rows across generations concatenate in time order.
 
+use std::borrow::BorrowMut;
 use std::collections::BTreeMap;
 use std::io;
 
 use waffle_mem::{AccessKind, ObjectId, SiteId};
 use waffle_sim::{SimTime, ThreadId};
-use waffle_trace::{ClassColumns, ClockId, ClockPool, SegmentReader};
+use waffle_trace::{ClassColumns, ClockId, ClockPool, SegmentClass, SegmentReader};
 
 use crate::analyzer::AnalyzerConfig;
-use crate::ooc::replay_interference;
-use crate::pipeline::{MemFold, TsvFold};
+use crate::ooc::for_each_batch;
+use crate::pipeline::{InterferencePass, MemFold, TsvFold};
 use crate::plan::Plan;
 use crate::tsv::TsvPlan;
 
@@ -121,34 +127,15 @@ fn combine(tails: &TailMap, fresh: &ClassColumns) -> (ClassColumns, Vec<u32>) {
     (cols, fresh_from)
 }
 
-/// Recomputes the tail map after a generation was absorbed: objects the
-/// generation touched keep the δ-window suffix of their *combined*
-/// segment; untouched tails are pruned against the new horizon.
-fn update_tails(tails: &mut TailMap, combined: &ClassColumns, horizon: SimTime, delta: SimTime) {
-    // An event can still pair with future (time ≥ horizon) events only
-    // while `horizon − t < δ`.
-    let expired = |t: SimTime| horizon.saturating_sub(t) >= delta;
-    tails.retain(|obj, tail| {
-        if combined.objects.binary_search(obj).is_ok() {
-            // Replaced below from the combined columns.
-            return true;
-        }
-        let keep_from = tail.times.partition_point(|&t| expired(t));
-        if keep_from == tail.len() {
-            return false;
-        }
-        tail.times.drain(..keep_from);
-        tail.threads.drain(..keep_from);
-        tail.sites.drain(..keep_from);
-        tail.kinds.drain(..keep_from);
-        tail.clocks.drain(..keep_from);
-        true
-    });
+/// Replaces the tails of the objects in `combined` with the δ-window
+/// suffix of their combined segments against `horizon`; an object with
+/// no event left in the window loses its tail.
+fn replace_tails(tails: &mut TailMap, combined: &ClassColumns, horizon: SimTime, delta: SimTime) {
     for k in 0..combined.object_count() {
         let obj = combined.objects[k];
         let r = combined.range(k);
         let seg = &combined.times[r.clone()];
-        let keep_from = r.start + seg.partition_point(|&t| expired(t));
+        let keep_from = r.start + seg.partition_point(|&t| expired(t, horizon, delta));
         if keep_from == r.end {
             tails.remove(&obj);
             continue;
@@ -164,6 +151,64 @@ fn update_tails(tails: &mut TailMap, combined: &ClassColumns, horizon: SimTime, 
             },
         );
     }
+}
+
+/// Prunes every tail to the events still within δ of `horizon`, dropping
+/// tails left empty. A tail [`replace_tails`] just cut at the same
+/// horizon is left as it is.
+fn prune_tails(tails: &mut TailMap, horizon: SimTime, delta: SimTime) {
+    tails.retain(|_, tail| {
+        let keep_from = tail.times.partition_point(|&t| expired(t, horizon, delta));
+        if keep_from == tail.len() {
+            return false;
+        }
+        tail.times.drain(..keep_from);
+        tail.threads.drain(..keep_from);
+        tail.sites.drain(..keep_from);
+        tail.kinds.drain(..keep_from);
+        tail.clocks.drain(..keep_from);
+        true
+    });
+}
+
+/// An event at `t` can still pair with a later event (time ≥ `horizon`)
+/// only while `horizon − t < δ`.
+fn expired(t: SimTime, horizon: SimTime, delta: SimTime) -> bool {
+    horizon.saturating_sub(t) >= delta
+}
+
+/// The interference replay: streams the MemOrder columns of `generations`,
+/// in seal order and one generation at a time, into `pass`, carrying the
+/// same per-object δ-window tail [`IncrementalAnalysis::absorb`] carries,
+/// so every window that crosses a seal boundary is walked once, in the
+/// generation where its later event lies.
+///
+/// Each generation streams in budget batches of disjoint object ranges.
+/// A batch replaces only its own objects' tails; the other tails are
+/// pruned once the whole generation has streamed, against the
+/// generation's latest MemOrder time (no later event predates it). An
+/// object in a later batch of the same generation may still pair with
+/// its old tail, so pruning per batch would lose windows.
+fn replay_generations<R: BorrowMut<SegmentReader>>(
+    generations: impl IntoIterator<Item = R>,
+    pass: &mut InterferencePass,
+    delta: SimTime,
+    resident_bytes: u64,
+) -> io::Result<()> {
+    let mut tails = TailMap::new();
+    for mut reader in generations {
+        let reader = reader.borrow_mut();
+        let Some(horizon) = reader.catalog().mem.iter().map(|m| m.max_time).max() else {
+            continue;
+        };
+        for_each_batch(reader, SegmentClass::MemOrder, resident_bytes, |cols, _| {
+            let (combined, fresh_from) = combine(&tails, cols);
+            pass.collect(&combined, Some(&fresh_from));
+            replace_tails(&mut tails, &combined, horizon, delta);
+        })?;
+        prune_tails(&mut tails, horizon, delta);
+    }
+    Ok(())
 }
 
 impl IncrementalAnalysis {
@@ -199,10 +244,12 @@ impl IncrementalAnalysis {
         let (combined, fresh_from) = combine(&self.mem_tails, mem);
         self.mem
             .absorb(&combined, pool, &self.config, Some(&fresh_from), jobs);
-        update_tails(&mut self.mem_tails, &combined, horizon, delta);
+        replace_tails(&mut self.mem_tails, &combined, horizon, delta);
+        prune_tails(&mut self.mem_tails, horizon, delta);
         let (combined, fresh_from) = combine(&self.tsv_tails, tsv);
         self.tsv.absorb(&combined, Some(&fresh_from), jobs);
-        update_tails(&mut self.tsv_tails, &combined, horizon, delta);
+        replace_tails(&mut self.tsv_tails, &combined, horizon, delta);
+        prune_tails(&mut self.tsv_tails, horizon, delta);
     }
 
     /// Sizes of the carried state (bounded by δ and site-pair diversity).
@@ -217,24 +264,32 @@ impl IncrementalAnalysis {
 
     /// Finalizes the fold into a detection [`Plan`] and [`TsvPlan`].
     ///
-    /// `compacted` is the session's compacted segment file (all
-    /// generations merged), which the interference pass streams under
-    /// `resident_bytes`; `None` (a session that never sealed an event)
-    /// yields an empty interference set, matching the batch path on an
-    /// empty trace.
-    pub fn finish(
+    /// `generations` are the session's sealed generation files, in seal
+    /// order; the interference pass replays them one at a time under
+    /// `resident_bytes`, so a lazy iterator keeps only one reader open.
+    /// A compacted file is a replay of one generation, and no generation
+    /// (a session that never sealed an event) yields an empty interference
+    /// set, matching the batch path on an empty trace.
+    pub fn finish<R: BorrowMut<SegmentReader>>(
         self,
         workload: &str,
-        compacted: Option<&mut SegmentReader>,
+        generations: impl IntoIterator<Item = R>,
         resident_bytes: u64,
     ) -> io::Result<(Plan, TsvPlan)> {
-        let plan = self
-            .mem
-            .finish(workload.to_string(), &self.config, |pass| match compacted {
-                Some(reader) => replay_interference(reader, pass, resident_bytes),
-                None => Ok(()),
-            })?;
-        Ok((plan, self.tsv.finish(workload.to_string())))
+        let Self {
+            config,
+            mem,
+            tsv,
+            mem_tails,
+            tsv_tails,
+        } = self;
+        // The absorb tails are done with; free them before the replay
+        // grows its own.
+        drop((mem_tails, tsv_tails));
+        let plan = mem.finish(workload.to_string(), &config, |pass| {
+            replay_generations(generations, pass, config.delta, resident_bytes)
+        })?;
+        Ok((plan, tsv.finish(workload.to_string())))
     }
 }
 
@@ -291,56 +346,176 @@ mod tests {
         (sites, clocks, events)
     }
 
+    /// Seals each of `parts` (consecutive slices of `trace.events`) as
+    /// one generation file under `dir`, absorbing each as it seals;
+    /// returns the fold and the generation paths in seal order.
+    fn seal_parts(
+        trace: &Trace,
+        parts: &[&[TraceEvent]],
+        dir: &std::path::Path,
+        config: AnalyzerConfig,
+        window: SimTime,
+        jobs: usize,
+    ) -> (IncrementalAnalysis, Vec<std::path::PathBuf>) {
+        let mut b = SessionIndexBuilder::new(trace.workload.clone());
+        b.add_sites(
+            &trace
+                .sites
+                .iter()
+                .map(|(_, info)| (info.name.clone(), info.kind))
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
+        b.add_clocks(trace.clocks.snapshots()[1..].to_vec()).unwrap();
+        let mut inc = IncrementalAnalysis::new(config, window);
+        let mut paths = Vec::new();
+        for (g, events) in parts.iter().enumerate() {
+            b.push_batch(events.to_vec()).unwrap();
+            let path = dir.join(format!("gen-{}-{jobs}-{g}.wseg", parts.len()));
+            let out = b.seal(&path).unwrap();
+            inc.absorb(&out.mem, &out.tsv, b.clocks(), b.last_time(), jobs);
+            paths.push(path);
+        }
+        (inc, paths)
+    }
+
+    fn open_all(paths: &[std::path::PathBuf]) -> impl Iterator<Item = SegmentReader> + '_ {
+        paths.iter().map(|p| SegmentReader::open(p).unwrap())
+    }
+
     #[test]
     fn chunked_absorbs_match_the_batch_sweep() {
         let (sites, clocks, events) = stream_events();
         let trace = Trace {
             workload: "inc.test".into(),
-            sites: sites.clone(),
-            events: events.clone(),
+            sites,
+            events,
             forks: vec![],
-            clocks: clocks.clone(),
+            clocks,
             end_time: SimTime::from_us(100_000),
         };
-        let config = AnalyzerConfig::default().without_interference_control();
         let w = SimTime::from_ms(1);
-        let reference = analyze_jobs(&trace, &config, 1).to_json().unwrap();
-        let tsv_reference = analyze_tsv_indexed(&TraceIndex::build(&trace), config.delta, w, 1)
-            .to_json()
-            .unwrap();
-
         let dir = std::env::temp_dir().join(format!("waffle-inc-unit-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for chunk_size in [1, 3, 4, 12] {
-            for jobs in [1, 2, 8] {
-                let mut b = SessionIndexBuilder::new("inc.test");
-                b.add_sites(
-                    &sites
-                        .iter()
-                        .map(|(_, info)| (info.name.clone(), info.kind))
-                        .collect::<Vec<_>>(),
-                )
-                .unwrap();
-                b.add_clocks(clocks.snapshots()[1..].to_vec()).unwrap();
-                let mut inc = IncrementalAnalysis::new(config, w);
-                for (g, chunk) in events.chunks(chunk_size).enumerate() {
-                    b.push_batch(chunk.to_vec()).unwrap();
-                    let path = dir.join(format!("gen-{chunk_size}-{jobs}-{g}.wseg"));
-                    let out = b.seal(&path).unwrap();
-                    inc.absorb(&out.mem, &out.tsv, b.clocks(), b.last_time(), jobs);
-                    let _ = std::fs::remove_file(&path);
+        for config in [
+            AnalyzerConfig::default(),
+            AnalyzerConfig::default().without_interference_control(),
+        ] {
+            let reference = analyze_jobs(&trace, &config, 1).to_json().unwrap();
+            let tsv_reference =
+                analyze_tsv_indexed(&TraceIndex::build(&trace), config.delta, w, 1)
+                    .to_json()
+                    .unwrap();
+            for chunk_size in [1, 3, 4, 12] {
+                for jobs in [1, 2, 8] {
+                    let parts: Vec<_> = trace.events.chunks(chunk_size).collect();
+                    let (inc, paths) = seal_parts(&trace, &parts, &dir, config, w, jobs);
+                    let (plan, tsv) = inc.finish("inc.test", open_all(&paths), 1).unwrap();
+                    assert_eq!(
+                        plan.to_json().unwrap(),
+                        reference,
+                        "plan drifted (chunk={chunk_size}, jobs={jobs})"
+                    );
+                    assert_eq!(
+                        tsv.to_json().unwrap(),
+                        tsv_reference,
+                        "tsv drifted (chunk={chunk_size}, jobs={jobs})"
+                    );
+                    for p in &paths {
+                        let _ = std::fs::remove_file(p);
+                    }
                 }
-                let (plan, tsv) = inc.finish("inc.test", None, u64::MAX).unwrap();
-                assert_eq!(
-                    plan.to_json().unwrap(),
-                    reference,
-                    "plan drifted (chunk={chunk_size}, jobs={jobs})"
-                );
-                assert_eq!(
-                    tsv.to_json().unwrap(),
-                    tsv_reference,
-                    "tsv drifted (chunk={chunk_size}, jobs={jobs})"
-                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// δ windows cut by every seal boundary of a stream whose events share
+    /// one timestamp on both sides of each cut: replaying the generations
+    /// records exactly the observations and delay-site executions of one
+    /// pass over the whole trace — none lost, none recorded twice — at a
+    /// one-byte budget (one object per batch) and an unbounded one.
+    #[test]
+    fn windows_cut_at_a_seal_boundary_replay_exactly_once() {
+        let mut sites = SiteRegistry::new();
+        let mut clocks = ClockPool::new();
+        let mut events = Vec::new();
+        let mut ev = |t: u64, thread: u32, site: &str, obj: u32, kind| {
+            let site = sites.register(site, kind);
+            let clock = clocks.intern(ClockSnapshot::from_entries([(ThreadId(thread), t)]));
+            events.push(TraceEvent {
+                time: SimTime::from_us(t),
+                thread: ThreadId(thread),
+                site,
+                obj: ObjectId(obj),
+                kind,
+                dyn_index: 0,
+                clock,
+            });
+        };
+        // Three objects whose windows all open at t = 1000, interleaved so
+        // a cut anywhere splits some window; `x.init` runs on both threads
+        // on both sides, so it is an interferer of every observation.
+        ev(1_000, 0, "a.init", 0, AccessKind::Init);
+        ev(1_000, 1, "b.init", 1, AccessKind::Init);
+        ev(1_000, 1, "x.init", 2, AccessKind::Init);
+        ev(1_000, 1, "a.use", 0, AccessKind::Use);
+        ev(1_000, 0, "b.use", 1, AccessKind::Use);
+        ev(1_000, 0, "x.use", 2, AccessKind::Use);
+        ev(1_000, 0, "x.init", 2, AccessKind::Init);
+        ev(1_000, 1, "x.use", 2, AccessKind::Use);
+        // Inside δ = 50µs of t = 1000, then on the window's edge (out).
+        ev(1_049, 1, "a.use", 0, AccessKind::Use);
+        ev(1_049, 0, "b.use", 1, AccessKind::Use);
+        ev(1_050, 1, "a.use", 0, AccessKind::Use);
+        ev(1_050, 1, "x.init", 2, AccessKind::Init);
+        ev(1_060, 0, "x.use", 2, AccessKind::Use);
+        let trace = Trace {
+            workload: "inc.cut".into(),
+            sites,
+            events,
+            forks: vec![],
+            clocks,
+            end_time: SimTime::from_us(2_000),
+        };
+        let config = AnalyzerConfig {
+            delta: SimTime::from_us(50),
+            ..AnalyzerConfig::default()
+        }
+        .without_parent_child();
+        let w = SimTime::from_ms(1);
+        let reference = analyze_jobs(&trace, &config, 1);
+        assert!(
+            !reference.interference.is_empty(),
+            "the stream must produce interference or the test is vacuous"
+        );
+        let mut whole = InterferencePass::new(&reference.candidates, config.delta);
+        whole.collect(&TraceIndex::build(&trace).mem, None);
+        let recorded = whole.recorded();
+        let candidates = reference.candidates.clone();
+        let reference = reference.to_json().unwrap();
+
+        let dir = std::env::temp_dir().join(format!("waffle-inc-cut-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let n = trace.events.len();
+        // Two generations cut after `cut` events, and `cut`-sized chunks.
+        for cut in 1..n {
+            let halves = [&trace.events[..cut], &trace.events[cut..]];
+            let chunks: Vec<_> = trace.events.chunks(cut).collect();
+            for parts in [&halves[..], &chunks[..]] {
+                for budget in [u64::MAX, 1] {
+                    let (inc, paths) = seal_parts(&trace, parts, &dir, config, w, 1);
+                    let mut pass = InterferencePass::new(&candidates, config.delta);
+                    replay_generations(open_all(&paths), &mut pass, config.delta, budget)
+                        .unwrap();
+                    let what = format!("cut={cut}, generations={}, budget={budget}", parts.len());
+                    assert_eq!(pass.recorded(), recorded, "{what}");
+                    let (plan, _) = inc.finish("inc.cut", open_all(&paths), budget).unwrap();
+                    assert_eq!(plan.to_json().unwrap(), reference, "{what}");
+                    for p in &paths {
+                        let _ = std::fs::remove_file(p);
+                    }
+                }
             }
         }
         let _ = std::fs::remove_dir_all(&dir);

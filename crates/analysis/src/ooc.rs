@@ -75,7 +75,7 @@ fn segment_sizes(reader: &SegmentReader, class: SegmentClass) -> Vec<u64> {
 
 /// Streams `class` through `f` one budget batch at a time, handing it the
 /// batch's columns and the resident clock pool.
-fn for_each_batch(
+pub(crate) fn for_each_batch(
     reader: &mut SegmentReader,
     class: SegmentClass,
     resident_bytes: u64,
@@ -113,19 +113,20 @@ pub fn analyze_segments(
     })
 }
 
-/// The streaming interference pass: replays the MemOrder segment stream
-/// under the resident budget into `pass`. Shared by [`analyze_segments`]
-/// and the incremental finish
-/// ([`crate::incremental::IncrementalAnalysis::finish`]) — interference
-/// windows cross seal boundaries, so the incremental path compacts its
-/// generations first and replays the compacted file.
-pub(crate) fn replay_interference(
+/// The streaming interference pass of [`analyze_segments`]: replays the
+/// file's MemOrder segment stream under the resident budget into `pass`.
+/// Each object has one segment in such a file, so every δ window lies
+/// inside one batch. The incremental finish
+/// ([`crate::IncrementalAnalysis::finish`]) instead replays a session's
+/// generation files in seal order, where an object has a segment per
+/// generation, and carries a δ-window tail across them.
+fn replay_interference(
     reader: &mut SegmentReader,
     pass: &mut InterferencePass,
     resident_bytes: u64,
 ) -> io::Result<()> {
     for_each_batch(reader, SegmentClass::MemOrder, resident_bytes, |cols, _| {
-        pass.collect(cols)
+        pass.collect(cols, None)
     })
 }
 

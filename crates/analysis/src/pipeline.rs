@@ -405,9 +405,16 @@ impl InterferencePass {
     /// `(τ1, τ2, thread-of-ℓ2)` — the same cross-thread, kind-matched pairs
     /// the sweep examined, including clock-ordered ones (the reference
     /// interference scan does not prune by clock).
-    pub(crate) fn collect(&mut self, cols: &ClassColumns) {
+    ///
+    /// `fresh_from` has the [`MemFold::absorb`] contract: only a fresh
+    /// event records a delay-site execution, and only a pair whose later
+    /// event is fresh records an observation, so a replay that carries a
+    /// δ-window tail across batches records each execution and each
+    /// observation exactly once.
+    pub(crate) fn collect(&mut self, cols: &ClassColumns, fresh_from: Option<&[u32]>) {
         for k in 0..cols.object_count() {
             let r = cols.range(k);
+            let fresh = fresh_from.map_or(r.start, |f| r.start + f[k] as usize);
             let mut j_hi = r.start;
             for i in r.clone() {
                 if j_hi < i + 1 {
@@ -422,15 +429,17 @@ impl InterferencePass {
                 let Some(rank) = self.ranks.rank(cols.sites[i]) else {
                     continue;
                 };
-                let slot = self
-                    .threads
-                    .get_or_insert(cols.threads[i].0, self.execs.len() as u32);
-                if slot as usize == self.execs.len() {
-                    self.execs.push(Vec::new());
+                if i >= fresh {
+                    let slot = self
+                        .threads
+                        .get_or_insert(cols.threads[i].0, self.execs.len() as u32);
+                    if slot as usize == self.execs.len() {
+                        self.execs.push(Vec::new());
+                    }
+                    self.execs[slot as usize].push((cols.times[i], rank as u32));
                 }
-                self.execs[slot as usize].push((cols.times[i], rank as u32));
                 let partners = &self.partners[self.key_lo[rank]..self.key_lo[rank + 1]];
-                for j in (i + 1)..j_hi {
+                for j in (i + 1).max(fresh)..j_hi {
                     if cols.threads[j] == cols.threads[i] {
                         continue;
                     }
@@ -446,6 +455,15 @@ impl InterferencePass {
                 }
             }
         }
+    }
+
+    /// `(observations, delay-site executions)` collected so far.
+    #[cfg(test)]
+    pub(crate) fn recorded(&self) -> (usize, usize) {
+        (
+            self.obs.iter().map(Vec::len).sum(),
+            self.execs.iter().map(Vec::len).sum(),
+        )
     }
 
     /// Resolves the interference set from the collected observations: for
@@ -664,7 +682,7 @@ pub fn analyze_indexed(index: &TraceIndex<'_>, config: &AnalyzerConfig, jobs: us
     let mut fold = MemFold::default();
     fold.absorb(&index.mem, &index.trace.clocks, config, None, jobs);
     let Ok(plan) = fold.finish(index.trace.workload.clone(), config, |pass| {
-        pass.collect(&index.mem);
+        pass.collect(&index.mem, None);
         Ok::<(), Infallible>(())
     });
     plan
@@ -884,7 +902,7 @@ mod tests {
         }
         let index = TraceIndex::build(&trace);
         let mut pass = InterferencePass::new(&candidates, delta);
-        pass.collect(&index.mem);
+        pass.collect(&index.mem, None);
         let got = pass.resolve();
 
         let mut expected = InterferenceSet::new();

@@ -11,7 +11,7 @@ use waffle_analysis::{
 use waffle_mem::{AccessKind, ObjectId, SiteId, SiteRegistry};
 use waffle_sim::{SimTime, ThreadId};
 use waffle_trace::{
-    compact_segments, ClockPool, SegmentReader, SessionIndexBuilder, Trace, TraceEvent, TraceIndex,
+    ClockPool, SegmentReader, SessionIndexBuilder, Trace, TraceEvent, TraceIndex,
 };
 use waffle_vclock::ClockSnapshot;
 
@@ -361,8 +361,8 @@ fn scratch_path(tag: &str) -> std::path::PathBuf {
 
 /// Streams `trace` through a serve-style session: seals every `seal`
 /// events into a generation, absorbs each into an [`IncrementalAnalysis`]
-/// at `jobs`, compacts the generations and finishes the fold over the
-/// compacted file under a one-byte budget. Returns the plan and TSV JSON.
+/// at `jobs`, and finishes the fold by replaying the generation files in
+/// seal order under a one-byte budget. Returns the plan and TSV JSON.
 fn incremental_json(
     trace: &Trace,
     config: &AnalyzerConfig,
@@ -391,16 +391,8 @@ fn incremental_json(
         inc.absorb(&out.mem, &out.tsv, b.clocks(), b.last_time(), jobs);
         generations.push(path);
     }
-    let (plan, tsv) = if generations.is_empty() {
-        inc.finish(&trace.workload, None, 1).unwrap()
-    } else {
-        let compacted = scratch_path("compacted");
-        compact_segments(&generations, &compacted).unwrap();
-        let mut reader = SegmentReader::open(&compacted).unwrap();
-        let done = inc.finish(&trace.workload, Some(&mut reader), 1).unwrap();
-        generations.push(compacted);
-        done
-    };
+    let readers = generations.iter().map(|p| SegmentReader::open(p).unwrap());
+    let (plan, tsv) = inc.finish(&trace.workload, readers, 1).unwrap();
     for p in &generations {
         let _ = std::fs::remove_file(p);
     }

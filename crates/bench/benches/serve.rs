@@ -6,10 +6,11 @@
 //! are encoded and decoded through the real wire codec, pushed through a
 //! [`SessionIndexBuilder`], sealed into generation segment files at a
 //! fixed threshold, folded into an [`IncrementalAnalysis`] as each
-//! generation seals, and finished through compaction plus the streaming
-//! interference pass — exactly the per-session work `waffle serve` does,
-//! minus kernel socket copies (which a loopback Unix socket on a 1-core
-//! box would measure instead of the engine).
+//! generation seals, and finished by replaying the generation files, one
+//! open at a time, through the streaming interference pass — exactly the
+//! per-session work `waffle serve` does, minus kernel socket copies
+//! (which a loopback Unix socket on a 1-core box would measure instead of
+//! the engine).
 //!
 //! The stream shape mirrors the `scale` bench: 4096 objects round-robined
 //! over four threads, per-object site trios, heavily-reused interned chain
@@ -37,7 +38,7 @@ use waffle_core::session_report_json;
 use waffle_mem::{AccessKind, ObjectId, SiteId, SiteRegistry};
 use waffle_sim::{SimTime, ThreadId};
 use waffle_trace::{
-    compact_segments, encode_frame, read_frame, ClockId, ClockPool, Frame, SegmentReader,
+    encode_frame, read_frame, ClockId, ClockPool, Frame, SegmentReader,
     SessionIndexBuilder, Trace, TraceEvent, TraceIndex,
 };
 use waffle_vclock::ClockSnapshot;
@@ -210,7 +211,8 @@ fn roundtrip(frame: &Frame) -> Frame {
 struct StreamRun {
     /// Wall seconds of the streaming loop (decode, push, seal, absorb).
     ingest_secs: f64,
-    /// Wall seconds including compaction, interference, and the report.
+    /// Wall seconds including the generation replay, interference, and
+    /// the report.
     total_secs: f64,
     /// The finished session report JSON.
     report: String,
@@ -283,11 +285,11 @@ fn streamed_session(src: &EventSource, n: u64, scratch: &Path, tag: &str) -> Str
     let ingest_peak = alloc_counter::peak();
     let ingest_secs = t0.elapsed().as_secs_f64();
 
-    let compacted = dir.join("session.wseg");
-    compact_segments(&generations, &compacted).expect("generations compact");
-    let mut reader = SegmentReader::open(&compacted).expect("compacted opens");
+    let readers = generations
+        .iter()
+        .map(|p| SegmentReader::open(p).expect("generation opens"));
     let (plan, tsv) = inc
-        .finish(b.workload(), Some(&mut reader), FINISH_BUDGET)
+        .finish(b.workload(), readers, FINISH_BUDGET)
         .expect("incremental finish");
     let report = session_report_json(&plan, &tsv).expect("report serializes");
     let total_secs = t0.elapsed().as_secs_f64();

@@ -8,8 +8,8 @@
 //! generation segment files, folding every sealed generation into a
 //! running [`IncrementalAnalysis`], and answering the session's Finish
 //! frame with the same report a one-shot `waffle analyze` would produce
-//! over the concatenated trace (byte-identity pinned by
-//! `tests/serve_equivalence.rs`).
+//! over the concatenated trace (byte-identity pinned by `tests/serve.rs`
+//! and `tests/analysis_equivalence.rs`).
 //!
 //! # Session lifecycle
 //!
@@ -27,12 +27,20 @@
 //!   [`ServeOptions::seal_events`] accepted events, and absorbs the fresh
 //!   columns into the session's incremental fold.
 //!
-//! On Finish the worker seals the remainder, compacts the generation
-//! files into one canonical segment file
-//! ([`waffle_trace::compact_segments`]), finalizes the fold (the
-//! interference pass streams from the compacted file — its windows cross
-//! seal boundaries), writes the report atomically next to the segment
-//! file, and sends it back as a Report frame.
+//! On Finish the worker seals the remainder, finalizes the fold (the
+//! interference pass replays the sealed generation files in seal order,
+//! one open at a time, carrying a δ-window tail across their boundaries),
+//! writes the report atomically next to the session's generation
+//! directory, and sends it back as a Report frame. The two stages are
+//! timed as `ingest/finish_seal` and `ingest/finish_replay`.
+//!
+//! # Session artifacts
+//!
+//! Each session leaves `session-N.gen/gen-0.wseg`, `gen-1.wseg`, … (the
+//! generations in seal order) and `session-N.report.json` under
+//! [`ServeOptions::dir`]. Replaying the generations through
+//! [`IncrementalAnalysis::absorb`] and
+//! [`IncrementalAnalysis::finish`] reproduces the report offline.
 //!
 //! # Backpressure
 //!
@@ -60,15 +68,14 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
+use std::time::Instant;
 
 use waffle_analysis::{
     IncrementalAnalysis, Plan, TsvPlan, DEFAULT_RESIDENT_BYTES,
 };
 use waffle_sim::time::ms;
 use waffle_telemetry::MetricsRegistry;
-use waffle_trace::{
-    compact_segments, read_frame, write_frame, Frame, SegmentReader, SessionIndexBuilder, Trace,
-};
+use waffle_trace::{read_frame, write_frame, Frame, SegmentReader, SessionIndexBuilder, Trace};
 
 use crate::storage::write_atomic;
 
@@ -131,7 +138,9 @@ pub struct ServeReport {
     /// Ingest counters and queue-depth histograms: `ingest/events`,
     /// `ingest/sessions`, `ingest/sealed_segments`, `ingest/shed_batches`,
     /// `ingest/shed_events`, `ingest/failed_sessions`,
-    /// `ingest/queue_depth` (histogram).
+    /// `ingest/queue_depth` (histogram), and the Finish stage timings
+    /// `ingest/finish_seal` and `ingest/finish_replay` (µs histograms with
+    /// `/count` and `/total_us` counters).
     pub metrics: MetricsRegistry,
 }
 
@@ -310,6 +319,12 @@ fn metric(metrics: &SharedMetrics, f: impl FnOnce(&mut MetricsRegistry)) {
     f(&mut metrics.lock().expect("metrics poisoned"));
 }
 
+/// Records the wall time since `started` as one `name` observation.
+fn observe_since(metrics: &SharedMetrics, name: &str, started: Instant) {
+    let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+    metric(metrics, |m| m.observe_us(name, us));
+}
+
 /// The reader half of one session: socket frames into the queue until
 /// Finish, EOF, or a decode error (which is forwarded to the worker).
 fn read_into_queue(
@@ -380,6 +395,9 @@ fn drain_session(
                     generations: &mut Vec<PathBuf>|
      -> io::Result<()> {
         if generations.is_empty() {
+            // A directory left by an earlier server run under the same
+            // session id would mix stale generations into this one.
+            let _ = fs::remove_dir_all(&gen_dir);
             fs::create_dir_all(&gen_dir)?;
         }
         let path = gen_dir.join(format!("gen-{}.wseg", b.generations()));
@@ -434,16 +452,25 @@ fn drain_session(
                 let mut fold = fold.take().expect("fold exists with builder");
                 b.declare_end_time(end_time);
                 // Seal the remainder — and always at least once, so even
-                // an event-free session compacts to a valid empty file.
+                // an event-free session leaves a valid generation file.
+                let started = Instant::now();
                 if b.pending_events() > 0 || generations.is_empty() {
                     seal(&mut b, &mut fold, &mut generations)?;
                 }
-                let compacted = opts.dir.join(format!("session-{id}.wseg"));
-                compact_segments(&generations, &compacted)?;
-                let _ = fs::remove_dir_all(&gen_dir);
-                let mut reader = SegmentReader::open(&compacted)?;
-                let (plan, tsv) =
-                    fold.finish(b.workload(), Some(&mut reader), opts.resident_bytes)?;
+                observe_since(metrics, "ingest/finish_seal", started);
+                // Opened lazily, so only one generation's footer catalog
+                // is resident at a time; the first open error ends the
+                // replay and fails the session.
+                let started = Instant::now();
+                let mut open_err = None;
+                let readers = generations.iter().map_while(|path| {
+                    SegmentReader::open(path).map_err(|e| open_err = Some(e)).ok()
+                });
+                let (plan, tsv) = fold.finish(b.workload(), readers, opts.resident_bytes)?;
+                if let Some(e) = open_err {
+                    return Err(e);
+                }
+                observe_since(metrics, "ingest/finish_replay", started);
                 // Any shed Events frame for this session was enqueued (or
                 // dropped) before its Finish, so the totals are complete
                 // by the time Finish reaches the worker.

@@ -1,7 +1,7 @@
 //! Segment compaction: merge seal generations into one canonical file.
 //!
 //! Streaming ingest seals a session's pending events into a fresh segment
-//! file per generation (`gen-0000.wseg`, `gen-0001.wseg`, …). Each
+//! file per generation (`gen-0.wseg`, `gen-1.wseg`, …). Each
 //! generation is internally canonical — per-object, time-sorted, ascending
 //! object order — but an object active across the whole session ends up
 //! with one segment *per generation*, and every generation carries its own
@@ -25,6 +25,15 @@
 //!
 //! Memory is bounded by one object's rows across all inputs plus the
 //! merged catalog — never by the total event count.
+//!
+//! `waffle serve` no longer compacts: its Finish replays the generations
+//! themselves, carrying a δ-window tail across their boundaries
+//! (`IncrementalAnalysis::finish` in `waffle-analysis`), and keeps them as
+//! the session artifact. Compaction stays for merging a session's
+//! generations into one file offline, which `analyze_segments` then
+//! streams as a single trace (`tests/analysis_equivalence.rs` pins that
+//! plan), and the serve-stream benchmark's traced replay still times it
+//! as a layer.
 
 use std::collections::BTreeMap;
 use std::io;

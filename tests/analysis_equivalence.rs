@@ -306,12 +306,12 @@ fn out_of_core_tsv_plan_is_byte_identical_at_every_budget_and_job_count() {
 
 /// The serve-side path: events streamed through a [`SessionIndexBuilder`]
 /// in four chunks (three seal boundaries), each sealed generation folded
-/// into an [`IncrementalAnalysis`], the generations compacted into one
-/// canonical file, and the fold finished with the interference pass
-/// streaming from that file. Byte-identical to a one-shot batch analysis
-/// of the whole trace — candidates, stats, interference, TSV — at every
-/// job count, and the compacted file itself must analyze identically to a
-/// one-shot segment file.
+/// into an [`IncrementalAnalysis`], and the fold finished with the
+/// interference pass replaying the generation files in seal order, at an
+/// unbounded and a one-byte resident budget. Byte-identical to a one-shot
+/// batch analysis of the whole trace — candidates, stats, interference,
+/// TSV — at every job count. The generations compacted into one file must
+/// also analyze identically through the batch out-of-core path.
 #[test]
 fn incremental_serve_side_analysis_is_byte_identical_across_seal_boundaries() {
     use waffle_repro::analysis::IncrementalAnalysis;
@@ -346,13 +346,17 @@ fn incremental_serve_side_analysis_is_byte_identical_across_seal_boundaries() {
                 b.add_clocks(snaps[1..].to_vec()).expect("clock pool streams");
             }
             b.declare_end_time(trace.end_time);
-            let mut inc = IncrementalAnalysis::new(config, window);
+            // One fold per budget, fed the same generations.
+            let mut folds =
+                [u64::MAX, 1].map(|budget| (budget, IncrementalAnalysis::new(config, window)));
             let mut generations = Vec::new();
             for (g, events) in trace.events.chunks(chunk).enumerate() {
                 b.push_batch(events.to_vec()).expect("stream is time-ordered");
                 let path = dir.join(format!("bug-{}-j{jobs}-gen{g}.wseg", spec.id));
                 let out = b.seal(&path).expect("generation seals");
-                inc.absorb(&out.mem, &out.tsv, b.clocks(), b.last_time(), jobs);
+                for (_, inc) in &mut folds {
+                    inc.absorb(&out.mem, &out.tsv, b.clocks(), b.last_time(), jobs);
+                }
                 generations.push(path);
             }
             assert!(
@@ -361,27 +365,31 @@ fn incremental_serve_side_analysis_is_byte_identical_across_seal_boundaries() {
                 spec.id,
                 generations.len()
             );
+            for (budget, inc) in folds {
+                let readers = generations
+                    .iter()
+                    .map(|p| SegmentReader::open(p).expect("generation opens"));
+                let (plan, tsv) = inc
+                    .finish(&trace.workload, readers, budget)
+                    .expect("incremental finish");
+                assert_eq!(
+                    plan.to_json().expect("plan serializes"),
+                    plan_ref,
+                    "Bug-{}: incremental plan diverged at jobs={jobs}, budget={budget}",
+                    spec.id
+                );
+                assert_eq!(
+                    tsv.to_json().expect("plan serializes"),
+                    tsv_ref,
+                    "Bug-{}: incremental TSV plan diverged at jobs={jobs}, budget={budget}",
+                    spec.id
+                );
+            }
+            // The compacted file is a full-fidelity segment stream: the
+            // batch out-of-core path over it must agree too.
             let compacted = dir.join(format!("bug-{}-j{jobs}.wseg", spec.id));
             compact_segments(&generations, &compacted).expect("generations compact");
             let mut reader = SegmentReader::open(&compacted).expect("compacted opens");
-            let (plan, tsv) = inc
-                .finish(&trace.workload, Some(&mut reader), u64::MAX)
-                .expect("incremental finish");
-            assert_eq!(
-                plan.to_json().expect("plan serializes"),
-                plan_ref,
-                "Bug-{}: incremental plan diverged at jobs={jobs}",
-                spec.id
-            );
-            assert_eq!(
-                tsv.to_json().expect("plan serializes"),
-                tsv_ref,
-                "Bug-{}: incremental TSV plan diverged at jobs={jobs}",
-                spec.id
-            );
-            // The compacted file is a full-fidelity segment stream: the
-            // batch out-of-core path over it must agree too.
-            let mut reader = SegmentReader::open(&compacted).expect("compacted reopens");
             let ooc = analyze_segments(&mut reader, &config, jobs, u64::MAX)
                 .expect("out-of-core analysis of compacted file")
                 .to_json()

@@ -3,15 +3,17 @@
 //! queue bound small enough that backpressure actually engages — the
 //! streamed reports must still be byte-identical to the batch path.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use waffle_repro::analysis::{analyze_jobs, analyze_tsv_indexed, AnalyzerConfig};
+use waffle_repro::analysis::{
+    analyze_jobs, analyze_tsv_indexed, AnalyzerConfig, IncrementalAnalysis, DEFAULT_RESIDENT_BYTES,
+};
 use waffle_repro::apps::all_bugs;
 use waffle_repro::core::{replay_trace, serve, session_report_json, QueuePolicy, ServeOptions};
 use waffle_repro::sim::{time::ms, SimConfig, Simulator, Workload};
-use waffle_repro::trace::{Trace, TraceIndex, TraceRecorder};
+use waffle_repro::trace::{SegmentClass, SegmentReader, Trace, TraceIndex, TraceRecorder};
 
 fn workload_for(id: u32) -> Workload {
     waffle_repro::apps::all_apps()
@@ -63,7 +65,7 @@ fn concurrent_streamed_sessions_match_the_batch_reports() {
     let total_events: u64 = traces.iter().map(|t| t.events.len() as u64).sum();
 
     let mut opts = ServeOptions::new(&socket, &dir);
-    opts.seal_events = 64; // many generations per session
+    opts.seal_events = 4; // many generations per session
     opts.queue_events = 128; // small enough that Block backpressure engages
     opts.jobs = 2;
     opts.max_sessions = Some(traces.len());
@@ -74,8 +76,9 @@ fn concurrent_streamed_sessions_match_the_batch_reports() {
         .into_iter()
         .map(|trace| {
             let socket = socket.clone();
-            // Small batches keep both sessions interleaved on the socket.
-            thread::spawn(move || replay_trace(&socket, &trace, 33).expect("session accepted"))
+            // Small batches keep both sessions interleaved on the socket
+            // and seal the ~15-event traces into several generations.
+            thread::spawn(move || replay_trace(&socket, &trace, 4).expect("session accepted"))
         })
         .collect();
     let got: Vec<String> = clients
@@ -99,15 +102,67 @@ fn concurrent_streamed_sessions_match_the_batch_reports() {
         "each session seals at least once"
     );
     assert_eq!(report.metrics.counter("ingest/failed_sessions"), 0);
-    // Per-session artifacts landed on disk: a compacted segment file and
-    // the report, for each session.
+    // Finish explains where its time went: one observation per session
+    // of each stage.
+    for stage in ["ingest/finish_seal", "ingest/finish_replay"] {
+        assert_eq!(report.metrics.counter(&format!("{stage}/count")), 2, "{stage}");
+        assert!(report.metrics.histogram(stage).is_some(), "{stage} histogram");
+    }
+    // Per-session artifacts landed on disk: the sealed generations and
+    // the report. Re-analyzing the generations offline reproduces the
+    // saved report byte for byte.
     for id in 1..=2u64 {
-        assert!(dir.join(format!("session-{id}.wseg")).exists());
         let saved =
             std::fs::read_to_string(dir.join(format!("session-{id}.report.json"))).unwrap();
         assert!(expected.contains(&saved), "saved report matches a batch report");
+        let generations = generation_files(&dir.join(format!("session-{id}.gen")));
+        assert!(generations.len() >= 2, "session {id} kept its generations");
+        assert_eq!(reanalyze(&generations), saved, "session {id}");
     }
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// A session's `gen-N.wseg` files, in seal order.
+fn generation_files(gen_dir: &Path) -> Vec<PathBuf> {
+    let mut numbered: Vec<(u32, PathBuf)> = std::fs::read_dir(gen_dir)
+        .expect("generation directory kept")
+        .map(|entry| entry.expect("directory entry").path())
+        .map(|path| {
+            let n = path
+                .file_name()
+                .and_then(|name| name.to_str())
+                .and_then(|name| name.strip_prefix("gen-")?.strip_suffix(".wseg")?.parse().ok())
+                .unwrap_or_else(|| panic!("unexpected artifact {path:?}"));
+            (n, path)
+        })
+        .collect();
+    numbered.sort();
+    numbered.into_iter().map(|(_, path)| path).collect()
+}
+
+/// Replays a session's generation files through the public incremental
+/// calls, as the server did, and renders the session report.
+fn reanalyze(generations: &[PathBuf]) -> String {
+    let mut fold = IncrementalAnalysis::new(AnalyzerConfig::default(), ms(1));
+    let mut workload = String::new();
+    for path in generations {
+        let mut reader = SegmentReader::open(path).expect("generation opens");
+        let mem = reader.read_class_columns(SegmentClass::MemOrder).expect("mem columns");
+        let tsv = reader.read_class_columns(SegmentClass::Tsv).expect("tsv columns");
+        // Any bound at or below the session's true stream head is sound:
+        // it only keeps a longer tail.
+        let catalog = reader.catalog();
+        let horizon = catalog.mem.iter().chain(&catalog.tsv).map(|m| m.max_time).max();
+        fold.absorb(&mem, &tsv, reader.clocks(), horizon.unwrap_or_default(), 1);
+        workload.clone_from(&catalog.workload);
+    }
+    let readers = generations
+        .iter()
+        .map(|p| SegmentReader::open(p).expect("generation reopens"));
+    let (plan, tsv) = fold
+        .finish(&workload, readers, DEFAULT_RESIDENT_BYTES)
+        .expect("offline finish");
+    session_report_json(&plan, &tsv).expect("report serializes")
 }
 
 #[test]
