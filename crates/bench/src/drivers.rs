@@ -1,9 +1,10 @@
 //! Measurement drivers shared by the bench targets.
 //!
 //! The table harnesses fan their experiment grids over
-//! [`ExperimentEngine`]; the engine keys every attempt by seed, so the
-//! printed numbers are identical at any worker count and `WAFFLE_JOBS`
-//! only changes wall-clock time.
+//! [`ExperimentEngine`], whose [`par_map`](waffle_core::engine::par_map)
+//! returns cells in input order; the engine keys every attempt by seed,
+//! so the printed numbers are identical at any worker count and
+//! `WAFFLE_JOBS` only changes wall-clock time.
 
 use waffle_apps::{all_apps, App, BugSpec};
 use waffle_core::{Detector, DetectorConfig, ExperimentEngine, ExperimentSummary, GridCell, Tool};

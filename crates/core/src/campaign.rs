@@ -57,7 +57,7 @@ use waffle_sim::Workload;
 use waffle_telemetry::TelemetrySummary;
 
 use crate::detector::{Detector, DetectorConfig, Tool};
-use crate::engine::{attempt_seed, panic_message};
+use crate::engine::{attempt_seed, panic_message, par_map};
 use crate::experiment::{summarize, ExperimentSummary};
 use crate::report::DetectionOutcome;
 use crate::storage::{corrupt, write_atomic};
@@ -952,15 +952,9 @@ impl Campaign {
     ) -> io::Result<CampaignProgress> {
         let todo = self.outstanding().len();
         let budget = AtomicUsize::new(opts.max_cells.unwrap_or(usize::MAX));
-        let results: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..loops.clamp(1, todo.max(1)))
-                .map(|_| s.spawn(|| self.claim_loop(opts, &budget, resolve)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
+        let loops = loops.clamp(1, todo.max(1));
+        let results = par_map(loops, loops, |_| self.claim_loop(opts, &budget, resolve))
+            .unwrap_or_else(|(i, msg)| panic!("claim loop {i} panicked: {msg}"));
         let (mut ran, mut recovered) = (Vec::new(), 0);
         for result in results {
             let (cells, stolen) = result?;

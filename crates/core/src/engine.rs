@@ -3,9 +3,9 @@
 //! Detection attempts are embarrassingly parallel: `Detector::detect` is a
 //! pure function of `(workload, seed)`, and [`run_experiment`] derives the
 //! attempt seeds from the attempt index alone. [`ExperimentEngine`] exploits
-//! that by fanning attempts (and whole grid cells) over a worker pool while
-//! keeping the seed assignment — and therefore every simulated run — exactly
-//! identical to the sequential path. Results are collected back into input
+//! that by fanning attempts (and whole grid cells) out through [`par_map`]
+//! while keeping the seed assignment — and therefore every simulated run —
+//! exactly identical to the sequential path. Results come back in input
 //! order, so a summary computed with `jobs = 8` is bit-for-bit the summary
 //! computed with `jobs = 1`.
 //!
@@ -13,13 +13,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Mutex;
 
 use waffle_sim::Workload;
 
 use crate::detector::Detector;
-use crate::experiment::{summarize, ExperimentSummary};
+use crate::experiment::{run_experiment, summarize, ExperimentSummary};
 use crate::report::DetectionOutcome;
 
 /// Renders a caught panic payload as a message (panics carry `&str` or
@@ -34,14 +32,49 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Records the panic with the *lowest* work-item index — deterministic
-/// regardless of which worker observed its panic first.
-fn record_first_panic(slot: &Mutex<Option<(usize, String)>>, index: usize, message: String) {
-    let mut guard = slot.lock().unwrap_or_else(|e| e.into_inner());
-    match &*guard {
-        Some((prior, _)) if *prior <= index => {}
-        _ => *guard = Some((index, message)),
-    }
+/// Computes `f(0), …, f(n - 1)` on up to `jobs` scoped worker threads and
+/// returns the results in index order, so the output does not depend on
+/// the worker count or on scheduling.
+///
+/// Runs inline when `jobs <= 1 || n <= 1`; otherwise `min(jobs, n)`
+/// workers claim indices from one atomic counter. Every item's panic is
+/// caught and the remaining items still run; the panic with the lowest
+/// index is returned as `(index, message)`, which is the same answer at
+/// any job count. Callers re-raise it with their own item's identity.
+pub fn par_map<R, F>(n: usize, jobs: usize, f: F) -> Result<Vec<R>, (usize, String)>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let run = |i| catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|p| panic_message(p.as_ref()));
+    let results: Vec<Result<R, String>> = if jobs <= 1 || n <= 1 {
+        (0..n).map(run).collect()
+    } else {
+        let next = AtomicUsize::new(0);
+        let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < n);
+        let mut done: Vec<(usize, Result<R, String>)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..jobs.min(n))
+                .map(|_| {
+                    s.spawn(|| {
+                        std::iter::from_fn(claim)
+                            .map(|i| (i, run(i)))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("par_map catches every item's panic"))
+                .collect()
+        });
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
+    };
+    results
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| r.map_err(|msg| (i, msg)))
+        .collect()
 }
 
 /// The seed for attempt number `attempt` (0-based). Shared by the
@@ -113,9 +146,7 @@ impl ExperimentEngine {
 
     /// Runs the attempts and returns the raw outcomes in attempt order.
     ///
-    /// A panicking attempt no longer aborts the pool with a bare
-    /// `.expect("attempt worker panicked")`: each worker catches the
-    /// payload, the remaining attempts still drain, and the panic with the
+    /// A panicking attempt does not stop the others; the panic with the
     /// lowest attempt index is resurfaced afterwards, annotated with that
     /// index and its seed.
     pub fn run_attempts(
@@ -124,149 +155,42 @@ impl ExperimentEngine {
         workload: &Workload,
         attempts: u32,
     ) -> Vec<DetectionOutcome> {
-        let n = attempts as usize;
-        if self.jobs == 1 || n <= 1 {
-            return (0..attempts)
-                .map(|a| detector.detect(workload, attempt_seed(a)))
-                .collect();
-        }
-        let mut slots: Vec<Option<DetectionOutcome>> = std::iter::repeat_with(|| None)
-            .take(n)
-            .collect();
-        let next = AtomicUsize::new(0);
-        let first_panic: Mutex<Option<(usize, String)>> = Mutex::new(None);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..self.jobs.min(n))
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            match catch_unwind(AssertUnwindSafe(|| {
-                                detector.detect(workload, attempt_seed(i as u32))
-                            })) {
-                                Ok(outcome) => mine.push((i, outcome)),
-                                // Keep draining: one bad attempt must not
-                                // discard the others' work.
-                                Err(p) => record_first_panic(
-                                    &first_panic,
-                                    i,
-                                    panic_message(p.as_ref()),
-                                ),
-                            }
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for h in handles {
-                let mine = h
-                    .join()
-                    .expect("attempt worker panicked outside the detect boundary");
-                for (i, outcome) in mine {
-                    slots[i] = Some(outcome);
-                }
-            }
-        });
-        if let Some((i, msg)) = first_panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        par_map(attempts as usize, self.jobs, |i| {
+            detector.detect(workload, attempt_seed(i as u32))
+        })
+        .unwrap_or_else(|(i, msg)| {
             panic!(
                 "attempt {i} (seed {}) panicked: {msg}",
                 attempt_seed(i as u32)
-            );
-        }
-        slots
-            .into_iter()
-            .map(|o| o.expect("every attempt index was claimed"))
-            .collect()
+            )
+        })
     }
 
     /// Runs every grid cell and returns the summaries in cell order.
     ///
-    /// Cells are distributed over the worker pool; each worker streams its
-    /// finished summaries through a bounded channel and the caller's thread
-    /// stitches them back into input order. Within a cell the attempts run
+    /// Cells are the unit of parallelism. Within a cell the attempts run
     /// sequentially with the standard seed assignment, so each summary is
     /// identical to what [`run_experiment`](Self::run_experiment) — or the
     /// sequential free function — produces for that cell alone.
     ///
-    /// A panicking cell used to surface as the misleading
-    /// `.expect("every grid cell was claimed")` on the unfilled slots (the
-    /// real payload was swallowed by the join). Now the payload is caught
-    /// at the cell boundary, the remaining cells still drain, and the
-    /// panic with the lowest cell index is resurfaced with the cell's
-    /// identity. Callers that must *survive* a panicking cell instead of
-    /// re-panicking want the checkpointing
-    /// [`Campaign`](crate::campaign::Campaign) runner, which quarantines it.
+    /// A panicking cell does not stop the others; the panic with the
+    /// lowest cell index is resurfaced with the cell's identity. Callers
+    /// that must *survive* a panicking cell instead of re-panicking want
+    /// the checkpointing [`Campaign`](crate::campaign::Campaign) runner,
+    /// which quarantines it.
     pub fn run_grid(&self, cells: &[GridCell]) -> Vec<ExperimentSummary> {
-        let n = cells.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if self.jobs == 1 || n == 1 {
-            return cells
-                .iter()
-                .map(|c| {
-                    let outcomes: Vec<DetectionOutcome> = (0..c.attempts)
-                        .map(|a| c.detector.detect(&c.workload, attempt_seed(a)))
-                        .collect();
-                    summarize(&c.detector, &c.workload, &outcomes)
-                })
-                .collect();
-        }
-        // Bounded to the worker count: a fast worker blocks rather than
-        // buffering unboundedly ahead of the collector.
-        let (tx, rx) = mpsc::sync_channel::<(usize, ExperimentSummary)>(self.jobs);
-        let next = AtomicUsize::new(0);
-        let first_panic: Mutex<Option<(usize, String)>> = Mutex::new(None);
-        let mut slots: Vec<Option<ExperimentSummary>> =
-            std::iter::repeat_with(|| None).take(n).collect();
-        std::thread::scope(|s| {
-            for _ in 0..self.jobs.min(n) {
-                let tx = tx.clone();
-                let next = &next;
-                let first_panic = &first_panic;
-                s.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = cells.get(i) else {
-                        break;
-                    };
-                    let summary = catch_unwind(AssertUnwindSafe(|| {
-                        let outcomes: Vec<DetectionOutcome> = (0..cell.attempts)
-                            .map(|a| cell.detector.detect(&cell.workload, attempt_seed(a)))
-                            .collect();
-                        summarize(&cell.detector, &cell.workload, &outcomes)
-                    }));
-                    match summary {
-                        Ok(summary) => {
-                            if tx.send((i, summary)).is_err() {
-                                break;
-                            }
-                        }
-                        // Keep draining the remaining cells.
-                        Err(p) => record_first_panic(first_panic, i, panic_message(p.as_ref())),
-                    }
-                });
-            }
-            drop(tx);
-            for (i, summary) in rx {
-                slots[i] = Some(summary);
-            }
-        });
-        if let Some((i, msg)) = first_panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        par_map(cells.len(), self.jobs, |i| {
+            let c = &cells[i];
+            run_experiment(&c.detector, &c.workload, c.attempts)
+        })
+        .unwrap_or_else(|(i, msg)| {
             let cell = &cells[i];
             panic!(
                 "grid cell {i} ({} / {}) panicked: {msg}",
                 cell.workload.name,
                 cell.detector.tool().name()
-            );
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every grid cell was claimed"))
-            .collect()
+            )
+        })
     }
 }
 
@@ -330,9 +254,7 @@ mod tests {
         }
     }
 
-    /// Satellite regression: a panicking attempt worker used to abort the
-    /// whole pool with `.expect("attempt worker panicked")`. The payload
-    /// must now resurface annotated with the attempt index and seed.
+    /// A panicking attempt resurfaces annotated with its index and seed.
     #[test]
     fn attempt_panic_resurfaces_with_its_index() {
         let det = Detector::with_config(
@@ -353,10 +275,7 @@ mod tests {
         assert!(msg.contains("fault injection"), "payload surfaced: {msg}");
     }
 
-    /// Satellite regression: a panicking grid cell used to die on the
-    /// misleading `.expect("every grid cell was claimed")`. The payload
-    /// must now resurface with the cell index and identity, after the
-    /// remaining cells drained.
+    /// A panicking grid cell resurfaces with its index and identity.
     #[test]
     fn grid_cell_panic_resurfaces_with_cell_identity() {
         let mut cells: Vec<GridCell> = (0..4)
@@ -390,15 +309,39 @@ mod tests {
         assert!(msg.contains("fault injection"), "payload surfaced: {msg}");
     }
 
-    /// When several workers panic, the *lowest* index wins — a
-    /// deterministic report regardless of worker scheduling.
+    /// Results come back in index order at any job count, even when later
+    /// items finish first, and for `n = 0` and `n < jobs`.
     #[test]
-    fn first_panic_is_the_lowest_index() {
-        let slot = Mutex::new(None);
-        record_first_panic(&slot, 5, "five".into());
-        record_first_panic(&slot, 2, "two".into());
-        record_first_panic(&slot, 7, "seven".into());
-        assert_eq!(slot.into_inner().unwrap(), Some((2, "two".into())));
+    fn par_map_keeps_index_order() {
+        for jobs in [1, 2, 8] {
+            for n in [0, 1, 3, 17] {
+                let out = par_map(n, jobs, |i| {
+                    let cost = ((n - i) % 4) as u64 * 200;
+                    std::thread::sleep(std::time::Duration::from_micros(cost));
+                    i * i
+                });
+                let want: Vec<usize> = (0..n).map(|i| i * i).collect();
+                assert_eq!(out, Ok(want), "jobs = {jobs}, n = {n}");
+            }
+        }
+    }
+
+    /// When several items panic, the lowest index is reported whatever the
+    /// worker scheduling, and every item that does not panic still runs.
+    #[test]
+    fn par_map_reports_the_lowest_panic_and_runs_the_rest() {
+        for jobs in [1, 2, 8] {
+            let ran = AtomicUsize::new(0);
+            let out = par_map(12, jobs, |i| {
+                if [9, 4, 7].contains(&i) {
+                    panic!("item {i} failed");
+                }
+                ran.fetch_add(1, Ordering::Relaxed);
+                i
+            });
+            assert_eq!(out, Err((4, "item 4 failed".to_owned())), "jobs = {jobs}");
+            assert_eq!(ran.into_inner(), 9, "jobs = {jobs}");
+        }
     }
 
     #[test]

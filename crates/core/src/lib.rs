@@ -67,4 +67,4 @@ pub use serve::{
     replay_trace, serve, session_report_json, session_report_json_with_shed, QueuePolicy,
     ServeOptions, ServeReport, ShedCounts,
 };
-pub use storage::Session;
+pub use storage::{write_atomic, Session};

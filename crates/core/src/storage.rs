@@ -22,7 +22,7 @@ use crate::report::BugReport;
 /// named sibling temp file first and are renamed into place, so a crash
 /// mid-write leaves either the previous artifact or none — never a
 /// truncated JSON file that poisons every later load.
-pub(crate) fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
+pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
     static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let file_name = path
         .file_name()

@@ -22,16 +22,12 @@
 //! a failure: the claim is "a handful of runs", not an exact bound).
 //!
 //! The fan-out over seeds is parallel but the report is deterministic:
-//! workers claim seed indices from an atomic counter and results are
-//! stitched back in seed order, and the report carries no wall-clock data,
-//! so serialized output is byte-identical at any `--jobs`.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! [`par_map`] returns the cases in seed order, and the report carries no
+//! wall-clock data, so serialized output is byte-identical at any `--jobs`.
 
 use serde::{Deserialize, Serialize};
 use waffle_analysis::{analyze_indexed, AnalyzerConfig, Plan, RepairReport};
+use waffle_core::engine::par_map;
 use waffle_core::{run_seed, DetectionOutcome, Detector, DetectorConfig, Tool};
 use waffle_mem::NullRefKind;
 use waffle_sim::{MemoryConfig, MemoryModel, SimConfig, SimTime, Simulator, Workload};
@@ -779,8 +775,7 @@ pub fn run_case(seed: u64, cfg: &FuzzConfig) -> CaseReport {
 /// Runs the whole seed block, fanning out across `cfg.jobs` workers, and
 /// aggregates the deterministic report.
 pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
-    let seeds: Vec<u64> = (0..cfg.seeds).map(|i| cfg.seed_base + i).collect();
-    let cases = run_parallel(&seeds, cfg.jobs.max(1), |&seed| run_case(seed, cfg));
+    let cases = map_seeds(cfg, |seed| run_case(seed, cfg));
 
     let mut metrics = MetricsRegistry::new();
     let mut disagreements = Vec::new();
@@ -855,66 +850,14 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     }
 }
 
-/// Order-preserving parallel map: workers claim indices from an atomic
-/// counter and results are stitched back by input position, so the output
-/// is independent of the worker count (the `ExperimentEngine` pattern).
-fn run_parallel<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    if jobs <= 1 || items.len() <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let first_panic: Mutex<Option<(usize, String)>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(items.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                if i >= items.len() {
-                    break;
-                }
-                match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
-                    Ok(r) => *slots[i].lock().unwrap() = Some(r),
-                    Err(p) => {
-                        let msg = panic_message(&p);
-                        let mut guard = first_panic.lock().unwrap();
-                        // Keep the panic from the lowest input index so the
-                        // surfaced failure is deterministic across schedules
-                        // (`is_none_or` would read better but needs 1.82).
-                        let lowest = match guard.as_ref() {
-                            Some((j, _)) => i < *j,
-                            None => true,
-                        };
-                        if lowest {
-                            *guard = Some((i, msg));
-                        }
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    if let Some((i, msg)) = first_panic.into_inner().unwrap() {
-        panic!("fuzz worker panicked on item {i}: {msg}");
-    }
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("slot filled"))
-        .collect()
-}
-
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
+/// Runs `case` on every seed of the block over `cfg.jobs` workers and
+/// returns the results in seed order. A panicking case re-panics naming
+/// its index and seed.
+fn map_seeds<R: Send>(cfg: &FuzzConfig, case: impl Fn(u64) -> R + Sync) -> Vec<R> {
+    let seed = |i: usize| cfg.seed_base + i as u64;
+    let n = usize::try_from(cfg.seeds).expect("the seed count fits in memory");
+    par_map(n, cfg.jobs, |i| case(seed(i)))
+        .unwrap_or_else(|(i, msg)| panic!("fuzz case {i} (seed {}) panicked: {msg}", seed(i)))
 }
 
 #[cfg(test)]
@@ -940,6 +883,27 @@ mod tests {
             parallel.to_json().unwrap(),
             "report must be byte-identical at any job count"
         );
+    }
+
+    /// A panicking case surfaces with both its index in the block and its
+    /// generator seed, at any job count.
+    #[test]
+    fn a_panicking_case_names_its_index_and_seed() {
+        for jobs in [1, 4] {
+            let cfg = FuzzConfig {
+                seeds: 6,
+                seed_base: 100,
+                jobs,
+                ..FuzzConfig::default()
+            };
+            let caught = std::panic::catch_unwind(|| {
+                map_seeds(&cfg, |seed| assert_ne!(seed, 103, "generator fault"))
+            })
+            .expect_err("the panic must propagate");
+            let msg = caught.downcast_ref::<String>().expect("formatted message");
+            assert!(msg.starts_with("fuzz case 3 (seed 103) panicked:"), "{msg}");
+            assert!(msg.contains("generator fault"), "{msg}");
+        }
     }
 
     #[test]

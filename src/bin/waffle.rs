@@ -13,13 +13,14 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::num::{IntErrorKind, ParseIntError};
 use std::str::FromStr;
 
 use waffle_repro::apps::{all_apps, all_bugs};
 use waffle_repro::core::{
     attempt_seed, summarize, Campaign, CampaignConfig, CampaignProgress, CellSpec, CellStatus,
     CheckpointState, Detector, DetectorConfig, DetectionOutcome, ExperimentEngine, RunOptions,
-    Session, Tool, WorkOptions,
+    Session, Tool, WorkOptions, write_atomic,
 };
 use waffle_repro::sim::{MemoryConfig, MemoryModel, Workload};
 use waffle_repro::telemetry::{AttemptJournal, MetricsRegistry};
@@ -64,7 +65,7 @@ const fn num(name: &'static str, min: u64, max: u64, help: &'static str) -> Flag
 const U32: u64 = u32::MAX as u64;
 const USIZE: u64 = usize::MAX as u64;
 
-const JOBS: Flag = num("--jobs", 1, USIZE, "worker threads (default 1); output is identical at any count");
+const JOBS: Flag = num("--jobs", 1, 1024, "worker threads (default 1, at most 1024); output is identical at any count");
 const JSON: Flag = switch("--json", "machine-readable output");
 const SEED: Flag = num("--seed", 0, u64::MAX, "attempt / preparation-run seed (default 1)");
 const MEMORY_MODEL: Flag = text("--memory-model", "sc|tso|pso", "simulated consistency model (default sc); tso/pso add store buffers");
@@ -237,12 +238,16 @@ fn parse_args(cmd: &Command, args: &[String]) -> Result<Args, String> {
             _ => it.next().ok_or_else(|| format!("{a} needs a value"))?.clone(),
         };
         if let Kind::Num { min, max, why } = flag.kind {
-            let n: u64 = value.parse().map_err(|e| format!("{a}: {e}"))?;
+            let too_large = || format!("{a} must be at most {max}");
+            let n: u64 = value.parse().map_err(|e: ParseIntError| match e.kind() {
+                IntErrorKind::PosOverflow => too_large(),
+                _ => format!("{a}: {e}"),
+            })?;
             if n < min {
                 return Err(format!("{a} must be at least {min}{why}"));
             }
             if n > max {
-                return Err(format!("{a}: number too large to fit in target type"));
+                return Err(too_large());
             }
         }
         parsed.set.push((flag.name, value));
@@ -380,7 +385,7 @@ fn write_attempt_journal(
         runs: outcome.telemetry.clone(),
     };
     let path = dir.join(format!("{}-{}-attempt-{seed}.json", w.name, opts.tool_name));
-    std::fs::write(&path, journal.to_json().map_err(|e| e.to_string())?)
+    write_atomic(&path, &journal.to_json().map_err(|e| e.to_string())?)
         .map_err(|e| e.to_string())?;
     Ok(path)
 }

@@ -185,6 +185,15 @@ fn fuzz_rejects_a_meaningless_preemption_bound() {
         .contains("--preemption-bound must be at least 1"));
 }
 
+/// `--jobs` is bounded, so no command can ask for an unbounded number of
+/// worker threads; the error names the maximum.
+#[test]
+fn jobs_above_the_maximum_are_rejected() {
+    let out = waffle(&["detect", "SshNet.channel_disconnect", "--jobs", "1025"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--jobs must be at most 1024"));
+}
+
 /// A small fuzz sweep succeeds end-to-end and emits parseable JSON with
 /// the aggregate counters.
 #[test]
