@@ -6,10 +6,17 @@
 //! seven `Tool::by_name` spellings plus `SingleDelay`. A refactor of the
 //! policies or the detection loop must leave every hash unchanged; on a
 //! mismatch the assertion prints the whole recomputed table.
+//!
+//! WaffleTSV (the §8 extension) is not a `Tool`, so a second table pins
+//! its detection runs directly: one hash per workload over ten runs.
 
+use waffle_repro::analysis::analyze_tsv;
 use waffle_repro::apps::{all_apps, all_bugs};
 use waffle_repro::core::{Detector, DetectorConfig, Tool};
-use waffle_repro::sim::{SimTime, Workload};
+use waffle_repro::inject::{DecayState, WaffleTsvPolicy};
+use waffle_repro::sim::time::{ms, us};
+use waffle_repro::sim::{SimConfig, SimTime, Simulator, Workload, WorkloadBuilder};
+use waffle_repro::trace::TraceRecorder;
 
 /// Suite inputs (not Table 4 bugs) on which TSVD injects and exposes a
 /// thread-safety violation.
@@ -332,5 +339,110 @@ fn every_tool_outcome_matches_its_pinned_hash() {
     assert!(
         matches,
         "outcome hashes changed; recomputed table:\n{table}"
+    );
+}
+
+/// `(workload, fnv1a64 over its ten WaffleTSV detection runs)`.
+#[rustfmt::skip]
+const EXPECTED_WAFFLE_TSV: &[(&str, u64)] = &[
+    ("ApplicationInsights.context_tags", 0xd619a721af0bd488),
+    ("FluentAssertions.format_cache", 0x21ad91930672e739),
+    ("Kubernetes.resource_cache", 0xa30a749770f32ada),
+    ("LiteDB.page_cache", 0xa30a749770f32ada),
+    ("Mqtt.client_table", 0xa30a749770f32ada),
+    ("NetMQ.socket_options", 0xa30a749770f32ada),
+    ("Npgsql.type_mapper", 0xa30a749770f32ada),
+    ("NSubstitute.proxy_cache", 0xd619a721af0bd488),
+    ("NSwag.type_cache", 0xd619a721af0bd488),
+    ("SignalR.connection_registry", 0xa30a749770f32ada),
+    ("SshNet.channel_table", 0xa30a749770f32ada),
+    ("wtsv.gap5", 0xb65e7823e802410e),
+    ("wtsv.gap20", 0x7c9cf3261e2f4c7a),
+    ("wtsv.gap50", 0x1149fa63b11d5db0),
+    ("wtsv.gap98", 0x2b87e58c23951f8a),
+];
+
+/// The `waffle_tsv` bench's two-call workload: the calls start `gap_ms`
+/// apart and run 1 ms each.
+fn gap_workload(gap_ms: u64) -> Workload {
+    let mut b = WorkloadBuilder::new(format!("wtsv.gap{gap_ms}"));
+    let dict = b.object("dict");
+    let started = b.event("s");
+    let worker = b.script("worker", move |s| {
+        s.wait(started)
+            .pad(ms(1))
+            .unsafe_call(dict, "Worker.Add:3", ms(1));
+    });
+    let main = b.script("main", move |s| {
+        s.init(dict, "M.ctor:1", us(20))
+            .fork(worker)
+            .signal(started)
+            .pad(ms(1) + ms(gap_ms))
+            .unsafe_call(dict, "Main.Get:7", ms(1))
+            .join_children();
+    });
+    b.main(main);
+    b.build()
+}
+
+/// The `waffle_tsv` bench's inputs: the TSV suite inputs, then the gap
+/// sweep.
+fn waffle_tsv_inputs() -> Vec<Workload> {
+    let tests: Vec<_> = all_apps().into_iter().flat_map(|a| a.tests).collect();
+    TSV_INPUTS
+        .iter()
+        .map(|&name| {
+            tests
+                .iter()
+                .find(|t| t.workload.name == name)
+                .map(|t| t.workload.clone())
+                .unwrap_or_else(|| panic!("unknown input {name}"))
+        })
+        .chain([5, 20, 50, 98].map(gap_workload))
+        .collect()
+}
+
+/// The preparation run at seed 0 plans the gaps; detection runs 1..=10
+/// then all run (none stops at an exposure, so decay evolution is pinned
+/// too). Each run contributes its delays, violations, end time,
+/// instrumented-op count and event journal to the hash.
+#[test]
+fn every_waffle_tsv_outcome_matches_its_pinned_hash() {
+    let mut actual = Vec::new();
+    for w in waffle_tsv_inputs() {
+        let mut rec = TraceRecorder::new(&w);
+        let _ = Simulator::run(&w, SimConfig::with_seed(0), &mut rec);
+        let plan = analyze_tsv(&rec.into_trace(), ms(100), ms(1));
+        let mut decay = DecayState::default();
+        let mut json = String::new();
+        for run in 1..=10u64 {
+            let mut p = WaffleTsvPolicy::new(plan.clone(), decay, run);
+            p.record_events(true);
+            let r = Simulator::run(&w, SimConfig::with_seed(run), &mut p);
+            let journal = p.take_journal();
+            decay = p.into_decay();
+            let pinned = (
+                &r.delays,
+                &r.tsv_violations,
+                r.end_time,
+                r.instrumented_ops,
+                &journal,
+            );
+            json += &serde_json::to_string(&pinned).expect("run serializes");
+        }
+        actual.push((w.name.clone(), fnv1a64(json.as_bytes())));
+    }
+    let table: String = actual
+        .iter()
+        .map(|(w, h)| format!("    ({w:?}, {h:#018x}),\n"))
+        .collect();
+    let matches = actual.len() == EXPECTED_WAFFLE_TSV.len()
+        && actual
+            .iter()
+            .zip(EXPECTED_WAFFLE_TSV)
+            .all(|((w, h), (ew, eh))| w == ew && h == eh);
+    assert!(
+        matches,
+        "WaffleTSV hashes changed; recomputed table:\n{table}"
     );
 }
