@@ -4,12 +4,13 @@ use std::collections::BTreeMap;
 
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
-use waffle_mem::SiteId;
+use waffle_mem::{AccessKind, SiteId};
 use waffle_sim::{MemoryModel, SimTime};
 
 use crate::candidates::{CandidatePair, NearMissStats};
 use crate::interference::InterferenceSet;
 use crate::ranks::SiteRanks;
+use crate::tsv::TsvPlan;
 
 /// Everything a detection run needs from the preparation run.
 ///
@@ -110,7 +111,8 @@ impl Plan {
     }
 }
 
-/// A [`Plan`] compiled into dense per-site tables for detection runs.
+/// A [`Plan`] or [`TsvPlan`] compiled into dense per-site tables for
+/// detection runs.
 ///
 /// Every site the detection policy looks up — each delay site and each
 /// site named by the interference set — gets a rank ([`SiteRanks`]); the
@@ -128,6 +130,9 @@ pub struct PlanTables {
     /// Interference rows, `words` per rank: bit `q` of row `r` is set when
     /// delays at ranks `r` and `q` interfere.
     rows: Vec<u64>,
+    /// Compiled from a [`TsvPlan`]: only thread-unsafe API calls are
+    /// instrumented.
+    tsv: bool,
 }
 
 impl PlanTables {
@@ -139,13 +144,29 @@ impl PlanTables {
     /// rows are quadratic in the ranks they cover. Pass `usize::MAX` to
     /// keep every site.
     pub fn compile(plan: &Plan, site_count: usize) -> Self {
+        Self::build(&plan.delay_len, &plan.interference, site_count, false)
+    }
+
+    /// Compiles a WaffleTSV plan (§8) as [`compile`](PlanTables::compile)
+    /// does a [`Plan`]: each delay site delays by its measured gap, no two
+    /// sites interfere, and detection runs instrument only thread-unsafe
+    /// API calls.
+    pub fn compile_tsv(plan: &TsvPlan, site_count: usize) -> Self {
+        Self::build(&plan.delay_len, &InterferenceSet::new(), site_count, true)
+    }
+
+    fn build(
+        delay_len: &BTreeMap<SiteId, SimTime>,
+        interference: &InterferenceSet,
+        site_count: usize,
+        tsv: bool,
+    ) -> Self {
         let known = |s: SiteId| (s.0 as usize) < site_count;
-        let planned = || plan.delay_sites().filter(|&s| known(s));
+        let planned = || delay_len.keys().copied().filter(|&s| known(s));
         let mut ranks = SiteRanks::new(planned().collect());
         // Sites that only the interference set names (an analyzed plan
         // has none) join the ranks in a second, rare build.
-        let unplanned: Vec<SiteId> = plan
-            .interference
+        let unplanned: Vec<SiteId> = interference
             .iter()
             .flat_map(|(a, b)| [a, b])
             .filter(|&s| known(s) && ranks.rank(s).is_none())
@@ -155,14 +176,14 @@ impl PlanTables {
         }
         let n = ranks.len();
         let mut delay = vec![SimTime::ZERO; n];
-        for (&site, &len) in &plan.delay_len {
+        for (&site, &len) in delay_len {
             if let Some(r) = ranks.rank(site) {
                 delay[r] = len;
             }
         }
         let words = n.div_ceil(64);
         let mut rows = vec![0u64; n * words];
-        for (a, b) in plan.interference.iter() {
+        for (a, b) in interference.iter() {
             let (Some(ra), Some(rb)) = (ranks.rank(a), ranks.rank(b)) else {
                 continue;
             };
@@ -174,7 +195,15 @@ impl PlanTables {
             delay,
             words,
             rows,
+            tsv,
         }
+    }
+
+    /// Whether detection runs over these tables instrument accesses of
+    /// `kind`.
+    #[inline]
+    pub fn instruments(&self, kind: AccessKind) -> bool {
+        !self.tsv || kind.is_tsv()
     }
 
     /// Number of ranked sites.

@@ -30,5 +30,5 @@ fn main() {
     println!("  unguided          -> waffle_inject::RandomSleepPolicy (DataCollider-style)");
     println!("  ablations (Tbl 7) -> Tool::waffle_no_parent_child / waffle_no_prep /");
     println!("                       waffle_fixed_delay / waffle_no_interference");
-    println!("  extension (§8)    -> waffle_inject::WaffleTsvPolicy (plan-guided TSV)");
+    println!("  extension (§8)    -> waffle_inject::WafflePolicy over PlanTables::compile_tsv (plan-guided TSV)");
 }

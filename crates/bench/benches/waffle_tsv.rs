@@ -4,9 +4,9 @@
 //! thread-unsafe dictionary workloads: runs to exposure and injected
 //! delay budget.
 
-use waffle_analysis::analyze_tsv;
+use waffle_analysis::{analyze_tsv, PlanTables};
 use waffle_apps::all_apps;
-use waffle_inject::{DecayState, OnlinePolicy, OnlineState, Pairing, WaffleTsvPolicy};
+use waffle_inject::{DecayState, OnlinePolicy, OnlineState, Pairing, WaffleConfig, WafflePolicy};
 use waffle_sim::time::ms;
 use waffle_sim::{SimConfig, SimTime, Simulator, Workload};
 use waffle_trace::TraceRecorder;
@@ -30,10 +30,11 @@ fn waffle_tsv_runs(w: &Workload, cap: u64) -> (Option<u64>, SimTime) {
     let mut rec = TraceRecorder::new(w);
     let _ = Simulator::run(w, SimConfig::with_seed(0), &mut rec);
     let plan = analyze_tsv(&rec.into_trace(), ms(100), ms(1));
+    let tables = PlanTables::compile_tsv(&plan, w.sites.len());
     let mut decay = DecayState::default();
     let mut total = SimTime::ZERO;
     for run in 1..=cap {
-        let mut p = WaffleTsvPolicy::new(plan.clone(), decay, run);
+        let mut p = WafflePolicy::compiled(&tables, decay, run, WaffleConfig::default());
         let r = Simulator::run(w, SimConfig::with_seed(run), &mut p);
         decay = p.into_decay();
         total += r.total_delay();
@@ -118,5 +119,6 @@ fn main() {
     println!(" so WaffleTSV's budget scales with the gap while TSVD pays its fixed 100ms");
     println!(" per injection regardless — the §4.3 trade-off, transported back to the");
     println!(" atomicity-violation timing condition. On the suite's dictionary workloads");
-    println!(" the calls sit ~98ms apart, so the budgets coincide there.)");
+    println!(" the planned gaps add up to more than TSVD's fixed delays: 686.041ms against");
+    println!(" 600ms, plus WaffleTSV's preparation run.)");
 }

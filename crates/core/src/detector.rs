@@ -4,8 +4,7 @@ use std::collections::BTreeSet;
 
 use waffle_analysis::{analyze_indexed, AnalyzerConfig, Plan, PlanTables};
 use waffle_inject::{
-    DecayState, NoPrepPolicy, NoPrepState, OnlinePolicy, OnlineState, Pairing, SingleDelayPolicy,
-    WaffleConfig, WafflePolicy,
+    DecayState, OnlinePolicy, OnlineState, Pairing, SingleDelayPolicy, WaffleConfig, WafflePolicy,
 };
 use waffle_mem::SiteId;
 use waffle_sim::{MemoryConfig, NullMonitor, RunResult, SimConfig, SimTime, Simulator, Workload};
@@ -178,8 +177,8 @@ enum RunState {
         decay: DecayState,
         config: WaffleConfig,
     },
-    Online(Pairing, OnlineState),
-    NoPrep(NoPrepState),
+    /// The state each run hands on, and how a run's policy is built from it.
+    Online(OnlineState, fn(OnlineState, u64) -> OnlinePolicy),
     Single {
         targets: Vec<SiteId>,
         delay: SimTime,
@@ -249,9 +248,18 @@ impl Detector {
                     config: *policy,
                 }
             }
-            Tool::WaffleBasic => RunState::Online(Pairing::MemOrder, OnlineState::default()),
-            Tool::Tsvd => RunState::Online(Pairing::Tsv, OnlineState::default()),
-            Tool::NoPrep => RunState::NoPrep(NoPrepState::default()),
+            Tool::WaffleBasic => RunState::Online(OnlineState::default(), |mut state, seed| {
+                // WaffleBasic keeps its candidate set `S` across runs but
+                // restarts injection probabilities at 100% each run; TSVD
+                // and NoPrep keep both. (Waffle is the design that saves
+                // probabilities to disk between runs, §5.)
+                state.decay = DecayState::default();
+                OnlinePolicy::new(Pairing::MemOrder, state, seed)
+            }),
+            Tool::Tsvd => RunState::Online(OnlineState::default(), |state, seed| {
+                OnlinePolicy::new(Pairing::Tsv, state, seed)
+            }),
+            Tool::NoPrep => RunState::Online(OnlineState::default(), OnlinePolicy::no_prep),
             Tool::SingleDelay { delay } => {
                 let analyzer = AnalyzerConfig::default();
                 let plan = self.prepare(workload, prep_seed, &mut outcome, &analyzer);
@@ -288,23 +296,8 @@ impl Detector {
                     *decay = p.into_decay();
                     r
                 }
-                RunState::Online(pairing, state) => {
-                    // WaffleBasic keeps its candidate set `S` across runs but
-                    // restarts injection probabilities at 100% each run; TSVD
-                    // keeps both. (Waffle is the design that saves
-                    // probabilities to disk between runs, §5.)
-                    if *pairing == Pairing::MemOrder {
-                        state.decay = DecayState::default();
-                    }
-                    let mut p = OnlinePolicy::new(*pairing, std::mem::take(state), seed);
-                    p.record_events(events);
-                    let r = Simulator::run(workload, sim, &mut p);
-                    outcome.telemetry.push(p.take_journal());
-                    *state = p.into_state();
-                    r
-                }
-                RunState::NoPrep(state) => {
-                    let mut p = NoPrepPolicy::new(std::mem::take(state), seed);
+                RunState::Online(state, policy) => {
+                    let mut p = policy(std::mem::take(state), seed);
                     p.record_events(events);
                     let r = Simulator::run(workload, sim, &mut p);
                     outcome.telemetry.push(p.take_journal());

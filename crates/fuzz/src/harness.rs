@@ -366,14 +366,22 @@ impl FuzzReport {
             .filter(|c| c.truth == GroundTruth::Control)
             .count();
         let planted = self.cases.len() - controls;
+        // A report parsed from JSON may name any block: one that ends at
+        // `u64::MAX` has no exclusive end, and one past it is flagged.
+        let base = self.seed_base;
+        let seeds = match base.checked_add(self.seeds) {
+            Some(end) => format!("{base}..{end}"),
+            None => match base.checked_add(self.seeds - 1) {
+                Some(last) => format!("{base}..={last}"),
+                None => format!("{base} + {} (past {})", self.seeds, u64::MAX),
+            },
+        };
         let _ = writeln!(
             out,
             "fuzz: {} workloads ({controls} control, {planted} planted) \
-             at preemption bound {}, seeds {}..{}",
+             at preemption bound {}, seeds {seeds}",
             self.cases.len(),
             self.preemption_bound,
-            self.seed_base,
-            self.seed_base + self.seeds
         );
         // Memory-model provenance (the JSON always carried it via the
         // per-case plans; weak-model sweeps must be distinguishable in
@@ -852,8 +860,12 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
 
 /// Runs `case` on every seed of the block over `cfg.jobs` workers and
 /// returns the results in seed order. A panicking case re-panics naming
-/// its index and seed.
+/// its index and seed; a block whose last seed would pass `u64::MAX`
+/// panics before any case runs.
 fn map_seeds<R: Send>(cfg: &FuzzConfig, case: impl Fn(u64) -> R + Sync) -> Vec<R> {
+    cfg.seed_base
+        .checked_add(cfg.seeds.saturating_sub(1))
+        .expect("the seed block ends at or before u64::MAX");
     let seed = |i: usize| cfg.seed_base + i as u64;
     let n = usize::try_from(cfg.seeds).expect("the seed count fits in memory");
     par_map(n, cfg.jobs, |i| case(seed(i)))
@@ -904,6 +916,48 @@ mod tests {
             assert!(msg.starts_with("fuzz case 3 (seed 103) panicked:"), "{msg}");
             assert!(msg.contains("generator fault"), "{msg}");
         }
+    }
+
+    /// The seed range renders without overflow for any block a JSON
+    /// report can name.
+    #[test]
+    fn render_names_seed_blocks_up_to_and_past_the_last_seed() {
+        let report = |seed_base, seeds| FuzzReport {
+            seed_base,
+            seeds,
+            preemption_bound: 3,
+            max_detection_runs: 16,
+            memory: MemoryModel::Sc,
+            cases: Vec::new(),
+            disagreements: Vec::new(),
+            metrics: MetricsRegistry::new(),
+        };
+        let max = u64::MAX;
+        for (base, seeds, range) in [
+            (100, 6, "seeds 100..106\n".to_string()),
+            (max, 0, format!("seeds {max}..{max}\n")),
+            (max, 1, format!("seeds {max}..={max}\n")),
+            (max - 1, 2, format!("seeds {}..={max}\n", max - 1)),
+            (max, 2, format!("seeds {max} + 2 (past {max})\n")),
+        ] {
+            let text = report(base, seeds).render();
+            assert!(text.contains(&range), "{base}+{seeds}: {text}");
+        }
+    }
+
+    #[test]
+    fn map_seeds_rejects_a_block_past_the_last_seed() {
+        let cfg = FuzzConfig {
+            seeds: 2,
+            seed_base: u64::MAX,
+            ..FuzzConfig::default()
+        };
+        let caught = std::panic::catch_unwind(|| map_seeds(&cfg, |seed| seed))
+            .expect_err("the block must be refused");
+        let msg = caught.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.contains("u64::MAX"), "{msg}");
+        let last = FuzzConfig { seeds: 1, ..cfg };
+        assert_eq!(map_seeds(&last, |seed| seed), vec![u64::MAX]);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! | Policy | Identification | Delay length | Coordination |
 //! |---|---|---|---|
 //! | [`WafflePolicy`] | preparation run (plan) | per-location `α·gap` | decay + interference skip |
+//! | [`WafflePolicy`] over a TSV plan (WaffleTSV, §8) | preparation run, TSV sites | per-location measured gap | decay |
 //! | [`OnlinePolicy`] with [`Pairing::MemOrder`] (WaffleBasic) | online (same run) | fixed 100 ms | decay, parallel delays |
 //! | [`OnlinePolicy`] with [`Pairing::Tsv`] (TSVD) | online, TSV sites | fixed 100 ms | decay, parallel delays |
-//! | [`NoPrepPolicy`] | online + runtime vclock pruning | `α·observed gap` | decay (Table 7 row 2) |
+//! | [`OnlinePolicy::no_prep`] (Table 7 row 2) | online + runtime vclock pruning | `α·observed gap` | decay, parallel delays |
 //! | [`SingleDelayPolicy`] | sampled location | fixed | one delay per run (RaceFuzzer/CTrigger-style) |
 //! | [`RandomSleepPolicy`] | none | fixed | coin flip per access |
 //!
@@ -18,18 +19,12 @@
 //! real tool saves it to disk after each detection run (§5).
 
 pub mod baselines;
-pub mod clock_tracker;
 pub mod decay;
-pub mod noprep;
 pub mod online;
 pub(crate) mod recent;
 pub mod waffle;
-pub mod waffle_tsv;
 
 pub use baselines::{RandomSleepPolicy, SingleDelayPolicy};
-pub use clock_tracker::ClockTracker;
 pub use decay::{DecayConfig, DecayState};
-pub use noprep::{NoPrepPolicy, NoPrepState};
 pub use online::{OnlinePolicy, OnlineState, Pairing};
 pub use waffle::{WaffleConfig, WafflePolicy};
-pub use waffle_tsv::WaffleTsvPolicy;

@@ -1,13 +1,14 @@
-//! The online near-miss policy shared by WaffleBasic (§3) and TSVD (§2).
+//! The online near-miss policy shared by WaffleBasic (§3), TSVD (§2) and
+//! Waffle without a preparation run (Table 7 row 2).
 //!
-//! Both tools sit at the same point of the paper's Table 1: one policy does
-//! everything in the same run — near-miss candidate identification,
-//! happens-before inference (pair removal when an injected delay propagates
-//! through synchronization to the partner location), and injection of
-//! fixed 100 ms delays gated by probability decay — with no coordination
-//! between parallel delays, which is exactly the interference weakness
-//! §3.3/§4.4 analyzes. They differ only in which accesses they instrument
-//! and how they pair them, the [`Pairing`]:
+//! WaffleBasic and TSVD sit at the same point of the paper's Table 1: one
+//! policy does everything in the same run — near-miss candidate
+//! identification, happens-before inference (pair removal when an injected
+//! delay propagates through synchronization to the partner location), and
+//! injection of fixed 100 ms delays gated by probability decay — with no
+//! coordination between parallel delays, which is exactly the interference
+//! weakness §3.3/§4.4 analyzes. They differ only in which accesses they
+//! instrument and how they pair them, the [`Pairing`]:
 //!
 //! - WaffleBasic, the straight adaptation of TSVD to MemOrder bugs,
 //!   instruments init/use/dispose and pairs init → use and use → dispose;
@@ -15,6 +16,15 @@
 //!   same object from different threads within δ form a candidate pair in
 //!   *both* directions, since delaying either call can make the execution
 //!   windows overlap.
+//!
+//! The no-preparation-run variant ([`OnlinePolicy::no_prep`]) is
+//! WaffleBasic's pairing with two Table 1 columns changed: runtime
+//! fork-edge vector clocks (§4.1, propagated through inheritable TLS)
+//! prune ordered near-misses in place of happens-before inference, and
+//! each delay is α·(the largest gap observed online) instead of 100 ms
+//! (§4.3). It still lacks the interference set, which §4.4 derives from
+//! the unperturbed trace, and the gaps it observes are perturbed by its
+//! own delays (§4.2).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -22,8 +32,10 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use waffle_mem::{AccessKind, SiteId};
+use waffle_sim::tls::InheritableTls;
 use waffle_sim::{AccessCtx, AccessRecord, Monitor, PreAction, SimTime, ThreadId};
 use waffle_telemetry::{RunJournal, RunTelemetry};
+use waffle_vclock::{ClassicClock, ClockSnapshot};
 
 use crate::decay::DecayState;
 use crate::recent::{RecentAccess, RecentWindow};
@@ -51,6 +63,9 @@ pub struct OnlineState {
     /// instance, observed in a run with no delay yet injected at ℓ1 —
     /// the reference the timestamp-shift inference compares against.
     pub tau2_baseline_us: BTreeMap<SiteId, BTreeMap<SiteId, u64>>,
+    /// Largest near-miss gap (µs) observed online per delay location; the
+    /// no-preparation-run variant's stand-in for the plan's delay lengths.
+    pub max_gap_us: BTreeMap<SiteId, u64>,
     /// Probability decay state.
     pub decay: DecayState,
 }
@@ -99,7 +114,11 @@ struct OwnDelay {
 pub struct OnlinePolicy {
     pairing: Pairing,
     state: OnlineState,
-    fixed_delay: SimTime,
+    /// `None` delays by α·(largest gap observed at the site) instead.
+    fixed_delay: Option<SimTime>,
+    /// Runtime fork-edge vector clocks; when present they replace
+    /// happens-before inference.
+    clocks: Option<InheritableTls<ClassicClock<ThreadId>>>,
     rng: SmallRng,
     window: RecentWindow,
     own_delays: Vec<OwnDelay>,
@@ -130,12 +149,25 @@ impl OnlinePolicy {
         Self {
             pairing,
             state,
-            fixed_delay,
+            fixed_delay: Some(fixed_delay),
+            clocks: None,
             rng: SmallRng::seed_from_u64(seed),
             window: RecentWindow::new(delta),
             own_delays: Vec::new(),
             stats: OnlineRunStats::default(),
             telemetry: RunTelemetry::counters_only(),
+        }
+    }
+
+    /// Creates a no-preparation-run policy (Table 7 row 2): MemOrder
+    /// pairing, runtime clock pruning and delays of α·(observed gap).
+    pub fn no_prep(state: OnlineState, seed: u64) -> Self {
+        let mut clocks = InheritableTls::new();
+        clocks.init_root(ThreadId(0), ClassicClock::root(ThreadId(0)));
+        Self {
+            fixed_delay: None,
+            clocks: Some(clocks),
+            ..Self::new(Pairing::MemOrder, state, seed)
         }
     }
 
@@ -161,6 +193,26 @@ impl OnlinePolicy {
     /// Takes this run's finished telemetry journal.
     pub fn take_journal(&mut self) -> RunJournal {
         self.telemetry.take_journal()
+    }
+
+    /// `tid`'s current runtime clock (empty without clocks or for an
+    /// unknown thread).
+    fn clock(&self, tid: ThreadId) -> ClockSnapshot<ThreadId> {
+        self.clocks
+            .as_ref()
+            .and_then(|c| c.get(tid))
+            .map(|c| c.snapshot())
+            .unwrap_or_default()
+    }
+
+    /// The length of a delay at `site`: the fixed delay, or α = 1.15 times
+    /// the largest gap observed there, `None` when that is zero.
+    fn delay_len(&self, site: SiteId) -> Option<SimTime> {
+        if self.fixed_delay.is_some() {
+            return self.fixed_delay;
+        }
+        let gap = self.state.max_gap_us.get(&site).copied().unwrap_or(0);
+        Some(SimTime::from_us(gap).scale(115, 100)).filter(|&len| len > SimTime::ZERO)
     }
 
     /// Whether the pairing instruments accesses of this kind.
@@ -310,16 +362,25 @@ impl OnlinePolicy {
             (Pairing::MemOrder, _) => return,
             (Pairing::Tsv, _) => (AccessKind::UnsafeApiCall, true),
         };
-        let others: Vec<SiteId> = self
+        let now = self.clocks.is_some().then(|| self.clock(ctx.thread));
+        let others: Vec<(SiteId, SimTime)> = self
             .window
             .others(ctx.obj, ctx.thread, ctx.time)
             .filter(|a| a.kind == wanted)
-            .map(|a| a.site)
+            // Runtime pruning (§4.1): skip a near-miss whose recorded clock
+            // is ordered against this thread's current one.
+            .filter(|a| now.as_ref().is_none_or(|c| !a.clock.order(c).is_ordered()))
+            .map(|a| (a.site, a.time))
             .collect();
-        for other in others {
+        for (other, time) in others {
             self.add_pair(other, ctx.site);
             if both_ways {
                 self.add_pair(ctx.site, other);
+            }
+            if self.fixed_delay.is_none() {
+                let gap = ctx.time.saturating_sub(time).as_us();
+                let max = self.state.max_gap_us.entry(other).or_insert(0);
+                *max = (*max).max(gap);
             }
         }
     }
@@ -349,17 +410,27 @@ impl Monitor for OnlinePolicy {
         if !self.instruments(ctx.kind) {
             return PreAction::Proceed;
         }
-        self.infer_happens_before(ctx);
+        // Runtime clocks replace happens-before inference.
+        let inferring = self.clocks.is_none();
+        if inferring {
+            self.infer_happens_before(ctx);
+        }
         self.identify(ctx);
-        self.update_baselines(ctx);
+        if inferring {
+            self.update_baselines(ctx);
+        }
         // Injection: delay candidate locations with decaying probability;
         // parallel delays are allowed (no coordination).
         if self.state.candidates.contains_key(&ctx.site) {
             let permille = self.state.decay.permille(ctx.site);
             if self.state.decay.roll(ctx.site, &mut self.rng) {
+                // A zero observed gap spends the roll and records nothing.
+                let Some(len) = self.delay_len(ctx.site) else {
+                    return PreAction::Proceed;
+                };
                 self.state.decay.record_injection(ctx.site);
                 self.telemetry
-                    .injected(ctx.site, ctx.thread, ctx.time, self.fixed_delay, permille);
+                    .injected(ctx.site, ctx.thread, ctx.time, len, permille);
                 self.telemetry.decay_step(
                     ctx.site,
                     ctx.thread,
@@ -370,14 +441,20 @@ impl Monitor for OnlinePolicy {
                     site: ctx.site,
                     thread: ctx.thread,
                     start: ctx.time,
-                    end: ctx.time + self.fixed_delay,
+                    end: ctx.time + len,
                 });
-                return PreAction::Delay(self.fixed_delay);
+                return PreAction::Delay(len);
             }
             self.telemetry
                 .skipped_probability(ctx.site, ctx.thread, ctx.time, permille);
         }
         PreAction::Proceed
+    }
+
+    fn on_fork(&mut self, parent: ThreadId, child: ThreadId, _time: SimTime) {
+        if let Some(clocks) = &mut self.clocks {
+            clocks.inherit(parent, child, |pc| pc.fork(parent, child));
+        }
     }
 
     fn on_access_post(&mut self, rec: &AccessRecord) {
@@ -386,6 +463,7 @@ impl Monitor for OnlinePolicy {
         if !self.instruments(rec.kind) {
             return;
         }
+        let clock = self.clock(rec.thread);
         self.window.push(
             rec.obj,
             RecentAccess {
@@ -393,7 +471,7 @@ impl Monitor for OnlinePolicy {
                 site: rec.site,
                 kind: rec.kind,
                 thread: rec.thread,
-                clock: Default::default(),
+                clock,
             },
         );
     }
@@ -633,5 +711,101 @@ mod tests {
         let r = Simulator::run(&w, SimConfig::with_seed(0).deterministic(), &mut policy);
         assert!(r.delays.is_empty());
         assert_eq!(policy.into_state().delay_sites(), 0);
+    }
+
+    #[test]
+    fn noprep_exposes_recurring_bug_with_variable_delay() {
+        // Recurring use-after-free: identified in round 1, the use gets a
+        // gap-proportional delay in a later round.
+        let mut b = WorkloadBuilder::new("noprep");
+        let objs = b.objects("conn", 4);
+        let started = b.event("s");
+        let objs_w = objs.clone();
+        let worker = b.script("worker", move |s| {
+            s.wait(started);
+            for o in &objs_w {
+                s.compute(SimTime::from_us(200))
+                    .use_(*o, "W.poll:1", SimTime::from_us(10))
+                    .compute(SimTime::from_us(790));
+            }
+        });
+        let objs_m = objs.clone();
+        let main = b.script("main", move |s| {
+            for o in &objs_m {
+                s.init(*o, "M.ctor:1", SimTime::from_us(5));
+            }
+            s.fork(worker).signal(started);
+            for o in &objs_m {
+                s.compute(SimTime::from_us(1_000))
+                    .dispose(*o, "M.free:9", SimTime::from_us(5));
+            }
+            s.join_children();
+        });
+        b.main(main);
+        let w = b.build();
+        let mut state = OnlineState::default();
+        let mut manifested = false;
+        for run in 0..5u64 {
+            let mut policy = OnlinePolicy::no_prep(state, run);
+            let r = Simulator::run(&w, SimConfig::with_seed(run).deterministic(), &mut policy);
+            state = policy.into_state();
+            if r.manifested() {
+                // The injected delay was gap-proportional, not 100 ms.
+                assert!(r.delays.iter().all(|d| d.dur < SimTime::from_ms(100)));
+                manifested = true;
+                break;
+            }
+        }
+        assert!(manifested, "no-prep variant must expose the recurring bug");
+    }
+
+    #[test]
+    fn runtime_clock_pruning_skips_fork_ordered_pairs() {
+        // Parent inits then forks the child that uses: the online clocks
+        // are ordered, so no candidate is admitted.
+        let mut b = WorkloadBuilder::new("ordered");
+        let o = b.object("o");
+        let child = b.script("child", move |s| {
+            s.use_(o, "C.use:1", SimTime::from_us(10));
+        });
+        let main = b.script("main", move |s| {
+            s.init(o, "M.init:1", SimTime::from_us(5))
+                .fork(child)
+                .join_children();
+        });
+        b.main(main);
+        let w = b.build();
+        let mut policy = OnlinePolicy::no_prep(OnlineState::default(), 0);
+        let _ = Simulator::run(&w, SimConfig::with_seed(0).deterministic(), &mut policy);
+        assert!(policy.into_state().candidates.is_empty());
+    }
+
+    #[test]
+    fn fork_chain_orders_ancestors() {
+        let mut p = OnlinePolicy::no_prep(OnlineState::default(), 0);
+        p.on_fork(ThreadId(0), ThreadId(1), SimTime::ZERO);
+        p.on_fork(ThreadId(1), ThreadId(2), SimTime::ZERO);
+        // Snapshots taken now: the leaf knows everything its ancestors did
+        // at fork time, so sibling-free chains compare as ordered.
+        assert!(!p.clock(ThreadId(0)).is_empty());
+        assert!(!p.clock(ThreadId(2)).is_empty());
+    }
+
+    #[test]
+    fn siblings_are_concurrent() {
+        let mut p = OnlinePolicy::no_prep(OnlineState::default(), 0);
+        p.on_fork(ThreadId(0), ThreadId(1), SimTime::ZERO);
+        p.on_fork(ThreadId(0), ThreadId(2), SimTime::ZERO);
+        assert!(!p.clock(ThreadId(1)).order(&p.clock(ThreadId(2))).is_ordered());
+    }
+
+    #[test]
+    fn unknown_threads_have_empty_clocks() {
+        let p = OnlinePolicy::no_prep(OnlineState::default(), 0);
+        assert!(p.clock(ThreadId(9)).is_empty());
+        // Without runtime clocks every thread's clock is empty.
+        let mut basic = OnlinePolicy::new(Pairing::MemOrder, OnlineState::default(), 0);
+        basic.on_fork(ThreadId(0), ThreadId(1), SimTime::ZERO);
+        assert!(basic.clock(ThreadId(0)).is_empty());
     }
 }

@@ -17,9 +17,9 @@ pub struct RecentAccess {
     pub kind: AccessKind,
     /// Accessing thread.
     pub thread: ThreadId,
-    /// The accessing thread's vector clock at access time. Empty for
-    /// policies that do not track clocks (only the no-preparation-run
-    /// variant consumes this field).
+    /// The accessing thread's runtime vector clock at access time. Only
+    /// [`OnlinePolicy::no_prep`](crate::OnlinePolicy::no_prep) tracks
+    /// clocks; for every other online tool it is empty.
     pub clock: ClockSnapshot<ThreadId>,
 }
 

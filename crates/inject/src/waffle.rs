@@ -46,6 +46,12 @@ pub struct WaffleRunStats {
 /// either owns ([`WafflePolicy::with_config`] compiles them from a `Plan`)
 /// or borrows ([`WafflePolicy::compiled`], which lets every detection run
 /// of an attempt share one compilation).
+///
+/// Over tables compiled from a [`TsvPlan`](waffle_analysis::TsvPlan)
+/// ([`PlanTables::compile_tsv`]) the same policy is WaffleTSV, the §8
+/// extension: the preparation-run design applied to thread-safety
+/// violations. Each delay is the measured gap, aiming the delayed call's
+/// execution window at its partner's (the Fig. 2 atomicity window).
 #[derive(Debug)]
 pub struct WafflePolicy<'p> {
     tables: Cow<'p, PlanTables>,
@@ -142,10 +148,15 @@ impl<'p> WafflePolicy<'p> {
 }
 
 impl Monitor for WafflePolicy<'_> {
-    fn instr_overhead(&self, _kind: waffle_mem::AccessKind) -> SimTime {
-        // The detection runtime performs a candidate-set lookup per access;
-        // cheaper than the preparation run's trace write.
-        SimTime::from_us(1)
+    fn instr_overhead(&self, kind: waffle_mem::AccessKind) -> SimTime {
+        // The detection runtime performs a candidate-set lookup per
+        // instrumented access; cheaper than the preparation run's trace
+        // write.
+        if self.tables.instruments(kind) {
+            SimTime::from_us(1)
+        } else {
+            SimTime::ZERO
+        }
     }
 
     fn on_access_pre(&mut self, ctx: &AccessCtx<'_>) -> PreAction {
@@ -153,6 +164,9 @@ impl Monitor for WafflePolicy<'_> {
         let Some(rank) = tables.rank(ctx.site) else {
             return PreAction::Proceed;
         };
+        if !tables.instruments(ctx.kind) {
+            return PreAction::Proceed;
+        }
         let len = tables.delay(rank);
         if len == SimTime::ZERO {
             return PreAction::Proceed;
@@ -201,7 +215,8 @@ impl Monitor for WafflePolicy<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use waffle_analysis::{analyze, AnalyzerConfig};
+    use waffle_analysis::{analyze, analyze_tsv, AnalyzerConfig, TsvPlan};
+    use waffle_sim::time::{ms, us};
     use waffle_sim::{SimConfig, Simulator, Workload, WorkloadBuilder};
     use waffle_trace::TraceRecorder;
 
@@ -400,5 +415,67 @@ mod tests {
         let r = Simulator::run(&w, SimConfig::with_seed(1), &mut policy);
         assert!(r.delays.is_empty());
         assert!(!r.manifested());
+    }
+
+    /// Two calls 30 ms apart with 1 ms windows: TSVD's fixed 100 ms delay
+    /// relies on trap semantics; WaffleTSV's planned 30 ms delay lands the
+    /// execution windows directly on each other.
+    fn tsv_workload() -> Workload {
+        let mut b = WorkloadBuilder::new("wtsv");
+        let dict = b.object("dict");
+        let started = b.event("s");
+        let worker = b.script("worker", move |s| {
+            s.wait(started)
+                .pad(ms(1))
+                .unsafe_call(dict, "Worker.Add:3", ms(1));
+        });
+        let main = b.script("main", move |s| {
+            s.init(dict, "M.ctor:1", us(20))
+                .fork(worker)
+                .signal(started)
+                .pad(ms(31))
+                .unsafe_call(dict, "Main.Get:7", ms(1))
+                .join_children();
+        });
+        b.main(main);
+        b.build()
+    }
+
+    fn tsv_tables_for(w: &Workload) -> (TsvPlan, PlanTables) {
+        let mut rec = TraceRecorder::with_overhead(w, SimTime::ZERO);
+        let _ = Simulator::run(w, SimConfig::with_seed(0).deterministic(), &mut rec);
+        let plan = analyze_tsv(&rec.into_trace(), ms(100), ms(1));
+        let tables = PlanTables::compile_tsv(&plan, w.sites.len());
+        (plan, tables)
+    }
+
+    #[test]
+    fn planned_gap_delay_forces_the_overlap_in_one_detection_run() {
+        let w = tsv_workload();
+        let (plan, tables) = tsv_tables_for(&w);
+        assert_eq!(plan.candidates.len(), 1);
+        let mut policy =
+            WafflePolicy::compiled(&tables, DecayState::default(), 1, WaffleConfig::default());
+        let r = Simulator::run(&w, SimConfig::with_seed(1), &mut policy);
+        assert!(
+            !r.tsv_violations.is_empty(),
+            "planned delay must collide the windows (injected {})",
+            policy.stats().injected
+        );
+        // The injected delay is the measured 30ms gap, not a fixed 100ms.
+        assert_eq!(r.delays.len(), 1);
+        assert!(r.delays[0].dur < ms(35) && r.delays[0].dur > ms(25));
+    }
+
+    #[test]
+    fn tsv_tables_ignore_mem_order_sites() {
+        let w = tsv_workload();
+        let (_, tables) = tsv_tables_for(&w);
+        let mut policy =
+            WafflePolicy::compiled(&tables, DecayState::default(), 1, WaffleConfig::default());
+        let r = Simulator::run(&w, SimConfig::with_seed(1), &mut policy);
+        for d in &r.delays {
+            assert_ne!(w.sites.name(d.site), "M.ctor:1");
+        }
     }
 }

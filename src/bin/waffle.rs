@@ -1007,6 +1007,11 @@ fn fuzz_cmd(a: &Args) -> Result<(), String> {
         repair: d.repair || a.on("--repair"),
         ..d
     };
+    // The block's last seed, seed_base + seeds - 1, must be a u64.
+    let max_base = u64::MAX - cfg.seeds.saturating_sub(1);
+    if cfg.seed_base > max_base {
+        return Err(format!("--seed-base must be at most {max_base} with --seeds {}", cfg.seeds));
+    }
     let json = a.on("--json");
 
     let report = run_fuzz(&cfg);

@@ -185,6 +185,28 @@ fn fuzz_rejects_a_meaningless_preemption_bound() {
         .contains("--preemption-bound must be at least 1"));
 }
 
+/// A seed block whose last seed would pass `u64::MAX` is refused before
+/// any case runs; the block that ends exactly there is accepted.
+#[test]
+fn fuzz_rejects_a_seed_block_past_the_last_seed() {
+    let max = u64::MAX.to_string();
+    let out = waffle(&["fuzz", "--seed-base", &max, "--seeds", "2"]);
+    assert!(!out.status.success());
+    let expected = format!("--seed-base must be at most {} with --seeds 2", u64::MAX - 1);
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains(&expected),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = waffle(&["fuzz", "--seed-base", &max, "--seeds", "1"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains(&format!("seeds {max}..={max}")));
+}
+
 /// `--jobs` is bounded, so no command can ask for an unbounded number of
 /// worker threads; the error names the maximum.
 #[test]

@@ -10,10 +10,10 @@
 //! WaffleTSV (the §8 extension) is not a `Tool`, so a second table pins
 //! its detection runs directly: one hash per workload over ten runs.
 
-use waffle_repro::analysis::analyze_tsv;
+use waffle_repro::analysis::{analyze_tsv, PlanTables};
 use waffle_repro::apps::{all_apps, all_bugs};
 use waffle_repro::core::{Detector, DetectorConfig, Tool};
-use waffle_repro::inject::{DecayState, WaffleTsvPolicy};
+use waffle_repro::inject::{DecayState, WaffleConfig, WafflePolicy};
 use waffle_repro::sim::time::{ms, us};
 use waffle_repro::sim::{SimConfig, SimTime, Simulator, Workload, WorkloadBuilder};
 use waffle_repro::trace::TraceRecorder;
@@ -413,10 +413,11 @@ fn every_waffle_tsv_outcome_matches_its_pinned_hash() {
         let mut rec = TraceRecorder::new(&w);
         let _ = Simulator::run(&w, SimConfig::with_seed(0), &mut rec);
         let plan = analyze_tsv(&rec.into_trace(), ms(100), ms(1));
+        let tables = PlanTables::compile_tsv(&plan, w.sites.len());
         let mut decay = DecayState::default();
         let mut json = String::new();
         for run in 1..=10u64 {
-            let mut p = WaffleTsvPolicy::new(plan.clone(), decay, run);
+            let mut p = WafflePolicy::compiled(&tables, decay, run, WaffleConfig::default());
             p.record_events(true);
             let r = Simulator::run(&w, SimConfig::with_seed(run), &mut p);
             let journal = p.take_journal();
