@@ -35,6 +35,8 @@ mod ssh_net;
 pub use framework::{App, AppMeta, BugExpectation, BugSpec, TestCase};
 pub use weak::{weak_scenario, weak_scenarios, WeakScenario};
 
+use waffle_sim::Workload;
+
 /// All eleven applications, in Table 3 order.
 pub fn all_apps() -> Vec<App> {
     vec![
@@ -62,6 +64,13 @@ pub fn all_bugs() -> Vec<BugSpec> {
 /// Looks up one bug by its Table 4 number (1–18).
 pub fn bug(id: u32) -> Option<BugSpec> {
     all_bugs().into_iter().find(|b| b.id == id)
+}
+
+/// The bug-triggering workload of one bug, by its Table 4 number (1–18).
+pub fn bug_workload(id: u32) -> Option<Workload> {
+    all_apps()
+        .into_iter()
+        .find_map(|a| a.bug_workload(id).cloned())
 }
 
 #[cfg(test)]
@@ -100,7 +109,9 @@ mod tests {
                 b.test_name,
                 b.app
             );
+            assert_eq!(bug_workload(b.id).expect("bug workload").name, b.test_name);
         }
+        assert!(bug_workload(19).is_none());
     }
 
     #[test]

@@ -1,20 +1,17 @@
-//! Shared drivers for the table/figure harnesses.
+//! The paper's evaluation, reproduced, plus the throughput benches.
 //!
-//! Every table and figure of the paper's evaluation section has a bench
-//! target in this crate (`cargo bench -p waffle-bench --bench <name>`);
-//! this library holds the measurement drivers they share. The harnesses
-//! fan their experiment grids over [`waffle_core::ExperimentEngine`]
-//! (worker count from `WAFFLE_JOBS`), and the `engine_rate` target writes
-//! throughput figures to `BENCH_core.json` via [`bench_report`].
+//! [`repro`] holds every table and figure of the paper's evaluation
+//! section and the extension studies as typed tables; the `repro` bench
+//! target (`cargo bench -p waffle-bench --bench repro`) prints them and
+//! writes `REPRO.json`. The `engine_rate`, `analysis_rate`, `scale`,
+//! `serve` and `oracle` targets write throughput figures to the
+//! `BENCH_*.json` files via [`bench_report`].
 
 pub mod bench_report;
-pub mod drivers;
+pub mod repro;
 
 pub use bench_report::{
     AnalysisBenchReport, AnalysisRate, BenchEntry, BenchReport, EngineRate, OracleBenchReport,
     OracleBenchRow, ScaleBenchReport, ScaleSweepPoint, ServeBenchReport, ServeSweepPoint,
     WorkerRate,
-};
-pub use drivers::{
-    bug_row, bug_rows, engine_from_env, overhead_for_app, overhead_for_app_on, BugRow, OverheadRow,
 };

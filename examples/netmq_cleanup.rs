@@ -14,16 +14,12 @@
 //! self-interference pair `(ChkDisposed, ChkDisposed)` in `I`, suppresses
 //! the cleanup's delay, and exposes the bug in its first detection run.
 
-use waffle_repro::apps::{all_apps, bug};
+use waffle_repro::apps::{bug, bug_workload};
 use waffle_repro::core::{Detector, DetectorConfig, Tool};
 
 fn main() {
     let spec = bug(11).expect("Bug-11 is NetMQ #814");
-    let app = all_apps()
-        .into_iter()
-        .find(|a| a.name == spec.app)
-        .unwrap();
-    let workload = app.bug_workload(11).unwrap().clone();
+    let workload = bug_workload(11).expect("bug workload exists");
     println!("== {} (issue #{}) ==", workload.name, spec.issue);
     println!("{}\n", spec.summary);
 

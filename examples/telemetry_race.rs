@@ -14,18 +14,14 @@
 //! expose the bug.
 
 use waffle_repro::analysis::{analyze, AnalyzerConfig};
-use waffle_repro::apps::{all_apps, bug};
+use waffle_repro::apps::{bug, bug_workload};
 use waffle_repro::core::{Detector, Tool};
 use waffle_repro::sim::{SimConfig, Simulator};
 use waffle_repro::trace::TraceRecorder;
 
 fn main() {
     let spec = bug(10).expect("Bug-10 is ApplicationInsights #1106");
-    let app = all_apps()
-        .into_iter()
-        .find(|a| a.name == spec.app)
-        .unwrap();
-    let workload = app.bug_workload(10).unwrap().clone();
+    let workload = bug_workload(10).expect("bug workload exists");
     println!("== {} (issue #{}) ==\n", workload.name, spec.issue);
 
     // Preparation run: record the delay-free trace.

@@ -16,7 +16,7 @@ use std::process::ExitCode;
 use std::num::{IntErrorKind, ParseIntError};
 use std::str::FromStr;
 
-use waffle_repro::apps::{all_apps, all_bugs};
+use waffle_repro::apps::{all_apps, all_bugs, bug, bug_workload};
 use waffle_repro::core::{
     attempt_seed, summarize, Campaign, CampaignConfig, CampaignProgress, CellSpec, CellStatus,
     CheckpointState, Detector, DetectorConfig, DetectionOutcome, ExperimentEngine, RunOptions,
@@ -517,15 +517,8 @@ fn scan_cmd(a: &Args) -> Result<(), String> {
 fn report_cmd(a: &Args) -> Result<(), String> {
     let id: u32 = a.arg().parse().map_err(|e| format!("bug id: {e}"))?;
     let opts = options(a)?;
-    let spec = all_bugs()
-        .into_iter()
-        .find(|b| b.id == id)
-        .ok_or_else(|| format!("unknown bug id {id}"))?;
-    let app = all_apps().into_iter().find(|a| a.name == spec.app).unwrap();
-    let w = app
-        .bug_workload(id)
-        .ok_or("bug workload missing")?
-        .clone();
+    let spec = bug(id).ok_or_else(|| format!("unknown bug id {id}"))?;
+    let w = bug_workload(id).ok_or("bug workload missing")?;
     println!("Bug-{id} ({} issue {}): {}\n", spec.app, spec.issue, spec.summary);
     detect_one(&w, &opts)?;
     Ok(())

@@ -1,18 +1,11 @@
 //! Integration tests for the Table 7 ablations: each design point's
 //! removal loses exactly the capability the paper attributes to it.
 
-use waffle_repro::apps::{all_apps, bug};
+use waffle_repro::apps::{all_apps, bug_workload};
 use waffle_repro::core::{run_experiment, Detector, DetectorConfig, Tool};
 
 fn workload_for(id: u32) -> waffle_repro::sim::Workload {
-    let spec = bug(id).expect("bug exists");
-    all_apps()
-        .into_iter()
-        .find(|a| a.name == spec.app)
-        .unwrap()
-        .bug_workload(id)
-        .unwrap()
-        .clone()
+    bug_workload(id).expect("bug workload exists")
 }
 
 fn budgeted(tool: Tool, runs: u32) -> Detector {

@@ -23,13 +23,7 @@ use waffle_repro::vclock::ClockSnapshot;
 const JOB_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn workload_for(id: u32) -> Workload {
-    waffle_repro::apps::all_apps()
-        .into_iter()
-        .find(|a| a.bug_workload(id).is_some())
-        .expect("bug belongs to an app")
-        .bug_workload(id)
-        .expect("bug workload exists")
-        .clone()
+    waffle_repro::apps::bug_workload(id).expect("bug workload exists")
 }
 
 /// One delay-free prep run under a fixed seed, exactly as the detector's

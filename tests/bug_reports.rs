@@ -1,7 +1,7 @@
 //! Report-content validation: for every seeded bug that Waffle exposes,
 //! the report identifies the right site, object class, and context.
 
-use waffle_repro::apps::{all_apps, all_bugs};
+use waffle_repro::apps::{all_bugs, bug_workload};
 use waffle_repro::core::{Detector, DetectorConfig, Tool};
 use waffle_repro::mem::NullRefKind;
 
@@ -15,8 +15,7 @@ fn every_exposed_report_names_a_real_site_with_context() {
         },
     );
     for spec in all_bugs() {
-        let app = all_apps().into_iter().find(|a| a.name == spec.app).unwrap();
-        let w = app.bug_workload(spec.id).unwrap().clone();
+        let w = bug_workload(spec.id).unwrap();
         // One attempt suffices here; the shape test covers reliability.
         let Some(report) = det.detect(&w, 1).exposed else {
             // A rare unlucky seed is acceptable for the heavy bugs; the
@@ -82,9 +81,7 @@ fn fig4a_bugs_manifest_as_use_before_init_and_fig4b_as_use_after_free() {
         (11, NullRefKind::UseAfterFree),     // NetMQ #814
         (15, NullRefKind::UseAfterFree),     // NetMQ #975
     ] {
-        let spec = all_bugs().into_iter().find(|b| b.id == id).unwrap();
-        let app = all_apps().into_iter().find(|a| a.name == spec.app).unwrap();
-        let w = app.bug_workload(id).unwrap().clone();
+        let w = bug_workload(id).unwrap();
         let report = det.detect(&w, 1).exposed.expect("exposed");
         assert_eq!(report.kind, expected, "Bug-{id}");
     }

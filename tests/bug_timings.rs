@@ -4,14 +4,12 @@
 //! the detection shapes (runs, misses) all derive from these gaps.
 
 use waffle_repro::analysis::{analyze, AnalyzerConfig, BugKind, Plan};
-use waffle_repro::apps::{all_apps, all_bugs};
+use waffle_repro::apps::bug_workload;
 use waffle_repro::sim::{SimConfig, SimTime, Simulator, Workload};
 use waffle_repro::trace::TraceRecorder;
 
 fn plan_for(id: u32) -> (Workload, Plan) {
-    let spec = all_bugs().into_iter().find(|b| b.id == id).unwrap();
-    let app = all_apps().into_iter().find(|a| a.name == spec.app).unwrap();
-    let w = app.bug_workload(id).unwrap().clone();
+    let w = bug_workload(id).unwrap();
     let mut rec = TraceRecorder::new(&w);
     let _ = Simulator::run(&w, SimConfig::with_seed(1), &mut rec);
     let plan = analyze(&rec.into_trace(), &AnalyzerConfig::default());
@@ -130,9 +128,7 @@ fn recurring_bugs_expose_multiple_dynamic_instances() {
         (6, "Formatter.ToString:88"),
         (9, "Watcher.OnEvent:71"),
     ] {
-        let spec = all_bugs().into_iter().find(|b| b.id == id).unwrap();
-        let app = all_apps().into_iter().find(|a| a.name == spec.app).unwrap();
-        let w = app.bug_workload(id).unwrap().clone();
+        let w = bug_workload(id).unwrap();
         let r = Simulator::run(
             &w,
             SimConfig::with_seed(1),

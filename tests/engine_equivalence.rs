@@ -2,7 +2,7 @@
 //! to the sequential path at every worker count, and `run_grid` returns
 //! summaries in input order regardless of which worker finishes first.
 
-use waffle_repro::apps::{all_apps, bug};
+use waffle_repro::apps::all_apps;
 use waffle_repro::core::{
     run_experiment, Campaign, CampaignConfig, CellSpec, Detector, DetectorConfig,
     ExperimentEngine, GridCell, RunOptions, Tool,
@@ -13,14 +13,7 @@ const ATTEMPTS: u32 = 4;
 const JOB_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn bug_workload(id: u32) -> Workload {
-    let spec = bug(id).expect("bug exists");
-    all_apps()
-        .into_iter()
-        .find(|a| a.name == spec.app)
-        .unwrap()
-        .bug_workload(id)
-        .unwrap()
-        .clone()
+    waffle_repro::apps::bug_workload(id).expect("bug workload exists")
 }
 
 /// Three differently-shaped inputs: a single-instance race (Bug-1), a

@@ -4,15 +4,13 @@
 //! range.
 
 use waffle_repro::analysis::{analyze, AnalyzerConfig};
-use waffle_repro::apps::{all_apps, all_bugs};
+use waffle_repro::apps::{all_bugs, bug_workload};
 use waffle_repro::sim::{SimConfig, SimTime, Simulator};
 use waffle_repro::trace::TraceRecorder;
 
 /// The racing candidate's measured gap for one bug, from a preparation run.
 fn bug_gap(id: u32) -> SimTime {
-    let spec = all_bugs().into_iter().find(|b| b.id == id).unwrap();
-    let app = all_apps().into_iter().find(|a| a.name == spec.app).unwrap();
-    let w = app.bug_workload(id).unwrap().clone();
+    let w = bug_workload(id).unwrap();
     let mut rec = TraceRecorder::new(&w);
     let _ = Simulator::run(&w, SimConfig::with_seed(1), &mut rec);
     let plan = analyze(&rec.into_trace(), &AnalyzerConfig::default());
@@ -52,8 +50,7 @@ fn known_bug_gaps_span_sub_millisecond_to_hundred_milliseconds() {
 #[test]
 fn planned_delays_exceed_their_gaps_by_the_alpha_margin() {
     for spec in all_bugs() {
-        let app = all_apps().into_iter().find(|a| a.name == spec.app).unwrap();
-        let w = app.bug_workload(spec.id).unwrap().clone();
+        let w = bug_workload(spec.id).unwrap();
         let mut rec = TraceRecorder::new(&w);
         let _ = Simulator::run(&w, SimConfig::with_seed(1), &mut rec);
         let plan = analyze(&rec.into_trace(), &AnalyzerConfig::default());

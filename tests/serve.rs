@@ -16,13 +16,7 @@ use waffle_repro::sim::{time::ms, SimConfig, Simulator, Workload};
 use waffle_repro::trace::{SegmentClass, SegmentReader, Trace, TraceIndex, TraceRecorder};
 
 fn workload_for(id: u32) -> Workload {
-    waffle_repro::apps::all_apps()
-        .into_iter()
-        .find(|a| a.bug_workload(id).is_some())
-        .expect("bug belongs to an app")
-        .bug_workload(id)
-        .expect("bug workload exists")
-        .clone()
+    waffle_repro::apps::bug_workload(id).expect("bug workload exists")
 }
 
 fn recorded_trace(w: &Workload) -> Trace {

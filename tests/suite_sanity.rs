@@ -1,7 +1,7 @@
 //! Suite-wide sanity: every workload in the benchmark suite is clean when
 //! run delay-free, and the static inventory matches the paper's.
 
-use waffle_repro::apps::{all_apps, all_bugs};
+use waffle_repro::apps::{all_apps, all_bugs, bug_workload};
 use waffle_repro::sim::{NullMonitor, SimConfig, Simulator};
 
 #[test]
@@ -36,9 +36,8 @@ fn every_test_input_is_clean_delay_free() {
 fn base_times_follow_table4() {
     // Bug-input base times should be within ±25% of Table 4's numbers.
     for spec in all_bugs() {
-        let app = all_apps().into_iter().find(|a| a.name == spec.app).unwrap();
-        let w = app.bug_workload(spec.id).unwrap();
-        let r = Simulator::run(w, SimConfig::with_seed(0), &mut NullMonitor);
+        let w = bug_workload(spec.id).unwrap();
+        let r = Simulator::run(&w, SimConfig::with_seed(0), &mut NullMonitor);
         let measured = r.end_time.as_ms() as f64;
         let paper = spec.paper.base_ms as f64;
         assert!(

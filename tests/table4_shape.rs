@@ -6,9 +6,11 @@
 //! - run counts stay within a small tolerance of the paper's.
 //!
 //! A reduced repetition count keeps the test tractable; the full
-//! 15-repetition experiment is `cargo bench -p waffle-bench --bench table4`.
+//! 15-repetition experiment is the `table4` entry of `REPRO.json`
+//! (`cargo bench -p waffle-bench --bench repro`), whose shape
+//! `tests/repro_shape.rs` asserts.
 
-use waffle_repro::apps::{all_bugs, bug};
+use waffle_repro::apps::{all_bugs, bug_workload};
 use waffle_repro::core::{run_experiment, Detector, DetectorConfig, Tool};
 
 const ATTEMPTS: u32 = 3;
@@ -28,21 +30,10 @@ fn run_tolerance(id: u32) -> u32 {
     }
 }
 
-fn workload_for(id: u32) -> waffle_repro::sim::Workload {
-    let spec = bug(id).expect("bug exists");
-    waffle_repro::apps::all_apps()
-        .into_iter()
-        .find(|a| a.name == spec.app)
-        .unwrap()
-        .bug_workload(id)
-        .unwrap()
-        .clone()
-}
-
 #[test]
 fn waffle_exposes_every_bug_within_tolerance() {
     for spec in all_bugs() {
-        let w = workload_for(spec.id);
+        let w = bug_workload(spec.id).expect("bug workload");
         let det = Detector::with_config(
             Tool::waffle(),
             DetectorConfig {
@@ -74,7 +65,7 @@ fn waffle_exposes_every_bug_within_tolerance() {
 fn waffle_basic_exposes_the_known_easy_bugs() {
     // The single-instance bugs take 2 runs; the recurring ones 1.
     for (id, expect_runs) in [(1u32, 2u32), (3, 1), (6, 1), (9, 1), (14, 2), (18, 2)] {
-        let w = workload_for(id);
+        let w = bug_workload(id).expect("bug workload");
         let det = Detector::with_config(
             Tool::waffle_basic(),
             DetectorConfig {
@@ -97,7 +88,7 @@ fn waffle_basic_misses_the_interfering_bugs() {
     // Fig. 4a-shaped interference (Bugs 8, 10, 13): the parallel fixed
     // delays cancel deterministically, run after run.
     for id in [8u32, 10, 13] {
-        let w = workload_for(id);
+        let w = bug_workload(id).expect("bug workload");
         let det = Detector::with_config(
             Tool::waffle_basic(),
             DetectorConfig {
@@ -117,7 +108,7 @@ fn waffle_basic_misses_the_interfering_bugs() {
 fn waffle_basic_times_out_on_heavy_churn() {
     // Bug-16's input floods WaffleBasic with fixed delays past the
     // run deadline (the MQTT.Net "TimeOut" behaviour of Tables 5 and 6).
-    let w = workload_for(16);
+    let w = bug_workload(16).expect("bug workload");
     let det = Detector::with_config(
         Tool::waffle_basic(),
         DetectorConfig {
@@ -140,7 +131,7 @@ fn bug_workloads_never_manifest_without_delays() {
     // inputs repeatedly".
     use waffle_repro::sim::{NullMonitor, SimConfig, Simulator};
     for spec in all_bugs() {
-        let w = workload_for(spec.id);
+        let w = bug_workload(spec.id).expect("bug workload");
         for seed in 0..10 {
             let cfg = SimConfig {
                 seed,
