@@ -73,6 +73,16 @@ pub fn bug_workload(id: u32) -> Option<Workload> {
         .find_map(|a| a.bug_workload(id).cloned())
 }
 
+/// The workload of one test input, by its name (e.g.
+/// `NetMQ.runtime_cleanup`).
+pub fn test_workload(name: &str) -> Option<Workload> {
+    all_apps()
+        .into_iter()
+        .flat_map(|a| a.tests)
+        .find(|t| t.workload.name == name)
+        .map(|t| t.workload)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,21 +1,21 @@
 //! `analysis_rate`: throughput of the columnar trace index and the fused
 //! analysis pipeline versus the reference pre-index scanner, written to
-//! `BENCH_analysis.json` (`WAFFLE_BENCH_ANALYSIS_OUT` overrides the path).
+//! `BENCH_analysis.json`. Window per measurement: `WAFFLE_BENCH_MS`.
 //!
 //! The input is a ≥ 100k-event synthetic trace recorded from a real
 //! simulator run: four worker threads cycling over a pool of shared
 //! objects, so every object's timeline interleaves cross-thread accesses
 //! and the near-miss sweep has genuine window pairs to visit. The indexed
-//! measurements *include* the index-build cost — the honest end-to-end
+//! stages *include* the index-build cost — the honest end-to-end
 //! comparison, since the unindexed scanner starts from a raw trace too.
+//! Every stage is a Criterion mean per iteration over the trace's events.
 //!
-//! A counting global allocator tracks peak live heap bytes during each
-//! analysis flavor as a peak-RSS proxy (the workspace has no jemalloc-style
-//! introspection and the bench must not add dependencies).
+//! The counting allocator records peak live heap bytes during one pass of
+//! each flavor as a peak-RSS proxy (`peak_alloc/*` counters).
 
 use criterion::{black_box, Criterion};
 use waffle_analysis::{analyze_indexed, analyze_unindexed, AnalyzerConfig};
-use waffle_bench::{AnalysisBenchReport, AnalysisRate, BenchEntry};
+use waffle_bench::{alloc, Ledger};
 use waffle_sim::{SimConfig, SimTime, Simulator, Workload, WorkloadBuilder};
 use waffle_trace::{TraceIndex, TraceRecorder};
 
@@ -26,51 +26,8 @@ const OBJECTS: usize = 64;
 /// Passes each worker makes over the whole object pool.
 const ROUNDS: usize = 400;
 
-/// Heap-byte counter wrapping the system allocator. Peak live bytes are
-/// the report's RSS proxy; `Relaxed` ordering is fine because the bench
-/// reads the counters only between single-threaded measurement sections.
-mod alloc_counter {
-    #![allow(unsafe_code)] // GlobalAlloc is inherently unsafe; this is bench-only code.
-
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static LIVE: AtomicU64 = AtomicU64::new(0);
-    static PEAK: AtomicU64 = AtomicU64::new(0);
-
-    /// Pass-through allocator that tracks live and peak heap bytes.
-    pub struct CountingAlloc;
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let p = System.alloc(layout);
-            if !p.is_null() {
-                let live =
-                    LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed) + layout.size() as u64;
-                PEAK.fetch_max(live, Ordering::Relaxed);
-            }
-            p
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout);
-            LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Restarts the peak watermark from the current live total.
-    pub fn reset_peak() {
-        PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Peak live heap bytes since the last [`reset_peak`].
-    pub fn peak() -> u64 {
-        PEAK.load(Ordering::Relaxed)
-    }
-}
-
 #[global_allocator]
-static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
+static ALLOC: alloc::Counting = alloc::Counting;
 
 /// Builds the synthetic workload: `main` inits every object, forks the
 /// workers, joins them, and disposes everything; each worker cycles over
@@ -161,66 +118,28 @@ fn main() {
 
     // Peak-heap watermarks for one pass of each flavor, outside the timed
     // sections so the allocator bookkeeping cannot skew the means.
-    alloc_counter::reset_peak();
+    alloc::reset_peak();
     let plan = analyze_unindexed(&trace, &config);
     drop(plan);
-    let peak_unindexed = alloc_counter::peak();
-    alloc_counter::reset_peak();
+    let peak_unindexed = alloc::peak();
+    alloc::reset_peak();
     let index = TraceIndex::build(&trace);
     let plan = analyze_indexed(&index, &config, 1);
     drop(plan);
     drop(index);
-    let peak_indexed = alloc_counter::peak();
+    let peak_indexed = alloc::peak();
 
-    let results = c.results();
-    let mean = |name: &str| {
-        results
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, m)| *m)
-            .expect("bench ran")
-    };
-    let events = stats.events as f64;
-    let unindexed_mean = mean("analyze_unindexed");
-    let report = AnalysisBenchReport {
-        events: stats.events as u64,
-        mem_objects: stats.mem_objects as u64,
-        distinct_clocks: stats.distinct_clocks as u64,
-        window_pairs,
-        index_build_events_per_sec: events * 1e9 / mean("index_build"),
-        unindexed_events_per_sec: events * 1e9 / unindexed_mean,
-        indexed: job_counts
-            .iter()
-            .map(|&jobs| {
-                let m = mean(&format!("analyze_indexed_jobs{jobs}"));
-                AnalysisRate {
-                    jobs,
-                    events_per_sec: events * 1e9 / m,
-                    pairs_per_sec: window_pairs as f64 * 1e9 / m,
-                    speedup_vs_unindexed: unindexed_mean / m,
-                }
-            })
-            .collect(),
-        peak_alloc_unindexed_bytes: peak_unindexed,
-        peak_alloc_indexed_bytes: peak_indexed,
-        available_parallelism: std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-        benches: results
-            .iter()
-            .map(|(name, mean_ns)| BenchEntry {
-                name: name.clone(),
-                mean_ns: *mean_ns,
-            })
-            .collect(),
-    };
-    let path = AnalysisBenchReport::default_path();
-    report.write(&path).expect("write analysis bench report");
-    println!("wrote {}", path.display());
-    for r in &report.indexed {
-        println!(
-            "indexed jobs={}: {:.0} events/sec, {:.0} pairs/sec, {:.2}x vs unindexed",
-            r.jobs, r.events_per_sec, r.pairs_per_sec, r.speedup_vs_unindexed
-        );
+    let mut ledger = Ledger::new("analysis");
+    ledger.env_param("bench_ms", "WAFFLE_BENCH_MS", 300);
+    for (name, mean_ns) in c.results() {
+        ledger.stage(name, *mean_ns as u64, stats.events as u64);
     }
+    ledger
+        .counter("events", stats.events as u64)
+        .counter("mem_objects", stats.mem_objects as u64)
+        .counter("distinct_clocks", stats.distinct_clocks as u64)
+        .counter("window_pairs", window_pairs)
+        .counter("peak_alloc/unindexed_bytes", peak_unindexed)
+        .counter("peak_alloc/indexed_bytes", peak_indexed)
+        .write();
 }

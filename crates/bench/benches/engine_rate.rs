@@ -1,16 +1,25 @@
 //! `engine_rate`: wall-clock throughput of the simulator dispatch loop
-//! (events/sec) and the parallel experiment engine (attempts/sec, speedup
-//! versus sequential), written to `BENCH_core.json` so the figures can be
-//! tracked across changes. Window per measurement: `WAFFLE_BENCH_MS`.
+//! and the parallel experiment engine, written to `BENCH_core.json`.
+//! Window per measurement: `WAFFLE_BENCH_MS`.
+//!
+//! Stages are the Criterion means per iteration: `sim_dispatch` counts
+//! simulated events, `engine_attempts_jobs<N>` counts detection attempts
+//! (events/s and attempts/s are `count * 1e9 / wall_ns`; speedups over
+//! `jobs1` mean nothing at jobs above `env.available_parallelism`). The
+//! counters are the dispatch run's event count and the telemetry of one
+//! sequential reference experiment (fixed seeds), where injection-behavior
+//! drift shows even when throughput stays flat.
 
 use criterion::{black_box, Criterion};
-use waffle_bench::{BenchEntry, BenchReport, EngineRate};
+use waffle_bench::Ledger;
 use waffle_core::{Detector, DetectorConfig, ExperimentEngine, Tool};
 use waffle_sim::{NullMonitor, SimConfig, SimTime, Simulator, Workload, WorkloadBuilder};
 
 /// Attempts per engine measurement (kept small: each attempt is a full
 /// prepare-and-detect cycle).
 const ATTEMPTS: u32 = 8;
+/// Detection runs per attempt.
+const MAX_RUNS: u32 = 4;
 
 /// A dispatch-heavy workload: two worker threads each touching the shared
 /// object through hundreds of distinct sites, so the measurement is
@@ -31,57 +40,52 @@ fn dispatch_workload() -> Workload {
         for w in &workers {
             s.fork(*w);
         }
-        s.join_children().dispose(o, "M.dispose:9", SimTime::from_us(1));
+        s.join_children()
+            .dispose(o, "M.dispose:9", SimTime::from_us(1));
     });
     b.main(main);
     b.build()
 }
 
-/// The workload the engine measurement detects against: Bug-16's
-/// heavy-churn MQTT.Net input. Each attempt costs enough simulation work
-/// that fan-out wins over the per-worker thread-spawn cost — the regime
-/// the engine exists for (toy microsecond workloads lose to spawn
-/// overhead and stay on the sequential path in practice).
-fn racy_workload() -> Workload {
-    waffle_apps::all_apps()
-        .into_iter()
-        .find(|a| a.bug_workload(16).is_some())
-        .expect("Bug-16 app exists")
-        .bug_workload(16)
-        .expect("Bug-16 workload exists")
-        .clone()
-}
-
 fn main() {
+    let mut ledger = Ledger::new("core");
+    ledger.env_param("bench_ms", "WAFFLE_BENCH_MS", 300);
+    ledger
+        .param("attempts", u64::from(ATTEMPTS))
+        .param("max_detection_runs", u64::from(MAX_RUNS));
     let mut c = Criterion::default();
 
     let dispatch = dispatch_workload();
     let events_per_run =
         Simulator::run(&dispatch, SimConfig::with_seed(0), &mut NullMonitor).ops_executed;
     c.bench_function("sim_dispatch", |b| {
-        b.iter(|| Simulator::run(black_box(&dispatch), SimConfig::with_seed(0), &mut NullMonitor))
+        b.iter(|| {
+            Simulator::run(
+                black_box(&dispatch),
+                SimConfig::with_seed(0),
+                &mut NullMonitor,
+            )
+        })
     });
 
-    let racy = racy_workload();
+    // Bug-16's heavy-churn MQTT.Net input: each attempt costs enough
+    // simulation that fan-out wins over the per-worker spawn cost, the
+    // regime the engine exists for.
+    let racy = waffle_apps::bug_workload(16).expect("Bug-16 workload exists");
     let det = Detector::with_config(
         Tool::waffle(),
         DetectorConfig {
-            max_detection_runs: 4,
+            max_detection_runs: MAX_RUNS,
             ..DetectorConfig::default()
         },
     );
-    // One sequential reference experiment (fixed seed ladder) for the
-    // report's headline telemetry counters.
     let telemetry = ExperimentEngine::new(1)
         .run_experiment(&det, &racy, ATTEMPTS)
         .telemetry
         .counters;
     let mut job_counts = vec![1usize, 2];
-    let avail = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    if avail > 2 {
-        job_counts.push(avail);
+    if ledger.env.available_parallelism > 2 {
+        job_counts.push(ledger.env.available_parallelism as usize);
     }
     for &jobs in &job_counts {
         let engine = ExperimentEngine::new(jobs);
@@ -90,38 +94,26 @@ fn main() {
         });
     }
 
-    let results = c.results();
-    let mean = |name: &str| {
-        results
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, m)| *m)
-            .expect("bench ran")
-    };
-    let seq_mean = mean("engine_attempts_jobs1");
-    let report = BenchReport {
-        sim_events_per_sec: events_per_run as f64 * 1e9 / mean("sim_dispatch"),
-        engine: job_counts
-            .iter()
-            .map(|&jobs| {
-                let m = mean(&format!("engine_attempts_jobs{jobs}"));
-                EngineRate {
-                    jobs,
-                    attempts_per_sec: f64::from(ATTEMPTS) * 1e9 / m,
-                    speedup_vs_sequential: seq_mean / m,
-                }
-            })
-            .collect(),
-        benches: results
-            .iter()
-            .map(|(name, mean_ns)| BenchEntry {
-                name: name.clone(),
-                mean_ns: *mean_ns,
-            })
-            .collect(),
-        telemetry,
-    };
-    let path = BenchReport::default_path();
-    report.write(&path).expect("write bench report");
-    println!("wrote {}", path.display());
+    for (name, mean_ns) in c.results() {
+        let count = if name == "sim_dispatch" {
+            events_per_run
+        } else {
+            u64::from(ATTEMPTS)
+        };
+        ledger.stage(name, *mean_ns as u64, count);
+    }
+    ledger
+        .counter("sim_dispatch/events", events_per_run)
+        .counter("telemetry/injected", telemetry.injected)
+        .counter(
+            "telemetry/skipped_probability",
+            telemetry.skipped_probability,
+        )
+        .counter(
+            "telemetry/skipped_interference",
+            telemetry.skipped_interference,
+        )
+        .counter("telemetry/decay_steps", telemetry.decay_steps)
+        .counter("telemetry/instrumented_ops", telemetry.instrumented_ops)
+        .write();
 }

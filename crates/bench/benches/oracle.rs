@@ -1,6 +1,5 @@
 //! `oracle`: sleep-set partial-order reduction vs the naive bounded
-//! explorer, written to `BENCH_oracle.json` (`WAFFLE_BENCH_ORACLE_OUT`
-//! overrides the path).
+//! explorer, written to `BENCH_oracle.json`.
 //!
 //! Two populations, each explored reduced and naive at bounds 2/3/4 under
 //! every memory model:
@@ -17,57 +16,25 @@
 //! report is written — the ratios are measurements of a
 //! verdict-preserving optimization, never of a lossy one.
 //!
-//! Asserted claims:
-//! 1. grid under TSO at bound 3 explores ≥5× fewer frontier states
-//!    reduced than naive (the committed-artifact floor);
-//! 2. one full exploration performs fewer allocation events than half its
-//!    frontier states — the hot loop (clone-on-branch frames, reused
-//!    encode scratch, direct-mapped memo) allocates only on depth growth
-//!    and table resize, not per state.
+//! Each row's counters are `<population>/<model>/b<bound>/…`; its
+//! `reduced` and `naive` stages time the explorations (`count` = frontier
+//! states). Two gates:
+//! 1. `grid/tso/b3/state_ratio` ≥ 5: grid under TSO at bound 3 explores
+//!    at least 5× fewer frontier states reduced than naive;
+//! 2. `alloc_probe/events` under half the probe's frontier states: the
+//!    hot loop (clone-on-branch frames, reused encode scratch,
+//!    direct-mapped memo) allocates only on depth growth and table
+//!    resize, not per state.
 
 use std::time::Instant;
 
-use waffle_bench::{OracleBenchReport, OracleBenchRow};
+use waffle_bench::{alloc, Ledger};
 use waffle_fuzz::{explore, generate_case_for_model, OracleConfig, OracleReport};
 use waffle_sim::time::us;
 use waffle_sim::{MemoryModel, Workload, WorkloadBuilder};
 
-/// Allocation-event counter wrapping the system allocator.
-mod alloc_counter {
-    #![allow(unsafe_code)] // GlobalAlloc is inherently unsafe; bench-only code.
-
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static EVENTS: AtomicU64 = AtomicU64::new(0);
-
-    /// Pass-through allocator that counts allocation calls.
-    pub struct CountingAlloc;
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            EVENTS.fetch_add(1, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout);
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            EVENTS.fetch_add(1, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-
-    /// Allocation events since process start.
-    pub fn events() -> u64 {
-        EVENTS.load(Ordering::Relaxed)
-    }
-}
-
 #[global_allocator]
-static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
+static ALLOC: alloc::Counting = alloc::Counting;
 
 /// Generator seeds per model for the `generated` population.
 const SEEDS: u64 = 10;
@@ -126,22 +93,17 @@ fn edges(r: &OracleReport) -> u64 {
 }
 
 /// Explores every workload reduced and naive, asserts verdict identity
-/// per case, and aggregates one row.
+/// per case, and records one row; returns the row's naive-over-reduced
+/// frontier state ratio.
 fn row(
+    ledger: &mut Ledger,
     population: &str,
     workloads: &[Workload],
     model: MemoryModel,
     bound: u32,
-    verdicts_checked: &mut u64,
-) -> OracleBenchRow {
-    let mut r_states = 0u64;
-    let mut n_states = 0u64;
-    let mut r_edges = 0u64;
-    let mut n_edges = 0u64;
-    let mut prunes = 0u64;
-    let mut hits = 0u64;
-    let mut r_wall = 0u64;
-    let mut n_wall = 0u64;
+) -> f64 {
+    let (mut r_states, mut n_states, mut r_edges, mut n_edges) = (0u64, 0u64, 0u64, 0u64);
+    let (mut prunes, mut hits, mut r_wall, mut n_wall) = (0u64, 0u64, 0u64, 0u64);
     for w in workloads {
         let t0 = Instant::now();
         let r = run(w, model, bound, true);
@@ -150,12 +112,12 @@ fn row(
         let n = run(w, model, bound, false);
         n_wall += t1.elapsed().as_nanos() as u64;
         assert_eq!(
-            r.verdict, n.verdict,
+            r.verdict,
+            n.verdict,
             "verdict diverged on {} ({} bound {bound})",
             w.name,
             model_name(model)
         );
-        *verdicts_checked += 1;
         r_states += r.states_explored;
         n_states += n.states_explored;
         r_edges += edges(&r);
@@ -163,29 +125,38 @@ fn row(
         prunes += r.sleep_prunes;
         hits += r.memo_hits;
     }
-    OracleBenchRow {
-        population: population.to_string(),
-        model: model_name(model).to_string(),
-        preemption_bound: bound,
-        cases: workloads.len() as u64,
-        reduced_states: r_states,
-        naive_states: n_states,
-        state_ratio: n_states as f64 / r_states as f64,
-        reduced_edges: r_edges,
-        naive_edges: n_edges,
-        edge_ratio: n_edges as f64 / r_edges as f64,
-        sleep_prunes: prunes,
-        memo_hits: hits,
-        reduced_wall_ns: r_wall,
-        naive_wall_ns: n_wall,
+    let key = format!("{population}/{}/b{bound}", model_name(model));
+    let ratio = n_states as f64 / r_states as f64;
+    println!(
+        "{key:>18}: states {r_states} vs {n_states} ({ratio:.2}x), edges {r_edges} vs {n_edges}, \
+         prunes {prunes}, wall {:.1}ms vs {:.1}ms",
+        r_wall as f64 / 1e6,
+        n_wall as f64 / 1e6,
+    );
+    ledger
+        .stage(&format!("{key}/reduced"), r_wall, r_states)
+        .stage(&format!("{key}/naive"), n_wall, n_states);
+    for (name, value) in [
+        ("cases", workloads.len() as u64),
+        ("reduced_states", r_states),
+        ("naive_states", n_states),
+        ("reduced_edges", r_edges),
+        ("naive_edges", n_edges),
+        ("sleep_prunes", prunes),
+        ("memo_hits", hits),
+    ] {
+        ledger.counter(&format!("{key}/{name}"), value);
     }
+    ratio
 }
 
 fn main() {
+    let mut ledger = Ledger::new("oracle");
+    ledger
+        .param("seeds", SEEDS)
+        .param("grid_threads", u64::from(GRID_THREADS));
     let models = [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso];
-    let mut rows = Vec::new();
     let mut verdicts_checked = 0u64;
-    let mut headline = 0.0f64;
 
     let grid_w = [grid(GRID_THREADS)];
     for model in models {
@@ -193,70 +164,33 @@ fn main() {
             .map(|s| generate_case_for_model(s, model).workload)
             .collect();
         for bound in BOUNDS {
-            rows.push(row(
-                "generated",
-                &generated,
-                model,
-                bound,
-                &mut verdicts_checked,
-            ));
-            let g = row("grid", &grid_w, model, bound, &mut verdicts_checked);
+            row(&mut ledger, "generated", &generated, model, bound);
+            let ratio = row(&mut ledger, "grid", &grid_w, model, bound);
+            verdicts_checked += generated.len() as u64 + 1;
             if model == MemoryModel::Tso && bound == 3 {
-                headline = g.state_ratio;
+                ledger.min("grid/tso/b3/state_ratio", ratio, 5.0);
             }
-            rows.push(g);
         }
     }
-
-    assert!(
-        headline >= 5.0,
-        "grid tso bound-3 state reduction {headline:.2}x is under the 5x floor"
-    );
+    ledger.counter("verdicts_checked", verdicts_checked);
 
     // Allocation probe: a full naive exploration of the grid under TSO at
     // bound 3 visits thousands of states; the explorer may allocate on
     // depth growth, memo resize, and witness assembly — never per state.
-    let before = alloc_counter::events();
+    // The gate keeps the events under half the states.
+    let before = alloc::calls();
     let probe = run(&grid_w[0], MemoryModel::Tso, 3, false);
-    let alloc_events = alloc_counter::events() - before;
-    assert!(
-        alloc_events < probe.states_explored / 2,
-        "exploration allocated {alloc_events} times over {} states — the hot loop allocates",
-        probe.states_explored
-    );
-
-    for r in &rows {
-        println!(
-            "{:>9} {:>3} b{}: states {} vs {} ({:.2}x), edges {} vs {} ({:.2}x), \
-             prunes {}, wall {:.1}ms vs {:.1}ms",
-            r.population,
-            r.model,
-            r.preemption_bound,
-            r.reduced_states,
-            r.naive_states,
-            r.state_ratio,
-            r.reduced_edges,
-            r.naive_edges,
-            r.edge_ratio,
-            r.sleep_prunes,
-            r.reduced_wall_ns as f64 / 1e6,
-            r.naive_wall_ns as f64 / 1e6,
-        );
-    }
-    println!(
-        "headline (grid tso b3): {headline:.2}x fewer frontier states; \
-         alloc probe: {alloc_events} allocation events over {} states",
-        probe.states_explored
-    );
-
-    let report = OracleBenchReport {
-        rows,
-        headline_state_ratio: headline,
-        alloc_probe_events: alloc_events,
-        alloc_probe_states: probe.states_explored,
-        verdicts_checked,
-    };
-    let path = OracleBenchReport::default_path();
-    report.write(&path).expect("write oracle bench report");
-    println!("wrote {}", path.display());
+    let alloc_events = alloc::calls() - before;
+    let states = probe.states_explored;
+    assert!(alloc_events > 0, "the counting allocator saw no allocation");
+    println!("alloc probe: {alloc_events} allocation events over {states} states");
+    ledger
+        .counter("alloc_probe/events", alloc_events)
+        .counter("alloc_probe/states", states)
+        .max(
+            "alloc_probe/events",
+            alloc_events as f64,
+            (states / 2) as f64 - 1.0,
+        )
+        .write();
 }

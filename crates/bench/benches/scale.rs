@@ -1,191 +1,53 @@
 //! `scale`: out-of-core columnar scan throughput, flat-memory growth, and
-//! coordinator-free campaign worker scaling, written to `BENCH_scale.json`
-//! (`WAFFLE_BENCH_SCALE_OUT` overrides the path).
+//! coordinator-free campaign worker scaling, written to `BENCH_scale.json`.
 //!
-//! The input is a synthetic ≥10M-event trace built directly (no simulator
-//! run — at this size the dispatch loop would dominate the bench): 4096
-//! objects round-robined over four threads, per-object site trios, and a
-//! clock population shaped like real application traces — a bounded pool
-//! of heavily-reused interned snapshots, almost all cross-thread pairs
-//! parent-child *ordered* (the §4.1 pruning reality), with a handful of
-//! genuinely concurrent objects carrying the candidates. That shape is
-//! exactly where the seed-state scanner hurts: it re-groups the raw
-//! event vector per pass and re-walks full vector clocks per examined
-//! pair, while the columnar sweep reads packed arrays and memo-hits the
-//! interned `(ClockId, ClockId)` pairs.
+//! The input is the synthetic [`Stream`] (4096 objects, a bounded pool of
+//! heavily reused chain clocks, a handful of genuinely concurrent
+//! objects), built directly: at ≥10M events a simulator run would
+//! dominate the bench. That shape is exactly where the seed-state scanner
+//! hurts: it re-groups the raw event vector per pass and re-walks full
+//! vector clocks per examined pair, while the columnar sweep reads packed
+//! arrays and memo-hits the interned `(ClockId, ClockId)` pairs.
 //!
-//! Three claims, asserted before the report is written:
-//! 1. the indexed scan is ≥10× the unindexed scanner at the 10M size
-//!    (the committed-artifact floor; smoke runs at smaller sizes skip it);
-//! 2. out-of-core peak heap stays flat (±20%) as the trace grows 10×
-//!    under a fixed resident budget;
+//! Three claims. The first two are gates, the third an assert:
+//! 1. `scan_speedup` ≥ 10: the indexed scan against the unindexed scanner,
+//!    gated only at ≥10M events (smoke runs at smaller sizes skip it);
+//! 2. `ooc_peak_ratio` ≤ 1.2: out-of-core peak heap stays flat (±20%) as
+//!    the trace grows 10× under a fixed resident budget;
 //! 3. N workers draining a shared campaign directory produce a report
 //!    byte-identical to one worker, at every worker count.
 //!
-//! `WAFFLE_SCALE_EVENTS` scales the trace (default 10_000_000; CI smoke
-//! uses 1_000_000).
+//! Stages hold the fastest of a few passes (`count` = events, or cells
+//! for the campaign stages). `WAFFLE_SCALE_EVENTS` sets the trace size
+//! (default 10_000_000; CI smoke uses 1_000_000).
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::Instant;
 
-use waffle_analysis::{analyze_indexed, analyze_segments, analyze_unindexed, AnalyzerConfig};
-use waffle_apps::all_apps;
-use waffle_bench::{ScaleBenchReport, ScaleSweepPoint, WorkerRate};
+use waffle_analysis::{analyze_indexed, analyze_segments, analyze_unindexed};
+use waffle_apps::{all_apps, test_workload};
+use waffle_bench::{alloc, Ledger, Stream};
 use waffle_core::{Campaign, CampaignConfig, CellSpec, WorkOptions};
-use waffle_mem::{AccessKind, ObjectId, SiteRegistry};
-use waffle_sim::{SimTime, ThreadId, Workload};
-use waffle_trace::{ClockPool, SegmentReader, Trace, TraceEvent, TraceIndex};
-use waffle_vclock::ClockSnapshot;
-
-/// Objects the events round-robin over (the shardable dimension).
-const OBJECTS: u64 = 4096;
-/// Interned chain snapshots; coprime with [`OBJECTS`] so window pairs
-/// cycle through distinct (but bounded) clock-pair keys.
-const CHAIN_CLOCKS: u64 = 509;
-/// Entries per chain snapshot — wide clocks make the unmemoized
-/// comparison honest for a many-thread (thread-pool) application.
-const CHAIN_ENTRIES: u32 = 64;
-
-/// Heap-byte counter wrapping the system allocator (peak-RSS proxy; the
-/// workspace has no allocator introspection deps).
-mod alloc_counter {
-    #![allow(unsafe_code)] // GlobalAlloc is inherently unsafe; bench-only code.
-
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static LIVE: AtomicU64 = AtomicU64::new(0);
-    static PEAK: AtomicU64 = AtomicU64::new(0);
-
-    /// Pass-through allocator that tracks live and peak heap bytes.
-    pub struct CountingAlloc;
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let p = System.alloc(layout);
-            if !p.is_null() {
-                let live =
-                    LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed) + layout.size() as u64;
-                PEAK.fetch_max(live, Ordering::Relaxed);
-            }
-            p
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout);
-            LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Restarts the peak watermark from the current live total.
-    pub fn reset_peak() {
-        PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Peak live heap bytes since the last [`reset_peak`].
-    pub fn peak() -> u64 {
-        PEAK.load(Ordering::Relaxed)
-    }
-}
+use waffle_trace::{SegmentReader, TraceIndex};
 
 #[global_allocator]
-static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
+static ALLOC: alloc::Counting = alloc::Counting;
 
-/// Builds the synthetic trace directly: event `i` hits object `i %
-/// OBJECTS` at `i+1` µs, cycling thread and access kind per round
-/// (`Init, Use, Use, Dispose`). Ordinary objects carry chain snapshots
-/// (totally ordered, so every cross-thread pair is pruned); the four
-/// `obj % 1024 == 0` objects carry single-entry concurrent snapshots and
-/// contribute the candidate pairs.
-fn synthetic_trace(n: u64) -> Trace {
-    let mut sites = SiteRegistry::new();
-    let mut trios = Vec::with_capacity(OBJECTS as usize);
-    for o in 0..OBJECTS {
-        trios.push((
-            sites.register(&format!("o{o}.init"), AccessKind::Init),
-            sites.register(&format!("o{o}.use"), AccessKind::Use),
-            sites.register(&format!("o{o}.dispose"), AccessKind::Dispose),
-        ));
-    }
-    let mut clocks = ClockPool::new();
-    let chain: Vec<_> = (0..CHAIN_CLOCKS)
-        .map(|j| {
-            clocks.intern(ClockSnapshot::from_entries(
-                (0..CHAIN_ENTRIES).map(|t| (ThreadId(100 + t), (j + 1) * 8 + t as u64)),
-            ))
-        })
-        .collect();
-    let conc: Vec<_> = (0..4)
-        .map(|t| clocks.intern(ClockSnapshot::from_entries([(ThreadId(t), 1)])))
-        .collect();
-    let mut events = Vec::with_capacity(n as usize);
-    for i in 0..n {
-        let obj = i % OBJECTS;
-        let round = i / OBJECTS;
-        let lane = (round % 4) as usize;
-        let trio = trios[obj as usize];
-        let (site, kind) = match lane {
-            0 => (trio.0, AccessKind::Init),
-            1 | 2 => (trio.1, AccessKind::Use),
-            _ => (trio.2, AccessKind::Dispose),
-        };
-        events.push(TraceEvent {
-            time: SimTime::from_us(i + 1),
-            thread: ThreadId(lane as u32),
-            site,
-            obj: ObjectId(obj as u32),
-            kind,
-            dyn_index: round,
-            clock: if obj.is_multiple_of(1024) {
-                conc[lane]
-            } else {
-                chain[(i % CHAIN_CLOCKS) as usize]
-            },
-        });
-    }
-    Trace {
-        workload: format!("bench.scale.{n}"),
-        sites,
-        events,
-        forks: vec![],
-        clocks,
-        end_time: SimTime::from_us(n + 2),
-    }
-}
-
-/// δ covering the three nearest same-object successors (spaced `OBJECTS`
-/// µs apart), so the sweep visits ~3 window pairs per event.
-fn config() -> AnalyzerConfig {
-    AnalyzerConfig {
-        delta: SimTime::from_us(OBJECTS * 7 / 2),
-        ..AnalyzerConfig::default()
-    }
-}
-
-/// Minimum wall-clock seconds of `f` over `passes` runs.
-fn time_min<T>(passes: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
+/// Minimum wall-clock nanoseconds of `f` over `passes` runs.
+fn time_min<T>(passes: usize, mut f: impl FnMut() -> T) -> u64 {
+    let mut best = u64::MAX;
     for _ in 0..passes {
         let t0 = Instant::now();
         let out = f();
-        best = best.min(t0.elapsed().as_secs_f64());
+        best = best.min(t0.elapsed().as_nanos() as u64);
         drop(out);
     }
     best
 }
 
-/// Resolves campaign workload names against the seeded application suite.
-fn resolve(name: &str) -> Option<Workload> {
-    all_apps()
-        .into_iter()
-        .flat_map(|a| a.tests)
-        .find(|t| t.workload.name == name)
-        .map(|t| t.workload)
-}
-
 /// Runs the shared campaign grid with `workers` concurrent in-process
-/// workers; returns (wall seconds, report bytes).
-fn run_workers(dir: &PathBuf, cells: Vec<CellSpec>, workers: usize) -> (f64, Vec<u8>) {
+/// workers; returns (wall nanoseconds, report bytes).
+fn run_workers(dir: &Path, cells: Vec<CellSpec>, workers: usize) -> (u64, Vec<u8>) {
     let campaign = Campaign::create(
         dir,
         CampaignConfig {
@@ -208,7 +70,7 @@ fn run_workers(dir: &PathBuf, cells: Vec<CellSpec>, workers: usize) -> (f64, Vec
                             poll_ms: 2,
                             ..WorkOptions::default()
                         },
-                        resolve,
+                        test_workload,
                     )
                     .expect("worker pass")
                 })
@@ -218,24 +80,29 @@ fn run_workers(dir: &PathBuf, cells: Vec<CellSpec>, workers: usize) -> (f64, Vec
             h.join().expect("worker thread");
         }
     });
-    let secs = t0.elapsed().as_secs_f64();
+    let wall_ns = t0.elapsed().as_nanos() as u64;
     let report = std::fs::read(dir.join("report.json")).expect("report written");
-    (secs, report)
+    (wall_ns, report)
+}
+
+/// Seconds in `ns` nanoseconds, for the progress lines.
+fn secs(ns: u64) -> f64 {
+    ns as f64 / 1e9
 }
 
 fn main() {
-    let n: u64 = std::env::var("WAFFLE_SCALE_EVENTS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000_000);
+    let mut ledger = Ledger::new("scale");
+    let n = ledger.env_param("events", "WAFFLE_SCALE_EVENTS", 10_000_000);
     assert!(n >= 100_000, "WAFFLE_SCALE_EVENTS must be at least 100000");
-    let scratch = std::env::temp_dir().join(format!("waffle-scale-{}", std::process::id()));
+    // Relative to the working directory and the same on every machine:
+    // the paths the run holds are part of its peak-heap counters.
+    let scratch = Path::new("bench-scratch").join("scale");
     std::fs::create_dir_all(&scratch).expect("scratch dir");
-    let config = config();
+    let config = Stream::config();
 
     // ---- Headline: unindexed scanner vs indexed scan, full size. ----
     println!("generating {n}-event trace…");
-    let trace = synthetic_trace(n);
+    let trace = Stream::new().trace(n);
     let reference = analyze_unindexed(&trace, &config);
     let window_pairs = reference.stats.window_pairs;
     let reference_json = reference.to_json().expect("plan serializes");
@@ -244,15 +111,14 @@ fn main() {
         "the synthetic trace must produce candidates or the bench is vacuous"
     );
     drop(reference);
-    let unindexed_secs = time_min(2, || analyze_unindexed(&trace, &config));
+    let unindexed_ns = time_min(2, || analyze_unindexed(&trace, &config));
     println!(
-        "unindexed: {:.2}s ({:.0} events/sec, {window_pairs} window pairs)",
-        unindexed_secs,
-        n as f64 / unindexed_secs
+        "unindexed: {:.2}s ({window_pairs} window pairs)",
+        secs(unindexed_ns)
     );
 
     let index = TraceIndex::build(&trace);
-    let istats = index.stats();
+    let mem_objects = index.stats().mem_objects as u64;
     let indexed_json = analyze_indexed(&index, &config, 1)
         .to_json()
         .expect("plan serializes");
@@ -260,25 +126,34 @@ fn main() {
         indexed_json, reference_json,
         "indexed plan diverged from the reference scanner"
     );
-    let indexed_secs = time_min(3, || analyze_indexed(&index, &config, 1));
+    let indexed_ns = time_min(3, || analyze_indexed(&index, &config, 1));
+    let scan_speedup = unindexed_ns as f64 / indexed_ns as f64;
     println!(
-        "indexed scan: {:.2}s ({:.0} events/sec, {:.1}x)",
-        indexed_secs,
-        n as f64 / indexed_secs,
-        unindexed_secs / indexed_secs
+        "indexed scan: {:.2}s ({scan_speedup:.1}x)",
+        secs(indexed_ns)
     );
     drop(index);
     drop(trace);
+    ledger
+        .stage("unindexed_scan", unindexed_ns, n)
+        .stage("indexed_scan", indexed_ns, n)
+        .counter("mem_objects", mem_objects)
+        .counter("window_pairs", window_pairs);
+    if n >= 10_000_000 {
+        ledger.min("scan_speedup", scan_speedup, 10.0);
+    }
 
     // ---- Growth sweep: 1× / ~3× / 10×, fixed resident budget. ----
-    let sizes = [n / 10, n * 32 / 100, n];
     let mut budget = 0u64;
-    let mut sweep = Vec::new();
-    let mut ooc_secs_full = 0.0;
-    for (k, &size) in sizes.iter().enumerate() {
-        let trace = synthetic_trace(size);
+    let mut peaks = Vec::new();
+    for (k, size) in [n / 10, n * 32 / 100, n].into_iter().enumerate() {
+        // A fresh generator per size, dropped with its trace, so the
+        // measured peak holds nothing but the out-of-core pass.
+        let trace = Stream::new().trace(size);
         let path = scratch.join(format!("scale-{size}.wseg"));
-        TraceIndex::build(&trace).write_segments(&path).expect("segments write");
+        TraceIndex::build(&trace)
+            .write_segments(&path)
+            .expect("segments write");
         drop(trace);
         let file_bytes = std::fs::metadata(&path).expect("segment file").len();
         if k == 0 {
@@ -294,16 +169,16 @@ fn main() {
                 .map(|m| m.bytes)
                 .sum();
             budget = (mem_bytes / 2).max(1);
+            ledger.counter("resident_budget_bytes", budget);
         }
         let mut reader = SegmentReader::open(&path).expect("segments open");
-        let batches = waffle_analysis::ooc_stats(&reader, budget).batches;
-        alloc_counter::reset_peak();
+        let batches = waffle_analysis::ooc_stats(&reader, budget).batches as u64;
+        alloc::reset_peak();
         let t0 = Instant::now();
         let plan = analyze_segments(&mut reader, &config, 1, budget).expect("ooc analysis");
-        let secs = t0.elapsed().as_secs_f64();
-        let peak = alloc_counter::peak();
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        let peak = alloc::peak();
         if size == n {
-            ooc_secs_full = secs;
             assert_eq!(
                 plan.to_json().expect("plan serializes"),
                 reference_json,
@@ -313,23 +188,22 @@ fn main() {
         drop(plan);
         drop(reader);
         println!(
-            "ooc {size} events: {:.2}s ({:.0} events/sec), {batches} batches, peak {:.1} MiB",
-            secs,
-            size as f64 / secs,
+            "ooc {size} events: {:.2}s, {batches} batches, peak {:.1} MiB",
+            secs(wall_ns),
             peak as f64 / (1 << 20) as f64
         );
-        sweep.push(ScaleSweepPoint {
-            events: size,
-            file_bytes,
-            batches,
-            events_per_sec: size as f64 / secs,
-            peak_alloc_bytes: peak,
-        });
+        ledger
+            .stage(&format!("ooc_scan/{size}"), wall_ns, size)
+            .counter(&format!("ooc/{size}/file_bytes"), file_bytes)
+            .counter(&format!("ooc/{size}/batches"), batches)
+            .counter(&format!("ooc/{size}/peak_alloc_bytes"), peak);
+        peaks.push(peak);
         std::fs::remove_file(&path).ok();
     }
-    let peak_min = sweep.iter().map(|p| p.peak_alloc_bytes).min().unwrap().max(1);
-    let peak_max = sweep.iter().map(|p| p.peak_alloc_bytes).max().unwrap();
-    let sweep_peak_ratio = peak_max as f64 / peak_min as f64;
+    let peak_min = peaks.iter().copied().min().unwrap();
+    let peak_max = peaks.iter().copied().max().unwrap();
+    assert!(peak_min > 0, "the counting allocator saw no heap");
+    ledger.max("ooc_peak_ratio", peak_max as f64 / peak_min as f64, 1.2);
 
     // ---- Campaign worker scaling, byte-identical reports. ----
     let cells: Vec<CellSpec> = all_apps()
@@ -338,16 +212,12 @@ fn main() {
         .take(6)
         .map(|t| CellSpec::new(t.workload.name.clone(), "waffle", 2))
         .collect();
-    let worker_counts = [1usize, 2, 4];
-    let mut workers = Vec::new();
-    let mut single_rate = 0.0;
+    ledger.counter("campaign/cells", cells.len() as u64);
     let mut single_report: Vec<u8> = Vec::new();
-    for &w in &worker_counts {
+    for w in [1usize, 2, 4] {
         let dir = scratch.join(format!("campaign-w{w}"));
-        let (secs, report) = run_workers(&dir, cells.clone(), w);
-        let rate = cells.len() as f64 / secs;
+        let (wall_ns, report) = run_workers(&dir, cells.clone(), w);
         if w == 1 {
-            single_rate = rate;
             single_report = report;
         } else {
             assert_eq!(
@@ -355,48 +225,11 @@ fn main() {
                 "{w}-worker campaign report diverged from the single-worker report"
             );
         }
-        println!("workers={w}: {:.2}s ({rate:.1} cells/sec)", secs);
-        workers.push(WorkerRate {
-            workers: w,
-            cells: cells.len(),
-            cells_per_sec: rate,
-            speedup_vs_single: rate / single_rate,
-        });
+        println!("workers={w}: {:.2}s", secs(wall_ns));
+        ledger.stage(&format!("campaign/workers{w}"), wall_ns, cells.len() as u64);
         std::fs::remove_dir_all(&dir).ok();
     }
     std::fs::remove_dir_all(&scratch).ok();
-
-    let report = ScaleBenchReport {
-        events: n,
-        mem_objects: istats.mem_objects as u64,
-        window_pairs,
-        unindexed_events_per_sec: n as f64 / unindexed_secs,
-        indexed_scan_events_per_sec: n as f64 / indexed_secs,
-        ooc_scan_events_per_sec: n as f64 / ooc_secs_full,
-        scan_speedup_vs_unindexed: unindexed_secs / indexed_secs,
-        resident_budget_bytes: budget,
-        sweep,
-        sweep_peak_ratio,
-        workers,
-        available_parallelism: std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-    };
-
-    assert!(
-        report.sweep_peak_ratio <= 1.2,
-        "out-of-core peak heap is not flat: max/min = {:.2} across a 10x growth sweep",
-        report.sweep_peak_ratio
-    );
-    if n >= 10_000_000 {
-        assert!(
-            report.scan_speedup_vs_unindexed >= 10.0,
-            "indexed scan is only {:.1}x the unindexed scanner at {n} events (need >= 10x)",
-            report.scan_speedup_vs_unindexed
-        );
-    }
-
-    let path = ScaleBenchReport::default_path();
-    report.write(&path).expect("write scale bench report");
-    println!("wrote {}", path.display());
+    std::fs::remove_dir("bench-scratch").ok(); // only when no other bench uses it
+    ledger.write();
 }

@@ -23,8 +23,9 @@ pub struct ExperimentSummary {
     /// Attempts in which a thread-safety violation was exposed instead of
     /// a MemOrder bug (only the TSVD baseline reports these).
     pub tsv_attempts: u32,
-    /// Runs-to-exposure when a strict majority of attempts agree on the
-    /// same count (the paper's reporting rule); otherwise `None`.
+    /// Runs-to-exposure when at least two thirds of all attempts (10 of
+    /// 15) agree on the same count (the paper's reporting rule);
+    /// otherwise `None`.
     pub majority_runs: Option<u32>,
     /// Median runs-to-exposure across successful attempts.
     pub median_runs: Option<u32>,
@@ -186,6 +187,43 @@ mod tests {
         assert!(!summary.detected());
         assert_eq!(summary.exposed_attempts, 0);
         assert_eq!(summary.reported_runs(), None);
+    }
+
+    /// An attempt that exposed the bug after `runs` runs.
+    fn exposed_after(runs: u32) -> DetectionOutcome {
+        use crate::report::BugReport;
+        DetectionOutcome {
+            workload: "agree".into(),
+            base_time: SimTime::from_us(100),
+            exposed: Some(BugReport {
+                workload: "agree".into(),
+                kind: waffle_mem::NullRefKind::UseAfterFree,
+                site: "X".into(),
+                obj: waffle_mem::ObjectId(0),
+                time: SimTime::from_us(1),
+                exposed_in_run: runs,
+                total_runs: runs,
+                delays_in_run: 1,
+                delayed_sites: vec!["X".into()],
+                thread_contexts: vec![],
+                memory_model: waffle_sim::MemoryModel::Sc,
+            }),
+            ..DetectionOutcome::default()
+        }
+    }
+
+    /// The reporting rule needs two thirds of the attempts to agree: 10
+    /// of 15 is enough, 9 of 15 (still a strict majority) is not.
+    #[test]
+    fn majority_runs_needs_two_thirds_of_the_attempts() {
+        let det = Detector::new(Tool::waffle());
+        for (agreeing, want) in [(10, Some(3)), (9, None)] {
+            let outcomes: Vec<DetectionOutcome> = (0..15)
+                .map(|i| exposed_after(if i < agreeing { 3 } else { 4 + i }))
+                .collect();
+            let summary = summarize(&det, &racy(), &outcomes);
+            assert_eq!(summary.majority_runs, want, "{agreeing} of 15 agree");
+        }
     }
 
     #[test]

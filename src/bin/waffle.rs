@@ -16,7 +16,7 @@ use std::process::ExitCode;
 use std::num::{IntErrorKind, ParseIntError};
 use std::str::FromStr;
 
-use waffle_repro::apps::{all_apps, all_bugs, bug, bug_workload};
+use waffle_repro::apps::{all_apps, all_bugs, bug, bug_workload, test_workload};
 use waffle_repro::core::{
     attempt_seed, summarize, Campaign, CampaignConfig, CampaignProgress, CellSpec, CellStatus,
     CheckpointState, Detector, DetectorConfig, DetectionOutcome, ExperimentEngine, RunOptions,
@@ -170,10 +170,6 @@ static COMMANDS: &[Command] = &[
         switch("--no-wait", "return instead of polling other workers' claims"),
     ]),
     command("campaign status", CAMPAIGN_DIR, "per-cell state, live claims, quarantine", campaign_status, &[JSON]),
-    command("bench", None, "refresh the BENCH_*.json throughput reports", bench_cmd, &[
-        switch("--all", "refresh every BENCH_*.json report"),
-        text("--out", "DIR", "where the reports go (default .)"),
-    ]),
     command("fuzz", None, "differential fuzzing vs the schedule oracle", fuzz_cmd, &[
         JOBS, PREEMPTION_BOUND, MAX_RUNS, MEMORY_MODEL, JSON,
         num("--seeds", 0, u64::MAX, "generated workloads (default 100)"),
@@ -312,12 +308,7 @@ fn memory_model(a: &Args) -> Result<MemoryModel, String> {
 }
 
 fn find_test(name: &str) -> Option<Workload> {
-    all_apps()
-        .into_iter()
-        .flat_map(|a| a.tests)
-        .find(|t| t.workload.name == name)
-        .map(|t| t.workload)
-        .or_else(|| waffle_repro::apps::weak_scenario(name).map(|s| s.workload))
+    test_workload(name).or_else(|| waffle_repro::apps::weak_scenario(name).map(|s| s.workload))
 }
 
 fn test_named(name: &str) -> Result<Workload, String> {
@@ -1129,43 +1120,6 @@ fn fix_cmd(a: &Args) -> Result<(), String> {
             report.candidates_tried
         ))
     }
-}
-
-/// `waffle bench --all [--out DIR]` — refresh the committed throughput
-/// reports by shelling out to the `waffle-bench` rate harnesses, steering
-/// each one's output into `DIR` (default: the current directory) via its
-/// `WAFFLE_BENCH_*` environment variable. The scale harness defaults to a
-/// 10M-event trace; set `WAFFLE_SCALE_EVENTS` to shrink it for smoke runs.
-fn bench_cmd(a: &Args) -> Result<(), String> {
-    if !a.on("--all") {
-        return Err(
-            "bench: pass --all to refresh BENCH_core.json, BENCH_analysis.json and \
-             BENCH_scale.json (optionally --out DIR)"
-                .into(),
-        );
-    }
-    let out = a.path("--out").unwrap_or_else(|| PathBuf::from("."));
-    std::fs::create_dir_all(&out).map_err(|e| format!("{}: {e}", out.display()))?;
-    let targets = [
-        ("engine_rate", "WAFFLE_BENCH_OUT", "BENCH_core.json"),
-        ("analysis_rate", "WAFFLE_BENCH_ANALYSIS_OUT", "BENCH_analysis.json"),
-        ("scale", "WAFFLE_BENCH_SCALE_OUT", "BENCH_scale.json"),
-        ("serve", "WAFFLE_BENCH_SERVE_OUT", "BENCH_serve.json"),
-        ("oracle", "WAFFLE_BENCH_ORACLE_OUT", "BENCH_oracle.json"),
-    ];
-    for (bench, env, file) in targets {
-        let path = out.join(file);
-        println!("bench {bench} -> {}", path.display());
-        let status = std::process::Command::new("cargo")
-            .args(["bench", "-p", "waffle-bench", "--bench", bench])
-            .env(env, &path)
-            .status()
-            .map_err(|e| format!("cargo bench --bench {bench}: {e}"))?;
-        if !status.success() {
-            return Err(format!("bench {bench} failed ({status})"));
-        }
-    }
-    Ok(())
 }
 
 /// `waffle serve --socket PATH --dir DIR` — the streaming ingestion

@@ -8,19 +8,10 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
 
-use waffle_repro::apps::all_apps;
+use waffle_repro::apps::test_workload;
 use waffle_repro::core::{
     Campaign, CampaignConfig, CellFault, CellSpec, CellStatus, RunOptions,
 };
-use waffle_repro::sim::Workload;
-
-fn resolve(name: &str) -> Option<Workload> {
-    all_apps()
-        .into_iter()
-        .flat_map(|a| a.tests)
-        .find(|t| t.workload.name == name)
-        .map(|t| t.workload)
-}
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("waffle-camp-it-{tag}-{}", std::process::id()));
@@ -57,7 +48,7 @@ fn interrupted_campaign_resumes_byte_identical_at_jobs_1_and_4() {
     let ref_dir = tmpdir("ref");
     let reference = Campaign::create(&ref_dir, config(), grid()).unwrap();
     let ref_report = reference
-        .run(&RunOptions { jobs: 2, ..RunOptions::default() }, resolve)
+        .run(&RunOptions { jobs: 2, ..RunOptions::default() }, test_workload)
         .unwrap()
         .report
         .expect("uninterrupted run completes");
@@ -71,7 +62,7 @@ fn interrupted_campaign_resumes_byte_identical_at_jobs_1_and_4() {
         let partial = c
             .run(
                 &RunOptions { jobs, max_cells: Some(1), ..RunOptions::default() },
-                resolve,
+                test_workload,
             )
             .unwrap();
         assert_eq!(partial.ran.len(), 1);
@@ -80,7 +71,7 @@ fn interrupted_campaign_resumes_byte_identical_at_jobs_1_and_4() {
         assert!(!dir.join("report.json").exists());
         // Resume runs only the outstanding cells …
         let resumed = c
-            .run(&RunOptions { jobs, resume: true, ..RunOptions::default() }, resolve)
+            .run(&RunOptions { jobs, resume: true, ..RunOptions::default() }, test_workload)
             .unwrap();
         assert_eq!(resumed.skipped, 1);
         assert_eq!(resumed.ran.len(), 3);
@@ -99,7 +90,7 @@ fn checkpoint_truncated_by_a_crash_is_rerun_on_resume() {
     let ref_dir = tmpdir("trunc-ref");
     Campaign::create(&ref_dir, config(), grid())
         .unwrap()
-        .run(&RunOptions::default(), resolve)
+        .run(&RunOptions::default(), test_workload)
         .unwrap();
     let ref_bytes = report_bytes(&ref_dir);
 
@@ -107,7 +98,7 @@ fn checkpoint_truncated_by_a_crash_is_rerun_on_resume() {
     let c = Campaign::create(&dir, config(), grid()).unwrap();
     c.run(
         &RunOptions { max_cells: Some(2), ..RunOptions::default() },
-        resolve,
+        test_workload,
     )
     .unwrap();
     // A crash mid-write would leave a partial checkpoint only if the write
@@ -116,7 +107,7 @@ fn checkpoint_truncated_by_a_crash_is_rerun_on_resume() {
     let full = fs::read_to_string(&ckpt).unwrap();
     fs::write(&ckpt, &full[..full.len() / 2]).unwrap();
     let resumed = c
-        .run(&RunOptions { resume: true, jobs: 4, ..RunOptions::default() }, resolve)
+        .run(&RunOptions { resume: true, jobs: 4, ..RunOptions::default() }, test_workload)
         .unwrap();
     // The truncated cell is treated as outstanding and recomputed.
     assert_eq!(resumed.skipped, 1);
@@ -183,7 +174,7 @@ fn panicking_cell_on_real_suite_is_quarantined_and_neighbours_stand() {
     let ref_dir = tmpdir("quar-ref");
     let ref_report = Campaign::create(&ref_dir, config(), grid())
         .unwrap()
-        .run(&RunOptions::default(), resolve)
+        .run(&RunOptions::default(), test_workload)
         .unwrap()
         .report
         .unwrap();
@@ -193,7 +184,7 @@ fn panicking_cell_on_real_suite_is_quarantined_and_neighbours_stand() {
     cells[2].fault = Some(CellFault { attempt: 0, panics: u32::MAX });
     let c = Campaign::create(&dir, config(), cells).unwrap();
     let report = c
-        .run(&RunOptions { jobs: 4, ..RunOptions::default() }, resolve)
+        .run(&RunOptions { jobs: 4, ..RunOptions::default() }, test_workload)
         .unwrap()
         .report
         .expect("campaign completes despite the panicking cell");

@@ -130,6 +130,10 @@ fn unknown_inputs_fail_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown test"));
     let out = waffle(&["frobnicate"]);
     assert!(!out.status.success());
+    // The rate benches write their own ledgers; the CLI has no `bench`.
+    let out = waffle(&["bench", "--all"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
     // `step` is one run: it takes no run budget, attempts, workers or
     // journals. `stats` and `campaign status` take only `--json`.
     let session = std::env::temp_dir().join(format!("waffle-cli-unknown-{}", std::process::id()));
@@ -386,7 +390,7 @@ fn help_names_every_subcommand() {
     for name in [
         "help", "list", "bugs", "analyze", "serve", "ingest", "detect", "step", "scan", "report",
         "stats", "dot", "campaign init", "campaign run", "campaign work", "campaign status",
-        "bench", "fuzz", "fix", "--repair",
+        "fuzz", "fix", "--repair",
     ] {
         assert!(
             help.lines().any(|l| l.trim_start().starts_with(name) || l.contains(&format!(" [{name}]"))),

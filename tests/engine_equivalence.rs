@@ -2,7 +2,7 @@
 //! to the sequential path at every worker count, and `run_grid` returns
 //! summaries in input order regardless of which worker finishes first.
 
-use waffle_repro::apps::all_apps;
+use waffle_repro::apps::{all_apps, test_workload};
 use waffle_repro::core::{
     run_experiment, Campaign, CampaignConfig, CellSpec, Detector, DetectorConfig,
     ExperimentEngine, GridCell, RunOptions, Tool,
@@ -185,7 +185,7 @@ fn campaign_cells_match_run_grid_even_across_interrupt_and_resume() {
                     max_cells: Some(1),
                     ..RunOptions::default()
                 },
-                resolve_by_name,
+                test_workload,
             )
             .unwrap();
         let report = campaign
@@ -195,7 +195,7 @@ fn campaign_cells_match_run_grid_even_across_interrupt_and_resume() {
                     resume: true,
                     ..RunOptions::default()
                 },
-                resolve_by_name,
+                test_workload,
             )
             .unwrap()
             .report
@@ -216,13 +216,6 @@ fn campaign_cells_match_run_grid_even_across_interrupt_and_resume() {
 }
 
 fn resolvable(name: &str) -> bool {
-    resolve_by_name(name).is_some()
+    test_workload(name).is_some()
 }
 
-fn resolve_by_name(name: &str) -> Option<Workload> {
-    all_apps()
-        .into_iter()
-        .flat_map(|a| a.tests)
-        .find(|t| t.workload.name == name)
-        .map(|t| t.workload)
-}
