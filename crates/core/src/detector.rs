@@ -92,11 +92,6 @@ impl Tool {
         }
     }
 
-    /// Whether the tool spends its first run on delay-free preparation.
-    pub fn has_prep_run(&self) -> bool {
-        matches!(self, Tool::Waffle { .. } | Tool::SingleDelay { .. })
-    }
-
     /// Resolves a tool from its CLI / campaign-manifest spelling. This is
     /// the inverse the campaign manifest relies on: cells persist the tool
     /// as a string, and a resuming process reconstructs the detector from

@@ -3,11 +3,12 @@
 //!
 //! The explorer answers one question about a workload, independently of
 //! delay injection: *does any thread schedule make an instrumented access
-//! raise a NULL-reference exception?* It walks a time-free mirror of the
-//! engine's semantics — same heap state machine, same FIFO locks, same
-//! sticky events, same join/task rules — enumerating schedules in the
-//! CHESS style: context switches are free at blocking points and cost one
-//! unit of a *preemption budget* at instrumented accesses.
+//! raise a NULL-reference exception?* It drives the simulator's own
+//! [`Machine`](waffle_sim::Machine) — the one implementation of the heap
+//! state machine, FIFO locks, sticky events, join/task rules and store
+//! buffers — without virtual time, enumerating schedules in the CHESS
+//! style: context switches are free at blocking points and cost one unit
+//! of a *preemption budget* at instrumented accesses.
 //!
 //! Preemption points are placed **only** at [`Op::Access`](waffle_sim::Op) boundaries
 //! because those are exactly the program points where delay injection can
@@ -37,7 +38,7 @@ mod reduction;
 mod state;
 
 use waffle_mem::{NullRefKind, ObjectId};
-use waffle_sim::{MemoryModel, Workload};
+use waffle_sim::{MemoryModel, ThreadId, ThreadStatus, Workload};
 
 use reduction::{
     filter_sleep, fnv128, sleep_fingerprint, sleep_get, sleep_insert, sleep_subset, Footprint,
@@ -166,21 +167,15 @@ pub struct ReplayOutcome {
     pub preemptions: u32,
 }
 
-/// An edge out of a DFS node. `Drain` carries the committed object so the
-/// footprint and the sleep identity need no buffer lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Choice {
-    Continue,
-    Switch(u32),
-    Drain { thread: u32, idx: u32, obj: u32 },
-}
-
-impl Choice {
-    fn step(self) -> ScheduleStep {
-        match self {
-            Choice::Continue => ScheduleStep::Continue,
-            Choice::Switch(u) => ScheduleStep::Switch(u),
-            Choice::Drain { thread, idx, .. } => ScheduleStep::Drain { thread, idx },
+/// The sleep-set identity of the edge `step` out of `s`; `None` for
+/// `Continue`, which is visited last at a node and never sleeps.
+fn trans_id(s: &OState<'_>, step: ScheduleStep) -> Option<TransId> {
+    match step {
+        ScheduleStep::Continue => None,
+        ScheduleStep::Switch(u) => Some(TransId::Thread(u)),
+        ScheduleStep::Drain { thread, idx } => {
+            let obj = s.m.thread(ThreadId(thread)).buffer[idx as usize].obj;
+            Some(TransId::Drain(thread, obj.0))
         }
     }
 }
@@ -188,8 +183,8 @@ impl Choice {
 /// One DFS depth: the node's state, its remaining budget, its sleep set,
 /// and the iteration cursor over its outgoing edges. Frames (and the
 /// vectors inside them) are recycled across the whole exploration.
-struct Frame {
-    state: OState,
+struct Frame<'w> {
+    state: OState<'w>,
     budget: u32,
     /// Fingerprint of the state alone (sleep not folded in) — the
     /// on-path cycle guard compares against it.
@@ -199,20 +194,20 @@ struct Frame {
     /// for every pruning decision.
     node_cost: u32,
     /// Edge that led here from the parent (unused at the root).
-    via: Choice,
+    via: ScheduleStep,
     sleep: Vec<SleepEntry>,
-    choices: Vec<Choice>,
+    choices: Vec<ScheduleStep>,
     next: usize,
 }
 
-impl Frame {
-    fn new(w: &Workload, model: MemoryModel) -> Self {
+impl<'w> Frame<'w> {
+    fn new(w: &'w Workload, model: MemoryModel) -> Self {
         Self {
             state: OState::new(w, model),
             budget: 0,
             state_fp: 0,
             node_cost: 0,
-            via: Choice::Continue,
+            via: ScheduleStep::Continue,
             sleep: Vec::new(),
             choices: Vec::new(),
             next: 0,
@@ -225,75 +220,61 @@ impl Frame {
 /// free switches (descending thread id), then the continue edge last —
 /// the exact pop order of the historical stack-of-states explorer, so
 /// unreduced exploration reproduces its traversal and witnesses.
-fn enumerate_choices(s: &OState, w: &Workload, budget: u32, out: &mut Vec<Choice>) {
+fn enumerate_choices(s: &OState<'_>, budget: u32, out: &mut Vec<ScheduleStep>) {
     out.clear();
-    if s.model.is_weak() {
-        for t in (0..s.threads.len()).rev() {
-            let start = out.len();
-            s.push_committable(t, out);
-            out[start..].reverse();
+    // Drain choices: what the model lets commit next (TSO: the oldest
+    // store; PSO: the oldest per object).
+    if s.m.model().is_weak() {
+        for t in s.m.thread_ids().rev() {
+            let drains = s.m.committable(t).rev();
+            out.extend(drains.map(|idx| ScheduleStep::Drain {
+                thread: t.0,
+                idx: idx as u32,
+            }));
         }
     }
-    match s.running {
-        Some(t) => {
-            // Switches at an access spend preemption budget; switches at a
-            // flush point are free — an injected delay at the buffered
-            // store stretches the drain arbitrarily, so any work other
-            // threads do before the flush is reachable without a
-            // preemption.
-            let free = !s.at_access(w, t as usize);
-            if free || budget > 0 {
-                for u in (0..s.threads.len()).rev() {
-                    if u as u32 != t && s.threads[u].status == state::Status::Ready {
-                        out.push(Choice::Switch(u as u32));
-                    }
-                }
-            }
-            out.push(Choice::Continue);
-        }
-        None => {
-            // Free choice: the previous thread blocked or exited. No ready
-            // thread means termination or deadlock — terminal either way,
-            // and not a manifestation.
-            for u in (0..s.threads.len()).rev() {
-                if s.threads[u].status == state::Status::Ready {
-                    out.push(Choice::Switch(u as u32));
-                }
+    // Switches at an access spend preemption budget; switches at a flush
+    // point are free — an injected delay at the buffered store stretches
+    // the drain arbitrarily, so any work other threads do before the
+    // flush is reachable without a preemption. With nothing running the
+    // previous thread blocked or exited: the choice is free, and no ready
+    // thread means termination or deadlock — terminal either way, and not
+    // a manifestation.
+    if s.running.is_none() || s.switch_cost() == 0 || budget > 0 {
+        for u in s.m.thread_ids().rev() {
+            if Some(u) != s.running && s.m.thread(u).status == ThreadStatus::Ready {
+                out.push(ScheduleStep::Switch(u.0));
             }
         }
+    }
+    if s.running.is_some() {
+        out.push(ScheduleStep::Continue);
     }
 }
 
 /// A terminal state (no outgoing edges: nothing running, nothing ready,
 /// nothing committable) is a deadlock iff some thread never finished —
 /// blocked on a lock, event, or join that can no longer be satisfied.
-fn is_deadlock(s: &OState) -> bool {
-    s.threads.iter().any(|t| t.status != state::Status::Done)
+fn is_deadlock(s: &OState<'_>) -> bool {
+    s.m.threads().iter().any(|t| t.status != ThreadStatus::Done)
 }
 
 /// Exhaustively explores schedules of `workload` within the preemption
 /// bound, returning the first NULL-reference witness found or a clean /
 /// truncated verdict.
 pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
-    let mut states_explored: u64;
-    let mut memo_hits: u64 = 0;
-    let mut sleep_prunes: u64 = 0;
-    let mut revisits: u64 = 0;
     let mut memo = StateMemo::new(config.max_states);
     let mut scratch = EncodeScratch::default();
-
-    let mut deadlocks: u64 = 0;
-
-    let report = |verdict, states_explored, memo_hits, sleep_prunes, revisits, witness, deadlocks| {
-        OracleReport {
-            verdict,
-            states_explored,
-            memo_hits,
-            sleep_prunes,
-            revisits,
-            witness,
-            deadlocks,
-        }
+    // The counters accumulate here; the verdict stays clean unless a
+    // witness or the state cap ends the search.
+    let mut r = OracleReport {
+        verdict: OracleVerdict::CleanWithinBound,
+        states_explored: 1,
+        memo_hits: 0,
+        sleep_prunes: 0,
+        revisits: 0,
+        witness: Vec::new(),
+        deadlocks: 0,
     };
 
     let mut frames: Vec<Frame> = Vec::with_capacity(32);
@@ -301,17 +282,16 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
     {
         let root = &mut frames[0];
         let mut fp = Footprint::default();
-        root.state.advance_to_decision(workload, &mut fp);
+        root.state.advance_to_decision(&mut fp);
         root.budget = config.preemption_bound;
         root.state.encode_into(&mut scratch);
         root.state_fp = fnv128(&scratch.buf);
-        root.node_cost = root.state.switch_cost(workload);
+        root.node_cost = root.state.switch_cost();
         root.sleep.clear();
         memo.probe(root.state_fp ^ sleep_fingerprint(&[]), root.budget);
-        states_explored = 1;
-        enumerate_choices(&root.state, workload, root.budget, &mut root.choices);
+        enumerate_choices(&root.state, root.budget, &mut root.choices);
         if root.choices.is_empty() && is_deadlock(&root.state) {
-            deadlocks += 1;
+            r.deadlocks += 1;
         }
         root.next = 0;
     }
@@ -325,15 +305,7 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
             loop {
                 if f.next >= f.choices.len() {
                     if depth == 0 {
-                        return report(
-                            OracleVerdict::CleanWithinBound,
-                            states_explored,
-                            memo_hits,
-                            sleep_prunes,
-                            revisits,
-                            Vec::new(),
-                            deadlocks,
-                        );
+                        return r;
                     }
                     depth -= 1;
                     continue 'dfs;
@@ -341,19 +313,14 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
                 let c = f.choices[f.next];
                 f.next += 1;
                 if config.reduce {
-                    let id = match c {
-                        Choice::Continue => None,
-                        Choice::Switch(u) => Some(TransId::Thread(u)),
-                        Choice::Drain { thread, obj, .. } => Some(TransId::Drain(thread, obj)),
-                    };
-                    if let Some(id) = id {
+                    if let Some(id) = trans_id(&f.state, c) {
                         // A sleeping edge may only be pruned where its
                         // budget penalty is covered by this node's switch
                         // cost — the mirror schedule justifying the prune
                         // then fits the same preemption budget.
                         if let Some(e) = sleep_get(&f.sleep, id) {
                             if e.penalty <= f.node_cost {
-                                sleep_prunes += 1;
+                                r.sleep_prunes += 1;
                                 continue;
                             }
                         }
@@ -375,74 +342,28 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
         if is_last {
             std::mem::swap(&mut child.state, &mut f.state);
         } else {
-            child.state.clone_from(&f.state);
+            child.state.copy_from(&f.state);
         }
 
         let parent_cost = f.node_cost;
         let parent_budget = f.budget;
         let mut fp = Footprint::default();
-        let mut child_budget = parent_budget;
-        let edge_thread;
-        match choice {
-            Choice::Continue => {
-                let t = child
-                    .state
-                    .running
-                    .expect("continue edge requires a running thread")
-                    as usize;
-                edge_thread = t as u32;
-                if child.state.at_access(workload, t) {
-                    match child.state.exec_access(workload, t, &mut fp) {
-                        Err((kind, obj)) => {
-                            let mut witness: Vec<ScheduleStep> = left[1..=depth]
-                                .iter()
-                                .map(|fr| fr.via.step())
-                                .collect();
-                            witness.push(ScheduleStep::Continue);
-                            return report(
-                                OracleVerdict::Exposable {
-                                    kind,
-                                    obj,
-                                    preemptions: config.preemption_bound - parent_budget,
-                                },
-                                states_explored,
-                                memo_hits,
-                                sleep_prunes,
-                                revisits,
-                                witness,
-                                deadlocks,
-                            );
-                        }
-                        Ok(()) => child.state.advance_to_decision(workload, &mut fp),
-                    }
-                } else {
-                    // Parked at a flush point (weak model): continuing
-                    // drains the buffer and executes the op.
-                    let op = child
-                        .state
-                        .op_at(workload, t)
-                        .expect("flush-point park has a current op")
-                        .clone();
-                    child.state.exec_simple(t, &op, &mut fp);
-                    child.state.advance_to_decision(workload, &mut fp);
-                }
-            }
-            Choice::Switch(u) => {
-                edge_thread = u;
-                if parent_cost != 0 {
-                    child_budget = parent_budget - 1;
-                }
-                child.state.running = Some(u);
-                child.state.advance_to_decision(workload, &mut fp);
-            }
-            Choice::Drain { thread, idx, obj } => {
-                edge_thread = thread;
-                child
-                    .state
-                    .commit_one(thread as usize, idx as usize)
-                    .expect("enumerated drain choice is committable");
-                fp.obj(obj);
-            }
+        let (edge_thread, child_budget) = match (choice, child.state.running) {
+            (ScheduleStep::Continue, Some(t)) => (t.0, parent_budget),
+            (ScheduleStep::Continue, None) => unreachable!("continue needs a running thread"),
+            (ScheduleStep::Switch(u), _) => (u, parent_budget - parent_cost),
+            (ScheduleStep::Drain { thread, .. }, _) => (thread, parent_budget),
+        };
+        let taken = child.state.take(choice, &mut fp);
+        if let Err(e) = taken.expect("enumerated choices are enabled") {
+            r.verdict = OracleVerdict::Exposable {
+                kind: e.kind,
+                obj: e.obj,
+                preemptions: config.preemption_bound - parent_budget,
+            };
+            r.witness = left[1..=depth].iter().map(|fr| fr.via).collect();
+            r.witness.push(ScheduleStep::Continue);
+            return r;
         }
 
         // Sleep bookkeeping. The child inherits the parent entries the
@@ -453,26 +374,30 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
         // records how much budget the justifying mirror schedule may need
         // at the prune site; see [`SleepEntry`] for the argument. Drains
         // never move a park point and carry penalty zero.
-        let child_cost = child.state.switch_cost(workload);
+        let child_cost = child.state.switch_cost();
         if config.reduce {
             filter_sleep(&f.sleep, edge_thread, &fp, &mut child.sleep);
-            if !is_last && !fp.is_global() {
-                let entry = match choice {
-                    Choice::Continue => None, // visited last; no later siblings
-                    Choice::Switch(u) => Some((TransId::Thread(u), parent_cost.max(child_cost))),
-                    Choice::Drain { thread, obj, .. } => Some((TransId::Drain(thread, obj), 0)),
+            // The last sibling took the parent's state and has no later
+            // siblings to sleep for.
+            let id = if is_last || fp.is_global() {
+                None
+            } else {
+                trans_id(&f.state, choice)
+            };
+            if let Some(id) = id {
+                let penalty = match id {
+                    TransId::Thread(_) => parent_cost.max(child_cost),
+                    TransId::Drain(..) => 0,
                 };
-                if let Some((id, penalty)) = entry {
-                    sleep_insert(
-                        &mut f.sleep,
-                        SleepEntry {
-                            id,
-                            thread: edge_thread,
-                            fp,
-                            penalty,
-                        },
-                    );
-                }
+                sleep_insert(
+                    &mut f.sleep,
+                    SleepEntry {
+                        id,
+                        thread: edge_thread,
+                        fp,
+                        penalty,
+                    },
+                );
             }
         } else {
             child.sleep.clear();
@@ -485,22 +410,15 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
         let key = state_fp ^ sleep_fingerprint(&child.sleep);
         match memo.probe(key, child_budget) {
             Probe::Dominated => {
-                memo_hits += 1;
+                r.memo_hits += 1;
                 continue 'dfs;
             }
-            Probe::Updated => revisits += 1,
+            Probe::Updated => r.revisits += 1,
             Probe::Inserted => {
-                states_explored += 1;
-                if states_explored > config.max_states {
-                    return report(
-                        OracleVerdict::Truncated,
-                        states_explored,
-                        memo_hits,
-                        sleep_prunes,
-                        revisits,
-                        Vec::new(),
-                        deadlocks,
-                    );
+                r.states_explored += 1;
+                if r.states_explored > config.max_states {
+                    r.verdict = OracleVerdict::Truncated;
+                    return r;
                 }
             }
         }
@@ -516,7 +434,7 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
                     && sleep_subset(&fr.sleep, &child.sleep)
             })
         {
-            memo_hits += 1;
+            r.memo_hits += 1;
             continue 'dfs;
         }
 
@@ -524,9 +442,9 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
         child.state_fp = state_fp;
         child.node_cost = child_cost;
         child.via = choice;
-        enumerate_choices(&child.state, workload, child_budget, &mut child.choices);
+        enumerate_choices(&child.state, child_budget, &mut child.choices);
         if child.choices.is_empty() && is_deadlock(&child.state) {
-            deadlocks += 1;
+            r.deadlocks += 1;
         }
         child.next = 0;
         depth += 1;
@@ -544,42 +462,18 @@ pub fn replay_schedule(
 ) -> Option<ReplayOutcome> {
     let mut s = OState::new(workload, memory);
     let mut fp = Footprint::default();
-    s.advance_to_decision(workload, &mut fp);
+    s.advance_to_decision(&mut fp);
     let mut preemptions = 0u32;
     for &step in steps {
-        match step {
-            ScheduleStep::Continue => {
-                let t = s.running? as usize;
-                if s.at_access(workload, t) {
-                    match s.exec_access(workload, t, &mut fp) {
-                        Err((kind, obj)) => {
-                            return Some(ReplayOutcome {
-                                kind,
-                                obj,
-                                preemptions,
-                            })
-                        }
-                        Ok(()) => s.advance_to_decision(workload, &mut fp),
-                    }
-                } else {
-                    let op = s.op_at(workload, t)?.clone();
-                    s.exec_simple(t, &op, &mut fp);
-                    s.advance_to_decision(workload, &mut fp);
-                }
-            }
-            ScheduleStep::Switch(u) => {
-                if s.switch_cost(workload) == 1 {
-                    preemptions += 1;
-                }
-                if s.threads.get(u as usize)?.status != state::Status::Ready {
-                    return None;
-                }
-                s.running = Some(u);
-                s.advance_to_decision(workload, &mut fp);
-            }
-            ScheduleStep::Drain { thread, idx } => {
-                s.commit_one(thread as usize, idx as usize)?;
-            }
+        if matches!(step, ScheduleStep::Switch(_)) {
+            preemptions += s.switch_cost();
+        }
+        if let Err(e) = s.take(step, &mut fp)? {
+            return Some(ReplayOutcome {
+                kind: e.kind,
+                obj: e.obj,
+                preemptions,
+            });
         }
     }
     None

@@ -32,6 +32,9 @@
 //! by the reduced-vs-unreduced differential suite
 //! (`tests/oracle_equivalence.rs`).
 
+use waffle_mem::ObjectId;
+use waffle_sim::{EventId, LockId, Observer};
+
 /// Conservative static footprint of one explored transition: which
 /// objects, locks, and events it touched, and whether it is globally
 /// dependent (thread-table or task-queue mutation). Sets are 64-bit
@@ -45,28 +48,26 @@ pub(crate) struct Footprint {
     global: bool,
 }
 
-impl Footprint {
-    /// Records a read or write of object `o`.
-    pub(crate) fn obj(&mut self, o: u32) {
-        self.objs |= 1u64 << (o & 63);
+/// The footprint is what the oracle observes of the machine's ops.
+impl Observer for Footprint {
+    fn object(&mut self, o: ObjectId) {
+        self.objs |= 1u64 << (o.0 & 63);
     }
 
-    /// Records an acquire/release/handoff on lock `l`.
-    pub(crate) fn lock(&mut self, l: u32) {
-        self.locks |= 1u64 << (l & 63);
+    fn lock(&mut self, l: LockId) {
+        self.locks |= 1u64 << (l.0 & 63);
     }
 
-    /// Records a signal/wait on event `e`.
-    pub(crate) fn event(&mut self, e: u32) {
-        self.events |= 1u64 << (e & 63);
+    fn event(&mut self, e: EventId) {
+        self.events |= 1u64 << (e.0 & 63);
     }
 
-    /// Marks the transition dependent with everything (fork, join, exit,
-    /// throw, task spawn/run).
-    pub(crate) fn mark_global(&mut self) {
+    fn global(&mut self) {
         self.global = true;
     }
+}
 
+impl Footprint {
     /// Whether the transition is dependent with everything.
     pub(crate) fn is_global(&self) -> bool {
         self.global
@@ -354,7 +355,7 @@ mod tests {
     #[test]
     fn dependence_is_conservative() {
         let mut fp_a = Footprint::default();
-        fp_a.obj(7);
+        fp_a.object(ObjectId(7));
         let e = SleepEntry {
             id: TransId::Thread(2),
             thread: 2,
@@ -362,11 +363,11 @@ mod tests {
             penalty: 0,
         };
         let mut same_obj = Footprint::default();
-        same_obj.obj(7);
+        same_obj.object(ObjectId(7));
         let mut other_obj = Footprint::default();
-        other_obj.obj(8);
+        other_obj.object(ObjectId(8));
         let mut global = Footprint::default();
-        global.mark_global();
+        global.global();
         assert!(dependent(&e, 5, &same_obj), "same object");
         assert!(dependent(&e, 2, &other_obj), "same thread");
         assert!(dependent(&e, 5, &global), "global edge");

@@ -1,171 +1,30 @@
-//! The oracle's scheduler state: a time-free mirror of the engine's
-//! semantics (heap state machine, FIFO locks, sticky events, join/task
-//! rules, store buffers) plus the canonical byte encoding that keys the
-//! memo.
+//! The oracle's DFS node: a [`Machine`] plus the thread it is parked on,
+//! and the canonical byte encoding that keys the memo.
 //!
-//! Every mutating entry point threads a [`Footprint`] accumulator so the
-//! explorer learns, as a by-product of executing an edge, which objects,
-//! locks, and events the edge touched — the raw material for the
+//! What an op means lives in `waffle_sim::Machine` alone, the same
+//! interpreter the simulator drives in virtual time. This module only
+//! decides where a run segment stops (before an access, or before a
+//! flush point while the thread's buffer holds stores) and passes a
+//! [`Footprint`] as the machine's observer, so the explorer learns which
+//! objects, locks and events an edge touched — the raw material for the
 //! independence relation in [`super::reduction`].
 
-use std::collections::VecDeque;
-
-use waffle_mem::{AccessKind, NullRefKind, ObjectId, RefState};
-use waffle_sim::{Cond, MemoryModel, Op, Workload};
+use waffle_mem::NullRefError;
+use waffle_sim::{
+    BlockedBy, Machine, MemoryModel, Observer, Op, Step, ThreadId, ThreadStatus, Workload,
+};
 
 use super::reduction::Footprint;
-use super::Choice;
-
-/// Why a thread is not runnable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Status {
-    /// Runnable (or currently running).
-    Ready,
-    /// Waiting in a lock's FIFO queue.
-    BlockedLock(u32),
-    /// Waiting for a sticky event.
-    BlockedEvent(u32),
-    /// Waiting for the threads in `join_wait` to finish.
-    BlockedJoin,
-    /// Finished.
-    Done,
-}
-
-/// One simulated thread's control state.
-#[derive(Debug)]
-pub(crate) struct OThread {
-    pub(crate) script: u32,
-    pub(crate) pc: u32,
-    /// Saved (script, pc) continuations pushed by `RunTasks` task frames.
-    pub(crate) frames: Vec<(u32, u32)>,
-    pub(crate) status: Status,
-    /// Locks currently held (acquisition order — release order on exit).
-    pub(crate) held: Vec<u32>,
-    /// Direct children, for `JoinChildren`.
-    pub(crate) children: Vec<u32>,
-    /// Outstanding join targets while `BlockedJoin` (kept sorted).
-    pub(crate) join_wait: Vec<u32>,
-    /// Store buffer (push order), always empty under `Sc`: stores this
-    /// thread executed that are not yet globally visible.
-    pub(crate) buffer: Vec<(u32, RefState)>,
-}
-
-impl OThread {
-    fn new(script: u32) -> Self {
-        Self {
-            script,
-            pc: 0,
-            frames: Vec::new(),
-            status: Status::Ready,
-            held: Vec::new(),
-            children: Vec::new(),
-            join_wait: Vec::new(),
-            buffer: Vec::new(),
-        }
-    }
-}
-
-// Hand-written so `clone_from` reuses each field's existing allocation
-// (the derive would fall back to `*self = source.clone()`), keeping the
-// explorer's clone-on-branch path allocation-free once vectors have
-// grown to their working size.
-impl Clone for OThread {
-    fn clone(&self) -> Self {
-        Self {
-            script: self.script,
-            pc: self.pc,
-            frames: self.frames.clone(),
-            status: self.status.clone(),
-            held: self.held.clone(),
-            children: self.children.clone(),
-            join_wait: self.join_wait.clone(),
-            buffer: self.buffer.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.script = src.script;
-        self.pc = src.pc;
-        self.frames.clone_from(&src.frames);
-        self.status = src.status.clone();
-        self.held.clone_from(&src.held);
-        self.children.clone_from(&src.children);
-        self.join_wait.clone_from(&src.join_wait);
-        self.buffer.clone_from(&src.buffer);
-    }
-}
-
-/// Ops that drain the executing thread's store buffer before running,
-/// mirroring the engine's forced flush points. Signal/wait are deliberately
-/// absent: event edges order *instructions*, not store visibility — that
-/// gap is the TSO bug class.
-pub(crate) fn is_flush_point(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Fork { .. }
-            | Op::JoinScript { .. }
-            | Op::JoinChildren
-            | Op::Acquire { .. }
-            | Op::Release { .. }
-            | Op::Fence
-    )
-}
+use super::ScheduleStep;
 
 /// A complete scheduler state: the DFS node.
 #[derive(Debug)]
-pub(crate) struct OState {
-    pub(crate) threads: Vec<OThread>,
-    pub(crate) lock_holder: Vec<Option<u32>>,
-    pub(crate) lock_waiters: Vec<VecDeque<u32>>,
-    pub(crate) ev_signaled: Vec<bool>,
-    /// Heap mirror; same transition table as `waffle_mem::Heap`.
-    pub(crate) heap: Vec<RefState>,
-    /// Global FIFO task queue of `SpawnTask` scripts.
-    pub(crate) tasks: VecDeque<u32>,
+pub(crate) struct OState<'w> {
+    pub(crate) m: Machine<'w>,
     /// Thread currently scheduled, parked at an `Op::Access` (or, under a
     /// weak model, a flush-point op with a non-empty buffer); `None` when
     /// the previous thread blocked or exited and the choice is free.
-    pub(crate) running: Option<u32>,
-    /// Memory model being explored (constant per run; not encoded).
-    pub(crate) model: MemoryModel,
-}
-
-impl Clone for OState {
-    fn clone(&self) -> Self {
-        Self {
-            threads: self.threads.clone(),
-            lock_holder: self.lock_holder.clone(),
-            lock_waiters: self.lock_waiters.clone(),
-            ev_signaled: self.ev_signaled.clone(),
-            heap: self.heap.clone(),
-            tasks: self.tasks.clone(),
-            running: self.running,
-            model: self.model,
-        }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.threads.clone_from(&src.threads);
-        self.lock_holder.clone_from(&src.lock_holder);
-        self.lock_waiters.clone_from(&src.lock_waiters);
-        self.ev_signaled.clone_from(&src.ev_signaled);
-        self.heap.clone_from(&src.heap);
-        self.tasks.clone_from(&src.tasks);
-        self.running = src.running;
-        self.model = src.model;
-    }
-}
-
-/// What stopped a run segment.
-pub(crate) enum SegStop {
-    /// The running thread is parked immediately before an `Op::Access`.
-    AtAccess,
-    /// Weak model only: the running thread is parked immediately before a
-    /// flush-point op while its store buffer is non-empty. Other threads
-    /// may be scheduled (for free) into the stale window first.
-    AtFlush,
-    /// The running thread blocked or exited; pick a new thread freely.
-    Yield,
+    pub(crate) running: Option<ThreadId>,
 }
 
 /// Reused scratch for the canonical state encoding: the byte buffer the
@@ -178,367 +37,86 @@ pub(crate) struct EncodeScratch {
     held: Vec<u32>,
 }
 
-impl OState {
-    pub(crate) fn new(w: &Workload, model: MemoryModel) -> Self {
+impl<'w> OState<'w> {
+    /// The initial state, not yet advanced to its first decision.
+    pub(crate) fn new(w: &'w Workload, model: MemoryModel) -> Self {
         Self {
-            threads: vec![OThread::new(w.main.0)],
-            lock_holder: vec![None; w.n_locks as usize],
-            lock_waiters: vec![VecDeque::new(); w.n_locks as usize],
-            ev_signaled: vec![false; w.n_events as usize],
-            heap: vec![RefState::Null; w.n_objects as usize],
-            tasks: VecDeque::new(),
-            running: Some(0),
-            model,
+            m: Machine::new(w, model),
+            running: Some(ThreadId(0)),
         }
     }
 
-    /// The state thread `t` observes for `obj`: its own newest buffered
-    /// store if any, else shared memory.
-    pub(crate) fn view_of(&self, t: usize, obj: u32) -> RefState {
-        self.threads[t]
-            .buffer
-            .iter()
-            .rev()
-            .find(|e| e.0 == obj)
-            .map(|e| e.1)
-            .unwrap_or(self.heap[obj as usize])
-    }
-
-    /// Performs thread `t`'s store: buffered under a weak model, globally
-    /// visible immediately under `Sc`.
-    fn store(&mut self, t: usize, obj: u32, to: RefState) {
-        if self.model.is_weak() {
-            self.threads[t].buffer.push((obj, to));
-        } else {
-            self.heap[obj as usize] = to;
-        }
-    }
-
-    /// Commits thread `t`'s entire buffer in push order (flush point).
-    fn flush(&mut self, t: usize, fp: &mut Footprint) {
-        // Take-and-restore keeps the buffer's allocation alive for reuse.
-        let mut buf = std::mem::take(&mut self.threads[t].buffer);
-        for &(obj, to) in &buf {
-            self.heap[obj as usize] = to;
-            fp.obj(obj);
-        }
-        buf.clear();
-        self.threads[t].buffer = buf;
-    }
-
-    /// Appends the drain choices of thread `t` that may commit next under
-    /// the model's ordering constraint — TSO commits in total push order
-    /// (head only), PSO in per-object push order (the oldest entry of
-    /// each object) — in ascending buffer-index order.
-    pub(crate) fn push_committable(&self, t: usize, out: &mut Vec<Choice>) {
-        let buf = &self.threads[t].buffer;
-        match self.model {
-            MemoryModel::Sc => {}
-            MemoryModel::Tso => {
-                if let Some(&(obj, _)) = buf.first() {
-                    out.push(Choice::Drain {
-                        thread: t as u32,
-                        idx: 0,
-                        obj,
-                    });
-                }
-            }
-            MemoryModel::Pso => {
-                for (i, &(obj, _)) in buf.iter().enumerate() {
-                    if buf[..i].iter().all(|p| p.0 != obj) {
-                        out.push(Choice::Drain {
-                            thread: t as u32,
-                            idx: i as u32,
-                            obj,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drains one committable buffer entry (a nondeterministic drain-point
-    /// schedule choice). Returns the committed object, or `None` if the
-    /// index is out of range (malformed replay input).
-    pub(crate) fn commit_one(&mut self, t: usize, i: usize) -> Option<u32> {
-        if t >= self.threads.len() || i >= self.threads[t].buffer.len() {
-            return None;
-        }
-        let (obj, to) = self.threads[t].buffer.remove(i);
-        self.heap[obj as usize] = to;
-        Some(obj)
-    }
-
-    pub(crate) fn op_at<'w>(&self, w: &'w Workload, t: usize) -> Option<&'w Op> {
-        let th = &self.threads[t];
-        w.scripts[th.script as usize].ops.get(th.pc as usize)
+    /// Overwrites this node with `src`, reusing its allocations (the
+    /// explorer's clone-on-branch).
+    pub(crate) fn copy_from(&mut self, src: &Self) {
+        self.m.clone_from(&src.m);
+        self.running = src.running;
     }
 
     /// Whether thread `t` is parked immediately before an `Op::Access`.
-    pub(crate) fn at_access(&self, w: &Workload, t: usize) -> bool {
-        matches!(self.op_at(w, t), Some(&Op::Access { .. }))
+    pub(crate) fn at_access(&self, t: ThreadId) -> bool {
+        matches!(self.m.op(t), Some(Op::Access { .. }))
     }
 
-    /// Mirrors the engine's lock release: FIFO handoff to the next waiter;
-    /// releasing a lock the thread does not hold is a no-op.
-    fn release_lock(&mut self, t: usize, lock: u32, fp: &mut Footprint) {
-        if self.lock_holder[lock as usize] != Some(t as u32) {
-            return;
-        }
-        fp.lock(lock);
-        self.threads[t].held.retain(|&l| l != lock);
-        match self.lock_waiters[lock as usize].pop_front() {
-            Some(next) => {
-                self.lock_holder[lock as usize] = Some(next);
-                let th = &mut self.threads[next as usize];
-                th.held.push(lock);
-                th.status = Status::Ready;
-                th.pc += 1;
-            }
-            None => self.lock_holder[lock as usize] = None,
-        }
-    }
-
-    /// Mirrors the engine's thread exit: release held locks, wake joiners.
-    fn exit_thread(&mut self, t: usize, fp: &mut Footprint) {
-        // Exits change the thread table other transitions match against
-        // (JoinScript targets, ready sets): dependent with everything.
-        fp.mark_global();
-        if self.model.is_weak() {
-            // Exit is a full barrier (the engine flushes on context loss).
-            self.flush(t, fp);
-        }
-        self.threads[t].status = Status::Done;
-        let held = std::mem::take(&mut self.threads[t].held);
-        for lock in held {
-            // `exit_thread` bypasses the holder check: the dying thread
-            // holds every lock in its `held` list by construction.
-            self.lock_holder[lock as usize] = Some(t as u32);
-            self.release_lock(t, lock, fp);
-        }
-        for u in 0..self.threads.len() {
-            if self.threads[u].status != Status::BlockedJoin {
-                continue;
-            }
-            self.threads[u].join_wait.retain(|&x| x != t as u32);
-            if self.threads[u].join_wait.is_empty() {
-                self.threads[u].status = Status::Ready;
-                self.threads[u].pc += 1;
-            }
-        }
-    }
-
-    fn block_on_join(&mut self, t: usize, mut targets: Vec<u32>) {
-        if targets.is_empty() {
-            self.threads[t].pc += 1;
-        } else {
-            targets.sort_unstable();
-            targets.dedup();
-            self.threads[t].join_wait = targets;
-            self.threads[t].status = Status::BlockedJoin;
-        }
-    }
-
-    /// Executes one non-access op for thread `t`, recording the op's
-    /// footprint. Blocking and exits are expressed through the thread's
-    /// status; the caller's segment loop notices.
-    pub(crate) fn exec_simple(&mut self, t: usize, op: &Op, fp: &mut Footprint) {
-        if self.model.is_weak() && is_flush_point(op) {
-            self.flush(t, fp);
-        }
-        match *op {
-            Op::Compute { .. } | Op::Pad { .. } => self.threads[t].pc += 1,
-            Op::Access { .. } => unreachable!("accesses execute via exec_access"),
-            Op::Fork { script } => {
-                fp.mark_global();
-                let child = self.threads.len() as u32;
-                self.threads.push(OThread::new(script.0));
-                self.threads[t].children.push(child);
-                self.threads[t].pc += 1;
-            }
-            Op::JoinScript { script } => {
-                fp.mark_global();
-                // The engine compares each thread's *current* script field,
-                // so pool workers mid-task are matched by the task script.
-                let targets: Vec<u32> = self
-                    .threads
-                    .iter()
-                    .enumerate()
-                    .filter(|&(u, th)| {
-                        u != t && th.script == script.0 && th.status != Status::Done
-                    })
-                    .map(|(u, _)| u as u32)
-                    .collect();
-                self.block_on_join(t, targets);
-            }
-            Op::JoinChildren => {
-                fp.mark_global();
-                let targets: Vec<u32> = self.threads[t]
-                    .children
-                    .iter()
-                    .copied()
-                    .filter(|&c| self.threads[c as usize].status != Status::Done)
-                    .collect();
-                self.block_on_join(t, targets);
-            }
-            Op::Acquire { lock } => {
-                fp.lock(lock.0);
-                if self.lock_holder[lock.0 as usize].is_none() {
-                    self.lock_holder[lock.0 as usize] = Some(t as u32);
-                    self.threads[t].held.push(lock.0);
-                    self.threads[t].pc += 1;
-                } else {
-                    self.lock_waiters[lock.0 as usize].push_back(t as u32);
-                    self.threads[t].status = Status::BlockedLock(lock.0);
-                }
-            }
-            Op::Release { lock } => {
-                fp.lock(lock.0);
-                self.release_lock(t, lock.0, fp);
-                self.threads[t].pc += 1;
-            }
-            Op::SignalEvent { ev } => {
-                fp.event(ev.0);
-                self.ev_signaled[ev.0 as usize] = true;
-                for u in 0..self.threads.len() {
-                    if self.threads[u].status == Status::BlockedEvent(ev.0) {
-                        self.threads[u].status = Status::Ready;
-                        self.threads[u].pc += 1;
-                    }
-                }
-                self.threads[t].pc += 1;
-            }
-            Op::WaitEvent { ev } => {
-                fp.event(ev.0);
-                if self.ev_signaled[ev.0 as usize] {
-                    self.threads[t].pc += 1;
-                } else {
-                    self.threads[t].status = Status::BlockedEvent(ev.0);
-                }
-            }
-            Op::Throw { .. } | Op::Exit => self.exit_thread(t, fp),
-            Op::Fence => self.threads[t].pc += 1, // drain happened above
-            Op::SkipIf { obj, cond, skip } => {
-                fp.obj(obj.0);
-                let s = self.view_of(t, obj.0);
-                let holds = match cond {
-                    Cond::IsLive => s == RefState::Live,
-                    Cond::IsNull => s == RefState::Null,
-                    Cond::IsDisposed => s == RefState::Disposed,
-                };
-                self.threads[t].pc += 1 + if holds { skip } else { 0 };
-            }
-            Op::SpawnTask { script } => {
-                // The task queue is shared mutable state every RunTasks
-                // observes: order matters, so spawns are global.
-                fp.mark_global();
-                self.tasks.push_back(script.0);
-                self.threads[t].pc += 1;
-            }
-            Op::RunTasks => {
-                fp.mark_global();
-                match self.tasks.pop_front() {
-                    Some(task) => {
-                        let th = &mut self.threads[t];
-                        // Save the continuation *at* RunTasks so the worker
-                        // loops back to drain the next task.
-                        th.frames.push((th.script, th.pc));
-                        th.script = task;
-                        th.pc = 0;
-                    }
-                    None => self.threads[t].pc += 1,
-                }
-            }
-        }
-    }
-
-    /// Commits the `Op::Access` thread `t` is parked at, applying the
-    /// heap's transition table. `Err` is a NULL-reference manifestation.
-    pub(crate) fn exec_access(
-        &mut self,
-        w: &Workload,
-        t: usize,
-        fp: &mut Footprint,
-    ) -> Result<(), (NullRefKind, ObjectId)> {
-        let Some(&Op::Access { obj, kind, .. }) = self.op_at(w, t) else {
-            unreachable!("exec_access precondition: thread parked at an access");
-        };
-        fp.obj(obj.0);
-        // Loads classify against the thread's *view* (own buffer first);
-        // stores go through `store`, which buffers them under a weak model.
-        let view = self.view_of(t, obj.0);
-        match kind {
-            AccessKind::Init => self.store(t, obj.0, RefState::Live),
-            AccessKind::Use | AccessKind::UnsafeApiCall => match view {
-                RefState::Live => {}
-                RefState::Null => return Err((NullRefKind::UseBeforeInit, obj)),
-                RefState::Disposed => return Err((NullRefKind::UseAfterFree, obj)),
-            },
-            AccessKind::Dispose => match view {
-                RefState::Live => self.store(t, obj.0, RefState::Disposed),
-                RefState::Null | RefState::Disposed => {
-                    return Err((NullRefKind::DisposeOnNull, obj))
-                }
-            },
-        }
-        self.threads[t].pc += 1;
-        Ok(())
-    }
-
-    /// Runs the scheduled thread until it parks at an access, blocks, or
-    /// exits, accumulating the segment's footprint. Never commits accesses.
-    fn run_segment(&mut self, w: &Workload, fp: &mut Footprint) -> SegStop {
-        let t = self.running.expect("run_segment needs a scheduled thread") as usize;
+    /// Runs the scheduled thread until it parks before an access, or
+    /// before a flush point with buffered stores (the flush would close
+    /// its stale window, so other threads may be routed in first), or
+    /// until it blocks or exits, which leaves `running` `None`.
+    pub(crate) fn advance_to_decision(&mut self, fp: &mut Footprint) {
+        let Some(t) = self.running else { return };
         loop {
-            if self.threads[t].status != Status::Ready {
-                return SegStop::Yield;
+            if self.m.thread(t).status != ThreadStatus::Ready {
+                self.running = None;
+                return;
             }
-            match self.op_at(w, t) {
-                None => {
-                    // Script end: return from a task frame or exit.
-                    if let Some((script, pc)) = self.threads[t].frames.pop() {
-                        self.threads[t].script = script;
-                        self.threads[t].pc = pc;
-                    } else {
-                        self.exit_thread(t, fp);
-                        return SegStop::Yield;
-                    }
-                }
-                Some(&Op::Access { .. }) => return SegStop::AtAccess,
-                Some(op) => {
-                    if self.model.is_weak()
-                        && !self.threads[t].buffer.is_empty()
-                        && is_flush_point(op)
-                    {
-                        // The flush would close this thread's stale window;
-                        // park here so the scheduler can route readers in
-                        // first. Never fires under `Sc` (buffers stay empty).
-                        return SegStop::AtFlush;
-                    }
-                    let op = op.clone();
-                    self.exec_simple(t, &op, fp);
+            match self.m.op(t) {
+                Some(Op::Access { .. }) => return,
+                Some(op) if op.flushes() && !self.m.thread(t).buffer.is_empty() => return,
+                op => {
+                    self.m.exec(t, op, fp);
                 }
             }
         }
     }
 
-    /// Advances past [`Self::run_segment`], normalizing `running` to
-    /// `None` on a yield so the node invariant holds.
-    pub(crate) fn advance_to_decision(&mut self, w: &Workload, fp: &mut Footprint) {
-        match self.run_segment(w, fp) {
-            SegStop::AtAccess | SegStop::AtFlush => {}
-            SegStop::Yield => self.running = None,
+    /// Takes one schedule step and advances to the next decision.
+    /// `Some(Err)` is the manifestation the step raised; `None` a step
+    /// that is not enabled here (malformed replay input).
+    pub(crate) fn take(
+        &mut self,
+        step: ScheduleStep,
+        fp: &mut Footprint,
+    ) -> Option<Result<(), NullRefError>> {
+        match step {
+            // Commits the parked op: the access, or the flush-point op
+            // together with its drain.
+            ScheduleStep::Continue => {
+                let t = self.running?;
+                if let Step::Fault(e) = self.m.exec(t, self.m.op(t), fp) {
+                    return Some(Err(e));
+                }
+            }
+            ScheduleStep::Switch(u) => {
+                if self.m.threads().get(u as usize)?.status != ThreadStatus::Ready {
+                    return None;
+                }
+                self.running = Some(ThreadId(u));
+            }
+            ScheduleStep::Drain { thread, idx } => {
+                let obj = self.m.commit(ThreadId(thread), idx as usize)?;
+                fp.object(obj);
+                return Some(Ok(()));
+            }
         }
+        self.advance_to_decision(fp);
+        Some(Ok(()))
     }
 
     /// The preemption cost of switching away from this node: a thread
     /// parked at an access must be preempted; a flush park or a free
     /// choice switches for nothing.
-    pub(crate) fn switch_cost(&self, w: &Workload) -> u32 {
-        match self.running {
-            Some(t) if self.at_access(w, t as usize) => 1,
-            _ => 0,
-        }
+    pub(crate) fn switch_cost(&self) -> u32 {
+        u32::from(self.running.is_some_and(|t| self.at_access(t)))
     }
 
     /// Canonical byte encoding of the state into `scratch.buf` — the
@@ -550,48 +128,49 @@ impl OState {
             buf.extend_from_slice(&(v as u16).to_le_bytes());
         }
         let EncodeScratch { buf, held } = scratch;
+        let m = &self.m;
         buf.clear();
-        push(buf, self.running.map_or(0, |t| t + 1));
-        for &h in &self.heap {
+        push(buf, self.running.map_or(0, |t| t.0 + 1));
+        for &h in m.heap().cells() {
             buf.push(h as u8);
         }
-        for &s in &self.ev_signaled {
+        for &s in m.signaled() {
             buf.push(s as u8);
         }
-        push(buf, self.tasks.len() as u32);
-        for &s in &self.tasks {
-            push(buf, s);
+        push(buf, m.tasks().len() as u32);
+        for &(_, script) in m.tasks() {
+            push(buf, script.0);
         }
-        for (holder, waiters) in self.lock_holder.iter().zip(&self.lock_waiters) {
-            push(buf, holder.map_or(0, |t| t + 1));
+        for (holder, waiters) in m.lock_holders().iter().zip(m.lock_waiters()) {
+            push(buf, holder.map_or(0, |t| t.0 + 1));
             push(buf, waiters.len() as u32);
             for &t in waiters {
-                push(buf, t);
+                push(buf, t.0);
             }
         }
-        push(buf, self.threads.len() as u32);
-        for th in &self.threads {
-            push(buf, th.script);
-            push(buf, th.pc);
+        push(buf, m.threads().len() as u32);
+        for th in m.threads() {
+            push(buf, th.script.0);
+            push(buf, th.pc as u32);
             let (tag, arg) = match th.status {
-                Status::Ready => (0u8, 0),
-                Status::BlockedLock(l) => (1, l),
-                Status::BlockedEvent(e) => (2, e),
-                Status::BlockedJoin => (3, 0),
-                Status::Done => (4, 0),
+                ThreadStatus::Ready => (0u8, 0),
+                ThreadStatus::Blocked(BlockedBy::Lock(l)) => (1, l.0),
+                ThreadStatus::Blocked(BlockedBy::Event(e)) => (2, e.0),
+                ThreadStatus::Blocked(BlockedBy::Join) => (3, 0),
+                ThreadStatus::Done => (4, 0),
             };
             buf.push(tag);
             push(buf, arg);
             push(buf, th.frames.len() as u32);
             for &(s, p) in &th.frames {
-                push(buf, s);
-                push(buf, p);
+                push(buf, s.0);
+                push(buf, p as u32);
             }
             // `held` stays in acquisition order in the thread (exit
             // releases in that order — semantics), so normalize into the
             // reused sort scratch rather than cloning per state.
             held.clear();
-            held.extend_from_slice(&th.held);
+            held.extend(th.held.iter().map(|l| l.0));
             held.sort_unstable();
             push(buf, held.len() as u32);
             for &l in held.iter() {
@@ -599,20 +178,23 @@ impl OState {
             }
             push(buf, th.children.len() as u32);
             for &c in &th.children {
-                push(buf, c);
+                push(buf, c.0);
             }
-            push(buf, th.join_wait.len() as u32);
-            for &j in &th.join_wait {
-                push(buf, j);
+            // The join targets still outstanding (only a blocked joiner
+            // has any).
+            let done = |j: &&ThreadId| m.thread(**j).status == ThreadStatus::Done;
+            push(buf, th.join.iter().filter(|j| !done(j)).count() as u32);
+            for j in th.join.iter().filter(|j| !done(j)) {
+                push(buf, j.0);
             }
-            if self.model.is_weak() {
+            if m.model().is_weak() {
                 // Buffered stores are scheduler-visible state. Encoded only
                 // under a weak model so `Sc` keys stay byte-identical to
                 // the pre-weak-memory explorer.
                 push(buf, th.buffer.len() as u32);
-                for &(obj, st) in &th.buffer {
-                    push(buf, obj);
-                    buf.push(st as u8);
+                for e in &th.buffer {
+                    push(buf, e.obj.0);
+                    buf.push(e.to as u8);
                 }
             }
         }

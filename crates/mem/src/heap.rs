@@ -42,10 +42,26 @@ pub struct HeapStats {
 /// The heap is time- and thread-agnostic: it owns only the reference state
 /// machine. The simulator drives it and attaches timing context to the
 /// outcomes.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Heap {
     cells: Vec<RefState>,
     stats: HeapStats,
+}
+
+// Hand-written so `clone_from` reuses the cell allocation: the schedule
+// oracle clones a heap on every explored branch.
+impl Clone for Heap {
+    fn clone(&self) -> Self {
+        Self {
+            cells: self.cells.clone(),
+            stats: self.stats,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.cells.clone_from(&src.cells);
+        self.stats = src.stats;
+    }
 }
 
 impl Heap {
@@ -73,8 +89,14 @@ impl Heap {
     ///
     /// Panics if `obj` is out of range — workloads pre-declare all objects,
     /// so an unknown id is a workload construction bug.
+    #[inline]
     pub fn state(&self, obj: ObjectId) -> RefState {
         self.cells[obj.0 as usize]
+    }
+
+    /// Every cell's state, indexed by object id.
+    pub fn cells(&self) -> &[RefState] {
+        &self.cells
     }
 
     /// Accumulated statistics.
@@ -129,6 +151,7 @@ impl Heap {
     /// Commits a drained store-buffer entry: blindly writes the shared
     /// cell. Validation and statistics happened at
     /// [`apply_buffered`](Self::apply_buffered) time.
+    #[inline]
     pub fn commit(&mut self, obj: ObjectId, to: RefState) {
         self.cells[obj.0 as usize] = to;
     }

@@ -1,21 +1,27 @@
-//! The discrete-event simulation engine.
+//! The discrete-event simulation engine: virtual time over the shared
+//! [`Machine`](crate::machine::Machine).
+//!
+//! The machine owns what an op means. The simulator owns only what time
+//! adds: per-thread clocks and the event queue, timing noise, store-buffer
+//! drain deadlines, delays injected by the monitor and the accesses they
+//! hold back, the monitor hooks, TSV windows and the recent-access ring.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use waffle_mem::{AccessKind, AccessOutcome, Heap, ObjectId, RefState, SiteId};
+use waffle_mem::{AccessKind, AccessOutcome, ObjectId, SiteId};
 
-use crate::ids::{LockId, ScriptId, ThreadId};
-use crate::memory::{DrainPolicy, MemoryConfig, MemoryModel};
+use crate::ids::ThreadId;
+use crate::machine::{Machine, Observer, Step, ThreadStatus};
+use crate::memory::{MemoryConfig, MemoryModel};
 use crate::monitor::{AccessCtx, AccessRecord, ActiveDelay, Monitor, PreAction};
-use crate::op::{Cond, Op};
+use crate::op::Op;
 use crate::result::{
     AppException, BlockedBy, BlockedInterval, DelayRecord, ForkEdge, RecentOp, RunResult,
-    SimException, ThreadContext,
+    SimException, ThreadContext, TsvViolation,
 };
-use crate::result::TsvViolation;
 use crate::tasks::{TaskId, TaskParent};
 use crate::time::SimTime;
 use crate::workload::Workload;
@@ -74,39 +80,23 @@ impl SimConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Ready,
-    Blocked(BlockedBy, SimTime),
-    Done,
-}
-
-#[derive(Debug, Clone)]
+/// An access held back by an injected delay, performed when it elapses.
+#[derive(Debug, Clone, Copy)]
 struct PendingAccess {
-    obj: ObjectId,
-    kind: AccessKind,
-    site: SiteId,
-    dur: SimTime,
     dyn_index: u64,
     delayed_by: SimTime,
 }
 
+/// What time adds to one thread.
 #[derive(Debug)]
-struct ThreadState {
-    script: ScriptId,
-    pc: usize,
-    now: SimTime,
+struct ThreadClock {
+    /// Bumped on every schedule; queue entries with an older value are
+    /// stale.
     gen: u64,
-    status: Status,
-    children: Vec<ThreadId>,
-    held: Vec<LockId>,
+    /// When the thread's current block started.
+    since: SimTime,
     pending: Option<PendingAccess>,
     last_block: Option<BlockedInterval>,
-    /// Saved (script, pc) frames: a pool worker pushes its own frame here
-    /// while it runs a task inline.
-    frames: Vec<(ScriptId, usize)>,
-    /// The task whose code this thread is currently executing, if any.
-    current_task: Option<TaskId>,
     /// Ring buffer of the last instrumented accesses (bug-report context).
     recent: VecDeque<RecentOp>,
 }
@@ -114,31 +104,90 @@ struct ThreadState {
 /// Depth of the per-thread recent-access ring buffer.
 const RECENT_DEPTH: usize = 8;
 
-/// Converts an index into the engine's thread table back into a
-/// [`ThreadId`]. Every table entry was created through
-/// [`ThreadId::try_new`] at spawn, so this cannot fail — the expect
-/// documents the invariant instead of a bare `as u32` silently wrapping.
-fn checked_thread_id(index: usize) -> ThreadId {
-    ThreadId::try_new(index).expect("thread table index validated at spawn")
+/// The clocks, the event queue and the run result: everything the
+/// machine's observer callbacks update.
+struct Clock {
+    /// Keyed `(time, gen, thread)`. A thread's `gen` rises on every
+    /// schedule, so keys are unique and the pop order is total.
+    queue: BinaryHeap<Reverse<(SimTime, u64, ThreadId)>>,
+    threads: Vec<ThreadClock>,
+    fork_cost: SimTime,
+    result: RunResult,
 }
 
-/// Converts a dense site-counter index back into a
-/// [`SiteId`](waffle_mem::SiteId). The counter table is indexed by ids
-/// that were already 32-bit, so this cannot fail.
-fn checked_site_id(index: usize) -> SiteId {
-    SiteId::try_new(index).expect("site counter index validated at registration")
+impl Clock {
+    fn schedule(&mut self, tid: ThreadId, at: SimTime) {
+        let th = &mut self.threads[tid.0 as usize];
+        th.gen += 1;
+        self.queue.push(Reverse((at, th.gen, tid)));
+    }
+
+    fn spawn(&mut self, tid: ThreadId, at: SimTime) {
+        // Clocks are pushed in fork order, so their indices are thread ids.
+        debug_assert_eq!(tid.0 as usize, self.threads.len());
+        self.threads.push(ThreadClock {
+            gen: 0,
+            since: SimTime::ZERO,
+            pending: None,
+            last_block: None,
+            recent: VecDeque::with_capacity(RECENT_DEPTH),
+        });
+        self.schedule(tid, at);
+    }
 }
 
-#[derive(Debug, Default)]
-struct LockState {
-    holder: Option<ThreadId>,
-    waiters: VecDeque<ThreadId>,
+/// The machine's observer at time `t`: wakeups and forks become queue
+/// entries, the rest become monitor hooks.
+struct Timed<'a> {
+    t: SimTime,
+    clock: &'a mut Clock,
+    monitor: &'a mut dyn Monitor,
 }
 
-#[derive(Debug, Default)]
-struct EventState {
-    signaled: bool,
-    waiters: Vec<ThreadId>,
+impl Observer for Timed<'_> {
+    fn woke(&mut self, thread: ThreadId, by: BlockedBy) {
+        let th = &mut self.clock.threads[thread.0 as usize];
+        let interval = BlockedInterval {
+            thread,
+            start: th.since,
+            end: self.t.max(th.since),
+            by,
+        };
+        th.last_block = Some(interval);
+        self.clock.result.blocked.push(interval);
+        self.clock.schedule(thread, interval.end);
+    }
+
+    fn forked(&mut self, parent: ThreadId, child: ThreadId) {
+        self.clock.spawn(child, self.t + self.clock.fork_cost);
+        self.clock.result.forks.push(ForkEdge {
+            parent,
+            child,
+            time: self.t,
+        });
+        self.monitor.on_fork(parent, child, self.t);
+    }
+
+    fn joined(&mut self, waiter: ThreadId, joined: ThreadId) {
+        self.monitor.on_join(waiter, joined, self.t);
+    }
+
+    fn exited(&mut self, thread: ThreadId) {
+        self.monitor.on_thread_exit(thread, self.t);
+    }
+
+    fn task_spawned(&mut self, parent: TaskParent, task: TaskId) {
+        self.clock.result.tasks_spawned = task.0 + 1;
+        self.monitor.on_task_spawn(parent, task, self.t);
+    }
+
+    fn task_started(&mut self, task: TaskId, worker: ThreadId) {
+        self.monitor.on_task_start(task, worker, self.t);
+    }
+
+    fn task_ended(&mut self, task: TaskId, worker: ThreadId) {
+        self.monitor.on_task_end(task, worker, self.t);
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -149,83 +198,47 @@ struct TsvWindow {
     site: SiteId,
 }
 
-/// A store sitting in a thread's store buffer: validated and counted when
-/// it executed, globally visible only once it drains (`Heap::commit`).
-#[derive(Debug, Clone, Copy)]
-struct BufferedStore {
-    obj: ObjectId,
-    to: RefState,
-    drain_at: SimTime,
-}
-
 /// The simulator: executes one [`Workload`] under one [`Monitor`].
 pub struct Simulator<'w> {
-    workload: &'w Workload,
     config: SimConfig,
     rng: SmallRng,
-    heap: Heap,
-    threads: Vec<ThreadState>,
-    locks: Vec<LockState>,
-    events: Vec<EventState>,
-    queue: BinaryHeap<Reverse<(SimTime, u64, ThreadId, u64)>>,
-    seq: u64,
-    join_waiting: HashMap<ThreadId, HashSet<ThreadId>>,
-    join_targets: HashMap<ThreadId, Vec<ThreadId>>,
-    task_queue: VecDeque<(TaskId, ScriptId)>,
-    tasks_spawned: u32,
+    machine: Machine<'w>,
+    clock: Clock,
     active_delays: Vec<ActiveDelay>,
     tsv_windows: HashMap<ObjectId, Vec<TsvWindow>>,
     /// Dense per-site dynamic-access counters, indexed by `SiteId`. The
     /// dispatch loop bumps these with a plain array index; they fold into
     /// the public `RunResult::site_dyn_counts` map once, at run end.
     site_dyn_counts: Vec<u64>,
-    /// Reused buffer for joiners woken by an exiting thread, so thread
-    /// churn does not allocate per exit.
-    waiter_scratch: Vec<ThreadId>,
-    /// Per-thread store buffers (parallel to `threads`); always empty
-    /// under `Sc`, where `buffering` is false and none of the buffer
-    /// machinery runs.
-    store_buffers: Vec<Vec<BufferedStore>>,
-    /// Cached `config.memory.buffered()` — keeps the SC hot path free of
-    /// any store-buffer bookkeeping.
-    buffering: bool,
-    result: RunResult,
     max_time: SimTime,
 }
 
 impl<'w> Simulator<'w> {
     /// Creates a simulator for `workload` under `config`.
     pub fn new(workload: &'w Workload, config: SimConfig) -> Self {
-        // Capacity hints for the hot structures: at least one thread per
-        // script, and a few in-flight events per expected thread. Churn
-        // workloads respawn the same scripts, so these are floors, not
-        // bounds — but they absorb the growth reallocations of the
-        // common case.
+        // Capacity hints: at least one thread per script, a few in-flight
+        // events per thread. Floors, not bounds.
         let thread_hint = workload.scripts.len().max(8);
-        let buffering = config.memory.buffered();
+        // Draining at every store never lets a stale value be observed,
+        // so the machine runs it as sequential consistency.
+        let model = if config.memory.delay_stretches_drain() {
+            config.memory.model
+        } else {
+            MemoryModel::Sc
+        };
         Self {
-            workload,
             rng: SmallRng::seed_from_u64(config.seed),
+            clock: Clock {
+                queue: BinaryHeap::with_capacity(thread_hint * 4),
+                threads: Vec::with_capacity(thread_hint),
+                fork_cost: config.fork_cost,
+                result: RunResult::default(),
+            },
             config,
-            heap: Heap::new(workload.n_objects as usize),
-            threads: Vec::with_capacity(thread_hint),
-            locks: (0..workload.n_locks).map(|_| LockState::default()).collect(),
-            events: (0..workload.n_events)
-                .map(|_| EventState::default())
-                .collect(),
-            queue: BinaryHeap::with_capacity(thread_hint * 4),
-            seq: 0,
-            join_waiting: HashMap::new(),
-            join_targets: HashMap::new(),
-            task_queue: VecDeque::new(),
-            tasks_spawned: 0,
+            machine: Machine::new(workload, model),
             active_delays: Vec::new(),
             tsv_windows: HashMap::new(),
             site_dyn_counts: vec![0; workload.sites.len()],
-            waiter_scratch: Vec::new(),
-            store_buffers: Vec::with_capacity(if buffering { thread_hint } else { 0 }),
-            buffering,
-            result: RunResult::default(),
             max_time: SimTime::ZERO,
         }
     }
@@ -238,18 +251,18 @@ impl<'w> Simulator<'w> {
 
     /// Executes the workload to completion and returns the run result.
     pub fn execute(mut self, monitor: &mut dyn Monitor) -> RunResult {
-        let root = self.spawn_thread(self.workload.main, None, SimTime::ZERO);
-        debug_assert_eq!(root, ThreadId(0));
-        while let Some(Reverse((t, gen, tid, _))) = self.queue.pop() {
+        self.clock.spawn(ThreadId(0), SimTime::ZERO);
+        while let Some(Reverse((t, gen, tid))) = self.clock.queue.pop() {
             if let Some(deadline) = self.config.deadline {
                 if t > deadline {
-                    self.result.timed_out = true;
+                    self.clock.result.timed_out = true;
                     self.max_time = deadline;
                     break;
                 }
             }
-            let th = &self.threads[tid.0 as usize];
-            if th.gen != gen || th.status != Status::Ready {
+            if self.clock.threads[tid.0 as usize].gen != gen
+                || self.machine.thread(tid).status != ThreadStatus::Ready
+            {
                 continue; // Stale event.
             }
             self.step(tid, t, monitor);
@@ -261,85 +274,48 @@ impl<'w> Simulator<'w> {
         // Any store still buffered when the run ends drains now: its write
         // already executed, there are no more readers to observe an order,
         // and heap stats must reflect every committed store.
-        if self.buffering {
-            for buf in &mut self.store_buffers {
-                for e in buf.drain(..) {
-                    self.heap.commit(e.obj, e.to);
-                }
-            }
+        for t in self.machine.thread_ids() {
+            self.machine.flush(t, &mut ());
         }
+        let mut result = std::mem::take(&mut self.clock.result);
         // Threads still blocked when the queue drains are stranded (e.g.
         // their signaller died from an exception).
-        for (i, th) in self.threads.iter_mut().enumerate() {
-            if let Status::Blocked(by, since) = th.status {
-                self.result.blocked.push(BlockedInterval {
-                    thread: checked_thread_id(i),
-                    start: since,
-                    end: self.max_time.max(since),
+        for (thread, clock) in self.machine.thread_ids().zip(&self.clock.threads) {
+            if let ThreadStatus::Blocked(by) = self.machine.thread(thread).status {
+                result.blocked.push(BlockedInterval {
+                    thread,
+                    start: clock.since,
+                    end: self.max_time.max(clock.since),
                     by,
                 });
-                self.result.stranded_threads += 1;
+                result.stranded_threads += 1;
             }
         }
-        self.result.end_time = self.max_time;
-        self.result.heap = self.heap.stats();
-        self.result.threads_spawned = u32::try_from(self.threads.len())
+        result.end_time = self.max_time;
+        result.heap = self.machine.heap().stats();
+        result.threads_spawned = u32::try_from(self.machine.threads().len())
             .expect("thread count outgrew u32 (checked at spawn, so unreachable)");
-        // Fold the dense counters into the public map (accessed sites only,
-        // matching the old per-access `entry()` behaviour).
-        self.result.site_dyn_counts = self
+        // Fold the dense counters into the public map (accessed sites only).
+        result.site_dyn_counts = self
             .site_dyn_counts
             .iter()
             .enumerate()
             .filter(|(_, c)| **c > 0)
-            .map(|(i, c)| (checked_site_id(i), *c))
+            .map(|(i, c)| (SiteId::try_new(i).expect("indexed by 32-bit site ids"), *c))
             .collect();
-        let result = std::mem::take(&mut self.result);
         monitor.on_run_end(&result);
         result
     }
 
-    fn schedule(&mut self, tid: ThreadId, at: SimTime) {
-        let th = &mut self.threads[tid.0 as usize];
-        th.gen += 1;
-        let gen = th.gen;
-        self.seq += 1;
-        self.queue.push(Reverse((at, gen, tid, self.seq)));
-    }
-
-    fn spawn_thread(
+    /// Runs `f` on the machine with the observer for time `t`.
+    fn at_time<R>(
         &mut self,
-        script: ScriptId,
-        parent: Option<ThreadId>,
-        at: SimTime,
-    ) -> ThreadId {
-        // Checked conversion: a churn workload that forks past u32::MAX
-        // threads used to wrap silently and alias ThreadId(0); the typed
-        // `IdOverflow` makes it a diagnosable construction-scale failure.
-        let tid = ThreadId::try_new(self.threads.len())
-            .unwrap_or_else(|e| panic!("{e}: workload forks more threads than the engine can identify"));
-        if self.buffering {
-            self.store_buffers.push(Vec::new());
-        }
-        self.threads.push(ThreadState {
-            script,
-            pc: 0,
-            now: at,
-            gen: 0,
-            status: Status::Ready,
-            children: Vec::new(),
-            held: Vec::new(),
-            pending: None,
-            last_block: None,
-            frames: Vec::new(),
-            current_task: None,
-            recent: VecDeque::with_capacity(RECENT_DEPTH),
-        });
-        if let Some(p) = parent {
-            self.threads[p.0 as usize].children.push(tid);
-        }
-        self.schedule(tid, at);
-        tid
+        t: SimTime,
+        monitor: &mut dyn Monitor,
+        f: impl FnOnce(&mut Machine<'w>, &mut Timed<'_>) -> R,
+    ) -> R {
+        let clock = &mut self.clock;
+        f(&mut self.machine, &mut Timed { t, clock, monitor })
     }
 
     /// Applies seeded timing noise to a nominal duration.
@@ -359,483 +335,152 @@ impl<'w> Simulator<'w> {
         SimTime::from_us((dur.as_us().saturating_mul(factor) / 100).max(1))
     }
 
-    fn prune_active_delays(&mut self, now: SimTime) {
-        self.active_delays.retain(|d| d.end > now);
-    }
-
     fn step(&mut self, tid: ThreadId, t: SimTime, monitor: &mut dyn Monitor) {
         self.max_time = self.max_time.max(t);
         // Commit every store whose drain time has arrived — across all
         // threads, since this thread may be about to read shared memory.
         // Queue pops are globally time-ordered, so draining up to `t` here
         // never commits a store "early" relative to any observer.
-        if self.buffering {
+        if self.machine.model().is_weak() {
             self.drain_due(t);
         }
+        let op = self.machine.op(tid);
         // A pending access means the injected delay elapsed; perform it.
-        if let Some(pending) = self.threads[tid.0 as usize].pending.take() {
-            self.perform_access(tid, t, pending, monitor);
-            return;
+        if let Some(pending) = self.clock.threads[tid.0 as usize].pending.take() {
+            let op = op.expect("a delayed thread is parked at its access");
+            return self.perform_access(tid, t, op, pending, monitor);
         }
-        let th = &self.threads[tid.0 as usize];
-        let script = self.workload.script(th.script);
-        let Some(op) = script.ops.get(th.pc).cloned() else {
-            // End of the current script: a pool worker returns to its own
-            // frame (completing the task); a plain thread exits.
-            if let Some((script, pc)) = self.threads[tid.0 as usize].frames.pop() {
-                let finished = self.threads[tid.0 as usize]
-                    .current_task
-                    .take()
-                    .expect("a popped frame implies a running task");
-                monitor.on_task_end(finished, tid, t);
-                let th = &mut self.threads[tid.0 as usize];
-                th.script = script;
-                th.pc = pc;
-                th.now = t;
-                self.schedule(tid, t);
-            } else {
-                self.exit_thread(tid, t, monitor);
+        let resume = match op {
+            // End of script: a pool worker resumes its own frame at once.
+            None => t,
+            Some(op) => {
+                self.clock.result.ops_executed += 1;
+                match *op {
+                    Op::Access { .. } => return self.begin_access(tid, t, op, monitor),
+                    Op::Compute { dur } => t + self.noised(dur),
+                    Op::Pad { dur } => t + dur,
+                    Op::Fork { .. } => t + self.config.fork_cost,
+                    Op::Throw { site } => {
+                        self.clock.result.app_exceptions.push(AppException {
+                            site,
+                            thread: tid,
+                            time: t,
+                        });
+                        t
+                    }
+                    _ => t,
+                }
             }
-            return;
         };
-        self.result.ops_executed += 1;
-        match op {
-            Op::Compute { dur } => {
-                let d = self.noised(dur);
-                self.advance(tid, t + d);
-            }
-            Op::Pad { dur } => {
-                self.advance(tid, t + dur);
-            }
-            Op::Access {
-                obj,
-                kind,
-                site,
-                dur,
-            } => self.begin_access(tid, t, obj, kind, site, dur, monitor),
-            Op::Fork { script } => {
-                if self.buffering {
-                    self.flush_buffer(tid);
-                }
-                let start = t + self.config.fork_cost;
-                let child = self.spawn_thread(script, Some(tid), start);
-                self.result.forks.push(ForkEdge {
-                    parent: tid,
-                    child,
-                    time: t,
-                });
-                monitor.on_fork(tid, child, t);
-                self.advance(tid, start);
-            }
-            Op::JoinScript { script } => {
-                if self.buffering {
-                    self.flush_buffer(tid);
-                }
-                let all: Vec<ThreadId> = self
-                    .threads
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, th2)| checked_thread_id(*i) != tid && th2.script == script)
-                    .map(|(i, _)| checked_thread_id(i))
-                    .collect();
-                let live: HashSet<ThreadId> = all
-                    .iter()
-                    .copied()
-                    .filter(|c| self.threads[c.0 as usize].status != Status::Done)
-                    .collect();
-                // Already-finished threads are joined instantly.
-                for done in all.iter().filter(|c| !live.contains(c)) {
-                    monitor.on_join(tid, *done, t);
-                }
-                self.begin_join(tid, t, live);
-            }
-            Op::JoinChildren => {
-                if self.buffering {
-                    self.flush_buffer(tid);
-                }
-                let all: Vec<ThreadId> = self.threads[tid.0 as usize].children.clone();
-                let live: HashSet<ThreadId> = all
-                    .iter()
-                    .copied()
-                    .filter(|c| self.threads[c.0 as usize].status != Status::Done)
-                    .collect();
-                for done in all.iter().filter(|c| !live.contains(c)) {
-                    monitor.on_join(tid, *done, t);
-                }
-                self.begin_join(tid, t, live);
-            }
-            Op::Acquire { lock } => {
-                // Lock operations are drain points: real mutexes carry
-                // full barriers. Sticky events deliberately do NOT — an
-                // event publication without a barrier is exactly the
-                // TSO-visible bug shape this subsystem exists to model.
-                if self.buffering {
-                    self.flush_buffer(tid);
-                }
-                let ls = &mut self.locks[lock.0 as usize];
-                match ls.holder {
-                    None => {
-                        ls.holder = Some(tid);
-                        self.threads[tid.0 as usize].held.push(lock);
-                        self.advance(tid, t);
-                    }
-                    Some(_) => {
-                        ls.waiters.push_back(tid);
-                        self.block(tid, t, BlockedBy::Lock(lock));
-                    }
-                }
-            }
-            Op::Release { lock } => {
-                if self.buffering {
-                    self.flush_buffer(tid);
-                }
-                self.release_lock(tid, lock, t);
-                self.advance(tid, t);
-            }
-            Op::SignalEvent { ev } => {
-                let es = &mut self.events[ev.0 as usize];
-                es.signaled = true;
-                let mut waiters = std::mem::take(&mut es.waiters);
-                for w in waiters.drain(..) {
-                    self.unblock(w, t);
-                }
-                // Hand the (now empty) buffer back so repeated wait/signal
-                // cycles on the same event reuse its capacity.
-                self.events[ev.0 as usize].waiters = waiters;
-                self.advance(tid, t);
-            }
-            Op::WaitEvent { ev } => {
-                let es = &mut self.events[ev.0 as usize];
-                if es.signaled {
-                    self.advance(tid, t);
-                } else {
-                    es.waiters.push(tid);
-                    self.block(tid, t, BlockedBy::Event(ev));
-                }
-            }
-            Op::Throw { site } => {
-                self.result.app_exceptions.push(AppException {
-                    site,
-                    thread: tid,
-                    time: t,
-                });
-                self.exit_thread(tid, t, monitor);
-            }
-            Op::SkipIf { obj, cond, skip } => {
-                let state = if self.buffering {
-                    self.view_of(tid, obj)
-                } else {
-                    self.heap.state(obj)
-                };
-                let holds = match cond {
-                    Cond::IsLive => state == waffle_mem::RefState::Live,
-                    Cond::IsNull => state == waffle_mem::RefState::Null,
-                    Cond::IsDisposed => state == waffle_mem::RefState::Disposed,
-                };
-                if holds {
-                    self.threads[tid.0 as usize].pc += skip as usize;
-                }
-                self.advance(tid, t);
-            }
-            Op::SpawnTask { script } => {
-                let task = TaskId(self.tasks_spawned);
-                self.tasks_spawned += 1;
-                self.result.tasks_spawned = self.tasks_spawned;
-                let parent = match self.threads[tid.0 as usize].current_task {
-                    Some(owner) => TaskParent::Task(owner),
-                    None => TaskParent::Thread(tid),
-                };
-                self.task_queue.push_back((task, script));
-                monitor.on_task_spawn(parent, task, t);
-                self.advance(tid, t);
-            }
-            Op::RunTasks => {
-                match self.task_queue.pop_front() {
-                    Some((task, script)) => {
-                        // Run the task inline: save this frame (still
-                        // pointing at `RunTasks`, so the drain loops) and
-                        // switch to the task's script.
-                        let th = &mut self.threads[tid.0 as usize];
-                        th.frames.push((th.script, th.pc));
-                        th.script = script;
-                        th.pc = 0;
-                        th.current_task = Some(task);
-                        th.now = t;
-                        monitor.on_task_start(task, tid, t);
-                        self.schedule(tid, t);
-                    }
-                    None => {
-                        // Queue drained: the pool worker moves on.
-                        self.advance(tid, t);
-                    }
-                }
-            }
-            Op::Exit => {
-                self.exit_thread(tid, t, monitor);
-            }
-            Op::Fence => {
-                if self.buffering {
-                    self.flush_buffer(tid);
-                }
-                self.advance(tid, t);
-            }
+        match self.at_time(t, monitor, |m, obs| m.exec(tid, op, obs)) {
+            Step::Blocked(_) => self.clock.threads[tid.0 as usize].since = t,
+            Step::Exited => {}
+            _ => self.clock.schedule(tid, resume),
         }
-    }
-
-    /// The reference state thread `tid` observes for `obj`: its own most
-    /// recent buffered store, else shared memory. A core always sees its
-    /// own stores (store-to-load forwarding).
-    fn view_of(&self, tid: ThreadId, obj: ObjectId) -> RefState {
-        self.store_buffers[tid.0 as usize]
-            .iter()
-            .rev()
-            .find(|e| e.obj == obj)
-            .map(|e| e.to)
-            .unwrap_or_else(|| self.heap.state(obj))
     }
 
     /// Commits every store across all buffers whose drain time has
-    /// arrived, earliest first (ties broken by thread id), respecting the
-    /// model's ordering constraint: whole-buffer FIFO under TSO,
-    /// per-location FIFO under PSO.
+    /// arrived, earliest first (ties broken by thread id), among those the
+    /// model lets drain next.
     fn drain_due(&mut self, now: SimTime) {
         loop {
-            let mut best: Option<(SimTime, usize, usize)> = None;
-            for (ti, buf) in self.store_buffers.iter().enumerate() {
-                if self.config.memory.model == MemoryModel::Pso {
-                    for (i, e) in buf.iter().enumerate() {
-                        if e.drain_at <= now
-                            && buf[..i].iter().all(|p| p.obj != e.obj)
-                            && best.is_none_or(|(bt, bi, _)| (e.drain_at, ti) < (bt, bi))
-                        {
-                            best = Some((e.drain_at, ti, i));
-                        }
-                    }
-                } else if let Some(e) = buf.first() {
-                    if e.drain_at <= now
-                        && best.is_none_or(|(bt, bi, _)| (e.drain_at, ti) < (bt, bi))
-                    {
-                        best = Some((e.drain_at, ti, 0));
+            let mut best: Option<(SimTime, ThreadId, usize)> = None;
+            for t in self.machine.thread_ids() {
+                for i in self.machine.committable(t) {
+                    let at = self.machine.thread(t).buffer[i].drain_at;
+                    if at <= now && best.is_none_or(|(bt, bu, _)| (at, t) < (bt, bu)) {
+                        best = Some((at, t, i));
                     }
                 }
             }
-            let Some((_, ti, i)) = best else { return };
-            let e = self.store_buffers[ti].remove(i);
-            self.heap.commit(e.obj, e.to);
+            let Some((_, t, i)) = best else { return };
+            self.machine.commit(t, i);
         }
     }
 
-    /// Forced drain point: commits this thread's entire buffer now, in
-    /// buffer order (which preserves per-location order under both
-    /// models).
-    fn flush_buffer(&mut self, tid: ThreadId) {
-        for e in self.store_buffers[tid.0 as usize].drain(..) {
-            self.heap.commit(e.obj, e.to);
-        }
-    }
-
-    /// Buffers (or immediately commits) a just-executed store.
-    ///
-    /// `injected` is the delay the monitor asked for when
-    /// [`MemoryConfig::delay_stretches_drain`] holds: it lands on the
-    /// drain time — widening the window in which other threads read the
-    /// stale value — while the storing thread runs ahead undelayed.
-    fn buffer_store(
-        &mut self,
-        tid: ThreadId,
-        t: SimTime,
-        dur: SimTime,
-        obj: ObjectId,
-        to: RefState,
-        injected: SimTime,
-    ) {
-        match self.config.memory.drain {
-            DrainPolicy::EveryStore => self.heap.commit(obj, to),
-            DrainPolicy::Window { latency } => {
-                let lat = self.noised(latency);
-                let mut drain_at = t + dur + lat + injected;
-                let buf = &mut self.store_buffers[tid.0 as usize];
-                // FIFO preservation: a store never drains before an
-                // earlier store it is ordered after — the whole buffer
-                // under TSO, same-location entries under PSO. This is
-                // what keeps a PSO-only plant unexposable under TSO even
-                // with injection.
-                let floor = match self.config.memory.model {
-                    MemoryModel::Pso => {
-                        buf.iter().rev().find(|e| e.obj == obj).map(|e| e.drain_at)
-                    }
-                    _ => buf.last().map(|e| e.drain_at),
-                };
-                if let Some(f) = floor {
-                    drain_at = drain_at.max(f);
-                }
-                buf.push(BufferedStore { obj, to, drain_at });
-            }
-        }
-    }
-
-    /// Advances past the current op and reschedules the thread.
-    fn advance(&mut self, tid: ThreadId, at: SimTime) {
-        let th = &mut self.threads[tid.0 as usize];
-        th.pc += 1;
-        th.now = at;
-        self.schedule(tid, at);
-    }
-
-    fn begin_join(&mut self, tid: ThreadId, t: SimTime, targets: HashSet<ThreadId>) {
-        if targets.is_empty() {
-            self.advance(tid, t);
+    /// Stamps the store thread `tid` just buffered with its drain time:
+    /// `due` plus the noised drain latency, floored so that it never
+    /// drains before an earlier store it is ordered after (the whole
+    /// buffer under TSO, same-object entries under PSO). The floor keeps a
+    /// PSO-only plant unexposable under TSO even with injection.
+    fn stamp_drain(&mut self, tid: ThreadId, due: SimTime) {
+        let drain_at = due + self.noised(self.config.memory.latency());
+        let pso = self.machine.model() == MemoryModel::Pso;
+        let buf = &self.machine.thread(tid).buffer;
+        let (new, older) = buf.split_last().expect("a transition was just buffered");
+        let floor = if pso {
+            older.iter().rev().find(|e| e.obj == new.obj)
         } else {
-            self.join_targets
-                .insert(tid, targets.iter().copied().collect());
-            self.join_waiting.insert(tid, targets);
-            self.block(tid, t, BlockedBy::Join);
-        }
-    }
-
-    /// Emits the join edges for a joiner that just resumed.
-    fn notify_join(&mut self, tid: ThreadId, t: SimTime, monitor: &mut dyn Monitor) {
-        if let Some(targets) = self.join_targets.remove(&tid) {
-            for joined in targets {
-                monitor.on_join(tid, joined, t);
-            }
-        }
-    }
-
-    fn block(&mut self, tid: ThreadId, t: SimTime, by: BlockedBy) {
-        let th = &mut self.threads[tid.0 as usize];
-        th.status = Status::Blocked(by, t);
-        th.now = t;
-    }
-
-    /// Resumes a blocked thread at time `t` (or its block start if later,
-    /// which cannot happen under monotone virtual time but is kept safe).
-    fn unblock(&mut self, tid: ThreadId, t: SimTime) {
-        let th = &mut self.threads[tid.0 as usize];
-        let Status::Blocked(by, since) = th.status else {
-            return;
+            older.last()
         };
-        let resume = t.max(since);
-        let interval = BlockedInterval {
+        let drain_at = floor.map_or(drain_at, |f| drain_at.max(f.drain_at));
+        self.machine.stamp_newest(tid, drain_at);
+    }
+
+    fn begin_access(&mut self, tid: ThreadId, t: SimTime, op: &'w Op, monitor: &mut dyn Monitor) {
+        let Op::Access {
+            obj, kind, site, ..
+        } = *op
+        else {
+            unreachable!("begin_access runs at an access");
+        };
+        let idx = site.0 as usize;
+        if idx >= self.site_dyn_counts.len() {
+            // Sites are registered up front, so this only triggers for
+            // monitors that synthesize sites mid-run.
+            self.site_dyn_counts.resize(idx + 1, 0);
+        }
+        let dyn_index = self.site_dyn_counts[idx];
+        self.site_dyn_counts[idx] += 1;
+        self.active_delays.retain(|d| d.end > t);
+        let action = monitor.on_access_pre(&AccessCtx {
+            time: t,
             thread: tid,
-            start: since,
-            end: resume,
-            by,
-        };
-        self.result.blocked.push(interval);
-        th.last_block = Some(interval);
-        th.status = Status::Ready;
-        th.now = resume;
-        // The blocking op completed; move past it.
-        th.pc += 1;
-        self.schedule(tid, resume);
-    }
-
-    fn release_lock(&mut self, tid: ThreadId, lock: LockId, t: SimTime) {
-        let ls = &mut self.locks[lock.0 as usize];
-        if ls.holder == Some(tid) {
-            ls.holder = None;
-            self.threads[tid.0 as usize].held.retain(|&l| l != lock);
-            if let Some(next) = ls.waiters.pop_front() {
-                ls.holder = Some(next);
-                self.threads[next.0 as usize].held.push(lock);
-                self.unblock(next, t);
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn begin_access(
-        &mut self,
-        tid: ThreadId,
-        t: SimTime,
-        obj: ObjectId,
-        kind: AccessKind,
-        site: SiteId,
-        dur: SimTime,
-        monitor: &mut dyn Monitor,
-    ) {
-        let dyn_index = {
-            let idx = site.0 as usize;
-            if idx >= self.site_dyn_counts.len() {
-                // Sites are registered up front, so this only triggers for
-                // monitors that synthesize sites mid-run.
-                self.site_dyn_counts.resize(idx + 1, 0);
-            }
-            let c = &mut self.site_dyn_counts[idx];
-            let dyn_index = *c;
-            *c += 1;
-            dyn_index
-        };
-        self.prune_active_delays(t);
-        let action = {
-            let th = &self.threads[tid.0 as usize];
-            let ctx = AccessCtx {
-                time: t,
-                thread: tid,
-                site,
-                obj,
-                kind,
-                dyn_index,
-                task: th.current_task,
-                active_delays: &self.active_delays,
-                last_block: th.last_block.as_ref(),
-            };
-            monitor.on_access_pre(&ctx)
-        };
-        let pending = PendingAccess {
+            site,
             obj,
             kind,
-            site,
-            dur,
+            dyn_index,
+            task: self.machine.thread(tid).task,
+            active_delays: &self.active_delays,
+            last_block: self.clock.threads[tid.0 as usize].last_block.as_ref(),
+        });
+        let pending = PendingAccess {
             dyn_index,
             delayed_by: SimTime::ZERO,
         };
-        match action {
-            PreAction::Proceed => self.perform_access(tid, t, pending, monitor),
-            PreAction::Delay(d) => {
-                self.result.delays.push(DelayRecord {
-                    thread: tid,
-                    site,
-                    obj,
-                    start: t,
-                    dur: d,
-                });
-                self.active_delays.push(ActiveDelay {
-                    thread: tid,
-                    site,
-                    end: t + d,
-                });
-                // Under a weak model with a drain window, a delay at a
-                // *store* does not pause the thread: it stretches the
-                // store's residence in the buffer instead. The thread
-                // publishes its downstream signals on time while the
-                // store is still invisible — which is how injection
-                // widens the stale-read window other threads race into.
-                // Loads (and every access under SC or drain-every-store)
-                // keep the classical pause semantics.
-                let stretches = self.config.memory.delay_stretches_drain()
-                    && matches!(kind, AccessKind::Init | AccessKind::Dispose);
-                if stretches {
-                    self.perform_access(
-                        tid,
-                        t,
-                        PendingAccess {
-                            delayed_by: d,
-                            ..pending
-                        },
-                        monitor,
-                    );
-                } else {
-                    let th = &mut self.threads[tid.0 as usize];
-                    th.pending = Some(PendingAccess {
-                        delayed_by: d,
-                        ..pending
-                    });
-                    th.now = t + d;
-                    self.schedule(tid, t + d);
-                }
-            }
+        let PreAction::Delay(d) = action else {
+            return self.perform_access(tid, t, op, pending, monitor);
+        };
+        self.clock.result.delays.push(DelayRecord {
+            thread: tid,
+            site,
+            obj,
+            start: t,
+            dur: d,
+        });
+        self.active_delays.push(ActiveDelay {
+            thread: tid,
+            site,
+            end: t + d,
+        });
+        let pending = PendingAccess {
+            delayed_by: d,
+            ..pending
+        };
+        // Under a weak model with a drain window, a delay at a *store* does
+        // not pause the thread: it stretches the store's residence in the
+        // buffer instead. The thread publishes its downstream signals on
+        // time while the store is still invisible — which is how injection
+        // widens the stale-read window other threads race into. Loads (and
+        // every access under SC or drain-every-store) keep the classical
+        // pause semantics.
+        if self.config.memory.delay_stretches_drain()
+            && matches!(kind, AccessKind::Init | AccessKind::Dispose)
+        {
+            self.perform_access(tid, t, op, pending, monitor);
+        } else {
+            self.clock.threads[tid.0 as usize].pending = Some(pending);
+            self.clock.schedule(tid, t + d);
         }
     }
 
@@ -843,86 +488,85 @@ impl<'w> Simulator<'w> {
         &mut self,
         tid: ThreadId,
         t: SimTime,
+        op: &'w Op,
         p: PendingAccess,
         monitor: &mut dyn Monitor,
     ) {
-        self.max_time = self.max_time.max(t);
-        self.result.instrumented_ops += 1;
-        let outcome = if self.buffering {
-            // The access classifies against this thread's *view*: its own
-            // buffered stores first, then shared memory. The cell itself is
-            // only written when the store drains.
-            let view = self.view_of(tid, p.obj);
-            self.heap.apply_buffered(p.obj, p.site, p.kind, view)
-        } else {
-            self.heap.apply(p.obj, p.site, p.kind)
+        let Op::Access {
+            obj,
+            kind,
+            site,
+            dur,
+        } = *op
+        else {
+            unreachable!("perform_access runs at an access");
         };
-        let dur = self.noised(p.dur);
-        if self.buffering {
-            if let Ok(AccessOutcome::Transition { to, .. }) = outcome {
-                self.buffer_store(tid, t, dur, p.obj, to, p.delayed_by);
+        self.clock.result.instrumented_ops += 1;
+        let outcome = match self.at_time(t, monitor, |m, obs| m.exec(tid, Some(op), obs)) {
+            Step::Accessed(outcome) => Ok(outcome),
+            Step::Fault(error) => Err(error),
+            step => unreachable!("an access completes or faults, not {step:?}"),
+        };
+        let dur = self.noised(dur);
+        if let Ok(AccessOutcome::Transition { .. }) = outcome {
+            if self.machine.model().is_weak() {
+                self.stamp_drain(tid, t + dur + p.delayed_by);
             }
         }
-        if p.kind == AccessKind::UnsafeApiCall && outcome.is_ok() {
+        if kind == AccessKind::UnsafeApiCall && outcome.is_ok() {
             // TSVD trap semantics: a thread paused by an injected delay is
             // conceptually *at* the call boundary for the whole pause, so
             // the conflict window opens when the delay started.
-            self.check_tsv(tid, t - p.delayed_by, t + dur, p.obj, p.site);
+            self.check_tsv(tid, t - p.delayed_by, t + dur, obj, site);
         }
-        {
-            let th = &mut self.threads[tid.0 as usize];
-            if th.recent.len() == RECENT_DEPTH {
-                th.recent.pop_front();
-            }
-            th.recent.push_back(RecentOp {
-                site: p.site,
-                kind: p.kind,
-                obj: p.obj,
-                time: t,
-            });
+        let recent = &mut self.clock.threads[tid.0 as usize].recent;
+        if recent.len() == RECENT_DEPTH {
+            recent.pop_front();
         }
-        let rec = AccessRecord {
+        recent.push_back(RecentOp {
+            site,
+            kind,
+            obj,
+            time: t,
+        });
+        monitor.on_access_post(&AccessRecord {
             time: t,
             thread: tid,
-            site: p.site,
-            obj: p.obj,
-            kind: p.kind,
+            site,
+            obj,
+            kind,
             dyn_index: p.dyn_index,
-            task: self.threads[tid.0 as usize].current_task,
+            task: self.machine.thread(tid).task,
             delayed_by: p.delayed_by,
             outcome,
+        });
+        let Err(error) = outcome else {
+            let overhead = monitor.instr_overhead(kind);
+            return self.clock.schedule(tid, t + dur + overhead);
         };
-        monitor.on_access_post(&rec);
-        match outcome {
-            Ok(_) => {
-                let overhead = monitor.instr_overhead(p.kind);
-                self.advance(tid, t + dur + overhead);
-            }
-            Err(error) => {
-                if self.result.exceptions.is_empty() {
-                    // First manifestation: snapshot every thread's context
-                    // (the §5 bug report records "stack traces for all
-                    // threads").
-                    self.result.thread_contexts = self
-                        .threads
-                        .iter()
-                        .enumerate()
-                        .map(|(i, th)| ThreadContext {
-                            thread: checked_thread_id(i),
-                            script: self.workload.script(th.script).name.clone(),
-                            faulting: checked_thread_id(i) == tid,
-                            recent: th.recent.iter().copied().collect(),
-                        })
-                        .collect();
-                }
-                self.result.exceptions.push(SimException {
-                    error,
-                    thread: tid,
-                    time: t,
-                });
-                self.exit_thread(tid, t, monitor);
-            }
+        let result = &mut self.clock.result;
+        if result.exceptions.is_empty() {
+            // First manifestation: snapshot every thread's context (the §5
+            // bug report records "stack traces for all threads").
+            let workload = self.machine.workload();
+            result.thread_contexts = self
+                .machine
+                .thread_ids()
+                .zip(&self.clock.threads)
+                .map(|(u, clock)| ThreadContext {
+                    thread: u,
+                    script: workload.script(self.machine.thread(u).script).name.clone(),
+                    faulting: u == tid,
+                    recent: clock.recent.iter().copied().collect(),
+                })
+                .collect();
         }
+        result.exceptions.push(SimException {
+            error,
+            thread: tid,
+            time: t,
+        });
+        self.at_time(t, monitor, |m, obs| m.exit(tid, obs));
     }
 
     fn check_tsv(&mut self, tid: ThreadId, start: SimTime, end: SimTime, obj: ObjectId, site: SiteId) {
@@ -930,7 +574,7 @@ impl<'w> Simulator<'w> {
         windows.retain(|w| w.end > start);
         for w in windows.iter() {
             if w.thread != tid && w.start < end && w.end > start {
-                self.result.tsv_violations.push(TsvViolation {
+                self.clock.result.tsv_violations.push(TsvViolation {
                     obj,
                     first_site: w.site,
                     second_site: site,
@@ -946,52 +590,12 @@ impl<'w> Simulator<'w> {
             site,
         });
     }
-
-    fn exit_thread(&mut self, tid: ThreadId, t: SimTime, monitor: &mut dyn Monitor) {
-        self.max_time = self.max_time.max(t);
-        if self.buffering {
-            // Thread exit is a full barrier: a dying thread's stores become
-            // globally visible (the OS drains the buffer on context loss).
-            self.flush_buffer(tid);
-        }
-        {
-            let th = &mut self.threads[tid.0 as usize];
-            th.status = Status::Done;
-            th.now = t;
-        }
-        // Unwind: release every held lock (finally-block semantics). The
-        // thread is done, so its `held` list can be taken outright instead
-        // of cloned; `release_lock`'s retain on the emptied list is a no-op.
-        let held: Vec<LockId> = std::mem::take(&mut self.threads[tid.0 as usize].held);
-        for lock in held {
-            self.release_lock(tid, lock, t);
-        }
-        // Wake joiners waiting on this thread, collecting them into the
-        // reused scratch buffer (thread churn exits constantly; this path
-        // must not allocate).
-        let mut waiters = std::mem::take(&mut self.waiter_scratch);
-        waiters.clear();
-        for (w, set) in self.join_waiting.iter_mut() {
-            set.remove(&tid);
-            if set.is_empty() {
-                waiters.push(*w);
-            }
-        }
-        for w in &waiters {
-            self.join_waiting.remove(w);
-        }
-        for &w in &waiters {
-            self.unblock(w, t);
-            self.notify_join(w, t, monitor);
-        }
-        self.waiter_scratch = waiters;
-        monitor.on_thread_exit(tid, t);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::Cond;
     use crate::time::{ms, us};
     use crate::workload::WorkloadBuilder;
 
@@ -1527,5 +1131,52 @@ mod tests {
         let r = Simulator::run(&w, weak_cfg(MemoryModel::Tso), &mut crate::monitor::NullMonitor);
         assert!(!r.manifested());
         assert_eq!(r.heap.inits, 1);
+    }
+
+    #[test]
+    fn joiners_of_one_thread_wake_in_ascending_thread_order() {
+        // Six threads join the same worker. When it exits they all wake at
+        // once, and both the blocked intervals and the join hooks must
+        // come out in ascending thread id on every run — a run is a pure
+        // function of (workload, config, monitor).
+        #[derive(Default)]
+        struct Joins(Vec<(ThreadId, ThreadId)>);
+        impl Monitor for Joins {
+            fn on_join(&mut self, waiter: ThreadId, joined: ThreadId, _time: SimTime) {
+                self.0.push((waiter, joined));
+            }
+        }
+        let mut b = WorkloadBuilder::new("joiners");
+        let worker = b.script("worker", |s| {
+            s.compute(ms(1));
+        });
+        let waiter = b.script("waiter", move |s| {
+            s.join_script(worker);
+        });
+        let m = b.script("main", move |s| {
+            s.fork(worker).fork_n(waiter, 6).join_children();
+        });
+        b.main(m);
+        let w = b.build();
+        let first = Simulator::run(&w, det(), &mut Joins::default());
+        let waiters: Vec<ThreadId> = first
+            .blocked
+            .iter()
+            .filter(|bi| bi.by == BlockedBy::Join && bi.thread != ThreadId(0))
+            .map(|bi| bi.thread)
+            .collect();
+        assert_eq!(waiters, (2..8).map(ThreadId).collect::<Vec<_>>());
+        for _ in 0..20 {
+            let mut joins = Joins::default();
+            let again = Simulator::run(&w, det(), &mut joins);
+            assert_eq!(again.blocked, first.blocked);
+            let woken: Vec<ThreadId> = joins
+                .0
+                .iter()
+                .filter(|&&(waiter, joined)| joined == ThreadId(1) && waiter != ThreadId(0))
+                .map(|(waiter, _)| *waiter)
+                .collect();
+            assert_eq!(woken, waiters, "join hooks out of thread order");
+        }
     }
 }

@@ -22,6 +22,12 @@
 //!   overlapping thread-unsafe API calls on one object record a
 //!   thread-safety violation (for the TSVD comparison tooling).
 //!
+//! The semantics of every op live in one place, [`machine::Machine`]: the
+//! time-free state (threads, locks, events, heap, task queue, store
+//! buffers) and one `exec` per op. [`Simulator`] drives it in virtual
+//! time; the schedule oracle in `waffle-fuzz` drives the same machine
+//! through every schedule within a preemption bound.
+//!
 //! Determinism: runs are a pure function of `(workload, config, monitor)`.
 //! Run-to-run timing variation — which the paper's probabilistic method
 //! needs — comes from seeded per-operation timing noise
@@ -61,6 +67,7 @@
 pub mod dot;
 pub mod engine;
 pub mod ids;
+pub mod machine;
 pub mod memory;
 pub mod monitor;
 pub mod op;
@@ -73,6 +80,7 @@ pub mod workload;
 
 pub use engine::{SimConfig, Simulator};
 pub use ids::{EventId, IdOverflow, LockId, ScriptId, ThreadId};
+pub use machine::{Machine, Observer, Step, ThreadStatus};
 pub use memory::{DrainPolicy, MemoryConfig, MemoryModel, DEFAULT_DRAIN_LATENCY};
 pub use monitor::{AccessCtx, AccessRecord, ActiveDelay, Monitor, NullMonitor, PreAction};
 pub use op::{Cond, Op};

@@ -128,6 +128,22 @@ impl Op {
         matches!(self, Op::Access { .. })
     }
 
+    /// Whether the op drains the executing thread's store buffer before it
+    /// runs. Lock operations, fork, join and fences carry full barriers;
+    /// sticky events deliberately do not: an event publication without a
+    /// barrier is exactly the weak-memory bug shape.
+    pub fn flushes(&self) -> bool {
+        matches!(
+            self,
+            Op::Fork { .. }
+                | Op::JoinScript { .. }
+                | Op::JoinChildren
+                | Op::Acquire { .. }
+                | Op::Release { .. }
+                | Op::Fence
+        )
+    }
+
     /// Nominal service time of the op, before timing noise.
     pub fn duration(&self) -> SimTime {
         match self {

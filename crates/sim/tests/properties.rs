@@ -131,7 +131,7 @@ proptest! {
         let r2 = Simulator::run(&w, cfg, &mut NullMonitor);
         prop_assert_eq!(r1.end_time, r2.end_time);
         prop_assert_eq!(r1.ops_executed, r2.ops_executed);
-        prop_assert_eq!(r1.blocked.len(), r2.blocked.len());
+        prop_assert_eq!(r1.blocked, r2.blocked);
     }
 
     /// The Fig. 2 order-violation condition: a delay longer than the gap
