@@ -50,7 +50,8 @@ impl TsvPlan {
     }
 
     /// Whether `site` is a delay location.
-    pub fn is_delay_site(&self, site: SiteId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_delay_site(&self, site: SiteId) -> bool {
         self.delay_len.contains_key(&site)
     }
 

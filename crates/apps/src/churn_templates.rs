@@ -166,7 +166,8 @@ pub fn instances_in_churn(
 /// thread performs hot churn work before the racing use, so the plan's
 /// interference set couples the bug's init site with the hot sites.
 #[allow(clippy::too_many_arguments)]
-pub fn bugs_in_churn(
+#[cfg(test)]
+pub(crate) fn bugs_in_churn(
     name: &str,
     sites: BugSites,
     pre: SimTime,

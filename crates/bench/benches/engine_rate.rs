@@ -1,5 +1,6 @@
 //! `engine_rate`: wall-clock throughput of the simulator dispatch loop
-//! and the parallel experiment engine, written to `BENCH_core.json`.
+//! and of parallel detection attempts (`run_experiment` at several worker
+//! counts), written to `BENCH_core.json`.
 //! Window per measurement: `WAFFLE_BENCH_MS`.
 //!
 //! Stages are the Criterion means per iteration: `sim_dispatch` counts
@@ -12,7 +13,7 @@
 
 use criterion::{black_box, Criterion};
 use waffle_bench::Ledger;
-use waffle_core::{Detector, DetectorConfig, ExperimentEngine, Tool};
+use waffle_core::{run_experiment, Detector, DetectorConfig, Tool};
 use waffle_sim::{NullMonitor, SimConfig, SimTime, Simulator, Workload, WorkloadBuilder};
 
 /// Attempts per engine measurement (kept small: each attempt is a full
@@ -70,7 +71,7 @@ fn main() {
 
     // Bug-16's heavy-churn MQTT.Net input: each attempt costs enough
     // simulation that fan-out wins over the per-worker spawn cost, the
-    // regime the engine exists for.
+    // regime parallel attempts exist for.
     let racy = waffle_apps::bug_workload(16).expect("Bug-16 workload exists");
     let det = Detector::with_config(
         Tool::waffle(),
@@ -79,18 +80,14 @@ fn main() {
             ..DetectorConfig::default()
         },
     );
-    let telemetry = ExperimentEngine::new(1)
-        .run_experiment(&det, &racy, ATTEMPTS)
-        .telemetry
-        .counters;
+    let telemetry = run_experiment(&det, &racy, ATTEMPTS, 1).telemetry.counters;
     let mut job_counts = vec![1usize, 2];
     if ledger.env.available_parallelism > 2 {
         job_counts.push(ledger.env.available_parallelism as usize);
     }
     for &jobs in &job_counts {
-        let engine = ExperimentEngine::new(jobs);
         c.bench_function(&format!("engine_attempts_jobs{jobs}"), |b| {
-            b.iter(|| engine.run_experiment(black_box(&det), black_box(&racy), ATTEMPTS))
+            b.iter(|| run_experiment(black_box(&det), black_box(&racy), ATTEMPTS, jobs))
         });
     }
 

@@ -5,7 +5,7 @@
 //! (`cargo bench -p waffle-bench --bench repro`) runs [`all`], prints each
 //! table with [`Table::render`] and writes them all to `REPRO.json` at the
 //! workspace root. The simulation runs in virtual time from fixed seeds,
-//! and the experiment engine keys every attempt by its seed, so the file
+//! and every attempt is keyed by its seed (`attempt_seed`), so the file
 //! is byte-identical at any worker count and CI diffs it against the
 //! committed copy.
 //!
@@ -18,7 +18,10 @@ use serde::{Serialize, Value};
 use waffle_analysis::{analyze, analyze_tsv, AnalyzerConfig, Plan, PlanTables};
 use waffle_apps::extensions::task_request_pipeline;
 use waffle_apps::{all_apps, all_bugs, bug, bug_workload, BugSpec};
-use waffle_core::{Detector, DetectorConfig, ExperimentEngine, ExperimentSummary, GridCell, Tool};
+use waffle_core::{
+    attempt_seed, par_map, run_attempts, run_experiment, Detector, DetectorConfig,
+    ExperimentSummary, Tool,
+};
 use waffle_inject::{
     DecayState, OnlinePolicy, OnlineState, Pairing, RandomSleepPolicy, WaffleConfig, WafflePolicy,
 };
@@ -198,16 +201,16 @@ impl Table {
 
 /// Every table, in the order `REPRO.json` lists them.
 pub fn all() -> Vec<Table> {
-    let engine = ExperimentEngine::default();
-    let (table5, table6) = tables5_and_6(&engine);
+    let jobs = std::thread::available_parallelism().map_or(1, usize::from);
+    let (table5, table6) = tables5_and_6(jobs);
     vec![
         table1(),
         table2(),
         table3(),
-        table4(&engine),
+        table4(jobs),
         table5,
         table6,
-        table7(&engine),
+        table7(jobs),
         fig2(),
         fig3(),
         fig4(),
@@ -418,21 +421,15 @@ fn runs_and_slowdown(s: &ExperimentSummary) -> (Cell, Cell) {
 /// in §6.1) and the end-to-end detection slowdown against the
 /// uninstrumented bug-triggering input. `-` means the tool did not expose
 /// the bug in a majority of repetitions (WaffleBasic gets 50 runs).
-fn table4(engine: &ExperimentEngine) -> Table {
+fn table4(jobs: usize) -> Table {
     let specs = all_bugs();
     let workloads: Vec<Workload> = specs.iter().map(|s| bug_input(s.id)).collect();
     let basic = budgeted(Tool::waffle_basic(), 50);
-    let cells: Vec<GridCell> = workloads
+    let cells: Vec<(&Workload, Detector)> = workloads
         .iter()
-        .flat_map(|w| {
-            [Detector::new(Tool::waffle()), basic.clone()].map(|detector| GridCell {
-                workload: w.clone(),
-                detector,
-                attempts: TABLE4_REPS,
-            })
-        })
+        .flat_map(|w| [Detector::new(Tool::waffle()), basic.clone()].map(|det| (w, det)))
         .collect();
-    let mut summaries = engine.run_grid(&cells).into_iter();
+    let mut summaries = run_cells(&cells, TABLE4_REPS, jobs).into_iter();
     let rows = specs
         .iter()
         .zip(&workloads)
@@ -489,7 +486,7 @@ fn table4(engine: &ExperimentEngine) -> Table {
 /// WaffleBasic's delays only begin once candidates exist, so its measured
 /// run there is the second (the paper's tools likewise carry state into
 /// the measured run).
-fn tables5_and_6(engine: &ExperimentEngine) -> (Table, Table) {
+fn tables5_and_6(jobs: usize) -> (Table, Table) {
     let waffle_det = budgeted(Tool::waffle(), 2);
     let basic_det = budgeted(Tool::waffle_basic(), 2);
     let pct = |time: SimTime, base: f64| (time.as_us() as f64 / base - 1.0) * 100.0;
@@ -505,8 +502,8 @@ fn tables5_and_6(engine: &ExperimentEngine) -> (Table, Table) {
         let (mut basic_timeouts, mut basic_runs) = (0u32, 0u32);
         for t in &app.tests {
             let w = &t.workload;
-            let wf_outcomes = engine.run_attempts(&waffle_det, w, REPS);
-            let bs_outcomes = engine.run_attempts(&basic_det, w, REPS);
+            let wf_outcomes = run_attempts(&waffle_det, w, REPS, jobs);
+            let bs_outcomes = run_attempts(&basic_det, w, REPS, jobs);
             if let Some(last) = bs_outcomes[0].detection_runs.last() {
                 basic_n += last.delays;
                 basic_d += last.delay_total;
@@ -612,36 +609,43 @@ fn tables5_and_6(engine: &ExperimentEngine) -> (Table, Table) {
 /// Table 7 draws.
 const TABLE7_RUNS: u32 = 5;
 
+/// Summarizes `attempts` attempts of each `(workload, detector)` cell, in
+/// cell order. Cells fan out over `jobs` workers and each cell's attempts
+/// run in order, so the summaries do not depend on `jobs`.
+fn run_cells(
+    cells: &[(&Workload, Detector)],
+    attempts: u32,
+    jobs: usize,
+) -> Vec<ExperimentSummary> {
+    par_map(cells.len(), jobs, |i| {
+        let (w, det) = &cells[i];
+        run_experiment(det, w, attempts, 1)
+    })
+    .unwrap_or_else(|(i, msg)| {
+        let (w, det) = &cells[i];
+        panic!("{} / {} panicked: {msg}", w.name, det.tool().name())
+    })
+}
+
 /// How many of the 18 bugs `det` exposes in a majority of repetitions.
-fn bugs_found(det: &Detector, engine: &ExperimentEngine) -> u64 {
-    let cells: Vec<GridCell> = all_bugs()
-        .iter()
-        .map(|spec| GridCell {
-            workload: bug_input(spec.id),
-            detector: det.clone(),
-            attempts: REPS,
-        })
-        .collect();
-    engine
-        .run_grid(&cells)
+fn bugs_found(det: &Detector, jobs: usize) -> u64 {
+    let workloads: Vec<Workload> = all_bugs().iter().map(|spec| bug_input(spec.id)).collect();
+    let cells: Vec<(&Workload, Detector)> = workloads.iter().map(|w| (w, det.clone())).collect();
+    run_cells(&cells, REPS, jobs)
         .iter()
         .filter(|s| s.detected())
         .count() as u64
 }
 
 /// Average first-detection-run time across every test input.
-fn avg_detection_time(tool: Tool, engine: &ExperimentEngine) -> f64 {
+fn avg_detection_time(tool: Tool) -> f64 {
     let det = budgeted(tool, 1);
     let mut total = 0.0f64;
     let mut n = 0u64;
     for app in all_apps() {
         for t in &app.tests {
-            let outcomes = engine.run_attempts(&det, &t.workload, 1);
-            if let Some(r) = outcomes
-                .iter()
-                .flat_map(|o| o.detection_runs.first())
-                .next()
-            {
+            let outcome = det.detect(&t.workload, attempt_seed(0));
+            if let Some(r) = outcome.detection_runs.first() {
                 total += r.time.as_us() as f64;
                 n += 1;
             }
@@ -654,9 +658,9 @@ fn avg_detection_time(tool: Tool, engine: &ExperimentEngine) -> f64 {
 /// Per variant: bugs found and missed (of 18) within the run budget, and
 /// the average detection-run slowdown against full Waffle over all test
 /// inputs.
-fn table7(engine: &ExperimentEngine) -> Table {
-    let base_bugs = bugs_found(&Detector::new(Tool::waffle()), engine);
-    let base_time = avg_detection_time(Tool::waffle(), engine);
+fn table7(jobs: usize) -> Table {
+    let base_bugs = bugs_found(&Detector::new(Tool::waffle()), jobs);
+    let base_time = avg_detection_time(Tool::waffle());
     let mut rows = vec![vec![
         Cell::text("full Waffle"),
         Cell::Int(base_bugs),
@@ -684,8 +688,8 @@ fn table7(engine: &ExperimentEngine) -> Table {
             1.41,
         ),
     ] {
-        let found = bugs_found(&budgeted(tool.clone(), TABLE7_RUNS), engine);
-        let slow = avg_detection_time(tool, engine) / base_time;
+        let found = bugs_found(&budgeted(tool.clone(), TABLE7_RUNS), jobs);
+        let slow = avg_detection_time(tool) / base_time;
         rows.push(vec![
             Cell::text(name),
             Cell::Int(found),

@@ -14,13 +14,13 @@
 //! bit-identical to an uninterrupted run at any worker count.
 //!
 //! Fault isolation happens at the cell boundary: a panicking attempt is
-//! caught ([`std::panic::catch_unwind`]), retried a bounded number of
-//! times on fresh seeds ([`retry_seed`]), and — if every retry panics —
-//! the cell is quarantined as [`CellStatus::Failed`] in the final report
-//! while every other cell's results stand. A cell whose runs exceeded the
-//! virtual-time budget is classified [`CellStatus::TimedOut`] (its summary
-//! is still recorded; the status makes the budget violation visible at the
-//! campaign level).
+//! caught ([`par_map`] reports the lowest panicking attempt), retried a
+//! bounded number of times on fresh seeds ([`retry_seed`]), and — if
+//! every retry panics — the cell is quarantined as [`CellStatus::Failed`]
+//! in the final report while every other cell's results stand. A cell
+//! whose runs exceeded the virtual-time budget is classified
+//! [`CellStatus::TimedOut`] (its summary is still recorded; the status
+//! makes the budget violation visible at the campaign level).
 //!
 //! # Coordinator-free multi-process campaigns
 //!
@@ -48,7 +48,6 @@
 
 use std::fs;
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -57,9 +56,7 @@ use waffle_sim::Workload;
 use waffle_telemetry::TelemetrySummary;
 
 use crate::detector::{Detector, DetectorConfig, Tool};
-use crate::engine::{attempt_seed, panic_message, par_map};
-use crate::experiment::{summarize, ExperimentSummary};
-use crate::report::DetectionOutcome;
+use crate::experiment::{attempt_seed, par_map, summarize, ExperimentSummary};
 use crate::storage::{corrupt, write_atomic};
 
 /// Manifest schema version; bumped on incompatible layout changes.
@@ -70,12 +67,10 @@ const REPORT_FILE: &str = "report.json";
 
 /// The seed for `attempt` on its `retry`-th retry. Retry 0 is the
 /// standard [`attempt_seed`] ladder, so an unfailing campaign cell is
-/// bit-identical to [`ExperimentEngine::run_grid`]; each retry shifts the
-/// whole ladder into a disjoint seed range, so a retried cell re-rolls
-/// every run while staying fully deterministic (and therefore identical
-/// across interrupt/resume).
-///
-/// [`ExperimentEngine::run_grid`]: crate::engine::ExperimentEngine::run_grid
+/// bit-identical to [`run_experiment`](crate::experiment::run_experiment);
+/// each retry shifts the whole ladder into a disjoint seed range, so a
+/// retried cell re-rolls every run while staying fully deterministic (and
+/// therefore identical across interrupt/resume).
 pub fn retry_seed(attempt: u32, retry: u32) -> u64 {
     attempt_seed(attempt) + (u64::from(retry) << 32)
 }
@@ -710,7 +705,7 @@ impl Campaign {
     }
 
     /// Removes every checkpoint, claim, and any stale report (fresh start).
-    pub fn clear_checkpoints(&self) -> io::Result<()> {
+    pub(crate) fn clear_checkpoints(&self) -> io::Result<()> {
         self.clear_claims()?;
         for i in 0..self.manifest.cells.len() {
             ignore_missing(fs::remove_file(self.checkpoint_path(i)))?;
@@ -719,9 +714,10 @@ impl Campaign {
     }
 
     /// Executes one cell in-process: sequential attempts on the standard
-    /// seed ladder, panics caught per attempt, bounded retries on fresh
-    /// seed ladders, terminal classification. Pure in `(spec, workload,
-    /// config)` — which is what makes checkpoints resumable.
+    /// seed ladder, the lowest panicking attempt recorded as the try's
+    /// failure, bounded retries on fresh seed ladders, terminal
+    /// classification. Pure in `(spec, workload, config)` — which is what
+    /// makes checkpoints resumable.
     fn run_cell(&self, index: usize, spec: &CellSpec, workload: &Workload) -> CellCheckpoint {
         let cfg = &self.manifest.config;
         let tool = Tool::by_name(&spec.tool).expect("validated at create/open");
@@ -743,25 +739,10 @@ impl Campaign {
                     ..DetectorConfig::default()
                 },
             );
-            let mut outcomes: Vec<DetectionOutcome> = Vec::with_capacity(spec.attempts as usize);
-            let mut panicked = None;
-            for a in 0..spec.attempts {
-                let seed = retry_seed(a, retry);
-                match catch_unwind(AssertUnwindSafe(|| det.detect(workload, seed))) {
-                    Ok(o) => outcomes.push(o),
-                    Err(p) => {
-                        panicked = Some(CellFailure {
-                            retry,
-                            attempt: a,
-                            seed,
-                            message: panic_message(p.as_ref()),
-                        });
-                        break;
-                    }
-                }
-            }
-            match panicked {
-                None => {
+            match par_map(spec.attempts as usize, 1, |a| {
+                det.detect(workload, retry_seed(a as u32, retry))
+            }) {
+                Ok(outcomes) => {
                     let summary = summarize(&det, workload, &outcomes);
                     let status = if summary.any_timeout {
                         CellStatus::TimedOut
@@ -778,7 +759,12 @@ impl Campaign {
                         retries_used: retry,
                     };
                 }
-                Some(f) => failures.push(f),
+                Err((a, message)) => failures.push(CellFailure {
+                    retry,
+                    attempt: a as u32,
+                    seed: retry_seed(a as u32, retry),
+                    message,
+                }),
             }
         }
         CellCheckpoint {
@@ -1134,7 +1120,7 @@ impl Campaign {
 
     /// Assembles the report from the checkpoints on disk (cell order), or
     /// errors if any cell is still outstanding.
-    pub fn assemble_report(&self) -> io::Result<CampaignReport> {
+    pub(crate) fn assemble_report(&self) -> io::Result<CampaignReport> {
         let mut cells = Vec::with_capacity(self.manifest.cells.len());
         for i in 0..self.manifest.cells.len() {
             match self.checkpoint_state(i) {
@@ -1173,7 +1159,8 @@ impl Campaign {
     }
 
     /// Loads the persisted `report.json`, when one was written.
-    pub fn load_report(&self) -> io::Result<Option<CampaignReport>> {
+    #[cfg(test)]
+    pub(crate) fn load_report(&self) -> io::Result<Option<CampaignReport>> {
         match fs::read_to_string(self.dir.join(REPORT_FILE)) {
             Ok(t) => serde_json::from_str(&t)
                 .map(Some)

@@ -8,7 +8,7 @@ use waffle_inject::{
 };
 use waffle_mem::SiteId;
 use waffle_sim::{MemoryConfig, NullMonitor, RunResult, SimConfig, SimTime, Simulator, Workload};
-use waffle_trace::{TraceIndex, TraceRecorder};
+use waffle_trace::{Trace, TraceIndex, TraceRecorder};
 
 use crate::report::{BugReport, DetectionOutcome, RunSummary, TsvReport};
 use crate::storage::Session;
@@ -236,7 +236,7 @@ impl Detector {
         let prep_seed = run_seed(attempt_seed, 1);
         let mut state = match &self.tool {
             Tool::Waffle { analyzer, policy } => {
-                let plan = self.prepare(workload, prep_seed, &mut outcome, analyzer);
+                let (_, plan) = self.prepare(workload, prep_seed, &mut outcome, analyzer);
                 RunState::Waffle {
                     tables: PlanTables::compile(&plan, workload.sites.len()),
                     decay: DecayState::default(),
@@ -257,7 +257,7 @@ impl Detector {
             Tool::NoPrep => RunState::Online(OnlineState::default(), OnlinePolicy::no_prep),
             Tool::SingleDelay { delay } => {
                 let analyzer = AnalyzerConfig::default();
-                let plan = self.prepare(workload, prep_seed, &mut outcome, &analyzer);
+                let (_, plan) = self.prepare(workload, prep_seed, &mut outcome, &analyzer);
                 let targets = plan.delay_sites().collect();
                 RunState::Single {
                     targets,
@@ -339,19 +339,8 @@ impl Detector {
         let mut outcome = self.base_run(workload, seed);
         match session.load_plan()? {
             None => {
-                let mut rec = TraceRecorder::new(workload);
-                let r = Simulator::run(
-                    workload,
-                    self.sim_config(seed, outcome.base_time),
-                    &mut rec,
-                );
-                outcome.prep = Some(RunSummary::from_run(&r));
-                outcome.spontaneous = r.manifested();
-                let trace = rec.into_trace();
+                let (trace, plan) = self.prepare(workload, seed, &mut outcome, analyzer);
                 session.save_trace(&trace)?;
-                let index = TraceIndex::build(&trace);
-                let analyzer = analyzer.with_memory(self.config.memory.model);
-                let plan = analyze_indexed(&index, &analyzer, 1);
                 session.save_plan(&plan)?;
             }
             Some(plan) => {
@@ -386,15 +375,15 @@ impl Detector {
         }
     }
 
-    /// Runs the preparation run, recording it into the outcome; returns the
-    /// analyzed plan.
+    /// Runs the preparation run, recording it into the outcome; returns its
+    /// trace and the analyzed plan.
     fn prepare(
         &self,
         workload: &Workload,
         seed: u64,
         outcome: &mut DetectionOutcome,
         analyzer: &AnalyzerConfig,
-    ) -> Plan {
+    ) -> (Trace, Plan) {
         let mut rec = TraceRecorder::new(workload);
         let r = Simulator::run(workload, self.sim_config(seed, outcome.base_time), &mut rec);
         outcome.prep = Some(RunSummary::from_run(&r));
@@ -407,7 +396,8 @@ impl Detector {
         let index = TraceIndex::build(&trace);
         // Stamp the plan with the model the preparation run simulated.
         let analyzer = analyzer.with_memory(self.config.memory.model);
-        analyze_indexed(&index, &analyzer, 1)
+        let plan = analyze_indexed(&index, &analyzer, 1);
+        (trace, plan)
     }
 
     /// Records one detection run; returns `true` when a bug was exposed.

@@ -1,6 +1,17 @@
 //! The paper's repetition methodology (§6.1): each experiment runs 15
 //! times; a bug is reported as "detected in k runs" when that holds in a
 //! majority (≥10/15) of the attempts; otherwise the median is reported.
+//!
+//! Attempts are embarrassingly parallel: `Detector::detect` is a pure
+//! function of `(workload, seed)`, and attempt `a` always runs at seed
+//! [`attempt_seed`]`(a)`. [`run_attempts`] fans them out through
+//! [`par_map`], which returns results in attempt order, so a summary
+//! computed with `jobs = 8` is bit-for-bit the summary computed with
+//! `jobs = 1`. The campaign runner and the paper tables use the same
+//! `par_map` and seed ladder.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 use waffle_sim::Workload;
@@ -8,6 +19,70 @@ use waffle_telemetry::TelemetrySummary;
 
 use crate::detector::Detector;
 use crate::report::DetectionOutcome;
+
+/// Renders a caught panic payload as a message (panics carry `&str` or
+/// `String` in practice; anything else gets a placeholder).
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
+}
+
+/// Computes `f(0), …, f(n - 1)` on up to `jobs` scoped worker threads and
+/// returns the results in index order, so the output does not depend on
+/// the worker count or on scheduling.
+///
+/// Runs inline when `jobs <= 1 || n <= 1`; otherwise `min(jobs, n)`
+/// workers claim indices from one atomic counter. Every item's panic is
+/// caught and the remaining items still run; the panic with the lowest
+/// index is returned as `(index, message)`, which is the same answer at
+/// any job count. Callers re-raise it with their own item's identity.
+pub fn par_map<R, F>(n: usize, jobs: usize, f: F) -> Result<Vec<R>, (usize, String)>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let run = |i| catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|p| panic_message(p.as_ref()));
+    let results: Vec<Result<R, String>> = if jobs <= 1 || n <= 1 {
+        (0..n).map(run).collect()
+    } else {
+        let next = AtomicUsize::new(0);
+        let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < n);
+        let mut done: Vec<(usize, Result<R, String>)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..jobs.min(n))
+                .map(|_| {
+                    s.spawn(|| {
+                        std::iter::from_fn(claim)
+                            .map(|i| (i, run(i)))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("par_map catches every item's panic"))
+                .collect()
+        });
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
+    };
+    results
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| r.map_err(|msg| (i, msg)))
+        .collect()
+}
+
+/// The seed for attempt number `attempt` (0-based). Every runner keys
+/// its attempts on this one formula, which is what makes their results
+/// reproducible at any job count.
+pub fn attempt_seed(attempt: u32) -> u64 {
+    u64::from(attempt) + 1
+}
 
 /// Aggregated result of repeated detection attempts on one workload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -60,19 +135,42 @@ fn median<T: Copy + Ord>(values: &mut [T]) -> Option<T> {
     Some(values[values.len() / 2])
 }
 
-/// Runs `attempts` independent detection attempts (distinct seeds) and
-/// summarizes them per §6.1. Seeds come from the same
-/// [`attempt_seed`](crate::engine::attempt_seed) ladder as the parallel
-/// engine and the campaign runner, so all three paths are interchangeable.
+/// Runs `attempts` detection attempts on up to `jobs` workers and returns
+/// the outcomes in attempt order; attempt `a` runs at seed
+/// [`attempt_seed`]`(a)` whichever worker picks it up.
+///
+/// A panicking attempt does not stop the others; the panic with the
+/// lowest attempt index is resurfaced afterwards, annotated with that
+/// index and its seed. Callers that must survive a panicking attempt
+/// want the checkpointing [`Campaign`](crate::campaign::Campaign) runner,
+/// which retries and then quarantines its cell.
+pub fn run_attempts(
+    detector: &Detector,
+    workload: &Workload,
+    attempts: u32,
+    jobs: usize,
+) -> Vec<DetectionOutcome> {
+    par_map(attempts as usize, jobs, |a| {
+        detector.detect(workload, attempt_seed(a as u32))
+    })
+    .unwrap_or_else(|(a, msg)| {
+        panic!(
+            "attempt {a} (seed {}) panicked: {msg}",
+            attempt_seed(a as u32)
+        )
+    })
+}
+
+/// Runs `attempts` independent detection attempts on up to `jobs`
+/// workers and summarizes them per §6.1. The summary is the same at any
+/// `jobs`.
 pub fn run_experiment(
     detector: &Detector,
     workload: &Workload,
     attempts: u32,
+    jobs: usize,
 ) -> ExperimentSummary {
-    let outcomes: Vec<DetectionOutcome> = (0..attempts)
-        .map(|a| detector.detect(workload, crate::engine::attempt_seed(a)))
-        .collect();
-    summarize(detector, workload, &outcomes)
+    summarize(detector, workload, &run_attempts(detector, workload, attempts, jobs))
 }
 
 /// Summarizes already-computed outcomes (used when callers also need the
@@ -130,7 +228,7 @@ pub fn summarize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::Tool;
+    use crate::detector::{DetectorConfig, Tool};
     use waffle_sim::{SimTime, WorkloadBuilder};
 
     fn racy() -> Workload {
@@ -157,7 +255,7 @@ mod tests {
     #[test]
     fn fifteen_attempts_agree_on_two_runs() {
         let det = Detector::new(Tool::waffle());
-        let summary = run_experiment(&det, &racy(), 15);
+        let summary = run_experiment(&det, &racy(), 15, 1);
         assert!(summary.detected());
         assert_eq!(summary.exposed_attempts, 15);
         assert_eq!(summary.majority_runs, Some(2));
@@ -178,15 +276,87 @@ mod tests {
         let w = b.build();
         let det = Detector::with_config(
             Tool::waffle(),
-            crate::detector::DetectorConfig {
+            DetectorConfig {
                 max_detection_runs: 3,
                 ..Default::default()
             },
         );
-        let summary = run_experiment(&det, &w, 5);
+        let summary = run_experiment(&det, &w, 5, 1);
         assert!(!summary.detected());
         assert_eq!(summary.exposed_attempts, 0);
         assert_eq!(summary.reported_runs(), None);
+    }
+
+    #[test]
+    fn summary_does_not_depend_on_the_job_count() {
+        let det = Detector::new(Tool::waffle());
+        let w = racy();
+        let reference = run_experiment(&det, &w, 8, 1);
+        for jobs in [2, 4] {
+            assert_eq!(run_experiment(&det, &w, 8, jobs), reference, "jobs = {jobs}");
+        }
+    }
+
+    /// A panicking attempt resurfaces annotated with its index and seed.
+    #[test]
+    fn attempt_panic_resurfaces_with_its_index() {
+        let det = Detector::with_config(
+            Tool::waffle(),
+            DetectorConfig {
+                max_detection_runs: 4,
+                panic_on_seed: Some(attempt_seed(2)),
+                ..DetectorConfig::default()
+            },
+        );
+        let caught = catch_unwind(AssertUnwindSafe(|| run_attempts(&det, &racy(), 6, 4)))
+            .expect_err("the panic must propagate");
+        let msg = panic_message(caught.as_ref());
+        assert!(msg.contains("attempt 2"), "index surfaced: {msg}");
+        assert!(msg.contains("fault injection"), "payload surfaced: {msg}");
+    }
+
+    #[test]
+    fn zero_attempts_are_fine() {
+        let det = Detector::new(Tool::waffle());
+        assert!(run_attempts(&det, &racy(), 0, 4).is_empty());
+        let summary = run_experiment(&det, &racy(), 0, 4);
+        assert_eq!(summary.attempts, 0);
+        assert_eq!(summary.reported_runs(), None);
+    }
+
+    /// Results come back in index order at any job count, even when later
+    /// items finish first, and for `n = 0` and `n < jobs`.
+    #[test]
+    fn par_map_keeps_index_order() {
+        for jobs in [1, 2, 8] {
+            for n in [0, 1, 3, 17] {
+                let out = par_map(n, jobs, |i| {
+                    let cost = ((n - i) % 4) as u64 * 200;
+                    std::thread::sleep(std::time::Duration::from_micros(cost));
+                    i * i
+                });
+                let want: Vec<usize> = (0..n).map(|i| i * i).collect();
+                assert_eq!(out, Ok(want), "jobs = {jobs}, n = {n}");
+            }
+        }
+    }
+
+    /// When several items panic, the lowest index is reported whatever the
+    /// worker scheduling, and every item that does not panic still runs.
+    #[test]
+    fn par_map_reports_the_lowest_panic_and_runs_the_rest() {
+        for jobs in [1, 2, 8] {
+            let ran = AtomicUsize::new(0);
+            let out = par_map(12, jobs, |i| {
+                if [9, 4, 7].contains(&i) {
+                    panic!("item {i} failed");
+                }
+                ran.fetch_add(1, Ordering::Relaxed);
+                i
+            });
+            assert_eq!(out, Err((4, "item 4 failed".to_owned())), "jobs = {jobs}");
+            assert_eq!(ran.into_inner(), 9, "jobs = {jobs}");
+        }
     }
 
     /// An attempt that exposed the bug after `runs` runs.

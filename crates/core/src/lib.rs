@@ -48,7 +48,6 @@
 
 pub mod campaign;
 pub mod detector;
-pub mod engine;
 pub mod experiment;
 pub mod report;
 pub mod serve;
@@ -60,8 +59,9 @@ pub use campaign::{
     CheckpointState, ClaimInfo, RunOptions, WorkOptions, WorkerClaim,
 };
 pub use detector::{run_seed, Detector, DetectorConfig, Tool};
-pub use engine::{attempt_seed, ExperimentEngine, GridCell};
-pub use experiment::{run_experiment, summarize, ExperimentSummary};
+pub use experiment::{
+    attempt_seed, par_map, run_attempts, run_experiment, summarize, ExperimentSummary,
+};
 pub use report::{BugReport, DetectionOutcome, RunSummary, TsvReport};
 pub use serve::{
     replay_trace, serve, session_report_json, session_report_json_with_shed, QueuePolicy,

@@ -27,7 +27,7 @@
 
 use serde::{Deserialize, Serialize};
 use waffle_analysis::{analyze_indexed, AnalyzerConfig, Plan, RepairReport};
-use waffle_core::engine::par_map;
+use waffle_core::par_map;
 use waffle_core::{run_seed, DetectionOutcome, Detector, DetectorConfig, Tool};
 use waffle_mem::NullRefKind;
 use waffle_sim::{MemoryConfig, MemoryModel, SimConfig, SimTime, Simulator, Workload};

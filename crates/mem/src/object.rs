@@ -35,7 +35,8 @@ pub enum RefState {
 
 impl RefState {
     /// Whether a *use* of a cell in this state succeeds.
-    pub fn usable(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn usable(self) -> bool {
         matches!(self, RefState::Live)
     }
 }

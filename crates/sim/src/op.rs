@@ -124,7 +124,8 @@ pub enum Op {
 
 impl Op {
     /// Whether the engine routes this op through the monitor hook.
-    pub fn is_instrumented(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_instrumented(&self) -> bool {
         matches!(self, Op::Access { .. })
     }
 

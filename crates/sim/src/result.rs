@@ -195,7 +195,7 @@ impl RunResult {
     }
 
     /// Length of the union ("time projection") of all delay intervals.
-    pub fn delay_projection(&self) -> SimTime {
+    pub(crate) fn delay_projection(&self) -> SimTime {
         let mut iv: Vec<(SimTime, SimTime)> =
             self.delays.iter().map(|d| (d.start, d.end())).collect();
         iv.sort();

@@ -55,7 +55,7 @@ impl SimTime {
     }
 
     /// This time expressed in fractional milliseconds.
-    pub fn as_ms_f64(self) -> f64 {
+    pub(crate) fn as_ms_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
@@ -65,7 +65,8 @@ impl SimTime {
     }
 
     /// Absolute difference between two instants.
-    pub fn abs_diff(self, other: SimTime) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn abs_diff(self, other: SimTime) -> SimTime {
         SimTime(self.0.abs_diff(other.0))
     }
 

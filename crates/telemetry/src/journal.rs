@@ -124,7 +124,8 @@ impl RunTelemetry {
     }
 
     /// Whether decision events are being journaled.
-    pub fn events_enabled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn events_enabled(&self) -> bool {
         self.record_events
     }
 

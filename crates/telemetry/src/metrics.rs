@@ -200,7 +200,7 @@ impl MetricsRegistry {
     }
 
     /// Mutable access to the named histogram, creating it empty.
-    pub fn histogram_mut(&mut self, name: &str) -> &mut SimTimeHistogram {
+    pub(crate) fn histogram_mut(&mut self, name: &str) -> &mut SimTimeHistogram {
         self.histograms.entry(name.to_owned()).or_default()
     }
 

@@ -456,7 +456,7 @@ impl<'t> TraceIndex<'t> {
     /// callers that index many traces in a loop (the detector builds one
     /// per injection attempt); repeated builds stop reallocating the
     /// counting-sort scratch.
-    pub fn build_with_arena(trace: &'t Trace, arena: &mut IndexArena) -> Self {
+    pub(crate) fn build_with_arena(trace: &'t Trace, arena: &mut IndexArena) -> Self {
         Self {
             trace,
             mem: ClassColumns::build_in(&trace.events, AccessKind::is_mem_order, arena),

@@ -95,7 +95,8 @@ impl SessionIndexBuilder {
     }
 
     /// Total events accepted over the session's lifetime.
-    pub fn events_total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn events_total(&self) -> u64 {
         self.events_total
     }
 

@@ -18,9 +18,9 @@ use std::str::FromStr;
 
 use waffle_repro::apps::{all_apps, all_bugs, bug, bug_workload, test_workload};
 use waffle_repro::core::{
-    attempt_seed, summarize, Campaign, CampaignConfig, CampaignProgress, CellSpec, CellStatus,
-    CheckpointState, Detector, DetectorConfig, DetectionOutcome, ExperimentEngine, RunOptions,
-    Session, Tool, WorkOptions, write_atomic,
+    attempt_seed, run_attempts, summarize, Campaign, CampaignConfig, CampaignProgress, CellSpec,
+    CellStatus, CheckpointState, Detector, DetectorConfig, DetectionOutcome, RunOptions, Session,
+    Tool, WorkOptions, write_atomic,
 };
 use waffle_repro::sim::{MemoryConfig, MemoryModel, Workload};
 use waffle_repro::telemetry::{AttemptJournal, MetricsRegistry};
@@ -331,6 +331,14 @@ struct Options {
 
 fn options(a: &Args) -> Result<Options, String> {
     let tool_name = a.get("--tool").unwrap_or("waffle").to_owned();
+    if a.num::<u32>("--attempts").is_some_and(|n| n > 1) {
+        if let Some(flag) = ["--seed", "--session"].into_iter().find(|f| a.on(f)) {
+            return Err(format!(
+                "{flag} cannot be combined with --attempts above 1 \
+                 (attempts run at seeds 1..=N and save no session)"
+            ));
+        }
+    }
     Ok(Options {
         tool: Tool::by_name(&tool_name).ok_or_else(|| format!("unknown tool {tool_name}"))?,
         tool_name,
@@ -385,7 +393,7 @@ fn write_attempt_journal(
 /// fanned over `--jobs` workers.
 fn detect_experiment(w: &Workload, opts: &Options) -> Result<bool, String> {
     let det = detector(opts);
-    let outcomes = ExperimentEngine::new(opts.jobs).run_attempts(&det, w, opts.attempts);
+    let outcomes = run_attempts(&det, w, opts.attempts, opts.jobs);
     let summary = summarize(&det, w, &outcomes);
     if let Some(dir) = &opts.telemetry {
         // One journal file per attempt, keyed by its fixed seed, so the

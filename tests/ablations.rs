@@ -26,7 +26,7 @@ fn no_interference_control_cancels_the_fig4a_bug() {
     // Budget matched to full Waffle's (prep + 2 detection runs): over an
     // unbounded budget, decay desynchronizes the parallel delays and even
     // this variant eventually gets a lucky sole delay.
-    let summary = run_experiment(&budgeted(Tool::waffle_no_interference(), 2), &w, 3);
+    let summary = run_experiment(&budgeted(Tool::waffle_no_interference(), 2), &w, 3, 1);
     assert!(
         !summary.detected(),
         "exposed in {}/{} attempts",
@@ -34,7 +34,7 @@ fn no_interference_control_cancels_the_fig4a_bug() {
         summary.attempts
     );
     // Full Waffle gets it in two runs.
-    let summary = run_experiment(&budgeted(Tool::waffle(), 3), &w, 3);
+    let summary = run_experiment(&budgeted(Tool::waffle(), 3), &w, 3, 1);
     assert!(summary.detected());
     assert_eq!(summary.reported_runs(), Some(2));
 }
@@ -44,7 +44,7 @@ fn no_preparation_run_still_finds_recurring_bugs() {
     // The online variant identifies and injects in the same run, so the
     // recurring bug (Bug-3) is still found quickly...
     let w = workload_for(3);
-    let summary = run_experiment(&budgeted(Tool::waffle_no_prep(), 5), &w, 3);
+    let summary = run_experiment(&budgeted(Tool::waffle_no_prep(), 5), &w, 3, 1);
     assert!(summary.detected());
 }
 
@@ -53,7 +53,7 @@ fn no_preparation_run_misses_the_interference_bugs() {
     // ...but without the preparation run there is no interference set, and
     // the Fig. 4a bug cancels.
     let w = workload_for(10);
-    let summary = run_experiment(&budgeted(Tool::waffle_no_prep(), 2), &w, 3);
+    let summary = run_experiment(&budgeted(Tool::waffle_no_prep(), 2), &w, 3, 1);
     assert!(
         !summary.detected(),
         "exposed {}/{}",
@@ -67,8 +67,8 @@ fn fixed_delay_lengths_inflate_detection_runs() {
     // The "no custom delay length" ablation still exposes simple bugs but
     // injects 100 ms where Waffle injects α·gap.
     let w = workload_for(1);
-    let full = run_experiment(&budgeted(Tool::waffle(), 3), &w, 3);
-    let fixed = run_experiment(&budgeted(Tool::waffle_fixed_delay(), 3), &w, 3);
+    let full = run_experiment(&budgeted(Tool::waffle(), 3), &w, 3, 1);
+    let fixed = run_experiment(&budgeted(Tool::waffle_fixed_delay(), 3), &w, 3, 1);
     assert!(full.detected() && fixed.detected());
     let full_slow = full.median_slowdown.unwrap();
     let fixed_slow = fixed.median_slowdown.unwrap();
@@ -82,7 +82,7 @@ fn fixed_delay_lengths_inflate_detection_runs() {
 fn no_parent_child_analysis_keeps_coverage_but_adds_delays() {
     // Pruning is a performance feature: the ablation still finds the bug.
     let w = workload_for(1);
-    let summary = run_experiment(&budgeted(Tool::waffle_no_parent_child(), 3), &w, 3);
+    let summary = run_experiment(&budgeted(Tool::waffle_no_parent_child(), 3), &w, 3, 1);
     assert!(summary.detected());
     assert_eq!(summary.reported_runs(), Some(2));
 }

@@ -135,23 +135,32 @@ fn unknown_inputs_fail_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
     // `step` is one run: it takes no run budget, attempts, workers or
-    // journals. `stats` and `campaign status` take only `--json`.
+    // journals. `stats` and `campaign status` take only `--json`. Repeated
+    // attempts run at the fixed seeds 1..=N and save no session, so
+    // `detect`, `scan` and `report` refuse `--seed` and `--session` with
+    // `--attempts` above 1.
     let session = std::env::temp_dir().join(format!("waffle-cli-unknown-{}", std::process::id()));
     let session = session.to_string_lossy().to_string();
-    for (args, flag) in [
-        (&["step", "SshNet.channel_disconnect", "--session", &session, "--max-runs", "3"][..], "--max-runs"),
-        (&["step", "SshNet.channel_disconnect", "--session", &session, "--attempts", "2"][..], "--attempts"),
-        (&["step", "SshNet.channel_disconnect", "--session", &session, "--jobs", "2"][..], "--jobs"),
-        (&["step", "SshNet.channel_disconnect", "--session", &session, "--telemetry", "tj"][..], "--telemetry"),
-        (&["stats", &session, "--frobnicate"][..], "--frobnicate"),
-        (&["campaign", "status", &session, "--frobnicate"][..], "--frobnicate"),
+    let unknown = |flag: &str| format!("unknown option {flag}");
+    let with_attempts = |flag: &str| format!("{flag} cannot be combined with --attempts above 1");
+    for (args, expected) in [
+        (&["step", "SshNet.channel_disconnect", "--session", &session, "--max-runs", "3"][..], unknown("--max-runs")),
+        (&["step", "SshNet.channel_disconnect", "--session", &session, "--attempts", "2"][..], unknown("--attempts")),
+        (&["step", "SshNet.channel_disconnect", "--session", &session, "--jobs", "2"][..], unknown("--jobs")),
+        (&["step", "SshNet.channel_disconnect", "--session", &session, "--telemetry", "tj"][..], unknown("--telemetry")),
+        (&["stats", &session, "--frobnicate"][..], unknown("--frobnicate")),
+        (&["campaign", "status", &session, "--frobnicate"][..], unknown("--frobnicate")),
+        (&["detect", "SshNet.channel_disconnect", "--attempts", "3", "--session", &session][..], with_attempts("--session")),
+        (&["detect", "SshNet.channel_disconnect", "--attempts", "3", "--seed", "7"][..], with_attempts("--seed")),
+        (&["scan", "SSH.Net", "--attempts", "2", "--session", &session][..], with_attempts("--session")),
+        (&["report", "1", "--attempts", "2", "--seed", "99"][..], with_attempts("--seed")),
     ] {
         let out = waffle(args);
         assert!(!out.status.success(), "{args:?} must fail");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains(&format!("unknown option {flag}")), "{args:?}: {err}");
+        assert!(err.contains(&expected), "{args:?}: {err}");
     }
-    assert!(!std::path::Path::new(&session).exists(), "a rejected step ran");
+    assert!(!std::path::Path::new(&session).exists(), "a rejected command ran");
 }
 
 #[test]

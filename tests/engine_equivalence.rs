@@ -1,11 +1,12 @@
-//! The parallel experiment engine's contract: results are bit-identical
-//! to the sequential path at every worker count, and `run_grid` returns
-//! summaries in input order regardless of which worker finishes first.
+//! The attempt runner's contract: `run_experiment` and `run_attempts`
+//! give bit-identical results at every worker count, a grid of cells run
+//! through `par_map` comes back in input order regardless of which worker
+//! finishes first, and a campaign cell equals `run_experiment` on it.
 
 use waffle_repro::apps::{all_apps, test_workload};
 use waffle_repro::core::{
-    run_experiment, Campaign, CampaignConfig, CellSpec, Detector, DetectorConfig,
-    ExperimentEngine, GridCell, RunOptions, Tool,
+    par_map, run_attempts, run_experiment, Campaign, CampaignConfig, CellSpec, Detector,
+    DetectorConfig, ExperimentSummary, RunOptions, Tool,
 };
 use waffle_repro::sim::Workload;
 
@@ -29,9 +30,9 @@ fn workloads() -> Vec<Workload> {
     vec![bug_workload(1), bug_workload(10), clean]
 }
 
-fn detector() -> Detector {
+fn detector(tool: Tool) -> Detector {
     Detector::with_config(
-        Tool::waffle(),
+        tool,
         DetectorConfig {
             max_detection_runs: 6,
             ..DetectorConfig::default()
@@ -39,13 +40,27 @@ fn detector() -> Detector {
     )
 }
 
+/// Every workload under Waffle and WaffleBasic, workload-major.
+fn cells(workloads: &[Workload]) -> Vec<(&Workload, Detector)> {
+    workloads
+        .iter()
+        .flat_map(|w| [Tool::waffle(), Tool::waffle_basic()].map(|tool| (w, detector(tool))))
+        .collect()
+}
+
+/// One summary per cell, cells fanned out over `jobs` workers.
+fn run_cells(cells: &[(&Workload, Detector)], jobs: usize) -> Vec<ExperimentSummary> {
+    par_map(cells.len(), jobs, |i| run_experiment(&cells[i].1, cells[i].0, ATTEMPTS, 1))
+        .expect("no cell panics")
+}
+
 #[test]
 fn engine_summary_matches_sequential_on_every_workload() {
-    let det = detector();
+    let det = detector(Tool::waffle());
     for w in workloads() {
-        let sequential = run_experiment(&det, &w, ATTEMPTS);
+        let sequential = run_experiment(&det, &w, ATTEMPTS, 1);
         for jobs in JOB_COUNTS {
-            let parallel = ExperimentEngine::new(jobs).run_experiment(&det, &w, ATTEMPTS);
+            let parallel = run_experiment(&det, &w, ATTEMPTS, jobs);
             assert_eq!(
                 parallel, sequential,
                 "{}: summary must not depend on jobs = {jobs}",
@@ -69,8 +84,8 @@ fn aggregated_telemetry_is_identical_at_jobs_1_and_4() {
         },
     );
     for w in workloads() {
-        let seq = ExperimentEngine::new(1).run_attempts(&det, &w, ATTEMPTS);
-        let par = ExperimentEngine::new(4).run_attempts(&det, &w, ATTEMPTS);
+        let seq = run_attempts(&det, &w, ATTEMPTS, 1);
+        let par = run_attempts(&det, &w, ATTEMPTS, 4);
         for (a, (s, p)) in seq.iter().zip(&par).enumerate() {
             assert_eq!(
                 s.telemetry, p.telemetry,
@@ -103,66 +118,37 @@ fn aggregated_telemetry_is_identical_at_jobs_1_and_4() {
 
 #[test]
 fn grid_order_and_content_are_stable_across_job_counts() {
-    let cells: Vec<GridCell> = workloads()
-        .into_iter()
-        .flat_map(|w| {
-            [Tool::waffle(), Tool::waffle_basic()].map(|tool| GridCell {
-                workload: w.clone(),
-                detector: Detector::with_config(
-                    tool,
-                    DetectorConfig {
-                        max_detection_runs: 6,
-                        ..DetectorConfig::default()
-                    },
-                ),
-                attempts: ATTEMPTS,
-            })
-        })
-        .collect();
-    let reference = ExperimentEngine::new(1).run_grid(&cells);
+    let workloads = workloads();
+    let cells = cells(&workloads);
+    let reference = run_cells(&cells, 1);
     assert_eq!(reference.len(), cells.len());
-    for (cell, summary) in cells.iter().zip(&reference) {
-        assert_eq!(summary.workload, cell.workload.name, "input order preserved");
-        assert_eq!(summary.tool, cell.detector.tool().name());
+    for ((w, det), summary) in cells.iter().zip(&reference) {
+        assert_eq!(summary.workload, w.name, "input order preserved");
+        assert_eq!(summary.tool, det.tool().name());
     }
     for jobs in JOB_COUNTS {
-        let summaries = ExperimentEngine::new(jobs).run_grid(&cells);
+        let summaries = run_cells(&cells, jobs);
         assert_eq!(summaries, reference, "grid must not depend on jobs = {jobs}");
     }
 }
 
-/// The campaign runner is an `ExperimentEngine::run_grid` that survives
+/// The campaign runner is `run_experiment` over a grid that survives
 /// crashes: a cell that never panics must produce the *same*
-/// `ExperimentSummary` as the engine, and an interrupted-then-resumed
+/// `ExperimentSummary` as `run_experiment`, and an interrupted-then-resumed
 /// campaign must match an uninterrupted one bit-for-bit at any `--jobs`.
 #[test]
-fn campaign_cells_match_run_grid_even_across_interrupt_and_resume() {
+fn campaign_cells_match_run_experiment_even_across_interrupt_and_resume() {
     let named: Vec<Workload> = workloads()
         .into_iter()
         .filter(|w| resolvable(&w.name))
         .collect();
     assert!(named.len() >= 2, "suite workloads resolve by name");
-    let cells: Vec<GridCell> = named
-        .iter()
-        .flat_map(|w| {
-            [Tool::waffle(), Tool::waffle_basic()].map(|tool| GridCell {
-                workload: w.clone(),
-                detector: Detector::with_config(
-                    tool,
-                    DetectorConfig {
-                        max_detection_runs: 6,
-                        ..DetectorConfig::default()
-                    },
-                ),
-                attempts: ATTEMPTS,
-            })
-        })
-        .collect();
-    let engine_reference = ExperimentEngine::new(2).run_grid(&cells);
+    let cells = cells(&named);
+    let reference = run_cells(&cells, 2);
 
     let specs: Vec<CellSpec> = cells
         .iter()
-        .map(|c| CellSpec::new(&c.workload.name, c.detector.tool().name(), c.attempts))
+        .map(|(w, det)| CellSpec::new(&w.name, det.tool().name(), ATTEMPTS))
         .collect();
     let config = CampaignConfig {
         max_detection_runs: 6,
@@ -200,11 +186,11 @@ fn campaign_cells_match_run_grid_even_across_interrupt_and_resume() {
             .unwrap()
             .report
             .expect("resume completes the campaign");
-        for (cell, engine_summary) in report.cells.iter().zip(&engine_reference) {
+        for (cell, summary) in report.cells.iter().zip(&reference) {
             assert_eq!(
                 cell.summary.as_ref(),
-                Some(engine_summary),
-                "campaign cell must match run_grid at jobs = {jobs}"
+                Some(summary),
+                "campaign cell must match run_experiment at jobs = {jobs}"
             );
         }
         report_files.push(std::fs::read_to_string(dir.join("report.json")).unwrap());

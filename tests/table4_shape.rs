@@ -41,7 +41,7 @@ fn waffle_exposes_every_bug_within_tolerance() {
                 ..DetectorConfig::default()
             },
         );
-        let summary = run_experiment(&det, &w, ATTEMPTS);
+        let summary = run_experiment(&det, &w, ATTEMPTS, 1);
         assert!(
             summary.detected(),
             "Bug-{}: Waffle must expose it ({}/{} attempts)",
@@ -73,7 +73,7 @@ fn waffle_basic_exposes_the_known_easy_bugs() {
                 ..DetectorConfig::default()
             },
         );
-        let summary = run_experiment(&det, &w, ATTEMPTS);
+        let summary = run_experiment(&det, &w, ATTEMPTS, 1);
         assert!(summary.detected(), "Bug-{id}: WaffleBasic must expose it");
         let runs = summary.reported_runs().unwrap();
         assert!(
@@ -96,7 +96,7 @@ fn waffle_basic_misses_the_interfering_bugs() {
                 ..DetectorConfig::default()
             },
         );
-        let summary = run_experiment(&det, &w, 2);
+        let summary = run_experiment(&det, &w, 2, 1);
         assert_eq!(
             summary.exposed_attempts, 0,
             "Bug-{id}: WaffleBasic must keep cancelling its own delays"
