@@ -165,9 +165,11 @@ mod tests {
         let lstnr = b.object("lstnr");
         let started = b.event("started");
         let handler = b.script("handler", move |s| {
-            s.wait(started)
-                .compute(SimTime::from_us(300))
-                .use_(lstnr, "OnEventWritten:8", SimTime::from_us(10));
+            s.wait(started).compute(SimTime::from_us(300)).use_(
+                lstnr,
+                "OnEventWritten:8",
+                SimTime::from_us(10),
+            );
         });
         let main = b.script("main", move |s| {
             s.fork(handler)
@@ -225,10 +227,7 @@ mod tests {
     #[test]
     fn fixed_delay_ablation_uses_100ms_everywhere() {
         let trace = fig4a_trace();
-        let plan = analyze(
-            &trace,
-            &AnalyzerConfig::default().without_variable_delay(),
-        );
+        let plan = analyze(&trace, &AnalyzerConfig::default().without_variable_delay());
         for site in plan.delay_sites().collect::<Vec<_>>() {
             assert_eq!(plan.delay_for(site), SimTime::from_ms(100));
         }
@@ -263,7 +262,10 @@ mod tests {
         let _ = Simulator::run(&w, SimConfig::with_seed(0).deterministic(), &mut rec);
         let trace = rec.into_trace();
         let plan = analyze(&trace, &AnalyzerConfig::default());
-        assert!(plan.candidates.is_empty(), "fork-ordered pair must be pruned");
+        assert!(
+            plan.candidates.is_empty(),
+            "fork-ordered pair must be pruned"
+        );
         assert_eq!(plan.stats.pruned_ordered, 1);
         // Without the pruning, the pair survives (the ablation's cost).
         let plan = analyze(&trace, &AnalyzerConfig::default().without_parent_child());

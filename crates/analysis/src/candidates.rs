@@ -141,16 +141,17 @@ pub fn near_miss_candidates(
                     stats.pruned_ordered += 1;
                     continue;
                 }
-                let entry = pairs
-                    .entry((e1.site, e2.site, kind))
-                    .or_insert_with(|| CandidatePair {
-                        delay_site: e1.site,
-                        other_site: e2.site,
-                        kind,
-                        obj: e1.obj,
-                        max_gap: SimTime::ZERO,
-                        observations: 0,
-                    });
+                let entry =
+                    pairs
+                        .entry((e1.site, e2.site, kind))
+                        .or_insert_with(|| CandidatePair {
+                            delay_site: e1.site,
+                            other_site: e2.site,
+                            kind,
+                            obj: e1.obj,
+                            max_gap: SimTime::ZERO,
+                            observations: 0,
+                        });
                 entry.max_gap = entry.max_gap.max(gap);
                 entry.observations += 1;
             }

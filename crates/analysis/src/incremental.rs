@@ -366,7 +366,8 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        b.add_clocks(trace.clocks.snapshots()[1..].to_vec()).unwrap();
+        b.add_clocks(trace.clocks.snapshots()[1..].to_vec())
+            .unwrap();
         let mut inc = IncrementalAnalysis::new(config, window);
         let mut paths = Vec::new();
         for (g, events) in parts.iter().enumerate() {
@@ -402,10 +403,9 @@ mod tests {
             AnalyzerConfig::default().without_interference_control(),
         ] {
             let reference = analyze_jobs(&trace, &config, 1).to_json().unwrap();
-            let tsv_reference =
-                analyze_tsv_indexed(&TraceIndex::build(&trace), config.delta, w, 1)
-                    .to_json()
-                    .unwrap();
+            let tsv_reference = analyze_tsv_indexed(&TraceIndex::build(&trace), config.delta, w, 1)
+                .to_json()
+                .unwrap();
             for chunk_size in [1, 3, 4, 12] {
                 for jobs in [1, 2, 8] {
                     let parts: Vec<_> = trace.events.chunks(chunk_size).collect();
@@ -506,8 +506,7 @@ mod tests {
                 for budget in [u64::MAX, 1] {
                     let (inc, paths) = seal_parts(&trace, parts, &dir, config, w, 1);
                     let mut pass = InterferencePass::new(&candidates, config.delta);
-                    replay_generations(open_all(&paths), &mut pass, config.delta, budget)
-                        .unwrap();
+                    replay_generations(open_all(&paths), &mut pass, config.delta, budget).unwrap();
                     let what = format!("cut={cut}, generations={}, budget={budget}", parts.len());
                     assert_eq!(pass.recorded(), recorded, "{what}");
                     let (plan, _) = inc.finish("inc.cut", open_all(&paths), budget).unwrap();

@@ -128,7 +128,10 @@ pub fn build_interference(
     let mut by_thread: HashMap<waffle_sim::ThreadId, Vec<(SimTime, SiteId)>> = HashMap::new();
     for e in trace.mem_order_events() {
         if delay_sites.contains(&e.site) {
-            by_thread.entry(e.thread).or_default().push((e.time, e.site));
+            by_thread
+                .entry(e.thread)
+                .or_default()
+                .push((e.time, e.site));
         }
     }
     let mut per_pair: HashMap<(SiteId, SiteId), PairObservations> = HashMap::new();

@@ -79,7 +79,9 @@ pub use analyzer::{analyze, analyze_jobs, analyze_unindexed, AnalyzerConfig};
 pub use candidates::{BugKind, CandidatePair};
 pub use incremental::{IncrementalAnalysis, IncrementalStats};
 pub use interference::InterferenceSet;
-pub use ooc::{analyze_segments, analyze_tsv_segments, ooc_stats, OocStats, DEFAULT_RESIDENT_BYTES};
+pub use ooc::{
+    analyze_segments, analyze_tsv_segments, ooc_stats, OocStats, DEFAULT_RESIDENT_BYTES,
+};
 pub use pipeline::{analyze_indexed, analyze_tsv_indexed};
 pub use plan::{Plan, PlanTables};
 pub use repair::{enumerate_candidates, synthesize, Certification, RepairReport};

@@ -108,7 +108,9 @@ impl<'p> OrderMemo<'p> {
     /// sized near the key count thrashes (every collision recomputes a
     /// full clock comparison), and slots are 12 bytes.
     fn capacity_for(n: usize) -> usize {
-        n.saturating_mul(16).next_power_of_two().clamp(1 << 10, 1 << 18)
+        n.saturating_mul(16)
+            .next_power_of_two()
+            .clamp(1 << 10, 1 << 18)
     }
 
     fn ordered(&mut self, a: ClockId, b: ClockId) -> bool {
@@ -376,7 +378,9 @@ impl InterferencePass {
         let mut keys: Vec<(usize, SiteId)> = candidates
             .iter()
             .map(|c| {
-                let rank = ranks.rank(c.delay_site).expect("every delay site is ranked");
+                let rank = ranks
+                    .rank(c.delay_site)
+                    .expect("every delay site is ranked");
                 (rank, c.other_site)
             })
             .collect();
@@ -836,11 +840,7 @@ mod tests {
         b.ev(200_000, 1, "use-c", 0, AccessKind::Use, &[(1, 2)]);
         let trace = b.trace();
         let reference = analyze_unindexed(&trace, &AnalyzerConfig::default());
-        let indexed = analyze_indexed(
-            &TraceIndex::build(&trace),
-            &AnalyzerConfig::default(),
-            1,
-        );
+        let indexed = analyze_indexed(&TraceIndex::build(&trace), &AnalyzerConfig::default(), 1);
         assert_eq!(reference.stats.window_pairs, 3);
         assert_eq!(indexed.stats.window_pairs, 3);
         assert_eq!(indexed.stats.examined, reference.stats.examined);
@@ -882,7 +882,14 @@ mod tests {
         ];
         for (k, &(thread, t)) in execs.iter().enumerate() {
             let name = format!("x{thread}_{t}");
-            b.ev(t, thread, &name, 10 + k as u32, AccessKind::Use, &[(thread, 9)]);
+            b.ev(
+                t,
+                thread,
+                &name,
+                10 + k as u32,
+                AccessKind::Use,
+                &[(thread, 9)],
+            );
         }
         let trace = b.trace();
         let site = |name: &str| trace.sites.lookup(name).unwrap();
@@ -906,7 +913,9 @@ mod tests {
         let got = pass.resolve();
 
         let mut expected = InterferenceSet::new();
-        for name in ["x1_901", "x1_1040", "x1_1041", "x1_1080", "x2_4901", "x2_5050"] {
+        for name in [
+            "x1_901", "x1_1040", "x1_1041", "x1_1080", "x2_4901", "x2_5050",
+        ] {
             expected.insert(site("l1"), site(name));
         }
         assert_eq!(got, expected);
@@ -931,7 +940,9 @@ mod tests {
             .unwrap();
         let index = TraceIndex::build(&trace);
         for jobs in [1, 2, 8] {
-            let got = analyze_tsv_indexed(&index, delta, w, jobs).to_json().unwrap();
+            let got = analyze_tsv_indexed(&index, delta, w, jobs)
+                .to_json()
+                .unwrap();
             assert_eq!(got, reference, "TSV plan drifted at jobs={jobs}");
         }
     }

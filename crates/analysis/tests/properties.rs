@@ -10,9 +10,7 @@ use waffle_analysis::{
 };
 use waffle_mem::{AccessKind, ObjectId, SiteId, SiteRegistry};
 use waffle_sim::{SimTime, ThreadId};
-use waffle_trace::{
-    ClockPool, SegmentReader, SessionIndexBuilder, Trace, TraceEvent, TraceIndex,
-};
+use waffle_trace::{ClockPool, SegmentReader, SessionIndexBuilder, Trace, TraceEvent, TraceIndex};
 use waffle_vclock::ClockSnapshot;
 
 /// A compact random event description.
@@ -88,10 +86,7 @@ fn build_trace_sited(mut evs: Vec<Ev>, site_name: impl Fn(&Ev) -> String) -> Tra
                 obj: ObjectId(e.obj),
                 kind: e.kind,
                 dyn_index: 0,
-                clock: clocks.intern(ClockSnapshot::from_entries([(
-                    ThreadId(e.thread),
-                    e.tick,
-                )])),
+                clock: clocks.intern(ClockSnapshot::from_entries([(ThreadId(e.thread), e.tick)])),
             }
         })
         .collect();

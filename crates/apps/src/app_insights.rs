@@ -5,8 +5,8 @@
 //! disposal) and Bug-14 (issue #2261 — partial construction: the buffer
 //! event fires before the constructor finished initializing all fields).
 
-use waffle_sim::RepairKind;
 use waffle_sim::time::{ms, us};
+use waffle_sim::RepairKind;
 
 use crate::framework::{App, AppMeta, BugExpectation, BugSpec, TestCase};
 use crate::patterns;
@@ -61,7 +61,13 @@ pub(crate) fn app() -> App {
         patterns::pipeline("ApplicationInsights.enrichment_pipeline", 3, 6, us(120)),
         patterns::cache_churn("ApplicationInsights.metric_series", 3, 3, us(150), ms(70)),
         patterns::shared_dict("ApplicationInsights.context_tags", 3, 2, us(60), ms(30)),
-        patterns::worker_pool("ApplicationInsights.sampling_workers", 4, 2, us(200), ms(60)),
+        patterns::worker_pool(
+            "ApplicationInsights.sampling_workers",
+            4,
+            2,
+            us(200),
+            ms(60),
+        ),
         patterns::producer_consumer("ApplicationInsights.quickpulse_feed", 2, 4, us(90), ms(75)),
         patterns::pipeline("ApplicationInsights.processor_chain", 4, 4, us(100)),
     ]
@@ -75,7 +81,13 @@ pub(crate) fn app() -> App {
         });
     }
     for w in [
-        patterns::timer_wheel("ApplicationInsights.heartbeat_timer", 6, us(900), us(150), ms(75)),
+        patterns::timer_wheel(
+            "ApplicationInsights.heartbeat_timer",
+            6,
+            us(900),
+            us(150),
+            ms(75),
+        ),
         patterns::retry_loop("ApplicationInsights.ingest_retry", 5, us(200), ms(80)),
         patterns::barrier_phases("ApplicationInsights.flush_barrier", 3, 2, us(120), ms(70)),
         crate::extensions::task_request_pipeline("ApplicationInsights.track_async", 6, 2),

@@ -111,7 +111,8 @@ pub fn instances_in_churn(
         // run past it. All of them shift the dispose when delayed, which
         // is what cancels WaffleBasic's fixed delays deterministically.
         for o in &late_c {
-            s.use_(*o, "Cleanup.rescan", us(25)).compute(SimTime::from_ms(4));
+            s.use_(*o, "Cleanup.rescan", us(25))
+                .compute(SimTime::from_ms(4));
         }
         for _ in 0..checks.max(1) {
             s.use_(poller, sites.use_, us(30)).compute(us(200));

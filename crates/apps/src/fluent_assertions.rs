@@ -5,8 +5,8 @@
 //! WaffleBasic's same-run injection shines) and Bug-7 (issue #862 — a
 //! single-shot race between an assertion scope's use and its disposal).
 
-use waffle_sim::RepairKind;
 use waffle_sim::time::{ms, us};
+use waffle_sim::RepairKind;
 
 use crate::framework::{App, AppMeta, BugExpectation, BugSpec, TestCase};
 use crate::patterns;
@@ -65,7 +65,13 @@ pub(crate) fn app() -> App {
     }
     for w in [
         patterns::retry_loop("FluentAssertions.approval_retry", 4, us(150), ms(330)),
-        patterns::timer_wheel("FluentAssertions.timeout_asserts", 4, us(800), us(120), ms(320)),
+        patterns::timer_wheel(
+            "FluentAssertions.timeout_asserts",
+            4,
+            us(800),
+            us(120),
+            ms(320),
+        ),
         patterns::barrier_phases("FluentAssertions.scoped_parallel", 3, 2, us(100), ms(330)),
     ] {
         tests.push(TestCase {

@@ -5,8 +5,8 @@
 //! Bug-18 (unreported — a single-shot race between an informer's cache use
 //! and the client teardown).
 
-use waffle_sim::RepairKind;
 use waffle_sim::time::{ms, us};
+use waffle_sim::RepairKind;
 
 use crate::framework::{App, AppMeta, BugExpectation, BugSpec, TestCase};
 use crate::patterns;

@@ -6,8 +6,8 @@
 //! only a handful of multi-threaded tests (Table 3), so the suite here is
 //! small and it is excluded from the Table 5 averages, as in the paper.
 
-use waffle_sim::RepairKind;
 use waffle_sim::time::{ms, us};
+use waffle_sim::RepairKind;
 
 use crate::framework::{App, AppMeta, BugExpectation, BugSpec, TestCase};
 use crate::patterns;

@@ -6,8 +6,8 @@
 //! the run past its timeout before the racy window is even reached — the
 //! "most tests timed out" behaviour of Tables 5 and 6.
 
-use waffle_sim::RepairKind;
 use waffle_sim::time::{ms, us};
+use waffle_sim::RepairKind;
 
 use crate::churn_templates::{instances_in_churn, ChurnParams};
 use crate::framework::{App, AppMeta, BugExpectation, BugSpec, TestCase};

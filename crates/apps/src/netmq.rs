@@ -8,8 +8,8 @@
 //! cleanup path re-checks several times, so WaffleBasic virtually never
 //! gets a lucky sole delay).
 
-use waffle_sim::RepairKind;
 use waffle_sim::time::{ms, us};
+use waffle_sim::RepairKind;
 
 use crate::framework::{App, AppMeta, BugExpectation, BugSpec, TestCase};
 use crate::patterns;

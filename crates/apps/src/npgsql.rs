@@ -7,8 +7,8 @@
 //! critical delay for the first detection runs (the 4-run entry of
 //! Table 4).
 
-use waffle_sim::RepairKind;
 use waffle_sim::time::{ms, us};
+use waffle_sim::RepairKind;
 
 use crate::churn_templates::{instances_in_churn, ChurnParams};
 use crate::framework::{App, AppMeta, BugExpectation, BugSpec, TestCase};

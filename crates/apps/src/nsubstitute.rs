@@ -6,8 +6,8 @@
 //! builder finished initializing it; a 2 ms gap, the tightest in the
 //! suite).
 
-use waffle_sim::RepairKind;
 use waffle_sim::time::{ms, us};
+use waffle_sim::RepairKind;
 
 use crate::framework::{App, AppMeta, BugExpectation, BugSpec, TestCase};
 use crate::patterns;

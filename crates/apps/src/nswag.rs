@@ -3,8 +3,8 @@
 //! Carries Bug-5 (issue #3015 — the generator's document registry entry is
 //! disposed by the watch loop while a generation pass still reads it).
 
-use waffle_sim::RepairKind;
 use waffle_sim::time::{ms, us};
+use waffle_sim::RepairKind;
 
 use crate::framework::{App, AppMeta, BugExpectation, BugSpec, TestCase};
 use crate::patterns;

@@ -266,7 +266,6 @@ pub fn pipeline(name: &str, stages: u32, items: u32, stage_work: SimTime) -> Wor
     b.build()
 }
 
-
 /// Barrier-phased computation: `n_workers` workers process shared state in
 /// lockstep phases, each phase gated by a pair of events ("arrive" /
 /// "release") driven by a coordinator — the classic barrier shape. Objects
@@ -523,10 +522,7 @@ mod tests {
         // the patterns free of NULL-reference exceptions.
         struct DelayAll;
         impl waffle_sim::Monitor for DelayAll {
-            fn on_access_pre(
-                &mut self,
-                _ctx: &waffle_sim::AccessCtx<'_>,
-            ) -> waffle_sim::PreAction {
+            fn on_access_pre(&mut self, _ctx: &waffle_sim::AccessCtx<'_>) -> waffle_sim::PreAction {
                 waffle_sim::PreAction::Delay(ms(2))
             }
         }
@@ -539,11 +535,7 @@ mod tests {
             retry_loop("q.retry", 3, us(120), ms(1)),
             timer_wheel("q.timer", 3, us(500), us(100), ms(1)),
         ] {
-            let r = Simulator::run(
-                &w,
-                SimConfig::with_seed(1).deterministic(),
-                &mut DelayAll,
-            );
+            let r = Simulator::run(&w, SimConfig::with_seed(1).deterministic(), &mut DelayAll);
             assert!(!r.manifested(), "{} manifested under delays", w.name);
         }
     }

@@ -4,8 +4,8 @@
 //! the hub connection's OnConnected initialization races the disconnect
 //! path, with an interfering use-after-free candidate, Fig. 4a shape).
 
-use waffle_sim::RepairKind;
 use waffle_sim::time::{ms, us};
+use waffle_sim::RepairKind;
 
 use crate::framework::{App, AppMeta, BugExpectation, BugSpec, TestCase};
 use crate::patterns;

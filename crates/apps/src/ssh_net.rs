@@ -4,8 +4,8 @@
 //! socket while a disconnect disposes it) and Bug-2 (issue #453 — the
 //! keep-alive timer fires before the session semaphore is initialized).
 
-use waffle_sim::RepairKind;
 use waffle_sim::time::{ms, us};
+use waffle_sim::RepairKind;
 
 use crate::framework::{App, AppMeta, BugExpectation, BugSpec, TestCase};
 use crate::patterns;

@@ -69,7 +69,9 @@ fn tso_handoff(fenced: bool) -> Workload {
             .use_(conn, "Consumer.Run:12", us(40));
     });
     let m = b.script("main", move |s| {
-        s.pad(us(300)).fork(consumer).init(conn, "Server.Start:4", us(60));
+        s.pad(us(300))
+            .fork(consumer)
+            .init(conn, "Server.Start:4", us(60));
         if fenced {
             s.fence();
         }
@@ -122,12 +124,16 @@ fn pso_flag(fenced: bool) -> Workload {
     let data = b.object("data");
     let flag = b.object("flag");
     let reader = b.script("reader", move |s| {
-        s.compute(us(POLL_OFF))
-            .skip_if(flag, Cond::IsNull, 1)
-            .use_(data, "Cache.Lookup:31", us(40));
+        s.compute(us(POLL_OFF)).skip_if(flag, Cond::IsNull, 1).use_(
+            data,
+            "Cache.Lookup:31",
+            us(40),
+        );
     });
     let m = b.script("main", move |s| {
-        s.pad(us(300)).fork(reader).init(data, "Cache.Fill:7", us(60));
+        s.pad(us(300))
+            .fork(reader)
+            .init(data, "Cache.Fill:7", us(60));
         if fenced {
             s.fence();
         }

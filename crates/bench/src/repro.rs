@@ -1198,7 +1198,8 @@ fn fixed_delay_runs(w: &Workload, base: SimTime, delay: SimTime) -> (Option<u64>
     let mut exposed = None;
     for run in 1..=DELAY_SWEEP_RUNS {
         state.decay = Default::default();
-        let mut p = OnlinePolicy::with_params(Pairing::MemOrder, state, run, delay, OnlinePolicy::DELTA);
+        let mut p =
+            OnlinePolicy::with_params(Pairing::MemOrder, state, run, delay, OnlinePolicy::DELTA);
         let r = Simulator::run(
             w,
             SimConfig {
@@ -1216,7 +1217,10 @@ fn fixed_delay_runs(w: &Workload, base: SimTime, delay: SimTime) -> (Option<u64>
             break;
         }
     }
-    (exposed, total.as_us() as f64 / (runs as f64 * base.as_us() as f64))
+    (
+        exposed,
+        total.as_us() as f64 / (runs as f64 * base.as_us() as f64),
+    )
 }
 
 /// Run cap of the delay-length sweep.

@@ -179,7 +179,9 @@ fn fingerprint(config: &CampaignConfig, cells: &[CellSpec]) -> u64 {
     use std::fmt::Write as _;
     let mut s = format!(
         "v{MANIFEST_VERSION}|{}|{}|{}|{}",
-        config.max_detection_runs, config.timing_noise_pct, config.deadline_factor,
+        config.max_detection_runs,
+        config.timing_noise_pct,
+        config.deadline_factor,
         config.max_retries
     );
     for c in cells {
@@ -509,8 +511,11 @@ impl CampaignReport {
                     _ => "",
                 };
                 let retried = if c.retries_used > 0 {
-                    format!(" [recovered after {} retr{}]", c.retries_used,
-                        if c.retries_used == 1 { "y" } else { "ies" })
+                    format!(
+                        " [recovered after {} retr{}]",
+                        c.retries_used,
+                        if c.retries_used == 1 { "y" } else { "ies" }
+                    )
                 } else {
                     String::new()
                 };
@@ -650,7 +655,10 @@ impl Campaign {
             if Tool::by_name(&c.tool).is_none() {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("{MANIFEST_FILE}: cell {} names unknown tool {}", c.workload, c.tool),
+                    format!(
+                        "{MANIFEST_FILE}: cell {} names unknown tool {}",
+                        c.workload, c.tool
+                    ),
                 ));
             }
         }
@@ -869,8 +877,8 @@ impl Campaign {
                         worker: opts.worker.clone(),
                         pid: std::process::id(),
                     };
-                    let text = serde_json::to_string_pretty(&claim)
-                        .map_err(|e| corrupt("claim", e))?;
+                    let text =
+                        serde_json::to_string_pretty(&claim).map_err(|e| corrupt("claim", e))?;
                     f.write_all(text.as_bytes())?;
                     return Ok(Some(recovered));
                 }
@@ -1077,8 +1085,7 @@ impl Campaign {
                     }
                     CellStatus::Failed => {
                         quarantined.push(i);
-                        line.last_failure =
-                            c.failures.last().map(|f| f.message.clone());
+                        line.last_failure = c.failures.last().map(|f| f.message.clone());
                         "failed".into()
                     }
                 };
@@ -1177,10 +1184,8 @@ mod tests {
     use waffle_sim::{SimTime, WorkloadBuilder};
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "waffle-campaign-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("waffle-campaign-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -1238,7 +1243,9 @@ mod tests {
         );
         // An edited manifest no longer matches its fingerprint.
         let path = dir.join(MANIFEST_FILE);
-        let edited = fs::read_to_string(&path).unwrap().replace("\"attempts\": 3", "\"attempts\": 4");
+        let edited = fs::read_to_string(&path)
+            .unwrap()
+            .replace("\"attempts\": 3", "\"attempts\": 4");
         fs::write(&path, edited).unwrap();
         assert_eq!(
             Campaign::open(&dir).unwrap_err().kind(),
@@ -1311,7 +1318,10 @@ mod tests {
         let dir = tmpdir("retry");
         let mut cells = grid(2);
         // Panics on the first try only; retry 1's fresh seeds succeed.
-        cells[1].fault = Some(CellFault { attempt: 1, panics: 1 });
+        cells[1].fault = Some(CellFault {
+            attempt: 1,
+            panics: 1,
+        });
         let c = Campaign::create(&dir, small_config(), cells).unwrap();
         let report = c
             .run(&RunOptions::default(), resolve)
@@ -1350,7 +1360,9 @@ mod tests {
                 resolve,
             )
             .unwrap();
-        let report = progress.report.expect("campaign completes despite the panic");
+        let report = progress
+            .report
+            .expect("campaign completes despite the panic");
         assert_eq!(report.quarantined, vec![1]);
         assert_eq!(report.completed, 2);
         let failed = &report.cells[1];
@@ -1367,7 +1379,11 @@ mod tests {
         let reference = {
             let rdir = tmpdir("quarantine-ref");
             let rc = Campaign::create(&rdir, small_config(), grid(3)).unwrap();
-            let r = rc.run(&RunOptions::default(), resolve).unwrap().report.unwrap();
+            let r = rc
+                .run(&RunOptions::default(), resolve)
+                .unwrap()
+                .report
+                .unwrap();
             let _ = fs::remove_dir_all(&rdir);
             r
         };
@@ -1446,7 +1462,10 @@ mod tests {
                 resolve,
             )
             .unwrap();
-        assert_eq!(progress.recovered, 1, "the dead worker's claim was taken over");
+        assert_eq!(
+            progress.recovered, 1,
+            "the dead worker's claim was taken over"
+        );
         assert_eq!(progress.ran.len(), 2);
         assert!(progress.report.is_some());
         // The recovered cell's checkpoint matches a clean single-process run.
@@ -1556,7 +1575,10 @@ mod tests {
         f.set_modified(SystemTime::now() + lease * 10).unwrap();
         drop(f);
         let age = Campaign::claim_age(&path, lease).unwrap().unwrap();
-        assert!(age >= lease, "far-future mtime must read stale, got {age:?}");
+        assert!(
+            age >= lease,
+            "far-future mtime must read stale, got {age:?}"
+        );
 
         // And the worker loop actually recovers it.
         let progress = c
@@ -1657,7 +1679,10 @@ mod tests {
             )
             .unwrap();
         let lease = std::time::Duration::from_secs(WorkOptions::default().lease_secs);
-        assert!(started.elapsed() < lease / 2, "resume waited on the dead claim");
+        assert!(
+            started.elapsed() < lease / 2,
+            "resume waited on the dead claim"
+        );
         assert_eq!(progress.skipped, 1);
         assert_eq!(progress.recovered, 0, "the claim was deleted, not stolen");
         let ran: Vec<usize> = progress.ran.iter().map(|(i, _)| *i).collect();

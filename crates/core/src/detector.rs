@@ -348,11 +348,7 @@ impl Detector {
                 let tables = PlanTables::compile(&plan, workload.sites.len());
                 let mut p = WafflePolicy::compiled(&tables, decay, seed, *policy);
                 p.record_events(self.config.telemetry_events);
-                let r = Simulator::run(
-                    workload,
-                    self.sim_config(seed, outcome.base_time),
-                    &mut p,
-                );
+                let r = Simulator::run(workload, self.sim_config(seed, outcome.base_time), &mut p);
                 outcome.telemetry.push(p.take_journal());
                 session.save_decay(&p.into_decay())?;
                 if self.absorb(workload, &r, &mut outcome) {
@@ -367,7 +363,11 @@ impl Detector {
     /// The uninstrumented base run, with no deadline; its end time scales
     /// every later run's deadline.
     fn base_run(&self, workload: &Workload, seed: u64) -> DetectionOutcome {
-        let base = Simulator::run(workload, self.sim_config(seed, SimTime::ZERO), &mut NullMonitor);
+        let base = Simulator::run(
+            workload,
+            self.sim_config(seed, SimTime::ZERO),
+            &mut NullMonitor,
+        );
         DetectionOutcome {
             workload: workload.name.clone(),
             base_time: base.end_time,
@@ -462,9 +462,11 @@ mod tests {
         let o = b.object("conn");
         let started = b.event("started");
         let worker = b.script("worker", move |s| {
-            s.wait(started)
-                .compute(SimTime::from_ms(10))
-                .use_(o, "Worker.poll:11", SimTime::from_us(50));
+            s.wait(started).compute(SimTime::from_ms(10)).use_(
+                o,
+                "Worker.poll:11",
+                SimTime::from_us(50),
+            );
         });
         let main = b.script("main", move |s| {
             s.init(o, "Main.ctor:2", SimTime::from_us(200))
@@ -527,9 +529,11 @@ mod tests {
         let dict = b.object("dict");
         let started = b.event("s");
         let worker = b.script("worker", move |s| {
-            s.wait(started)
-                .pad(SimTime::from_ms(2))
-                .unsafe_call(dict, "W.Add:3", SimTime::from_ms(1));
+            s.wait(started).pad(SimTime::from_ms(2)).unsafe_call(
+                dict,
+                "W.Add:3",
+                SimTime::from_ms(1),
+            );
         });
         let main = b.script("main", move |s| {
             s.init(dict, "M.ctor:1", SimTime::from_us(20))
@@ -579,9 +583,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let session = crate::storage::Session::open(&dir).unwrap();
         let det = Detector::new(Tool::waffle_basic());
-        assert!(det
-            .step_with_session(&racy_uaf(), 1, &session)
-            .is_err());
+        assert!(det.step_with_session(&racy_uaf(), 1, &session).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

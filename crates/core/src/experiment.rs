@@ -170,7 +170,11 @@ pub fn run_experiment(
     attempts: u32,
     jobs: usize,
 ) -> ExperimentSummary {
-    summarize(detector, workload, &run_attempts(detector, workload, attempts, jobs))
+    summarize(
+        detector,
+        workload,
+        &run_attempts(detector, workload, attempts, jobs),
+    )
 }
 
 /// Summarizes already-computed outcomes (used when callers also need the
@@ -293,7 +297,11 @@ mod tests {
         let w = racy();
         let reference = run_experiment(&det, &w, 8, 1);
         for jobs in [2, 4] {
-            assert_eq!(run_experiment(&det, &w, 8, jobs), reference, "jobs = {jobs}");
+            assert_eq!(
+                run_experiment(&det, &w, 8, jobs),
+                reference,
+                "jobs = {jobs}"
+            );
         }
     }
 

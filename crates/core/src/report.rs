@@ -50,7 +50,10 @@ impl Serialize for BugReport {
             (String::from("site"), self.site.to_value()),
             (String::from("obj"), self.obj.to_value()),
             (String::from("time"), self.time.to_value()),
-            (String::from("exposed_in_run"), self.exposed_in_run.to_value()),
+            (
+                String::from("exposed_in_run"),
+                self.exposed_in_run.to_value(),
+            ),
             (String::from("total_runs"), self.total_runs.to_value()),
             (String::from("delays_in_run"), self.delays_in_run.to_value()),
             (String::from("delayed_sites"), self.delayed_sites.to_value()),

@@ -70,9 +70,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Instant;
 
-use waffle_analysis::{
-    IncrementalAnalysis, Plan, TsvPlan, DEFAULT_RESIDENT_BYTES,
-};
+use waffle_analysis::{IncrementalAnalysis, Plan, TsvPlan, DEFAULT_RESIDENT_BYTES};
 use waffle_sim::time::ms;
 use waffle_telemetry::MetricsRegistry;
 use waffle_trace::{read_frame, write_frame, Frame, SegmentReader, SessionIndexBuilder, Trace};
@@ -338,8 +336,7 @@ fn read_into_queue(
         match read_frame(&mut stream) {
             Ok(Some(frame)) => {
                 let is_finish = matches!(frame, Frame::Finish { .. });
-                let may_shed =
-                    policy == QueuePolicy::Shed && matches!(frame, Frame::Events(_));
+                let may_shed = policy == QueuePolicy::Shed && matches!(frame, Frame::Events(_));
                 // Captured before push consumes the frame; only a shed
                 // outcome reads it.
                 let batch_events = match &frame {
@@ -391,8 +388,8 @@ fn drain_session(
     let gen_dir = opts.dir.join(format!("session-{id}.gen"));
 
     let seal = |b: &mut SessionIndexBuilder,
-                    fold: &mut IncrementalAnalysis,
-                    generations: &mut Vec<PathBuf>|
+                fold: &mut IncrementalAnalysis,
+                generations: &mut Vec<PathBuf>|
      -> io::Result<()> {
         if generations.is_empty() {
             // A directory left by an earlier server run under the same
@@ -431,24 +428,36 @@ fn drain_session(
                 metric(metrics, |m| m.inc("ingest/sessions", 1));
             }
             Frame::Sites(defs) => {
-                let b = builder.as_mut().ok_or_else(|| invalid("Sites before Hello"))?;
+                let b = builder
+                    .as_mut()
+                    .ok_or_else(|| invalid("Sites before Hello"))?;
                 b.add_sites(&defs)?;
             }
             Frame::Clocks(snaps) => {
-                let b = builder.as_mut().ok_or_else(|| invalid("Clocks before Hello"))?;
+                let b = builder
+                    .as_mut()
+                    .ok_or_else(|| invalid("Clocks before Hello"))?;
                 b.add_clocks(snaps)?;
             }
             Frame::Events(events) => {
-                let b = builder.as_mut().ok_or_else(|| invalid("Events before Hello"))?;
+                let b = builder
+                    .as_mut()
+                    .ok_or_else(|| invalid("Events before Hello"))?;
                 let n = events.len() as u64;
                 b.push_batch(events)?;
                 metric(metrics, |m| m.inc("ingest/events", n));
                 if b.pending_events() >= opts.seal_events {
-                    seal(b, fold.as_mut().expect("fold exists with builder"), &mut generations)?;
+                    seal(
+                        b,
+                        fold.as_mut().expect("fold exists with builder"),
+                        &mut generations,
+                    )?;
                 }
             }
             Frame::Finish { end_time } => {
-                let mut b = builder.take().ok_or_else(|| invalid("Finish before Hello"))?;
+                let mut b = builder
+                    .take()
+                    .ok_or_else(|| invalid("Finish before Hello"))?;
                 let mut fold = fold.take().expect("fold exists with builder");
                 b.declare_end_time(end_time);
                 // Seal the remainder — and always at least once, so even
@@ -464,7 +473,9 @@ fn drain_session(
                 let started = Instant::now();
                 let mut open_err = None;
                 let readers = generations.iter().map_while(|path| {
-                    SegmentReader::open(path).map_err(|e| open_err = Some(e)).ok()
+                    SegmentReader::open(path)
+                        .map_err(|e| open_err = Some(e))
+                        .ok()
                 });
                 let (plan, tsv) = fold.finish(b.workload(), readers, opts.resident_bytes)?;
                 if let Some(e) = open_err {
@@ -575,7 +586,12 @@ pub fn replay_trace(socket: &Path, trace: &Trace, batch: usize) -> io::Result<St
     for chunk in trace.events.chunks(batch.max(1)) {
         write_frame(&mut stream, &Frame::Events(chunk.to_vec()))?;
     }
-    write_frame(&mut stream, &Frame::Finish { end_time: trace.end_time })?;
+    write_frame(
+        &mut stream,
+        &Frame::Finish {
+            end_time: trace.end_time,
+        },
+    )?;
     loop {
         match read_frame(&mut stream)? {
             Some(Frame::Report(json)) => return Ok(json),
@@ -606,14 +622,24 @@ mod tests {
         // Fill to capacity with control frames.
         for _ in 0..3 {
             assert!(matches!(
-                q.push(Ok(Frame::Finish { end_time: waffle_sim::SimTime::ZERO }), false),
+                q.push(
+                    Ok(Frame::Finish {
+                        end_time: waffle_sim::SimTime::ZERO
+                    }),
+                    false
+                ),
                 Push::Queued(_)
             ));
         }
         // A blocking push parks until the consumer drains.
         let q2 = Arc::clone(&q);
         let t = thread::spawn(move || {
-            q2.push(Ok(Frame::Hello { workload: "late".into() }), false)
+            q2.push(
+                Ok(Frame::Hello {
+                    workload: "late".into(),
+                }),
+                false,
+            )
         });
         thread::sleep(std::time::Duration::from_millis(20));
         assert!(!t.is_finished(), "push must block while full");
@@ -624,12 +650,23 @@ mod tests {
             let _ = q.pop();
         }
         for _ in 0..3 {
-            let _ = q.push(Ok(Frame::Finish { end_time: waffle_sim::SimTime::ZERO }), false);
+            let _ = q.push(
+                Ok(Frame::Finish {
+                    end_time: waffle_sim::SimTime::ZERO,
+                }),
+                false,
+            );
         }
-        assert!(matches!(q.push(Ok(Frame::Events(vec![])), true), Push::Shed));
+        assert!(matches!(
+            q.push(Ok(Frame::Events(vec![])), true),
+            Push::Shed
+        ));
         // Close unblocks and bounces everything.
         q.close();
-        assert!(matches!(q.push(Ok(Frame::Events(vec![])), false), Push::Closed));
+        assert!(matches!(
+            q.push(Ok(Frame::Events(vec![])), false),
+            Push::Closed
+        ));
     }
 
     #[test]
@@ -648,7 +685,10 @@ mod tests {
             };
             5
         ];
-        assert!(matches!(q.push(Ok(Frame::Events(events)), false), Push::Queued(5)));
+        assert!(matches!(
+            q.push(Ok(Frame::Events(events)), false),
+            Push::Queued(5)
+        ));
         assert!(q.pop().is_some());
     }
 }

@@ -187,10 +187,7 @@ mod tests {
     use waffle_trace::TraceRecorder;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "waffle-session-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("waffle-session-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -246,7 +243,10 @@ mod tests {
         assert!(session.load_trace().unwrap().is_none());
         assert!(session.load_plan().unwrap().is_none());
         assert_eq!(
-            session.load_decay().unwrap().permille(waffle_mem::SiteId(7)),
+            session
+                .load_decay()
+                .unwrap()
+                .permille(waffle_mem::SiteId(7)),
             1000
         );
         let _ = fs::remove_dir_all(&dir);
@@ -294,8 +294,7 @@ mod tests {
         let err = session.load_plan().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(
-            err.to_string().contains("plan.json")
-                && err.to_string().contains("corrupt"),
+            err.to_string().contains("plan.json") && err.to_string().contains("corrupt"),
             "error names the artifact and the corruption: {err}"
         );
         // Absent is still Ok(None), not an error.
@@ -361,7 +360,10 @@ mod tests {
             memory_model: waffle_sim::MemoryModel::Sc,
         };
         let p = session.save_report(&report, "ours").unwrap();
-        assert!(p.ends_with("bug-003.txt"), "skipped the claimed number: {p:?}");
+        assert!(
+            p.ends_with("bug-003.txt"),
+            "skipped the claimed number: {p:?}"
+        );
         assert_eq!(
             fs::read_to_string(dir.join("bug-002.txt")).unwrap(),
             "claimed by another process",

@@ -196,8 +196,11 @@ pub fn generate_case(seed: u64) -> FuzzCase {
                 s.fork(sub.unwrap());
             }
             if with_dict && w == dict_worker && w != 0 {
-                s.compute(us(dict_off_worker))
-                    .unsafe_call(dict.unwrap(), "dict.add.worker", us(dict_window));
+                s.compute(us(dict_off_worker)).unsafe_call(
+                    dict.unwrap(),
+                    "dict.add.worker",
+                    us(dict_window),
+                );
             }
             if w == 0 {
                 match cat {
@@ -222,7 +225,8 @@ pub fn generate_case(seed: u64) -> FuzzCase {
                         }
                     }
                     Cat::Uaf | Cat::ControlUaf => {
-                        s.compute(us(early_off)).use_(racy, "racy.use", racy_use_dur);
+                        s.compute(us(early_off))
+                            .use_(racy, "racy.use", racy_use_dur);
                     }
                 }
                 if with_dict && dict_worker == 0 {
@@ -291,7 +295,8 @@ pub fn generate_case(seed: u64) -> FuzzCase {
         }
         s.signal(started);
         if !cat.uaf_shaped() {
-            s.compute(us(early_off)).init(racy, "racy.init", main_durs[3]);
+            s.compute(us(early_off))
+                .init(racy, "racy.init", main_durs[3]);
             if let Some(ev) = racy_ev {
                 s.signal(ev);
             }
@@ -312,7 +317,8 @@ pub fn generate_case(seed: u64) -> FuzzCase {
                 .unsafe_call(d, "dict.add.main", us(dict_window));
         }
         if cat == Cat::Uaf {
-            s.compute(us(late_off)).dispose(racy, "racy.dispose", main_durs[5]);
+            s.compute(us(late_off))
+                .dispose(racy, "racy.dispose", main_durs[5]);
         }
         s.join_children();
         if cat != Cat::Uaf {
@@ -443,7 +449,9 @@ pub fn generate_case_for_model(seed: u64, model: MemoryModel) -> FuzzCase {
                     .use_(racy, "racy.use", d_use);
             }
             _ => {
-                s.wait(ready).compute(us(poll_off)).use_(racy, "racy.use", d_use);
+                s.wait(ready)
+                    .compute(us(poll_off))
+                    .use_(racy, "racy.use", d_use);
             }
         }
     });
@@ -553,7 +561,9 @@ mod tests {
             assert_eq!(a, b);
         }
         assert_eq!(
-            generate_case_for_model(7, MemoryModel::Sc).to_json().unwrap(),
+            generate_case_for_model(7, MemoryModel::Sc)
+                .to_json()
+                .unwrap(),
             generate_case(7).to_json().unwrap(),
             "Sc must delegate to the historical generator byte-for-byte"
         );

@@ -227,10 +227,7 @@ impl Serialize for CaseReport {
                 String::from("run_count_anomaly"),
                 self.run_count_anomaly.to_value(),
             ),
-            (
-                String::from("disagreements"),
-                self.disagreements.to_value(),
-            ),
+            (String::from("disagreements"), self.disagreements.to_value()),
         ];
         if let Some(repair) = &self.repair {
             fields.push((String::from("repair"), repair.to_value()));
@@ -311,10 +308,7 @@ impl Serialize for FuzzReport {
             fields.push((String::from("memory"), self.memory.to_value()));
         }
         fields.push((String::from("cases"), self.cases.to_value()));
-        fields.push((
-            String::from("disagreements"),
-            self.disagreements.to_value(),
-        ));
+        fields.push((String::from("disagreements"), self.disagreements.to_value()));
         fields.push((String::from("metrics"), self.metrics.to_value()));
         serde::value::Value::Map(fields)
     }
@@ -446,7 +440,10 @@ impl FuzzReport {
                     "  seed {} [{}]{}: {}",
                     d.seed,
                     d.kind.label(),
-                    d.tool.as_deref().map(|t| format!(" {t}")).unwrap_or_default(),
+                    d.tool
+                        .as_deref()
+                        .map(|t| format!(" {t}"))
+                        .unwrap_or_default(),
                     d.detail
                 );
             }
@@ -690,11 +687,7 @@ pub fn classify_case(case: &FuzzCase, cfg: &FuzzConfig) -> CaseReport {
                     seed: case.seed,
                     kind: DisagreementKind::KindMismatch,
                     tool: None,
-                    detail: format!(
-                        "oracle witness is {}, planted {}",
-                        k.label(),
-                        kind.label()
-                    ),
+                    detail: format!("oracle witness is {}, planted {}", k.label(), kind.label()),
                 }),
                 _ => {}
             }
@@ -739,20 +732,18 @@ pub fn classify_case(case: &FuzzCase, cfg: &FuzzConfig) -> CaseReport {
     // exposable — a control (or an unexposable plant) structurally never
     // gets a repair report, which is exactly what the CI gate asserts.
     let repair = match (cfg.repair, case.truth, oracle_kind, oracle_obj) {
-        (true, GroundTruth::Planted { .. }, Some(kind), Some(obj)) => {
-            Some(synthesize_with_oracle(
-                w,
-                &plan,
-                kind,
-                obj,
-                &OracleConfig {
-                    preemption_bound: cfg.preemption_bound,
-                    max_states: cfg.max_oracle_states,
-                    memory: cfg.memory,
-                    reduce: cfg.reduction,
-                },
-            ))
-        }
+        (true, GroundTruth::Planted { .. }, Some(kind), Some(obj)) => Some(synthesize_with_oracle(
+            w,
+            &plan,
+            kind,
+            obj,
+            &OracleConfig {
+                preemption_bound: cfg.preemption_bound,
+                max_states: cfg.max_oracle_states,
+                memory: cfg.memory,
+                reduce: cfg.reduction,
+            },
+        )),
         _ => None,
     };
 
@@ -884,11 +875,7 @@ mod tests {
             ..FuzzConfig::default()
         };
         let serial = run_fuzz(&cfg);
-        assert!(
-            serial.disagreements.is_empty(),
-            "{}",
-            serial.render()
-        );
+        assert!(serial.disagreements.is_empty(), "{}", serial.render());
         let parallel = run_fuzz(&FuzzConfig { jobs: 4, ..cfg });
         assert_eq!(
             serial.to_json().unwrap(),
@@ -1011,7 +998,7 @@ mod tests {
     #[test]
     fn oracle_truncation_is_a_skip_not_a_disagreement() {
         let cfg = FuzzConfig {
-            seeds: 12, // seeds 0..12 hold 4 planted cases
+            seeds: 12,            // seeds 0..12 hold 4 planted cases
             max_oracle_states: 1, // force Truncated on every case
             ..FuzzConfig::default()
         };

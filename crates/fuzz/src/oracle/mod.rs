@@ -426,14 +426,11 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
         // would normally terminate a free-switch cycle, so a child whose
         // state already appears on the current path with at least as much
         // budget and a no-larger sleep set is pruned outright.
-        if left
-            .iter()
-            .any(|fr| {
-                fr.state_fp == state_fp
-                    && fr.budget >= child_budget
-                    && sleep_subset(&fr.sleep, &child.sleep)
-            })
-        {
+        if left.iter().any(|fr| {
+            fr.state_fp == state_fp
+                && fr.budget >= child_budget
+                && sleep_subset(&fr.sleep, &child.sleep)
+        }) {
             r.memo_hits += 1;
             continue 'dfs;
         }

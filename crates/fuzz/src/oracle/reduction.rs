@@ -260,7 +260,13 @@ impl StateMemo {
         let max_slots = target.clamp(1 << 12, 1 << 22);
         let cap = (1usize << 12).min(max_slots);
         Self {
-            slots: vec![Slot { key: 0, budget: EMPTY }; cap],
+            slots: vec![
+                Slot {
+                    key: 0,
+                    budget: EMPTY
+                };
+                cap
+            ],
             mask: cap - 1,
             occupied: 0,
             max_slots,
@@ -301,7 +307,16 @@ impl StateMemo {
 
     fn grow(&mut self) {
         let new_len = (self.slots.len() * 2).min(self.max_slots);
-        let old = std::mem::replace(&mut self.slots, vec![Slot { key: 0, budget: EMPTY }; new_len]);
+        let old = std::mem::replace(
+            &mut self.slots,
+            vec![
+                Slot {
+                    key: 0,
+                    budget: EMPTY
+                };
+                new_len
+            ],
+        );
         self.mask = self.slots.len() - 1;
         self.occupied = 0;
         for s in old {

@@ -390,12 +390,13 @@ fn unmatched_wait_counts_as_a_deadlock_not_a_clean_pass() {
     b.main(m);
     let w = b.build();
     for reduce in [true, false] {
-        let cfg = OracleConfig {
-            reduce,
-            ..bound(2)
-        };
+        let cfg = OracleConfig { reduce, ..bound(2) };
         let r = explore(&w, &cfg);
-        assert_eq!(r.verdict, OracleVerdict::CleanWithinBound, "reduce {reduce}");
+        assert_eq!(
+            r.verdict,
+            OracleVerdict::CleanWithinBound,
+            "reduce {reduce}"
+        );
         assert!(r.deadlocks > 0, "deadlock not counted (reduce {reduce})");
     }
 }
@@ -404,10 +405,7 @@ fn unmatched_wait_counts_as_a_deadlock_not_a_clean_pass() {
 #[test]
 fn clean_and_exposable_workloads_report_zero_deadlocks() {
     for reduce in [true, false] {
-        let cfg = OracleConfig {
-            reduce,
-            ..bound(2)
-        };
+        let cfg = OracleConfig { reduce, ..bound(2) };
         let r = explore(&racy_init(), &cfg);
         assert!(r.exposable());
         assert_eq!(r.deadlocks, 0, "reduce {reduce}");

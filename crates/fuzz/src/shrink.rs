@@ -43,9 +43,9 @@ fn remove_script(w: &Workload, victim: usize) -> Option<Workload> {
         });
         for op in &mut script.ops {
             match op {
-                Op::Fork { script: s } | Op::JoinScript { script: s } | Op::SpawnTask { script: s } => {
-                    remap(s)
-                }
+                Op::Fork { script: s }
+                | Op::JoinScript { script: s }
+                | Op::SpawnTask { script: s } => remap(s),
                 _ => {}
             }
         }

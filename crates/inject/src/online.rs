@@ -505,8 +505,11 @@ mod tests {
             }
             s.fork(worker).signal(started);
             for o in &objs_m {
-                s.compute(SimTime::from_us(1_000))
-                    .dispose(*o, "Main.cleanup:8", SimTime::from_us(5));
+                s.compute(SimTime::from_us(1_000)).dispose(
+                    *o,
+                    "Main.cleanup:8",
+                    SimTime::from_us(5),
+                );
             }
             s.join_children();
         });
@@ -630,10 +633,13 @@ mod tests {
         }
         // Two delay sites (the UBI init and the UAF use), each with a decay
         // budget of 10 injections.
-        assert!(total_injected <= 20, "injected {total_injected} > decay budget");
-        assert!(state.decay.exhausted(
-            *state.candidates.keys().next().expect("candidate survives")
-        ));
+        assert!(
+            total_injected <= 20,
+            "injected {total_injected} > decay budget"
+        );
+        assert!(state
+            .decay
+            .exhausted(*state.candidates.keys().next().expect("candidate survives")));
     }
 
     /// Two threads each make `rounds` thread-unsafe calls on the same
@@ -645,8 +651,11 @@ mod tests {
         let worker = b.script("worker", move |s| {
             s.wait(started);
             s.repeat(rounds, |s, _| {
-                s.compute(SimTime::from_us(500))
-                    .unsafe_call(dict, "Worker.Add:3", SimTime::from_us(50));
+                s.compute(SimTime::from_us(500)).unsafe_call(
+                    dict,
+                    "Worker.Add:3",
+                    SimTime::from_us(50),
+                );
             });
         });
         let main = b.script("main", move |s| {
@@ -796,7 +805,10 @@ mod tests {
         let mut p = OnlinePolicy::no_prep(OnlineState::default(), 0);
         p.on_fork(ThreadId(0), ThreadId(1), SimTime::ZERO);
         p.on_fork(ThreadId(0), ThreadId(2), SimTime::ZERO);
-        assert!(!p.clock(ThreadId(1)).order(&p.clock(ThreadId(2))).is_ordered());
+        assert!(!p
+            .clock(ThreadId(1))
+            .order(&p.clock(ThreadId(2)))
+            .is_ordered());
     }
 
     #[test]

@@ -109,7 +109,8 @@ mod tests {
         let mut w = RecentWindow::new(SimTime::from_us(100));
         w.push(ObjectId(0), acc(10, 0, 0, AccessKind::Init));
         assert_eq!(
-            w.others(ObjectId(1), ThreadId(1), SimTime::from_us(20)).count(),
+            w.others(ObjectId(1), ThreadId(1), SimTime::from_us(20))
+                .count(),
             0
         );
     }

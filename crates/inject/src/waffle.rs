@@ -228,9 +228,11 @@ mod tests {
         let o = b.object("conn");
         let started = b.event("started");
         let worker = b.script("worker", move |s| {
-            s.wait(started)
-                .compute(SimTime::from_us(100))
-                .use_(o, "Worker.poll:11", SimTime::from_us(10));
+            s.wait(started).compute(SimTime::from_us(100)).use_(
+                o,
+                "Worker.poll:11",
+                SimTime::from_us(10),
+            );
         });
         let main = b.script("main", move |s| {
             s.init(o, "Main.ctor:2", SimTime::from_us(10))
@@ -378,10 +380,12 @@ mod tests {
         // And the rolls that follow replay bit-for-bit against a control
         // policy that never skipped.
         let mut control = WafflePolicy::new(plan, decay(), 42);
-        let after_skip: Vec<PreAction> =
-            (0..32).map(|i| pre(&mut skipped, l, 100 + i, &[])).collect();
-        let reference: Vec<PreAction> =
-            (0..32).map(|i| pre(&mut control, l, 100 + i, &[])).collect();
+        let after_skip: Vec<PreAction> = (0..32)
+            .map(|i| pre(&mut skipped, l, 100 + i, &[]))
+            .collect();
+        let reference: Vec<PreAction> = (0..32)
+            .map(|i| pre(&mut control, l, 100 + i, &[]))
+            .collect();
         assert_eq!(after_skip, reference);
         assert_eq!(
             skipped.into_decay().permille(l),

@@ -318,7 +318,9 @@ mod tests {
         let mut h = heap();
         // A buffered init: the thread's own view transitions, the shared
         // cell stays NULL until the commit.
-        let out = h.apply_buffered(O, S, AccessKind::Init, RefState::Null).unwrap();
+        let out = h
+            .apply_buffered(O, S, AccessKind::Init, RefState::Null)
+            .unwrap();
         assert_eq!(
             out,
             AccessOutcome::Transition {
@@ -341,10 +343,14 @@ mod tests {
     fn apply_buffered_reads_respect_the_observed_view() {
         let mut h = heap();
         // Shared cell is NULL, but the reader's own buffer holds Live.
-        assert!(h.apply_buffered(O, S, AccessKind::Use, RefState::Live).is_ok());
+        assert!(h
+            .apply_buffered(O, S, AccessKind::Use, RefState::Live)
+            .is_ok());
         // Shared cell is Live, but the view is stale (pre-init): faults.
         h.commit(O, RefState::Live);
-        let e = h.apply_buffered(O, S, AccessKind::Use, RefState::Null).unwrap_err();
+        let e = h
+            .apply_buffered(O, S, AccessKind::Use, RefState::Null)
+            .unwrap_err();
         assert_eq!(e.kind, NullRefKind::UseBeforeInit);
     }
 

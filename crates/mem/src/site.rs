@@ -121,7 +121,9 @@ impl SiteRegistry {
 
     /// Returns the site name for `id`, or a placeholder for unknown ids.
     pub fn name(&self, id: SiteId) -> &str {
-        self.info(id).map(|i| i.name.as_str()).unwrap_or("<unknown>")
+        self.info(id)
+            .map(|i| i.name.as_str())
+            .unwrap_or("<unknown>")
     }
 
     /// Number of registered sites.

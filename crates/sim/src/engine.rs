@@ -569,7 +569,14 @@ impl<'w> Simulator<'w> {
         self.at_time(t, monitor, |m, obs| m.exit(tid, obs));
     }
 
-    fn check_tsv(&mut self, tid: ThreadId, start: SimTime, end: SimTime, obj: ObjectId, site: SiteId) {
+    fn check_tsv(
+        &mut self,
+        tid: ThreadId,
+        start: SimTime,
+        end: SimTime,
+        obj: ObjectId,
+        site: SiteId,
+    ) {
         let windows = self.tsv_windows.entry(obj).or_default();
         windows.retain(|w| w.end > start);
         for w in windows.iter() {
@@ -948,7 +955,9 @@ mod tests {
         let mut b = WorkloadBuilder::new("oh");
         let o = b.object("o");
         let m = b.script("main", |s| {
-            s.init(o, "a", us(10)).use_(o, "b", us(10)).dispose(o, "c", us(10));
+            s.init(o, "a", us(10))
+                .use_(o, "b", us(10))
+                .dispose(o, "c", us(10));
         });
         b.main(m);
         let w = b.build();
@@ -996,7 +1005,11 @@ mod tests {
         assert!(!r.manifested());
         // TSO: the consumer wakes while the init still sits in main's
         // store buffer (drain window > signal latency) and reads NULL.
-        let r = Simulator::run(&w, weak_cfg(MemoryModel::Tso), &mut crate::monitor::NullMonitor);
+        let r = Simulator::run(
+            &w,
+            weak_cfg(MemoryModel::Tso),
+            &mut crate::monitor::NullMonitor,
+        );
         assert!(r.manifested(), "consumer must observe the pre-init value");
         assert_eq!(
             r.exceptions[0].error.kind,
@@ -1096,7 +1109,11 @@ mod tests {
             }
         }
         let w = tso_handoff(true); // fenced: clean without injection
-        let r = Simulator::run(&w, weak_cfg(MemoryModel::Tso), &mut crate::monitor::NullMonitor);
+        let r = Simulator::run(
+            &w,
+            weak_cfg(MemoryModel::Tso),
+            &mut crate::monitor::NullMonitor,
+        );
         assert!(!r.manifested());
         // Under SC the same delay pauses main before the init, which only
         // pushes the whole publish later: still clean.
@@ -1128,7 +1145,11 @@ mod tests {
         });
         b.main(m);
         let w = b.build();
-        let r = Simulator::run(&w, weak_cfg(MemoryModel::Tso), &mut crate::monitor::NullMonitor);
+        let r = Simulator::run(
+            &w,
+            weak_cfg(MemoryModel::Tso),
+            &mut crate::monitor::NullMonitor,
+        );
         assert!(!r.manifested());
         assert_eq!(r.heap.inits, 1);
     }

@@ -122,7 +122,11 @@ impl RepairPatch {
     /// Human-readable one-line description against the unpatched workload.
     pub fn describe(&self, w: &Workload) -> String {
         let site_at = |script: ScriptId, pos: usize| -> String {
-            match w.scripts.get(script.0 as usize).and_then(|s| s.ops.get(pos)) {
+            match w
+                .scripts
+                .get(script.0 as usize)
+                .and_then(|s| s.ops.get(pos))
+            {
                 Some(Op::Access { site, .. }) => w.sites.name(*site).to_string(),
                 _ => format!("op {pos}"),
             }
@@ -227,22 +231,11 @@ impl RepairPatch {
                 b_end,
             } => {
                 let one_region = |script: ScriptId, start: usize, end: usize| {
-                    apply_insertions(
-                        w,
-                        lock_region(script, start, end, LockId(w.n_locks)),
-                        0,
-                        1,
-                    )
-                    .expect("single-region weakening of an applicable lock applies")
+                    apply_insertions(w, lock_region(script, start, end, LockId(w.n_locks)), 0, 1)
+                        .expect("single-region weakening of an applicable lock applies")
                 };
-                out.push((
-                    "shrink-to-first",
-                    one_region(*a_script, *a_start, *a_end),
-                ));
-                out.push((
-                    "shrink-to-second",
-                    one_region(*b_script, *b_start, *b_end),
-                ));
+                out.push(("shrink-to-first", one_region(*a_script, *a_start, *a_end)));
+                out.push(("shrink-to-second", one_region(*b_script, *b_start, *b_end)));
                 out.push(("drop-lock", w.clone()));
             }
         }

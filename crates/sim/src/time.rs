@@ -14,17 +14,7 @@ use serde::{Deserialize, Serialize};
 /// All arithmetic is saturating: a simulation never wraps, it just pins at
 /// the (unreachable) maximum.
 #[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    Serialize,
-    Deserialize,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
 pub struct SimTime(pub u64);
 

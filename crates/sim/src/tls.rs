@@ -41,12 +41,7 @@ impl<T> InheritableTls<T> {
     /// counter through the shared reference).
     ///
     /// Threads without a slot (never initialized) propagate nothing.
-    pub fn inherit(
-        &mut self,
-        parent: ThreadId,
-        child: ThreadId,
-        derive: impl FnOnce(&mut T) -> T,
-    ) {
+    pub fn inherit(&mut self, parent: ThreadId, child: ThreadId, derive: impl FnOnce(&mut T) -> T) {
         if let Some(pv) = self.slots.get_mut(&parent) {
             let cv = derive(pv);
             self.slots.insert(child, cv);

@@ -68,14 +68,20 @@ impl Workload {
                 let at = format!("script {:?} op {oi}", script.name);
                 match op {
                     Op::Access { obj, site, .. } => {
-                        check(obj.0 < self.n_objects, format!("{at}: object {obj} undeclared"))?;
+                        check(
+                            obj.0 < self.n_objects,
+                            format!("{at}: object {obj} undeclared"),
+                        )?;
                         check(
                             self.sites.info(*site).is_some(),
                             format!("{at}: site {site} unregistered"),
                         )?;
                     }
                     Op::SkipIf { obj, skip, .. } => {
-                        check(obj.0 < self.n_objects, format!("{at}: object {obj} undeclared"))?;
+                        check(
+                            obj.0 < self.n_objects,
+                            format!("{at}: object {obj} undeclared"),
+                        )?;
                         check(
                             oi + 1 + *skip as usize <= script.ops.len(),
                             format!("{at}: skip {skip} runs past the script end"),
@@ -88,7 +94,10 @@ impl Workload {
                         )?;
                     }
                     Op::Acquire { lock } | Op::Release { lock } => {
-                        check(lock.0 < self.n_locks, format!("{at}: lock {lock} undeclared"))?;
+                        check(
+                            lock.0 < self.n_locks,
+                            format!("{at}: lock {lock} undeclared"),
+                        )?;
                     }
                     Op::SignalEvent { ev } | Op::WaitEvent { ev } => {
                         check(ev.0 < self.n_events, format!("{at}: event {ev} undeclared"))?;
@@ -400,7 +409,10 @@ mod tests {
         let lk = b.lock("mu");
         let ev = b.event("done");
         let worker = b.script("worker", |s| {
-            s.wait(ev).acquire(lk).use_(obj, "W.use:1", us(5)).release(lk);
+            s.wait(ev)
+                .acquire(lk)
+                .use_(obj, "W.use:1", us(5))
+                .release(lk);
         });
         let main = b.script("main", |s| {
             s.init(obj, "M.ctor:1", us(10))

@@ -28,7 +28,11 @@ fn join_script_waits_only_for_prior_forks() {
     });
     b.main(main);
     let w = b.build();
-    let r = Simulator::run(&w, SimConfig::with_seed(0).deterministic(), &mut NullMonitor);
+    let r = Simulator::run(
+        &w,
+        SimConfig::with_seed(0).deterministic(),
+        &mut NullMonitor,
+    );
     // The late worker uses a disposed object — a genuine (intended here)
     // manifestation proving the join only covered the first two.
     assert!(r.manifested());
@@ -86,7 +90,11 @@ fn throw_inside_a_task_unwinds_the_worker() {
     });
     b.main(main);
     let w = b.build();
-    let r = Simulator::run(&w, SimConfig::with_seed(0).deterministic(), &mut NullMonitor);
+    let r = Simulator::run(
+        &w,
+        SimConfig::with_seed(0).deterministic(),
+        &mut NullMonitor,
+    );
     assert!(!r.manifested());
     assert_eq!(r.app_exceptions.len(), 1);
     assert_eq!(r.stranded_threads, 0);
@@ -149,7 +157,11 @@ fn unsafe_call_on_disposed_object_is_a_mem_order_bug_too() {
     });
     b.main(main);
     let w = b.build();
-    let r = Simulator::run(&w, SimConfig::with_seed(0).deterministic(), &mut NullMonitor);
+    let r = Simulator::run(
+        &w,
+        SimConfig::with_seed(0).deterministic(),
+        &mut NullMonitor,
+    );
     assert!(r.manifested());
     assert_eq!(r.exceptions[0].error.access, AccessKind::UnsafeApiCall);
 }
@@ -173,7 +185,11 @@ fn thread_contexts_capture_the_moment_of_manifestation() {
     let w = b.build();
     // Dispose precedes the worker's use here (no race needed): the use
     // faults and the contexts are snapshotted.
-    let r = Simulator::run(&w, SimConfig::with_seed(0).deterministic(), &mut NullMonitor);
+    let r = Simulator::run(
+        &w,
+        SimConfig::with_seed(0).deterministic(),
+        &mut NullMonitor,
+    );
     assert!(r.manifested());
     assert_eq!(r.thread_contexts.len(), 2);
     let faulting: Vec<_> = r.thread_contexts.iter().filter(|c| c.faulting).collect();
@@ -198,7 +214,11 @@ fn site_dyn_counts_match_executed_accesses() {
     });
     b.main(main);
     let w = b.build();
-    let r = Simulator::run(&w, SimConfig::with_seed(0).deterministic(), &mut NullMonitor);
+    let r = Simulator::run(
+        &w,
+        SimConfig::with_seed(0).deterministic(),
+        &mut NullMonitor,
+    );
     let b_site = w.sites.lookup("b").unwrap();
     assert_eq!(r.site_dyn_counts[&b_site], 5);
     assert_eq!(r.instrumented_ops, 6);
@@ -235,7 +255,11 @@ fn workload_with_two_pools() -> Workload {
 #[test]
 fn task_queue_supports_multiple_drain_phases() {
     let w = workload_with_two_pools();
-    let r = Simulator::run(&w, SimConfig::with_seed(0).deterministic(), &mut NullMonitor);
+    let r = Simulator::run(
+        &w,
+        SimConfig::with_seed(0).deterministic(),
+        &mut NullMonitor,
+    );
     assert!(!r.manifested());
     assert_eq!(r.tasks_spawned, 8);
     assert_eq!(r.heap.inits, 8);

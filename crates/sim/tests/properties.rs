@@ -43,8 +43,11 @@ fn safe_workload(n_objs: u32, n_workers: u32, work_us: u64) -> Workload {
     let worker = b.script("worker", move |s| {
         s.wait(ready);
         for (i, o) in objs2.iter().enumerate() {
-            s.compute(SimTime::from_us(work_us))
-                .use_(*o, &format!("W.use:{i}"), SimTime::from_us(5));
+            s.compute(SimTime::from_us(work_us)).use_(
+                *o,
+                &format!("W.use:{i}"),
+                SimTime::from_us(5),
+            );
         }
     });
     let objs3 = objs.clone();

@@ -83,8 +83,7 @@ fn tasks_are_shared_across_pool_workers() {
     let w = pool_workload(6, 2);
     let mut tap = TaskTap::default();
     let _ = Simulator::run(&w, SimConfig::with_seed(0).deterministic(), &mut tap);
-    let workers: std::collections::HashSet<ThreadId> =
-        tap.starts.iter().map(|&(_, w)| w).collect();
+    let workers: std::collections::HashSet<ThreadId> = tap.starts.iter().map(|&(_, w)| w).collect();
     assert_eq!(workers.len(), 2, "both pool workers must pull tasks");
 }
 
@@ -96,7 +95,11 @@ fn accesses_carry_their_task_context() {
     // Every instrumented access in this workload runs inside some task.
     assert!(!tap.accesses.is_empty());
     for a in &tap.accesses {
-        assert!(a.task.is_some(), "access at {} lacks task context", a.site.0);
+        assert!(
+            a.task.is_some(),
+            "access at {} lacks task context",
+            a.site.0
+        );
     }
     // The task context matches the object index (task i owns object i).
     for a in &tap.accesses {
@@ -143,7 +146,8 @@ fn worker_survives_a_faulting_task() {
         s.use_(bad, "Faulty.use", us(10));
     });
     let fine = b.script("fine", move |s| {
-        s.init(good, "Fine.init", us(10)).use_(good, "Fine.use", us(10));
+        s.init(good, "Fine.init", us(10))
+            .use_(good, "Fine.use", us(10));
     });
     let worker = b.script("worker", |s| {
         s.run_tasks();

@@ -145,7 +145,15 @@ impl RunTelemetry {
         std::mem::take(&mut self.journal)
     }
 
-    fn push(&mut self, kind: EventKind, site: SiteId, thread: ThreadId, time: SimTime, delay: SimTime, permille: u32) {
+    fn push(
+        &mut self,
+        kind: EventKind,
+        site: SiteId,
+        thread: ThreadId,
+        time: SimTime,
+        delay: SimTime,
+        permille: u32,
+    ) {
         if self.record_events {
             self.journal.events.push(JournalEvent {
                 kind,
@@ -160,28 +168,62 @@ impl RunTelemetry {
 
     /// Records a fired delay of length `delay`, rolled at probability
     /// `permille`.
-    pub fn injected(&mut self, site: SiteId, thread: ThreadId, time: SimTime, delay: SimTime, permille: u32) {
+    pub fn injected(
+        &mut self,
+        site: SiteId,
+        thread: ThreadId,
+        time: SimTime,
+        delay: SimTime,
+        permille: u32,
+    ) {
         self.journal.counters.injected += 1;
         self.journal.delay_hist.record(delay);
         self.push(EventKind::Injected, site, thread, time, delay, permille);
     }
 
     /// Records an injection declined by the probability roll at `permille`.
-    pub fn skipped_probability(&mut self, site: SiteId, thread: ThreadId, time: SimTime, permille: u32) {
+    pub fn skipped_probability(
+        &mut self,
+        site: SiteId,
+        thread: ThreadId,
+        time: SimTime,
+        permille: u32,
+    ) {
         self.journal.counters.skipped_probability += 1;
-        self.push(EventKind::SkippedProbability, site, thread, time, SimTime::ZERO, permille);
+        self.push(
+            EventKind::SkippedProbability,
+            site,
+            thread,
+            time,
+            SimTime::ZERO,
+            permille,
+        );
     }
 
     /// Records an injection suppressed by interference control (§4.4).
     pub fn skipped_interference(&mut self, site: SiteId, thread: ThreadId, time: SimTime) {
         self.journal.counters.skipped_interference += 1;
-        self.push(EventKind::SkippedInterference, site, thread, time, SimTime::ZERO, 0);
+        self.push(
+            EventKind::SkippedInterference,
+            site,
+            thread,
+            time,
+            SimTime::ZERO,
+            0,
+        );
     }
 
     /// Records a probability-decay step; `permille` is the post-step value.
     pub fn decay_step(&mut self, site: SiteId, thread: ThreadId, time: SimTime, permille: u32) {
         self.journal.counters.decay_steps += 1;
-        self.push(EventKind::DecayStep, site, thread, time, SimTime::ZERO, permille);
+        self.push(
+            EventKind::DecayStep,
+            site,
+            thread,
+            time,
+            SimTime::ZERO,
+            permille,
+        );
     }
 
     /// Records one instrumented access and the overhead charged for it.

@@ -29,5 +29,7 @@
 pub mod journal;
 pub mod metrics;
 
-pub use journal::{AttemptJournal, EventKind, JournalEvent, RunJournal, RunTelemetry, TelemetryCounters};
+pub use journal::{
+    AttemptJournal, EventKind, JournalEvent, RunJournal, RunTelemetry, TelemetryCounters,
+};
 pub use metrics::{MetricsRegistry, SimTimeHistogram, TelemetrySummary};

@@ -271,7 +271,10 @@ impl MetricsRegistry {
         for (name, value) in [
             ("injected", summary.counters.injected),
             ("skipped_probability", summary.counters.skipped_probability),
-            ("skipped_interference", summary.counters.skipped_interference),
+            (
+                "skipped_interference",
+                summary.counters.skipped_interference,
+            ),
             ("decay_steps", summary.counters.decay_steps),
             ("instrumented_ops", summary.counters.instrumented_ops),
         ] {

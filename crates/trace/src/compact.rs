@@ -286,7 +286,9 @@ mod tests {
         // Whole trace written in one shot…
         let whole = slice_trace(0, 600, true);
         let whole_path = tmpfile("whole");
-        TraceIndex::build(&whole).write_segments(&whole_path).unwrap();
+        TraceIndex::build(&whole)
+            .write_segments(&whole_path)
+            .unwrap();
         // …versus the same events sealed as two generations and compacted.
         let g0 = slice_trace(0, 300, true);
         let g1 = slice_trace(300, 600, true);

@@ -95,7 +95,10 @@ mod tests {
         let s1 = sites.register("B.use:2", AccessKind::Use);
         let mut clocks = ClockPool::new();
         let c0 = clocks.intern(ClockSnapshot::from_entries([(ThreadId(0), 1)]));
-        let c1 = clocks.intern(ClockSnapshot::from_entries([(ThreadId(0), 2), (ThreadId(1), 1)]));
+        let c1 = clocks.intern(ClockSnapshot::from_entries([
+            (ThreadId(0), 2),
+            (ThreadId(1), 1),
+        ]));
         Trace {
             workload: "demo.t1".into(),
             sites,

@@ -532,7 +532,11 @@ mod tests {
         let seg = idx.mem.range(1);
         assert_eq!(
             idx.mem.times[seg.clone()],
-            [SimTime::from_us(10), SimTime::from_us(30), SimTime::from_us(50)]
+            [
+                SimTime::from_us(10),
+                SimTime::from_us(30),
+                SimTime::from_us(50)
+            ]
         );
         assert!(idx.mem.objs[seg].iter().all(|&o| o == ObjectId(2)));
         let stats = idx.stats();
@@ -579,17 +583,26 @@ mod tests {
         assert_eq!(p1, p2);
         // A fresh interner over the existing pool keeps deduplicating.
         let mut resumed = ClockInterner::for_pool(&p2);
-        assert_eq!(resumed.intern(&mut p2, snaps[3].clone()), p1.intern(snaps[3].clone()));
+        assert_eq!(
+            resumed.intern(&mut p2, snaps[3].clone()),
+            p1.intern(snaps[3].clone())
+        );
     }
 
     #[test]
     fn fallible_interning_matches_the_panicking_path() {
         let mut pool = ClockPool::new();
-        let a = pool.try_intern(ClockSnapshot::from_entries([(ThreadId(0), 1)])).unwrap();
-        let b = pool.try_intern(ClockSnapshot::from_entries([(ThreadId(0), 1)])).unwrap();
+        let a = pool
+            .try_intern(ClockSnapshot::from_entries([(ThreadId(0), 1)]))
+            .unwrap();
+        let b = pool
+            .try_intern(ClockSnapshot::from_entries([(ThreadId(0), 1)]))
+            .unwrap();
         assert_eq!(a, b);
         // try_push skips dedup: the same snapshot gets a fresh id.
-        let c = pool.try_push(ClockSnapshot::from_entries([(ThreadId(0), 1)])).unwrap();
+        let c = pool
+            .try_push(ClockSnapshot::from_entries([(ThreadId(0), 1)]))
+            .unwrap();
         assert_ne!(a, c);
         assert_eq!(c.0 as usize, pool.len() - 1);
         // ClockId::try_new refuses out-of-range indexes instead of wrapping.

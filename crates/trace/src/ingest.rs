@@ -219,9 +219,9 @@ impl SessionIndexBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::ClockId;
     use crate::segment::SegmentReader;
     use waffle_mem::{ObjectId, SiteId};
-    use crate::index::ClockId;
 
     fn tmpfile(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("waffle-ingest-{tag}-{}.wseg", std::process::id()))
@@ -242,9 +242,13 @@ mod tests {
     #[test]
     fn builder_validates_the_stream_edge() {
         let mut b = SessionIndexBuilder::new("ing");
-        b.add_sites(&[("init".into(), AccessKind::Init), ("use".into(), AccessKind::Use)])
+        b.add_sites(&[
+            ("init".into(), AccessKind::Init),
+            ("use".into(), AccessKind::Use),
+        ])
+        .unwrap();
+        b.add_clocks(vec![ClockSnapshot::from_entries([(ThreadId(0), 1)])])
             .unwrap();
-        b.add_clocks(vec![ClockSnapshot::from_entries([(ThreadId(0), 1)])]).unwrap();
         b.push(ev(10, 0, 0, AccessKind::Init, 1)).unwrap();
         // Time regression rejected.
         let err = b.push(ev(5, 1, 0, AccessKind::Use, 0)).unwrap_err();
@@ -257,7 +261,9 @@ mod tests {
         assert!(err.to_string().contains("undefined clock"), "{err}");
         // Site redefinition under another kind rejected; same kind is fine.
         b.add_sites(&[("init".into(), AccessKind::Init)]).unwrap();
-        let err = b.add_sites(&[("init".into(), AccessKind::Use)]).unwrap_err();
+        let err = b
+            .add_sites(&[("init".into(), AccessKind::Use)])
+            .unwrap_err();
         assert!(err.to_string().contains("redefined"), "{err}");
         assert_eq!(b.events_total(), 1);
     }
@@ -265,8 +271,11 @@ mod tests {
     #[test]
     fn sealed_generations_round_trip_and_clear_pending() {
         let mut b = SessionIndexBuilder::new("ing.seal");
-        b.add_sites(&[("init".into(), AccessKind::Init), ("use".into(), AccessKind::Use)])
-            .unwrap();
+        b.add_sites(&[
+            ("init".into(), AccessKind::Init),
+            ("use".into(), AccessKind::Use),
+        ])
+        .unwrap();
         b.push_batch(vec![
             ev(10, 0, 1, AccessKind::Init, 0),
             ev(20, 1, 1, AccessKind::Use, 0),

@@ -35,12 +35,10 @@ pub use index::{
     ClassColumns, ClockId, ClockInterner, ClockPool, IndexArena, IndexStats, TraceIndex,
 };
 pub use ingest::{SealOutput, SessionIndexBuilder};
+pub use recorder::{ClockProtocol, TraceRecorder};
 pub use segment::{
     ColumnSlice, SegmentCatalog, SegmentClass, SegmentColumns, SegmentMeta, SegmentReader,
     SegmentWriteStats, SegmentWriter,
 };
-pub use recorder::{ClockProtocol, TraceRecorder};
 pub use stats::TraceStats;
-pub use wire::{
-    encode_frame, read_frame, write_frame, Frame, MAX_FRAME_BYTES, WIRE_EVENT_BYTES,
-};
+pub use wire::{encode_frame, read_frame, write_frame, Frame, MAX_FRAME_BYTES, WIRE_EVENT_BYTES};

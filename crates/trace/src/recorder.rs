@@ -217,7 +217,6 @@ impl TraceRecorder {
             end_time: self.end_time,
         }
     }
-
 }
 
 impl Monitor for TraceRecorder {
@@ -249,8 +248,7 @@ impl Monitor for TraceRecorder {
         // Merge the joined thread's (final) clock into the waiter's. The
         // two-slot borrow avoids cloning the joined clock — on join-heavy
         // workloads that clone dominated the recorder's cost.
-        self.tls
-            .merge_pair(waiter, joined, |w, j| w.merge_from(j));
+        self.tls.merge_pair(waiter, joined, |w, j| w.merge_from(j));
         self.clock_cache.remove(&waiter);
     }
 
@@ -260,10 +258,7 @@ impl Monitor for TraceRecorder {
         }
         let key = task_clock_key(task);
         let (child, parent_key) = match parent {
-            TaskParent::Thread(tid) => (
-                self.tls.get_mut(tid).map(|slot| slot.fork(tid, key)),
-                tid,
-            ),
+            TaskParent::Thread(tid) => (self.tls.get_mut(tid).map(|slot| slot.fork(tid, key)), tid),
             TaskParent::Task(owner) => {
                 let owner_key = task_clock_key(owner);
                 (

@@ -155,7 +155,11 @@ impl SegmentCatalog {
 
     /// Total events across both classes.
     pub fn events(&self) -> u64 {
-        self.mem.iter().chain(&self.tsv).map(|s| u64::from(s.events)).sum()
+        self.mem
+            .iter()
+            .chain(&self.tsv)
+            .map(|s| u64::from(s.events))
+            .sum()
     }
 }
 
@@ -334,11 +338,19 @@ fn encode_segment(seg: &ColumnSlice<'_>, buf: &mut Vec<u8>) -> io::Result<Segmen
     if n == 0 {
         return Err(err(format!("segment for {} is empty", seg.object)));
     }
-    if [seg.threads.len(), seg.sites.len(), seg.kinds.len(), seg.clocks.len()]
-        .iter()
-        .any(|&l| l != n)
+    if [
+        seg.threads.len(),
+        seg.sites.len(),
+        seg.kinds.len(),
+        seg.clocks.len(),
+    ]
+    .iter()
+    .any(|&l| l != n)
     {
-        return Err(err(format!("segment for {} has ragged columns", seg.object)));
+        return Err(err(format!(
+            "segment for {} has ragged columns",
+            seg.object
+        )));
     }
     let events = u32::try_from(n).map_err(|_| {
         err(format!(
@@ -400,7 +412,10 @@ impl SegmentWriter {
         let tmp = path.with_file_name(format!(
             ".{}.tmp.{}",
             path.file_name()
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?
+                .ok_or_else(|| io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "path has no file name"
+                ))?
                 .to_string_lossy(),
             std::process::id()
         ));
@@ -571,7 +586,10 @@ impl SegmentReader {
         let mut file = fs::File::open(&path)?;
         let size = file.metadata()?.len();
         if size < HEAD_MAGIC.len() as u64 + TRAILER_LEN {
-            return Err(invalid(&path, "not a segment file (shorter than header + trailer)"));
+            return Err(invalid(
+                &path,
+                "not a segment file (shorter than header + trailer)",
+            ));
         }
         let mut head = [0u8; 8];
         file.read_exact(&mut head)?;
@@ -582,7 +600,10 @@ impl SegmentReader {
         let mut trailer = [0u8; TRAILER_LEN as usize];
         file.read_exact(&mut trailer)?;
         if &trailer[24..32] != FOOT_MAGIC {
-            return Err(invalid(&path, "truncated segment file (trailer magic missing)"));
+            return Err(invalid(
+                &path,
+                "truncated segment file (trailer magic missing)",
+            ));
         }
         let footer_offset = u64::from_le_bytes(trailer[0..8].try_into().unwrap());
         let footer_len = u64::from_le_bytes(trailer[8..16].try_into().unwrap());
@@ -591,7 +612,10 @@ impl SegmentReader {
             .checked_add(footer_len)
             .and_then(|end| end.checked_add(TRAILER_LEN));
         if file_end != Some(size) {
-            return Err(invalid(&path, "truncated segment file (footer out of bounds)"));
+            return Err(invalid(
+                &path,
+                "truncated segment file (footer out of bounds)",
+            ));
         }
         file.seek(SeekFrom::Start(footer_offset))?;
         let mut footer = vec![0u8; footer_len as usize];
@@ -611,7 +635,11 @@ impl SegmentReader {
                 ));
             }
         }
-        Ok(Self { file, catalog, path })
+        Ok(Self {
+            file,
+            catalog,
+            path,
+        })
     }
 
     /// The footer catalog.
@@ -637,15 +665,20 @@ impl SegmentReader {
         if fnv1a(&raw) != meta.checksum {
             return Err(invalid(
                 &self.path,
-                format!("segment checksum mismatch for {} (corrupt payload)", meta.object),
+                format!(
+                    "segment checksum mismatch for {} (corrupt payload)",
+                    meta.object
+                ),
             ));
         }
         let (times_b, rest) = raw.split_at(n * 8);
         let (threads_b, rest) = rest.split_at(n * 4);
         let (sites_b, rest) = rest.split_at(n * 4);
         let (kinds_b, clocks_b) = rest.split_at(n);
-        let le_u64 = |b: &[u8], i: usize| u64::from_le_bytes(b[i * 8..i * 8 + 8].try_into().unwrap());
-        let le_u32 = |b: &[u8], i: usize| u32::from_le_bytes(b[i * 4..i * 4 + 4].try_into().unwrap());
+        let le_u64 =
+            |b: &[u8], i: usize| u64::from_le_bytes(b[i * 8..i * 8 + 8].try_into().unwrap());
+        let le_u32 =
+            |b: &[u8], i: usize| u32::from_le_bytes(b[i * 4..i * 4 + 4].try_into().unwrap());
         let mut kinds = Vec::with_capacity(n);
         for &k in kinds_b {
             kinds.push(kind_from_tag(k).ok_or_else(|| {
@@ -657,7 +690,9 @@ impl SegmentReader {
         }
         let seg = SegmentColumns {
             object: meta.object,
-            times: (0..n).map(|i| SimTime::from_us(le_u64(times_b, i))).collect(),
+            times: (0..n)
+                .map(|i| SimTime::from_us(le_u64(times_b, i)))
+                .collect(),
             threads: (0..n).map(|i| ThreadId(le_u32(threads_b, i))).collect(),
             sites: (0..n).map(|i| SiteId(le_u32(sites_b, i))).collect(),
             kinds,
@@ -797,7 +832,10 @@ mod tests {
         let path = tmpfile("roundtrip");
         let stats = index.write_segments(&path).unwrap();
         assert_eq!(stats.events, trace.events.len() as u64);
-        assert_eq!(stats.segments, index.mem.object_count() + index.tsv.object_count());
+        assert_eq!(
+            stats.segments,
+            index.mem.object_count() + index.tsv.object_count()
+        );
 
         let mut reader = SegmentReader::open(&path).unwrap();
         assert_eq!(reader.catalog().workload, "seg.sample");
@@ -1011,7 +1049,10 @@ mod tests {
         assert!(tmp.exists());
         drop(w);
         assert!(!tmp.exists(), "abandoned writer must remove its temp file");
-        assert!(!path.exists(), "unfinished file must not appear under the final name");
+        assert!(
+            !path.exists(),
+            "unfinished file must not appear under the final name"
+        );
     }
 
     #[test]

@@ -185,7 +185,9 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
     let (tag, payload) = (body[0], &body[1..]);
     let mut c = Cursor::new(payload, "frame payload");
     let frame = match tag {
-        TAG_HELLO => Frame::Hello { workload: utf8(payload)? },
+        TAG_HELLO => Frame::Hello {
+            workload: utf8(payload)?,
+        },
         TAG_SITES => {
             let sites = c.sites()?;
             c.done()?;
@@ -241,12 +243,17 @@ mod tests {
         let mut r = &bytes[..];
         let got = read_frame(&mut r).unwrap().unwrap();
         assert_eq!(got, frame);
-        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF after frame");
+        assert!(
+            read_frame(&mut r).unwrap().is_none(),
+            "clean EOF after frame"
+        );
     }
 
     #[test]
     fn every_frame_kind_round_trips() {
-        round_trip(Frame::Hello { workload: "wl.demo".into() });
+        round_trip(Frame::Hello {
+            workload: "wl.demo".into(),
+        });
         round_trip(Frame::Sites(vec![
             ("a.init".into(), AccessKind::Init),
             ("b.use".into(), AccessKind::Use),
@@ -276,7 +283,9 @@ mod tests {
                 clock: ClockId::EMPTY,
             },
         ]));
-        round_trip(Frame::Finish { end_time: SimTime::from_ms(9) });
+        round_trip(Frame::Finish {
+            end_time: SimTime::from_ms(9),
+        });
         round_trip(Frame::Report("{\"plan\":null}".into()));
         round_trip(Frame::Error("no Hello".into()));
     }
@@ -302,7 +311,10 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // EOF mid-frame is UnexpectedEof, distinct from a clean boundary.
-        let full = encode_frame(&Frame::Hello { workload: "x".into() }).unwrap();
+        let full = encode_frame(&Frame::Hello {
+            workload: "x".into(),
+        })
+        .unwrap();
         let err = read_frame(&mut &full[..3]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }

@@ -5,8 +5,7 @@ use waffle_vclock::{ClassicClock, ClockOrder, ClockSnapshot, LiveClock};
 
 /// Strategy: an arbitrary snapshot over a small id space.
 fn snapshot_strategy() -> impl Strategy<Value = ClockSnapshot<u32>> {
-    proptest::collection::btree_map(0u32..8, 0u64..6, 0..8)
-        .prop_map(ClockSnapshot::from_entries)
+    proptest::collection::btree_map(0u32..8, 0u64..6, 0..8).prop_map(ClockSnapshot::from_entries)
 }
 
 /// Strategy: a random fork tree described as a list of parent indices.

@@ -49,8 +49,14 @@ fn main() {
             println!("  class    : {}", report.kind.label());
             println!("  location : {}", report.site);
             println!("  object   : {}", report.obj);
-            println!("  run      : {} of {} total runs", report.exposed_in_run, report.total_runs);
-            println!("  delays   : {} injected in the exposing run", report.delays_in_run);
+            println!(
+                "  run      : {} of {} total runs",
+                report.exposed_in_run, report.total_runs
+            );
+            println!(
+                "  delays   : {} injected in the exposing run",
+                report.delays_in_run
+            );
             println!("  delayed  : {}", report.delayed_sites.join(", "));
             println!("  slowdown : {:.1}x vs uninstrumented", outcome.slowdown());
         }

@@ -30,7 +30,11 @@ fn main() {
     let trace = recorder.into_trace();
     println!(
         "preparation run: {} in {} ({} accesses recorded)",
-        if prep.manifested() { "MANIFESTED" } else { "clean" },
+        if prep.manifested() {
+            "MANIFESTED"
+        } else {
+            "clean"
+        },
         prep.end_time,
         trace.events.len()
     );

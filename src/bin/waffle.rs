@@ -11,16 +11,16 @@
 //! `waffle_core::attempt_seed`), so `--jobs` changes wall-clock time only:
 //! the summary is identical at any worker count.
 
+use std::num::{IntErrorKind, ParseIntError};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::num::{IntErrorKind, ParseIntError};
 use std::str::FromStr;
 
 use waffle_repro::apps::{all_apps, all_bugs, bug, bug_workload, test_workload};
 use waffle_repro::core::{
-    attempt_seed, run_attempts, summarize, Campaign, CampaignConfig, CampaignProgress, CellSpec,
-    CellStatus, CheckpointState, Detector, DetectorConfig, DetectionOutcome, RunOptions, Session,
-    Tool, WorkOptions, write_atomic,
+    attempt_seed, run_attempts, summarize, write_atomic, Campaign, CampaignConfig,
+    CampaignProgress, CellSpec, CellStatus, CheckpointState, DetectionOutcome, Detector,
+    DetectorConfig, RunOptions, Session, Tool, WorkOptions,
 };
 use waffle_repro::sim::{MemoryConfig, MemoryModel, Workload};
 use waffle_repro::telemetry::{AttemptJournal, MetricsRegistry};
@@ -50,30 +50,78 @@ struct Flag {
 }
 
 const fn switch(name: &'static str, help: &'static str) -> Flag {
-    Flag { name, kind: Kind::Switch, help }
+    Flag {
+        name,
+        kind: Kind::Switch,
+        help,
+    }
 }
 
 const fn text(name: &'static str, meta: &'static str, help: &'static str) -> Flag {
-    Flag { name, kind: Kind::Text(meta), help }
+    Flag {
+        name,
+        kind: Kind::Text(meta),
+        help,
+    }
 }
 
 const fn num(name: &'static str, min: u64, max: u64, help: &'static str) -> Flag {
-    Flag { name, kind: Kind::Num { min, max, why: "" }, help }
+    Flag {
+        name,
+        kind: Kind::Num { min, max, why: "" },
+        help,
+    }
 }
 
 // Upper bounds of the integer types the flags land in.
 const U32: u64 = u32::MAX as u64;
 const USIZE: u64 = usize::MAX as u64;
 
-const JOBS: Flag = num("--jobs", 1, 1024, "worker threads (default 1, at most 1024); output is identical at any count");
+const JOBS: Flag = num(
+    "--jobs",
+    1,
+    1024,
+    "worker threads (default 1, at most 1024); output is identical at any count",
+);
 const JSON: Flag = switch("--json", "machine-readable output");
-const SEED: Flag = num("--seed", 0, u64::MAX, "attempt / preparation-run seed (default 1)");
-const MEMORY_MODEL: Flag = text("--memory-model", "sc|tso|pso", "simulated consistency model (default sc); tso/pso add store buffers");
-const MAX_RUNS: Flag = num("--max-runs", 0, U32, "detection-run budget per attempt (default 10; fuzz 16, campaign init 50)");
-const ATTEMPTS: Flag = num("--attempts", 1, U32, "repetition attempts, summarized per §6.1 (default 1; campaign init 5)");
-const TOOL: Flag = text("--tool", "NAME", "waffle (default), basic, noprep, no-parent-child, fixed-delay, no-interference");
-const SESSION: Flag = text("--session", "DIR", "persist plan/decay/reports to a session directory");
-const TELEMETRY: Flag = text("--telemetry", "DIR", "write per-attempt telemetry journals (JSON)");
+const SEED: Flag = num(
+    "--seed",
+    0,
+    u64::MAX,
+    "attempt / preparation-run seed (default 1)",
+);
+const MEMORY_MODEL: Flag = text(
+    "--memory-model",
+    "sc|tso|pso",
+    "simulated consistency model (default sc); tso/pso add store buffers",
+);
+const MAX_RUNS: Flag = num(
+    "--max-runs",
+    0,
+    U32,
+    "detection-run budget per attempt (default 10; fuzz 16, campaign init 50)",
+);
+const ATTEMPTS: Flag = num(
+    "--attempts",
+    1,
+    U32,
+    "repetition attempts, summarized per §6.1 (default 1; campaign init 5)",
+);
+const TOOL: Flag = text(
+    "--tool",
+    "NAME",
+    "waffle (default), basic, noprep, no-parent-child, fixed-delay, no-interference",
+);
+const SESSION: Flag = text(
+    "--session",
+    "DIR",
+    "persist plan/decay/reports to a session directory",
+);
+const TELEMETRY: Flag = text(
+    "--telemetry",
+    "DIR",
+    "write per-attempt telemetry journals (JSON)",
+);
 const MAX_CELLS: Flag = num("--max-cells", 0, USIZE, "stop after checkpointing N cells");
 const SOCKET: Flag = text("--socket", "PATH", "Unix socket of the serve session");
 const PREEMPTION_BOUND: Flag = Flag {
@@ -81,14 +129,24 @@ const PREEMPTION_BOUND: Flag = Flag {
     kind: Kind::Num {
         min: 1,
         max: U32,
-        why: ": at bound 0 no access can be reordered, so every planted bug is vacuously unexposable",
+        why:
+            ": at bound 0 no access can be reordered, so every planted bug is vacuously unexposable",
     },
     help: "oracle preemption bound (default 2)",
 };
 
 /// The flags of `detect`, `scan` and `report`.
-const DETECT_FLAGS: &[Flag] =
-    &[TOOL, MAX_RUNS, SEED, ATTEMPTS, JOBS, SESSION, TELEMETRY, JSON, MEMORY_MODEL];
+const DETECT_FLAGS: &[Flag] = &[
+    TOOL,
+    MAX_RUNS,
+    SEED,
+    ATTEMPTS,
+    JOBS,
+    SESSION,
+    TELEMETRY,
+    JSON,
+    MEMORY_MODEL,
+];
 
 /// The positional argument a command requires: its metavariable, and the
 /// noun the missing-argument error names.
@@ -114,7 +172,13 @@ const fn command(
     run: fn(&Args) -> Result<(), String>,
     flags: &'static [Flag],
 ) -> Command {
-    Command { name, arg, about, run, flags }
+    Command {
+        name,
+        arg,
+        about,
+        run,
+        flags,
+    }
 }
 
 /// Every subcommand `waffle` dispatches, in `waffle help` order.
@@ -122,65 +186,201 @@ static COMMANDS: &[Command] = &[
     command("help", None, "this listing", help_cmd, &[]),
     command("list", None, "applications and test inputs", list_cmd, &[]),
     command("bugs", None, "the 18 seeded Table 4 bugs", bugs_cmd, &[]),
-    command("analyze", TEST, "preparation run + trace analysis only", analyze_cmd, &[
-        JOBS, SEED, JSON, MEMORY_MODEL,
-        switch("--stats", "index/scan timings and telemetry counters"),
-        switch("--plan-only", "print the serve-session report shape"),
-        text("--spill", "DIR", "analyze out-of-core from an on-disk segment file"),
-        num("--budget-mb", 1, u64::MAX, "resident budget for --spill (default 64)"),
-    ]),
-    command("serve", None, "streaming ingestion server; reports match batch analyze", serve_cmd, &[
-        SOCKET, JOBS, JSON,
-        text("--dir", "DIR", "where serve writes segments and reports"),
-        num("--seal-events", 1, USIZE, "events per sealed generation"),
-        num("--queue-events", 1, USIZE, "per-session queue bound"),
-        text("--policy", "block|shed", "backpressure under a full queue (default block)"),
-        num("--max-sessions", 0, USIZE, "exit after N sessions"),
-    ]),
-    command("ingest", None, "stream one test's trace to a serve socket", ingest_cmd, &[
-        SOCKET, SEED,
-        text("--test", "NAME", "the test input whose trace is streamed"),
-        num("--batch", 1, USIZE, "events per Events frame (default 4096)"),
-    ]),
-    command("detect", TEST, "run a tool on one test input", detect_cmd, DETECT_FLAGS),
-    command("step", TEST, "one process-step of the workflow (needs --session)", step_cmd, &[
-        TOOL, SEED, SESSION, JSON, MEMORY_MODEL,
-    ]),
-    command("scan", Some(("<app>", "app name")), "run a tool on an app's whole suite", scan_cmd, DETECT_FLAGS),
-    command("report", Some(("<bug-id>", "bug id")), "expose a seeded bug, full report", report_cmd, DETECT_FLAGS),
-    command("stats", Some(("<dir>", "journal directory")), "aggregate telemetry journals", stats_cmd, &[JSON]),
+    command(
+        "analyze",
+        TEST,
+        "preparation run + trace analysis only",
+        analyze_cmd,
+        &[
+            JOBS,
+            SEED,
+            JSON,
+            MEMORY_MODEL,
+            switch("--stats", "index/scan timings and telemetry counters"),
+            switch("--plan-only", "print the serve-session report shape"),
+            text(
+                "--spill",
+                "DIR",
+                "analyze out-of-core from an on-disk segment file",
+            ),
+            num(
+                "--budget-mb",
+                1,
+                u64::MAX,
+                "resident budget for --spill (default 64)",
+            ),
+        ],
+    ),
+    command(
+        "serve",
+        None,
+        "streaming ingestion server; reports match batch analyze",
+        serve_cmd,
+        &[
+            SOCKET,
+            JOBS,
+            JSON,
+            text("--dir", "DIR", "where serve writes segments and reports"),
+            num("--seal-events", 1, USIZE, "events per sealed generation"),
+            num("--queue-events", 1, USIZE, "per-session queue bound"),
+            text(
+                "--policy",
+                "block|shed",
+                "backpressure under a full queue (default block)",
+            ),
+            num("--max-sessions", 0, USIZE, "exit after N sessions"),
+        ],
+    ),
+    command(
+        "ingest",
+        None,
+        "stream one test's trace to a serve socket",
+        ingest_cmd,
+        &[
+            SOCKET,
+            SEED,
+            text("--test", "NAME", "the test input whose trace is streamed"),
+            num(
+                "--batch",
+                1,
+                USIZE,
+                "events per Events frame (default 4096)",
+            ),
+        ],
+    ),
+    command(
+        "detect",
+        TEST,
+        "run a tool on one test input",
+        detect_cmd,
+        DETECT_FLAGS,
+    ),
+    command(
+        "step",
+        TEST,
+        "one process-step of the workflow (needs --session)",
+        step_cmd,
+        &[TOOL, SEED, SESSION, JSON, MEMORY_MODEL],
+    ),
+    command(
+        "scan",
+        Some(("<app>", "app name")),
+        "run a tool on an app's whole suite",
+        scan_cmd,
+        DETECT_FLAGS,
+    ),
+    command(
+        "report",
+        Some(("<bug-id>", "bug id")),
+        "expose a seeded bug, full report",
+        report_cmd,
+        DETECT_FLAGS,
+    ),
+    command(
+        "stats",
+        Some(("<dir>", "journal directory")),
+        "aggregate telemetry journals",
+        stats_cmd,
+        &[JSON],
+    ),
     command("dot", TEST, "render a workload as Graphviz", dot_cmd, &[]),
-    command("campaign init", CAMPAIGN_DIR, "lay out a crash-safe campaign grid", campaign_init, &[
-        ATTEMPTS, MAX_RUNS,
-        text("--tests", "a,b,c", "comma-separated test inputs"),
-        text("--app", "NAME", "every test input of an app"),
-        text("--tools", "t1,t2", "comma-separated tools (default waffle)"),
-        num("--retries", 0, U32, "retries of a panicking cell before quarantine"),
-    ]),
-    command("campaign run", CAMPAIGN_DIR, "run or resume it on N in-process workers", campaign_run, &[
-        JOBS, MAX_CELLS, JSON,
-        switch("--resume", "keep existing checkpoints"),
-        switch("--fresh", "discard existing checkpoints"),
-    ]),
-    command("campaign work", CAMPAIGN_DIR, "join as one coordinator-free worker process", campaign_work, &[
-        MAX_CELLS, JSON,
-        text("--worker", "NAME", "worker name recorded in claim files"),
-        num("--lease-secs", 0, u64::MAX, "claim lease before takeover (default 60)"),
-        num("--poll-ms", 0, u64::MAX, "sleep between scans (default 50)"),
-        switch("--no-wait", "return instead of polling other workers' claims"),
-    ]),
-    command("campaign status", CAMPAIGN_DIR, "per-cell state, live claims, quarantine", campaign_status, &[JSON]),
-    command("fuzz", None, "differential fuzzing vs the schedule oracle", fuzz_cmd, &[
-        JOBS, PREEMPTION_BOUND, MAX_RUNS, MEMORY_MODEL, JSON,
-        num("--seeds", 0, u64::MAX, "generated workloads (default 100)"),
-        num("--seed-base", 0, u64::MAX, "first generator seed (default 0)"),
-        text("--corpus", "DIR", "write minimized disagreeing cases"),
-        switch("--no-reduction", "disable the oracle's partial-order reduction"),
-        switch("--repair", "synthesize a certified repair for every confirmed bug"),
-    ]),
-    command("fix", TEST, "oracle-certified fix synthesis for one test input", fix_cmd, &[
-        MEMORY_MODEL, PREEMPTION_BOUND, SEED, JSON,
-    ]),
+    command(
+        "campaign init",
+        CAMPAIGN_DIR,
+        "lay out a crash-safe campaign grid",
+        campaign_init,
+        &[
+            ATTEMPTS,
+            MAX_RUNS,
+            text("--tests", "a,b,c", "comma-separated test inputs"),
+            text("--app", "NAME", "every test input of an app"),
+            text("--tools", "t1,t2", "comma-separated tools (default waffle)"),
+            num(
+                "--retries",
+                0,
+                U32,
+                "retries of a panicking cell before quarantine",
+            ),
+        ],
+    ),
+    command(
+        "campaign run",
+        CAMPAIGN_DIR,
+        "run or resume it on N in-process workers",
+        campaign_run,
+        &[
+            JOBS,
+            MAX_CELLS,
+            JSON,
+            switch("--resume", "keep existing checkpoints"),
+            switch("--fresh", "discard existing checkpoints"),
+        ],
+    ),
+    command(
+        "campaign work",
+        CAMPAIGN_DIR,
+        "join as one coordinator-free worker process",
+        campaign_work,
+        &[
+            MAX_CELLS,
+            JSON,
+            text("--worker", "NAME", "worker name recorded in claim files"),
+            num(
+                "--lease-secs",
+                0,
+                u64::MAX,
+                "claim lease before takeover (default 60)",
+            ),
+            num("--poll-ms", 0, u64::MAX, "sleep between scans (default 50)"),
+            switch(
+                "--no-wait",
+                "return instead of polling other workers' claims",
+            ),
+        ],
+    ),
+    command(
+        "campaign status",
+        CAMPAIGN_DIR,
+        "per-cell state, live claims, quarantine",
+        campaign_status,
+        &[JSON],
+    ),
+    command(
+        "fuzz",
+        None,
+        "differential fuzzing vs the schedule oracle",
+        fuzz_cmd,
+        &[
+            JOBS,
+            PREEMPTION_BOUND,
+            MAX_RUNS,
+            MEMORY_MODEL,
+            JSON,
+            num("--seeds", 0, u64::MAX, "generated workloads (default 100)"),
+            num(
+                "--seed-base",
+                0,
+                u64::MAX,
+                "first generator seed (default 0)",
+            ),
+            text("--corpus", "DIR", "write minimized disagreeing cases"),
+            switch(
+                "--no-reduction",
+                "disable the oracle's partial-order reduction",
+            ),
+            switch(
+                "--repair",
+                "synthesize a certified repair for every confirmed bug",
+            ),
+        ],
+    ),
+    command(
+        "fix",
+        TEST,
+        "oracle-certified fix synthesis for one test input",
+        fix_cmd,
+        &[MEMORY_MODEL, PREEMPTION_BOUND, SEED, JSON],
+    ),
 ];
 
 /// A command line checked against one [`Command`]'s table.
@@ -197,7 +397,11 @@ impl Args {
 
     /// The last value given for `name` (`""` for a switch).
     fn get(&self, name: &str) -> Option<&str> {
-        self.set.iter().rev().find(|(n, _)| *n == name).map(|(_, v)| v.as_str())
+        self.set
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| v.as_str())
     }
 
     fn on(&self, name: &str) -> bool {
@@ -219,7 +423,10 @@ impl Args {
 /// Checks `args` against `cmd`'s flags. Every missing-value, bad-number,
 /// below-minimum and unknown-option error comes from here.
 fn parse_args(cmd: &Command, args: &[String]) -> Result<Args, String> {
-    let mut parsed = Args { arg: None, set: Vec::new() };
+    let mut parsed = Args {
+        arg: None,
+        set: Vec::new(),
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(flag) = cmd.flags.iter().find(|f| f.name == a) else {
@@ -231,7 +438,10 @@ fn parse_args(cmd: &Command, args: &[String]) -> Result<Args, String> {
         };
         let value = match flag.kind {
             Kind::Switch => String::new(),
-            _ => it.next().ok_or_else(|| format!("{a} needs a value"))?.clone(),
+            _ => it
+                .next()
+                .ok_or_else(|| format!("{a} needs a value"))?
+                .clone(),
         };
         if let Kind::Num { min, max, why } = flag.kind {
             let too_large = || format!("{a} must be at most {max}");
@@ -518,7 +728,10 @@ fn report_cmd(a: &Args) -> Result<(), String> {
     let opts = options(a)?;
     let spec = bug(id).ok_or_else(|| format!("unknown bug id {id}"))?;
     let w = bug_workload(id).ok_or("bug workload missing")?;
-    println!("Bug-{id} ({} issue {}): {}\n", spec.app, spec.issue, spec.summary);
+    println!(
+        "Bug-{id} ({} issue {}): {}\n",
+        spec.app, spec.issue, spec.summary
+    );
     detect_one(&w, &opts)?;
     Ok(())
 }
@@ -529,10 +742,7 @@ fn report_cmd(a: &Args) -> Result<(), String> {
 /// probabilities.
 fn step_cmd(a: &Args) -> Result<(), String> {
     let opts = options(a)?;
-    let dir = opts
-        .session
-        .clone()
-        .ok_or("step requires --session DIR")?;
+    let dir = opts.session.clone().ok_or("step requires --session DIR")?;
     let session = Session::open(dir).map_err(|e| e.to_string())?;
     let w = test_named(a.arg())?;
     let det = Detector::with_config(
@@ -619,8 +829,8 @@ fn stats_cmd(a: &Args) -> Result<(), String> {
     let mut registry = MetricsRegistry::new();
     for path in &names {
         let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-        let attempt = AttemptJournal::from_json(&text)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let attempt =
+            AttemptJournal::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         registry.absorb_attempt(&attempt);
     }
     if a.on("--json") {
@@ -695,9 +905,9 @@ fn analyze_cmd(a: &Args) -> Result<(), String> {
                 None => DEFAULT_RESIDENT_BYTES,
                 // `m << 20` would silently wrap for m > 2^44 and turn a
                 // typo into a near-zero budget; reject instead.
-                Some(m) => m.checked_mul(1 << 20).ok_or_else(|| {
-                    format!("--budget-mb {m} overflows (max {})", u64::MAX >> 20)
-                })?,
+                Some(m) => m
+                    .checked_mul(1 << 20)
+                    .ok_or_else(|| format!("--budget-mb {m} overflows (max {})", u64::MAX >> 20))?,
             };
             let mut reader = SegmentReader::open(&path).map_err(|e| e.to_string())?;
             let ostats = ooc_stats(&reader, budget);
@@ -737,7 +947,11 @@ fn analyze_cmd(a: &Args) -> Result<(), String> {
     }
     println!(
         "{}: {} events indexed ({} MemOrder over {} objects, {} TSV over {})",
-        w.name, istats.events, istats.mem_events, istats.mem_objects, istats.tsv_events,
+        w.name,
+        istats.events,
+        istats.mem_events,
+        istats.mem_objects,
+        istats.tsv_events,
         istats.tsv_objects
     );
     println!(
@@ -775,7 +989,10 @@ fn analyze_cmd(a: &Args) -> Result<(), String> {
     }
     if a.on("--stats") {
         let dedup = istats.events.max(1) as f64 / istats.distinct_clocks.max(1) as f64;
-        println!("\nindex: {} distinct clock snapshot(s), {dedup:.1} events/snapshot", istats.distinct_clocks);
+        println!(
+            "\nindex: {} distinct clock snapshot(s), {dedup:.1} events/snapshot",
+            istats.distinct_clocks
+        );
         println!(
             "index build: {build_us} µs ({:.0} events/sec)",
             istats.events as f64 / (build_us as f64 / 1e6)
@@ -798,7 +1015,10 @@ fn analyze_cmd(a: &Args) -> Result<(), String> {
 /// `waffle campaign init` — lay out the grid: every test input × every
 /// tool, each cell `--attempts` repetitions.
 fn campaign_init(a: &Args) -> Result<(), String> {
-    let list = |name: &str| a.get(name).map(|v| v.split(',').map(str::to_owned).collect());
+    let list = |name: &str| {
+        a.get(name)
+            .map(|v| v.split(',').map(str::to_owned).collect())
+    };
     let mut tests: Vec<String> = list("--tests").unwrap_or_default();
     let tools: Vec<String> = list("--tools").unwrap_or_else(|| vec!["waffle".into()]);
     let attempts: u32 = a.num("--attempts").unwrap_or(5);
@@ -820,7 +1040,11 @@ fn campaign_init(a: &Args) -> Result<(), String> {
     }
     let cells: Vec<CellSpec> = tests
         .iter()
-        .flat_map(|w| tools.iter().map(|t| CellSpec::new(w.clone(), t.clone(), attempts)))
+        .flat_map(|w| {
+            tools
+                .iter()
+                .map(|t| CellSpec::new(w.clone(), t.clone(), attempts))
+        })
         .collect();
     let dir = a.arg();
     let campaign = Campaign::create(dir, config, cells).map_err(|e| e.to_string())?;
@@ -831,7 +1055,10 @@ fn campaign_init(a: &Args) -> Result<(), String> {
         tools.len(),
         attempts
     );
-    println!("manifest fingerprint {:016x}", campaign.manifest().fingerprint);
+    println!(
+        "manifest fingerprint {:016x}",
+        campaign.manifest().fingerprint
+    );
     println!("run it with: waffle campaign run {dir}");
     Ok(())
 }
@@ -892,7 +1119,10 @@ fn print_progress(campaign: &Campaign, p: &CampaignProgress, json: bool) -> Resu
                 CellStatus::TimedOut => "completed (TimeOut)",
                 CellStatus::Failed => "FAILED (quarantined)",
             };
-            println!("cell [{i:04}] {} / {} -> {status}", spec.workload, spec.tool);
+            println!(
+                "cell [{i:04}] {} / {} -> {status}",
+                spec.workload, spec.tool
+            );
         }
         if p.recovered > 0 {
             println!("recovered {} stale claim(s)", p.recovered);
@@ -943,7 +1173,10 @@ fn campaign_status(a: &Args) -> Result<(), String> {
             ),
             "claimed" => {
                 let c = line.claim.as_ref().expect("claimed cells carry a claim");
-                format!("claimed by {} (pid {}, {}s ago)", c.worker, c.pid, c.age_secs)
+                format!(
+                    "claimed by {} (pid {}, {}s ago)",
+                    c.worker, c.pid, c.age_secs
+                )
             }
             _ if matches!(ckpt, CheckpointState::Invalid) => {
                 "invalid checkpoint (will re-run)".to_owned()
@@ -985,7 +1218,9 @@ fn campaign_status(a: &Args) -> Result<(), String> {
 /// persisted as a replayable corpus case. `--repair` also synthesizes a
 /// certified repair for every oracle-confirmed bug.
 fn fuzz_cmd(a: &Args) -> Result<(), String> {
-    use waffle_repro::fuzz::{classify_case, run_fuzz, shrink_case, CorpusCase, FuzzCase, FuzzConfig};
+    use waffle_repro::fuzz::{
+        classify_case, run_fuzz, shrink_case, CorpusCase, FuzzCase, FuzzConfig,
+    };
 
     let d = FuzzConfig::default();
     let cfg = FuzzConfig {
@@ -1002,7 +1237,10 @@ fn fuzz_cmd(a: &Args) -> Result<(), String> {
     // The block's last seed, seed_base + seeds - 1, must be a u64.
     let max_base = u64::MAX - cfg.seeds.saturating_sub(1);
     if cfg.seed_base > max_base {
-        return Err(format!("--seed-base must be at most {max_base} with --seeds {}", cfg.seeds));
+        return Err(format!(
+            "--seed-base must be at most {max_base} with --seeds {}",
+            cfg.seeds
+        ));
     }
     let json = a.on("--json");
 
@@ -1142,7 +1380,9 @@ fn fix_cmd(a: &Args) -> Result<(), String> {
 /// overload and counts them.
 fn serve_cmd(a: &Args) -> Result<(), String> {
     use waffle_repro::core::{serve, QueuePolicy, ServeOptions};
-    let socket = a.path("--socket").ok_or("serve: --socket PATH is required")?;
+    let socket = a
+        .path("--socket")
+        .ok_or("serve: --socket PATH is required")?;
     let dir = a.path("--dir").ok_or("serve: --dir DIR is required")?;
     let mut opts = ServeOptions::new(socket, dir);
     opts.policy = match a.get("--policy").unwrap_or("block") {
@@ -1182,11 +1422,17 @@ fn ingest_cmd(a: &Args) -> Result<(), String> {
     use waffle_repro::core::replay_trace;
     use waffle_repro::sim::{SimConfig, Simulator};
     use waffle_repro::trace::TraceRecorder;
-    let socket = a.path("--socket").ok_or("ingest: --socket PATH is required")?;
+    let socket = a
+        .path("--socket")
+        .ok_or("ingest: --socket PATH is required")?;
     let name = a.get("--test").ok_or("ingest: --test NAME is required")?;
     let w = test_named(name)?;
     let mut rec = TraceRecorder::new(&w);
-    let _ = Simulator::run(&w, SimConfig::with_seed(a.num("--seed").unwrap_or(1)), &mut rec);
+    let _ = Simulator::run(
+        &w,
+        SimConfig::with_seed(a.num("--seed").unwrap_or(1)),
+        &mut rec,
+    );
     let trace = rec.into_trace();
     let json = replay_trace(&socket, &trace, a.num("--batch").unwrap_or(4096))
         .map_err(|e| e.to_string())?;

@@ -337,7 +337,8 @@ fn incremental_serve_side_analysis_is_byte_identical_across_seal_boundaries() {
             b.add_sites(&sites).expect("site table streams");
             let snaps = trace.clocks.snapshots();
             if snaps.len() > 1 {
-                b.add_clocks(snaps[1..].to_vec()).expect("clock pool streams");
+                b.add_clocks(snaps[1..].to_vec())
+                    .expect("clock pool streams");
             }
             b.declare_end_time(trace.end_time);
             // One fold per budget, fed the same generations.
@@ -345,7 +346,8 @@ fn incremental_serve_side_analysis_is_byte_identical_across_seal_boundaries() {
                 [u64::MAX, 1].map(|budget| (budget, IncrementalAnalysis::new(config, window)));
             let mut generations = Vec::new();
             for (g, events) in trace.events.chunks(chunk).enumerate() {
-                b.push_batch(events.to_vec()).expect("stream is time-ordered");
+                b.push_batch(events.to_vec())
+                    .expect("stream is time-ordered");
                 let path = dir.join(format!("bug-{}-j{jobs}-gen{g}.wseg", spec.id));
                 let out = b.seal(&path).expect("generation seals");
                 for (_, inc) in &mut folds {

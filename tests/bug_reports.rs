@@ -44,10 +44,7 @@ fn every_exposed_report_names_a_real_site_with_context() {
             .filter(|c| c.faulting)
             .collect();
         assert_eq!(faulting.len(), 1, "Bug-{}", spec.id);
-        let last = faulting[0]
-            .recent
-            .last()
-            .expect("faulting context has ops");
+        let last = faulting[0].recent.last().expect("faulting context has ops");
         assert_eq!(
             w.sites.name(last.site),
             report.site,

@@ -9,9 +9,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use waffle_repro::apps::test_workload;
-use waffle_repro::core::{
-    Campaign, CampaignConfig, CellFault, CellSpec, CellStatus, RunOptions,
-};
+use waffle_repro::core::{Campaign, CampaignConfig, CellFault, CellSpec, CellStatus, RunOptions};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("waffle-camp-it-{tag}-{}", std::process::id()));
@@ -48,12 +46,21 @@ fn interrupted_campaign_resumes_byte_identical_at_jobs_1_and_4() {
     let ref_dir = tmpdir("ref");
     let reference = Campaign::create(&ref_dir, config(), grid()).unwrap();
     let ref_report = reference
-        .run(&RunOptions { jobs: 2, ..RunOptions::default() }, test_workload)
+        .run(
+            &RunOptions {
+                jobs: 2,
+                ..RunOptions::default()
+            },
+            test_workload,
+        )
         .unwrap()
         .report
         .expect("uninterrupted run completes");
     let ref_bytes = report_bytes(&ref_dir);
-    assert!(ref_report.telemetry.runs > 0, "telemetry folded into report");
+    assert!(
+        ref_report.telemetry.runs > 0,
+        "telemetry folded into report"
+    );
 
     for jobs in [1usize, 4] {
         let dir = tmpdir(&format!("resume-j{jobs}"));
@@ -61,7 +68,11 @@ fn interrupted_campaign_resumes_byte_identical_at_jobs_1_and_4() {
         // "Kill" after the first checkpoint lands.
         let partial = c
             .run(
-                &RunOptions { jobs, max_cells: Some(1), ..RunOptions::default() },
+                &RunOptions {
+                    jobs,
+                    max_cells: Some(1),
+                    ..RunOptions::default()
+                },
                 test_workload,
             )
             .unwrap();
@@ -71,7 +82,14 @@ fn interrupted_campaign_resumes_byte_identical_at_jobs_1_and_4() {
         assert!(!dir.join("report.json").exists());
         // Resume runs only the outstanding cells …
         let resumed = c
-            .run(&RunOptions { jobs, resume: true, ..RunOptions::default() }, test_workload)
+            .run(
+                &RunOptions {
+                    jobs,
+                    resume: true,
+                    ..RunOptions::default()
+                },
+                test_workload,
+            )
             .unwrap();
         assert_eq!(resumed.skipped, 1);
         assert_eq!(resumed.ran.len(), 3);
@@ -97,7 +115,10 @@ fn checkpoint_truncated_by_a_crash_is_rerun_on_resume() {
     let dir = tmpdir("trunc");
     let c = Campaign::create(&dir, config(), grid()).unwrap();
     c.run(
-        &RunOptions { max_cells: Some(2), ..RunOptions::default() },
+        &RunOptions {
+            max_cells: Some(2),
+            ..RunOptions::default()
+        },
         test_workload,
     )
     .unwrap();
@@ -107,12 +128,23 @@ fn checkpoint_truncated_by_a_crash_is_rerun_on_resume() {
     let full = fs::read_to_string(&ckpt).unwrap();
     fs::write(&ckpt, &full[..full.len() / 2]).unwrap();
     let resumed = c
-        .run(&RunOptions { resume: true, jobs: 4, ..RunOptions::default() }, test_workload)
+        .run(
+            &RunOptions {
+                resume: true,
+                jobs: 4,
+                ..RunOptions::default()
+            },
+            test_workload,
+        )
         .unwrap();
     // The truncated cell is treated as outstanding and recomputed.
     assert_eq!(resumed.skipped, 1);
     assert_eq!(resumed.ran.len(), 3);
-    assert_eq!(fs::read_to_string(&ckpt).unwrap(), full, "recomputed bit-identically");
+    assert_eq!(
+        fs::read_to_string(&ckpt).unwrap(),
+        full,
+        "recomputed bit-identically"
+    );
     assert_eq!(report_bytes(&dir), ref_bytes);
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&ref_dir);
@@ -136,11 +168,17 @@ fn cli_resume_across_processes_matches_uninterrupted_report() {
     };
     let init = |dir: &str| {
         waffle(&[
-            "campaign", "init", dir,
-            "--tests", "SshNet.channel_disconnect,NetMQ.runtime_cleanup",
-            "--tools", "waffle,basic",
-            "--attempts", "3",
-            "--max-runs", "6",
+            "campaign",
+            "init",
+            dir,
+            "--tests",
+            "SshNet.channel_disconnect,NetMQ.runtime_cleanup",
+            "--tools",
+            "waffle,basic",
+            "--attempts",
+            "3",
+            "--max-runs",
+            "6",
         ]);
     };
     let ref_dir = tmpdir("cli-ref");
@@ -155,13 +193,19 @@ fn cli_resume_across_processes_matches_uninterrupted_report() {
     // Process 1 checkpoints one cell and exits (simulated kill).
     waffle(&["campaign", "run", &dir_s, "--max-cells", "1"]);
     let status = waffle(&["campaign", "status", &dir_s]);
-    assert!(status.contains("1/4 cells checkpointed"), "status: {status}");
+    assert!(
+        status.contains("1/4 cells checkpointed"),
+        "status: {status}"
+    );
     // Process 2 refuses to clobber the checkpoints without a decision …
     let out = Command::new(env!("CARGO_BIN_EXE_waffle"))
         .args(["campaign", "run", &dir_s])
         .output()
         .expect("binary runs");
-    assert!(!out.status.success(), "bare rerun must refuse existing checkpoints");
+    assert!(
+        !out.status.success(),
+        "bare rerun must refuse existing checkpoints"
+    );
     // … and a third process resumes to the byte-identical report.
     waffle(&["campaign", "run", &dir_s, "--resume", "--jobs", "4"]);
     assert_eq!(report_bytes(&dir), report_bytes(&ref_dir));
@@ -181,10 +225,19 @@ fn panicking_cell_on_real_suite_is_quarantined_and_neighbours_stand() {
 
     let dir = tmpdir("quar");
     let mut cells = grid();
-    cells[2].fault = Some(CellFault { attempt: 0, panics: u32::MAX });
+    cells[2].fault = Some(CellFault {
+        attempt: 0,
+        panics: u32::MAX,
+    });
     let c = Campaign::create(&dir, config(), cells).unwrap();
     let report = c
-        .run(&RunOptions { jobs: 4, ..RunOptions::default() }, test_workload)
+        .run(
+            &RunOptions {
+                jobs: 4,
+                ..RunOptions::default()
+            },
+            test_workload,
+        )
         .unwrap()
         .report
         .expect("campaign completes despite the panicking cell");

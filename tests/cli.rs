@@ -111,7 +111,8 @@ fn telemetry_journal_reconciles_with_outcome_and_stats_reads_it() {
     assert_eq!(sum("injected"), outcome_sum("delays"));
     assert_eq!(sum("instrumented_ops"), outcome_sum("instrumented_ops"));
     assert!(
-        runs.iter().any(|r| !r["events"].as_seq().unwrap().is_empty()),
+        runs.iter()
+            .any(|r| !r["events"].as_seq().unwrap().is_empty()),
         "--telemetry records per-decision events"
     );
 
@@ -144,23 +145,98 @@ fn unknown_inputs_fail_cleanly() {
     let unknown = |flag: &str| format!("unknown option {flag}");
     let with_attempts = |flag: &str| format!("{flag} cannot be combined with --attempts above 1");
     for (args, expected) in [
-        (&["step", "SshNet.channel_disconnect", "--session", &session, "--max-runs", "3"][..], unknown("--max-runs")),
-        (&["step", "SshNet.channel_disconnect", "--session", &session, "--attempts", "2"][..], unknown("--attempts")),
-        (&["step", "SshNet.channel_disconnect", "--session", &session, "--jobs", "2"][..], unknown("--jobs")),
-        (&["step", "SshNet.channel_disconnect", "--session", &session, "--telemetry", "tj"][..], unknown("--telemetry")),
-        (&["stats", &session, "--frobnicate"][..], unknown("--frobnicate")),
-        (&["campaign", "status", &session, "--frobnicate"][..], unknown("--frobnicate")),
-        (&["detect", "SshNet.channel_disconnect", "--attempts", "3", "--session", &session][..], with_attempts("--session")),
-        (&["detect", "SshNet.channel_disconnect", "--attempts", "3", "--seed", "7"][..], with_attempts("--seed")),
-        (&["scan", "SSH.Net", "--attempts", "2", "--session", &session][..], with_attempts("--session")),
-        (&["report", "1", "--attempts", "2", "--seed", "99"][..], with_attempts("--seed")),
+        (
+            &[
+                "step",
+                "SshNet.channel_disconnect",
+                "--session",
+                &session,
+                "--max-runs",
+                "3",
+            ][..],
+            unknown("--max-runs"),
+        ),
+        (
+            &[
+                "step",
+                "SshNet.channel_disconnect",
+                "--session",
+                &session,
+                "--attempts",
+                "2",
+            ][..],
+            unknown("--attempts"),
+        ),
+        (
+            &[
+                "step",
+                "SshNet.channel_disconnect",
+                "--session",
+                &session,
+                "--jobs",
+                "2",
+            ][..],
+            unknown("--jobs"),
+        ),
+        (
+            &[
+                "step",
+                "SshNet.channel_disconnect",
+                "--session",
+                &session,
+                "--telemetry",
+                "tj",
+            ][..],
+            unknown("--telemetry"),
+        ),
+        (
+            &["stats", &session, "--frobnicate"][..],
+            unknown("--frobnicate"),
+        ),
+        (
+            &["campaign", "status", &session, "--frobnicate"][..],
+            unknown("--frobnicate"),
+        ),
+        (
+            &[
+                "detect",
+                "SshNet.channel_disconnect",
+                "--attempts",
+                "3",
+                "--session",
+                &session,
+            ][..],
+            with_attempts("--session"),
+        ),
+        (
+            &[
+                "detect",
+                "SshNet.channel_disconnect",
+                "--attempts",
+                "3",
+                "--seed",
+                "7",
+            ][..],
+            with_attempts("--seed"),
+        ),
+        (
+            &["scan", "SSH.Net", "--attempts", "2", "--session", &session][..],
+            with_attempts("--session"),
+        ),
+        (
+            &["report", "1", "--attempts", "2", "--seed", "99"][..],
+            with_attempts("--seed"),
+        ),
     ] {
         let out = waffle(args);
         assert!(!out.status.success(), "{args:?} must fail");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(&expected), "{args:?}: {err}");
     }
-    assert!(!std::path::Path::new(&session).exists(), "a rejected command ran");
+    assert!(
+        !std::path::Path::new(&session).exists(),
+        "a rejected command ran"
+    );
 }
 
 #[test]
@@ -194,8 +270,7 @@ fn analyze_rejects_unknown_test() {
 fn fuzz_rejects_a_meaningless_preemption_bound() {
     let out = waffle(&["fuzz", "--preemption-bound", "0"]);
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr)
-        .contains("--preemption-bound must be at least 1"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--preemption-bound must be at least 1"));
 }
 
 /// A seed block whose last seed would pass `u64::MAX` is refused before
@@ -205,7 +280,10 @@ fn fuzz_rejects_a_seed_block_past_the_last_seed() {
     let max = u64::MAX.to_string();
     let out = waffle(&["fuzz", "--seed-base", &max, "--seeds", "2"]);
     assert!(!out.status.success());
-    let expected = format!("--seed-base must be at most {} with --seeds 2", u64::MAX - 1);
+    let expected = format!(
+        "--seed-base must be at most {} with --seeds 2",
+        u64::MAX - 1
+    );
     assert!(
         String::from_utf8_lossy(&out.stderr).contains(&expected),
         "{}",
@@ -270,7 +348,10 @@ fn analyze_spill_matches_the_in_memory_json() {
         "spill analyze failed:\n{}",
         String::from_utf8_lossy(&ooc.stderr)
     );
-    assert_eq!(mem.stdout, ooc.stdout, "out-of-core plans must match in-memory");
+    assert_eq!(
+        mem.stdout, ooc.stdout,
+        "out-of-core plans must match in-memory"
+    );
     assert!(dir.join("SshNet.channel_disconnect.seg").exists());
     // --budget-mb without --spill is meaningless and refused.
     let out = waffle(&["analyze", "SshNet.channel_disconnect", "--budget-mb", "1"]);
@@ -313,7 +394,13 @@ fn campaign_work_and_status_json_track_the_claim_protocol() {
 
     // Worker 1 takes exactly one cell and stops.
     let out = waffle(&[
-        "campaign", "work", &dir_s, "--worker", "w1", "--max-cells", "1",
+        "campaign",
+        "work",
+        &dir_s,
+        "--worker",
+        "w1",
+        "--max-cells",
+        "1",
     ]);
     assert!(
         out.status.success(),
@@ -324,7 +411,11 @@ fn campaign_work_and_status_json_track_the_claim_protocol() {
     let v = status_json();
     assert_eq!(v["done"], 1);
     assert_eq!(v["cells"][0]["state"], "completed");
-    assert_eq!(v["claims"].as_seq().map(|c| c.len()), Some(0), "claim released");
+    assert_eq!(
+        v["claims"].as_seq().map(|c| c.len()),
+        Some(0),
+        "claim released"
+    );
     assert_eq!(v["quarantined"].as_seq().map(|q| q.len()), Some(0));
 
     // Worker 2 finishes the grid and assembles the report.
@@ -380,12 +471,20 @@ fn scan_output_is_identical_at_any_job_count() {
                 args.push("--json");
             }
             let out = waffle(&args);
-            assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+            assert!(
+                out.status.success(),
+                "{args:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
             out.stdout
         };
         let one = run("1");
         assert!(String::from_utf8_lossy(&one).contains("bug(s) exposed across 6 inputs"));
-        assert_eq!(one, run("2"), "scan output differs across --jobs (json = {json})");
+        assert_eq!(
+            one,
+            run("2"),
+            "scan output differs across --jobs (json = {json})"
+        );
     }
 }
 
@@ -397,12 +496,29 @@ fn help_names_every_subcommand() {
     assert!(out.status.success());
     let help = String::from_utf8_lossy(&out.stdout);
     for name in [
-        "help", "list", "bugs", "analyze", "serve", "ingest", "detect", "step", "scan", "report",
-        "stats", "dot", "campaign init", "campaign run", "campaign work", "campaign status",
-        "fuzz", "fix", "--repair",
+        "help",
+        "list",
+        "bugs",
+        "analyze",
+        "serve",
+        "ingest",
+        "detect",
+        "step",
+        "scan",
+        "report",
+        "stats",
+        "dot",
+        "campaign init",
+        "campaign run",
+        "campaign work",
+        "campaign status",
+        "fuzz",
+        "fix",
+        "--repair",
     ] {
         assert!(
-            help.lines().any(|l| l.trim_start().starts_with(name) || l.contains(&format!(" [{name}]"))),
+            help.lines()
+                .any(|l| l.trim_start().starts_with(name) || l.contains(&format!(" [{name}]"))),
             "waffle help does not mention {name}:\n{help}"
         );
     }

@@ -50,8 +50,10 @@ fn cells(workloads: &[Workload]) -> Vec<(&Workload, Detector)> {
 
 /// One summary per cell, cells fanned out over `jobs` workers.
 fn run_cells(cells: &[(&Workload, Detector)], jobs: usize) -> Vec<ExperimentSummary> {
-    par_map(cells.len(), jobs, |i| run_experiment(&cells[i].1, cells[i].0, ATTEMPTS, 1))
-        .expect("no cell panics")
+    par_map(cells.len(), jobs, |i| {
+        run_experiment(&cells[i].1, cells[i].0, ATTEMPTS, 1)
+    })
+    .expect("no cell panics")
 }
 
 #[test]
@@ -128,7 +130,10 @@ fn grid_order_and_content_are_stable_across_job_counts() {
     }
     for jobs in JOB_COUNTS {
         let summaries = run_cells(&cells, jobs);
-        assert_eq!(summaries, reference, "grid must not depend on jobs = {jobs}");
+        assert_eq!(
+            summaries, reference,
+            "grid must not depend on jobs = {jobs}"
+        );
     }
 }
 
@@ -197,11 +202,13 @@ fn campaign_cells_match_run_experiment_even_across_interrupt_and_resume() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     for bytes in &report_files[1..] {
-        assert_eq!(bytes, &report_files[0], "report must not depend on the job count");
+        assert_eq!(
+            bytes, &report_files[0],
+            "report must not depend on the job count"
+        );
     }
 }
 
 fn resolvable(name: &str) -> bool {
     test_workload(name).is_some()
 }
-

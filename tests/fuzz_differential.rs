@@ -134,10 +134,7 @@ fn oracle_clears_background_tests() {
             report.verdict
         );
         assert!(
-            !matches!(
-                report.verdict,
-                waffle_repro::fuzz::OracleVerdict::Truncated
-            ),
+            !matches!(report.verdict, waffle_repro::fuzz::OracleVerdict::Truncated),
             "{} truncated on {} after {} states",
             app.name,
             test.workload.name,

@@ -154,8 +154,18 @@ fn weak_scenarios_are_reduction_invariant() {
 fn witnesses_stay_within_bound_and_replay() {
     let cases = (0..40)
         .map(|s| (generate_case(s), MemoryModel::Sc))
-        .chain((0..10).map(|s| (generate_case_for_model(s, MemoryModel::Tso), MemoryModel::Tso)))
-        .chain((0..10).map(|s| (generate_case_for_model(s, MemoryModel::Pso), MemoryModel::Pso)));
+        .chain((0..10).map(|s| {
+            (
+                generate_case_for_model(s, MemoryModel::Tso),
+                MemoryModel::Tso,
+            )
+        }))
+        .chain((0..10).map(|s| {
+            (
+                generate_case_for_model(s, MemoryModel::Pso),
+                MemoryModel::Pso,
+            )
+        }));
     let mut replayed = 0u32;
     for (case, model) in cases {
         for reduce in [true, false] {

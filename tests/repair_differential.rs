@@ -17,9 +17,7 @@ use waffle_repro::fuzz::{
     FuzzConfig, FuzzReport, GroundTruth, OracleConfig, OracleVerdict, RepairCorpusCase,
 };
 use waffle_repro::mem::NullRefKind;
-use waffle_repro::sim::{
-    Cond, MemoryConfig, MemoryModel, RepairKind, SimTime, WorkloadBuilder,
-};
+use waffle_repro::sim::{Cond, MemoryConfig, MemoryModel, RepairKind, SimTime, WorkloadBuilder};
 
 const JOB_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -68,14 +66,22 @@ fn check_population(report: &FuzzReport, expected: RepairKind) -> Vec<u64> {
                 case.seed,
                 rep.repair_kind()
             );
-            assert!(rep.certified_states > 0, "seed {}: empty certificate", case.seed);
+            assert!(
+                rep.certified_states > 0,
+                "seed {}: empty certificate",
+                case.seed
+            );
             certified_seeds.push(case.seed);
         } else {
             assert!(
                 case.repair.is_none(),
                 "seed {}: {} case must not carry a repair",
                 case.seed,
-                if planted { "unexposable planted" } else { "control" }
+                if planted {
+                    "unexposable planted"
+                } else {
+                    "control"
+                }
             );
         }
     }
@@ -114,8 +120,7 @@ fn replay_repaired(report: &FuzzReport, seeds: &[u64], model: MemoryModel) {
         let patched = patch.apply(&workload).expect("certified patch applies");
         for name in ["waffle", "basic", "tsvd", "noprep"] {
             let tool = Tool::by_name(name).expect("known tool");
-            let outcome =
-                Detector::with_config(tool, detector_cfg.clone()).detect(&patched, 1);
+            let outcome = Detector::with_config(tool, detector_cfg.clone()).detect(&patched, 1);
             assert!(
                 outcome.exposed.is_none(),
                 "seed {seed}: {name} exposed a bug on the repaired workload: {:?}",
@@ -182,7 +187,10 @@ fn weak_scenario_annotations_match_synthesis() {
         match sc.expected_repair {
             Some(expected) => {
                 let OracleVerdict::Exposable { kind, obj, .. } = r.verdict else {
-                    panic!("weak.{}: annotated but not exposable ({:?})", sc.name, r.verdict);
+                    panic!(
+                        "weak.{}: annotated but not exposable ({:?})",
+                        sc.name, r.verdict
+                    );
                 };
                 let plan = derive_plan(&sc.workload, 1, sc.model);
                 let rep = synthesize_with_oracle(&sc.workload, &plan, kind, obj, &cfg);
@@ -351,7 +359,12 @@ fn repair_corpus_replays_forever() {
         );
         if case.expected.is_none() {
             assert!(rep.patch.is_none(), "{}: uncertified patch", path.display());
-            assert_eq!(rep.certified_states, 0, "{}: phantom certificate", path.display());
+            assert_eq!(
+                rep.certified_states,
+                0,
+                "{}: phantom certificate",
+                path.display()
+            );
         }
         replayed += 1;
     }

@@ -99,16 +99,25 @@ fn concurrent_streamed_sessions_match_the_batch_reports() {
     // Finish explains where its time went: one observation per session
     // of each stage.
     for stage in ["ingest/finish_seal", "ingest/finish_replay"] {
-        assert_eq!(report.metrics.counter(&format!("{stage}/count")), 2, "{stage}");
-        assert!(report.metrics.histogram(stage).is_some(), "{stage} histogram");
+        assert_eq!(
+            report.metrics.counter(&format!("{stage}/count")),
+            2,
+            "{stage}"
+        );
+        assert!(
+            report.metrics.histogram(stage).is_some(),
+            "{stage} histogram"
+        );
     }
     // Per-session artifacts landed on disk: the sealed generations and
     // the report. Re-analyzing the generations offline reproduces the
     // saved report byte for byte.
     for id in 1..=2u64 {
-        let saved =
-            std::fs::read_to_string(dir.join(format!("session-{id}.report.json"))).unwrap();
-        assert!(expected.contains(&saved), "saved report matches a batch report");
+        let saved = std::fs::read_to_string(dir.join(format!("session-{id}.report.json"))).unwrap();
+        assert!(
+            expected.contains(&saved),
+            "saved report matches a batch report"
+        );
         let generations = generation_files(&dir.join(format!("session-{id}.gen")));
         assert!(generations.len() >= 2, "session {id} kept its generations");
         assert_eq!(reanalyze(&generations), saved, "session {id}");
@@ -125,7 +134,12 @@ fn generation_files(gen_dir: &Path) -> Vec<PathBuf> {
             let n = path
                 .file_name()
                 .and_then(|name| name.to_str())
-                .and_then(|name| name.strip_prefix("gen-")?.strip_suffix(".wseg")?.parse().ok())
+                .and_then(|name| {
+                    name.strip_prefix("gen-")?
+                        .strip_suffix(".wseg")?
+                        .parse()
+                        .ok()
+                })
                 .unwrap_or_else(|| panic!("unexpected artifact {path:?}"));
             (n, path)
         })
@@ -141,12 +155,21 @@ fn reanalyze(generations: &[PathBuf]) -> String {
     let mut workload = String::new();
     for path in generations {
         let mut reader = SegmentReader::open(path).expect("generation opens");
-        let mem = reader.read_class_columns(SegmentClass::MemOrder).expect("mem columns");
-        let tsv = reader.read_class_columns(SegmentClass::Tsv).expect("tsv columns");
+        let mem = reader
+            .read_class_columns(SegmentClass::MemOrder)
+            .expect("mem columns");
+        let tsv = reader
+            .read_class_columns(SegmentClass::Tsv)
+            .expect("tsv columns");
         // Any bound at or below the session's true stream head is sound:
         // it only keeps a longer tail.
         let catalog = reader.catalog();
-        let horizon = catalog.mem.iter().chain(&catalog.tsv).map(|m| m.max_time).max();
+        let horizon = catalog
+            .mem
+            .iter()
+            .chain(&catalog.tsv)
+            .map(|m| m.max_time)
+            .max();
         fold.absorb(&mem, &tsv, reader.clocks(), horizon.unwrap_or_default(), 1);
         workload.clone_from(&catalog.workload);
     }
@@ -190,12 +213,18 @@ fn shed_policy_discloses_dropped_batches_in_the_session_report() {
         let shed_batches = report.metrics.counter("ingest/shed_batches");
         let shed_events = report.metrics.counter("ingest/shed_events");
         if shed_batches == 0 {
-            assert!(!json.contains("\"shed\""), "lossless report must not carry a shed member");
+            assert!(
+                !json.contains("\"shed\""),
+                "lossless report must not carry a shed member"
+            );
             continue;
         }
         // The sole session's report must disclose exactly the totals the
         // global counters saw, and nothing may fall through the gap.
-        assert!(shed_events >= shed_batches, "a shed batch holds at least one event");
+        assert!(
+            shed_events >= shed_batches,
+            "a shed batch holds at least one event"
+        );
         assert_eq!(
             report.metrics.counter("ingest/events") + shed_events,
             total,
@@ -210,7 +239,10 @@ fn shed_policy_discloses_dropped_batches_in_the_session_report() {
         shed_seen = true;
         break;
     }
-    assert!(shed_seen, "shed never engaged across 5 attempts despite a 1-event queue");
+    assert!(
+        shed_seen,
+        "shed never engaged across 5 attempts despite a 1-event queue"
+    );
     let _ = std::fs::remove_dir_all(&base);
 }
 
@@ -235,7 +267,10 @@ fn a_malformed_session_gets_an_error_not_a_hang() {
     stream.flush().expect("flush");
     match read_frame(&mut stream).expect("server replies") {
         Some(Frame::Error(message)) => {
-            assert!(message.contains("before Hello"), "unexpected error: {message}")
+            assert!(
+                message.contains("before Hello"),
+                "unexpected error: {message}"
+            )
         }
         other => panic!("expected an Error frame, got {other:?}"),
     }

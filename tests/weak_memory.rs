@@ -17,9 +17,7 @@ use proptest::prelude::*;
 use waffle_repro::apps::weak_scenarios;
 use waffle_repro::core::{Detector, DetectorConfig, Tool};
 use waffle_repro::fuzz::{generate_case, generate_case_for_model};
-use waffle_repro::sim::{
-    DrainPolicy, MemoryConfig, MemoryModel, SimConfig, Simulator, Workload,
-};
+use waffle_repro::sim::{DrainPolicy, MemoryConfig, MemoryModel, SimConfig, Simulator, Workload};
 use waffle_repro::trace::TraceRecorder;
 
 /// Runs `w` under `memory` and returns `(run result JSON, trace JSON)`.
@@ -100,6 +98,10 @@ fn curated_scenarios_expose_under_their_model_and_never_under_sc() {
             "{} must be unexposable under sequential consistency",
             s.name
         );
-        assert!(!sc.spontaneous, "{} manifested without delays under sc", s.name);
+        assert!(
+            !sc.spontaneous,
+            "{} manifested without delays under sc",
+            s.name
+        );
     }
 }
