@@ -2,7 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use waffle_mem::{AccessKind, SiteId};
 use waffle_sim::{MemoryModel, SimTime};
@@ -18,7 +17,7 @@ use crate::tsv::TsvPlan;
 /// after analyzing the preparation trace and loads it to bootstrap each
 /// detection run (§4.4, §5); [`Plan::to_json`]/[`Plan::from_json`] mirror
 /// that persistence.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Plan {
     /// Workload the plan was derived from.
     pub workload: String,
@@ -34,58 +33,10 @@ pub struct Plan {
     pub stats: NearMissStats,
     /// Memory model the preparation run simulated: provenance for which
     /// model surfaced the candidate pairs. Omitted from JSON under `Sc`
-    /// so pre-weak-memory plans (and their byte layouts) stay unchanged.
+    /// so pre-weak-memory plans (and their byte layouts) stay unchanged,
+    /// and read back as `Sc` when absent.
+    #[serde(default, skip_serializing_if = "MemoryModel::is_sc")]
     pub memory_model: MemoryModel,
-}
-
-// Hand-written (de)serialization: the vendored `serde_derive` has no
-// `#[serde(...)]` helper attributes, and `memory_model` must be absent
-// from `Sc` plans (byte-identity with pre-weak-memory plan files) yet
-// default to `Sc` when reading such a plan back.
-impl Serialize for Plan {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            (String::from("workload"), self.workload.to_value()),
-            (String::from("candidates"), self.candidates.to_value()),
-            (String::from("delay_len"), self.delay_len.to_value()),
-            (String::from("interference"), self.interference.to_value()),
-            (String::from("delta"), self.delta.to_value()),
-            (String::from("stats"), self.stats.to_value()),
-        ];
-        if !self.memory_model.is_sc() {
-            fields.push((String::from("memory_model"), self.memory_model.to_value()));
-        }
-        Value::Map(fields)
-    }
-}
-
-impl Deserialize for Plan {
-    fn from_value(v: &Value) -> Result<Self, serde::value::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::value::Error::expected("map", v))?;
-        fn req<T: Deserialize>(
-            m: &[(String, Value)],
-            name: &'static str,
-        ) -> Result<T, serde::value::Error> {
-            match serde::value::get(m, name) {
-                Some(x) => T::from_value(x),
-                None => Deserialize::missing_field(name),
-            }
-        }
-        Ok(Plan {
-            workload: req(m, "workload")?,
-            candidates: req(m, "candidates")?,
-            delay_len: req(m, "delay_len")?,
-            interference: req(m, "interference")?,
-            delta: req(m, "delta")?,
-            stats: req(m, "stats")?,
-            memory_model: match serde::value::get(m, "memory_model") {
-                Some(x) => MemoryModel::from_value(x)?,
-                None => MemoryModel::Sc,
-            },
-        })
-    }
 }
 
 impl Plan {
@@ -325,5 +276,34 @@ mod tests {
         assert_eq!(back.delay_len, p.delay_len);
         assert_eq!(back.interference, p.interference);
         assert_eq!(back.delta, p.delta);
+    }
+
+    /// `memory_model` is left out of `Sc` plans and read back as `Sc`
+    /// when absent, so plan files written before weak-memory support
+    /// keep their bytes; any other model is written and round-trips.
+    #[test]
+    fn plan_omits_sc_memory_model_and_reads_its_absence_as_sc() {
+        let sc = plan().to_json().unwrap();
+        assert!(!sc.contains("memory_model"), "{sc}");
+        let legacy = Plan::from_json(&sc).unwrap();
+        assert_eq!(legacy.memory_model, MemoryModel::Sc);
+        assert_eq!(legacy.to_json().unwrap(), sc);
+        // A field without `default` is still required.
+        let mut doc: serde_json::Value = serde_json::from_str(&sc).unwrap();
+        if let serde_json::Value::Map(fields) = &mut doc {
+            fields.retain(|(k, _)| k != "delta");
+        }
+        let err = Plan::from_json(&serde_json::to_string(&doc).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("missing field `delta`"), "{err}");
+
+        let tso = Plan {
+            memory_model: MemoryModel::Tso,
+            ..plan()
+        };
+        let json = tso.to_json().unwrap();
+        assert!(json.ends_with(r#","memory_model":"Tso"}"#), "{json}");
+        let back = Plan::from_json(&json).unwrap();
+        assert_eq!(back.memory_model, MemoryModel::Tso);
+        assert_eq!(back.to_json().unwrap(), json);
     }
 }

@@ -49,12 +49,6 @@ impl TsvPlan {
         self.delay_len.get(&site).copied().unwrap_or(SimTime::ZERO)
     }
 
-    /// Whether `site` is a delay location.
-    #[cfg(test)]
-    pub(crate) fn is_delay_site(&self, site: SiteId) -> bool {
-        self.delay_len.contains_key(&site)
-    }
-
     /// Serializes the plan (same persistence format as [`crate::Plan`]).
     pub fn to_json(&self) -> Result<String, serde_json::Error> {
         serde_json::to_string(self)
@@ -163,8 +157,9 @@ mod tests {
         let c = &plan.candidates[0];
         assert_eq!(c.gap, SimTime::from_us(30_000));
         assert_eq!(plan.delay_for(c.delay_site), SimTime::from_us(30_000));
-        assert!(plan.is_delay_site(c.delay_site));
-        assert!(!plan.is_delay_site(c.other_site));
+        // The earlier call is the only delay location.
+        assert_eq!(plan.delay_for(c.other_site), SimTime::ZERO);
+        assert_eq!(plan.delay_len.len(), 1);
     }
 
     #[test]

@@ -163,104 +163,6 @@ pub fn instances_in_churn(
     b.build()
 }
 
-/// Fig. 4a interference embedded in churn (the NpgSQL shape): the handler
-/// thread performs hot churn work before the racing use, so the plan's
-/// interference set couples the bug's init site with the hot sites.
-#[allow(clippy::too_many_arguments)]
-#[cfg(test)]
-pub(crate) fn bugs_in_churn(
-    name: &str,
-    sites: BugSites,
-    pre: SimTime,
-    g1: SimTime,
-    g2: SimTime,
-    pad: SimTime,
-    churn: ChurnParams,
-) -> Workload {
-    let mut b = WorkloadBuilder::new(name);
-    let obj = b.object("prepared_stmt");
-    let scans = b.objects("cached_stmt", churn.scan_objects);
-    let conns = b.objects("conn", churn.rounds * churn.conns_per_round);
-    let started = b.event("started");
-    let scanned = b.event("scanned");
-    let round_ready: Vec<_> = (0..churn.rounds)
-        .map(|i| b.event(&format!("r{i}")))
-        .collect();
-    let round_done: Vec<_> = (0..churn.rounds)
-        .map(|i| b.event(&format!("d{i}")))
-        .collect();
-
-    let scans_h = scans.clone();
-    let handler = b.script("handler", move |s| {
-        s.wait(started);
-        // Hot candidate instances on the handler thread, executed in the
-        // window before the racing use.
-        for o in &scans_h {
-            s.compute(us(150)).use_(*o, "Cache.touch", us(25));
-        }
-        s.signal(scanned)
-            .compute(pre + g1)
-            .use_(obj, sites.use_, us(40));
-    });
-
-    let conns_w = conns.clone();
-    let ready_w = round_ready.clone();
-    let done_w = round_done.clone();
-    let rounds = churn.rounds;
-    let cpr = churn.conns_per_round;
-    let worker = b.script("worker", move |s| {
-        s.wait(started);
-        for r in 0..rounds {
-            s.wait(ready_w[r as usize]);
-            for c in 0..cpr {
-                let conn = conns_w[(r * cpr + c) as usize];
-                s.compute(us(120))
-                    .use_(conn, &format!("Conn.execute:{c}"), us(30))
-                    .use_(conn, &format!("Conn.read:{c}"), us(20));
-            }
-            s.signal(done_w[r as usize]);
-        }
-    });
-
-    let conns_m = conns.clone();
-    let scans_m = scans.clone();
-    let hot_gap = churn.hot_gap;
-    let main = b.script("main", move |s| {
-        s.compute(pad);
-        for (i, o) in scans_m.iter().enumerate() {
-            s.init(*o, &format!("Cache.fill:{i}"), us(30));
-        }
-        s.fork(handler).fork(worker).signal(started);
-        for r in 0..rounds {
-            for c in 0..cpr {
-                let conn = conns_m[(r * cpr + c) as usize];
-                s.init(conn, &format!("Pool.rent:{c}"), us(35));
-            }
-            s.signal(round_ready[r as usize]);
-            s.wait(round_done[r as usize]);
-            s.compute(hot_gap);
-            for c in 0..cpr {
-                let conn = conns_m[(r * cpr + c) as usize];
-                s.dispose(conn, &format!("Pool.return:{c}"), us(25));
-            }
-        }
-        // The Fig. 4a object: init after the handler exists, dispose g2
-        // after the racing use.
-        s.wait(scanned)
-            .compute(pre)
-            .init(obj, sites.init, us(60))
-            .compute(g1 + g2)
-            .dispose(obj, sites.dispose, us(40))
-            .compute(hot_gap);
-        for (i, o) in scans_m.iter().enumerate() {
-            s.dispose(*o, &format!("Cache.evict:{i}"), us(25));
-        }
-        s.join_children().compute(pad);
-    });
-    b.main(main);
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,12 +194,8 @@ mod tests {
                 ..SimConfig::default()
             };
             let w = instances_in_churn("c.inst", SITES, ms(3), ms(1), ms(8), 1, ms(20), churn());
-            let r = Simulator::run(&w, cfg.clone(), &mut NullMonitor);
-            assert!(!r.manifested(), "instances_in_churn manifested");
-            assert_eq!(r.stranded_threads, 0);
-            let w = bugs_in_churn("c.bugs", SITES, ms(8), ms(15), ms(20), ms(20), churn());
             let r = Simulator::run(&w, cfg, &mut NullMonitor);
-            assert!(!r.manifested(), "bugs_in_churn manifested");
+            assert!(!r.manifested(), "instances_in_churn manifested");
             assert_eq!(r.stranded_threads, 0);
         }
     }

@@ -191,7 +191,7 @@ pub struct OracleSummary {
 }
 
 /// Everything the harness learned about one generated case.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CaseReport {
     /// Generator seed.
     pub seed: u64,
@@ -208,66 +208,14 @@ pub struct CaseReport {
     /// Ground-truth contradictions found on this case.
     pub disagreements: Vec<Disagreement>,
     /// Certified-repair synthesis outcome (`--repair` on oracle-exposable
-    /// planted cases only).
+    /// planted cases only). Omitted when absent, so reports produced
+    /// without `--repair` keep their historical bytes.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub repair: Option<RepairReport>,
 }
 
-// Hand-written so `repair` is omitted when absent: reports produced
-// without `--repair` keep their historical bytes. The vendored derive has
-// no `#[serde(...)]` attributes.
-impl Serialize for CaseReport {
-    fn to_value(&self) -> serde::value::Value {
-        let mut fields = vec![
-            (String::from("seed"), self.seed.to_value()),
-            (String::from("name"), self.name.to_value()),
-            (String::from("truth"), self.truth.to_value()),
-            (String::from("oracle"), self.oracle.to_value()),
-            (String::from("tools"), self.tools.to_value()),
-            (
-                String::from("run_count_anomaly"),
-                self.run_count_anomaly.to_value(),
-            ),
-            (String::from("disagreements"), self.disagreements.to_value()),
-        ];
-        if let Some(repair) = &self.repair {
-            fields.push((String::from("repair"), repair.to_value()));
-        }
-        serde::value::Value::Map(fields)
-    }
-}
-
-impl Deserialize for CaseReport {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::value::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::value::Error::expected("map", v))?;
-        fn req<T: Deserialize>(
-            m: &[(String, serde::value::Value)],
-            name: &'static str,
-        ) -> Result<T, serde::value::Error> {
-            match serde::value::get(m, name) {
-                Some(x) => T::from_value(x),
-                None => Deserialize::missing_field(name),
-            }
-        }
-        Ok(CaseReport {
-            seed: req(m, "seed")?,
-            name: req(m, "name")?,
-            truth: req(m, "truth")?,
-            oracle: req(m, "oracle")?,
-            tools: req(m, "tools")?,
-            run_count_anomaly: req(m, "run_count_anomaly")?,
-            disagreements: req(m, "disagreements")?,
-            repair: match serde::value::get(m, "repair") {
-                Some(x) => Some(RepairReport::from_value(x)?),
-                None => None,
-            },
-        })
-    }
-}
-
 /// The full differential report (deterministic; no wall-clock data).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FuzzReport {
     /// First generator seed.
     pub seed_base: u64,
@@ -277,7 +225,10 @@ pub struct FuzzReport {
     pub preemption_bound: u32,
     /// Detection-run cap.
     pub max_detection_runs: u32,
-    /// Memory model the sweep ran under.
+    /// Memory model the sweep ran under. Omitted under `Sc` (historical
+    /// sc report bytes are pinned by the jobs-invariance tests) and read
+    /// back as `Sc` when absent.
+    #[serde(default, skip_serializing_if = "MemoryModel::is_sc")]
     pub memory: MemoryModel,
     /// Per-case results, in seed order.
     pub cases: Vec<CaseReport>,
@@ -285,63 +236,6 @@ pub struct FuzzReport {
     pub disagreements: Vec<Disagreement>,
     /// Aggregate counters (`fuzz/*`).
     pub metrics: MetricsRegistry,
-}
-
-// Hand-written so `memory` is omitted under `Sc` (historical sc report
-// bytes are pinned by the jobs-invariance tests) and defaults to `Sc` on
-// read. The vendored derive has no `#[serde(...)]` attributes.
-impl Serialize for FuzzReport {
-    fn to_value(&self) -> serde::value::Value {
-        let mut fields = vec![
-            (String::from("seed_base"), self.seed_base.to_value()),
-            (String::from("seeds"), self.seeds.to_value()),
-            (
-                String::from("preemption_bound"),
-                self.preemption_bound.to_value(),
-            ),
-            (
-                String::from("max_detection_runs"),
-                self.max_detection_runs.to_value(),
-            ),
-        ];
-        if !self.memory.is_sc() {
-            fields.push((String::from("memory"), self.memory.to_value()));
-        }
-        fields.push((String::from("cases"), self.cases.to_value()));
-        fields.push((String::from("disagreements"), self.disagreements.to_value()));
-        fields.push((String::from("metrics"), self.metrics.to_value()));
-        serde::value::Value::Map(fields)
-    }
-}
-
-impl Deserialize for FuzzReport {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::value::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::value::Error::expected("map", v))?;
-        fn req<T: Deserialize>(
-            m: &[(String, serde::value::Value)],
-            name: &'static str,
-        ) -> Result<T, serde::value::Error> {
-            match serde::value::get(m, name) {
-                Some(x) => T::from_value(x),
-                None => Deserialize::missing_field(name),
-            }
-        }
-        Ok(FuzzReport {
-            seed_base: req(m, "seed_base")?,
-            seeds: req(m, "seeds")?,
-            preemption_bound: req(m, "preemption_bound")?,
-            max_detection_runs: req(m, "max_detection_runs")?,
-            memory: match serde::value::get(m, "memory") {
-                Some(x) => MemoryModel::from_value(x)?,
-                None => MemoryModel::Sc,
-            },
-            cases: req(m, "cases")?,
-            disagreements: req(m, "disagreements")?,
-            metrics: req(m, "metrics")?,
-        })
-    }
 }
 
 impl FuzzReport {
@@ -454,63 +348,20 @@ impl FuzzReport {
 
 /// A minimized disagreement persisted under `tests/corpus/` and replayed
 /// by tier-1 forever.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CorpusCase {
     /// Where the case came from (e.g. the disagreement it reproduced).
     pub label: String,
     /// Oracle bound the case was classified under.
     pub preemption_bound: u32,
     /// Memory model the case was classified under (`Sc` for every corpus
-    /// entry minted before weak-memory support).
+    /// entry minted before weak-memory support). Omitted under `Sc` and
+    /// read back as `Sc` when absent, so those files parse and re-save
+    /// byte-identically.
+    #[serde(default, skip_serializing_if = "MemoryModel::is_sc")]
     pub memory: MemoryModel,
     /// The (shrunken) workload plus ground truth.
     pub case: FuzzCase,
-}
-
-// Hand-written so `memory` is omitted under `Sc` and defaults to `Sc` on
-// read: corpus files minted before weak-memory support parse (and re-save)
-// byte-identically. The vendored derive has no `#[serde(...)]` attributes.
-impl Serialize for CorpusCase {
-    fn to_value(&self) -> serde::value::Value {
-        let mut fields = vec![
-            (String::from("label"), self.label.to_value()),
-            (
-                String::from("preemption_bound"),
-                self.preemption_bound.to_value(),
-            ),
-        ];
-        if !self.memory.is_sc() {
-            fields.push((String::from("memory"), self.memory.to_value()));
-        }
-        fields.push((String::from("case"), self.case.to_value()));
-        serde::value::Value::Map(fields)
-    }
-}
-
-impl Deserialize for CorpusCase {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::value::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::value::Error::expected("map", v))?;
-        fn req<T: Deserialize>(
-            m: &[(String, serde::value::Value)],
-            name: &'static str,
-        ) -> Result<T, serde::value::Error> {
-            match serde::value::get(m, name) {
-                Some(x) => T::from_value(x),
-                None => Deserialize::missing_field(name),
-            }
-        }
-        Ok(CorpusCase {
-            label: req(m, "label")?,
-            preemption_bound: req(m, "preemption_bound")?,
-            memory: match serde::value::get(m, "memory") {
-                Some(x) => MemoryModel::from_value(x)?,
-                None => MemoryModel::Sc,
-            },
-            case: req(m, "case")?,
-        })
-    }
 }
 
 impl CorpusCase {
@@ -945,6 +796,85 @@ mod tests {
         assert!(msg.contains("u64::MAX"), "{msg}");
         let last = FuzzConfig { seeds: 1, ..cfg };
         assert_eq!(map_seeds(&last, |seed| seed), vec![u64::MAX]);
+    }
+
+    /// Top-level keys of a serialized report.
+    fn keys(json: &str) -> Vec<String> {
+        let v: serde_json::Value = serde_json::from_str(json).unwrap();
+        v.as_map().unwrap().iter().map(|(k, _)| k.clone()).collect()
+    }
+
+    /// `memory` is left out of `Sc` sweep reports and read back as `Sc`
+    /// when absent; any other model is written and round-trips.
+    #[test]
+    fn fuzz_report_omits_sc_memory_and_reads_its_absence_as_sc() {
+        let cfg = FuzzConfig {
+            seeds: 1,
+            seed_base: 3,
+            ..FuzzConfig::default()
+        };
+        let sc = run_fuzz(&cfg);
+        let sc_json = sc.to_json().unwrap();
+        assert!(!keys(&sc_json).contains(&"memory".to_string()), "{sc_json}");
+        let legacy: FuzzReport = serde_json::from_str(&sc_json).unwrap();
+        assert_eq!(legacy.memory, MemoryModel::Sc);
+        assert_eq!(legacy.to_json().unwrap(), sc_json);
+
+        let tso = FuzzReport {
+            memory: MemoryModel::Tso,
+            ..sc
+        };
+        let json = tso.to_json().unwrap();
+        assert_eq!(
+            keys(&json),
+            [
+                "seed_base",
+                "seeds",
+                "preemption_bound",
+                "max_detection_runs",
+                "memory",
+                "cases",
+                "disagreements",
+                "metrics"
+            ]
+        );
+        let back: FuzzReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.memory, MemoryModel::Tso);
+        assert_eq!(back.to_json().unwrap(), json);
+    }
+
+    /// `repair` is left out of a case report that has none (every report
+    /// made without `--repair`) and read back as `None` when absent.
+    #[test]
+    fn case_report_omits_absent_repair_and_reads_its_absence_as_none() {
+        let case = run_case(3, &FuzzConfig::default());
+        assert!(case.repair.is_none());
+        let json = serde_json::to_string_pretty(&case).unwrap();
+        assert!(!keys(&json).contains(&"repair".to_string()), "{json}");
+        let legacy: CaseReport = serde_json::from_str(&json).unwrap();
+        assert!(legacy.repair.is_none());
+        assert_eq!(serde_json::to_string_pretty(&legacy).unwrap(), json);
+
+        let repair = RepairReport {
+            workload: case.name.clone(),
+            kind: NullRefKind::UseAfterFree,
+            obj: waffle_mem::ObjectId(1),
+            memory_model: MemoryModel::Sc,
+            preemption_bound: 2,
+            candidates_tried: 4,
+            patch: None,
+            description: None,
+            certified_states: 0,
+        };
+        let repaired = CaseReport {
+            repair: Some(repair.clone()),
+            ..case
+        };
+        let json = serde_json::to_string_pretty(&repaired).unwrap();
+        assert_eq!(keys(&json).last().map(String::as_str), Some("repair"));
+        let back: CaseReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.repair, Some(repair));
+        assert_eq!(serde_json::to_string_pretty(&back).unwrap(), json);
     }
 
     #[test]

@@ -33,14 +33,6 @@ pub enum RefState {
     Disposed,
 }
 
-impl RefState {
-    /// Whether a *use* of a cell in this state succeeds.
-    #[cfg(test)]
-    pub(crate) fn usable(self) -> bool {
-        matches!(self, RefState::Live)
-    }
-}
-
 /// The three MemOrder-relevant operation types of §3.1, plus the
 /// thread-unsafe API call used by the TSV comparison tooling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -98,9 +90,6 @@ mod tests {
     #[test]
     fn default_state_is_null() {
         assert_eq!(RefState::default(), RefState::Null);
-        assert!(!RefState::Null.usable());
-        assert!(RefState::Live.usable());
-        assert!(!RefState::Disposed.usable());
     }
 
     #[test]

@@ -123,12 +123,6 @@ pub enum Op {
 }
 
 impl Op {
-    /// Whether the engine routes this op through the monitor hook.
-    #[cfg(test)]
-    pub(crate) fn is_instrumented(&self) -> bool {
-        matches!(self, Op::Access { .. })
-    }
-
     /// Whether the op drains the executing thread's store buffer before it
     /// runs. Lock operations, fork, join and fences carry full barriers;
     /// sticky events deliberately do not: an event publication without a
@@ -169,27 +163,13 @@ mod tests {
     use crate::time::us;
 
     #[test]
-    fn only_accesses_are_instrumented() {
-        let access = Op::Access {
-            obj: ObjectId(0),
-            kind: AccessKind::Use,
-            site: SiteId(0),
-            dur: us(10),
-        };
-        assert!(access.is_instrumented());
-        assert!(!Op::Compute { dur: us(10) }.is_instrumented());
-        assert!(!Op::JoinChildren.is_instrumented());
-    }
-
-    #[test]
     fn duration_defaults_to_zero_for_control_ops() {
         assert_eq!(Op::JoinChildren.duration(), SimTime::ZERO);
         assert_eq!(Op::Compute { dur: us(7) }.duration(), us(7));
     }
 
     #[test]
-    fn fence_is_an_uninstrumented_free_op() {
-        assert!(!Op::Fence.is_instrumented());
+    fn fence_is_a_free_op() {
         assert_eq!(Op::Fence.duration(), SimTime::ZERO);
     }
 }

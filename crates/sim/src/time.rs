@@ -54,12 +54,6 @@ impl SimTime {
         SimTime(self.0.saturating_sub(other.0))
     }
 
-    /// Absolute difference between two instants.
-    #[cfg(test)]
-    pub(crate) fn abs_diff(self, other: SimTime) -> SimTime {
-        SimTime(self.0.abs_diff(other.0))
-    }
-
     /// Scales this span by a rational factor `num/den` (used for the
     /// paper's α = 1.15 delay-length factor without floating point).
     ///
@@ -177,11 +171,9 @@ mod tests {
     }
 
     #[test]
-    fn min_max_and_abs_diff() {
+    fn min_and_max() {
         assert_eq!(us(3).max(us(9)), us(9));
         assert_eq!(us(3).min(us(9)), us(3));
-        assert_eq!(us(3).abs_diff(us(9)), us(6));
-        assert_eq!(us(9).abs_diff(us(3)), us(6));
     }
 
     #[test]

@@ -123,12 +123,6 @@ impl RunTelemetry {
         }
     }
 
-    /// Whether decision events are being journaled.
-    #[cfg(test)]
-    pub(crate) fn events_enabled(&self) -> bool {
-        self.record_events
-    }
-
     /// Turns decision-event journaling on or off (counters stay on).
     pub fn set_events(&mut self, on: bool) {
         self.record_events = on;
@@ -296,7 +290,6 @@ mod tests {
     #[test]
     fn event_journal_preserves_decision_order_and_payloads() {
         let mut t = RunTelemetry::with_events();
-        assert!(t.events_enabled());
         t.skipped_interference(SiteId(3), ThreadId(2), us(5));
         t.injected(SiteId(3), ThreadId(2), us(7), us(200), 700);
         t.decay_step(SiteId(3), ThreadId(2), us(7), 550);

@@ -55,7 +55,6 @@ pub struct SessionIndexBuilder {
     last_time: SimTime,
     end_time: SimTime,
     generations: u32,
-    events_total: u64,
 }
 
 impl SessionIndexBuilder {
@@ -70,7 +69,6 @@ impl SessionIndexBuilder {
             last_time: SimTime::ZERO,
             end_time: SimTime::ZERO,
             generations: 0,
-            events_total: 0,
         }
     }
 
@@ -92,12 +90,6 @@ impl SessionIndexBuilder {
     /// Events waiting in the pending buffer (not yet sealed).
     pub fn pending_events(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Total events accepted over the session's lifetime.
-    #[cfg(test)]
-    pub(crate) fn events_total(&self) -> u64 {
-        self.events_total
     }
 
     /// Generations sealed so far.
@@ -177,7 +169,6 @@ impl SessionIndexBuilder {
         self.last_time = ev.time;
         self.end_time = self.end_time.max(ev.time);
         self.pending.push(ev);
-        self.events_total += 1;
         Ok(())
     }
 
@@ -265,7 +256,8 @@ mod tests {
             .add_sites(&[("init".into(), AccessKind::Use)])
             .unwrap_err();
         assert!(err.to_string().contains("redefined"), "{err}");
-        assert_eq!(b.events_total(), 1);
+        // Only the one valid event was buffered.
+        assert_eq!(b.pending_events(), 1);
     }
 
     #[test]

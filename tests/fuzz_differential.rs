@@ -5,10 +5,12 @@
 //! case (a minimized historical disagreement) replays clean forever.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use waffle_repro::apps::all_apps;
-use waffle_repro::fuzz::{explore, run_fuzz, CorpusCase, FuzzConfig, OracleConfig};
+use waffle_repro::fuzz::{
+    explore, run_fuzz, CorpusCase, FuzzConfig, OracleConfig, RepairCorpusCase,
+};
 
 const JOB_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -89,6 +91,41 @@ fn corpus_cases_replay_clean() {
         replayed += 1;
     }
     assert!(replayed >= 1, "corpus must hold at least one case");
+}
+
+/// The `.json` files directly under `dir`, with their text.
+fn json_files(dir: &Path) -> Vec<(PathBuf, String)> {
+    let mut files = Vec::new();
+    for entry in fs::read_dir(dir).expect("corpus dir exists") {
+        let path = entry.expect("readable dir entry").path();
+        if path.extension().and_then(|e| e.to_str()) == Some("json") {
+            let text = fs::read_to_string(&path).expect("readable corpus case");
+            files.push((path, text));
+        }
+    }
+    files
+}
+
+/// Every checked-in corpus file, the repair boundary cases included,
+/// gives back its exact bytes after a parse and re-save: the persisted
+/// formats (an `Sc` disagreement case has no `memory` key) are stable.
+#[test]
+fn corpus_files_re_save_byte_identically() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let cases = json_files(&root);
+    for (path, text) in &cases {
+        let again = CorpusCase::from_json(text).and_then(|c| c.to_json());
+        assert_eq!(again.unwrap(), *text, "{}", path.display());
+    }
+    let repairs = json_files(&root.join("repair"));
+    for (path, text) in &repairs {
+        let again = RepairCorpusCase::from_json(text).and_then(|c| c.to_json());
+        assert_eq!(again.unwrap(), *text, "{}", path.display());
+    }
+    assert!(
+        cases.len() >= 2 && repairs.len() >= 2,
+        "committed corpus missing"
+    );
 }
 
 /// The oracle independently confirms all 18 curated Table 4 bugs as
