@@ -479,7 +479,7 @@ mod tests {
         assert_eq!(r.heap.inits, 4);
         assert_eq!(r.heap.disposes, 4);
         let site = w.sites.lookup("Client.connect").unwrap();
-        assert_eq!(r.site_dyn_counts[&site], 4);
+        assert_eq!(r.dyn_count(site), 4);
     }
 
     #[test]

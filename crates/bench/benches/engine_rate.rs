@@ -7,20 +7,46 @@
 //! simulated events, `engine_attempts_jobs<N>` counts detection attempts
 //! (events/s and attempts/s are `count * 1e9 / wall_ns`; speedups over
 //! `jobs1` mean nothing at jobs above `env.available_parallelism`). The
-//! counters are the dispatch run's event count and the telemetry of one
+//! counters are the dispatch run's event count, the telemetry of one
 //! sequential reference experiment (fixed seeds), where injection-behavior
-//! drift shows even when throughput stays flat.
+//! drift shows even when throughput stays flat, and the allocation calls
+//! of one Bug-16 base run, preparation run and detection attempt.
+//!
+//! Gates: each `alloc/*` count is at most its [`ALLOC_BUDGET`] entry.
+//! The counts are exact on one toolchain (single-threaded, fixed seeds,
+//! measured after the reference experiment has settled the trace
+//! recorder's capacity hints), so a change that adds an allocation to a
+//! simulated run fails the bench.
 
 use criterion::{black_box, Criterion};
-use waffle_bench::Ledger;
-use waffle_core::{run_experiment, Detector, DetectorConfig, Tool};
+use waffle_bench::{alloc, Ledger};
+use waffle_core::{attempt_seed, run_experiment, run_seed, Detector, DetectorConfig, Tool};
 use waffle_sim::{NullMonitor, SimConfig, SimTime, Simulator, Workload, WorkloadBuilder};
+use waffle_trace::TraceRecorder;
+
+#[global_allocator]
+static ALLOC: alloc::Counting = alloc::Counting;
 
 /// Attempts per engine measurement (kept small: each attempt is a full
 /// prepare-and-detect cycle).
 const ATTEMPTS: u32 = 8;
 /// Detection runs per attempt.
 const MAX_RUNS: u32 = 4;
+/// Allocation calls allowed for one Bug-16 base run, one preparation run
+/// (from `TraceRecorder::new` to dropping the trace) and one detection
+/// attempt: the counts measured when the gates were set.
+const ALLOC_BUDGET: [(&str, u64); 3] = [
+    ("alloc/base_run", 40),
+    ("alloc/prep_run", 62),
+    ("alloc/attempt", 682),
+];
+
+/// Allocation calls made while `f` runs, its result dropped included.
+fn allocs<R>(f: impl FnOnce() -> R) -> u64 {
+    let before = alloc::calls();
+    drop(f());
+    alloc::calls() - before
+}
 
 /// A dispatch-heavy workload: two worker threads each touching the shared
 /// object through hundreds of distinct sites, so the measurement is
@@ -81,6 +107,25 @@ fn main() {
         },
     );
     let telemetry = run_experiment(&det, &racy, ATTEMPTS, 1).telemetry.counters;
+    // The detector's first attempt, run by run: base, then preparation
+    // with its deadline, then the whole attempt.
+    let seed = attempt_seed(0);
+    let base_cfg = SimConfig::with_seed(run_seed(seed, 0));
+    let base_time = Simulator::run(&racy, base_cfg.clone(), &mut NullMonitor).end_time;
+    let prep_cfg = SimConfig {
+        seed: run_seed(seed, 1),
+        deadline: Some(base_time * DetectorConfig::default().deadline_factor),
+        ..SimConfig::default()
+    };
+    let alloc_counts = [
+        allocs(|| Simulator::run(&racy, base_cfg, &mut NullMonitor)),
+        allocs(|| {
+            let mut rec = TraceRecorder::new(&racy);
+            Simulator::run(&racy, prep_cfg, &mut rec);
+            rec.into_trace()
+        }),
+        allocs(|| det.detect(&racy, seed)),
+    ];
     let mut job_counts = vec![1usize, 2];
     if ledger.env.available_parallelism > 2 {
         job_counts.push(ledger.env.available_parallelism as usize);
@@ -111,6 +156,11 @@ fn main() {
             telemetry.skipped_interference,
         )
         .counter("telemetry/decay_steps", telemetry.decay_steps)
-        .counter("telemetry/instrumented_ops", telemetry.instrumented_ops)
-        .write();
+        .counter("telemetry/instrumented_ops", telemetry.instrumented_ops);
+    for ((name, budget), count) in ALLOC_BUDGET.into_iter().zip(alloc_counts) {
+        ledger
+            .counter(name, count)
+            .max(name, count as f64, budget as f64);
+    }
+    ledger.write();
 }

@@ -35,11 +35,8 @@ use waffle_telemetry::MetricsRegistry;
 use waffle_trace::{TraceIndex, TraceRecorder};
 
 use crate::gen::{generate_case_for_model, FuzzCase, GroundTruth};
-use crate::repair::synthesize_with_oracle;
-
-#[cfg(test)]
-use crate::gen::generate_case;
 use crate::oracle::{explore, OracleConfig, OracleVerdict};
+use crate::repair::synthesize_with_oracle;
 
 /// Detector configurations the harness differentially tests.
 pub const TOOLS: [&str; 4] = ["waffle", "basic", "tsvd", "noprep"];
@@ -347,8 +344,11 @@ impl FuzzReport {
 }
 
 /// A minimized disagreement persisted under `tests/corpus/` and replayed
-/// by tier-1 forever.
+/// by tier-1 forever. Unknown keys are an error, so a repair case
+/// ([`RepairCorpusCase`](crate::RepairCorpusCase)) filed here fails to
+/// parse instead of losing its `expected` outcome.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CorpusCase {
     /// Where the case came from (e.g. the disagreement it reproduced).
     pub label: String,
@@ -717,6 +717,7 @@ fn map_seeds<R: Send>(cfg: &FuzzConfig, case: impl Fn(u64) -> R + Sync) -> Vec<R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::generate_case;
 
     #[test]
     fn small_block_has_no_disagreements_and_is_jobs_invariant() {

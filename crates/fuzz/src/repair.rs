@@ -34,8 +34,10 @@ pub fn certify_unexposable(w: &Workload, cfg: &OracleConfig) -> Certification {
 /// workload with a pinned synthesis outcome, replayed forever. `expected`
 /// is the grammar production synthesis must certify, or `None` for a case
 /// whose real fix lies outside the grammar — those must stay reported
-/// unrepairable rather than ever acquiring an uncertified patch.
+/// unrepairable rather than ever acquiring an uncertified patch. Unknown
+/// keys are an error, like [`CorpusCase`](crate::CorpusCase)'s.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RepairCorpusCase {
     /// Why the case is pinned (what it exercises).
     pub label: String,

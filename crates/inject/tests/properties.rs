@@ -98,9 +98,9 @@ proptest! {
         let state = p.into_state();
         prop_assert_eq!(stats.injected as usize, r.delays.len());
         for (l1, partners) in &state.candidates {
-            prop_assert!(r.site_dyn_counts.contains_key(l1));
+            prop_assert!(r.dyn_count(*l1) > 0);
             for l2 in partners {
-                prop_assert!(r.site_dyn_counts.contains_key(l2));
+                prop_assert!(r.dyn_count(*l2) > 0);
             }
         }
     }

@@ -32,4 +32,4 @@ pub mod site;
 pub use error::{NullRefError, NullRefKind};
 pub use heap::{AccessOutcome, Heap, HeapStats};
 pub use object::{AccessKind, ObjectId, RefState};
-pub use site::{SiteId, SiteIdOverflow, SiteInfo, SiteRegistry};
+pub use site::{SiteId, SiteInfo, SiteRegistry};

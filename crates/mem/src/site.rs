@@ -9,8 +9,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::object::AccessKind;
 
@@ -20,41 +21,11 @@ use crate::object::AccessKind;
 )]
 pub struct SiteId(pub u32);
 
-impl SiteId {
-    /// Checked construction from a table index: a [`SiteIdOverflow`] once
-    /// the index has outgrown the 32-bit id space, instead of the silent
-    /// wrap a bare `as u32` cast would produce.
-    pub fn try_new(index: usize) -> Result<Self, SiteIdOverflow> {
-        u32::try_from(index)
-            .map(SiteId)
-            .map_err(|_| SiteIdOverflow { index })
-    }
-}
-
 impl fmt::Display for SiteId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "ℓ{}", self.0)
     }
 }
-
-/// A site-table index outgrew the 32-bit [`SiteId`] space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SiteIdOverflow {
-    /// The offending table index.
-    pub index: usize,
-}
-
-impl fmt::Display for SiteIdOverflow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "site id overflow: index {} does not fit the 32-bit id space",
-            self.index
-        )
-    }
-}
-
-impl std::error::Error for SiteIdOverflow {}
 
 /// Metadata attached to a site.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -70,10 +41,32 @@ pub struct SiteInfo {
 /// Registration order defines ids, and workload builders register sites
 /// deterministically, so the same workload produces the same ids in every
 /// run — a requirement for cross-run plans and decay state.
+///
+/// Clones share one table: cloning bumps a reference count, and
+/// [`register`](Self::register) on a shared registry copies the table
+/// first (copy-on-write), so every clone still sees only its own
+/// registrations. A trace recorder takes its workload's table this way
+/// once per preparation run.
+#[derive(Debug, Clone, Default)]
+pub struct SiteRegistry(Arc<Sites>);
+
+/// The table behind a [`SiteRegistry`]; also its serialized form.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct SiteRegistry {
+struct Sites {
     sites: Vec<SiteInfo>,
     by_name: HashMap<String, SiteId>,
+}
+
+impl Serialize for SiteRegistry {
+    fn to_value(&self) -> Value {
+        self.0.to_value()
+    }
+}
+
+impl Deserialize for SiteRegistry {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Sites::from_value(v).map(|s| Self(Arc::new(s)))
+    }
 }
 
 impl SiteRegistry {
@@ -92,31 +85,32 @@ impl SiteRegistry {
     /// Panics if `name` was previously registered with a different `kind` —
     /// that is a workload construction bug.
     pub fn register(&mut self, name: &str, kind: AccessKind) -> SiteId {
-        if let Some(&id) = self.by_name.get(name) {
-            let existing = &self.sites[id.0 as usize];
+        if let Some(&id) = self.0.by_name.get(name) {
+            let existing = &self.0.sites[id.0 as usize];
             assert_eq!(
                 existing.kind, kind,
                 "site {name:?} re-registered with a different access kind"
             );
             return id;
         }
-        let id = SiteId(self.sites.len() as u32);
-        self.sites.push(SiteInfo {
+        let table = Arc::make_mut(&mut self.0);
+        let id = SiteId(table.sites.len() as u32);
+        table.sites.push(SiteInfo {
             name: name.to_owned(),
             kind,
         });
-        self.by_name.insert(name.to_owned(), id);
+        table.by_name.insert(name.to_owned(), id);
         id
     }
 
     /// Looks up a site by name.
     pub fn lookup(&self, name: &str) -> Option<SiteId> {
-        self.by_name.get(name).copied()
+        self.0.by_name.get(name).copied()
     }
 
     /// Returns the metadata for `id`, if registered.
     pub fn info(&self, id: SiteId) -> Option<&SiteInfo> {
-        self.sites.get(id.0 as usize)
+        self.0.sites.get(id.0 as usize)
     }
 
     /// Returns the site name for `id`, or a placeholder for unknown ids.
@@ -128,17 +122,18 @@ impl SiteRegistry {
 
     /// Number of registered sites.
     pub fn len(&self) -> usize {
-        self.sites.len()
+        self.0.sites.len()
     }
 
     /// Whether no sites are registered.
     pub fn is_empty(&self) -> bool {
-        self.sites.is_empty()
+        self.0.sites.is_empty()
     }
 
     /// Iterates over `(id, info)` pairs in registration order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (SiteId, &SiteInfo)> {
-        self.sites
+        self.0
+            .sites
             .iter()
             .enumerate()
             .map(|(i, info)| (SiteId(i as u32), info))
@@ -146,7 +141,7 @@ impl SiteRegistry {
 
     /// Counts sites whose operation class satisfies `pred`.
     pub fn count_where(&self, pred: impl Fn(AccessKind) -> bool) -> usize {
-        self.sites.iter().filter(|s| pred(s.kind)).count()
+        self.0.sites.iter().filter(|s| pred(s.kind)).count()
     }
 }
 
@@ -192,6 +187,53 @@ mod tests {
         r.register("c", AccessKind::UnsafeApiCall);
         assert_eq!(r.count_where(AccessKind::is_mem_order), 2);
         assert_eq!(r.count_where(AccessKind::is_tsv), 1);
+    }
+
+    #[test]
+    fn clones_share_one_table() {
+        let mut r = SiteRegistry::new();
+        r.register("a", AccessKind::Init);
+        let c = r.clone();
+        assert!(Arc::ptr_eq(&r.0, &c.0));
+        assert_eq!(c.lookup("a"), Some(SiteId(0)));
+    }
+
+    #[test]
+    fn register_on_a_clone_leaves_the_original_unchanged() {
+        let mut r = SiteRegistry::new();
+        r.register("a", AccessKind::Init);
+        let mut c = r.clone();
+        // Re-registering a known name reads the shared table and keeps it shared.
+        assert_eq!(c.register("a", AccessKind::Init), SiteId(0));
+        assert!(Arc::ptr_eq(&r.0, &c.0));
+        assert_eq!(c.register("b", AccessKind::Use), SiteId(1));
+        assert!(!Arc::ptr_eq(&r.0, &c.0));
+        assert_eq!((r.len(), c.len()), (1, 2));
+        assert!(r.lookup("b").is_none());
+        assert_eq!(c.name(SiteId(1)), "b");
+    }
+
+    /// The serialized form is the plain table, so traces and segments
+    /// written by earlier builds read back and re-save unchanged.
+    #[test]
+    fn serialized_json_matches_the_golden_bytes() {
+        const GOLDEN: &str = concat!(
+            r#"{"sites":[{"name":"Poller.ctor:3","kind":"Init"},"#,
+            r#"{"name":"Poller.Run:12","kind":"Use"},"#,
+            r#"{"name":"Poller.Dispose:8","kind":"Dispose"},"#,
+            r#"{"name":"Queue.Enqueue:4","kind":"UnsafeApiCall"}],"#,
+            r#""by_name":{"Poller.Dispose:8":2,"Poller.Run:12":1,"#,
+            r#""Poller.ctor:3":0,"Queue.Enqueue:4":3}}"#
+        );
+        let mut r = SiteRegistry::new();
+        r.register("Poller.ctor:3", AccessKind::Init);
+        r.register("Poller.Run:12", AccessKind::Use);
+        r.register("Poller.Dispose:8", AccessKind::Dispose);
+        r.register("Queue.Enqueue:4", AccessKind::UnsafeApiCall);
+        assert_eq!(serde_json::to_string(&r).unwrap(), GOLDEN);
+        let back: SiteRegistry = serde_json::from_str(GOLDEN).unwrap();
+        assert_eq!(back.lookup("Poller.Dispose:8"), Some(SiteId(2)));
+        assert_eq!(serde_json::to_string(&back).unwrap(), GOLDEN);
     }
 
     #[test]

@@ -104,12 +104,19 @@ struct ThreadClock {
 /// Depth of the per-thread recent-access ring buffer.
 const RECENT_DEPTH: usize = 8;
 
+/// An event-queue key: `(time, gen, thread)`.
+type EventKey = (SimTime, u64, ThreadId);
+
 /// The clocks, the event queue and the run result: everything the
 /// machine's observer callbacks update.
 struct Clock {
-    /// Keyed `(time, gen, thread)`. A thread's `gen` rises on every
-    /// schedule, so keys are unique and the pop order is total.
-    queue: BinaryHeap<Reverse<(SimTime, u64, ThreadId)>>,
+    /// The fast lane: an entry that sorts before every entry in `queue`.
+    /// Most schedules land before everything queued (a thread resuming
+    /// right after its own op), so they skip the heap.
+    next: Option<EventKey>,
+    /// The other entries. A thread's `gen` rises on every schedule, so
+    /// keys are unique and the pop order is total.
+    queue: BinaryHeap<Reverse<EventKey>>,
     threads: Vec<ThreadClock>,
     fork_cost: SimTime,
     result: RunResult,
@@ -119,7 +126,25 @@ impl Clock {
     fn schedule(&mut self, tid: ThreadId, at: SimTime) {
         let th = &mut self.threads[tid.0 as usize];
         th.gen += 1;
-        self.queue.push(Reverse((at, th.gen, tid)));
+        let key = (at, th.gen, tid);
+        match self.next {
+            Some(held) if key < held => {
+                self.queue.push(Reverse(held));
+                self.next = Some(key);
+            }
+            Some(_) => self.queue.push(Reverse(key)),
+            None if self.queue.peek().is_none_or(|Reverse(min)| key < *min) => {
+                self.next = Some(key);
+            }
+            None => self.queue.push(Reverse(key)),
+        }
+    }
+
+    /// Pops the earliest entry: the held one, else the heap's minimum.
+    fn pop(&mut self) -> Option<EventKey> {
+        self.next
+            .take()
+            .or_else(|| self.queue.pop().map(|Reverse(key)| key))
     }
 
     fn spawn(&mut self, tid: ThreadId, at: SimTime) {
@@ -206,10 +231,6 @@ pub struct Simulator<'w> {
     clock: Clock,
     active_delays: Vec<ActiveDelay>,
     tsv_windows: HashMap<ObjectId, Vec<TsvWindow>>,
-    /// Dense per-site dynamic-access counters, indexed by `SiteId`. The
-    /// dispatch loop bumps these with a plain array index; they fold into
-    /// the public `RunResult::site_dyn_counts` map once, at run end.
-    site_dyn_counts: Vec<u64>,
     max_time: SimTime,
 }
 
@@ -229,16 +250,19 @@ impl<'w> Simulator<'w> {
         Self {
             rng: SmallRng::seed_from_u64(config.seed),
             clock: Clock {
+                next: None,
                 queue: BinaryHeap::with_capacity(thread_hint * 4),
                 threads: Vec::with_capacity(thread_hint),
                 fork_cost: config.fork_cost,
-                result: RunResult::default(),
+                result: RunResult {
+                    site_dyn_counts: vec![0; workload.sites.len()],
+                    ..RunResult::default()
+                },
             },
             config,
             machine: Machine::new(workload, model),
             active_delays: Vec::new(),
             tsv_windows: HashMap::new(),
-            site_dyn_counts: vec![0; workload.sites.len()],
             max_time: SimTime::ZERO,
         }
     }
@@ -252,7 +276,7 @@ impl<'w> Simulator<'w> {
     /// Executes the workload to completion and returns the run result.
     pub fn execute(mut self, monitor: &mut dyn Monitor) -> RunResult {
         self.clock.spawn(ThreadId(0), SimTime::ZERO);
-        while let Some(Reverse((t, gen, tid))) = self.clock.queue.pop() {
+        while let Some((t, gen, tid)) = self.clock.pop() {
             if let Some(deadline) = self.config.deadline {
                 if t > deadline {
                     self.clock.result.timed_out = true;
@@ -295,14 +319,6 @@ impl<'w> Simulator<'w> {
         result.heap = self.machine.heap().stats();
         result.threads_spawned = u32::try_from(self.machine.threads().len())
             .expect("thread count outgrew u32 (checked at spawn, so unreachable)");
-        // Fold the dense counters into the public map (accessed sites only).
-        result.site_dyn_counts = self
-            .site_dyn_counts
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, c)| (SiteId::try_new(i).expect("indexed by 32-bit site ids"), *c))
-            .collect();
         monitor.on_run_end(&result);
         result
     }
@@ -424,14 +440,15 @@ impl<'w> Simulator<'w> {
         else {
             unreachable!("begin_access runs at an access");
         };
+        let counts = &mut self.clock.result.site_dyn_counts;
         let idx = site.0 as usize;
-        if idx >= self.site_dyn_counts.len() {
+        if idx >= counts.len() {
             // Sites are registered up front, so this only triggers for
             // monitors that synthesize sites mid-run.
-            self.site_dyn_counts.resize(idx + 1, 0);
+            counts.resize(idx + 1, 0);
         }
-        let dyn_index = self.site_dyn_counts[idx];
-        self.site_dyn_counts[idx] += 1;
+        let dyn_index = counts[idx];
+        counts[idx] += 1;
         self.active_delays.retain(|d| d.end > t);
         let action = monitor.on_access_pre(&AccessCtx {
             time: t,
@@ -1198,6 +1215,53 @@ mod tests {
                 .map(|(waiter, _)| *waiter)
                 .collect();
             assert_eq!(woken, waiters, "join hooks out of thread order");
+        }
+    }
+
+    /// Threads in the event-queue property test.
+    const QUEUE_THREADS: u32 = 4;
+
+    proptest::proptest! {
+        /// Over any interleaving of schedules and pops, the fast-lane
+        /// clock pops the same `(time, gen, thread)` sequence as a plain
+        /// binary heap fed the same keys.
+        #[test]
+        fn fast_lane_pops_in_heap_order(
+            ops in proptest::collection::vec((0u8..3, 0..QUEUE_THREADS, 0u64..40), 0..200),
+        ) {
+            let mut clock = Clock {
+                next: None,
+                queue: BinaryHeap::new(),
+                threads: Vec::new(),
+                fork_cost: SimTime::ZERO,
+                result: RunResult::default(),
+            };
+            let mut heap = BinaryHeap::new();
+            let mut gens = [0u64; QUEUE_THREADS as usize];
+            let mut schedule = |clock: &mut Clock, heap: &mut BinaryHeap<_>, tid: u32, at| {
+                let t = ThreadId(tid);
+                if tid as usize == clock.threads.len() {
+                    clock.spawn(t, at);
+                } else {
+                    clock.schedule(t, at);
+                }
+                gens[tid as usize] += 1;
+                heap.push(Reverse((at, gens[tid as usize], t)));
+            };
+            for tid in 0..QUEUE_THREADS {
+                schedule(&mut clock, &mut heap, tid, SimTime::ZERO);
+            }
+            for (kind, tid, at) in ops {
+                if kind < 2 {
+                    schedule(&mut clock, &mut heap, tid, us(at));
+                } else {
+                    proptest::prop_assert_eq!(clock.pop(), heap.pop().map(|Reverse(k)| k));
+                }
+            }
+            while let Some(Reverse(key)) = heap.pop() {
+                proptest::prop_assert_eq!(clock.pop(), Some(key));
+            }
+            proptest::prop_assert_eq!(clock.pop(), None);
         }
     }
 }

@@ -1,7 +1,5 @@
 //! Run results: everything a run produces, with timing context.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 use waffle_mem::{HeapStats, NullRefError, ObjectId, SiteId};
 
@@ -169,8 +167,9 @@ pub struct RunResult {
     pub forks: Vec<ForkEdge>,
     /// Heap statistics.
     pub heap: HeapStats,
-    /// Dynamic execution count per static site.
-    pub site_dyn_counts: HashMap<SiteId, u64>,
+    /// Dynamic execution count per static site, indexed by site id (see
+    /// [`RunResult::dyn_count`]).
+    pub site_dyn_counts: Vec<u64>,
     /// Threads spawned (including the root).
     pub threads_spawned: u32,
     /// Total operations executed.
@@ -230,6 +229,15 @@ impl RunResult {
             return 0.0;
         }
         1.0 - self.delay_projection().as_us() as f64 / total.as_us() as f64
+    }
+
+    /// How many times `site` executed in this run (0 for a site the run
+    /// never reached).
+    pub fn dyn_count(&self, site: SiteId) -> u64 {
+        self.site_dyn_counts
+            .get(site.0 as usize)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Whether the run manifested a MemOrder bug (an unhandled NULL

@@ -220,7 +220,7 @@ fn site_dyn_counts_match_executed_accesses() {
         &mut NullMonitor,
     );
     let b_site = w.sites.lookup("b").unwrap();
-    assert_eq!(r.site_dyn_counts[&b_site], 5);
+    assert_eq!(r.dyn_count(b_site), 5);
     assert_eq!(r.instrumented_ops, 6);
 }
 

@@ -46,12 +46,16 @@ fn every_committed_gate_holds() {
     }
 }
 
-/// The gates the committed sizes must carry: the oracle's reduction and
-/// allocation claims, serve's floor and flat peak, and scale's flat peak
-/// and (at 10M events) its scan speedup.
+/// The gates the committed sizes must carry: the simulator's allocation
+/// budgets per run and per attempt, the oracle's reduction and allocation
+/// claims, serve's floor and flat peak, and scale's flat peak and (at 10M
+/// events) its scan speedup.
 #[test]
 fn committed_ledgers_carry_their_claims() {
     for (bench, gate) in [
+        ("core", "alloc/base_run"),
+        ("core", "alloc/prep_run"),
+        ("core", "alloc/attempt"),
         ("oracle", "grid/tso/b3/state_ratio"),
         ("oracle", "alloc_probe/events"),
         ("serve", "ingest_events_per_sec"),

@@ -136,9 +136,9 @@ fn recurring_bugs_expose_multiple_dynamic_instances() {
         );
         let s = w.sites.lookup(site).unwrap();
         assert!(
-            r.site_dyn_counts[&s] >= 4,
+            r.dyn_count(s) >= 4,
             "Bug-{id}: {site} must recur (got {})",
-            r.site_dyn_counts[&s]
+            r.dyn_count(s)
         );
     }
 }

@@ -128,6 +128,23 @@ fn corpus_files_re_save_byte_identically() {
     );
 }
 
+/// A repair case filed among the disagreement cases does not parse as
+/// one: the error names the `expected` key a `CorpusCase` would drop.
+#[test]
+fn repair_case_read_as_a_corpus_case_names_its_unknown_key() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/repair");
+    let repairs = json_files(&root);
+    assert!(!repairs.is_empty(), "committed repair corpus missing");
+    for (path, text) in &repairs {
+        let err = CorpusCase::from_json(text).expect_err("a repair case is not a corpus case");
+        assert!(
+            err.to_string().contains("unknown field `expected`"),
+            "{}: {err}",
+            path.display()
+        );
+    }
+}
+
 /// The oracle independently confirms all 18 curated Table 4 bugs as
 /// exposable within the default preemption bound — none by truncation.
 #[test]
