@@ -15,20 +15,13 @@ use crate::plan::Plan;
 pub struct AnalyzerConfig {
     /// Near-miss window δ (default 100 ms, §6.1).
     pub delta: SimTime,
-    /// Delay-length factor α as a rational `alpha_num / alpha_den`
-    /// (default 1.15, §4.3).
-    pub alpha_num: u64,
-    /// Denominator of α.
-    pub alpha_den: u64,
     /// Prune candidates ordered by fork-edge happens-before (§4.1).
     /// Disabled by the "no parent-child analysis" ablation.
     pub prune_parent_child: bool,
     /// Compute per-location delay lengths (§4.3). When disabled (the "no
-    /// custom delay length" ablation), every candidate gets `fixed_delay`.
+    /// custom delay length" ablation), every candidate gets
+    /// [`AnalyzerConfig::FIXED_DELAY`].
     pub variable_delay: bool,
-    /// Delay length used when `variable_delay` is off (default 100 ms, the
-    /// TSVD/WaffleBasic setting).
-    pub fixed_delay: SimTime,
     /// Build the interference set (§4.4). When disabled (the "no
     /// interference control" ablation), `I` is empty.
     pub interference_control: bool,
@@ -43,11 +36,8 @@ impl Default for AnalyzerConfig {
     fn default() -> Self {
         Self {
             delta: SimTime::from_ms(100),
-            alpha_num: 115,
-            alpha_den: 100,
             prune_parent_child: true,
             variable_delay: true,
-            fixed_delay: SimTime::from_ms(100),
             interference_control: true,
             memory: MemoryModel::Sc,
         }
@@ -55,6 +45,10 @@ impl Default for AnalyzerConfig {
 }
 
 impl AnalyzerConfig {
+    /// Delay length of every candidate under the "no custom delay length"
+    /// ablation: 100 ms, the TSVD/WaffleBasic setting.
+    pub const FIXED_DELAY: SimTime = SimTime::from_ms(100);
+
     /// The "no parent-child analysis" ablation (Table 7 row 1).
     pub fn without_parent_child(mut self) -> Self {
         self.prune_parent_child = false;
@@ -80,6 +74,11 @@ impl AnalyzerConfig {
     }
 }
 
+/// The delay planned for a near-miss gap: α = 1.15 times the gap (§4.3).
+pub fn alpha_delay(gap: SimTime) -> SimTime {
+    gap.scale(115, 100)
+}
+
 /// Per-location delay lengths (§4.3): the largest gap across the pairs
 /// involving each delay site, scaled by α; or the fixed length under the
 /// "no custom delay length" ablation. Shared by the fused pipeline and the
@@ -91,9 +90,9 @@ pub(crate) fn delay_plan(
     let mut delay_len: BTreeMap<SiteId, SimTime> = BTreeMap::new();
     for c in candidates {
         let planned = if config.variable_delay {
-            c.max_gap.scale(config.alpha_num, config.alpha_den)
+            alpha_delay(c.max_gap)
         } else {
-            config.fixed_delay
+            AnalyzerConfig::FIXED_DELAY
         };
         let cur = delay_len.entry(c.delay_site).or_insert(SimTime::ZERO);
         *cur = (*cur).max(planned);

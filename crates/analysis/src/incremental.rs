@@ -7,7 +7,7 @@
 //! [`IncrementalAnalysis`] instead sweeps **fresh events only** per seal
 //! and keeps three things between seals:
 //!
-//! - the shared folds ([`MemFold`] and [`TsvFold`]), whose per-pair folds
+//! - the shared MemOrder and TSV folds, whose per-pair folds
 //!   are commutative (max gap, summed observations, **min** representative
 //!   object);
 //! - the sweep stats, inside the MemOrder fold;
@@ -16,7 +16,7 @@
 //!
 //! At each [`absorb`](IncrementalAnalysis::absorb), the tail is prepended
 //! to the generation's fresh columns and the folds' `fresh_from` sweep
-//! ([`MemFold::absorb`]) counts only pairs whose *later* event is fresh.
+//! counts only pairs whose *later* event is fresh.
 //! Session streams are time-ordered, so any event that can still pair with
 //! a future event is by definition within `δ` of the stream head — exactly
 //! the tail that was kept. Each cross-seal pair is therefore examined

@@ -75,7 +75,7 @@ mod ranks;
 pub mod repair;
 pub mod tsv;
 
-pub use analyzer::{analyze, analyze_jobs, analyze_unindexed, AnalyzerConfig};
+pub use analyzer::{alpha_delay, analyze, analyze_jobs, analyze_unindexed, AnalyzerConfig};
 pub use candidates::{BugKind, CandidatePair};
 pub use incremental::{IncrementalAnalysis, IncrementalStats};
 pub use interference::InterferenceSet;

@@ -6,7 +6,7 @@
 //! the whole run, mirroring the partial-order-BMC observation that the
 //! *ordering structure*, not the event mass, is what analysis needs hot:
 //!
-//! - the interned [`ClockPool`](waffle_trace::ClockPool) (read once from
+//! - the interned [`ClockPool`] (read once from
 //!   the segment file's footer catalog), and
 //! - the per-pair accumulators (candidates and stats), whose size is
 //!   bounded by distinct site pairs, not events.
@@ -14,7 +14,7 @@
 //! Event columns stream through a **resident-bytes budget**: object
 //! segments are loaded in ascending object order until the next segment
 //! would overflow the budget, and each batch is absorbed by the same
-//! [`MemFold`] the in-memory path uses (sharded across `jobs`), then
+//! MemOrder fold the in-memory path uses (sharded across `jobs`), then
 //! dropped. The fold was built for determinism across arbitrary
 //! contiguous partitions — max and sum folds plus a min representative
 //! object — so batch boundaries are as invisible to the output as shard
@@ -23,8 +23,8 @@
 //! Interference resolution needs the candidate pairs' observations and
 //! delay-site executions, and the candidates are only known once every
 //! batch has been absorbed. Rather than buffer either during the sweep,
-//! [`MemFold::finish`] has the stream replayed a second time into an
-//! [`InterferencePass`], which keeps just the candidate-pair observations
+//! the fold's finish has the stream replayed a second time into an
+//! interference pass, which keeps just the candidate-pair observations
 //! and delay-site executions — both bounded by how often candidate sites
 //! run, typically a sliver of the trace.
 

@@ -10,10 +10,10 @@
 //! session's sealed generations ([`crate::IncrementalAnalysis`]) — only
 //! decides which batches to feed:
 //!
-//! - [`MemFold`] sweeps each batch for near-miss candidates and folds the
-//!   per-pair aggregates; [`MemFold::finish`] turns them into the [`Plan`];
-//! - [`TsvFold`] does the same for thread-safety-violation pairs;
-//! - [`InterferencePass`] replays the batches once the candidates are
+//! - `MemFold` sweeps each batch for near-miss candidates and folds the
+//!   per-pair aggregates; `MemFold::finish` turns them into the [`Plan`];
+//! - `TsvFold` does the same for thread-safety-violation pairs;
+//! - `InterferencePass` replays the batches once the candidates are
 //!   known and resolves the interference set.
 //!
 //! The sweep itself:

@@ -66,7 +66,7 @@ impl Plan {
 /// detection runs.
 ///
 /// Every site the detection policy looks up — each delay site and each
-/// site named by the interference set — gets a rank ([`SiteRanks`]); the
+/// site named by the interference set — gets a dense rank; the
 /// planned delay length and the interference row of a site are then a
 /// `Vec` index and a bit test. A detection attempt compiles its plan once
 /// and every run borrows the tables, so a run neither clones the plan

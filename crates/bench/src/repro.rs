@@ -903,7 +903,7 @@ fn fig3() -> Table {
     for run in 1..=3u64 {
         let mut p = WafflePolicy::new(plan.clone(), decay, run);
         let r = Simulator::run(&w, SimConfig::with_seed(1 + run), &mut p);
-        let stats = p.stats();
+        let stats = p.journal().counters;
         decay = p.into_decay();
         let stage = format!("detection {run}");
         for (what, n) in [
@@ -1198,8 +1198,7 @@ fn fixed_delay_runs(w: &Workload, base: SimTime, delay: SimTime) -> (Option<u64>
     let mut exposed = None;
     for run in 1..=DELAY_SWEEP_RUNS {
         state.decay = Default::default();
-        let mut p =
-            OnlinePolicy::with_params(Pairing::MemOrder, state, run, delay, OnlinePolicy::DELTA);
+        let mut p = OnlinePolicy::with_params(Pairing::MemOrder, state, run, delay);
         let r = Simulator::run(
             w,
             SimConfig {

@@ -54,6 +54,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use serde::{Deserialize, Serialize};
 use waffle_sim::Workload;
 use waffle_telemetry::TelemetrySummary;
+use waffle_trace::fnv1a;
 
 use crate::detector::{Detector, DetectorConfig, Tool};
 use crate::experiment::{attempt_seed, par_map, summarize, ExperimentSummary};
@@ -164,15 +165,6 @@ fn ignore_missing(r: io::Result<()>) -> io::Result<()> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
         r => r,
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn fingerprint(config: &CampaignConfig, cells: &[CellSpec]) -> u64 {

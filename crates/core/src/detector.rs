@@ -217,7 +217,6 @@ impl Detector {
             timing_noise_pct: self.config.timing_noise_pct,
             deadline,
             memory: self.config.memory,
-            ..SimConfig::default()
         }
     }
 

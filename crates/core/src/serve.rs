@@ -19,7 +19,7 @@
 //! ```
 //!
 //! Per connection the server runs **two** threads joined by a bounded
-//! [`SessionQueue`]:
+//! session queue:
 //!
 //! - the *reader* decodes frames off the socket and enqueues them;
 //! - the *worker* drains the queue, validates each frame against the

@@ -26,9 +26,10 @@
 //!   direct-mapped table. A state revisited with no more budget cannot
 //!   reach anything new and is pruned.
 //! * **Sleep-set partial-order reduction** — interleavings that differ
-//!   only in the order of independent transitions are explored once; see
-//!   [`reduction`] for the independence relation and the preemption-
-//!   bound conservatism rule. Disable with [`OracleConfig::reduce`].
+//!   only in the order of independent transitions are explored once; the
+//!   private `reduction` module holds the independence relation and the
+//!   preemption-bound conservatism rule. Disable with
+//!   [`OracleConfig::reduce`].
 //! * **Clone-on-branch frames** — the DFS keeps one frame per depth and
 //!   materializes a sibling by cloning into a recycled frame (the last
 //!   sibling steals the parent's state outright), so the hot loop does

@@ -31,6 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use waffle_analysis::alpha_delay;
 use waffle_mem::{AccessKind, SiteId};
 use waffle_sim::tls::InheritableTls;
 use waffle_sim::{AccessCtx, AccessRecord, Monitor, PreAction, SimTime, ThreadId};
@@ -88,17 +89,6 @@ impl OnlineState {
     }
 }
 
-/// Per-run statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OnlineRunStats {
-    /// Delays injected this run.
-    pub injected: u64,
-    /// Pairs added to `S` this run.
-    pub pairs_added: u64,
-    /// Pairs removed by happens-before inference this run.
-    pub pairs_removed: u64,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct OwnDelay {
     site: SiteId,
@@ -122,7 +112,6 @@ pub struct OnlinePolicy {
     rng: SmallRng,
     window: RecentWindow,
     own_delays: Vec<OwnDelay>,
-    stats: OnlineRunStats,
     telemetry: RunTelemetry,
 }
 
@@ -134,17 +123,16 @@ impl OnlinePolicy {
 
     /// Creates a policy for one run.
     pub fn new(pairing: Pairing, state: OnlineState, seed: u64) -> Self {
-        Self::with_params(pairing, state, seed, Self::FIXED_DELAY, Self::DELTA)
+        Self::with_params(pairing, state, seed, Self::FIXED_DELAY)
     }
 
-    /// Creates a policy with explicit delay length and window (used by the
+    /// Creates a policy with an explicit delay length (used by the
     /// delay-length sensitivity experiments of §4.3).
     pub fn with_params(
         pairing: Pairing,
         state: OnlineState,
         seed: u64,
         fixed_delay: SimTime,
-        delta: SimTime,
     ) -> Self {
         Self {
             pairing,
@@ -152,9 +140,8 @@ impl OnlinePolicy {
             fixed_delay: Some(fixed_delay),
             clocks: None,
             rng: SmallRng::seed_from_u64(seed),
-            window: RecentWindow::new(delta),
+            window: RecentWindow::new(Self::DELTA),
             own_delays: Vec::new(),
-            stats: OnlineRunStats::default(),
             telemetry: RunTelemetry::counters_only(),
         }
     }
@@ -174,15 +161,6 @@ impl OnlinePolicy {
     /// Extracts the evolved cross-run state.
     pub fn into_state(self) -> OnlineState {
         self.state
-    }
-
-    /// Run statistics. The injection count is read from the telemetry
-    /// counters (the single source of truth).
-    pub fn stats(&self) -> OnlineRunStats {
-        OnlineRunStats {
-            injected: self.telemetry.journal().counters.injected,
-            ..self.stats
-        }
     }
 
     /// Turns per-decision event journaling on or off (counters stay on).
@@ -212,7 +190,7 @@ impl OnlinePolicy {
             return self.fixed_delay;
         }
         let gap = self.state.max_gap_us.get(&site).copied().unwrap_or(0);
-        Some(SimTime::from_us(gap).scale(115, 100)).filter(|&len| len > SimTime::ZERO)
+        Some(alpha_delay(SimTime::from_us(gap))).filter(|&len| len > SimTime::ZERO)
     }
 
     /// Whether the pairing instruments accesses of this kind.
@@ -223,17 +201,15 @@ impl OnlinePolicy {
         }
     }
 
-    fn remove_pair(&mut self, l1: SiteId, l2: SiteId) -> bool {
+    fn remove_pair(&mut self, l1: SiteId, l2: SiteId) {
         if let Some(partners) = self.state.candidates.get_mut(&l1) {
             if partners.remove(&l2) {
                 self.state.removed.insert((l1, l2));
                 if partners.is_empty() {
                     self.state.candidates.remove(&l1);
                 }
-                return true;
             }
         }
-        false
     }
 
     /// Happens-before inference (§2, §3.1): a delay injected before ℓ1 that
@@ -250,7 +226,6 @@ impl OnlinePolicy {
     ///    of an unrelated overlapping delay, so dense injection makes it
     ///    unreliable).
     fn infer_happens_before(&mut self, ctx: &AccessCtx<'_>) {
-        let mut removed = 0;
         // Signal 1: blocked-interval overlap. `last_block` is the accessing
         // thread's own most recent block.
         if let Some(block) = ctx.last_block.filter(|b| !b.is_empty()).copied() {
@@ -270,8 +245,8 @@ impl OnlinePolicy {
             // Thread 2 is caused by a synchronization operation or is
             // solely the effect of the second delay" — so it only acts on
             // an unambiguous, single-delay explanation.
-            if hits.len() == 1 && self.remove_pair(hits[0], ctx.site) {
-                removed += 1;
+            if hits.len() == 1 {
+                self.remove_pair(hits[0], ctx.site);
             }
         }
         // Signal 2: timestamp shift against the delay-free baseline (first
@@ -313,15 +288,12 @@ impl OnlinePolicy {
                     // Floor at 500µs: shifts below measurement precision
                     // cannot be attributed to a delay.
                     let thresh = (dur.as_us() / 2).max(500);
-                    if ctx.time.as_us() >= base + own_shift_us + thresh
-                        && self.remove_pair(l1, ctx.site)
-                    {
-                        removed += 1;
+                    if ctx.time.as_us() >= base + own_shift_us + thresh {
+                        self.remove_pair(l1, ctx.site);
                     }
                 }
             }
         }
-        self.stats.pairs_removed += removed;
     }
 
     /// Records the delay-free baseline arrival time of ℓ2 for each pair it
@@ -386,10 +358,8 @@ impl OnlinePolicy {
     }
 
     fn add_pair(&mut self, l1: SiteId, l2: SiteId) {
-        if !self.state.removed.contains(&(l1, l2))
-            && self.state.candidates.entry(l1).or_default().insert(l2)
-        {
-            self.stats.pairs_added += 1;
+        if !self.state.removed.contains(&(l1, l2)) {
+            self.state.candidates.entry(l1).or_default().insert(l2);
         }
     }
 }
@@ -533,8 +503,8 @@ mod tests {
         let mut policy = OnlinePolicy::new(Pairing::MemOrder, OnlineState::default(), 7);
         let r = Simulator::run(&w, SimConfig::with_seed(0).deterministic(), &mut policy);
         assert!(r.manifested(), "delays: {:?}", r.delays.len());
-        assert!(policy.stats().pairs_added >= 1);
-        assert!(policy.stats().injected >= 1);
+        assert!(policy.take_journal().counters.injected >= 1);
+        assert!(policy.into_state().delay_sites() >= 1);
         assert_eq!(r.delays[0].dur, OnlinePolicy::FIXED_DELAY);
     }
 
@@ -589,14 +559,14 @@ mod tests {
             let mut policy = OnlinePolicy::new(Pairing::MemOrder, state, run);
             let r = Simulator::run(&w, SimConfig::with_seed(run).deterministic(), &mut policy);
             assert!(!r.manifested(), "ordered pair must never manifest");
-            let stats = policy.stats();
+            let injected = policy.take_journal().counters.injected;
             state = policy.into_state();
             match run {
-                0 => assert!(stats.pairs_added >= 1),
+                0 => assert!(state.delay_sites() >= 1),
                 1 => {
-                    assert!(stats.injected >= 1);
+                    assert!(injected >= 1);
                     assert!(
-                        stats.pairs_removed >= 1,
+                        !state.removed.is_empty(),
                         "delay propagation must trigger pair removal"
                     );
                     assert_eq!(
@@ -606,7 +576,7 @@ mod tests {
                         state.candidates
                     );
                 }
-                _ => assert_eq!(stats.injected, 0),
+                _ => assert_eq!(injected, 0),
             }
         }
     }
@@ -619,16 +589,11 @@ mod tests {
         let mut state = OnlineState::default();
         let mut total_injected = 0;
         for run in 0..30u64 {
-            let mut policy = OnlinePolicy::with_params(
-                Pairing::MemOrder,
-                state,
-                run,
-                SimTime::from_us(10),
-                OnlinePolicy::DELTA,
-            );
+            let mut policy =
+                OnlinePolicy::with_params(Pairing::MemOrder, state, run, SimTime::from_us(10));
             let r = Simulator::run(&w, SimConfig::with_seed(run).deterministic(), &mut policy);
             assert!(!r.manifested());
-            total_injected += policy.stats().injected;
+            total_injected += policy.take_journal().counters.injected;
             state = policy.into_state();
         }
         // Two delay sites (the UBI init and the UAF use), each with a decay
@@ -689,13 +654,14 @@ mod tests {
         let w = tsv_workload(6);
         let mut policy = OnlinePolicy::new(Pairing::Tsv, OnlineState::default(), 3);
         let r = Simulator::run(&w, SimConfig::with_seed(0).deterministic(), &mut policy);
+        let injected = policy.take_journal().counters.injected;
+        let state = policy.into_state();
         assert!(
             !r.tsv_violations.is_empty(),
-            "injected={} pairs={}",
-            policy.stats().injected,
-            policy.stats().pairs_added
+            "injected={injected} pairs={:?}",
+            state.candidates
         );
-        assert!(policy.stats().injected >= 1);
+        assert!(injected >= 1);
     }
 
     #[test]

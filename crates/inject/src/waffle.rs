@@ -27,17 +27,6 @@ impl Default for WaffleConfig {
     }
 }
 
-/// Statistics of one detection run under the Waffle policy.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WaffleRunStats {
-    /// Delays injected.
-    pub injected: u64,
-    /// Delays skipped by the probability roll.
-    pub skipped_probability: u64,
-    /// Delays skipped by interference control.
-    pub skipped_interference: u64,
-}
-
 /// Plan-guided delay injection: variable-length delays at the candidate
 /// locations of the plan, gated by probability decay and interference
 /// avoidance.
@@ -118,17 +107,6 @@ impl<'p> WafflePolicy<'p> {
             }
         }
         self.decay
-    }
-
-    /// Run statistics, read from the telemetry counters — the journal and
-    /// `WaffleRunStats` cannot disagree by construction.
-    pub fn stats(&self) -> WaffleRunStats {
-        let c = self.telemetry.journal().counters;
-        WaffleRunStats {
-            injected: c.injected,
-            skipped_probability: c.skipped_probability,
-            skipped_interference: c.skipped_interference,
-        }
     }
 
     /// Turns per-decision event journaling on or off (counters stay on).
@@ -264,7 +242,7 @@ mod tests {
             r.exceptions[0].error.kind,
             waffle_mem::NullRefKind::UseAfterFree
         );
-        assert_eq!(policy.stats().injected, 1);
+        assert_eq!(policy.journal().counters.injected, 1);
     }
 
     #[test]
@@ -292,22 +270,18 @@ mod tests {
         let mut policy = WafflePolicy::new(plan, decay, 1);
         let r = Simulator::run(&w, SimConfig::with_seed(1), &mut policy);
         assert!(!r.manifested());
-        assert_eq!(policy.stats().injected, 0);
-        assert_eq!(policy.stats().skipped_probability, 1);
+        assert_eq!(policy.journal().counters.injected, 0);
+        assert_eq!(policy.journal().counters.skipped_probability, 1);
     }
 
     #[test]
-    fn journal_counters_reconcile_with_stats_and_run_result() {
+    fn journal_counters_reconcile_with_run_result() {
         let w = uaf_workload();
         let plan = plan_for(&w);
         let mut policy = WafflePolicy::new(plan, DecayState::default(), 1);
         policy.record_events(true);
         let r = Simulator::run(&w, SimConfig::with_seed(1), &mut policy);
-        let stats = policy.stats();
         let j = policy.take_journal();
-        assert_eq!(j.counters.injected, stats.injected);
-        assert_eq!(j.counters.skipped_probability, stats.skipped_probability);
-        assert_eq!(j.counters.skipped_interference, stats.skipped_interference);
         // Independent cross-checks against the engine's own ledger.
         assert_eq!(j.counters.injected, r.delays.len() as u64);
         assert_eq!(j.counters.instrumented_ops, r.instrumented_ops);
@@ -374,7 +348,7 @@ mod tests {
         // The skip alone leaves the decay state untouched.
         let mut skipped = WafflePolicy::new(plan.clone(), decay(), 42);
         assert_eq!(pre(&mut skipped, l, 10, &ongoing), PreAction::Proceed);
-        assert_eq!(skipped.stats().skipped_interference, 1);
+        assert_eq!(skipped.journal().counters.skipped_interference, 1);
         assert_eq!(skipped.journal().counters.decay_steps, 0);
 
         // And the rolls that follow replay bit-for-bit against a control
@@ -464,7 +438,7 @@ mod tests {
         assert!(
             !r.tsv_violations.is_empty(),
             "planned delay must collide the windows (injected {})",
-            policy.stats().injected
+            policy.journal().counters.injected
         );
         // The injected delay is the measured 30ms gap, not a fixed 100ms.
         assert_eq!(r.delays.len(), 1);

@@ -94,9 +94,9 @@ proptest! {
         let w = racy(10);
         let mut p = OnlinePolicy::new(Pairing::MemOrder, Default::default(), seed);
         let r = Simulator::run(&w, SimConfig::with_seed(seed), &mut p);
-        let stats = p.stats();
+        let injected = p.take_journal().counters.injected;
         let state = p.into_state();
-        prop_assert_eq!(stats.injected as usize, r.delays.len());
+        prop_assert_eq!(injected as usize, r.delays.len());
         for (l1, partners) in &state.candidates {
             prop_assert!(r.dyn_count(*l1) > 0);
             for l2 in partners {

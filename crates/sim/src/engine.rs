@@ -1,5 +1,5 @@
 //! The discrete-event simulation engine: virtual time over the shared
-//! [`Machine`](crate::machine::Machine).
+//! [`Machine`].
 //!
 //! The machine owns what an op means. The simulator owns only what time
 //! adds: per-thread clocks and the event queue, timing noise, store-buffer
@@ -37,9 +37,6 @@ pub struct SimConfig {
     /// Virtual-time budget; exceeding it marks the run timed out. Models
     /// the paper's test-case timeouts (Table 5/6, MQTT.Net).
     pub deadline: Option<SimTime>,
-    /// Cost of a fork operation (charged to the parent; the child starts
-    /// once the fork completes).
-    pub fork_cost: SimTime,
     /// The memory subsystem: sequential consistency (default, stores
     /// globally visible immediately) or a weak model with per-thread store
     /// buffers (see [`crate::memory`]).
@@ -52,7 +49,6 @@ impl Default for SimConfig {
             seed: 0,
             timing_noise_pct: 3,
             deadline: None,
-            fork_cost: SimTime::from_us(20),
             memory: MemoryConfig::default(),
         }
     }
@@ -104,6 +100,10 @@ struct ThreadClock {
 /// Depth of the per-thread recent-access ring buffer.
 const RECENT_DEPTH: usize = 8;
 
+/// Cost of a fork operation (charged to the parent; the child starts once
+/// the fork completes).
+const FORK_COST: SimTime = SimTime::from_us(20);
+
 /// An event-queue key: `(time, gen, thread)`.
 type EventKey = (SimTime, u64, ThreadId);
 
@@ -118,7 +118,6 @@ struct Clock {
     /// keys are unique and the pop order is total.
     queue: BinaryHeap<Reverse<EventKey>>,
     threads: Vec<ThreadClock>,
-    fork_cost: SimTime,
     result: RunResult,
 }
 
@@ -184,7 +183,7 @@ impl Observer for Timed<'_> {
     }
 
     fn forked(&mut self, parent: ThreadId, child: ThreadId) {
-        self.clock.spawn(child, self.t + self.clock.fork_cost);
+        self.clock.spawn(child, self.t + FORK_COST);
         self.clock.result.forks.push(ForkEdge {
             parent,
             child,
@@ -195,10 +194,6 @@ impl Observer for Timed<'_> {
 
     fn joined(&mut self, waiter: ThreadId, joined: ThreadId) {
         self.monitor.on_join(waiter, joined, self.t);
-    }
-
-    fn exited(&mut self, thread: ThreadId) {
-        self.monitor.on_thread_exit(thread, self.t);
     }
 
     fn task_spawned(&mut self, parent: TaskParent, task: TaskId) {
@@ -253,7 +248,6 @@ impl<'w> Simulator<'w> {
                 next: None,
                 queue: BinaryHeap::with_capacity(thread_hint * 4),
                 threads: Vec::with_capacity(thread_hint),
-                fork_cost: config.fork_cost,
                 result: RunResult {
                     site_dyn_counts: vec![0; workload.sites.len()],
                     ..RunResult::default()
@@ -375,7 +369,7 @@ impl<'w> Simulator<'w> {
                     Op::Access { .. } => return self.begin_access(tid, t, op, monitor),
                     Op::Compute { dur } => t + self.noised(dur),
                     Op::Pad { dur } => t + dur,
-                    Op::Fork { .. } => t + self.config.fork_cost,
+                    Op::Fork { .. } => t + FORK_COST,
                     Op::Throw { site } => {
                         self.clock.result.app_exceptions.push(AppException {
                             site,
@@ -1233,7 +1227,6 @@ mod tests {
                 next: None,
                 queue: BinaryHeap::new(),
                 threads: Vec::new(),
-                fork_cost: SimTime::ZERO,
                 result: RunResult::default(),
             };
             let mut heap = BinaryHeap::new();

@@ -157,8 +157,6 @@ pub trait Observer {
     fn forked(&mut self, _parent: ThreadId, _child: ThreadId) {}
     /// `waiter` joined the finished thread `joined`.
     fn joined(&mut self, _waiter: ThreadId, _joined: ThreadId) {}
-    /// `thread` finished, after its locks went and its joiners woke.
-    fn exited(&mut self, _thread: ThreadId) {}
     /// `task` was enqueued by `parent`.
     fn task_spawned(&mut self, _parent: TaskParent, _task: TaskId) {}
     /// Pool worker `worker` started `task`.
@@ -473,7 +471,6 @@ impl<'w> Machine<'w> {
                 }
             }
         }
-        obs.exited(t);
     }
 
     /// Commits thread `t`'s whole buffer in push order (a forced drain
@@ -631,13 +628,10 @@ mod tests {
     #[test]
     fn exit_drains_the_buffer_and_reports_the_objects() {
         #[derive(Default)]
-        struct Seen(Vec<ObjectId>, bool);
+        struct Seen(Vec<ObjectId>);
         impl Observer for Seen {
             fn object(&mut self, obj: ObjectId) {
                 self.0.push(obj);
-            }
-            fn exited(&mut self, _thread: ThreadId) {
-                self.1 = true;
             }
         }
         let w = three_stores();
@@ -646,7 +640,6 @@ mod tests {
         assert_eq!(run(&mut m, ThreadId(0), &mut seen), Step::Exited);
         // Three accesses, then the exit flush commits the three stores.
         assert_eq!(seen.0, [0, 1, 0, 0, 1, 0].map(ObjectId));
-        assert!(seen.1);
         assert_eq!(m.heap().cells(), [RefState::Disposed, RefState::Live]);
         assert!(m.thread(ThreadId(0)).buffer.is_empty());
     }

@@ -118,11 +118,6 @@ pub trait Monitor {
         let _ = (waiter, joined, time);
     }
 
-    /// Called when a thread finishes (normally, by exception, or killed).
-    fn on_thread_exit(&mut self, thread: ThreadId, time: SimTime) {
-        let _ = (thread, time);
-    }
-
     /// Called when a task is enqueued (the async-local inheritance edge:
     /// derive the task's state from `parent`'s here).
     fn on_task_spawn(&mut self, parent: TaskParent, task: TaskId, time: SimTime) {

@@ -14,6 +14,14 @@ use crate::ids::{EventId, LockId, ScriptId};
 use crate::op::{Cond, Op, Script};
 use crate::time::SimTime;
 
+/// Where [`Workload::reachable_accesses`] saturates: it visits at most this
+/// many ops.
+const ACCESS_CAP: usize = 1 << 16;
+
+/// Deepest chain of forks and task spawns [`Workload::reachable_accesses`]
+/// follows before it saturates.
+const MAX_FORK_DEPTH: u32 = 64;
+
 /// A complete simulated test input.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Workload {
@@ -46,6 +54,46 @@ impl Workload {
     /// Total static operations across all scripts.
     pub fn total_ops(&self) -> usize {
         self.scripts.iter().map(|s| s.ops.len()).sum()
+    }
+
+    /// Instrumented accesses one run performs when every thread and task
+    /// runs its script to the end: the [`Op::Access`] ops of the entry
+    /// script plus, per [`Op::Fork`] or [`Op::SpawnTask`], those of the
+    /// script it starts, recursively. A run that takes a `SkipIf` branch,
+    /// exits early or faults performs fewer, so this is the event count a
+    /// preparation trace needs room for.
+    ///
+    /// The walk allocates nothing. It visits at most 64 Ki ops and
+    /// follows forks at most 64 deep; a workload beyond either (say, a
+    /// self-forking script from corpus JSON) saturates at 64 Ki.
+    pub fn reachable_accesses(&self) -> usize {
+        let mut fuel = ACCESS_CAP;
+        self.accesses_from(self.main, 0, &mut fuel)
+            .unwrap_or(ACCESS_CAP)
+    }
+
+    /// Accesses reachable from `script`, or `None` once the walk runs out
+    /// of fuel (one unit per op visited) or fork depth.
+    fn accesses_from(&self, script: ScriptId, depth: u32, fuel: &mut usize) -> Option<usize> {
+        if depth > MAX_FORK_DEPTH {
+            return None;
+        }
+        let ops = self
+            .scripts
+            .get(script.0 as usize)
+            .map_or(&[][..], |s| &s.ops);
+        let mut n = 0;
+        for op in ops {
+            *fuel = fuel.checked_sub(1)?;
+            n += match op {
+                Op::Access { .. } => 1,
+                Op::Fork { script } | Op::SpawnTask { script } => {
+                    self.accesses_from(*script, depth + 1, fuel)?
+                }
+                _ => 0,
+            };
+        }
+        Some(n)
     }
 
     /// Number of static instrumentation sites of the MemOrder class.
@@ -462,6 +510,84 @@ mod tests {
         let w = b.build();
         assert_eq!(w.script(s).ops.len(), 4);
         assert_eq!(w.mem_order_sites(), 4);
+    }
+
+    /// The access count equals the accesses a run performs across forked
+    /// threads, spawned tasks run by a pool and a `SkipIf` whose branch
+    /// the run does not take; a taken branch performs fewer.
+    #[test]
+    fn reachable_accesses_match_the_run() {
+        let build = |cond| {
+            let mut b = WorkloadBuilder::new("reach");
+            let o = b.object("o");
+            let ready = b.event("ready");
+            let worker = b.script("worker", move |s| {
+                s.use_(o, "W.use:1", us(5)).use_(o, "W.use:2", us(5));
+            });
+            let task = b.script("task", move |s| {
+                s.use_(o, "T.use:1", us(5));
+            });
+            let pool = b.script("pool", move |s| {
+                s.wait(ready).run_tasks();
+            });
+            let main = b.script("main", move |s| {
+                s.init(o, "M.init:1", us(5))
+                    .fork_n(worker, 3)
+                    .fork(pool)
+                    .spawn_task(task)
+                    .spawn_task(task)
+                    .signal(ready)
+                    .join_children()
+                    .skip_if(o, cond, 1)
+                    .use_(o, "M.use:3", us(5))
+                    .dispose(o, "M.dispose:9", us(5));
+            });
+            b.main(main);
+            b.build()
+        };
+        let run = |w: &Workload| {
+            let config = crate::SimConfig::with_seed(0).deterministic();
+            crate::Simulator::run(w, config, &mut crate::NullMonitor).instrumented_ops
+        };
+        let not_taken = build(Cond::IsNull);
+        assert_eq!(not_taken.reachable_accesses(), 1 + 3 * 2 + 2 + 2);
+        assert_eq!(run(&not_taken), not_taken.reachable_accesses() as u64);
+        let taken = build(Cond::IsLive);
+        assert_eq!(run(&taken) + 1, taken.reachable_accesses() as u64);
+    }
+
+    /// Self-forking scripts, linear or exponential, with or without
+    /// accesses, and a fork of an undeclared script: the count ends, at
+    /// the cap when the walk cannot.
+    #[test]
+    fn reachable_accesses_saturate_on_unbounded_forking() {
+        let self_forking = |forks: usize, access: bool| {
+            let mut b = WorkloadBuilder::new("fork-bomb");
+            let o = b.object("o");
+            let s = b.declare_script("bomb");
+            b.define_script(s, |sb| {
+                if access {
+                    sb.use_(o, "B.use:1", us(1));
+                }
+                for _ in 0..forks {
+                    sb.fork(s);
+                }
+            });
+            b.main(s);
+            b.build()
+        };
+        for forks in [1, 2] {
+            for access in [false, true] {
+                let w = self_forking(forks, access);
+                assert_eq!(w.reachable_accesses(), ACCESS_CAP);
+            }
+        }
+        let mut w = self_forking(0, true);
+        assert_eq!(w.reachable_accesses(), 1);
+        w.scripts[0].ops.push(Op::Fork {
+            script: ScriptId(9),
+        });
+        assert_eq!(w.reachable_accesses(), 1, "undeclared scripts add nothing");
     }
 
     #[test]

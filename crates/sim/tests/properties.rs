@@ -145,7 +145,7 @@ proptest! {
         let w = racy_workload(gap);
         let cfg = SimConfig::with_seed(0).deterministic();
         // No delay: init (at ~20µs after fork cost) precedes the use
-        // (fork_cost + gap): clean as long as gap ≥ init completion.
+        // (the 20 µs fork cost + gap): clean as long as gap ≥ init completion.
         let r = Simulator::run(&w, cfg.clone(), &mut NullMonitor);
         prop_assert!(!r.manifested());
         // Delay > gap: the init lands after the use → manifestation.

@@ -251,15 +251,6 @@ impl AttemptJournal {
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
     }
-
-    /// Counters summed over all runs of the attempt.
-    pub fn totals(&self) -> TelemetryCounters {
-        let mut out = TelemetryCounters::default();
-        for run in &self.runs {
-            out.merge(&run.counters);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -329,7 +320,7 @@ mod tests {
         };
         let back = AttemptJournal::from_json(&attempt.to_json().unwrap()).unwrap();
         assert_eq!(back, attempt);
-        assert_eq!(back.totals().injected, 1);
-        assert_eq!(back.totals().decay_steps, 1);
+        assert_eq!(back.runs[0].counters.injected, 1);
+        assert_eq!(back.runs[0].counters.decay_steps, 1);
     }
 }

@@ -235,28 +235,12 @@ impl MetricsRegistry {
     }
 
     /// Folds an attempt journal in under a `workload/tool` prefix, plus
-    /// the global totals.
+    /// the global totals: its runs folded into a [`TelemetrySummary`],
+    /// then [`absorb_summary`](Self::absorb_summary).
     pub fn absorb_attempt(&mut self, attempt: &AttemptJournal) {
-        let totals = attempt.totals();
-        let prefix = format!("{}/{}", attempt.workload, attempt.tool);
-        for (name, value) in [
-            ("injected", totals.injected),
-            ("skipped_probability", totals.skipped_probability),
-            ("skipped_interference", totals.skipped_interference),
-            ("decay_steps", totals.decay_steps),
-            ("instrumented_ops", totals.instrumented_ops),
-        ] {
-            self.inc(&format!("{prefix}/{name}"), value);
-            self.inc(&format!("total/{name}"), value);
-        }
-        self.inc(&format!("{prefix}/runs"), attempt.runs.len() as u64);
-        self.inc("total/runs", attempt.runs.len() as u64);
-        for name in [format!("{prefix}/delay"), "total/delay".to_owned()] {
-            let delay_hist = self.histogram_mut(&name);
-            for run in &attempt.runs {
-                delay_hist.merge(&run.delay_hist);
-            }
-        }
+        let mut summary = TelemetrySummary::default();
+        summary.absorb_attempt(attempt);
+        self.absorb_summary(&attempt.workload, &attempt.tool, &summary);
     }
 
     /// Folds an already-aggregated per-cell summary in under a

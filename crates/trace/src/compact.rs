@@ -8,8 +8,9 @@
 //! snapshot of the (monotonically growing) clock pool and site registry.
 //!
 //! [`compact_segments`] merges N generation files into one file that is
-//! indistinguishable from a single-shot [`TraceIndex::write_segments`]
-//! (`TraceIndex` from `crate::index`) over the concatenated trace:
+//! indistinguishable from a single-shot
+//! [`TraceIndex::write_segments`](crate::TraceIndex::write_segments) over
+//! the concatenated trace:
 //!
 //! - **Sites** are re-registered in input order; name collisions across
 //!   inputs resolve to one id (a name registered with two different kinds

@@ -222,22 +222,14 @@ pub struct ClassColumns {
 ///
 /// One index build needs three transient tables (per-object counts, the
 /// object→slot map, and the scatter cursors), each sized by the largest
-/// object id. A caller that builds many indexes — the detector rebuilds one
-/// per delay-injection attempt — can hold a single arena and rebuild
-/// without reallocating any of them: the vectors are cleared, not dropped,
-/// so their capacity persists across builds.
+/// object id. A serve session builds columns at every seal and holds one
+/// arena for all of them: the vectors are cleared, not dropped, so their
+/// capacity persists across builds.
 #[derive(Debug, Default)]
-pub struct IndexArena {
+pub(crate) struct IndexArena {
     counts: Vec<u32>,
     slot_of: Vec<u32>,
     cursor: Vec<u32>,
-}
-
-impl IndexArena {
-    /// Creates an empty arena; buffers grow on first use and persist.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 impl ClassColumns {
@@ -449,14 +441,7 @@ pub struct TraceIndex<'t> {
 impl<'t> TraceIndex<'t> {
     /// Builds the index: one pass per class over the trace's events.
     pub fn build(trace: &'t Trace) -> Self {
-        Self::build_with_arena(trace, &mut IndexArena::new())
-    }
-
-    /// Builds the index reusing `arena`'s scratch tables — the choice for
-    /// callers that index many traces in a loop (the detector builds one
-    /// per injection attempt); repeated builds stop reallocating the
-    /// counting-sort scratch.
-    pub(crate) fn build_with_arena(trace: &'t Trace, arena: &mut IndexArena) -> Self {
+        let arena = &mut IndexArena::default();
         Self {
             trace,
             mem: ClassColumns::build_in(&trace.events, AccessKind::is_mem_order, arena),

@@ -1,16 +1,17 @@
 //! Incremental per-session index building for streaming ingest.
 //!
 //! A serve session receives its trace as wire frames (see
-//! [`crate::wire`]) instead of as one resident [`Trace`]. The
+//! [`crate::wire`]) instead of as one resident [`Trace`](crate::Trace). The
 //! [`SessionIndexBuilder`] accumulates validated events in a pending
 //! buffer and, at each **seal**, runs the same counting sort that
 //! [`TraceIndex::build`](crate::TraceIndex::build) uses over just the
 //! pending slice, writes the resulting columns as one *generation*
 //! segment file, and hands the fresh columns back so the analyzer can
 //! absorb them incrementally. The session's site registry and clock pool
-//! grow monotonically across seals, so `SiteId`/[`ClockId`] handles in an
-//! earlier generation stay valid in every later one — the property the
-//! compactor and the incremental sweep both rely on.
+//! grow monotonically across seals, so `SiteId` and
+//! [`ClockId`](crate::ClockId) handles in an earlier generation stay valid
+//! in every later one — the property the compactor and the incremental
+//! sweep both rely on.
 //!
 //! Validation happens at the pending buffer's edge, once per event:
 //! non-decreasing time (the column invariant every downstream sweep
@@ -65,7 +66,7 @@ impl SessionIndexBuilder {
             sites: SiteRegistry::new(),
             clocks: ClockPool::new(),
             pending: Vec::new(),
-            arena: IndexArena::new(),
+            arena: IndexArena::default(),
             last_time: SimTime::ZERO,
             end_time: SimTime::ZERO,
             generations: 0,

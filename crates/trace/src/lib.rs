@@ -31,13 +31,11 @@ pub mod wire;
 
 pub use compact::{compact_segments, CompactStats};
 pub use event::{Trace, TraceEvent};
-pub use index::{
-    ClassColumns, ClockId, ClockInterner, ClockPool, IndexArena, IndexStats, TraceIndex,
-};
+pub use index::{ClassColumns, ClockId, ClockInterner, ClockPool, IndexStats, TraceIndex};
 pub use ingest::{SealOutput, SessionIndexBuilder};
 pub use recorder::{ClockProtocol, TraceRecorder};
 pub use segment::{
-    ColumnSlice, SegmentCatalog, SegmentClass, SegmentColumns, SegmentMeta, SegmentReader,
+    fnv1a, ColumnSlice, SegmentCatalog, SegmentClass, SegmentColumns, SegmentMeta, SegmentReader,
     SegmentWriteStats, SegmentWriter,
 };
 pub use stats::TraceStats;

@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 
-use parking_lot::Mutex;
 use waffle_mem::{AccessKind, SiteRegistry};
 use waffle_sim::tls::InheritableTls;
 use waffle_sim::{
@@ -112,33 +111,6 @@ fn task_clock_key(task: TaskId) -> ThreadId {
     ThreadId(0x8000_0000 | task.0)
 }
 
-/// Peak event counts from completed recordings, keyed by workload name.
-///
-/// Detection re-records the same workload run after run; carrying the
-/// previous run's event count forward lets the next recorder allocate its
-/// event buffer once instead of growing it through repeated reallocation.
-static EVENT_CAPACITY: Mutex<Option<HashMap<String, usize>>> = Mutex::new(None);
-
-/// Buffer capacity to pre-allocate for a workload: the largest event count
-/// any finished recording of it produced (0 on first sight).
-fn event_capacity_hint(workload: &str) -> usize {
-    EVENT_CAPACITY
-        .lock()
-        .as_ref()
-        .and_then(|m| m.get(workload).copied())
-        .unwrap_or(0)
-}
-
-fn note_event_capacity(workload: &str, len: usize) {
-    if len == 0 {
-        return;
-    }
-    let mut guard = EVENT_CAPACITY.lock();
-    let map = guard.get_or_insert_with(HashMap::new);
-    let slot = map.entry(workload.to_owned()).or_insert(0);
-    *slot = (*slot).max(len);
-}
-
 impl TraceRecorder {
     /// Default per-access cost of writing one trace record, in virtual
     /// time. Chosen so that heap-access-dominated workloads see the paper's
@@ -185,7 +157,9 @@ impl TraceRecorder {
             task_clocks: HashMap::new(),
             track_async_local: true,
             track_joins: protocol == ClockProtocol::ClassicWithJoins,
-            events: Vec::with_capacity(event_capacity_hint(&workload.name)),
+            // Room for every access the run can reach, so recording never
+            // regrows the buffer (short of the count's saturation cap).
+            events: Vec::with_capacity(workload.reachable_accesses()),
             forks: Vec::new(),
             clocks,
             interner,
@@ -207,7 +181,6 @@ impl TraceRecorder {
 
     /// Consumes the recorder and produces the trace.
     pub fn into_trace(self) -> Trace {
-        note_event_capacity(&self.workload, self.events.len());
         Trace {
             workload: self.workload,
             sites: self.sites,

@@ -81,9 +81,10 @@ pub const EVENT_BYTES: u64 = 21;
 /// bytes 8 + events 4 + min 8 + max 8 + checksum 8).
 const META_BYTES: usize = 48;
 
-/// FNV-1a over a byte slice — the same checksum the campaign manifest
-/// uses, cheap enough to verify on every segment load.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a over a byte slice: the segment checksum, cheap enough to
+/// verify on every segment load, and the campaign manifest's grid
+/// fingerprint.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in bytes {
         h ^= u64::from(*b);

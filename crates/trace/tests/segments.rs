@@ -12,8 +12,8 @@ use proptest::prelude::*;
 use waffle_mem::{AccessKind, ObjectId, SiteId, SiteRegistry};
 use waffle_sim::{SimTime, ThreadId};
 use waffle_trace::{
-    ClockId, ClockPool, ColumnSlice, SegmentCatalog, SegmentClass, SegmentMeta, SegmentReader,
-    SegmentWriter, Trace, TraceEvent, TraceIndex,
+    fnv1a, ClockId, ClockPool, ColumnSlice, SegmentCatalog, SegmentClass, SegmentMeta,
+    SegmentReader, SegmentWriter, Trace, TraceEvent, TraceIndex,
 };
 use waffle_vclock::ClockSnapshot;
 
@@ -71,13 +71,6 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
 
 fn tmpfile(tag: u64) -> PathBuf {
     std::env::temp_dir().join(format!("waffle-segprop-{}-{tag}.wseg", std::process::id()))
-}
-
-/// FNV-1a, the footer checksum the trailer carries.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// Splits a segment file into its pre-footer bytes and its footer.

@@ -3,6 +3,7 @@
 
 use waffle_repro::apps::{all_apps, all_bugs, bug_workload};
 use waffle_repro::sim::{NullMonitor, SimConfig, Simulator};
+use waffle_repro::trace::TraceRecorder;
 
 #[test]
 fn every_test_input_is_clean_delay_free() {
@@ -27,6 +28,25 @@ fn every_test_input_is_clean_delay_free() {
                     t.workload.name
                 );
                 assert!(!r.timed_out, "{} timed out", t.workload.name);
+            }
+        }
+    }
+}
+
+/// The preparation run's trace buffer is sized from the workload alone:
+/// on every test input it fills exactly the room the recorder reserved,
+/// so recording never regrows it.
+#[test]
+fn every_preparation_trace_fills_its_reserved_buffer() {
+    for app in all_apps() {
+        for t in &app.tests {
+            for seed in [0u64, 7] {
+                let expected = t.workload.reachable_accesses();
+                let mut rec = TraceRecorder::new(&t.workload);
+                Simulator::run(&t.workload, SimConfig::with_seed(seed), &mut rec);
+                let events = rec.into_trace().events;
+                assert_eq!(events.len(), expected, "{}", t.workload.name);
+                assert_eq!(events.capacity(), expected, "{}", t.workload.name);
             }
         }
     }
