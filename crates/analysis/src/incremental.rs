@@ -12,7 +12,8 @@
 //!   object);
 //! - the sweep stats, inside the MemOrder fold;
 //! - a per-object **δ-window tail**: the suffix of each object's events
-//!   still within `δ` of the session's latest timestamp.
+//!   still within `δ` of the session's latest timestamp, all objects'
+//!   suffixes held as one [`ClassColumns`] per class.
 //!
 //! At each [`absorb`](IncrementalAnalysis::absorb), the tail is prepended
 //! to the generation's fresh columns and the folds' `fresh_from` sweep
@@ -38,36 +39,16 @@
 //! object's rows across generations concatenate in time order.
 
 use std::borrow::BorrowMut;
-use std::collections::BTreeMap;
 use std::io;
 
-use waffle_mem::{AccessKind, ObjectId, SiteId};
-use waffle_sim::{SimTime, ThreadId};
-use waffle_trace::{ClassColumns, ClockId, ClockPool, SegmentClass, SegmentReader};
+use waffle_sim::SimTime;
+use waffle_trace::{ClassColumns, ClockPool, SegmentClass, SegmentReader};
 
 use crate::analyzer::AnalyzerConfig;
 use crate::ooc::for_each_batch;
 use crate::pipeline::{InterferencePass, MemFold, TsvFold};
 use crate::plan::Plan;
 use crate::tsv::TsvPlan;
-
-/// One object's carried δ-window suffix between seals.
-#[derive(Debug, Default, Clone)]
-struct Tail {
-    times: Vec<SimTime>,
-    threads: Vec<ThreadId>,
-    sites: Vec<SiteId>,
-    kinds: Vec<AccessKind>,
-    clocks: Vec<ClockId>,
-}
-
-impl Tail {
-    fn len(&self) -> usize {
-        self.times.len()
-    }
-}
-
-type TailMap = BTreeMap<ObjectId, Tail>;
 
 /// Size snapshot of the incremental state (telemetry; all bounded by the
 /// δ window and distinct site pairs, never by session length).
@@ -89,86 +70,68 @@ pub struct IncrementalAnalysis {
     config: AnalyzerConfig,
     mem: MemFold,
     tsv: TsvFold,
-    mem_tails: TailMap,
-    tsv_tails: TailMap,
+    mem_tails: ClassColumns,
+    tsv_tails: ClassColumns,
 }
 
 /// The carried tails prepended to one generation's fresh columns, plus the
 /// per-slot offsets where fresh events begin.
-fn combine(tails: &TailMap, fresh: &ClassColumns) -> (ClassColumns, Vec<u32>) {
-    let mut cols = ClassColumns::default();
+fn combine(tails: &ClassColumns, fresh: &ClassColumns) -> (ClassColumns, Vec<u32>) {
+    let mut cols = ClassColumns::with_capacity(tails.len() + fresh.len(), fresh.object_count());
     let mut fresh_from = Vec::with_capacity(fresh.object_count());
-    cols.offsets.push(0);
     for k in 0..fresh.object_count() {
         let obj = fresh.objects[k];
-        let tail_len = match tails.get(&obj) {
-            Some(t) => {
-                cols.times.extend_from_slice(&t.times);
-                cols.threads.extend_from_slice(&t.threads);
-                cols.sites.extend_from_slice(&t.sites);
-                cols.kinds.extend_from_slice(&t.kinds);
-                cols.clocks.extend_from_slice(&t.clocks);
-                t.len()
-            }
-            None => 0,
-        };
-        let r = fresh.range(k);
-        cols.times.extend_from_slice(&fresh.times[r.clone()]);
-        cols.threads.extend_from_slice(&fresh.threads[r.clone()]);
-        cols.sites.extend_from_slice(&fresh.sites[r.clone()]);
-        cols.kinds.extend_from_slice(&fresh.kinds[r.clone()]);
-        cols.clocks.extend_from_slice(&fresh.clocks[r.clone()]);
-        cols.objs
-            .extend(std::iter::repeat_n(obj, tail_len + r.len()));
-        cols.objects.push(obj);
-        cols.offsets.push(cols.times.len() as u32);
-        fresh_from.push(tail_len as u32);
+        let tail = tails
+            .objects
+            .binary_search(&obj)
+            .map_or(0..0, |t| tails.range(t));
+        fresh_from.push(tail.len() as u32);
+        cols.extend_rows(tails, tail);
+        cols.extend_rows(fresh, fresh.range(k));
+        cols.push_object(obj);
     }
     (cols, fresh_from)
 }
 
-/// Replaces the tails of the objects in `combined` with the δ-window
-/// suffix of their combined segments against `horizon`; an object with
-/// no event left in the window loses its tail.
-fn replace_tails(tails: &mut TailMap, combined: &ClassColumns, horizon: SimTime, delta: SimTime) {
+/// The tails to carry on: every object's δ-window suffix against
+/// `horizon`, taken from `combined` for its objects and from `tails` for
+/// the rest. The rest are cut too only when `prune_rest`; an object left
+/// with no event in the window drops out.
+fn carry_tails(
+    tails: &ClassColumns,
+    combined: &ClassColumns,
+    horizon: SimTime,
+    delta: SimTime,
+    prune_rest: bool,
+) -> ClassColumns {
+    let mut next = ClassColumns::default();
+    let mut keep = |src: &ClassColumns, k: usize, cut: bool| {
+        let r = src.range(k);
+        let from = if cut {
+            r.start + src.times[r.clone()].partition_point(|&t| expired(t, horizon, delta))
+        } else {
+            r.start
+        };
+        if from < r.end {
+            next.extend_rows(src, from..r.end);
+            next.push_object(src.objects[k]);
+        }
+    };
+    // Both object lists ascend: merge them, `combined` winning ties.
+    let mut t = 0;
     for k in 0..combined.object_count() {
         let obj = combined.objects[k];
-        let r = combined.range(k);
-        let seg = &combined.times[r.clone()];
-        let keep_from = r.start + seg.partition_point(|&t| expired(t, horizon, delta));
-        if keep_from == r.end {
-            tails.remove(&obj);
-            continue;
+        while tails.objects.get(t).is_some_and(|&o| o < obj) {
+            keep(tails, t, prune_rest);
+            t += 1;
         }
-        tails.insert(
-            obj,
-            Tail {
-                times: combined.times[keep_from..r.end].to_vec(),
-                threads: combined.threads[keep_from..r.end].to_vec(),
-                sites: combined.sites[keep_from..r.end].to_vec(),
-                kinds: combined.kinds[keep_from..r.end].to_vec(),
-                clocks: combined.clocks[keep_from..r.end].to_vec(),
-            },
-        );
+        t += usize::from(tails.objects.get(t) == Some(&obj));
+        keep(combined, k, true);
     }
-}
-
-/// Prunes every tail to the events still within δ of `horizon`, dropping
-/// tails left empty. A tail [`replace_tails`] just cut at the same
-/// horizon is left as it is.
-fn prune_tails(tails: &mut TailMap, horizon: SimTime, delta: SimTime) {
-    tails.retain(|_, tail| {
-        let keep_from = tail.times.partition_point(|&t| expired(t, horizon, delta));
-        if keep_from == tail.len() {
-            return false;
-        }
-        tail.times.drain(..keep_from);
-        tail.threads.drain(..keep_from);
-        tail.sites.drain(..keep_from);
-        tail.kinds.drain(..keep_from);
-        tail.clocks.drain(..keep_from);
-        true
-    });
+    for t in t..tails.object_count() {
+        keep(tails, t, prune_rest);
+    }
+    next
 }
 
 /// An event at `t` can still pair with a later event (time ≥ `horizon`)
@@ -195,7 +158,7 @@ fn replay_generations<R: BorrowMut<SegmentReader>>(
     delta: SimTime,
     resident_bytes: u64,
 ) -> io::Result<()> {
-    let mut tails = TailMap::new();
+    let mut tails = ClassColumns::default();
     for mut reader in generations {
         let reader = reader.borrow_mut();
         let Some(horizon) = reader.catalog().mem.iter().map(|m| m.max_time).max() else {
@@ -204,9 +167,9 @@ fn replay_generations<R: BorrowMut<SegmentReader>>(
         for_each_batch(reader, SegmentClass::MemOrder, resident_bytes, |cols, _| {
             let (combined, fresh_from) = combine(&tails, cols);
             pass.collect(&combined, Some(&fresh_from));
-            replace_tails(&mut tails, &combined, horizon, delta);
+            tails = carry_tails(&tails, &combined, horizon, delta, false);
         })?;
-        prune_tails(&mut tails, horizon, delta);
+        tails = carry_tails(&tails, &ClassColumns::default(), horizon, delta, true);
     }
     Ok(())
 }
@@ -219,8 +182,8 @@ impl IncrementalAnalysis {
             config,
             mem: MemFold::default(),
             tsv: TsvFold::new(config.delta, default_window),
-            mem_tails: TailMap::new(),
-            tsv_tails: TailMap::new(),
+            mem_tails: ClassColumns::default(),
+            tsv_tails: ClassColumns::default(),
         }
     }
 
@@ -244,12 +207,10 @@ impl IncrementalAnalysis {
         let (combined, fresh_from) = combine(&self.mem_tails, mem);
         self.mem
             .absorb(&combined, pool, &self.config, Some(&fresh_from), jobs);
-        replace_tails(&mut self.mem_tails, &combined, horizon, delta);
-        prune_tails(&mut self.mem_tails, horizon, delta);
+        self.mem_tails = carry_tails(&self.mem_tails, &combined, horizon, delta, true);
         let (combined, fresh_from) = combine(&self.tsv_tails, tsv);
         self.tsv.absorb(&combined, Some(&fresh_from), jobs);
-        replace_tails(&mut self.tsv_tails, &combined, horizon, delta);
-        prune_tails(&mut self.tsv_tails, horizon, delta);
+        self.tsv_tails = carry_tails(&self.tsv_tails, &combined, horizon, delta, true);
     }
 
     /// Sizes of the carried state (bounded by δ and site-pair diversity).
@@ -257,8 +218,8 @@ impl IncrementalAnalysis {
         IncrementalStats {
             pairs: self.mem.len(),
             tsv_pairs: self.tsv.len(),
-            mem_tail_events: self.mem_tails.values().map(Tail::len).sum(),
-            tsv_tail_events: self.tsv_tails.values().map(Tail::len).sum(),
+            mem_tail_events: self.mem_tails.len(),
+            tsv_tail_events: self.tsv_tails.len(),
         }
     }
 
@@ -297,7 +258,8 @@ impl IncrementalAnalysis {
 mod tests {
     use super::*;
     use crate::{analyze_jobs, analyze_tsv_indexed};
-    use waffle_mem::SiteRegistry;
+    use waffle_mem::{AccessKind, ObjectId, SiteRegistry};
+    use waffle_sim::ThreadId;
     use waffle_trace::{SessionIndexBuilder, Trace, TraceEvent, TraceIndex};
     use waffle_vclock::ClockSnapshot;
 

@@ -19,10 +19,12 @@
 //! - **Clocks** are re-interned into one pool through a
 //!   [`ClockInterner`], deduplicating identical snapshots that different
 //!   generations pooled independently.
-//! - **Events** merge per object: each input's segments for an object are
-//!   time-sorted, so an ascending k-way merge (ties broken by input
-//!   order, which is seal order, which is trace order) reproduces the
-//!   exact row order a one-shot index build would have produced.
+//! - **Events** merge per object: each input's segment for an object is
+//!   read as a one-object [`ClassColumns`], remapped, and time-sorted,
+//!   so an ascending k-way merge (ties broken by input order, which is
+//!   seal order, which is trace order) that appends row by row into one
+//!   more `ClassColumns` reproduces the exact row order a one-shot index
+//!   build would have produced.
 //!
 //! Memory is bounded by one object's rows across all inputs plus the
 //! merged catalog — never by the total event count.
@@ -43,8 +45,8 @@ use std::path::{Path, PathBuf};
 use waffle_mem::{ObjectId, SiteId, SiteRegistry};
 use waffle_sim::SimTime;
 
-use crate::index::{ClockId, ClockInterner, ClockPool};
-use crate::segment::{ColumnSlice, SegmentClass, SegmentReader, SegmentWriter};
+use crate::index::{ClassColumns, ClockId, ClockInterner, ClockPool};
+use crate::segment::{SegmentClass, SegmentReader, SegmentWriter};
 
 /// What one compaction pass did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,9 +157,9 @@ pub fn compact_segments(inputs: &[PathBuf], out: &Path) -> io::Result<CompactSta
         for (object, parts) in by_obj {
             let mut loaded = Vec::with_capacity(parts.len());
             for &(ri, k) in &parts {
-                // `load` rejects ids outside the input's registry and
+                // The read rejects ids outside the input's registry and
                 // pool, which the remap tables cover one-to-one.
-                let mut seg = readers[ri].load(class, k)?;
+                let mut seg = readers[ri].read_segments(class, k..k + 1)?;
                 for s in &mut seg.sites {
                     *s = site_maps[ri][s.0 as usize];
                 }
@@ -166,12 +168,8 @@ pub fn compact_segments(inputs: &[PathBuf], out: &Path) -> io::Result<CompactSta
                 }
                 loaded.push(seg);
             }
-            let total: usize = loaded.iter().map(|s| s.len()).sum();
-            let mut times = Vec::with_capacity(total);
-            let mut threads = Vec::with_capacity(total);
-            let mut sites_col = Vec::with_capacity(total);
-            let mut kinds = Vec::with_capacity(total);
-            let mut clocks_col = Vec::with_capacity(total);
+            let total = loaded.iter().map(ClassColumns::len).sum();
+            let mut merged = ClassColumns::with_capacity(total, 1);
             // Ascending k-way merge; strict `<` keeps the earliest input on
             // equal timestamps, i.e. seal order = original trace order.
             let mut cursors = vec![0usize; loaded.len()];
@@ -190,25 +188,11 @@ pub fn compact_segments(inputs: &[PathBuf], out: &Path) -> io::Result<CompactSta
                     }
                 }
                 let Some(b) = best else { break };
-                let j = cursors[b];
+                merged.extend_rows(&loaded[b], cursors[b]..cursors[b] + 1);
                 cursors[b] += 1;
-                times.push(loaded[b].times[j]);
-                threads.push(loaded[b].threads[j]);
-                sites_col.push(loaded[b].sites[j]);
-                kinds.push(loaded[b].kinds[j]);
-                clocks_col.push(loaded[b].clocks[j]);
             }
-            writer.append(
-                class,
-                ColumnSlice {
-                    object,
-                    times: &times,
-                    threads: &threads,
-                    sites: &sites_col,
-                    kinds: &kinds,
-                    clocks: &clocks_col,
-                },
-            )?;
+            merged.push_object(object);
+            writer.append(class, &merged, 0)?;
         }
     }
     let stats = writer.finish(&workload, end_time, &clocks, &sites)?;

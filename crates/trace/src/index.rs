@@ -22,6 +22,7 @@
 //! silently relied on when it walked `BTreeMap` groups.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 use waffle_mem::{AccessKind, ObjectId, SiteId};
@@ -194,10 +195,14 @@ impl ClockInterner {
 /// Struct-of-arrays event columns for one instrumentation class, permuted
 /// into object-major order with a CSR offset table.
 ///
-/// All event columns have equal length `n`; `objects` lists the distinct
-/// object ids in ascending order and `offsets` (length `objects.len() + 1`)
-/// brackets each object's contiguous, time-sorted slice of the columns.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// This is the one owned container of per-event rows: the resident index,
+/// a streamed budget batch, a seal's fresh generation, the incremental
+/// fold's carried tails and a compacted object all use it. All event
+/// columns have equal length `n`; `objects` lists the distinct object ids
+/// in ascending order and `offsets` (length `objects.len() + 1`) brackets
+/// each object's contiguous, time-sorted slice of the columns. Object
+/// identity lives only in that table, never per event.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassColumns {
     /// Virtual timestamps.
     pub times: Vec<SimTime>,
@@ -205,8 +210,6 @@ pub struct ClassColumns {
     pub threads: Vec<ThreadId>,
     /// Static sites.
     pub sites: Vec<SiteId>,
-    /// Accessed objects (constant within each CSR segment).
-    pub objs: Vec<ObjectId>,
     /// Operation classes.
     pub kinds: Vec<AccessKind>,
     /// Pooled clock handles.
@@ -215,6 +218,13 @@ pub struct ClassColumns {
     pub objects: Vec<ObjectId>,
     /// CSR offsets: `objects[k]`'s events are `offsets[k]..offsets[k + 1]`.
     pub offsets: Vec<u32>,
+}
+
+impl Default for ClassColumns {
+    /// No rows and no objects: a well-formed CSR table (`offsets == [0]`).
+    fn default() -> Self {
+        Self::with_capacity(0, 0)
+    }
 }
 
 /// Reusable scratch buffers for the two-pass counting sort in
@@ -298,7 +308,6 @@ impl ClassColumns {
             times: vec![SimTime::ZERO; n],
             threads: vec![ThreadId(0); n],
             sites: vec![SiteId(0); n],
-            objs: vec![ObjectId(0); n],
             kinds: vec![AccessKind::Use; n],
             clocks: vec![ClockId::EMPTY; n],
             objects,
@@ -314,7 +323,6 @@ impl ClassColumns {
             cols.times[i] = e.time;
             cols.threads[i] = e.thread;
             cols.sites[i] = e.site;
-            cols.objs[i] = e.obj;
             cols.kinds[i] = e.kind;
             cols.clocks[i] = e.clock;
         }
@@ -344,6 +352,58 @@ impl ClassColumns {
         }
     }
 
+    /// Empty columns (offsets `[0]`) with room for `events` rows over
+    /// `objects` objects.
+    pub fn with_capacity(events: usize, objects: usize) -> Self {
+        let mut offsets = Vec::with_capacity(objects + 1);
+        offsets.push(0);
+        Self {
+            times: Vec::with_capacity(events),
+            threads: Vec::with_capacity(events),
+            sites: Vec::with_capacity(events),
+            kinds: Vec::with_capacity(events),
+            clocks: Vec::with_capacity(events),
+            objects: Vec::with_capacity(objects),
+            offsets,
+        }
+    }
+
+    /// Appends rows `rows` of `src` to the segment being assembled at the
+    /// end of the columns; [`push_object`](Self::push_object) closes it.
+    pub fn extend_rows(&mut self, src: &ClassColumns, rows: Range<usize>) {
+        self.times.extend_from_slice(&src.times[rows.clone()]);
+        self.threads.extend_from_slice(&src.threads[rows.clone()]);
+        self.sites.extend_from_slice(&src.sites[rows.clone()]);
+        self.kinds.extend_from_slice(&src.kinds[rows.clone()]);
+        self.clocks.extend_from_slice(&src.clocks[rows]);
+    }
+
+    /// Closes every row appended since the previous segment as `object`'s
+    /// segment. Objects must be pushed in ascending order.
+    ///
+    /// # Panics
+    /// When the columns hold more than `u32::MAX` rows.
+    pub fn push_object(&mut self, object: ObjectId) {
+        self.objects.push(object);
+        self.offsets.push(
+            u32::try_from(self.len())
+                .expect("class column overflow: more than u32::MAX events in one class"),
+        );
+    }
+
+    /// Whether the event columns differ in length.
+    pub fn is_ragged(&self) -> bool {
+        let n = self.times.len();
+        [
+            self.threads.len(),
+            self.sites.len(),
+            self.kinds.len(),
+            self.clocks.len(),
+        ]
+        .iter()
+        .any(|&l| l != n)
+    }
+
     /// Total events in this class.
     pub fn len(&self) -> usize {
         self.times.len()
@@ -361,31 +421,23 @@ impl ClassColumns {
 
     /// Column range of object slot `k` (not an `ObjectId` — index into
     /// [`objects`](Self::objects)).
-    pub fn range(&self, k: usize) -> std::ops::Range<usize> {
+    pub fn range(&self, k: usize) -> Range<usize> {
         self.offsets[k] as usize..self.offsets[k + 1] as usize
     }
 
     /// Full structural check for columns assembled outside
     /// [`TraceIndex::build`] (e.g. reloaded from disk): equal column
-    /// lengths, a well-formed CSR table over ascending objects, and
-    /// time-sorted segments whose `objs` entries match their slot.
+    /// lengths, a well-formed CSR table (non-decreasing offsets from 0 to
+    /// the row count) over strictly ascending objects, and non-empty,
+    /// time-sorted segments.
     pub fn validate(&self) -> Result<(), String> {
-        let n = self.times.len();
-        if [
-            self.threads.len(),
-            self.sites.len(),
-            self.objs.len(),
-            self.kinds.len(),
-            self.clocks.len(),
-        ]
-        .iter()
-        .any(|&l| l != n)
-        {
+        if self.is_ragged() {
             return Err("column lengths differ".into());
         }
         if self.offsets.len() != self.objects.len() + 1
             || self.offsets.first().copied().unwrap_or(1) != 0
-            || *self.offsets.last().unwrap_or(&0) as usize != n
+            || *self.offsets.last().unwrap_or(&0) as usize != self.len()
+            || self.offsets.windows(2).any(|w| w[0] > w[1])
         {
             return Err("CSR offset table malformed".into());
         }
@@ -396,9 +448,6 @@ impl ClassColumns {
             let r = self.range(k);
             if r.is_empty() {
                 return Err(format!("empty segment for {}", self.objects[k]));
-            }
-            if self.objs[r.clone()].iter().any(|&o| o != self.objects[k]) {
-                return Err(format!("objs column disagrees with slot {k}"));
             }
             if self.times[r].windows(2).any(|w| w[0] > w[1]) {
                 return Err(format!("segment for {} not time-sorted", self.objects[k]));
@@ -516,19 +565,95 @@ mod tests {
         // Object 2's segment keeps trace order (= time order).
         let seg = idx.mem.range(1);
         assert_eq!(
-            idx.mem.times[seg.clone()],
+            idx.mem.times[seg],
             [
                 SimTime::from_us(10),
                 SimTime::from_us(30),
                 SimTime::from_us(50)
             ]
         );
-        assert!(idx.mem.objs[seg].iter().all(|&o| o == ObjectId(2)));
         let stats = idx.stats();
         assert_eq!(stats.events, 5);
         assert_eq!(stats.mem_objects, 2);
         assert_eq!(stats.tsv_objects, 1);
         assert_eq!(stats.distinct_clocks, 2);
+    }
+
+    /// Each rejecting branch of `validate`, on a copy of a valid index
+    /// (objects 1 and 2, offsets `[0, 1, 4]`) broken in one place.
+    #[test]
+    fn validate_rejects_each_malformation_by_name() {
+        let t = trace();
+        let good = TraceIndex::build(&t).mem;
+        assert_eq!(good.validate(), Ok(()));
+        assert_eq!(ClassColumns::default().validate(), Ok(()));
+        let broken = |f: &dyn Fn(&mut ClassColumns)| {
+            let mut cols = good.clone();
+            f(&mut cols);
+            cols.validate().unwrap_err()
+        };
+        assert_eq!(
+            broken(&|c| {
+                c.threads.pop();
+            }),
+            "column lengths differ"
+        );
+        assert_eq!(
+            broken(&|c| {
+                c.clocks.push(ClockId::EMPTY);
+            }),
+            "column lengths differ"
+        );
+        for offsets in [vec![0, 1], vec![1, 1, 4], vec![0, 1, 3], vec![0, 5, 4]] {
+            // [0, 5, 4] ends at the row count but steps backwards; the
+            // check must reject it before slicing rows 0..5 of 4.
+            assert_eq!(
+                broken(&|c| c.offsets = offsets.clone()),
+                "CSR offset table malformed",
+                "{offsets:?}"
+            );
+        }
+        for objects in [
+            vec![ObjectId(2), ObjectId(1)],
+            vec![ObjectId(2), ObjectId(2)],
+        ] {
+            assert_eq!(
+                broken(&|c| c.objects = objects.clone()),
+                "objects not strictly ascending"
+            );
+        }
+        assert_eq!(
+            broken(&|c| c.offsets = vec![0, 0, 4]),
+            "empty segment for obj#1"
+        );
+        assert_eq!(
+            broken(&|c| c.times.swap(1, 3)),
+            "segment for obj#2 not time-sorted"
+        );
+    }
+
+    #[test]
+    fn row_operations_rebuild_a_column_set() {
+        let t = trace();
+        let mem = TraceIndex::build(&t).mem;
+        let mut copy = ClassColumns::with_capacity(mem.len(), mem.object_count());
+        for k in 0..mem.object_count() {
+            // Two appends per segment: the split point is invisible.
+            let r = mem.range(k);
+            let mid = r.start + r.len() / 2;
+            copy.extend_rows(&mem, r.start..mid);
+            copy.extend_rows(&mem, mid..r.end);
+            copy.push_object(mem.objects[k]);
+        }
+        assert_eq!(copy, mem);
+        // A suffix of object 2's segment alone.
+        let mut tail = ClassColumns::default();
+        tail.extend_rows(&mem, 2..4);
+        tail.push_object(ObjectId(2));
+        assert_eq!(tail.validate(), Ok(()));
+        assert_eq!(tail.offsets, vec![0, 2]);
+        assert_eq!(tail.times, mem.times[2..4]);
+        assert!(!tail.is_ragged());
     }
 
     #[test]

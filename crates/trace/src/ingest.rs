@@ -5,9 +5,11 @@
 //! [`SessionIndexBuilder`] accumulates validated events in a pending
 //! buffer and, at each **seal**, runs the same counting sort that
 //! [`TraceIndex::build`](crate::TraceIndex::build) uses over just the
-//! pending slice, writes the resulting columns as one *generation*
-//! segment file, and hands the fresh columns back so the analyzer can
-//! absorb them incrementally. The session's site registry and clock pool
+//! pending slice, writes the resulting [`ClassColumns`] as one
+//! *generation* segment file through the same writer
+//! [`TraceIndex::write_segments`](crate::TraceIndex::write_segments)
+//! uses, and hands the fresh columns back so the analyzer can absorb them
+//! incrementally. The session's site registry and clock pool
 //! grow monotonically across seals, so `SiteId` and
 //! [`ClockId`](crate::ClockId) handles in an earlier generation stay valid
 //! in every later one — the property the compactor and the incremental
@@ -27,7 +29,7 @@ use waffle_vclock::ClockSnapshot;
 
 use crate::event::TraceEvent;
 use crate::index::{ClassColumns, ClockPool, IndexArena};
-use crate::segment::{ColumnSlice, SegmentClass, SegmentWriteStats, SegmentWriter};
+use crate::segment::{write_columns, SegmentWriteStats};
 
 /// What one [`SessionIndexBuilder::seal`] produced: the generation file's
 /// write stats plus the freshly built columns for incremental absorption.
@@ -194,14 +196,15 @@ impl SessionIndexBuilder {
     pub fn seal(&mut self, path: &Path) -> io::Result<SealOutput> {
         let mem = ClassColumns::build_in(&self.pending, AccessKind::is_mem_order, &mut self.arena);
         let tsv = ClassColumns::build_in(&self.pending, AccessKind::is_tsv, &mut self.arena);
-        let mut w = SegmentWriter::create(path)?;
-        for slot in 0..mem.object_count() {
-            w.append(SegmentClass::MemOrder, ColumnSlice::of(&mem, slot))?;
-        }
-        for slot in 0..tsv.object_count() {
-            w.append(SegmentClass::Tsv, ColumnSlice::of(&tsv, slot))?;
-        }
-        let stats = w.finish(&self.workload, self.end_time, &self.clocks, &self.sites)?;
+        let stats = write_columns(
+            path,
+            &mem,
+            &tsv,
+            &self.workload,
+            self.end_time,
+            &self.clocks,
+            &self.sites,
+        )?;
         self.pending.clear();
         self.generations += 1;
         Ok(SealOutput { mem, tsv, stats })
@@ -212,7 +215,7 @@ impl SessionIndexBuilder {
 mod tests {
     use super::*;
     use crate::index::ClockId;
-    use crate::segment::SegmentReader;
+    use crate::segment::{SegmentClass, SegmentReader};
     use waffle_mem::{ObjectId, SiteId};
 
     fn tmpfile(tag: &str) -> std::path::PathBuf {

@@ -35,8 +35,8 @@ pub use index::{ClassColumns, ClockId, ClockInterner, ClockPool, IndexStats, Tra
 pub use ingest::{SealOutput, SessionIndexBuilder};
 pub use recorder::{ClockProtocol, TraceRecorder};
 pub use segment::{
-    fnv1a, ColumnSlice, SegmentCatalog, SegmentClass, SegmentColumns, SegmentMeta, SegmentReader,
-    SegmentWriteStats, SegmentWriter,
+    fnv1a, SegmentCatalog, SegmentClass, SegmentMeta, SegmentReader, SegmentWriteStats,
+    SegmentWriter,
 };
 pub use stats::TraceStats;
 pub use wire::{encode_frame, read_frame, write_frame, Frame, MAX_FRAME_BYTES, WIRE_EVENT_BYTES};

@@ -16,8 +16,11 @@
 //!   exactly the order the two-pointer sweep consumes — holding that
 //!   object's time-sorted columns as packed little-endian arrays
 //!   (`times: u64ⁿ ++ threads: u32ⁿ ++ sites: u32ⁿ ++ kinds: u8ⁿ ++
-//!   clocks: u32ⁿ`; the constant `obj` column is stored once, in the
-//!   catalog entry, not per event).
+//!   clocks: u32ⁿ`). The object id is stored once, in the catalog entry,
+//!   as [`ClassColumns`] keeps it once in its CSR table, never per event.
+//!   The writer appends one object slot of a [`ClassColumns`] at a time,
+//!   and the reader reassembles a run of segments into one validated
+//!   [`ClassColumns`] ([`SegmentReader::read_segments`]).
 //! - **Footer catalog** ([`SegmentCatalog`]): per-segment byte offsets,
 //!   lengths, event counts, min/max timestamps, and FNV-1a checksums,
 //!   plus the interned [`ClockPool`] and the trace's [`SiteRegistry`]
@@ -56,7 +59,7 @@ use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use waffle_mem::{AccessKind, ObjectId, SiteId, SiteRegistry};
+use waffle_mem::{ObjectId, SiteId, SiteRegistry};
 use waffle_sim::{SimTime, ThreadId};
 
 use crate::codec::{
@@ -105,8 +108,7 @@ pub enum SegmentClass {
 /// Catalog entry for one on-disk object segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentMeta {
-    /// The object every event in the segment touches (the `objs` column,
-    /// stored once instead of per event).
+    /// The object every event in the segment touches.
     pub object: ObjectId,
     /// Absolute file offset of the segment's first byte.
     pub offset: u64,
@@ -293,96 +295,55 @@ fn invalid(path: &Path, what: impl std::fmt::Display) -> io::Error {
     )
 }
 
-/// Borrowed, equal-length column slices for one object's time-sorted
-/// events — the unit [`SegmentWriter::append`] consumes. Built from a
-/// resident index slot via [`ColumnSlice::of`], or assembled directly by
-/// the compactor from merged vectors.
-#[derive(Debug, Clone, Copy)]
-pub struct ColumnSlice<'a> {
-    /// The object every row touches.
-    pub object: ObjectId,
-    /// Virtual timestamps (must be non-decreasing).
-    pub times: &'a [SimTime],
-    /// Accessing threads.
-    pub threads: &'a [ThreadId],
-    /// Static sites.
-    pub sites: &'a [SiteId],
-    /// Operation classes.
-    pub kinds: &'a [AccessKind],
-    /// Pooled clock handles.
-    pub clocks: &'a [ClockId],
-}
-
-impl<'a> ColumnSlice<'a> {
-    /// The slice for object slot `slot` of `cols`.
-    pub fn of(cols: &'a ClassColumns, slot: usize) -> Self {
-        let r = cols.range(slot);
-        Self {
-            object: cols.objects[slot],
-            times: &cols.times[r.clone()],
-            threads: &cols.threads[r.clone()],
-            sites: &cols.sites[r.clone()],
-            kinds: &cols.kinds[r.clone()],
-            clocks: &cols.clocks[r],
-        }
-    }
-}
-
-/// Serializes one object's columns into `buf` (cleared first) and returns
-/// its catalog entry with `offset` left at 0 for the writer to fix.
-/// `InvalidData` on ragged columns, an empty segment, or an event count
-/// past the catalog's u32 field (which a bare cast used to wrap silently).
-fn encode_segment(seg: &ColumnSlice<'_>, buf: &mut Vec<u8>) -> io::Result<SegmentMeta> {
+/// Serializes object slot `slot` of `cols` into `buf` (cleared first)
+/// and returns its catalog entry with `offset` left at 0 for the writer to
+/// fix. `InvalidData` on ragged columns, an empty segment, or an event
+/// count past the catalog's u32 field (which a bare cast used to wrap
+/// silently).
+///
+/// # Panics
+/// When `slot` is not a slot of `cols`.
+fn encode_segment(cols: &ClassColumns, slot: usize, buf: &mut Vec<u8>) -> io::Result<SegmentMeta> {
     buf.clear();
-    let n = seg.times.len();
+    let object = cols.objects[slot];
     let err = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
-    if n == 0 {
-        return Err(err(format!("segment for {} is empty", seg.object)));
+    let r = cols.range(slot);
+    if cols.is_ragged() || r.end > cols.len() {
+        return Err(err(format!("segment for {object} has ragged columns")));
     }
-    if [
-        seg.threads.len(),
-        seg.sites.len(),
-        seg.kinds.len(),
-        seg.clocks.len(),
-    ]
-    .iter()
-    .any(|&l| l != n)
-    {
-        return Err(err(format!(
-            "segment for {} has ragged columns",
-            seg.object
-        )));
+    if r.is_empty() {
+        return Err(err(format!("segment for {object} is empty")));
     }
+    let n = r.len();
     let events = u32::try_from(n).map_err(|_| {
         err(format!(
-            "segment for {} holds {n} events (catalog limit is {})",
-            seg.object,
+            "segment for {object} holds {n} events (catalog limit is {})",
             u32::MAX
         ))
     })?;
     buf.reserve(n * EVENT_BYTES as usize);
-    for t in seg.times {
+    for t in &cols.times[r.clone()] {
         buf.extend_from_slice(&t.as_us().to_le_bytes());
     }
-    for t in seg.threads {
+    for t in &cols.threads[r.clone()] {
         buf.extend_from_slice(&t.0.to_le_bytes());
     }
-    for s in seg.sites {
+    for s in &cols.sites[r.clone()] {
         buf.extend_from_slice(&s.0.to_le_bytes());
     }
-    for k in seg.kinds {
+    for k in &cols.kinds[r.clone()] {
         buf.push(kind_tag(*k));
     }
-    for c in seg.clocks {
+    for c in &cols.clocks[r.clone()] {
         buf.extend_from_slice(&c.0.to_le_bytes());
     }
     Ok(SegmentMeta {
-        object: seg.object,
+        object,
         offset: 0,
         bytes: buf.len() as u64,
         events,
-        min_time: seg.times[0],
-        max_time: seg.times[n - 1],
+        min_time: cols.times[r.start],
+        max_time: cols.times[r.end - 1],
         checksum: fnv1a(buf),
     })
 }
@@ -433,26 +394,36 @@ impl SegmentWriter {
         })
     }
 
-    /// Appends one object segment to `class`. Objects must arrive in
-    /// strictly ascending order within each class — the invariant the
-    /// streaming sweep's deterministic merge reads back.
-    pub fn append(&mut self, class: SegmentClass, seg: ColumnSlice<'_>) -> io::Result<()> {
+    /// Appends object slot `slot` of `cols` as one segment of `class`.
+    /// Objects must arrive in strictly ascending order within each class —
+    /// the invariant the streaming sweep's deterministic merge reads back.
+    /// The writer does not check time order; the reader does.
+    ///
+    /// # Panics
+    /// When `slot` is not a slot of `cols`.
+    pub fn append(
+        &mut self,
+        class: SegmentClass,
+        cols: &ClassColumns,
+        slot: usize,
+    ) -> io::Result<()> {
         let metas = match class {
             SegmentClass::MemOrder => &self.mem,
             SegmentClass::Tsv => &self.tsv,
         };
+        let object = cols.objects[slot];
         if let Some(last) = metas.last() {
-            if seg.object <= last.object {
+            if object <= last.object {
                 return Err(invalid(
                     &self.path,
                     format!(
-                        "segment for {} appended out of ascending object order (after {})",
-                        seg.object, last.object
+                        "segment for {object} appended out of ascending object order (after {})",
+                        last.object
                     ),
                 ));
             }
         }
-        let mut meta = encode_segment(&seg, &mut self.buf)?;
+        let mut meta = encode_segment(cols, slot, &mut self.buf)?;
         meta.offset = self.offset;
         self.offset += meta.bytes;
         let f = self.file.as_mut().expect("writer already finished");
@@ -517,54 +488,42 @@ impl Drop for SegmentWriter {
     }
 }
 
+/// Writes both classes' columns, every object slot in order, as one
+/// segment file at `path`; the other arguments go to
+/// [`SegmentWriter::finish`].
+pub(crate) fn write_columns(
+    path: &Path,
+    mem: &ClassColumns,
+    tsv: &ClassColumns,
+    workload: &str,
+    end_time: SimTime,
+    clocks: &ClockPool,
+    sites: &SiteRegistry,
+) -> io::Result<SegmentWriteStats> {
+    let mut w = SegmentWriter::create(path)?;
+    for (class, cols) in [(SegmentClass::MemOrder, mem), (SegmentClass::Tsv, tsv)] {
+        for slot in 0..cols.object_count() {
+            w.append(class, cols, slot)?;
+        }
+    }
+    w.finish(workload, end_time, clocks, sites)
+}
+
 impl<'t> TraceIndex<'t> {
     /// Writes this index as a segment file at `path` (atomically: a
     /// sibling temp file renamed into place, so a crash mid-write never
     /// leaves a half file under the final name).
     pub fn write_segments(&self, path: &Path) -> io::Result<SegmentWriteStats> {
-        let mut w = SegmentWriter::create(path)?;
-        for slot in 0..self.mem.object_count() {
-            w.append(SegmentClass::MemOrder, ColumnSlice::of(&self.mem, slot))?;
-        }
-        for slot in 0..self.tsv.object_count() {
-            w.append(SegmentClass::Tsv, ColumnSlice::of(&self.tsv, slot))?;
-        }
-        w.finish(
-            &self.trace.workload,
-            self.trace.end_time,
-            &self.trace.clocks,
-            &self.trace.sites,
+        let t = self.trace;
+        write_columns(
+            path,
+            &self.mem,
+            &self.tsv,
+            &t.workload,
+            t.end_time,
+            &t.clocks,
+            &t.sites,
         )
-    }
-}
-
-/// One loaded object segment: the object's columns, resident.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentColumns {
-    /// The segment's object.
-    pub object: ObjectId,
-    /// Virtual timestamps (time-sorted).
-    pub times: Vec<SimTime>,
-    /// Accessing threads.
-    pub threads: Vec<ThreadId>,
-    /// Static sites.
-    pub sites: Vec<SiteId>,
-    /// Operation classes.
-    pub kinds: Vec<AccessKind>,
-    /// Pooled clock handles.
-    pub clocks: Vec<ClockId>,
-}
-
-impl SegmentColumns {
-    /// Events in the segment.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// Whether the segment holds no events (never true for written files —
-    /// empty objects get no segment).
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
     }
 }
 
@@ -581,7 +540,8 @@ pub struct SegmentReader {
 impl SegmentReader {
     /// Opens and validates a segment file: both magics, the trailer, the
     /// footer checksum, and the schema version. Per-segment payloads are
-    /// verified lazily, on [`load`](Self::load).
+    /// verified lazily, when [`read_segments`](Self::read_segments) loads
+    /// them.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
         let mut file = fs::File::open(&path)?;
@@ -653,79 +613,86 @@ impl SegmentReader {
         &self.catalog.clocks
     }
 
-    /// Loads segment `k` of `class` into memory, verifying its checksum and
-    /// that every clock id and site id resolves in the catalog's pool and
-    /// registry (a checksummed segment can still carry ids its footer never
-    /// defined, and the analyzer indexes the pool by them).
-    pub fn load(&mut self, class: SegmentClass, k: usize) -> io::Result<SegmentColumns> {
-        let meta = self.catalog.class(class)[k].clone();
-        let n = meta.events as usize;
+    /// Appends segment `k` of `class` to `cols` as one more object slot,
+    /// verifying its checksum and that every clock id and site id resolves
+    /// in the catalog's pool and registry (a checksummed segment can still
+    /// carry ids its footer never defined, and the analyzer indexes the
+    /// pool by them). On error `cols` is left part-written.
+    fn load_into(
+        &mut self,
+        class: SegmentClass,
+        k: usize,
+        cols: &mut ClassColumns,
+    ) -> io::Result<()> {
+        let meta = &self.catalog.class(class)[k];
+        let (n, object) = (meta.events as usize, meta.object);
         self.file.seek(SeekFrom::Start(meta.offset))?;
         let mut raw = vec![0u8; meta.bytes as usize];
         self.file.read_exact(&mut raw)?;
         if fnv1a(&raw) != meta.checksum {
             return Err(invalid(
                 &self.path,
-                format!(
-                    "segment checksum mismatch for {} (corrupt payload)",
-                    meta.object
-                ),
+                format!("segment checksum mismatch for {object} (corrupt payload)"),
             ));
         }
         let (times_b, rest) = raw.split_at(n * 8);
         let (threads_b, rest) = rest.split_at(n * 4);
         let (sites_b, rest) = rest.split_at(n * 4);
         let (kinds_b, clocks_b) = rest.split_at(n);
-        let le_u64 =
-            |b: &[u8], i: usize| u64::from_le_bytes(b[i * 8..i * 8 + 8].try_into().unwrap());
-        let le_u32 =
-            |b: &[u8], i: usize| u32::from_le_bytes(b[i * 4..i * 4 + 4].try_into().unwrap());
-        let mut kinds = Vec::with_capacity(n);
+        let le_u32 = |b: &[u8]| u32::from_le_bytes(b.try_into().unwrap());
+        let start = cols.len();
+        cols.times.extend(
+            times_b
+                .chunks_exact(8)
+                .map(|b| SimTime::from_us(u64::from_le_bytes(b.try_into().unwrap()))),
+        );
+        cols.threads
+            .extend(threads_b.chunks_exact(4).map(|b| ThreadId(le_u32(b))));
+        cols.sites
+            .extend(sites_b.chunks_exact(4).map(|b| SiteId(le_u32(b))));
         for &k in kinds_b {
-            kinds.push(kind_from_tag(k).ok_or_else(|| {
+            cols.kinds.push(kind_from_tag(k).ok_or_else(|| {
                 invalid(
                     &self.path,
-                    format!("unknown access-kind tag {k} in segment for {}", meta.object),
+                    format!("unknown access-kind tag {k} in segment for {object}"),
                 )
             })?);
         }
-        let seg = SegmentColumns {
-            object: meta.object,
-            times: (0..n)
-                .map(|i| SimTime::from_us(le_u64(times_b, i)))
-                .collect(),
-            threads: (0..n).map(|i| ThreadId(le_u32(threads_b, i))).collect(),
-            sites: (0..n).map(|i| SiteId(le_u32(sites_b, i))).collect(),
-            kinds,
-            clocks: (0..n).map(|i| ClockId(le_u32(clocks_b, i))).collect(),
-        };
+        cols.clocks
+            .extend(clocks_b.chunks_exact(4).map(|b| ClockId(le_u32(b))));
         let pool = self.catalog.clocks.len();
-        if let Some(c) = seg.clocks.iter().find(|c| c.0 as usize >= pool) {
+        if let Some(c) = cols.clocks[start..].iter().find(|c| c.0 as usize >= pool) {
             return Err(invalid(
                 &self.path,
                 format!(
-                    "segment for {} references clock id {} outside the {pool}-snapshot pool",
-                    meta.object, c.0
+                    "segment for {object} references clock id {} outside the {pool}-snapshot pool",
+                    c.0
                 ),
             ));
         }
         let registry = self.catalog.sites.len();
-        if let Some(s) = seg.sites.iter().find(|s| s.0 as usize >= registry) {
+        if let Some(s) = cols.sites[start..]
+            .iter()
+            .find(|s| s.0 as usize >= registry)
+        {
             return Err(invalid(
                 &self.path,
                 format!(
-                    "segment for {} references site {s} outside the {registry}-site registry",
-                    meta.object
+                    "segment for {object} references site {s} outside the {registry}-site registry"
                 ),
             ));
         }
-        Ok(seg)
+        cols.push_object(object);
+        Ok(())
     }
 
     /// Loads segments `range` of `class` into one validated
     /// [`ClassColumns`]: CSR offsets are relative to the range, and
     /// `objects` keeps the catalog's ascending order. This is the batch
     /// loader the streaming analysis feeds its budget windows through.
+    /// `InvalidData` names the segment whose payload or ids are bad, and
+    /// the object whose reassembled segment breaks a column invariant
+    /// (see [`ClassColumns::validate`]).
     ///
     /// # Panics
     /// When `range` reaches past the catalog's segment list for `class`.
@@ -734,31 +701,21 @@ impl SegmentReader {
         class: SegmentClass,
         range: Range<usize>,
     ) -> io::Result<ClassColumns> {
-        let total: usize = self.catalog.class(class)[range.clone()]
+        let total: u64 = self.catalog.class(class)[range.clone()]
             .iter()
-            .map(|m| m.events as usize)
+            .map(|m| u64::from(m.events))
             .sum();
-        let mut cols = ClassColumns {
-            times: Vec::with_capacity(total),
-            threads: Vec::with_capacity(total),
-            sites: Vec::with_capacity(total),
-            objs: Vec::with_capacity(total),
-            kinds: Vec::with_capacity(total),
-            clocks: Vec::with_capacity(total),
-            objects: Vec::with_capacity(range.len()),
-            offsets: Vec::with_capacity(range.len() + 1),
-        };
-        cols.offsets.push(0);
+        if total > u64::from(u32::MAX) {
+            return Err(invalid(
+                &self.path,
+                format!(
+                    "segments {range:?} hold {total} events (one batch holds at most u32::MAX)"
+                ),
+            ));
+        }
+        let mut cols = ClassColumns::with_capacity(total as usize, range.len());
         for k in range {
-            let mut seg = self.load(class, k)?;
-            cols.objs.extend(std::iter::repeat_n(seg.object, seg.len()));
-            cols.times.append(&mut seg.times);
-            cols.threads.append(&mut seg.threads);
-            cols.sites.append(&mut seg.sites);
-            cols.kinds.append(&mut seg.kinds);
-            cols.clocks.append(&mut seg.clocks);
-            cols.objects.push(seg.object);
-            cols.offsets.push(cols.times.len() as u32);
+            self.load_into(class, k, &mut cols)?;
         }
         cols.validate()
             .map_err(|e| invalid(&self.path, format!("reassembled columns invalid: {e}")))?;
@@ -779,6 +736,7 @@ impl SegmentReader {
 mod tests {
     use super::*;
     use crate::event::{Trace, TraceEvent};
+    use waffle_mem::AccessKind;
     use waffle_vclock::ClockSnapshot;
 
     fn sample_trace(objects: u32, per_object: u64) -> Trace {
@@ -858,8 +816,10 @@ mod tests {
         let mut reader = SegmentReader::open(&path).unwrap();
         for k in 0..reader.catalog().mem.len() {
             let meta = reader.catalog().mem[k].clone();
-            let seg = reader.load(SegmentClass::MemOrder, k).unwrap();
-            assert_eq!(seg.object, meta.object);
+            let seg = reader
+                .read_segments(SegmentClass::MemOrder, k..k + 1)
+                .unwrap();
+            assert_eq!(seg.objects, [meta.object]);
             assert_eq!(*seg.times.first().unwrap(), meta.min_time);
             assert_eq!(*seg.times.last().unwrap(), meta.max_time);
             assert!(seg.times.windows(2).all(|w| w[0] <= w[1]));
@@ -892,7 +852,9 @@ mod tests {
         bytes[off + 3] ^= 0xff;
         fs::write(&path, &bytes).unwrap();
         let mut reader = SegmentReader::open(&path).expect("footer still valid");
-        let err = reader.load(SegmentClass::MemOrder, 0).unwrap_err();
+        let err = reader
+            .read_segments(SegmentClass::MemOrder, 0..1)
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
         let _ = fs::remove_file(&path);
@@ -1023,30 +985,37 @@ mod tests {
         assert!(!path.exists());
     }
 
+    /// Columns holding one `Use` row at 1 µs for each of `objects`.
+    fn one_row_each(objects: &[u32]) -> ClassColumns {
+        let events: Vec<TraceEvent> = objects
+            .iter()
+            .map(|&o| TraceEvent {
+                time: SimTime::from_us(1),
+                thread: ThreadId(0),
+                site: SiteId(0),
+                obj: ObjectId(o),
+                kind: AccessKind::Use,
+                dyn_index: 0,
+                clock: ClockId::EMPTY,
+            })
+            .collect();
+        ClassColumns::build_in(&events, |_| true, &mut Default::default())
+    }
+
     #[test]
     fn writer_rejects_out_of_order_objects_and_cleans_up_on_drop() {
         let path = tmpfile("writer-order");
-        let times = [SimTime::from_us(1)];
-        let threads = [ThreadId(0)];
-        let sites = [SiteId(0)];
-        let kinds = [AccessKind::Use];
-        let clocks = [ClockId::EMPTY];
-        let seg = |o: u32| ColumnSlice {
-            object: ObjectId(o),
-            times: &times,
-            threads: &threads,
-            sites: &sites,
-            kinds: &kinds,
-            clocks: &clocks,
-        };
+        let cols = one_row_each(&[1, 5]);
         let mut w = SegmentWriter::create(&path).unwrap();
         let tmp = w.tmp.clone();
-        w.append(SegmentClass::MemOrder, seg(5)).unwrap();
-        let err = w.append(SegmentClass::MemOrder, seg(5)).unwrap_err();
+        w.append(SegmentClass::MemOrder, &cols, 1).unwrap();
+        let err = w.append(SegmentClass::MemOrder, &cols, 1).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("ascending object order"), "{err}");
+        let err = w.append(SegmentClass::MemOrder, &cols, 0).unwrap_err();
+        assert!(err.to_string().contains("ascending object order"), "{err}");
         // A different class keeps its own order cursor.
-        w.append(SegmentClass::Tsv, seg(1)).unwrap();
+        w.append(SegmentClass::Tsv, &cols, 0).unwrap();
         assert!(tmp.exists());
         drop(w);
         assert!(!tmp.exists(), "abandoned writer must remove its temp file");
@@ -1060,30 +1029,18 @@ mod tests {
     fn encode_rejects_empty_and_ragged_segments() {
         let path = tmpfile("writer-ragged");
         let mut w = SegmentWriter::create(&path).unwrap();
-        let times = [SimTime::from_us(1), SimTime::from_us(2)];
-        let threads = [ThreadId(0)];
-        let sites = [SiteId(0), SiteId(0)];
-        let kinds = [AccessKind::Use, AccessKind::Use];
-        let clocks = [ClockId::EMPTY, ClockId::EMPTY];
-        let ragged = ColumnSlice {
-            object: ObjectId(0),
-            times: &times,
-            threads: &threads,
-            sites: &sites,
-            kinds: &kinds,
-            clocks: &clocks,
-        };
-        let err = w.append(SegmentClass::MemOrder, ragged).unwrap_err();
+        let mut ragged = one_row_each(&[0, 1]);
+        ragged.threads.pop();
+        let err = w.append(SegmentClass::MemOrder, &ragged, 0).unwrap_err();
         assert!(err.to_string().contains("ragged"), "{err}");
-        let empty = ColumnSlice {
-            object: ObjectId(0),
-            times: &[],
-            threads: &[],
-            sites: &[],
-            kinds: &[],
-            clocks: &[],
-        };
-        let err = w.append(SegmentClass::MemOrder, empty).unwrap_err();
+        // Offsets past the rows are ragged too, not a slicing panic.
+        let mut past = one_row_each(&[0]);
+        past.offsets = vec![0, 2];
+        let err = w.append(SegmentClass::MemOrder, &past, 0).unwrap_err();
+        assert!(err.to_string().contains("ragged"), "{err}");
+        let mut empty = one_row_each(&[0, 1]);
+        empty.offsets = vec![0, 0, 2];
+        let err = w.append(SegmentClass::MemOrder, &empty, 0).unwrap_err();
         assert!(err.to_string().contains("empty"), "{err}");
     }
 

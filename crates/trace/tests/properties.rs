@@ -121,9 +121,6 @@ proptest! {
                 prev = Some(cols.objects[k]);
                 let r = cols.range(k);
                 prop_assert!(!r.is_empty(), "no empty segments");
-                for i in r.clone() {
-                    prop_assert_eq!(cols.objs[i], cols.objects[k]);
-                }
                 for w in cols.times[r].windows(2) {
                     prop_assert!(w[0] <= w[1], "segment time-sorted");
                 }
@@ -135,10 +132,12 @@ proptest! {
             *want.entry((e.time, e.thread, e.site, e.obj, e.kind, e.clock)).or_insert(0) += 1;
         }
         for cols in [&idx.mem, &idx.tsv] {
-            for i in 0..cols.len() {
-                let key = (cols.times[i], cols.threads[i], cols.sites[i],
-                           cols.objs[i], cols.kinds[i], cols.clocks[i]);
-                *want.get_mut(&key).expect("indexed row exists in trace") -= 1;
+            for k in 0..cols.object_count() {
+                for i in cols.range(k) {
+                    let key = (cols.times[i], cols.threads[i], cols.sites[i],
+                               cols.objects[k], cols.kinds[i], cols.clocks[i]);
+                    *want.get_mut(&key).expect("indexed row exists in trace") -= 1;
+                }
             }
         }
         prop_assert!(want.values().all(|&n| n == 0));

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use waffle_mem::{AccessKind, ObjectId, SiteId, SiteRegistry};
 use waffle_sim::{SimTime, ThreadId};
 use waffle_trace::{
-    fnv1a, ClockId, ClockPool, ColumnSlice, SegmentCatalog, SegmentClass, SegmentMeta,
+    fnv1a, ClassColumns, ClockId, ClockPool, SegmentCatalog, SegmentClass, SegmentMeta,
     SegmentReader, SegmentWriter, Trace, TraceEvent, TraceIndex,
 };
 use waffle_vclock::ClockSnapshot;
@@ -399,47 +399,77 @@ fn footer_site_defined_twice_is_invalid_data() {
     }
 }
 
+/// The MemOrder columns of a hand-built trace: one `Init` then `Use` on
+/// each of `objects`, with the given sites and clock ids.
+fn mem_columns(objects: &[u32], sites: [SiteId; 2], clocks: [ClockId; 2]) -> ClassColumns {
+    let events = objects
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &o)| {
+            let t = 10 * i as u64;
+            [(0, AccessKind::Init), (1, AccessKind::Use)].map(|(j, kind)| TraceEvent {
+                time: SimTime::from_us(t + j as u64 + 1),
+                thread: ThreadId(j as u32),
+                site: sites[j],
+                obj: ObjectId(o),
+                kind,
+                dyn_index: 0,
+                clock: clocks[j],
+            })
+        })
+        .collect();
+    let trace = Trace {
+        workload: "seg.hostile".into(),
+        sites: SiteRegistry::new(),
+        events,
+        forks: vec![],
+        clocks: ClockPool::new(),
+        end_time: SimTime::from_ms(1),
+    };
+    TraceIndex::build(&trace).mem
+}
+
+/// Writes every slot of `mem` through the public writer, with a footer
+/// holding one site and the empty clock pool.
+fn write_hostile(tag: &str, mem: &ClassColumns) -> PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "waffle-segprop-hostile-{tag}-{}.wseg",
+        std::process::id()
+    ));
+    let mut sites = SiteRegistry::new();
+    sites.register("init", AccessKind::Init);
+    let mut w = SegmentWriter::create(&path).unwrap();
+    for slot in 0..mem.object_count() {
+        w.append(SegmentClass::MemOrder, mem, slot).unwrap();
+    }
+    w.finish(
+        "seg.hostile",
+        SimTime::from_ms(1),
+        &ClockPool::new(),
+        &sites,
+    )
+    .unwrap();
+    path
+}
+
 /// A segment whose checksum is valid but whose clock or site ids lie past
 /// the footer's pool or registry: the writer checks neither, so only the
 /// reader stands between such a file and the analyzer, which indexes the
-/// pool by clock id. Both `load` and the whole-class read must reject it
-/// as `InvalidData` rather than hand the ids on.
+/// pool by clock id. Both a one-segment read and the whole-class read
+/// must reject it as `InvalidData` rather than hand the ids on.
 #[test]
 fn checksummed_segment_with_undefined_ids_is_invalid_data() {
-    let mut sites = SiteRegistry::new();
-    sites.register("init", AccessKind::Init);
     let cases = [
         ("clock", SiteId(0), ClockId(7), "clock id 7"),
         ("site", SiteId(3), ClockId::EMPTY, "site"),
     ];
     for (tag, site, clock, needle) in cases {
-        let path = std::env::temp_dir().join(format!(
-            "waffle-segprop-hostile-{tag}-{}.wseg",
-            std::process::id()
-        ));
-        let mut w = SegmentWriter::create(&path).unwrap();
-        w.append(
-            SegmentClass::MemOrder,
-            ColumnSlice {
-                object: ObjectId(0),
-                times: &[SimTime::from_us(1), SimTime::from_us(2)],
-                threads: &[ThreadId(0), ThreadId(1)],
-                sites: &[SiteId(0), site],
-                kinds: &[AccessKind::Init, AccessKind::Init],
-                clocks: &[ClockId::EMPTY, clock],
-            },
-        )
-        .unwrap();
-        w.finish(
-            "seg.hostile",
-            SimTime::from_ms(1),
-            &ClockPool::new(),
-            &sites,
-        )
-        .unwrap();
-
+        let mem = mem_columns(&[0], [SiteId(0), site], [ClockId::EMPTY, clock]);
+        let path = write_hostile(tag, &mem);
         let mut reader = SegmentReader::open(&path).expect("footer and checksums are valid");
-        let err = reader.load(SegmentClass::MemOrder, 0).unwrap_err();
+        let err = reader
+            .read_segments(SegmentClass::MemOrder, 0..1)
+            .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{tag}: {err}");
         assert!(err.to_string().contains(needle), "{tag}: {err}");
         let err = reader
@@ -448,4 +478,32 @@ fn checksummed_segment_with_undefined_ids_is_invalid_data() {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{tag}: {err}");
         let _ = std::fs::remove_file(&path);
     }
+}
+
+/// The writer does not check time order within a segment, so a file whose
+/// segment times descend can be written through the public API with valid
+/// checksums. The reader's column check is what rejects it, naming the
+/// object, while the sorted segment before it still reads.
+#[test]
+fn checksummed_segment_with_descending_times_is_invalid_data() {
+    let mut mem = mem_columns(&[2, 5], [SiteId(0); 2], [ClockId::EMPTY; 2]);
+    let r = mem.range(1);
+    mem.times[r].reverse();
+    let path = write_hostile("descending", &mem);
+    let mut reader = SegmentReader::open(&path).expect("footer and checksums are valid");
+    assert_eq!(
+        reader.catalog().mem[1].min_time,
+        SimTime::from_us(12),
+        "the catalog records the descending segment as written"
+    );
+    reader
+        .read_segments(SegmentClass::MemOrder, 0..1)
+        .expect("the sorted segment reads");
+    let err = reader
+        .read_class_columns(SegmentClass::MemOrder)
+        .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("segment for obj#5 not time-sorted"), "{msg}");
+    let _ = std::fs::remove_file(&path);
 }
