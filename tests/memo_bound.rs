@@ -10,56 +10,22 @@
 //! growth linear. The test pins the ratio, with the reference scanner
 //! confirming the bounded memo still yields byte-identical plans.
 
-use waffle_analysis::{analyze_indexed, analyze_unindexed, AnalyzerConfig};
-use waffle_mem::{AccessKind, ObjectId, SiteRegistry};
-use waffle_sim::{SimTime, ThreadId};
-use waffle_trace::{ClockPool, Trace, TraceEvent, TraceIndex};
-use waffle_vclock::ClockSnapshot;
+use std::sync::Mutex;
 
-/// Heap-byte counter wrapping the system allocator (same proxy the bench
-/// suite uses; the workspace has no allocator introspection deps).
-mod alloc_counter {
-    #![allow(unsafe_code)] // GlobalAlloc is inherently unsafe; test-only code.
-
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static LIVE: AtomicU64 = AtomicU64::new(0);
-    static PEAK: AtomicU64 = AtomicU64::new(0);
-
-    /// Pass-through allocator tracking live and peak heap bytes.
-    pub struct CountingAlloc;
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let p = System.alloc(layout);
-            if !p.is_null() {
-                let live =
-                    LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed) + layout.size() as u64;
-                PEAK.fetch_max(live, Ordering::Relaxed);
-            }
-            p
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout);
-            LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Restarts the peak watermark from the current live total.
-    pub fn reset_peak() {
-        PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Peak live heap bytes since the last [`reset_peak`].
-    pub fn peak() -> u64 {
-        PEAK.load(Ordering::Relaxed)
-    }
-}
+use waffle_bench::alloc;
+use waffle_repro::analysis::{analyze_indexed, analyze_unindexed, AnalyzerConfig};
+use waffle_repro::mem::{AccessKind, ObjectId, SiteRegistry};
+use waffle_repro::sim::{SimTime, ThreadId};
+use waffle_repro::trace::{ClockPool, Trace, TraceEvent, TraceIndex};
+use waffle_repro::vclock::ClockSnapshot;
 
 #[global_allocator]
-static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
+static ALLOC: alloc::Counting = alloc::Counting;
+
+/// The counting allocator sees every thread of the process, so each test
+/// here holds this lock: the exactness check must not allocate while the
+/// peak is being measured.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// `n` events on one object, 1 µs apart (all inside one δ window):
 /// alternating `Init` on thread 0 / `Use` on thread 1, each event with a
@@ -102,15 +68,16 @@ fn clock_diverse_trace(n: u64) -> Trace {
 /// Peak heap bytes of one `analyze_indexed` pass over a prebuilt index.
 fn analysis_peak(trace: &Trace, config: &AnalyzerConfig) -> u64 {
     let index = TraceIndex::build(trace);
-    alloc_counter::reset_peak();
+    alloc::reset_peak();
     let plan = analyze_indexed(&index, config, 1);
-    let peak = alloc_counter::peak();
+    let peak = alloc::peak();
     drop(plan);
     peak
 }
 
 #[test]
 fn memo_peak_heap_scales_with_clocks_not_window_pairs() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Interference obs are O(window pairs) by design (and post-filtered);
     // switch them off so the memo is the only quadratic suspect.
     let config = AnalyzerConfig::default().without_interference_control();
@@ -151,6 +118,7 @@ fn memo_peak_heap_scales_with_clocks_not_window_pairs() {
 
 #[test]
 fn bounded_memo_is_still_exact() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Collision overwrites may recompute, never corrupt: plans stay
     // byte-identical to the memo-free reference scanner even when the
     // distinct-pair count dwarfs the table.
