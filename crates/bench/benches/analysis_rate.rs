@@ -10,8 +10,10 @@
 //! comparison, since the unindexed scanner starts from a raw trace too.
 //! Every stage is a Criterion mean per iteration over the trace's events.
 //!
-//! The counting allocator records peak live heap bytes during one pass of
-//! each flavor as a peak-RSS proxy (`peak_alloc/*` counters).
+//! The counting allocator records the peak heap bytes one pass of each
+//! flavor adds on top of what was live when the pass began, as a peak-RSS
+//! proxy (`peak_alloc/*` counters). Counting only the section keeps the
+//! counters still when unrelated process state changes.
 
 use criterion::{black_box, Criterion};
 use waffle_analysis::{analyze_indexed, analyze_unindexed, AnalyzerConfig};
@@ -118,16 +120,16 @@ fn main() {
 
     // Peak-heap watermarks for one pass of each flavor, outside the timed
     // sections so the allocator bookkeeping cannot skew the means.
-    alloc::reset_peak();
+    let base = alloc::reset_peak();
     let plan = analyze_unindexed(&trace, &config);
     drop(plan);
-    let peak_unindexed = alloc::peak();
-    alloc::reset_peak();
+    let peak_unindexed = alloc::peak() - base;
+    let base = alloc::reset_peak();
     let index = TraceIndex::build(&trace);
     let plan = analyze_indexed(&index, &config, 1);
     drop(plan);
     drop(index);
-    let peak_indexed = alloc::peak();
+    let peak_indexed = alloc::peak() - base;
 
     let mut ledger = Ledger::new("analysis");
     ledger.env_param("bench_ms", "WAFFLE_BENCH_MS", 300);

@@ -173,6 +173,8 @@ fn main() {
         }
         let mut reader = SegmentReader::open(&path).expect("segments open");
         let batches = waffle_analysis::ooc_stats(&reader, budget).batches as u64;
+        // An absolute peak, live bytes before the pass included: the
+        // `ooc_peak_ratio` gate is defined on it.
         alloc::reset_peak();
         let t0 = Instant::now();
         let plan = analyze_segments(&mut reader, &config, 1, budget).expect("ooc analysis");

@@ -76,6 +76,8 @@ struct StreamRun {
 fn streamed_session(src: &Stream, n: u64, scratch: &Path) -> StreamRun {
     let dir = scratch.join(format!("session-{n}"));
     std::fs::create_dir_all(&dir).expect("session dir");
+    // An absolute peak, live bytes before the session included: the
+    // `ingest_peak_ratio` gate is defined on it.
     alloc::reset_peak();
     let t0 = Instant::now();
 

@@ -44,9 +44,13 @@ unsafe impl GlobalAlloc for Counting {
     }
 }
 
-/// Restarts the peak watermark from the current live total.
-pub fn reset_peak() {
-    PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
+/// Restarts the peak watermark from the current live total and returns
+/// that total, so `peak() - base` counts only what a section added on
+/// top of the bytes already live when it began.
+pub fn reset_peak() -> u64 {
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
+    live
 }
 
 /// Peak live heap bytes since the last [`reset_peak`].
