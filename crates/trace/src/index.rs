@@ -392,7 +392,7 @@ impl ClassColumns {
     }
 
     /// Whether the event columns differ in length.
-    pub fn is_ragged(&self) -> bool {
+    pub(crate) fn is_ragged(&self) -> bool {
         let n = self.times.len();
         [
             self.threads.len(),
