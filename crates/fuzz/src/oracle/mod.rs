@@ -20,11 +20,13 @@
 //!
 //! State explosion is held down by three cooperating mechanisms:
 //!
-//! * **Memoization** — a 128-bit FNV-1a fingerprint of the canonical
-//!   state encoding (computed into a reused scratch buffer) keyed with
-//!   the largest remaining budget it was visited with, in a bounded
-//!   direct-mapped table. A state revisited with no more budget cannot
-//!   reach anything new and is pruned.
+//! * **Memoization** — a 128-bit word-at-a-time fingerprint of the
+//!   canonical state encoding (packed into words as it is produced),
+//!   XORed with one of the sleep set, keyed with the largest remaining
+//!   budget it was visited with, in an exact open-addressing table of
+//!   16-byte slots that never evicts. A state revisited with no more
+//!   budget cannot reach anything new and is pruned, and the frontier
+//!   count is the number of distinct keys, whatever the table size.
 //! * **Sleep-set partial-order reduction** — interleavings that differ
 //!   only in the order of independent transitions are explored once; the
 //!   private `reduction` module holds the independence relation and the
@@ -42,10 +44,10 @@ use waffle_mem::{NullRefKind, ObjectId};
 use waffle_sim::{MemoryModel, ThreadId, ThreadStatus, Workload};
 
 use reduction::{
-    filter_sleep, fnv128, sleep_fingerprint, sleep_get, sleep_insert, sleep_subset, Footprint,
-    Probe, SleepEntry, StateMemo, TransId,
+    filter_sleep, sleep_fingerprint, sleep_get, sleep_insert, sleep_subset, Footprint, Probe,
+    SleepEntry, StateMemo, TransId,
 };
-use state::{EncodeScratch, OState};
+use state::OState;
 
 /// Tuning knobs for the bounded explorer.
 #[derive(Debug, Clone, Copy)]
@@ -264,8 +266,9 @@ fn is_deadlock(s: &OState<'_>) -> bool {
 /// bound, returning the first NULL-reference witness found or a clean /
 /// truncated verdict.
 pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
-    let mut memo = StateMemo::new(config.max_states);
-    let mut scratch = EncodeScratch::default();
+    let mut memo = StateMemo::new(config.max_states, config.preemption_bound);
+    // Sort scratch for the state encoding's held locks.
+    let mut held = Vec::new();
     // The counters accumulate here; the verdict stays clean unless a
     // witness or the state cap ends the search.
     let mut r = OracleReport {
@@ -285,8 +288,7 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
         let mut fp = Footprint::default();
         root.state.advance_to_decision(&mut fp);
         root.budget = config.preemption_bound;
-        root.state.encode_into(&mut scratch);
-        root.state_fp = fnv128(&scratch.buf);
+        root.state_fp = root.state.fingerprint(&mut held);
         root.node_cost = root.state.switch_cost();
         root.sleep.clear();
         memo.probe(root.state_fp ^ sleep_fingerprint(&[]), root.budget);
@@ -406,8 +408,7 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
 
         // Memoization: fingerprint of (canonical state, sleep identities),
         // keyed with the best remaining budget seen.
-        child.state.encode_into(&mut scratch);
-        let state_fp = fnv128(&scratch.buf);
+        let state_fp = child.state.fingerprint(&mut held);
         let key = state_fp ^ sleep_fingerprint(&child.sleep);
         match memo.probe(key, child_budget) {
             Probe::Dominated => {
@@ -423,10 +424,10 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
                 }
             }
         }
-        // On-path cycle guard: the bounded memo may evict the entry that
-        // would normally terminate a free-switch cycle, so a child whose
-        // state already appears on the current path with at least as much
-        // budget and a no-larger sleep set is pruned outright.
+        // On-path guard: a child whose state already appears on the
+        // current path with at least as much budget and a no-larger sleep
+        // set is pruned outright. The memo only matches equal sleep
+        // sets, so it misses these revisits of a free-switch cycle.
         if left.iter().any(|fr| {
             fr.state_fp == state_fp
                 && fr.budget >= child_budget

@@ -182,41 +182,119 @@ pub(crate) fn sleep_subset(a: &[SleepEntry], b: &[SleepEntry]) -> bool {
     true
 }
 
-const FNV_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
+/// Word-at-a-time 128-bit fingerprint: two independent 64-bit
+/// multiply-fold lanes (the full 128-bit product of the lane and a word,
+/// folded by XOR of its halves) absorb one 8-byte word per step, and the
+/// word count closes both lanes. It replaces a byte-serial FNV-1a-128,
+/// which spent one 128-bit multiply per byte of a state encoding.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Mixer {
+    a: u64,
+    b: u64,
+    words: u64,
+}
 
-/// 128-bit FNV-1a over `bytes`, continuing from `h` (start from
-/// [`fnv128`] for a fresh hash).
-fn fnv128_extend(mut h: u128, bytes: &[u8]) -> u128 {
-    for &b in bytes {
-        h ^= b as u128;
-        h = h.wrapping_mul(FNV_PRIME);
+/// Lane seeds and multipliers: odd 64-bit constants with mixed bits.
+const LANE_A: (u64, u64) = (0x243f_6a88_85a3_08d3, 0x9e37_79b9_7f4a_7c15);
+const LANE_B: (u64, u64) = (0x1319_8a2e_0370_7344, 0xc2b2_ae3d_27d4_eb4f);
+
+/// The multiply-fold step: both halves of `x * k`, XORed together.
+fn fold(x: u64, k: u64) -> u64 {
+    let m = u128::from(x) * u128::from(k);
+    (m as u64) ^ ((m >> 64) as u64)
+}
+
+impl Mixer {
+    pub(crate) fn new() -> Self {
+        Self {
+            a: LANE_A.0,
+            b: LANE_B.0,
+            words: 0,
+        }
     }
-    h
+
+    /// Absorbs one word into both lanes.
+    pub(crate) fn word(&mut self, w: u64) {
+        self.a = fold(self.a ^ w, LANE_A.1);
+        self.b = fold(self.b ^ w.rotate_left(32), LANE_B.1);
+        self.words += 1;
+    }
+
+    /// The 128-bit fingerprint: lane A in the high half, lane B in the low.
+    pub(crate) fn finish(self) -> u128 {
+        let a = fold(self.a ^ self.words, LANE_B.1);
+        let b = fold(self.b ^ self.words, LANE_A.1);
+        (u128::from(a) << 64) | u128::from(b)
+    }
 }
 
-/// 128-bit FNV-1a fingerprint of a canonical state encoding.
-pub(crate) fn fnv128(bytes: &[u8]) -> u128 {
-    fnv128_extend(FNV_OFFSET, bytes)
+/// Packs the fields of a canonical encoding, each a fixed number of
+/// bits, into 64-bit words for a [`Mixer`], so a state is fingerprinted
+/// as it is encoded, without a byte buffer. Every variable-length part
+/// of an encoding carries its length first, and [`Packer::finish`]
+/// absorbs the total bit count, so distinct encodings stay distinct
+/// words.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Packer {
+    mixer: Mixer,
+    word: u64,
+    /// Bits of `word` in use (always below 64).
+    used: u32,
+    bits: u64,
 }
 
-/// Order-sensitive fingerprint of a sleep set's identities. Folded into
-/// the memo key so a state revisited with a *different* sleep set is a
-/// distinct memo entry — pruning a (state, bigger-sleep) visit against a
-/// (state, smaller-sleep) record would be sound, but the converse is
-/// not, and keying on the pair avoids the subset bookkeeping entirely.
+impl Packer {
+    pub(crate) fn new() -> Self {
+        Self {
+            mixer: Mixer::new(),
+            word: 0,
+            used: 0,
+            bits: 0,
+        }
+    }
+
+    /// Appends the low `bits` bits of `v` (`1..=32` bits; `v` must fit).
+    pub(crate) fn put(&mut self, v: u32, bits: u32) {
+        debug_assert!((1..=32).contains(&bits) && u64::from(v) >> bits == 0);
+        let v = u64::from(v);
+        self.word |= v << self.used;
+        self.used += bits;
+        self.bits += u64::from(bits);
+        if self.used >= 64 {
+            self.mixer.word(self.word);
+            self.used -= 64;
+            // The bits of `v` that did not fit (none when it ended the word).
+            self.word = v >> (bits - self.used);
+        }
+    }
+
+    /// The fingerprint of everything put so far.
+    pub(crate) fn finish(mut self) -> u128 {
+        if self.used > 0 {
+            self.mixer.word(self.word);
+        }
+        self.mixer.word(self.bits);
+        self.mixer.finish()
+    }
+}
+
+/// Order-sensitive fingerprint of a sleep set's identities and
+/// penalties, two words per entry. XORed into the memo key so a state
+/// revisited with a *different* sleep set is a distinct memo entry —
+/// pruning a (state, bigger-sleep) visit against a (state,
+/// smaller-sleep) record would be sound, but the converse is not, and
+/// keying on the pair avoids the subset bookkeeping entirely.
 pub(crate) fn sleep_fingerprint(sleep: &[SleepEntry]) -> u128 {
-    let mut h = FNV_OFFSET;
+    let mut m = Mixer::new();
     for e in sleep {
         let (tag, a, b) = match e.id {
-            TransId::Thread(u) => (1u8, u, 0),
-            TransId::Drain(t, o) => (2u8, t, o),
+            TransId::Thread(u) => (1u64, u, 0),
+            TransId::Drain(t, o) => (2, t, o),
         };
-        h = fnv128_extend(h, &[tag, e.penalty as u8]);
-        h = fnv128_extend(h, &a.to_le_bytes());
-        h = fnv128_extend(h, &b.to_le_bytes());
+        m.word(tag | u64::from(e.penalty) << 8);
+        m.word(u64::from(a) | u64::from(b) << 32);
     }
-    h
+    m.finish()
 }
 
 /// Outcome of a memo probe.
@@ -226,113 +304,125 @@ pub(crate) enum Probe {
     Dominated,
     /// Seen before with less budget: re-expand (not a new frontier state).
     Updated,
-    /// New fingerprint (or an evicted slot): a genuine frontier state.
+    /// A key never recorded: a genuine frontier state.
     Inserted,
 }
 
-/// Bounded direct-mapped memo of `(state fingerprint, best budget)`
-/// pairs, sized like the PR 6 happens-before memo: start small, double
-/// while the load factor exceeds 1/2, stop at a cap derived from
-/// `max_states`. On an index collision the newcomer overwrites — the
-/// evicted state is merely re-explored if revisited, which costs time,
-/// never soundness. The hot path allocates nothing; growth rehashes are
-/// amortized and bounded by the cap.
+/// Exact memo of `(state key, best budget)` pairs: open addressing with
+/// linear probing, never evicting. Each slot is one `u128`: the key's
+/// high bits, with its low `budget_bits` replaced by `budget + 1`, so an
+/// all-zero slot is empty. The budget field is 8 bits (a 120-bit key)
+/// for every preemption bound below 255, and widens to fit a larger
+/// bound at the key's expense.
+///
+/// The table starts at [`MEMO_INITIAL_SLOTS`] and doubles before its load
+/// passes 3/4, up to a cap sized to hold `max_states + 1` keys. A probe's
+/// answer therefore depends only on the keys probed before it, not on
+/// the table size or the hash: `states_explored` counts distinct keys.
+/// Past the cap, which the explorer's state cap normally keeps it from
+/// reaching, a new key is answered `Inserted` without being stored — it
+/// is re-explored if seen again, which costs time, never soundness — so
+/// a quarter of the table always stays empty and every probe ends.
 pub(crate) struct StateMemo {
-    slots: Vec<Slot>,
-    mask: usize,
+    slots: Vec<u128>,
+    /// Right shift taking a mixed 64-bit hash to a slot index.
+    shift: u32,
+    budget_bits: u32,
     occupied: usize,
     max_slots: usize,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    key: u128,
-    /// `u32::MAX` marks an empty slot (budgets are tiny by comparison).
-    budget: u32,
-}
-
-const EMPTY: u32 = u32::MAX;
+/// Slots of a fresh memo: 4 KiB, which holds the 80–135 states a typical
+/// fuzz-case exploration visits without regrowing.
+pub(crate) const MEMO_INITIAL_SLOTS: usize = 256;
+/// Upper bound on the slot cap (64 MiB of slots).
+const MEMO_MAX_SLOTS: usize = 1 << 22;
 
 impl StateMemo {
-    /// A memo whose growth cap tracks the explorer's state cap.
-    pub(crate) fn new(max_states: u64) -> Self {
-        let target = (max_states.clamp(1, 1 << 21) as usize * 2).next_power_of_two();
-        let max_slots = target.clamp(1 << 12, 1 << 22);
-        let cap = (1usize << 12).min(max_slots);
+    /// A memo for an exploration capped at `max_states` frontier states,
+    /// with budgets up to `preemption_bound`.
+    pub(crate) fn new(max_states: u64, preemption_bound: u32) -> Self {
+        let keys = usize::try_from(max_states.saturating_add(1)).unwrap_or(usize::MAX);
+        let max_slots = keys
+            .saturating_mul(4)
+            .div_ceil(3)
+            .clamp(MEMO_INITIAL_SLOTS, MEMO_MAX_SLOTS)
+            .next_power_of_two();
+        Self::with_slots(MEMO_INITIAL_SLOTS, max_slots, preemption_bound)
+    }
+
+    /// A memo of `initial` slots growing to at most `max_slots` (both
+    /// powers of two), with budgets up to `max_budget`.
+    pub(crate) fn with_slots(initial: usize, max_slots: usize, max_budget: u32) -> Self {
+        debug_assert!(initial > 1 && initial.is_power_of_two() && max_slots.is_power_of_two());
+        debug_assert!(initial <= max_slots);
+        // Bits to hold `max_budget + 1`, at least one byte.
+        let budget_bits = (u64::BITS - (u64::from(max_budget) + 1).leading_zeros()).max(8);
         Self {
-            slots: vec![
-                Slot {
-                    key: 0,
-                    budget: EMPTY
-                };
-                cap
-            ],
-            mask: cap - 1,
+            slots: vec![0; initial],
+            shift: u64::BITS - initial.trailing_zeros(),
+            budget_bits,
             occupied: 0,
             max_slots,
         }
     }
 
+    fn budget_mask(&self) -> u128 {
+        (1u128 << self.budget_bits) - 1
+    }
+
+    /// Home slot of a stored key, from its top 64 bits (which never hold
+    /// budget bits).
     fn index(&self, key: u128) -> usize {
-        // Fibonacci-style mix of both halves so the slot index is not a
-        // plain truncation of the stored key.
-        let mixed = (key as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(((key >> 64) as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-        (mixed >> 16) as usize & self.mask
+        (((key >> 64) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// Whether the table is at its load limit of 3/4.
+    fn full(&self) -> bool {
+        self.occupied * 4 >= self.slots.len() * 3
     }
 
     /// Looks up `key`, recording `budget` as the best known if it wins.
     pub(crate) fn probe(&mut self, key: u128, budget: u32) -> Probe {
-        if self.occupied * 2 > self.slots.len() && self.slots.len() < self.max_slots {
+        if self.full() && self.slots.len() < self.max_slots {
             self.grow();
         }
-        let i = self.index(key);
-        let s = &mut self.slots[i];
-        if s.budget != EMPTY && s.key == key {
-            if s.budget >= budget {
-                Probe::Dominated
-            } else {
-                s.budget = budget;
-                Probe::Updated
+        let mask = self.budget_mask();
+        let key = key & !mask;
+        let stored = key | (u128::from(budget) + 1);
+        let last = self.slots.len() - 1;
+        let mut i = self.index(key);
+        loop {
+            let s = self.slots[i];
+            if s == 0 {
+                if !self.full() {
+                    self.slots[i] = stored;
+                    self.occupied += 1;
+                }
+                return Probe::Inserted;
             }
-        } else {
-            if s.budget == EMPTY {
-                self.occupied += 1;
+            if s & !mask == key {
+                if s >= stored {
+                    return Probe::Dominated;
+                }
+                self.slots[i] = stored;
+                return Probe::Updated;
             }
-            *s = Slot { key, budget };
-            Probe::Inserted
+            i = (i + 1) & last;
         }
     }
 
     fn grow(&mut self) {
-        let new_len = (self.slots.len() * 2).min(self.max_slots);
-        let old = std::mem::replace(
-            &mut self.slots,
-            vec![
-                Slot {
-                    key: 0,
-                    budget: EMPTY
-                };
-                new_len
-            ],
-        );
-        self.mask = self.slots.len() - 1;
-        self.occupied = 0;
-        for s in old {
-            if s.budget == EMPTY {
-                continue;
+        let len = self.slots.len() * 2;
+        let old = std::mem::replace(&mut self.slots, vec![0; len]);
+        self.shift -= 1;
+        let last = self.slots.len() - 1;
+        for s in old.into_iter().filter(|&s| s != 0) {
+            let mut i = self.index(s);
+            while self.slots[i] != 0 {
+                i = (i + 1) & last;
             }
-            let i = self.index(s.key);
-            if self.slots[i].budget == EMPTY {
-                self.occupied += 1;
-                self.slots[i] = s;
-            } else if self.slots[i].key == s.key {
-                self.slots[i].budget = self.slots[i].budget.max(s.budget);
-            } else {
-                // Collision in the new table: keep the incumbent; the
-                // loser is re-explored on revisit, which is sound.
-            }
+            self.slots[i] = s;
         }
     }
 }
@@ -403,49 +493,130 @@ mod tests {
         assert!(sleep_subset(&[], &[]));
     }
 
-    #[test]
-    fn memo_budget_dominance() {
-        let mut m = StateMemo::new(1000);
-        assert_eq!(m.probe(42, 2), Probe::Inserted);
-        assert_eq!(m.probe(42, 1), Probe::Dominated);
-        assert_eq!(m.probe(42, 2), Probe::Dominated);
-        assert_eq!(m.probe(42, 3), Probe::Updated);
-        assert_eq!(m.probe(42, 2), Probe::Dominated);
-        assert_eq!(m.probe(99, 0), Probe::Inserted);
+    /// The fingerprint of a sequence of `(value, bits)` fields.
+    fn packed(fields: &[(u32, u32)]) -> u128 {
+        let mut p = Packer::new();
+        for &(v, bits) in fields {
+            p.put(v, bits);
+        }
+        p.finish()
+    }
+
+    fn key(k: u64) -> u128 {
+        packed(&[(k as u32, 32), ((k >> 32) as u32, 32)])
     }
 
     #[test]
-    fn memo_grows_without_losing_dominance() {
-        let mut m = StateMemo::new(1 << 20);
+    fn memo_budget_dominance() {
+        let mut m = StateMemo::new(1000, 3);
+        assert_eq!(m.probe(key(42), 2), Probe::Inserted);
+        assert_eq!(m.probe(key(42), 1), Probe::Dominated);
+        assert_eq!(m.probe(key(42), 2), Probe::Dominated);
+        assert_eq!(m.probe(key(42), 3), Probe::Updated);
+        assert_eq!(m.probe(key(42), 2), Probe::Dominated);
+        assert_eq!(m.probe(key(99), 0), Probe::Inserted);
+    }
+
+    #[test]
+    fn memo_grows_without_losing_a_key() {
+        let mut m = StateMemo::new(1 << 20, 2);
         let n = 20_000u64;
         for k in 0..n {
-            // Spread keys across the full 128-bit space.
-            m.probe(fnv128(&k.to_le_bytes()), 1);
+            assert_eq!(m.probe(key(k), 1), Probe::Inserted, "key {k}");
         }
-        // Soundness across growth and eviction: a key never recorded with
-        // this much budget must not be reported dominated. Probing every
-        // inserted key with a strictly larger budget must come back
-        // Updated (still resident) or Inserted (evicted, re-explored) —
-        // never Dominated.
+        assert!(m.slots.len() > MEMO_INITIAL_SLOTS, "the table never grew");
+        // A key recorded with less budget is upgraded, never dominated.
         for k in 0..n {
-            let p = m.probe(fnv128(&k.to_le_bytes()), 2);
-            assert_ne!(p, Probe::Dominated, "false dominance for key {k}");
+            assert_eq!(m.probe(key(k), 2), Probe::Updated, "key {k}");
         }
-        // Fresh keys are likewise never dominated.
         for k in n..n + 1000 {
-            let p = m.probe(fnv128(&k.to_le_bytes()), 0);
-            assert_ne!(p, Probe::Dominated, "false dominance for fresh key {k}");
+            assert_eq!(m.probe(key(k), 0), Probe::Inserted, "fresh key {k}");
         }
-        // And the table retains enough after growth to be useful: probing
-        // the budget-2 keys again at budget 1 should be dominated for a
-        // solid majority (only index-collision evictions may miss).
-        let dominated = (0..n)
-            .filter(|k| m.probe(fnv128(&k.to_le_bytes()), 1) == Probe::Dominated)
-            .count() as u64;
-        assert!(
-            dominated > n / 2,
-            "memo retained only {dominated}/{n} keys after growth"
+        // Nothing was evicted: every key is still dominated.
+        for k in 0..n {
+            assert_eq!(m.probe(key(k), 2), Probe::Dominated, "key {k}");
+        }
+    }
+
+    /// The probe answers depend on the keys alone: a memo that starts at
+    /// 16 slots and regrows answers like one that starts at 4,096.
+    #[test]
+    fn memo_answers_do_not_depend_on_the_table_size() {
+        let (mut small, mut large) = (
+            StateMemo::with_slots(16, 1 << 16, 3),
+            StateMemo::with_slots(1 << 12, 1 << 16, 3),
         );
+        // Revisits at varying budgets over a key space of 3,000.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut answers = [0usize; 3];
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (k, budget) = (key(x % 3_000), (x >> 32) as u32 % 4);
+            let a = small.probe(k, budget);
+            assert_eq!(a, large.probe(k, budget));
+            answers[a as usize] += 1;
+        }
+        assert!(answers.iter().all(|&n| n > 0), "{answers:?}");
+        assert!(small.slots.len() > 16 && large.slots.len() == 1 << 12);
+    }
+
+    /// At the slot cap a full table stores nothing more, yet every probe
+    /// returns and no key it could not store reads as dominated.
+    #[test]
+    fn memo_at_its_cap_answers_unseen_keys_as_new() {
+        let mut m = StateMemo::with_slots(16, 16, 2);
+        for k in 0..100 {
+            assert_eq!(m.probe(key(k), 1), Probe::Inserted, "key {k}");
+        }
+        assert_eq!((m.slots.len(), m.occupied), (16, 12));
+        // The twelve stored keys still prune; the other 88 never do.
+        let dominated = (0..100)
+            .filter(|&k| m.probe(key(k), 1) == Probe::Dominated)
+            .count();
+        assert_eq!(dominated, 12);
+        for k in 100..1_000 {
+            assert_eq!(m.probe(key(k), 0), Probe::Inserted, "unseen key {k}");
+        }
+    }
+
+    /// A bound that does not fit the one-byte budget field widens the
+    /// field: budgets of 256 and above stay distinct from small ones.
+    #[test]
+    fn memo_widens_its_budget_field_for_large_bounds() {
+        assert_eq!(StateMemo::new(10, 254).budget_bits, 8);
+        assert_eq!(StateMemo::new(10, 255).budget_bits, 9);
+        assert_eq!(StateMemo::new(10, u32::MAX).budget_bits, 33);
+        let mut m = StateMemo::new(1000, 1000);
+        assert_eq!(m.probe(key(1), 256), Probe::Inserted);
+        assert_eq!(m.probe(key(1), 0), Probe::Dominated);
+        assert_eq!(m.probe(key(1), 255), Probe::Dominated);
+        assert_eq!(m.probe(key(1), 257), Probe::Updated);
+        assert_eq!(m.probe(key(1), 1000), Probe::Updated);
+        assert_eq!(m.probe(key(1), 999), Probe::Dominated);
+        let mut m = StateMemo::new(10, u32::MAX);
+        assert_eq!(m.probe(key(2), u32::MAX - 1), Probe::Inserted);
+        assert_eq!(m.probe(key(2), u32::MAX), Probe::Updated);
+        assert_eq!(m.probe(key(2), u32::MAX), Probe::Dominated);
+    }
+
+    #[test]
+    fn packed_fingerprints_separate_widths_orders_and_words() {
+        assert_ne!(packed(&[]), packed(&[(0, 1)]));
+        assert_ne!(packed(&[(1, 8)]), packed(&[(1, 16)]));
+        assert_ne!(packed(&[(1, 8), (0, 8)]), packed(&[(0, 8), (1, 8)]));
+        // Fields that straddle a word boundary land where a bit-by-bit
+        // packing puts them.
+        let wide: Vec<(u32, u32)> = (0..40).map(|i| ((i * 0x9e37) & 0x7fff, 15)).collect();
+        let bitwise: Vec<(u32, u32)> = wide
+            .iter()
+            .flat_map(|&(v, bits)| (0..bits).map(move |b| ((v >> b) & 1, 1)))
+            .collect();
+        assert_eq!(packed(&wide), packed(&bitwise));
+        let mut swapped = wide.clone();
+        swapped.swap(3, 30);
+        assert_ne!(packed(&wide), packed(&swapped));
     }
 
     #[test]
@@ -457,5 +628,10 @@ mod tests {
         assert_ne!(sleep_fingerprint(&a), sleep_fingerprint(&ab));
         assert_ne!(sleep_fingerprint(&[]), sleep_fingerprint(&a));
         assert_eq!(sleep_fingerprint(&a), sleep_fingerprint(&a.clone()));
+        let mut slept = a.clone();
+        slept[0].penalty = 1;
+        assert_ne!(sleep_fingerprint(&a), sleep_fingerprint(&slept));
+        let drain = vec![entry(TransId::Drain(1, 0))];
+        assert_ne!(sleep_fingerprint(&a), sleep_fingerprint(&drain));
     }
 }

@@ -1,5 +1,5 @@
 //! The oracle's DFS node: a [`Machine`] plus the thread it is parked on,
-//! and the canonical byte encoding that keys the memo.
+//! and the canonical encoding whose fingerprint keys the memo.
 //!
 //! What an op means lives in `waffle_sim::Machine` alone, the same
 //! interpreter the simulator drives in virtual time. This module only
@@ -14,7 +14,7 @@ use waffle_sim::{
     BlockedBy, Machine, MemoryModel, Observer, Op, Step, ThreadId, ThreadStatus, Workload,
 };
 
-use super::reduction::Footprint;
+use super::reduction::{Footprint, Packer};
 use super::ScheduleStep;
 
 /// A complete scheduler state: the DFS node.
@@ -25,16 +25,6 @@ pub(crate) struct OState<'w> {
     /// weak model, a flush-point op with a non-empty buffer); `None` when
     /// the previous thread blocked or exited and the choice is free.
     pub(crate) running: Option<ThreadId>,
-}
-
-/// Reused scratch for the canonical state encoding: the byte buffer the
-/// state serializes into and the sort area for held-lock normalization.
-/// One instance lives for the whole DFS, so the hot loop never allocates
-/// for encoding once the buffers reach their working size.
-#[derive(Debug, Default)]
-pub(crate) struct EncodeScratch {
-    pub(crate) buf: Vec<u8>,
-    held: Vec<u32>,
 }
 
 impl<'w> OState<'w> {
@@ -119,52 +109,53 @@ impl<'w> OState<'w> {
         u32::from(self.running.is_some_and(|t| self.at_access(t)))
     }
 
-    /// Canonical byte encoding of the state into `scratch.buf` — the
-    /// pre-image of the memo fingerprint. Allocation-free once the
-    /// scratch buffers reach their working size.
-    pub(crate) fn encode_into(&self, scratch: &mut EncodeScratch) {
-        fn push(buf: &mut Vec<u8>, v: u32) {
-            debug_assert!(v < u16::MAX as u32, "oracle id overflow");
-            buf.extend_from_slice(&(v as u16).to_le_bytes());
+    /// Fingerprint of the state's canonical encoding, the memo's key:
+    /// ids are 16-bit fields, tags and reference states a few bits, and
+    /// every list carries its length first. Fields are packed into words
+    /// as they are produced; `held` is reused sort scratch, so the hot
+    /// loop allocates nothing once it reaches its working size.
+    pub(crate) fn fingerprint(&self, held: &mut Vec<u32>) -> u128 {
+        let mut p = Packer::new();
+        fn id(p: &mut Packer, v: u32) {
+            debug_assert!(v < u32::from(u16::MAX), "oracle id overflow");
+            p.put(v, 16);
         }
-        let EncodeScratch { buf, held } = scratch;
         let m = &self.m;
-        buf.clear();
-        push(buf, self.running.map_or(0, |t| t.0 + 1));
+        id(&mut p, self.running.map_or(0, |t| t.0 + 1));
         for &h in m.heap().cells() {
-            buf.push(h as u8);
+            p.put(h as u32, 2);
         }
         for &s in m.signaled() {
-            buf.push(s as u8);
+            p.put(u32::from(s), 1);
         }
-        push(buf, m.tasks().len() as u32);
+        id(&mut p, m.tasks().len() as u32);
         for &(_, script) in m.tasks() {
-            push(buf, script.0);
+            id(&mut p, script.0);
         }
         for (holder, waiters) in m.lock_holders().iter().zip(m.lock_waiters()) {
-            push(buf, holder.map_or(0, |t| t.0 + 1));
-            push(buf, waiters.len() as u32);
+            id(&mut p, holder.map_or(0, |t| t.0 + 1));
+            id(&mut p, waiters.len() as u32);
             for &t in waiters {
-                push(buf, t.0);
+                id(&mut p, t.0);
             }
         }
-        push(buf, m.threads().len() as u32);
+        id(&mut p, m.threads().len() as u32);
         for th in m.threads() {
-            push(buf, th.script.0);
-            push(buf, th.pc as u32);
+            id(&mut p, th.script.0);
+            id(&mut p, th.pc as u32);
             let (tag, arg) = match th.status {
-                ThreadStatus::Ready => (0u8, 0),
+                ThreadStatus::Ready => (0, 0),
                 ThreadStatus::Blocked(BlockedBy::Lock(l)) => (1, l.0),
                 ThreadStatus::Blocked(BlockedBy::Event(e)) => (2, e.0),
                 ThreadStatus::Blocked(BlockedBy::Join) => (3, 0),
                 ThreadStatus::Done => (4, 0),
             };
-            buf.push(tag);
-            push(buf, arg);
-            push(buf, th.frames.len() as u32);
-            for &(s, p) in &th.frames {
-                push(buf, s.0);
-                push(buf, p as u32);
+            p.put(tag, 3);
+            id(&mut p, arg);
+            id(&mut p, th.frames.len() as u32);
+            for &(s, pc) in &th.frames {
+                id(&mut p, s.0);
+                id(&mut p, pc as u32);
             }
             // `held` stays in acquisition order in the thread (exit
             // releases in that order — semantics), so normalize into the
@@ -172,31 +163,31 @@ impl<'w> OState<'w> {
             held.clear();
             held.extend(th.held.iter().map(|l| l.0));
             held.sort_unstable();
-            push(buf, held.len() as u32);
+            id(&mut p, held.len() as u32);
             for &l in held.iter() {
-                push(buf, l);
+                id(&mut p, l);
             }
-            push(buf, th.children.len() as u32);
+            id(&mut p, th.children.len() as u32);
             for &c in &th.children {
-                push(buf, c.0);
+                id(&mut p, c.0);
             }
             // The join targets still outstanding (only a blocked joiner
             // has any).
             let done = |j: &&ThreadId| m.thread(**j).status == ThreadStatus::Done;
-            push(buf, th.join.iter().filter(|j| !done(j)).count() as u32);
+            id(&mut p, th.join.iter().filter(|j| !done(j)).count() as u32);
             for j in th.join.iter().filter(|j| !done(j)) {
-                push(buf, j.0);
+                id(&mut p, j.0);
             }
             if m.model().is_weak() {
-                // Buffered stores are scheduler-visible state. Encoded only
-                // under a weak model so `Sc` keys stay byte-identical to
-                // the pre-weak-memory explorer.
-                push(buf, th.buffer.len() as u32);
+                // Buffered stores are scheduler-visible state; under `Sc`
+                // every buffer stays empty, so they are left out there.
+                id(&mut p, th.buffer.len() as u32);
                 for e in &th.buffer {
-                    push(buf, e.obj.0);
-                    buf.push(e.to as u8);
+                    id(&mut p, e.obj.0);
+                    p.put(e.to as u32, 2);
                 }
             }
         }
+        p.finish()
     }
 }
