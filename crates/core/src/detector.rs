@@ -225,6 +225,28 @@ impl Detector {
     /// out. `attempt_seed` individualizes the attempt (the paper repeats
     /// each experiment 15 times).
     pub fn detect(&self, workload: &Workload, attempt_seed: u64) -> DetectionOutcome {
+        self.run_attempt(workload, attempt_seed, false).0
+    }
+
+    /// [`Detector::detect`], also handing back the delay plan analyzed
+    /// from the preparation run, for the tools that make one (`None` for
+    /// the online tools).
+    pub fn detect_with_plan(
+        &self,
+        workload: &Workload,
+        attempt_seed: u64,
+    ) -> (DetectionOutcome, Option<Plan>) {
+        self.run_attempt(workload, attempt_seed, true)
+    }
+
+    /// One attempt; the plan is kept for the caller only on request, so
+    /// a plain `detect` frees it before the detection runs.
+    fn run_attempt(
+        &self,
+        workload: &Workload,
+        attempt_seed: u64,
+        keep_plan: bool,
+    ) -> (DetectionOutcome, Option<Plan>) {
         if self.config.panic_on_seed == Some(attempt_seed) {
             panic!(
                 "fault injection: detector panicked on attempt seed {attempt_seed} ({})",
@@ -233,11 +255,14 @@ impl Detector {
         }
         let mut outcome = self.base_run(workload, run_seed(attempt_seed, 0));
         let prep_seed = run_seed(attempt_seed, 1);
+        let mut prep_plan = None;
         let mut state = match &self.tool {
             Tool::Waffle { analyzer, policy } => {
                 let (_, plan) = self.prepare(workload, prep_seed, &mut outcome, analyzer);
+                let tables = PlanTables::compile(&plan, workload.sites.len());
+                prep_plan = keep_plan.then_some(plan);
                 RunState::Waffle {
-                    tables: PlanTables::compile(&plan, workload.sites.len()),
+                    tables,
                     decay: DecayState::default(),
                     config: *policy,
                 }
@@ -258,6 +283,7 @@ impl Detector {
                 let analyzer = AnalyzerConfig::default();
                 let (_, plan) = self.prepare(workload, prep_seed, &mut outcome, &analyzer);
                 let targets = plan.delay_sites().collect();
+                prep_plan = keep_plan.then_some(plan);
                 RunState::Single {
                     targets,
                     delay: *delay,
@@ -308,7 +334,7 @@ impl Detector {
                 break;
             }
         }
-        outcome
+        (outcome, prep_plan)
     }
 
     /// Performs *one step* of the Waffle workflow against a session

@@ -448,7 +448,27 @@ pub fn classify_case(case: &FuzzCase, cfg: &FuzzConfig) -> CaseReport {
         OracleVerdict::Truncated => (None, None, true),
     };
 
-    let plan = derive_plan(w, attempt_seed, cfg.memory);
+    let detector_cfg = DetectorConfig {
+        max_detection_runs: cfg.max_detection_runs,
+        memory: MemoryConfig::from_model(cfg.memory),
+        ..DetectorConfig::default()
+    };
+    // Waffle's preparation run is the one `derive_plan` describes, so its
+    // plan is the case's plan: analyzed once, not twice.
+    let mut plan = None;
+    let outcomes: Vec<(&str, DetectionOutcome)> = TOOLS
+        .iter()
+        .map(|&name| {
+            let tool = Tool::by_name(name).expect("known tool name");
+            let detector = Detector::with_config(tool, detector_cfg.clone());
+            let (outcome, prep_plan) = detector.detect_with_plan(w, attempt_seed);
+            if name == "waffle" {
+                plan = prep_plan;
+            }
+            (name, outcome)
+        })
+        .collect();
+    let plan = plan.expect("waffle's preparation run yields a plan");
     let mut disagreements = Vec::new();
     if let Some(detail) = plan_sanity(w, &plan) {
         disagreements.push(Disagreement {
@@ -458,20 +478,6 @@ pub fn classify_case(case: &FuzzCase, cfg: &FuzzConfig) -> CaseReport {
             detail,
         });
     }
-
-    let detector_cfg = DetectorConfig {
-        max_detection_runs: cfg.max_detection_runs,
-        memory: MemoryConfig::from_model(cfg.memory),
-        ..DetectorConfig::default()
-    };
-    let outcomes: Vec<(&str, DetectionOutcome)> = TOOLS
-        .iter()
-        .map(|&name| {
-            let tool = Tool::by_name(name).expect("known tool name");
-            let outcome = Detector::with_config(tool, detector_cfg.clone()).detect(w, attempt_seed);
-            (name, outcome)
-        })
-        .collect();
     let tools: Vec<ToolOutcome> = outcomes
         .iter()
         .map(|(name, o)| ToolOutcome::from_outcome(name, o))

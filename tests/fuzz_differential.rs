@@ -8,9 +8,12 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use waffle_repro::apps::all_apps;
+use waffle_repro::core::{Detector, DetectorConfig, Tool};
 use waffle_repro::fuzz::{
-    explore, run_fuzz, CorpusCase, FuzzConfig, OracleConfig, RepairCorpusCase,
+    derive_plan, explore, generate_case_for_model, run_fuzz, CorpusCase, FuzzConfig, OracleConfig,
+    RepairCorpusCase,
 };
+use waffle_repro::sim::{MemoryConfig, MemoryModel};
 
 const JOB_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -147,6 +150,34 @@ fn repair_case_read_as_a_corpus_case_names_its_unknown_key() {
 
 /// The oracle independently confirms all 18 curated Table 4 bugs as
 /// exposable within the default preemption bound — none by truncation.
+/// The harness takes each case's plan from Waffle's own preparation run
+/// instead of recording and analyzing that run again with
+/// `derive_plan`; the two plans must be byte-identical.
+#[test]
+fn waffles_preparation_plan_is_derive_plans() {
+    for model in [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso] {
+        let config = DetectorConfig {
+            max_detection_runs: 0,
+            memory: MemoryConfig::from_model(model),
+            ..DetectorConfig::default()
+        };
+        let waffle = Detector::with_config(Tool::waffle(), config);
+        for seed in 0..200 {
+            let w = generate_case_for_model(seed, model).workload;
+            let (_, plan) = waffle.detect_with_plan(&w, 1);
+            let plan = plan.expect("waffle makes a plan");
+            assert_eq!(
+                plan.to_json().expect("plan serializes"),
+                derive_plan(&w, 1, model)
+                    .to_json()
+                    .expect("plan serializes"),
+                "{} seed {seed}",
+                model.name()
+            );
+        }
+    }
+}
+
 #[test]
 fn oracle_confirms_all_curated_bugs_exposable() {
     let cfg = OracleConfig::default();
