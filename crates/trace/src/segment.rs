@@ -395,9 +395,11 @@ impl SegmentWriter {
     }
 
     /// Appends object slot `slot` of `cols` as one segment of `class`.
-    /// Objects must arrive in strictly ascending order within each class —
-    /// the invariant the streaming sweep's deterministic merge reads back.
-    /// The writer does not check time order; the reader does.
+    /// Every MemOrder segment comes before the first Tsv one, so the file
+    /// holds its segments in catalog order, and objects must arrive in
+    /// strictly ascending order within each class — the invariant the
+    /// streaming sweep's deterministic merge reads back. The writer does
+    /// not check time order; the reader does.
     ///
     /// # Panics
     /// When `slot` is not a slot of `cols`.
@@ -412,6 +414,12 @@ impl SegmentWriter {
             SegmentClass::Tsv => &self.tsv,
         };
         let object = cols.objects[slot];
+        if class == SegmentClass::MemOrder && !self.tsv.is_empty() {
+            return Err(invalid(
+                &self.path,
+                format!("MemOrder segment for {object} appended after a Tsv segment"),
+            ));
+        }
         if let Some(last) = metas.last() {
             if object <= last.object {
                 return Err(invalid(
@@ -585,16 +593,37 @@ impl SegmentReader {
             return Err(invalid(&path, "footer checksum mismatch (corrupt catalog)"));
         }
         let catalog = decode_footer(&footer).map_err(|e| invalid(&path, e))?;
+        // The writer lays segments end to end in catalog order, from the
+        // head magic to the footer. Holding every file to that layout
+        // keeps entries from overlapping, so reads stay bounded by the
+        // file's size.
+        let mut next = HEAD_MAGIC.len() as u64;
         for meta in catalog.mem.iter().chain(&catalog.tsv) {
             let end = meta.offset.checked_add(meta.bytes);
-            if meta.bytes != u64::from(meta.events) * EVENT_BYTES
-                || end.is_none_or(|end| end > footer_offset)
-            {
+            let Some(end) = end.filter(|&end| {
+                meta.bytes == u64::from(meta.events) * EVENT_BYTES && end <= footer_offset
+            }) else {
                 return Err(invalid(
                     &path,
                     format!("catalog entry for {} out of bounds", meta.object),
                 ));
+            };
+            if meta.offset != next {
+                return Err(invalid(
+                    &path,
+                    format!(
+                        "catalog entry for {} starts at byte {}, not where the previous segment ends ({next})",
+                        meta.object, meta.offset
+                    ),
+                ));
             }
+            next = end;
+        }
+        if next != footer_offset {
+            return Err(invalid(
+                &path,
+                format!("segments end at byte {next}, not at the footer ({footer_offset})"),
+            ));
         }
         Ok(Self {
             file,
@@ -1016,6 +1045,10 @@ mod tests {
         assert!(err.to_string().contains("ascending object order"), "{err}");
         // A different class keeps its own order cursor.
         w.append(SegmentClass::Tsv, &cols, 0).unwrap();
+        // Segments stay in catalog order: no MemOrder after a Tsv one.
+        let err = w.append(SegmentClass::MemOrder, &cols, 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("after a Tsv segment"), "{err}");
         assert!(tmp.exists());
         drop(w);
         assert!(!tmp.exists(), "abandoned writer must remove its temp file");

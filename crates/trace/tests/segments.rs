@@ -507,3 +507,57 @@ fn checksummed_segment_with_descending_times_is_invalid_data() {
     assert!(msg.contains("segment for obj#5 not time-sorted"), "{msg}");
     let _ = std::fs::remove_file(&path);
 }
+
+/// A footer that lists one 2-event segment 1,000 times, under objects
+/// 0..999, is checksummed and in bounds entry by entry, yet would read
+/// back 2,000 rows from a file holding two. Entries must tile the file
+/// end to end, so the reader rejects the overlap at open; a catalog
+/// with a gap before the footer is rejected the same way.
+#[test]
+fn catalog_entries_that_overlap_or_leave_a_gap_are_invalid_data() {
+    let mem = mem_columns(&[0], [SiteId(0); 2], [ClockId::EMPTY; 2]);
+    let path = write_hostile("overlap", &mem);
+    let file = std::fs::read(&path).unwrap();
+    let reader = SegmentReader::open(&path).expect("the written file opens");
+    let _ = std::fs::remove_file(&path);
+    let original = reader.catalog();
+    let (body, footer) = split_footer(&file);
+    assert_eq!(catalog_footer(original).0, footer, "spec encoder matches");
+
+    let sites = [("init", AccessKind::Init)];
+    let one = original.mem[0].clone();
+    let repeated: Vec<SegmentMeta> = (0..1_000)
+        .map(|o| SegmentMeta {
+            object: ObjectId(o),
+            ..one.clone()
+        })
+        .collect();
+    let (overlapping, _) = spec_footer(
+        &original.workload,
+        original.end_time,
+        &repeated,
+        &[],
+        &[],
+        &sites,
+    );
+    let err = open_invalid("overlap", &with_footer(body, &overlapping));
+    assert!(
+        err.to_string()
+            .contains("not where the previous segment ends"),
+        "{err}"
+    );
+
+    // The same segment with room left between it and the footer.
+    let mut padded = body.to_vec();
+    padded.extend_from_slice(&[0; 21]);
+    let (gap, _) = spec_footer(
+        &original.workload,
+        original.end_time,
+        &[one],
+        &[],
+        &[],
+        &sites,
+    );
+    let err = open_invalid("gap", &with_footer(&padded, &gap));
+    assert!(err.to_string().contains("not at the footer"), "{err}");
+}
