@@ -22,9 +22,14 @@
 //! 1. `grid/tso/b3/state_ratio` ≥ 5: grid under TSO at bound 3 explores
 //!    at least 5× fewer frontier states reduced than naive;
 //! 2. `alloc_probe/events` under half the probe's frontier states: the
-//!    hot loop (clone-on-branch frames, reused encode scratch,
-//!    direct-mapped memo) allocates only on depth growth and table
-//!    resize, not per state.
+//!    hot loop (clone-on-branch frames, a state encoding packed straight
+//!    into the fingerprint, an exact open-addressing memo) allocates only
+//!    on depth growth and table growth, not per state.
+//!
+//! `alloc_probe/peak_bytes` is the probe's exact peak heap on top of what
+//! was live when it began; no gate holds it, but CI's counter diff shows
+//! any change in how far the memo (16-byte slots, grown at 3/4 load)
+//! regrows.
 
 use std::time::Instant;
 
@@ -176,16 +181,21 @@ fn main() {
 
     // Allocation probe: a full naive exploration of the grid under TSO at
     // bound 3 visits thousands of states; the explorer may allocate on
-    // depth growth, memo resize, and witness assembly — never per state.
+    // depth growth, memo growth, and witness assembly — never per state.
     // The gate keeps the events under half the states.
     let before = alloc::calls();
+    let base = alloc::reset_peak();
     let probe = run(&grid_w[0], MemoryModel::Tso, 3, false);
+    let peak_bytes = alloc::peak() - base;
     let alloc_events = alloc::calls() - before;
     let states = probe.states_explored;
     assert!(alloc_events > 0, "the counting allocator saw no allocation");
-    println!("alloc probe: {alloc_events} allocation events over {states} states");
+    println!(
+        "alloc probe: {alloc_events} allocation events, peak {peak_bytes} bytes over {states} states"
+    );
     ledger
         .counter("alloc_probe/events", alloc_events)
+        .counter("alloc_probe/peak_bytes", peak_bytes)
         .counter("alloc_probe/states", states)
         .max(
             "alloc_probe/events",
