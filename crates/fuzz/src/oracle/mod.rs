@@ -129,8 +129,9 @@ pub enum ScheduleStep {
 pub struct OracleReport {
     /// The verdict.
     pub verdict: OracleVerdict,
-    /// Genuine frontier states: distinct state fingerprints visited. This
-    /// — and only this — is charged against [`OracleConfig::max_states`].
+    /// Genuine frontier states: distinct (state, sleep set) fingerprints
+    /// visited. This — and only this — is charged against
+    /// [`OracleConfig::max_states`].
     pub states_explored: u64,
     /// Revisits pruned because the state was already seen with at least
     /// as much budget (includes on-path cycle prunes).

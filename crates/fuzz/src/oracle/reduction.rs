@@ -184,9 +184,9 @@ pub(crate) fn sleep_subset(a: &[SleepEntry], b: &[SleepEntry]) -> bool {
 
 /// Word-at-a-time 128-bit fingerprint: two independent 64-bit
 /// multiply-fold lanes (the full 128-bit product of the lane and a word,
-/// folded by XOR of its halves) absorb one 8-byte word per step, and the
-/// word count closes both lanes. It replaces a byte-serial FNV-1a-128,
-/// which spent one 128-bit multiply per byte of a state encoding.
+/// folded by XOR of its halves) absorb one 8-byte word per step, so a
+/// state costs two multiplies per eight bytes of its encoding, and the
+/// word count closes both lanes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Mixer {
     a: u64,
@@ -240,7 +240,6 @@ pub(crate) struct Packer {
     word: u64,
     /// Bits of `word` in use (always below 64).
     used: u32,
-    bits: u64,
 }
 
 impl Packer {
@@ -249,7 +248,6 @@ impl Packer {
             mixer: Mixer::new(),
             word: 0,
             used: 0,
-            bits: 0,
         }
     }
 
@@ -259,7 +257,6 @@ impl Packer {
         let v = u64::from(v);
         self.word |= v << self.used;
         self.used += bits;
-        self.bits += u64::from(bits);
         if self.used >= 64 {
             self.mixer.word(self.word);
             self.used -= 64;
@@ -270,10 +267,11 @@ impl Packer {
 
     /// The fingerprint of everything put so far.
     pub(crate) fn finish(mut self) -> u128 {
+        let bits = self.mixer.words * 64 + u64::from(self.used);
         if self.used > 0 {
             self.mixer.word(self.word);
         }
-        self.mixer.word(self.bits);
+        self.mixer.word(bits);
         self.mixer.finish()
     }
 }
@@ -334,7 +332,7 @@ pub(crate) struct StateMemo {
 
 /// Slots of a fresh memo: 4 KiB, which holds the 80–135 states a typical
 /// fuzz-case exploration visits without regrowing.
-pub(crate) const MEMO_INITIAL_SLOTS: usize = 256;
+const MEMO_INITIAL_SLOTS: usize = 256;
 /// Upper bound on the slot cap (64 MiB of slots).
 const MEMO_MAX_SLOTS: usize = 1 << 22;
 
