@@ -599,15 +599,18 @@ impl SegmentReader {
         // file's size.
         let mut next = HEAD_MAGIC.len() as u64;
         for meta in catalog.mem.iter().chain(&catalog.tsv) {
-            let end = meta.offset.checked_add(meta.bytes);
-            let Some(end) = end.filter(|&end| {
-                meta.bytes == u64::from(meta.events) * EVENT_BYTES && end <= footer_offset
-            }) else {
-                return Err(invalid(
-                    &path,
-                    format!("catalog entry for {} out of bounds", meta.object),
-                ));
-            };
+            let end = meta
+                .offset
+                .checked_add(meta.bytes)
+                .filter(|&end| {
+                    meta.bytes == u64::from(meta.events) * EVENT_BYTES && end <= footer_offset
+                })
+                .ok_or_else(|| {
+                    invalid(
+                        &path,
+                        format!("catalog entry for {} out of bounds", meta.object),
+                    )
+                })?;
             if meta.offset != next {
                 return Err(invalid(
                     &path,
