@@ -52,7 +52,10 @@
 //! decoding is bounded by the footer's length: every count is checked
 //! against the bytes that remain before anything is reserved, a site name
 //! defined twice or a trailing byte is rejected, and every offset sum is
-//! checked for overflow.
+//! checked for overflow. The catalog's segments, MemOrder then Tsv, must
+//! lie end to end from the head magic to the footer, the writer's only
+//! layout, so entries cannot overlap and reads stay bounded by the
+//! file's size.
 
 use std::fs;
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
@@ -593,10 +596,7 @@ impl SegmentReader {
             return Err(invalid(&path, "footer checksum mismatch (corrupt catalog)"));
         }
         let catalog = decode_footer(&footer).map_err(|e| invalid(&path, e))?;
-        // The writer lays segments end to end in catalog order, from the
-        // head magic to the footer. Holding every file to that layout
-        // keeps entries from overlapping, so reads stay bounded by the
-        // file's size.
+        // Segments tile the file in catalog order (see the module docs).
         let mut next = HEAD_MAGIC.len() as u64;
         for meta in catalog.mem.iter().chain(&catalog.tsv) {
             let end = meta
