@@ -187,7 +187,7 @@ pub(crate) fn sleep_subset(a: &[SleepEntry], b: &[SleepEntry]) -> bool {
 /// folded by XOR of its halves) absorb one 8-byte word per step, so a
 /// state costs two multiplies per eight bytes of its encoding, and the
 /// word count closes both lanes.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub(crate) struct Mixer {
     a: u64,
     b: u64,
@@ -234,7 +234,7 @@ impl Mixer {
 /// of an encoding carries its length first, and [`Packer::finish`]
 /// absorbs the total bit count, so distinct encodings stay distinct
 /// words.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub(crate) struct Packer {
     mixer: Mixer,
     word: u64,
