@@ -1,15 +1,18 @@
 //! `serve`: streamed-session ingest throughput and bounded resident
 //! memory, written to `BENCH_serve.json`.
 //!
-//! This drives the serve-side hot path without the socket: client frames
-//! are encoded and decoded through the real wire codec, pushed through a
-//! [`SessionIndexBuilder`], sealed into generation segment files at a
-//! fixed threshold, folded into an [`IncrementalAnalysis`] as each
-//! generation seals, and finished by replaying the generation files, one
-//! open at a time, through the streaming interference pass — exactly the
-//! per-session work `waffle serve` does, minus kernel socket copies
-//! (which a loopback Unix socket on a 1-core box would measure instead of
-//! the engine).
+//! This drives the server's own per-session state machine,
+//! [`ServeSession`], without the socket: each client frame is encoded and
+//! decoded through the real wire codec and handed to the session, which
+//! pushes it into its index builder, seals a generation file every
+//! `seal_events` events, folds each generation into its incremental
+//! analysis, and on Finish seals the remainder and replays the generation
+//! files, one open at a time, through the streaming interference pass.
+//! That is exactly the per-session work a `waffle serve` worker does,
+//! minus the socket's kernel copies and the reader/worker hand-off, which
+//! on the 2-CPU box the ledgers record would be measured instead of the
+//! engine. The one difference is the analyzer config: the stream's
+//! [`Stream::config`] rather than the server's default.
 //!
 //! The events come from the synthetic [`Stream`] the `scale` bench scans,
 //! generated batch by batch (never a whole-trace vector), so the measured
@@ -24,41 +27,37 @@
 //!    seal-threshold-shaped, not session-shaped, so it stays flat as the
 //!    stream grows 4×.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
-use waffle_analysis::{analyze_jobs, analyze_tsv_indexed, IncrementalAnalysis};
+use waffle_analysis::{analyze_jobs, analyze_tsv_indexed};
 use waffle_bench::{alloc, Ledger, Stream};
-use waffle_core::session_report_json;
+use waffle_core::{session_report_json, ServeOptions, ServeSession};
 use waffle_sim::SimTime;
-use waffle_trace::{
-    encode_frame, read_frame, Frame, SegmentReader, SessionIndexBuilder, TraceIndex,
-};
+use waffle_trace::{encode_frame, read_frame, Frame, TraceIndex};
 
 /// Events in the headline session; the sweep adds a quarter-size one.
 const EVENTS: u64 = 2_000_000;
 /// Events per wire `Events` frame (the client batch size).
 const BATCH: usize = 4096;
-/// Generation seal threshold, matching the `waffle serve` default.
-const SEAL_EVENTS: usize = 64 << 10;
-/// Resident budget handed to the finish-time interference pass.
-const FINISH_BUDGET: u64 = 64 << 20;
 
 #[global_allocator]
 static ALLOC: alloc::Counting = alloc::Counting;
 
 /// Encodes a frame and decodes it back — the wire-codec cost of the
-/// socket path, without the socket.
-fn roundtrip(frame: &Frame) -> Frame {
+/// socket path, without the socket — then hands it to the session.
+fn feed(session: &mut ServeSession, frame: &Frame) -> Option<String> {
     let bytes = encode_frame(frame).expect("frame encodes");
-    read_frame(&mut &bytes[..])
+    let frame = read_frame(&mut &bytes[..])
         .expect("frame decodes")
-        .expect("frame present")
+        .expect("frame present");
+    session.handle(frame).expect("session accepts the frame")
 }
 
 /// One streamed session's measurements.
 struct StreamRun {
-    /// Wall nanoseconds of the streaming loop (decode, push, seal, absorb).
+    /// Wall nanoseconds of the streaming loop (decode, push, seal, absorb)
+    /// plus the session's remainder seal at Finish.
     ingest_ns: u64,
     /// Wall nanoseconds including the generation replay, interference,
     /// and the report.
@@ -66,110 +65,76 @@ struct StreamRun {
     /// The finished session report JSON.
     report: String,
     /// Generations the session sealed.
-    generations: u32,
-    /// Peak live heap bytes during the streaming loop.
+    generations: u64,
+    /// Peak live heap bytes before Finish.
     ingest_peak: u64,
 }
 
-/// Streams `n` generated events through the full serve-side session path
-/// with `jobs = 1`, exactly as one `waffle serve` worker handles them.
-fn streamed_session(src: &Stream, n: u64, scratch: &Path) -> StreamRun {
-    let dir = scratch.join(format!("session-{n}"));
-    std::fs::create_dir_all(&dir).expect("session dir");
+/// Streams `n` generated events through one [`ServeSession`] with the
+/// server's default options (`jobs = 1`, a 64k-event seal threshold).
+fn streamed_session(src: &Stream, n: u64, opts: &ServeOptions) -> StreamRun {
     // An absolute peak, live bytes before the session included: the
     // `ingest_peak_ratio` gate is defined on it.
     alloc::reset_peak();
     let t0 = Instant::now();
-
-    let Frame::Hello { workload } = roundtrip(&Frame::Hello {
+    let mut session = ServeSession::new(n, opts, Stream::config());
+    let hello = Frame::Hello {
         workload: format!("bench.stream.{n}"),
-    }) else {
-        unreachable!("Hello round-trips")
     };
-    let mut b = SessionIndexBuilder::new(workload);
+    feed(&mut session, &hello);
     let site_defs = src
         .sites
         .iter()
         .map(|(_, info)| (info.name.clone(), info.kind))
         .collect();
-    let Frame::Sites(defs) = roundtrip(&Frame::Sites(site_defs)) else {
-        unreachable!("Sites round-trips")
-    };
-    b.add_sites(&defs).expect("site table streams");
+    feed(&mut session, &Frame::Sites(site_defs));
     let snaps = src.clocks.snapshots();
     if snaps.len() > 1 {
-        let Frame::Clocks(snaps) = roundtrip(&Frame::Clocks(snaps[1..].to_vec())) else {
-            unreachable!("Clocks round-trips")
-        };
-        b.add_clocks(snaps).expect("clock pool streams");
+        feed(&mut session, &Frame::Clocks(snaps[1..].to_vec()));
     }
-
-    let mut inc = IncrementalAnalysis::new(Stream::config(), SimTime::from_ms(1));
-    let mut generations: Vec<PathBuf> = Vec::new();
-    let seal = |b: &mut SessionIndexBuilder,
-                inc: &mut IncrementalAnalysis,
-                generations: &mut Vec<PathBuf>| {
-        let path = dir.join(format!("gen-{}.wseg", generations.len()));
-        let out = b.seal(&path).expect("generation seals");
-        inc.absorb(&out.mem, &out.tsv, b.clocks(), b.last_time(), 1);
-        generations.push(path);
-    };
-
     let mut i = 0u64;
     while i < n {
         let hi = (i + BATCH as u64).min(n);
-        let Frame::Events(evs) = roundtrip(&Frame::Events((i..hi).map(|k| src.event(k)).collect()))
-        else {
-            unreachable!("Events round-trips")
-        };
-        b.push_batch(evs).expect("stream is time-ordered");
-        if b.pending_events() >= SEAL_EVENTS {
-            seal(&mut b, &mut inc, &mut generations);
-        }
+        feed(
+            &mut session,
+            &Frame::Events((i..hi).map(|k| src.event(k)).collect()),
+        );
         i = hi;
     }
-    let Frame::Finish { end_time } = roundtrip(&Frame::Finish {
-        end_time: SimTime::from_us(n + 2),
-    }) else {
-        unreachable!("Finish round-trips")
-    };
-    b.declare_end_time(end_time);
-    if b.pending_events() > 0 || generations.is_empty() {
-        seal(&mut b, &mut inc, &mut generations);
-    }
+    // Peak and time are read before Finish. The remainder seal holds
+    // fewer events than a full one, so the full seals bound its peak; its
+    // time is added from the session's own `ingest/finish_seal` below.
     let ingest_peak = alloc::peak();
-    let ingest_ns = t0.elapsed().as_nanos() as u64;
-
-    let readers = generations
-        .iter()
-        .map(|p| SegmentReader::open(p).expect("generation opens"));
-    let (plan, tsv) = inc
-        .finish(b.workload(), readers, FINISH_BUDGET)
-        .expect("incremental finish");
-    let report = session_report_json(&plan, &tsv).expect("report serializes");
+    let streamed_ns = t0.elapsed().as_nanos() as u64;
+    let finish = Frame::Finish {
+        end_time: SimTime::from_us(n + 2),
+    };
+    let report = feed(&mut session, &finish).expect("Finish answers with the report");
     let total_ns = t0.elapsed().as_nanos() as u64;
-    let run = StreamRun {
-        ingest_ns,
+    let m = session.metrics();
+    StreamRun {
+        ingest_ns: streamed_ns + m.counter("ingest/finish_seal/total_us") * 1000,
         total_ns,
         report,
-        generations: b.generations(),
+        generations: m.counter("ingest/sealed_generations"),
         ingest_peak,
-    };
-    std::fs::remove_dir_all(&dir).ok();
-    run
+    }
 }
 
 fn main() {
+    // Relative to the working directory and the same on every machine:
+    // the paths the run holds are part of its peak-heap counters.
+    let scratch = Path::new("bench-scratch").join("serve");
+    std::fs::create_dir_all(&scratch).expect("scratch dir");
+    // The socket is never bound: a session reads only the directory and
+    // the thresholds.
+    let opts = ServeOptions::new(scratch.join("unbound.sock"), &scratch);
     let mut ledger = Ledger::new("serve");
     let min_rate = ledger.env_param("min_ingest_rate", "WAFFLE_SERVE_MIN_RATE", 1_000_000);
     ledger
         .param("events", EVENTS)
         .param("batch_events", BATCH as u64)
-        .param("seal_events", SEAL_EVENTS as u64);
-    // Relative to the working directory and the same on every machine:
-    // the paths the run holds are part of its peak-heap counters.
-    let scratch = Path::new("bench-scratch").join("serve");
-    std::fs::create_dir_all(&scratch).expect("scratch dir");
+        .param("seal_events", opts.seal_events as u64);
 
     // ---- Batch reference over the same stream, for byte-identity. ----
     println!("generating the {EVENTS}-event batch reference…");
@@ -196,7 +161,7 @@ fn main() {
     // must be seal-threshold-shaped, not session-shaped. ----
     let mut peaks = Vec::new();
     for n in [EVENTS, EVENTS / 4] {
-        let run = streamed_session(&src, n, &scratch);
+        let run = streamed_session(&src, n, &opts);
         if n == EVENTS {
             assert!(
                 run.report == want,
@@ -217,10 +182,7 @@ fn main() {
         );
         ledger
             .stage(&format!("ingest/{n}"), run.ingest_ns, n)
-            .counter(
-                &format!("ingest/{n}/generations"),
-                u64::from(run.generations),
-            )
+            .counter(&format!("ingest/{n}/generations"), run.generations)
             .counter(&format!("ingest/{n}/peak_alloc_bytes"), run.ingest_peak);
         peaks.push(run.ingest_peak);
     }

@@ -64,7 +64,6 @@ pub use experiment::{
 };
 pub use report::{BugReport, DetectionOutcome, RunSummary, TsvReport};
 pub use serve::{
-    replay_trace, serve, session_report_json, session_report_json_with_shed, QueuePolicy,
-    ServeOptions, ServeReport, ShedCounts,
+    replay_trace, serve, session_report_json, QueuePolicy, ServeOptions, ServeReport, ServeSession,
 };
 pub use storage::{write_atomic, Session};

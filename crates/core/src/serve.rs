@@ -22,17 +22,23 @@
 //! session queue:
 //!
 //! - the *reader* decodes frames off the socket and enqueues them;
-//! - the *worker* drains the queue, validates each frame against the
-//!   session's [`SessionIndexBuilder`], seals a generation every
-//!   [`ServeOptions::seal_events`] accepted events, and absorbs the fresh
-//!   columns into the session's incremental fold.
+//! - the *worker* pops each frame and hands it to the connection's
+//!   [`ServeSession`], the one type that holds a session's state. It
+//!   validates each frame against the session's [`SessionIndexBuilder`],
+//!   seals a generation every [`ServeOptions::seal_events`] accepted
+//!   events, and absorbs the fresh columns into the session's
+//!   incremental fold.
 //!
-//! On Finish the worker seals the remainder, finalizes the fold (the
+//! On Finish the session seals the remainder, finalizes the fold (the
 //! interference pass replays the sealed generation files in seal order,
 //! one open at a time, carrying a δ-window tail across their boundaries),
-//! writes the report atomically next to the session's generation
-//! directory, and sends it back as a Report frame. The two stages are
-//! timed as `ingest/finish_seal` and `ingest/finish_replay`.
+//! and writes the report atomically next to its generation directory;
+//! the worker sends it back as a Report frame. The two stages are timed
+//! as `ingest/finish_seal` and `ingest/finish_replay`. When the session
+//! fails instead, the worker answers with an Error frame and shuts the
+//! socket's read half, so the reader ends even if the client keeps its
+//! socket open. The `serve` rate bench drives the same [`ServeSession`]
+//! without a socket.
 //!
 //! # Session artifacts
 //!
@@ -64,14 +70,17 @@
 use std::collections::VecDeque;
 use std::fs;
 use std::io;
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Instant;
 
-use waffle_analysis::{IncrementalAnalysis, Plan, TsvPlan, DEFAULT_RESIDENT_BYTES};
+use waffle_analysis::{AnalyzerConfig, IncrementalAnalysis, Plan, TsvPlan, DEFAULT_RESIDENT_BYTES};
 use waffle_sim::time::ms;
+use waffle_sim::SimTime;
 use waffle_telemetry::MetricsRegistry;
 use waffle_trace::{read_frame, write_frame, Frame, SegmentReader, SessionIndexBuilder, Trace};
 
@@ -134,11 +143,13 @@ pub struct ServeReport {
     /// Sessions accepted.
     pub sessions: u64,
     /// Ingest counters and queue-depth histograms: `ingest/events`,
-    /// `ingest/sessions`, `ingest/sealed_segments`, `ingest/shed_batches`,
+    /// `ingest/sessions`, `ingest/sealed_segments`,
+    /// `ingest/sealed_generations`, `ingest/shed_batches`,
     /// `ingest/shed_events`, `ingest/failed_sessions`,
     /// `ingest/queue_depth` (histogram), and the Finish stage timings
     /// `ingest/finish_seal` and `ingest/finish_replay` (µs histograms with
-    /// `/count` and `/total_us` counters).
+    /// `/count` and `/total_us` counters). Each session's own metrics
+    /// ([`ServeSession::metrics`]) are added in when it ends.
     pub metrics: MetricsRegistry,
 }
 
@@ -150,22 +161,17 @@ fn invalid(what: impl std::fmt::Display) -> io::Error {
 /// plan and TSV objects, in the same composite style as
 /// `waffle analyze --json` (which additionally embeds index stats).
 pub fn session_report_json(plan: &Plan, tsv: &TsvPlan) -> io::Result<String> {
-    session_report_json_with_shed(plan, tsv, &ShedCounts::default())
+    report_json(plan, tsv, (0, 0))
 }
 
-/// [`session_report_json`] for a session that may have shed batches
+/// [`session_report_json`] for a session that shed `(batches, events)`
 /// under [`QueuePolicy::Shed`]. A lossy report must say so *in the
 /// report*: the global `ingest/shed_batches` counter tells the operator
 /// the server shed, but not which session's plan is missing events. The
 /// `"shed"` object appears only when something was actually dropped, so
 /// lossless sessions stay byte-identical to the batch `--plan-only`
 /// output the CI smoke diff pins.
-pub fn session_report_json_with_shed(
-    plan: &Plan,
-    tsv: &TsvPlan,
-    shed: &ShedCounts,
-) -> io::Result<String> {
-    let (batches, events) = shed.totals();
+fn report_json(plan: &Plan, tsv: &TsvPlan, (batches, events): (u64, u64)) -> io::Result<String> {
     let shed_part = if batches > 0 {
         format!(",\n\"shed\": {{\"batches\": {batches}, \"events\": {events}}}")
     } else {
@@ -179,27 +185,204 @@ pub fn session_report_json_with_shed(
 }
 
 /// Per-session shed totals, shared between the reader (which drops the
-/// batches) and the worker (which discloses them in the report).
+/// batches) and the session (which discloses them in its report).
 #[derive(Debug, Default)]
-pub struct ShedCounts {
-    batches: std::sync::atomic::AtomicU64,
-    events: std::sync::atomic::AtomicU64,
+struct ShedCounts {
+    batches: AtomicU64,
+    events: AtomicU64,
 }
 
 impl ShedCounts {
     fn record(&self, events: u64) {
-        use std::sync::atomic::Ordering;
         self.batches.fetch_add(1, Ordering::SeqCst);
         self.events.fetch_add(events, Ordering::SeqCst);
     }
 
     /// `(batches, events)` dropped so far.
-    pub fn totals(&self) -> (u64, u64) {
-        use std::sync::atomic::Ordering;
+    fn totals(&self) -> (u64, u64) {
         (
             self.batches.load(Ordering::SeqCst),
             self.events.load(Ordering::SeqCst),
         )
+    }
+}
+
+/// One session's frame handling, from Hello to Finish: the state machine
+/// every `waffle serve` connection drives, one decoded [`Frame`] at a
+/// time, and the one place a session's state lives.
+///
+/// It validates each frame against the session's [`SessionIndexBuilder`],
+/// seals a generation file every [`ServeOptions::seal_events`] accepted
+/// events and folds it into the session's [`IncrementalAnalysis`]. On
+/// Finish it seals the remainder, replays the generations, writes
+/// `session-N.report.json` and returns the report. An error ends the
+/// session; the server answers it with an Error frame.
+#[derive(Debug)]
+pub struct ServeSession {
+    analyzer: AnalyzerConfig,
+    seal_events: usize,
+    jobs: usize,
+    resident_bytes: u64,
+    /// `session-N.gen`, the directory of the sealed generations.
+    gen_dir: PathBuf,
+    /// `session-N.report.json`.
+    report_path: PathBuf,
+    state: State,
+    shed: Arc<ShedCounts>,
+    metrics: MetricsRegistry,
+}
+
+#[derive(Debug)]
+enum State {
+    AwaitingHello,
+    /// Boxed, so a frame moves a pointer in and out of the session.
+    Open(Box<Open>),
+    /// After Finish or an error.
+    Ended,
+}
+
+/// A session between Hello and Finish. Its generation files are
+/// `gen-0.wseg` … under the session's `gen_dir`, one per seal the
+/// builder counts.
+#[derive(Debug)]
+struct Open {
+    builder: SessionIndexBuilder,
+    fold: IncrementalAnalysis,
+}
+
+impl ServeSession {
+    /// Session `id` under `opts` (its `dir`, `seal_events`, `jobs` and
+    /// `resident_bytes`), analyzed with `analyzer`; the server passes
+    /// `AnalyzerConfig::default()`.
+    pub fn new(id: u64, opts: &ServeOptions, analyzer: AnalyzerConfig) -> Self {
+        Self {
+            analyzer,
+            seal_events: opts.seal_events,
+            jobs: opts.jobs,
+            resident_bytes: opts.resident_bytes,
+            gen_dir: opts.dir.join(format!("session-{id}.gen")),
+            report_path: opts.dir.join(format!("session-{id}.report.json")),
+            state: State::AwaitingHello,
+            shed: Arc::default(),
+            metrics: MetricsRegistry::new(),
+        }
+    }
+
+    /// The session's own counters and Finish stage timings so far:
+    /// `ingest/sessions`, `ingest/events`, `ingest/sealed_segments`,
+    /// `ingest/sealed_generations`, `ingest/finish_seal` and
+    /// `ingest/finish_replay`.
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.metrics
+    }
+
+    /// Handles one frame. Returns the report once Finish lands and
+    /// `None` before; an error ends the session.
+    pub fn handle(&mut self, frame: Frame) -> io::Result<Option<String>> {
+        let open = match (std::mem::replace(&mut self.state, State::Ended), frame) {
+            (State::Ended, _) => return Err(invalid("frame after the session ended")),
+            (_, Frame::Report(_) | Frame::Error(_)) => {
+                return Err(invalid("client sent a server-only frame"))
+            }
+            (State::AwaitingHello, Frame::Hello { workload }) => {
+                self.metrics.inc("ingest/sessions", 1);
+                Box::new(Open {
+                    builder: SessionIndexBuilder::new(workload),
+                    fold: IncrementalAnalysis::new(self.analyzer, ms(1)),
+                })
+            }
+            (State::Open(_), Frame::Hello { .. }) => return Err(invalid("duplicate Hello")),
+            (State::AwaitingHello, Frame::Sites(_)) => return Err(invalid("Sites before Hello")),
+            (State::AwaitingHello, Frame::Clocks(_)) => return Err(invalid("Clocks before Hello")),
+            (State::AwaitingHello, Frame::Events(_)) => return Err(invalid("Events before Hello")),
+            (State::AwaitingHello, Frame::Finish { .. }) => {
+                return Err(invalid("Finish before Hello"))
+            }
+            (State::Open(mut open), Frame::Sites(defs)) => {
+                open.builder.add_sites(&defs)?;
+                open
+            }
+            (State::Open(mut open), Frame::Clocks(snaps)) => {
+                open.builder.add_clocks(snaps)?;
+                open
+            }
+            (State::Open(mut open), Frame::Events(events)) => {
+                let n = events.len() as u64;
+                open.builder.push_batch(events)?;
+                self.metrics.inc("ingest/events", n);
+                if open.builder.pending_events() >= self.seal_events {
+                    self.seal(&mut open)?;
+                }
+                open
+            }
+            (State::Open(open), Frame::Finish { end_time }) => {
+                return self.finish(open, end_time).map(Some)
+            }
+        };
+        self.state = State::Open(open);
+        Ok(None)
+    }
+
+    /// Seals the pending events as the next generation file and folds
+    /// its columns in.
+    fn seal(&mut self, open: &mut Open) -> io::Result<()> {
+        let b = &mut open.builder;
+        if b.generations() == 0 {
+            // A directory left by an earlier server run under the same
+            // session id would mix stale generations into this one.
+            let _ = fs::remove_dir_all(&self.gen_dir);
+            fs::create_dir_all(&self.gen_dir)?;
+        }
+        let out = b.seal(&self.generation(b.generations()))?;
+        open.fold
+            .absorb(&out.mem, &out.tsv, b.clocks(), b.last_time(), self.jobs);
+        self.metrics
+            .inc("ingest/sealed_segments", out.stats.segments as u64);
+        self.metrics.inc("ingest/sealed_generations", 1);
+        Ok(())
+    }
+
+    /// The path of generation `k`.
+    fn generation(&self, k: u32) -> PathBuf {
+        self.gen_dir.join(format!("gen-{k}.wseg"))
+    }
+
+    fn finish(&mut self, mut open: Box<Open>, end_time: SimTime) -> io::Result<String> {
+        open.builder.declare_end_time(end_time);
+        // Seal the remainder — and always at least once, so even an
+        // event-free session leaves a valid generation file.
+        let started = Instant::now();
+        if open.builder.pending_events() > 0 || open.builder.generations() == 0 {
+            self.seal(&mut open)?;
+        }
+        self.observe_since("ingest/finish_seal", started);
+        // Opened lazily, so only one generation's footer catalog is
+        // resident at a time; the first open error ends the replay and
+        // fails the session.
+        let started = Instant::now();
+        let Open { builder, fold } = *open;
+        let mut open_err = None;
+        let readers = (0..builder.generations()).map_while(|k| {
+            SegmentReader::open(self.generation(k))
+                .map_err(|e| open_err = Some(e))
+                .ok()
+        });
+        let (plan, tsv) = fold.finish(builder.workload(), readers, self.resident_bytes)?;
+        if let Some(e) = open_err {
+            return Err(e);
+        }
+        self.observe_since("ingest/finish_replay", started);
+        // Any shed Events frame for this session was enqueued (or dropped)
+        // before its Finish, so the totals are complete by now.
+        let json = report_json(&plan, &tsv, self.shed.totals())?;
+        write_atomic(&self.report_path, &json)?;
+        Ok(json)
+    }
+
+    /// Records the wall time since `started` as one `name` observation.
+    fn observe_since(&mut self, name: &str, started: Instant) {
+        let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.metrics.observe_us(name, us);
     }
 }
 
@@ -317,12 +500,6 @@ fn metric(metrics: &SharedMetrics, f: impl FnOnce(&mut MetricsRegistry)) {
     f(&mut metrics.lock().expect("metrics poisoned"));
 }
 
-/// Records the wall time since `started` as one `name` observation.
-fn observe_since(metrics: &SharedMetrics, name: &str, started: Instant) {
-    let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    metric(metrics, |m| m.observe_us(name, us));
-}
-
 /// The reader half of one session: socket frames into the queue until
 /// Finish, EOF, or a decode error (which is forwarded to the worker).
 fn read_into_queue(
@@ -372,126 +549,15 @@ fn read_into_queue(
     queue.finish_input();
 }
 
-/// The worker half: drains the queue into a [`SessionIndexBuilder`],
-/// sealing and absorbing as thresholds pass; returns the session's report
-/// JSON once Finish lands.
-fn drain_session(
-    id: u64,
-    queue: &SessionQueue,
-    opts: &ServeOptions,
-    metrics: &SharedMetrics,
-    shed: &ShedCounts,
-) -> io::Result<String> {
-    let mut builder: Option<SessionIndexBuilder> = None;
-    let mut fold: Option<IncrementalAnalysis> = None;
-    let mut generations: Vec<PathBuf> = Vec::new();
-    let gen_dir = opts.dir.join(format!("session-{id}.gen"));
-
-    let seal = |b: &mut SessionIndexBuilder,
-                fold: &mut IncrementalAnalysis,
-                generations: &mut Vec<PathBuf>|
-     -> io::Result<()> {
-        if generations.is_empty() {
-            // A directory left by an earlier server run under the same
-            // session id would mix stale generations into this one.
-            let _ = fs::remove_dir_all(&gen_dir);
-            fs::create_dir_all(&gen_dir)?;
-        }
-        let path = gen_dir.join(format!("gen-{}.wseg", b.generations()));
-        let out = b.seal(&path)?;
-        fold.absorb(&out.mem, &out.tsv, b.clocks(), b.last_time(), opts.jobs);
-        metric(metrics, |m| {
-            m.inc("ingest/sealed_segments", out.stats.segments as u64);
-            m.inc("ingest/sealed_generations", 1);
-        });
-        generations.push(path);
-        Ok(())
-    };
-
+/// The worker half: hands the queued frames to the session until Finish
+/// answers with the report.
+fn drain_session(queue: &SessionQueue, session: &mut ServeSession) -> io::Result<String> {
     loop {
-        let frame = match queue.pop() {
-            Some(frame) => frame?,
-            None => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "session ended before Finish",
-                ))
-            }
-        };
-        match frame {
-            Frame::Hello { workload } => {
-                if builder.is_some() {
-                    return Err(invalid("duplicate Hello"));
-                }
-                builder = Some(SessionIndexBuilder::new(workload));
-                fold = Some(IncrementalAnalysis::new(Default::default(), ms(1)));
-                metric(metrics, |m| m.inc("ingest/sessions", 1));
-            }
-            Frame::Sites(defs) => {
-                let b = builder
-                    .as_mut()
-                    .ok_or_else(|| invalid("Sites before Hello"))?;
-                b.add_sites(&defs)?;
-            }
-            Frame::Clocks(snaps) => {
-                let b = builder
-                    .as_mut()
-                    .ok_or_else(|| invalid("Clocks before Hello"))?;
-                b.add_clocks(snaps)?;
-            }
-            Frame::Events(events) => {
-                let b = builder
-                    .as_mut()
-                    .ok_or_else(|| invalid("Events before Hello"))?;
-                let n = events.len() as u64;
-                b.push_batch(events)?;
-                metric(metrics, |m| m.inc("ingest/events", n));
-                if b.pending_events() >= opts.seal_events {
-                    seal(
-                        b,
-                        fold.as_mut().expect("fold exists with builder"),
-                        &mut generations,
-                    )?;
-                }
-            }
-            Frame::Finish { end_time } => {
-                let mut b = builder
-                    .take()
-                    .ok_or_else(|| invalid("Finish before Hello"))?;
-                let mut fold = fold.take().expect("fold exists with builder");
-                b.declare_end_time(end_time);
-                // Seal the remainder — and always at least once, so even
-                // an event-free session leaves a valid generation file.
-                let started = Instant::now();
-                if b.pending_events() > 0 || generations.is_empty() {
-                    seal(&mut b, &mut fold, &mut generations)?;
-                }
-                observe_since(metrics, "ingest/finish_seal", started);
-                // Opened lazily, so only one generation's footer catalog
-                // is resident at a time; the first open error ends the
-                // replay and fails the session.
-                let started = Instant::now();
-                let mut open_err = None;
-                let readers = generations.iter().map_while(|path| {
-                    SegmentReader::open(path)
-                        .map_err(|e| open_err = Some(e))
-                        .ok()
-                });
-                let (plan, tsv) = fold.finish(b.workload(), readers, opts.resident_bytes)?;
-                if let Some(e) = open_err {
-                    return Err(e);
-                }
-                observe_since(metrics, "ingest/finish_replay", started);
-                // Any shed Events frame for this session was enqueued (or
-                // dropped) before its Finish, so the totals are complete
-                // by the time Finish reaches the worker.
-                let json = session_report_json_with_shed(&plan, &tsv, shed)?;
-                write_atomic(&opts.dir.join(format!("session-{id}.report.json")), &json)?;
-                return Ok(json);
-            }
-            Frame::Report(_) | Frame::Error(_) => {
-                return Err(invalid("client sent a server-only frame"));
-            }
+        let frame = queue.pop().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::UnexpectedEof, "session ended before Finish")
+        })??;
+        if let Some(json) = session.handle(frame)? {
+            return Ok(json);
         }
     }
 }
@@ -500,7 +566,7 @@ fn drain_session(
 /// session, answers with Report or Error.
 fn handle_session(stream: UnixStream, id: u64, opts: &ServeOptions, metrics: &SharedMetrics) {
     let queue = Arc::new(SessionQueue::new(opts.queue_events));
-    let shed = Arc::new(ShedCounts::default());
+    let mut session = ServeSession::new(id, opts, AnalyzerConfig::default());
     let mut write_half = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -508,21 +574,29 @@ fn handle_session(stream: UnixStream, id: u64, opts: &ServeOptions, metrics: &Sh
     let reader = {
         let queue = Arc::clone(&queue);
         let metrics = Arc::clone(metrics);
-        let shed = Arc::clone(&shed);
+        let shed = Arc::clone(&session.shed);
         let policy = opts.policy;
         thread::spawn(move || read_into_queue(stream, &queue, policy, &metrics, &shed))
     };
-    let outcome = drain_session(id, &queue, opts, metrics, &shed);
+    let outcome = drain_session(&queue, &mut session);
     queue.close();
+    let failed = outcome.is_err();
     let reply = match outcome {
         Ok(json) => Frame::Report(json),
-        Err(e) => {
-            metric(metrics, |m| m.inc("ingest/failed_sessions", 1));
-            Frame::Error(e.to_string())
-        }
+        Err(e) => Frame::Error(e.to_string()),
     };
     let _ = write_frame(&mut write_half, &reply);
+    // A reader still blocked in `read_frame` (the session failed and the
+    // client keeps its socket open) sees end of stream instead of waiting
+    // for the client to close.
+    let _ = write_half.shutdown(Shutdown::Read);
     let _ = reader.join();
+    metric(metrics, |m| {
+        m.merge(session.metrics());
+        if failed {
+            m.inc("ingest/failed_sessions", 1);
+        }
+    });
 }
 
 /// Binds the socket and serves sessions until
@@ -615,6 +689,103 @@ pub fn replay_trace(socket: &Path, trace: &Trace, batch: usize) -> io::Result<St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use waffle_analysis::{analyze_jobs, analyze_tsv_indexed};
+    use waffle_mem::SiteRegistry;
+    use waffle_trace::{ClockPool, TraceIndex};
+
+    /// A session whose artifacts would land under a per-test directory
+    /// (only the event-free session test writes any).
+    fn session(tag: &str) -> (ServeSession, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("waffle-serve-{tag}-{}", std::process::id()));
+        let opts = ServeOptions::new(dir.join("unbound.sock"), &dir);
+        (ServeSession::new(1, &opts, AnalyzerConfig::default()), dir)
+    }
+
+    fn hello() -> Frame {
+        Frame::Hello {
+            workload: "w".into(),
+        }
+    }
+
+    fn finish() -> Frame {
+        Frame::Finish {
+            end_time: SimTime::from_ms(5),
+        }
+    }
+
+    /// The error text `frames` end with, fed to a fresh session.
+    fn rejection(frames: Vec<Frame>) -> String {
+        let (mut s, _) = session("reject");
+        let mut frames = frames.into_iter();
+        let last = frames.next_back().expect("a frame to reject");
+        for frame in frames {
+            assert_eq!(s.handle(frame).expect("accepted"), None);
+        }
+        let err = s.handle(last).expect_err("rejected");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        err.to_string()
+    }
+
+    #[test]
+    fn every_frame_but_hello_is_rejected_before_hello() {
+        for (frame, want) in [
+            (Frame::Sites(vec![]), "Sites before Hello"),
+            (Frame::Clocks(vec![]), "Clocks before Hello"),
+            (Frame::Events(vec![]), "Events before Hello"),
+            (finish(), "Finish before Hello"),
+        ] {
+            assert_eq!(rejection(vec![frame]), want);
+        }
+    }
+
+    #[test]
+    fn a_second_hello_is_rejected() {
+        assert_eq!(rejection(vec![hello(), hello()]), "duplicate Hello");
+    }
+
+    #[test]
+    fn server_only_frames_from_the_client_are_rejected() {
+        for frame in [Frame::Report("{}".into()), Frame::Error("no".into())] {
+            assert_eq!(
+                rejection(vec![frame.clone()]),
+                "client sent a server-only frame"
+            );
+            assert_eq!(
+                rejection(vec![hello(), frame]),
+                "client sent a server-only frame"
+            );
+        }
+    }
+
+    #[test]
+    fn an_event_free_session_seals_one_generation_and_reports_the_empty_trace() {
+        let (mut s, dir) = session("empty");
+        assert_eq!(s.handle(hello()).unwrap(), None);
+        let json = s.handle(finish()).unwrap().expect("Finish answers");
+        assert!(dir.join("session-1.gen/gen-0.wseg").is_file());
+        assert_eq!(
+            fs::read_to_string(dir.join("session-1.report.json")).unwrap(),
+            json
+        );
+        let trace = Trace {
+            workload: "w".into(),
+            sites: SiteRegistry::new(),
+            events: vec![],
+            forks: vec![],
+            clocks: ClockPool::new(),
+            end_time: SimTime::from_ms(5),
+        };
+        let config = AnalyzerConfig::default();
+        let plan = analyze_jobs(&trace, &config, 1);
+        let tsv = analyze_tsv_indexed(&TraceIndex::build(&trace), config.delta, ms(1), 1);
+        assert_eq!(json, session_report_json(&plan, &tsv).unwrap());
+        assert_eq!(s.metrics().counter("ingest/sealed_generations"), 1);
+        assert_eq!(
+            s.handle(hello()).unwrap_err().to_string(),
+            "frame after the session ended"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn queue_blocks_at_capacity_and_drains_in_order() {

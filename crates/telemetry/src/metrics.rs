@@ -214,6 +214,16 @@ impl MetricsRegistry {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
+    /// Adds every counter and histogram of `other` into this registry.
+    pub fn merge(&mut self, other: &MetricsRegistry) {
+        for (name, value) in other.counters() {
+            self.inc(name, value);
+        }
+        for (name, hist) in &other.histograms {
+            self.histogram_mut(name).merge(hist);
+        }
+    }
+
     /// Records one duration observation (µs) under `name`: bumps the
     /// `{name}/count` counter, adds to `{name}/total_us`, and buckets the
     /// value in the `{name}` histogram. Used for phase timings such as

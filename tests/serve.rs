@@ -250,6 +250,7 @@ fn shed_policy_discloses_dropped_batches_in_the_session_report() {
 fn a_malformed_session_gets_an_error_not_a_hang() {
     use std::io::Write as _;
     use std::os::unix::net::UnixStream;
+    use std::sync::mpsc;
     use waffle_repro::trace::{read_frame, write_frame, Frame};
 
     let base = std::env::temp_dir().join(format!("waffle-serve-err-{}", std::process::id()));
@@ -258,7 +259,10 @@ fn a_malformed_session_gets_an_error_not_a_hang() {
     let socket = base.join("ingest.sock");
     let mut opts = ServeOptions::new(&socket, base.join("out"));
     opts.max_sessions = Some(1);
-    let server = thread::spawn(move || serve(&opts).expect("serve runs"));
+    let (done, served) = mpsc::channel();
+    let server = thread::spawn(move || {
+        let _ = done.send(serve(&opts).expect("serve runs"));
+    });
     wait_for(&socket);
 
     // Events before Hello: protocol violation, answered with Error.
@@ -266,16 +270,21 @@ fn a_malformed_session_gets_an_error_not_a_hang() {
     write_frame(&mut stream, &Frame::Events(vec![])).expect("write");
     stream.flush().expect("flush");
     match read_frame(&mut stream).expect("server replies") {
-        Some(Frame::Error(message)) => {
-            assert!(
-                message.contains("before Hello"),
-                "unexpected error: {message}"
-            )
-        }
+        Some(Frame::Error(message)) => assert_eq!(message, "Events before Hello"),
         other => panic!("expected an Error frame, got {other:?}"),
     }
-    drop(stream);
-    let report = server.join().expect("server thread");
+    // The client keeps its socket open, and the server still ends: the
+    // rejected session must not hold its reader until the client closes.
+    let report = match served.recv_timeout(Duration::from_secs(10)) {
+        Ok(report) => report,
+        Err(e) => {
+            drop(stream);
+            let _ = server.join();
+            panic!("serve still running 10 s after rejecting its only session: {e}");
+        }
+    };
+    server.join().expect("server thread");
     assert_eq!(report.metrics.counter("ingest/failed_sessions"), 1);
+    drop(stream);
     let _ = std::fs::remove_dir_all(&base);
 }
