@@ -23,7 +23,8 @@ pub struct AnalyzerConfig {
     /// [`AnalyzerConfig::FIXED_DELAY`].
     pub variable_delay: bool,
     /// Build the interference set (§4.4). When disabled (the "no
-    /// interference control" ablation), `I` is empty.
+    /// interference control" ablation), `I` is empty, so the detection
+    /// runs never skip a delay for interference.
     pub interference_control: bool,
     /// Memory model the preparation run was simulated under; stamped into
     /// the plan as provenance so reports can say which model surfaced each

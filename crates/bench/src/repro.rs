@@ -23,7 +23,7 @@ use waffle_core::{
     ExperimentSummary, Tool,
 };
 use waffle_inject::{
-    DecayState, OnlinePolicy, OnlineState, Pairing, RandomSleepPolicy, WaffleConfig, WafflePolicy,
+    DecayState, OnlinePolicy, OnlineState, Pairing, RandomSleepPolicy, WafflePolicy,
 };
 use waffle_mem::{AccessKind, ObjectId};
 use waffle_sim::time::{ms, us};
@@ -1452,7 +1452,7 @@ fn waffle_tsv_runs(w: &Workload, cap: u64) -> (Option<u64>, SimTime) {
     let mut decay = DecayState::default();
     let mut total = SimTime::ZERO;
     for run in 1..=cap {
-        let mut p = WafflePolicy::compiled(&tables, decay, run, WaffleConfig::default());
+        let mut p = WafflePolicy::compiled(&tables, decay, run);
         let r = Simulator::run(w, SimConfig::with_seed(run), &mut p);
         decay = p.into_decay();
         total += r.total_delay();

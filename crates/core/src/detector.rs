@@ -4,7 +4,7 @@ use std::collections::BTreeSet;
 
 use waffle_analysis::{analyze_indexed, AnalyzerConfig, Plan, PlanTables};
 use waffle_inject::{
-    DecayState, OnlinePolicy, OnlineState, Pairing, SingleDelayPolicy, WaffleConfig, WafflePolicy,
+    DecayState, OnlinePolicy, OnlineState, Pairing, SingleDelayPolicy, WafflePolicy,
 };
 use waffle_mem::SiteId;
 use waffle_sim::{MemoryConfig, NullMonitor, RunResult, SimConfig, SimTime, Simulator, Workload};
@@ -27,8 +27,6 @@ pub enum Tool {
     Waffle {
         /// Trace-analysis configuration (ablations toggle its fields).
         analyzer: AnalyzerConfig,
-        /// Runtime configuration.
-        policy: WaffleConfig,
     },
     /// WaffleBasic (§3): online identification, fixed 100 ms delays, no
     /// coordination.
@@ -52,7 +50,6 @@ impl Tool {
     pub fn waffle() -> Self {
         Tool::Waffle {
             analyzer: AnalyzerConfig::default(),
-            policy: WaffleConfig::default(),
         }
     }
 
@@ -65,7 +62,6 @@ impl Tool {
     pub fn waffle_no_parent_child() -> Self {
         Tool::Waffle {
             analyzer: AnalyzerConfig::default().without_parent_child(),
-            policy: WaffleConfig::default(),
         }
     }
 
@@ -78,17 +74,14 @@ impl Tool {
     pub fn waffle_fixed_delay() -> Self {
         Tool::Waffle {
             analyzer: AnalyzerConfig::default().without_variable_delay(),
-            policy: WaffleConfig::default(),
         }
     }
 
-    /// Table 7 row 4: Waffle without interference control.
+    /// Table 7 row 4: Waffle without interference control. The analyzer
+    /// leaves `I` empty, so no detection run skips a delay for it.
     pub fn waffle_no_interference() -> Self {
         Tool::Waffle {
             analyzer: AnalyzerConfig::default().without_interference_control(),
-            policy: WaffleConfig {
-                interference_control: false,
-            },
         }
     }
 
@@ -170,7 +163,6 @@ enum RunState {
     Waffle {
         tables: PlanTables,
         decay: DecayState,
-        config: WaffleConfig,
     },
     /// The state each run hands on, and how a run's policy is built from it.
     Online(OnlineState, fn(OnlineState, u64) -> OnlinePolicy),
@@ -257,14 +249,13 @@ impl Detector {
         let prep_seed = run_seed(attempt_seed, 1);
         let mut prep_plan = None;
         let mut state = match &self.tool {
-            Tool::Waffle { analyzer, policy } => {
+            Tool::Waffle { analyzer } => {
                 let (_, plan) = self.prepare(workload, prep_seed, &mut outcome, analyzer);
                 let tables = PlanTables::compile(&plan, workload.sites.len());
                 prep_plan = keep_plan.then_some(plan);
                 RunState::Waffle {
                     tables,
                     decay: DecayState::default(),
-                    config: *policy,
                 }
             }
             Tool::WaffleBasic => RunState::Online(OnlineState::default(), |mut state, seed| {
@@ -303,13 +294,9 @@ impl Detector {
             let seed = run_seed(attempt_seed, first + u64::from(run));
             let sim = self.sim_config(seed, outcome.base_time);
             let r = match &mut state {
-                RunState::Waffle {
-                    tables,
-                    decay,
-                    config,
-                } => {
+                RunState::Waffle { tables, decay } => {
                     let decay_in = std::mem::take(decay);
-                    let mut p = WafflePolicy::compiled(tables, decay_in, seed, *config);
+                    let mut p = WafflePolicy::compiled(tables, decay_in, seed);
                     p.record_events(events);
                     let r = Simulator::run(workload, sim, &mut p);
                     outcome.telemetry.push(p.take_journal());
@@ -355,7 +342,7 @@ impl Detector {
         seed: u64,
         session: &Session,
     ) -> std::io::Result<DetectionOutcome> {
-        let Tool::Waffle { analyzer, policy } = &self.tool else {
+        let Tool::Waffle { analyzer } = &self.tool else {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::Unsupported,
                 "session-driven detection is the Waffle workflow",
@@ -371,7 +358,7 @@ impl Detector {
             Some(plan) => {
                 let decay = session.load_decay()?;
                 let tables = PlanTables::compile(&plan, workload.sites.len());
-                let mut p = WafflePolicy::compiled(&tables, decay, seed, *policy);
+                let mut p = WafflePolicy::compiled(&tables, decay, seed);
                 p.record_events(self.config.telemetry_events);
                 let r = Simulator::run(workload, self.sim_config(seed, outcome.base_time), &mut p);
                 outcome.telemetry.push(p.take_journal());

@@ -10,29 +10,21 @@ use waffle_telemetry::{RunJournal, RunTelemetry};
 
 use crate::decay::{roll_permille, DecayState};
 
-/// Knobs of the detection-run policy (defaults match the paper).
-#[derive(Debug, Clone, Copy)]
-pub struct WaffleConfig {
-    /// Honour the interference set `I`: skip a delay while an interfering
-    /// delay is ongoing in another thread (§4.4). Disabled by the "no
-    /// interference control" ablation when the plan still carries `I`.
-    pub interference_control: bool,
-}
-
-impl Default for WaffleConfig {
-    fn default() -> Self {
-        Self {
-            interference_control: true,
-        }
-    }
-}
+/// The argument type of [`WafflePolicy::with_config`]. It has no knobs:
+/// the one no-interference switch is
+/// `AnalyzerConfig::without_interference_control`, which empties the
+/// plan's interference set `I`. The type stays only because perfbench's
+/// table4 replica (`perfbench/src/table4.rs`) names it; it goes with that
+/// replica.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WaffleConfig;
 
 /// Plan-guided delay injection: variable-length delays at the candidate
 /// locations of the plan, gated by probability decay and interference
 /// avoidance.
 ///
 /// The policy reads the plan through its dense [`PlanTables`], which it
-/// either owns ([`WafflePolicy::with_config`] compiles them from a `Plan`)
+/// either owns ([`WafflePolicy::new`] compiles them from a `Plan`)
 /// or borrows ([`WafflePolicy::compiled`], which lets every detection run
 /// of an attempt share one compilation).
 ///
@@ -48,7 +40,6 @@ pub struct WafflePolicy<'p> {
     /// This run's injection probability per rank, and whether the run
     /// decayed it; written back to `decay` by [`WafflePolicy::into_decay`].
     permille: Vec<(u32, bool)>,
-    config: WaffleConfig,
     rng: SmallRng,
     telemetry: RunTelemetry,
 }
@@ -58,34 +49,24 @@ impl WafflePolicy<'static> {
     /// persisted probabilities from earlier runs; `seed` drives the
     /// probability rolls.
     pub fn new(plan: Plan, decay: DecayState, seed: u64) -> Self {
-        Self::with_config(plan, decay, seed, WaffleConfig::default())
+        let tables = PlanTables::compile(&plan, usize::MAX);
+        WafflePolicy::build(Cow::Owned(tables), decay, seed)
     }
 
-    /// Creates a policy with explicit configuration, compiling `plan`.
-    pub fn with_config(plan: Plan, decay: DecayState, seed: u64, config: WaffleConfig) -> Self {
-        let tables = PlanTables::compile(&plan, usize::MAX);
-        WafflePolicy::build(Cow::Owned(tables), decay, seed, config)
+    /// [`WafflePolicy::new`]; [`WaffleConfig`] carries nothing.
+    pub fn with_config(plan: Plan, decay: DecayState, seed: u64, _: WaffleConfig) -> Self {
+        Self::new(plan, decay, seed)
     }
 }
 
 impl<'p> WafflePolicy<'p> {
     /// Creates a policy for one detection run over a plan compiled once
     /// per attempt.
-    pub fn compiled(
-        tables: &'p PlanTables,
-        decay: DecayState,
-        seed: u64,
-        config: WaffleConfig,
-    ) -> Self {
-        Self::build(Cow::Borrowed(tables), decay, seed, config)
+    pub fn compiled(tables: &'p PlanTables, decay: DecayState, seed: u64) -> Self {
+        Self::build(Cow::Borrowed(tables), decay, seed)
     }
 
-    fn build(
-        tables: Cow<'p, PlanTables>,
-        decay: DecayState,
-        seed: u64,
-        config: WaffleConfig,
-    ) -> Self {
+    fn build(tables: Cow<'p, PlanTables>, decay: DecayState, seed: u64) -> Self {
         let permille = (0..tables.len())
             .map(|r| (decay.permille(tables.site(r)), false))
             .collect();
@@ -93,7 +74,6 @@ impl<'p> WafflePolicy<'p> {
             tables,
             decay,
             permille,
-            config,
             rng: SmallRng::seed_from_u64(seed),
             telemetry: RunTelemetry::counters_only(),
         }
@@ -153,19 +133,17 @@ impl Monitor for WafflePolicy<'_> {
         // interfering location is ongoing in another thread (§4.4). Checked
         // *before* the probability roll so a skip consumes neither a decay
         // step nor RNG state.
-        if self.config.interference_control {
-            let interferes = ctx.active_delays.iter().any(|d| {
-                d.thread != ctx.thread
-                    && d.end > ctx.time
-                    && tables
-                        .rank(d.site)
-                        .is_some_and(|other| tables.interferes_rank(rank, other))
-            });
-            if interferes {
-                self.telemetry
-                    .skipped_interference(ctx.site, ctx.thread, ctx.time);
-                return PreAction::Proceed;
-            }
+        let interferes = ctx.active_delays.iter().any(|d| {
+            d.thread != ctx.thread
+                && d.end > ctx.time
+                && tables
+                    .rank(d.site)
+                    .is_some_and(|other| tables.interferes_rank(rank, other))
+        });
+        if interferes {
+            self.telemetry
+                .skipped_interference(ctx.site, ctx.thread, ctx.time);
+            return PreAction::Proceed;
         }
         // Probability decay.
         let (permille, decayed) = &mut self.permille[rank];
@@ -432,8 +410,7 @@ mod tests {
         let w = tsv_workload();
         let (plan, tables) = tsv_tables_for(&w);
         assert_eq!(plan.candidates.len(), 1);
-        let mut policy =
-            WafflePolicy::compiled(&tables, DecayState::default(), 1, WaffleConfig::default());
+        let mut policy = WafflePolicy::compiled(&tables, DecayState::default(), 1);
         let r = Simulator::run(&w, SimConfig::with_seed(1), &mut policy);
         assert!(
             !r.tsv_violations.is_empty(),
@@ -449,8 +426,7 @@ mod tests {
     fn tsv_tables_ignore_mem_order_sites() {
         let w = tsv_workload();
         let (_, tables) = tsv_tables_for(&w);
-        let mut policy =
-            WafflePolicy::compiled(&tables, DecayState::default(), 1, WaffleConfig::default());
+        let mut policy = WafflePolicy::compiled(&tables, DecayState::default(), 1);
         let r = Simulator::run(&w, SimConfig::with_seed(1), &mut policy);
         for d in &r.delays {
             assert_ne!(w.sites.name(d.site), "M.ctor:1");

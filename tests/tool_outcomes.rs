@@ -13,7 +13,7 @@
 use waffle_repro::analysis::{analyze_tsv, PlanTables};
 use waffle_repro::apps::{all_apps, all_bugs};
 use waffle_repro::core::{Detector, DetectorConfig, Tool};
-use waffle_repro::inject::{DecayState, WaffleConfig, WafflePolicy};
+use waffle_repro::inject::{DecayState, WafflePolicy};
 use waffle_repro::sim::time::{ms, us};
 use waffle_repro::sim::{SimConfig, SimTime, Simulator, Workload, WorkloadBuilder};
 use waffle_repro::trace::TraceRecorder;
@@ -417,7 +417,7 @@ fn every_waffle_tsv_outcome_matches_its_pinned_hash() {
         let mut decay = DecayState::default();
         let mut json = String::new();
         for run in 1..=10u64 {
-            let mut p = WafflePolicy::compiled(&tables, decay, run, WaffleConfig::default());
+            let mut p = WafflePolicy::compiled(&tables, decay, run);
             p.record_events(true);
             let r = Simulator::run(&w, SimConfig::with_seed(run), &mut p);
             let journal = p.take_journal();
