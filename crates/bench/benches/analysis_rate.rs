@@ -8,14 +8,16 @@
 //! and the near-miss sweep has genuine window pairs to visit. The indexed
 //! stages *include* the index-build cost — the honest end-to-end
 //! comparison, since the unindexed scanner starts from a raw trace too.
-//! Every stage is a Criterion mean per iteration over the trace's events.
+//! Every stage is a [`Ledger::time`] mean per iteration over the trace's
+//! events.
 //!
 //! The counting allocator records the peak heap bytes one pass of each
 //! flavor adds on top of what was live when the pass began, as a peak-RSS
 //! proxy (`peak_alloc/*` counters). Counting only the section keeps the
 //! counters still when unrelated process state changes.
 
-use criterion::{black_box, Criterion};
+use std::hint::black_box;
+
 use waffle_analysis::{analyze_indexed, analyze_unindexed, AnalyzerConfig};
 use waffle_bench::{alloc, Ledger};
 use waffle_sim::{SimConfig, SimTime, Simulator, Workload, WorkloadBuilder};
@@ -66,8 +68,6 @@ fn synthetic_workload() -> Workload {
 }
 
 fn main() {
-    let mut c = Criterion::default();
-
     let workload = synthetic_workload();
     let mut rec = TraceRecorder::new(&workload);
     Simulator::run(&workload, SimConfig::with_seed(0), &mut rec);
@@ -102,19 +102,19 @@ fn main() {
     let window_pairs = reference.stats.window_pairs;
     drop(index);
 
-    c.bench_function("index_build", |b| {
-        b.iter(|| TraceIndex::build(black_box(&trace)))
-    });
-    c.bench_function("analyze_unindexed", |b| {
-        b.iter(|| analyze_unindexed(black_box(&trace), black_box(&config)))
-    });
-    let job_counts = [1usize, 2];
-    for &jobs in &job_counts {
-        c.bench_function(&format!("analyze_indexed_jobs{jobs}"), |b| {
-            b.iter(|| {
-                let index = TraceIndex::build(black_box(&trace));
-                analyze_indexed(&index, black_box(&config), jobs)
-            })
+    let events = stats.events as u64;
+    let mut ledger = Ledger::new("analysis");
+    ledger
+        .time("index_build", events, || {
+            TraceIndex::build(black_box(&trace))
+        })
+        .time("analyze_unindexed", events, || {
+            analyze_unindexed(black_box(&trace), black_box(&config))
+        });
+    for jobs in [1usize, 2] {
+        ledger.time(&format!("analyze_indexed_jobs{jobs}"), events, || {
+            let index = TraceIndex::build(black_box(&trace));
+            analyze_indexed(&index, black_box(&config), jobs)
         });
     }
 
@@ -131,13 +131,8 @@ fn main() {
     drop(index);
     let peak_indexed = alloc::peak() - base;
 
-    let mut ledger = Ledger::new("analysis");
-    ledger.env_param("bench_ms", "WAFFLE_BENCH_MS", 300);
-    for (name, mean_ns) in c.results() {
-        ledger.stage(name, *mean_ns as u64, stats.events as u64);
-    }
     ledger
-        .counter("events", stats.events as u64)
+        .counter("events", events)
         .counter("mem_objects", stats.mem_objects as u64)
         .counter("distinct_clocks", stats.distinct_clocks as u64)
         .counter("window_pairs", window_pairs)

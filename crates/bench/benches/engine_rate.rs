@@ -3,7 +3,7 @@
 //! counts), written to `BENCH_core.json`.
 //! Window per measurement: `WAFFLE_BENCH_MS`.
 //!
-//! Stages are the Criterion means per iteration: `sim_dispatch` counts
+//! Stages are [`Ledger::time`] means per iteration: `sim_dispatch` counts
 //! simulated events, `engine_attempts_jobs<N>` counts detection attempts
 //! (events/s and attempts/s are `count * 1e9 / wall_ns`; speedups over
 //! `jobs1` mean nothing at jobs above `env.available_parallelism`). The
@@ -17,7 +17,8 @@
 //! and independent of what the process ran before), so a change that adds
 //! an allocation to a simulated run fails the bench.
 
-use criterion::{black_box, Criterion};
+use std::hint::black_box;
+
 use waffle_bench::{alloc, Ledger};
 use waffle_core::{attempt_seed, run_experiment, run_seed, Detector, DetectorConfig, Tool};
 use waffle_sim::{NullMonitor, SimConfig, SimTime, Simulator, Workload, WorkloadBuilder};
@@ -75,23 +76,19 @@ fn dispatch_workload() -> Workload {
 
 fn main() {
     let mut ledger = Ledger::new("core");
-    ledger.env_param("bench_ms", "WAFFLE_BENCH_MS", 300);
     ledger
         .param("attempts", u64::from(ATTEMPTS))
         .param("max_detection_runs", u64::from(MAX_RUNS));
-    let mut c = Criterion::default();
 
     let dispatch = dispatch_workload();
     let events_per_run =
         Simulator::run(&dispatch, SimConfig::with_seed(0), &mut NullMonitor).ops_executed;
-    c.bench_function("sim_dispatch", |b| {
-        b.iter(|| {
-            Simulator::run(
-                black_box(&dispatch),
-                SimConfig::with_seed(0),
-                &mut NullMonitor,
-            )
-        })
+    ledger.time("sim_dispatch", events_per_run, || {
+        Simulator::run(
+            black_box(&dispatch),
+            SimConfig::with_seed(0),
+            &mut NullMonitor,
+        )
     });
 
     // Bug-16's heavy-churn MQTT.Net input: each attempt costs enough
@@ -129,20 +126,14 @@ fn main() {
     if ledger.env.available_parallelism > 2 {
         job_counts.push(ledger.env.available_parallelism as usize);
     }
-    for &jobs in &job_counts {
-        c.bench_function(&format!("engine_attempts_jobs{jobs}"), |b| {
-            b.iter(|| run_experiment(black_box(&det), black_box(&racy), ATTEMPTS, jobs))
-        });
+    for jobs in job_counts {
+        ledger.time(
+            &format!("engine_attempts_jobs{jobs}"),
+            u64::from(ATTEMPTS),
+            || run_experiment(black_box(&det), black_box(&racy), ATTEMPTS, jobs),
+        );
     }
 
-    for (name, mean_ns) in c.results() {
-        let count = if name == "sim_dispatch" {
-            events_per_run
-        } else {
-            u64::from(ATTEMPTS)
-        };
-        ledger.stage(name, *mean_ns as u64, count);
-    }
     ledger
         .counter("sim_dispatch/events", events_per_run)
         .counter("telemetry/injected", telemetry.injected)

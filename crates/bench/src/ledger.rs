@@ -8,11 +8,14 @@
 //! names follow the `MetricsRegistry` `/` style, e.g.
 //! `grid/tso/b3/reduced_states`.
 //!
+//! [`Ledger::time`] is the one wall-clock timer the rate benches share.
 //! [`Ledger::write`] refuses to write a ledger whose gates do not all
 //! hold, so a committed `BENCH_*.json` always shows a passing run.
 
 use std::collections::BTreeMap;
+use std::hint::black_box;
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Error, Serialize, Value};
 
@@ -161,6 +164,32 @@ impl Ledger {
         self
     }
 
+    /// Times `f` and records it as the stage `name` covering `count`
+    /// units of work. One untimed call warms up; then `f` runs until both
+    /// the `bench_ms` window has passed and 10 calls ran, and `wall_ns` is
+    /// the mean per call. The first call reads the window from
+    /// `WAFFLE_BENCH_MS` (default 300) into the `bench_ms` param.
+    pub fn time<O>(&mut self, name: &str, count: u64, mut f: impl FnMut() -> O) -> &mut Self {
+        let window_ms = match self.params.get("bench_ms") {
+            Some(&ms) => ms,
+            None => self.env_param("bench_ms", "WAFFLE_BENCH_MS", 300),
+        };
+        let window = Duration::from_millis(window_ms);
+        black_box(f());
+        let start = Instant::now();
+        let mut calls = 0u64;
+        loop {
+            black_box(f());
+            calls += 1;
+            if start.elapsed() >= window && calls >= 10 {
+                break;
+            }
+        }
+        let mean_ns = (start.elapsed().as_nanos() / u128::from(calls)) as u64;
+        println!("{name:<50} {mean_ns:>14} ns/iter");
+        self.stage(name, mean_ns, count)
+    }
+
     /// Records an exact work count.
     pub fn counter(&mut self, name: &str, value: u64) -> &mut Self {
         self.counters.insert(name.to_owned(), value);
@@ -237,6 +266,18 @@ mod tests {
         assert_eq!(back, l);
         assert!(back.env.available_parallelism >= 1);
         assert!(back.gates.iter().all(Gate::holds));
+    }
+
+    #[test]
+    fn time_warms_up_once_then_runs_ten_calls_in_an_empty_window() {
+        let mut l = Ledger::new("unit");
+        l.param("bench_ms", 0);
+        let mut calls = 0;
+        l.time("noop", 7, || calls += 1);
+        assert_eq!(calls, 11);
+        assert_eq!(l.params["bench_ms"], 0);
+        assert_eq!(l.stages.len(), 1);
+        assert_eq!((l.stages[0].name.as_str(), l.stages[0].count), ("noop", 7));
     }
 
     #[test]

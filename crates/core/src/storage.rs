@@ -309,6 +309,30 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A `decay.json` written when the state still repeated its decay
+    /// parameters loads with the same probabilities and saves without them.
+    #[test]
+    fn a_decay_json_that_still_carries_its_config_loads_unchanged() {
+        let dir = tmpdir("decay-config");
+        let session = Session::open(&dir).unwrap();
+        fs::write(
+            dir.join("decay.json"),
+            r#"{"config":{"initial_permille":1000,"lambda_permille":150},"permille":{"0":850,"12":700}}"#,
+        )
+        .unwrap();
+        let decay = session.load_decay().unwrap();
+        assert_eq!(decay.permille(waffle_mem::SiteId(0)), 850);
+        assert_eq!(decay.permille(waffle_mem::SiteId(12)), 700);
+        assert_eq!(decay.permille(waffle_mem::SiteId(7)), 1000);
+        assert_eq!(decay.touched_sites(), 2);
+        session.save_decay(&decay).unwrap();
+        assert_eq!(
+            fs::read_to_string(dir.join("decay.json")).unwrap(),
+            r#"{"permille":{"0":850,"12":700}}"#
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     /// Atomic saves leave no temp droppings behind, and a corrupt decay
     /// file is an error rather than a silent reset to 100%.
     #[test]

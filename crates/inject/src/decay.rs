@@ -14,52 +14,31 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use waffle_mem::SiteId;
 
-/// Decay parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct DecayConfig {
-    /// Initial injection probability, in per-mille (1000 = 100%).
-    pub initial_permille: u32,
-    /// Decay constant λ, in per-mille, subtracted per failed injection.
-    pub lambda_permille: u32,
-}
+/// Initial injection probability of every site, in per-mille (1000 =
+/// 100%).
+pub const INITIAL_PERMILLE: u32 = 1000;
 
-impl Default for DecayConfig {
-    fn default() -> Self {
-        Self {
-            initial_permille: 1000,
-            lambda_permille: 150, // λ = 0.15
-        }
-    }
-}
+/// The decay constant λ = 0.15, in per-mille: subtracted from a site's
+/// probability per failed injection.
+pub const LAMBDA_PERMILLE: u32 = 150;
 
 /// Per-site injection probabilities, persisted across runs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Sites not yet decayed are at [`INITIAL_PERMILLE`]. Unknown fields are
+/// ignored on load, so a `decay.json` written when the state still
+/// carried its decay parameters loads unchanged.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DecayState {
-    config: DecayConfig,
     permille: BTreeMap<SiteId, u32>,
 }
 
-impl Default for DecayState {
-    fn default() -> Self {
-        Self::new(DecayConfig::default())
-    }
-}
-
 impl DecayState {
-    /// Creates a fresh state under `config`.
-    pub fn new(config: DecayConfig) -> Self {
-        Self {
-            config,
-            permille: BTreeMap::new(),
-        }
-    }
-
     /// Current injection probability for `site`, in per-mille.
     pub fn permille(&self, site: SiteId) -> u32 {
         self.permille
             .get(&site)
             .copied()
-            .unwrap_or(self.config.initial_permille)
+            .unwrap_or(INITIAL_PERMILLE)
     }
 
     /// Whether `site` has decayed to zero (removed from consideration).
@@ -75,13 +54,8 @@ impl DecayState {
     /// Records a (presumed) failed injection at `site`: probability drops
     /// by λ, pinned at zero.
     pub fn record_injection(&mut self, site: SiteId) {
-        let p = self.decayed(self.permille(site));
+        let p = decay_permille(self.permille(site));
         self.permille.insert(site, p);
-    }
-
-    /// The probability one failed injection leaves behind at `permille`.
-    pub(crate) fn decayed(&self, permille: u32) -> u32 {
-        permille.saturating_sub(self.config.lambda_permille)
     }
 
     /// Stores `site`'s probability, as [`record_injection`] does.
@@ -109,6 +83,11 @@ impl DecayState {
     }
 }
 
+/// The probability one failed injection leaves behind at `permille`.
+pub(crate) fn decay_permille(permille: u32) -> u32 {
+    permille.saturating_sub(LAMBDA_PERMILLE)
+}
+
 /// Draws an injection decision at probability `permille`: never at zero,
 /// always at 1000 or more, and one RNG draw in between.
 pub(crate) fn roll_permille(permille: u32, rng: &mut impl Rng) -> bool {
@@ -129,16 +108,16 @@ mod tests {
 
     #[test]
     fn fresh_sites_start_at_full_probability() {
-        let d = DecayState::new(DecayConfig::default());
-        assert_eq!(d.permille(SiteId(0)), 1000);
+        let d = DecayState::default();
+        assert_eq!(d.permille(SiteId(0)), INITIAL_PERMILLE);
         assert!(!d.exhausted(SiteId(0)));
         let mut rng = SmallRng::seed_from_u64(0);
         assert!(d.roll(SiteId(0), &mut rng));
     }
 
     #[test]
-    fn repeated_failures_exhaust_a_site_at_default_lambda() {
-        let mut d = DecayState::new(DecayConfig::default());
+    fn repeated_failures_exhaust_a_site_at_lambda() {
+        let mut d = DecayState::default();
         for _ in 0..7 {
             d.record_injection(SiteId(3));
         }
@@ -152,29 +131,23 @@ mod tests {
 
     #[test]
     fn roll_respects_intermediate_probability() {
-        let mut d = DecayState::new(DecayConfig {
-            initial_permille: 1000,
-            lambda_permille: 100,
-        });
-        for _ in 0..5 {
+        let mut d = DecayState::default();
+        for _ in 0..3 {
             d.record_injection(SiteId(1));
         }
-        assert_eq!(d.permille(SiteId(1)), 500);
+        assert_eq!(d.permille(SiteId(1)), 550);
         let mut rng = SmallRng::seed_from_u64(7);
         let hits = (0..10_000).filter(|_| d.roll(SiteId(1), &mut rng)).count();
-        assert!((4_000..6_000).contains(&hits), "hits={hits}");
+        assert!((4_500..6_500).contains(&hits), "hits={hits}");
     }
 
     #[test]
     fn state_round_trips_through_json() {
-        let mut d = DecayState::new(DecayConfig {
-            initial_permille: 800,
-            lambda_permille: 50,
-        });
+        let mut d = DecayState::default();
         d.record_injection(SiteId(2));
         let back = DecayState::from_json(&d.to_json().unwrap()).unwrap();
-        assert_eq!(back.permille(SiteId(2)), 750);
-        assert_eq!(back.permille(SiteId(9)), 800);
+        assert_eq!(back.permille(SiteId(2)), 850);
+        assert_eq!(back.permille(SiteId(9)), INITIAL_PERMILLE);
         assert_eq!(back.touched_sites(), 1);
     }
 }

@@ -25,6 +25,6 @@ pub(crate) mod recent;
 pub mod waffle;
 
 pub use baselines::{RandomSleepPolicy, SingleDelayPolicy};
-pub use decay::{DecayConfig, DecayState};
+pub use decay::DecayState;
 pub use online::{OnlinePolicy, OnlineState, Pairing};
 pub use waffle::{WaffleConfig, WafflePolicy};

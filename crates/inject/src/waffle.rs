@@ -8,7 +8,7 @@ use waffle_analysis::{Plan, PlanTables};
 use waffle_sim::{AccessCtx, AccessRecord, Monitor, PreAction, SimTime};
 use waffle_telemetry::{RunJournal, RunTelemetry};
 
-use crate::decay::{roll_permille, DecayState};
+use crate::decay::{decay_permille, roll_permille, DecayState};
 
 /// The argument type of [`WafflePolicy::with_config`]. It has no knobs:
 /// the one no-interference switch is
@@ -153,7 +153,7 @@ impl Monitor for WafflePolicy<'_> {
                 .skipped_probability(ctx.site, ctx.thread, ctx.time, before);
             return PreAction::Proceed;
         }
-        *permille = self.decay.decayed(before);
+        *permille = decay_permille(before);
         *decayed = true;
         self.telemetry
             .injected(ctx.site, ctx.thread, ctx.time, len, before);
@@ -312,10 +312,9 @@ mod tests {
         }
         // Intermediate probability so every roll consumes RNG state.
         let decay = || {
-            DecayState::new(crate::decay::DecayConfig {
-                initial_permille: 500,
-                lambda_permille: 150,
-            })
+            let mut d = DecayState::default();
+            d.set_permille(l, 500);
+            d
         };
         let ongoing = [ActiveDelay {
             thread: ThreadId(1),

@@ -4,7 +4,8 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use waffle_analysis::{analyze, AnalyzerConfig};
-use waffle_inject::{DecayConfig, DecayState, OnlinePolicy, Pairing, WafflePolicy};
+use waffle_inject::decay::{INITIAL_PERMILLE, LAMBDA_PERMILLE};
+use waffle_inject::{DecayState, OnlinePolicy, Pairing, WafflePolicy};
 use waffle_mem::SiteId;
 use waffle_sim::time::{ms, us};
 use waffle_sim::{SimConfig, SimTime, Simulator, Workload, WorkloadBuilder};
@@ -14,25 +15,18 @@ proptest! {
     /// Decay never rises, never goes below zero, and exhausts in exactly
     /// ⌈initial/λ⌉ injections.
     #[test]
-    fn decay_is_monotone_and_bounded(
-        initial in 1u32..1000,
-        lambda in 1u32..500,
-        injections in 0u32..40,
-    ) {
-        let mut d = DecayState::new(DecayConfig {
-            initial_permille: initial,
-            lambda_permille: lambda,
-        });
+    fn decay_is_monotone_and_bounded(injections in 0u32..40) {
+        let mut d = DecayState::default();
         let site = SiteId(1);
         let mut prev = d.permille(site);
-        prop_assert_eq!(prev, initial);
+        prop_assert_eq!(prev, INITIAL_PERMILLE);
         for _ in 0..injections {
             d.record_injection(site);
             let cur = d.permille(site);
             prop_assert!(cur <= prev);
             prev = cur;
         }
-        let exhausted_at = initial.div_ceil(lambda);
+        let exhausted_at = INITIAL_PERMILLE.div_ceil(LAMBDA_PERMILLE);
         prop_assert_eq!(d.exhausted(site), injections >= exhausted_at);
     }
 
@@ -40,14 +34,10 @@ proptest! {
     #[test]
     fn roll_extremes_are_deterministic(seed in 0u64..500) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let zero = {
-            let mut d = DecayState::new(DecayConfig {
-                initial_permille: 100,
-                lambda_permille: 100,
-            });
-            d.record_injection(SiteId(0));
-            d
-        };
+        let mut zero = DecayState::default();
+        while !zero.exhausted(SiteId(0)) {
+            zero.record_injection(SiteId(0));
+        }
         prop_assert!(!zero.roll(SiteId(0), &mut rng));
         let full = DecayState::default();
         prop_assert!(full.roll(SiteId(9), &mut rng));

@@ -34,12 +34,12 @@
 //!   byte-identical to `Sc`, which is the equivalence the proptests pin.
 //!   Injected delays pause the storing thread classically, exactly as
 //!   under `Sc`.
-//! - [`Window`](DrainPolicy::Window): a store drains `latency` after it
-//!   executes (subject to timing noise), or earlier at a forced drain
-//!   point: lock acquire/release, fork, join, thread exit, or an explicit
-//!   [`Op::Fence`](crate::op::Op::Fence). Crucially, an injected delay at
-//!   a store does **not** pause the thread here — it stretches the
-//!   store's drain time while the thread runs ahead. That is what turns
+//! - [`Window`](DrainPolicy::Window): a store drains [`DRAIN_LATENCY`]
+//!   after it executes (subject to timing noise), or earlier at a forced
+//!   drain point: lock acquire/release, fork, join, thread exit, or an
+//!   explicit [`Op::Fence`](crate::op::Op::Fence). Crucially, an injected
+//!   delay at a store does **not** pause the thread here — it stretches
+//!   the store's drain time while the thread runs ahead. That is what turns
 //!   WAFFLE's delay injection into a weak-memory exposure tool: the
 //!   thread publishes its signal on time, but the delayed store is still
 //!   sitting in the buffer when the reader looks, so the reader observes
@@ -105,33 +105,23 @@ impl std::fmt::Display for MemoryModel {
 }
 
 /// When a buffered store becomes globally visible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum DrainPolicy {
     /// Drain at the store itself: the buffer is never observable and runs
     /// are byte-identical to [`MemoryModel::Sc`].
     EveryStore,
-    /// Drain `latency` after the store executes (noised like any service
-    /// time), or earlier at a forced drain point. Injected delays at
-    /// stores stretch the drain instead of pausing the thread.
-    Window {
-        /// Nominal residence time of a store in the buffer.
-        latency: SimTime,
-    },
+    /// Drain [`DRAIN_LATENCY`] after the store executes (noised like any
+    /// service time), or earlier at a forced drain point. Injected delays
+    /// at stores stretch the drain instead of pausing the thread.
+    #[default]
+    Window,
 }
 
-/// Default store-buffer residence time under [`DrainPolicy::Window`]:
-/// long enough to be a real reordering window, far below the ≥2ms racing
-/// gaps the fuzzer plants (so weak-memory bugs stay *latent* until a
-/// delay stretches the drain past the reader).
-pub const DEFAULT_DRAIN_LATENCY: SimTime = SimTime::from_us(50);
-
-impl Default for DrainPolicy {
-    fn default() -> Self {
-        Self::Window {
-            latency: DEFAULT_DRAIN_LATENCY,
-        }
-    }
-}
+/// Store-buffer residence time under [`DrainPolicy::Window`]: long enough
+/// to be a real reordering window, far below the ≥2ms racing gaps the
+/// fuzzer plants (so weak-memory bugs stay *latent* until a delay
+/// stretches the drain past the reader).
+pub const DRAIN_LATENCY: SimTime = SimTime::from_us(50);
 
 /// The memory subsystem configuration carried by
 /// [`SimConfig`](crate::engine::SimConfig).
@@ -149,11 +139,11 @@ impl MemoryConfig {
         Self::default()
     }
 
-    /// `model` with the default drain window.
+    /// `model` with the drain window.
     pub fn weak(model: MemoryModel) -> Self {
         Self {
             model,
-            drain: DrainPolicy::default(),
+            drain: DrainPolicy::Window,
         }
     }
 
@@ -175,14 +165,14 @@ impl MemoryConfig {
     /// Whether an injected delay at a store stretches the drain instead of
     /// pausing the thread.
     pub fn delay_stretches_drain(&self) -> bool {
-        self.buffered() && matches!(self.drain, DrainPolicy::Window { .. })
+        self.buffered() && self.drain == DrainPolicy::Window
     }
 
     /// The nominal drain latency (zero under `EveryStore`).
     pub fn latency(&self) -> SimTime {
         match self.drain {
             DrainPolicy::EveryStore => SimTime::ZERO,
-            DrainPolicy::Window { latency } => latency,
+            DrainPolicy::Window => DRAIN_LATENCY,
         }
     }
 }
@@ -223,6 +213,6 @@ mod tests {
     fn weak_window_stretches_delays() {
         let cfg = MemoryConfig::weak(MemoryModel::Pso);
         assert!(cfg.delay_stretches_drain());
-        assert_eq!(cfg.latency(), DEFAULT_DRAIN_LATENCY);
+        assert_eq!(cfg.latency(), DRAIN_LATENCY);
     }
 }

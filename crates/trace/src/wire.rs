@@ -27,10 +27,10 @@
 //!   **Error** frame naming what was rejected.
 //!
 //! Every frame is bounded by [`MAX_FRAME_BYTES`]; an oversized length
-//! prefix is `InvalidData` *before* any allocation, so a malicious or
-//! corrupt length can't balloon server memory. The Sites and Clocks
-//! payloads are encoded by `crate::codec`, which the segment-file footer
-//! shares.
+//! prefix is `InvalidData` *before* any allocation, and a body is
+//! allocated as its bytes arrive, so a malicious or corrupt length can't
+//! balloon server memory. The Sites and Clocks payloads are encoded by
+//! `crate::codec`, which the segment-file footer shares.
 
 use std::io::{self, Read, Write};
 
@@ -46,6 +46,10 @@ use crate::index::ClockId;
 /// frame) — far above any sane batch, low enough that a corrupt length
 /// prefix cannot allocate unbounded memory.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
+
+/// The most [`read_frame`] allocates for a frame body before any of its
+/// bytes arrive; larger bodies grow as they are read.
+const FIRST_READ_BYTES: usize = 64 << 10;
 
 /// Bytes one event occupies on the wire (time 8 + thread 4 + site 4 +
 /// obj 4 + kind 1 + clock 4).
@@ -180,8 +184,16 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
             "frame length {len} exceeds the {MAX_FRAME_BYTES}-byte limit"
         )));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    // Grow the body as its bytes arrive, at most doubling per step, so a
+    // length prefix alone cannot make the reader allocate up to the limit.
+    let mut body = Vec::new();
+    while body.len() < len {
+        let filled = body.len();
+        let step = (len - filled).min(filled.max(FIRST_READ_BYTES));
+        body.reserve_exact(step);
+        body.resize(filled + step, 0);
+        r.read_exact(&mut body[filled..])?;
+    }
     let (tag, payload) = (body[0], &body[1..]);
     let mut c = Cursor::new(payload, "frame payload");
     let frame = match tag {
