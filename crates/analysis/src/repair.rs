@@ -35,7 +35,8 @@ use crate::plan::Plan;
 pub enum Certification {
     /// Clean within the bound and deadlock-free: the patch is certified.
     Unexposable {
-        /// Frontier states the certifying exploration visited.
+        /// Frontier states the certifying exploration visited (zero for
+        /// a certificate that explored nothing).
         states: u64,
     },
     /// The bug still manifests under the patch.
@@ -68,7 +69,8 @@ pub struct RepairReport {
     /// Human-readable description of the certified patch.
     pub description: Option<String>,
     /// Frontier states of the certifying exploration (zero when
-    /// unrepairable).
+    /// unrepairable, or when the oracle certified the patch from its
+    /// must-happen-before order without exploring).
     pub certified_states: u64,
 }
 
@@ -101,11 +103,16 @@ impl RepairReport {
                     patch.kind().label(),
                     desc.as_deref().unwrap_or("(no description)")
                 ));
+                // A search counts at least its root state, so zero states
+                // is a certificate that explored nothing.
+                let how = match self.certified_states {
+                    0 => "certified by must-happen-before order".to_string(),
+                    n => format!("{n} states"),
+                };
                 out.push_str(&format!(
-                    "  oracle: unexposable at bound {} under {} ({} states, candidate {} of {})\n",
+                    "  oracle: unexposable at bound {} under {} ({how}, candidate {} of {})\n",
                     self.preemption_bound,
                     self.memory_model.name(),
-                    self.certified_states,
                     self.candidates_tried,
                     self.candidates_tried.max(1)
                 ));

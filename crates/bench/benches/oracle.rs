@@ -18,7 +18,9 @@
 //!
 //! Each row's counters are `<population>/<model>/b<bound>/…`; its
 //! `reduced` and `naive` stages time the explorations (`count` = frontier
-//! states). Two gates:
+//! states). Under sc the reduced explorer first tries the
+//! must-happen-before certificate, which answers with zero states; sc
+//! rows count the cases it answered in `static_certified`. Two gates:
 //! 1. `grid/tso/b3/state_ratio` ≥ 5: grid under TSO at bound 3 explores
 //!    at least 5× fewer frontier states reduced than naive;
 //! 2. `alloc_probe/events` under half the probe's frontier states: the
@@ -109,6 +111,7 @@ fn row(
 ) -> f64 {
     let (mut r_states, mut n_states, mut r_edges, mut n_edges) = (0u64, 0u64, 0u64, 0u64);
     let (mut prunes, mut hits, mut r_wall, mut n_wall) = (0u64, 0u64, 0u64, 0u64);
+    let mut certified = 0u64;
     for w in workloads {
         let t0 = Instant::now();
         let r = run(w, model, bound, true);
@@ -129,6 +132,7 @@ fn row(
         n_edges += edges(&n);
         prunes += r.sleep_prunes;
         hits += r.memo_hits;
+        certified += u64::from(r.static_certified);
     }
     let key = format!("{population}/{}/b{bound}", model_name(model));
     let ratio = n_states as f64 / r_states as f64;
@@ -151,6 +155,9 @@ fn row(
         ("memo_hits", hits),
     ] {
         ledger.counter(&format!("{key}/{name}"), value);
+    }
+    if model == MemoryModel::Sc {
+        ledger.counter(&format!("{key}/static_certified"), certified);
     }
     ratio
 }

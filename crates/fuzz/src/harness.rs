@@ -59,8 +59,9 @@ pub struct FuzzConfig {
     /// Memory model every run (generator, oracle, detectors) simulates
     /// under. `Sc` is the historical harness, byte-for-byte.
     pub memory: MemoryModel,
-    /// Sleep-set partial-order reduction in the oracle (on by default;
-    /// `--no-reduction` turns it off to cross-check against the naive
+    /// Sleep-set partial-order reduction and, under `Sc`, the
+    /// must-happen-before certificate in the oracle (on by default;
+    /// `--no-reduction` turns both off to cross-check against the naive
     /// explorer — verdicts are identical either way).
     pub reduction: bool,
     /// Synthesize an oracle-certified repair for every oracle-exposable
@@ -185,6 +186,10 @@ pub struct OracleSummary {
     pub sleep_prunes: u64,
     /// Revisits pruned by the budget-dominance memo.
     pub memo_hits: u64,
+    /// The clean verdict came from the must-happen-before certificate,
+    /// without a search (every count above is zero).
+    #[serde(default)]
+    pub static_certified: bool,
 }
 
 /// Everything the harness learned about one generated case.
@@ -283,9 +288,11 @@ impl FuzzReport {
         );
         let _ = writeln!(
             out,
-            "oracle reduction: {} sleep-set prunes, {} memo hits",
+            "oracle reduction: {} sleep-set prunes, {} memo hits, \
+             {} certified by must-happen-before order",
             self.metrics.counter("oracle/sleep_prunes"),
             self.metrics.counter("oracle/memo_hits"),
+            self.metrics.counter("oracle/static_certified"),
         );
         for tool in TOOLS {
             let _ = writeln!(
@@ -615,6 +622,7 @@ pub fn classify_case(case: &FuzzCase, cfg: &FuzzConfig) -> CaseReport {
             states: oracle_rep.states_explored,
             sleep_prunes: oracle_rep.sleep_prunes,
             memo_hits: oracle_rep.memo_hits,
+            static_certified: oracle_rep.static_certified,
         },
         tools,
         run_count_anomaly,
@@ -653,6 +661,10 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
         metrics.inc("oracle/states", case.oracle.states);
         metrics.inc("oracle/sleep_prunes", case.oracle.sleep_prunes);
         metrics.inc("oracle/memo_hits", case.oracle.memo_hits);
+        metrics.inc(
+            "oracle/static_certified",
+            u64::from(case.oracle.static_certified),
+        );
         // A truncated oracle on a planted case proved nothing either way:
         // the unexposability check was *skipped*, not passed. Count those
         // skips separately so a sweep can't quietly launder a too-small

@@ -36,7 +36,15 @@
 //!   materializes a sibling by cloning into a recycled frame (the last
 //!   sibling steals the parent's state outright), so the hot loop does
 //!   no per-state heap allocation.
+//!
+//! Before any of that, the reduced explorer under `Sc` asks the private
+//! `order` module for a must-happen-before certificate: a program whose
+//! every read is ordered after its object's one init and before its one
+//! dispose by fork, join and signal → wait edges, and which cannot
+//! deadlock, is clean on every schedule, so it is answered without a
+//! search ([`OracleReport::static_certified`]).
 
+mod order;
 mod reduction;
 mod state;
 
@@ -70,10 +78,11 @@ pub struct OracleConfig {
     /// other threads run inside the stale window. Under `Sc` (the default)
     /// exploration is bit-for-bit what it always was.
     pub memory: MemoryModel,
-    /// Enable sleep-set partial-order reduction (on by default). The
-    /// verdict is identical either way — pinned by the differential
-    /// equivalence suite — only the states/second differ; turn it off to
-    /// cross-check a verdict against the naive explorer.
+    /// Enable sleep-set partial-order reduction and, under `Sc`, the
+    /// must-happen-before certificate (on by default). The verdict is
+    /// identical either way — pinned by the differential equivalence
+    /// suite — only the states/second differ; turn it off to cross-check
+    /// a verdict against the naive explorer.
     pub reduce: bool,
 }
 
@@ -150,6 +159,10 @@ pub struct OracleReport {
     /// be read as "no bug": schedules that deadlock expose nothing by
     /// construction, so repair certification requires this to be zero.
     pub deadlocks: u64,
+    /// The verdict is `CleanWithinBound` by the must-happen-before
+    /// certificate, which covers every schedule, and no schedule was
+    /// explored: every count above is zero.
+    pub static_certified: bool,
 }
 
 impl OracleReport {
@@ -265,8 +278,28 @@ fn is_deadlock(s: &OState<'_>) -> bool {
 
 /// Exhaustively explores schedules of `workload` within the preemption
 /// bound, returning the first NULL-reference witness found or a clean /
-/// truncated verdict.
+/// truncated verdict. With `reduce` on under `Sc`, a program the
+/// must-happen-before certificate accepts is answered clean with zero
+/// deadlocks and zero states, without a search.
 pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
+    if config.reduce && config.memory == MemoryModel::Sc && order::certify(workload) {
+        return OracleReport {
+            verdict: OracleVerdict::CleanWithinBound,
+            states_explored: 0,
+            memo_hits: 0,
+            sleep_prunes: 0,
+            revisits: 0,
+            witness: Vec::new(),
+            deadlocks: 0,
+            static_certified: true,
+        };
+    }
+    search(workload, config)
+}
+
+/// The bounded DFS behind [`explore`], never short-cut by the
+/// certificate: tests that measure the search call it directly.
+pub(crate) fn search(workload: &Workload, config: &OracleConfig) -> OracleReport {
     let mut memo = StateMemo::new(config.max_states, config.preemption_bound);
     // Sort scratch for the state encoding's held locks.
     let mut held = Vec::new();
@@ -280,6 +313,7 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
         revisits: 0,
         witness: Vec::new(),
         deadlocks: 0,
+        static_certified: false,
     };
 
     let mut frames: Vec<Frame> = Vec::with_capacity(32);

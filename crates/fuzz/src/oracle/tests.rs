@@ -71,8 +71,13 @@ fn event_ordered_init_is_clean_at_any_bound() {
             .join_children();
     });
     b.main(m);
-    let r = explore(&b.build(), &bound(3));
+    let w = b.build();
+    // The certificate answers without a search; the search must agree.
+    let r = explore(&w, &bound(3));
+    assert!(r.static_certified && r.states_explored == 0, "{r:?}");
+    let r = search(&w, &bound(3));
     assert_eq!(r.verdict, OracleVerdict::CleanWithinBound);
+    assert!(!r.static_certified && r.states_explored > 0, "{r:?}");
 }
 
 #[test]
@@ -266,12 +271,14 @@ fn memo_revisits_do_not_inflate_the_state_cap() {
 
 /// The reduction must actually reduce: on the independent grid the
 /// reduced frontier is strictly smaller and sleep prunes fire, while the
-/// verdict matches the naive explorer.
+/// verdict matches the naive explorer. The grid is certified without a
+/// search, so the reduced side calls the search itself.
 #[test]
 fn sleep_sets_prune_independent_interleavings() {
     let w = independent_grid(4);
+    assert!(explore(&w, &bound(2)).static_certified);
     let naive = explore(&w, &unreduced(&bound(2)));
-    let reduced = explore(&w, &bound(2));
+    let reduced = search(&w, &bound(2));
     assert_eq!(naive.verdict, reduced.verdict);
     assert!(reduced.sleep_prunes > 0, "no sleep prunes: {reduced:?}");
     assert!(
@@ -363,7 +370,8 @@ fn tso_buffered_publish_agrees_across_reduction() {
             memory: model,
             ..OracleConfig::default()
         };
-        let reduced = explore(&w, &cfg);
+        // Under `Sc` the certificate would answer; compare the searches.
+        let reduced = search(&w, &cfg);
         let naive = explore(&w, &unreduced(&cfg));
         assert_eq!(reduced.verdict, naive.verdict, "model {model:?}");
         match model {

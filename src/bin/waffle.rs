@@ -366,7 +366,7 @@ static COMMANDS: &[Command] = &[
             text("--corpus", "DIR", "write minimized disagreeing cases"),
             switch(
                 "--no-reduction",
-                "disable the oracle's partial-order reduction",
+                "disable the oracle's partial-order reduction and certificate",
             ),
             switch(
                 "--repair",

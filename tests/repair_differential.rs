@@ -39,7 +39,7 @@ fn repair_sweep(seeds: u64, model: MemoryModel, jobs: usize) -> (FuzzConfig, Fuz
 /// every oracle-exposable planted case carries a certified repair of the
 /// population's expected production, and no control (nor unexposable
 /// plant) carries any repair attempt at all.
-fn check_population(report: &FuzzReport, expected: RepairKind) -> Vec<u64> {
+fn check_population(report: &FuzzReport, expected: RepairKind, model: MemoryModel) -> Vec<u64> {
     assert!(
         report.disagreements.is_empty(),
         "oracle/detector disagreements: {:?}",
@@ -66,11 +66,37 @@ fn check_population(report: &FuzzReport, expected: RepairKind) -> Vec<u64> {
                 case.seed,
                 rep.repair_kind()
             );
-            assert!(
-                rep.certified_states > 0,
-                "seed {}: empty certificate",
-                case.seed
-            );
+            if rep.certified_states == 0 {
+                // No states: the oracle certified the patch from its
+                // must-happen-before order, and the naive explorer must
+                // find the patched workload clean and deadlock-free.
+                let patch = rep.patch.as_ref().expect("certified patch");
+                let workload = generate_case_for_model(case.seed, model).workload;
+                let patched = patch.apply(&workload).expect("certified patch applies");
+                let cfg = OracleConfig {
+                    preemption_bound: report.preemption_bound,
+                    memory: model,
+                    ..OracleConfig::default()
+                };
+                assert!(
+                    explore(&patched, &cfg).static_certified,
+                    "seed {}: empty certificate",
+                    case.seed
+                );
+                let naive = explore(
+                    &patched,
+                    &OracleConfig {
+                        reduce: false,
+                        ..cfg
+                    },
+                );
+                assert_eq!(
+                    (naive.verdict, naive.deadlocks),
+                    (OracleVerdict::CleanWithinBound, 0),
+                    "seed {}: static certificate the naive explorer refutes",
+                    case.seed
+                );
+            }
             certified_seeds.push(case.seed);
         } else {
             assert!(
@@ -141,7 +167,7 @@ fn replay_repaired(report: &FuzzReport, seeds: &[u64], model: MemoryModel) {
 #[test]
 fn sc_population_repairs_are_certified_event_edges() {
     let (_, report) = repair_sweep(60, MemoryModel::Sc, 2);
-    let seeds = check_population(&report, RepairKind::EventEdge);
+    let seeds = check_population(&report, RepairKind::EventEdge, MemoryModel::Sc);
     replay_repaired(&report, &seeds, MemoryModel::Sc);
 }
 
@@ -152,7 +178,7 @@ fn sc_population_repairs_are_certified_event_edges() {
 fn weak_populations_repair_with_certified_fences() {
     for model in [MemoryModel::Tso, MemoryModel::Pso] {
         let (_, report) = repair_sweep(16, model, 2);
-        let seeds = check_population(&report, RepairKind::Fence);
+        let seeds = check_population(&report, RepairKind::Fence, model);
         replay_repaired(&report, &seeds, model);
     }
 }
