@@ -316,7 +316,6 @@ fn lockable_region(w: &Workload, script: ScriptId, obj: ObjectId) -> Option<(usi
         !matches!(
             op,
             Op::Fork { .. }
-                | Op::JoinScript { .. }
                 | Op::JoinChildren
                 | Op::WaitEvent { .. }
                 | Op::Acquire { .. }

@@ -122,10 +122,6 @@ impl CellSpec {
 pub struct CampaignConfig {
     /// Per-cell detection-run budget (50 in §6.2).
     pub max_detection_runs: u32,
-    /// Per-operation timing noise (percent).
-    pub timing_noise_pct: u32,
-    /// Virtual-time budget factor (a run dies at `factor × base_time`).
-    pub deadline_factor: u64,
     /// Bounded retry policy for panicking cells: a cell is retried on
     /// fresh seeds at most this many times before being quarantined.
     pub max_retries: u32,
@@ -133,11 +129,8 @@ pub struct CampaignConfig {
 
 impl Default for CampaignConfig {
     fn default() -> Self {
-        let d = DetectorConfig::default();
         Self {
-            max_detection_runs: d.max_detection_runs,
-            timing_noise_pct: d.timing_noise_pct,
-            deadline_factor: d.deadline_factor,
+            max_detection_runs: DetectorConfig::default().max_detection_runs,
             max_retries: 2,
         }
     }
@@ -167,14 +160,15 @@ fn ignore_missing(r: io::Result<()>) -> io::Result<()> {
     }
 }
 
+/// Hashes the config and grid. Every cell runs at the detector's default
+/// timing noise and deadline factor; both stay in the hash, so a changed
+/// default marks existing checkpoints stale.
 fn fingerprint(config: &CampaignConfig, cells: &[CellSpec]) -> u64 {
     use std::fmt::Write as _;
+    let d = DetectorConfig::default();
     let mut s = format!(
         "v{MANIFEST_VERSION}|{}|{}|{}|{}",
-        config.max_detection_runs,
-        config.timing_noise_pct,
-        config.deadline_factor,
-        config.max_retries
+        config.max_detection_runs, d.timing_noise_pct, d.deadline_factor, config.max_retries
     );
     for c in cells {
         let fault = match &c.fault {
@@ -732,8 +726,6 @@ impl Campaign {
                 tool.clone(),
                 DetectorConfig {
                     max_detection_runs: cfg.max_detection_runs,
-                    timing_noise_pct: cfg.timing_noise_pct,
-                    deadline_factor: cfg.deadline_factor,
                     telemetry_events: false,
                     panic_on_seed,
                     ..DetectorConfig::default()

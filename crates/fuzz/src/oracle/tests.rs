@@ -419,3 +419,30 @@ fn clean_and_exposable_workloads_report_zero_deadlocks() {
         assert_eq!(r.deadlocks, 0, "reduce {reduce}");
     }
 }
+
+/// The certificate answers every sc control without a search, so no
+/// ledger counter moves if the sc search regresses. This pins the search
+/// itself over fuzz-repair's sc population: the certified controls of
+/// generator seeds 0..64 at its sc bound, reduction on.
+#[test]
+fn sc_search_over_certified_controls_is_pinned() {
+    let cfg = bound(3);
+    let (mut controls, mut states, mut sleep_prunes, mut memo_hits) = (0, 0, 0, 0);
+    for seed in 0..64 {
+        let case = crate::gen::generate_case(seed);
+        if case.truth.planted() || !order::certify(&case.workload) {
+            continue;
+        }
+        let r = search(&case.workload, &cfg);
+        assert_eq!(r.verdict, OracleVerdict::CleanWithinBound, "seed {seed}");
+        assert_eq!(r.deadlocks, 0, "seed {seed}");
+        controls += 1;
+        states += r.states_explored;
+        sleep_prunes += r.sleep_prunes;
+        memo_hits += r.memo_hits;
+    }
+    assert_eq!(
+        (controls, states, sleep_prunes, memo_hits),
+        (25, 11_125, 4_728, 12_051)
+    );
+}

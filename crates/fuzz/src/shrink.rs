@@ -37,15 +37,12 @@ fn remove_script(w: &Workload, victim: usize) -> Option<Workload> {
         script.ops.retain(|op| {
             !matches!(
                 op,
-                Op::Fork { script: s } | Op::JoinScript { script: s } | Op::SpawnTask { script: s }
-                    if s.0 as usize == victim
+                Op::Fork { script: s } | Op::SpawnTask { script: s } if s.0 as usize == victim
             )
         });
         for op in &mut script.ops {
             match op {
-                Op::Fork { script: s }
-                | Op::JoinScript { script: s }
-                | Op::SpawnTask { script: s } => remap(s),
+                Op::Fork { script: s } | Op::SpawnTask { script: s } => remap(s),
                 _ => {}
             }
         }

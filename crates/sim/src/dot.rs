@@ -35,9 +35,6 @@ pub fn to_dot(w: &Workload) -> String {
                     forks.push((si, oi, script.0));
                     format!("fork {}", w.scripts[script.0 as usize].name)
                 }
-                Op::JoinScript { script } => {
-                    format!("join {}", w.scripts[script.0 as usize].name)
-                }
                 Op::JoinChildren => "join children".into(),
                 Op::Acquire { lock } => format!("acquire {lock}"),
                 Op::Release { lock } => format!("release {lock}"),

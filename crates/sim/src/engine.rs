@@ -15,7 +15,7 @@ use waffle_mem::{AccessKind, AccessOutcome, ObjectId, SiteId};
 
 use crate::ids::ThreadId;
 use crate::machine::{Machine, Observer, Step, ThreadStatus};
-use crate::memory::{MemoryConfig, MemoryModel};
+use crate::memory::{MemoryConfig, MemoryModel, DRAIN_LATENCY};
 use crate::monitor::{AccessCtx, AccessRecord, ActiveDelay, Monitor, PreAction};
 use crate::op::Op;
 use crate::result::{
@@ -200,14 +200,6 @@ impl Observer for Timed<'_> {
         self.clock.result.tasks_spawned = task.0 + 1;
         self.monitor.on_task_spawn(parent, task, self.t);
     }
-
-    fn task_started(&mut self, task: TaskId, worker: ThreadId) {
-        self.monitor.on_task_start(task, worker, self.t);
-    }
-
-    fn task_ended(&mut self, task: TaskId, worker: ThreadId) {
-        self.monitor.on_task_end(task, worker, self.t);
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -235,13 +227,7 @@ impl<'w> Simulator<'w> {
         // Capacity hints: at least one thread per script, a few in-flight
         // events per thread. Floors, not bounds.
         let thread_hint = workload.scripts.len().max(8);
-        // Draining at every store never lets a stale value be observed,
-        // so the machine runs it as sequential consistency.
-        let model = if config.memory.delay_stretches_drain() {
-            config.memory.model
-        } else {
-            MemoryModel::Sc
-        };
+        let model = config.memory.model;
         Self {
             rng: SmallRng::seed_from_u64(config.seed),
             clock: Clock {
@@ -414,7 +400,7 @@ impl<'w> Simulator<'w> {
     /// buffer under TSO, same-object entries under PSO). The floor keeps a
     /// PSO-only plant unexposable under TSO even with injection.
     fn stamp_drain(&mut self, tid: ThreadId, due: SimTime) {
-        let drain_at = due + self.noised(self.config.memory.latency());
+        let drain_at = due + self.noised(DRAIN_LATENCY);
         let pso = self.machine.model() == MemoryModel::Pso;
         let buf = &self.machine.thread(tid).buffer;
         let (new, older) = buf.split_last().expect("a transition was just buffered");
@@ -478,15 +464,13 @@ impl<'w> Simulator<'w> {
             delayed_by: d,
             ..pending
         };
-        // Under a weak model with a drain window, a delay at a *store* does
-        // not pause the thread: it stretches the store's residence in the
-        // buffer instead. The thread publishes its downstream signals on
-        // time while the store is still invisible — which is how injection
+        // Under a weak model a delay at a *store* does not pause the
+        // thread: it stretches the store's residence in the buffer
+        // instead. The thread publishes its downstream signals on time
+        // while the store is still invisible — which is how injection
         // widens the stale-read window other threads race into. Loads (and
-        // every access under SC or drain-every-store) keep the classical
-        // pause semantics.
-        if self.config.memory.delay_stretches_drain()
-            && matches!(kind, AccessKind::Init | AccessKind::Dispose)
+        // every access under SC) keep the classical pause semantics.
+        if self.machine.model().is_weak() && matches!(kind, AccessKind::Init | AccessKind::Dispose)
         {
             self.perform_access(tid, t, op, pending, monitor);
         } else {
@@ -804,7 +788,8 @@ mod tests {
     #[test]
     fn faulting_thread_strands_its_joiner_but_run_completes() {
         // The worker faults before signalling; main joins it fine (death
-        // wakes joiners), but a second waiter on the event is stranded.
+        // wakes joiners), but the waiter on the event, forked by an
+        // intermediate thread that nobody waits for, is stranded.
         let mut b = WorkloadBuilder::new("strand");
         let o = b.object("o");
         let ev = b.event("never");
@@ -814,8 +799,11 @@ mod tests {
         let faulty = b.script("faulty", |s| {
             s.use_(o, "F.use:1", us(1)).signal(ev);
         });
+        let mid = b.script("mid", |s| {
+            s.fork(waiter);
+        });
         let m = b.script("main", |s| {
-            s.fork(waiter).fork(faulty).join_script(faulty);
+            s.fork(mid).fork(faulty).join_children();
         });
         b.main(m);
         let w = b.build();
@@ -980,10 +968,8 @@ mod tests {
 
     // ---- weak-memory (store-buffer) semantics -------------------------
 
-    use crate::memory::{DrainPolicy, MemoryConfig, MemoryModel};
-
     fn weak_cfg(model: MemoryModel) -> SimConfig {
-        det().with_memory(MemoryConfig::weak(model))
+        det().with_memory(MemoryConfig::from_model(model))
     }
 
     /// The canonical TSO bug shape: publish-by-event without a fence. The
@@ -1034,27 +1020,6 @@ mod tests {
         for model in [MemoryModel::Tso, MemoryModel::Pso] {
             let r = Simulator::run(&w, weak_cfg(model), &mut crate::monitor::NullMonitor);
             assert!(!r.manifested(), "fence must drain the buffer under {model}");
-        }
-    }
-
-    #[test]
-    fn drain_at_every_store_is_observationally_sequential() {
-        // With the buffer drained inline at every store, Tso/Pso runs are
-        // indistinguishable from Sc — the byte-identity invariant the rest
-        // of the repo's baselines rest on.
-        for wl in [safe_workload(), tso_handoff(false)] {
-            let sc = Simulator::run(&wl, det(), &mut crate::monitor::NullMonitor);
-            for model in [MemoryModel::Tso, MemoryModel::Pso] {
-                let cfg = det().with_memory(MemoryConfig {
-                    model,
-                    drain: DrainPolicy::EveryStore,
-                });
-                let weak = Simulator::run(&wl, cfg, &mut crate::monitor::NullMonitor);
-                assert_eq!(sc.end_time, weak.end_time);
-                assert_eq!(sc.ops_executed, weak.ops_executed);
-                assert_eq!(sc.manifested(), weak.manifested());
-                assert_eq!(sc.heap, weak.heap);
-            }
         }
     }
 
@@ -1167,10 +1132,12 @@ mod tests {
 
     #[test]
     fn joiners_of_one_thread_wake_in_ascending_thread_order() {
-        // Six threads join the same worker. When it exits they all wake at
-        // once, and both the blocked intervals and the join hooks must
-        // come out in ascending thread id on every run — a run is a pure
-        // function of (workload, config, monitor).
+        // Main forks six threads that wait on one event. When main
+        // signals it they all wake at once and exit together, and main,
+        // joining its children, sees them finish at once. Both the
+        // blocked intervals and the join hooks must come out in ascending
+        // thread id on every run — a run is a pure function of (workload,
+        // config, monitor).
         #[derive(Default)]
         struct Joins(Vec<(ThreadId, ThreadId)>);
         impl Monitor for Joins {
@@ -1179,14 +1146,15 @@ mod tests {
             }
         }
         let mut b = WorkloadBuilder::new("joiners");
-        let worker = b.script("worker", |s| {
-            s.compute(ms(1));
-        });
+        let ev = b.event("go");
         let waiter = b.script("waiter", move |s| {
-            s.join_script(worker);
+            s.wait(ev);
         });
         let m = b.script("main", move |s| {
-            s.fork(worker).fork_n(waiter, 6).join_children();
+            s.fork_n(waiter, 6)
+                .compute(ms(1))
+                .signal(ev)
+                .join_children();
         });
         b.main(m);
         let w = b.build();
@@ -1194,10 +1162,10 @@ mod tests {
         let waiters: Vec<ThreadId> = first
             .blocked
             .iter()
-            .filter(|bi| bi.by == BlockedBy::Join && bi.thread != ThreadId(0))
+            .filter(|bi| bi.by == BlockedBy::Event(ev))
             .map(|bi| bi.thread)
             .collect();
-        assert_eq!(waiters, (2..8).map(ThreadId).collect::<Vec<_>>());
+        assert_eq!(waiters, (1..7).map(ThreadId).collect::<Vec<_>>());
         for _ in 0..20 {
             let mut joins = Joins::default();
             let again = Simulator::run(&w, det(), &mut joins);
@@ -1205,8 +1173,8 @@ mod tests {
             let woken: Vec<ThreadId> = joins
                 .0
                 .iter()
-                .filter(|&&(waiter, joined)| joined == ThreadId(1) && waiter != ThreadId(0))
-                .map(|(waiter, _)| *waiter)
+                .filter(|&&(waiter, _)| waiter == ThreadId(0))
+                .map(|(_, joined)| *joined)
                 .collect();
             assert_eq!(woken, waiters, "join hooks out of thread order");
         }

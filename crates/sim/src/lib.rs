@@ -81,7 +81,7 @@ pub mod workload;
 pub use engine::{SimConfig, Simulator};
 pub use ids::{EventId, IdOverflow, LockId, ScriptId, ThreadId};
 pub use machine::{Machine, Observer, Step, ThreadStatus};
-pub use memory::{DrainPolicy, MemoryConfig, MemoryModel, DRAIN_LATENCY};
+pub use memory::{MemoryConfig, MemoryModel, DRAIN_LATENCY};
 pub use monitor::{AccessCtx, AccessRecord, ActiveDelay, Monitor, NullMonitor, PreAction};
 pub use op::{Cond, Op};
 pub use repair::{RepairKind, RepairPatch};

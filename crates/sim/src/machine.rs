@@ -159,10 +159,6 @@ pub trait Observer {
     fn joined(&mut self, _waiter: ThreadId, _joined: ThreadId) {}
     /// `task` was enqueued by `parent`.
     fn task_spawned(&mut self, _parent: TaskParent, _task: TaskId) {}
-    /// Pool worker `worker` started `task`.
-    fn task_started(&mut self, _task: TaskId, _worker: ThreadId) {}
-    /// Pool worker `worker` finished `task`.
-    fn task_ended(&mut self, _task: TaskId, _worker: ThreadId) {}
 }
 
 /// The observer that ignores everything.
@@ -321,9 +317,7 @@ impl<'w> Machine<'w> {
             };
             th.script = script;
             th.pc = pc;
-            if let Some(task) = th.task.take() {
-                obs.task_ended(task, t);
-            }
+            th.task = None;
             return Step::Advanced;
         };
         if op.flushes() {
@@ -366,7 +360,7 @@ impl<'w> Machine<'w> {
                 self.threads[i].children.push(child);
                 obs.forked(t, child);
             }
-            Op::JoinScript { .. } | Op::JoinChildren => return self.join(t, op, obs),
+            Op::JoinChildren => return self.join(t, obs),
             Op::Acquire { lock } => {
                 obs.lock(lock);
                 let l = lock.0 as usize;
@@ -436,7 +430,6 @@ impl<'w> Machine<'w> {
                     th.script = script;
                     th.pc = 0;
                     th.task = Some(task);
-                    obs.task_started(task, t);
                     return Step::Advanced;
                 }
             }
@@ -514,23 +507,14 @@ impl<'w> Machine<'w> {
         }
     }
 
-    /// Joins the threads `op` names. Already-finished ones are joined at
+    /// Joins thread `t`'s children. Already-finished ones are joined at
     /// once; the thread blocks until the rest finish.
-    fn join(&mut self, t: ThreadId, op: &Op, obs: &mut impl Observer) -> Step {
+    fn join(&mut self, t: ThreadId, obs: &mut impl Observer) -> Step {
         obs.global();
         let i = t.0 as usize;
         let mut live = std::mem::take(&mut self.threads[i].join);
         live.clear();
-        if let Op::JoinScript { script } = *op {
-            // Matches each thread's *current* script, so a pool worker
-            // mid-task is matched by the task's script.
-            live.extend(
-                self.thread_ids()
-                    .filter(|&u| u != t && self.thread(u).script == script),
-            );
-        } else {
-            live.extend_from_slice(&self.threads[i].children);
-        }
+        live.extend_from_slice(&self.threads[i].children);
         live.retain(|&u| {
             let done = self.thread(u).status == ThreadStatus::Done;
             if done {

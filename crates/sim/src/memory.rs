@@ -7,14 +7,13 @@
 //! drains, and only *drain points* (fences, lock operations) bound how
 //! long. MemOrder bugs that only fire under that reordering are invisible
 //! to an SC simulator; this module adds them as a modeled, opt-in
-//! subsystem (ROADMAP item 3(a), following "Don't sit on the fence" and
-//! the reorder-bounded-BMC line of related work).
+//! subsystem (following "Don't sit on the fence" and the
+//! reorder-bounded-BMC line of related work).
 //!
 //! Semantics, by [`MemoryModel`]:
 //!
-//! - [`Sc`](MemoryModel::Sc) (default): stores apply immediately. The
-//!   engine takes exactly the pre-existing code path — every result is
-//!   byte-identical to the simulator before this module existed.
+//! - [`Sc`](MemoryModel::Sc) (default): stores apply immediately and
+//!   nothing is ever buffered.
 //! - [`Tso`](MemoryModel::Tso): each thread owns one FIFO store buffer.
 //!   A store executes (validates against the thread's own view, counts in
 //!   heap stats, appears in the trace) at its program-order time but the
@@ -26,25 +25,17 @@
 //!   stores to different objects may drain out of program order (the
 //!   data/flag publication bug class TSO still protects).
 //!
-//! When a store drains is the [`DrainPolicy`]:
-//!
-//! - [`EveryStore`](DrainPolicy::EveryStore): the buffer drains at the
-//!   store itself. The buffer machinery runs (validate against the own
-//!   view, commit separately) but is never observable — runs are
-//!   byte-identical to `Sc`, which is the equivalence the proptests pin.
-//!   Injected delays pause the storing thread classically, exactly as
-//!   under `Sc`.
-//! - [`Window`](DrainPolicy::Window): a store drains [`DRAIN_LATENCY`]
-//!   after it executes (subject to timing noise), or earlier at a forced
-//!   drain point: lock acquire/release, fork, join, thread exit, or an
-//!   explicit [`Op::Fence`](crate::op::Op::Fence). Crucially, an injected
-//!   delay at a store does **not** pause the thread here — it stretches
-//!   the store's drain time while the thread runs ahead. That is what turns
-//!   WAFFLE's delay injection into a weak-memory exposure tool: the
-//!   thread publishes its signal on time, but the delayed store is still
-//!   sitting in the buffer when the reader looks, so the reader observes
-//!   the stale value. The candidate/interference machinery upstream is
-//!   unchanged; only what a delay *means* at a store differs.
+//! Under `Tso`/`Pso` a store drains [`DRAIN_LATENCY`] after it executes
+//! (subject to timing noise), or earlier at a forced drain point: lock
+//! acquire/release, fork, join, thread exit, or an explicit
+//! [`Op::Fence`](crate::op::Op::Fence). Crucially, an injected delay at a
+//! store does **not** pause the thread — it stretches the store's drain
+//! time while the thread runs ahead. That is what turns WAFFLE's delay
+//! injection into a weak-memory exposure tool: the thread publishes its
+//! signal on time, but the delayed store is still sitting in the buffer
+//! when the reader looks, so the reader observes the stale value. The
+//! candidate/interference machinery upstream is unchanged; only what a
+//! delay *means* at a store differs.
 
 use serde::{Deserialize, Serialize};
 
@@ -104,20 +95,7 @@ impl std::fmt::Display for MemoryModel {
     }
 }
 
-/// When a buffered store becomes globally visible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum DrainPolicy {
-    /// Drain at the store itself: the buffer is never observable and runs
-    /// are byte-identical to [`MemoryModel::Sc`].
-    EveryStore,
-    /// Drain [`DRAIN_LATENCY`] after the store executes (noised like any
-    /// service time), or earlier at a forced drain point. Injected delays
-    /// at stores stretch the drain instead of pausing the thread.
-    #[default]
-    Window,
-}
-
-/// Store-buffer residence time under [`DrainPolicy::Window`]: long enough
+/// Store-buffer residence time under a weak model: long enough
 /// to be a real reordering window, far below the ≥2ms racing gaps the
 /// fuzzer plants (so weak-memory bugs stay *latent* until a delay
 /// stretches the drain past the reader).
@@ -125,12 +103,10 @@ pub const DRAIN_LATENCY: SimTime = SimTime::from_us(50);
 
 /// The memory subsystem configuration carried by
 /// [`SimConfig`](crate::engine::SimConfig).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryConfig {
     /// The consistency model.
     pub model: MemoryModel,
-    /// When buffered stores drain (ignored under `Sc`).
-    pub drain: DrainPolicy,
 }
 
 impl MemoryConfig {
@@ -139,41 +115,10 @@ impl MemoryConfig {
         Self::default()
     }
 
-    /// `model` with the drain window.
-    pub fn weak(model: MemoryModel) -> Self {
-        Self {
-            model,
-            drain: DrainPolicy::Window,
-        }
-    }
-
-    /// [`sc`](Self::sc) for `Sc`, [`weak`](Self::weak) otherwise: the
-    /// one-argument form CLI/harness layers use.
+    /// The configuration for `model`: the one-argument form CLI/harness
+    /// layers use.
     pub fn from_model(model: MemoryModel) -> Self {
-        if model.is_weak() {
-            Self::weak(model)
-        } else {
-            Self::sc()
-        }
-    }
-
-    /// Whether the engine must run the store-buffer machinery.
-    pub fn buffered(&self) -> bool {
-        self.model.is_weak()
-    }
-
-    /// Whether an injected delay at a store stretches the drain instead of
-    /// pausing the thread.
-    pub fn delay_stretches_drain(&self) -> bool {
-        self.buffered() && self.drain == DrainPolicy::Window
-    }
-
-    /// The nominal drain latency (zero under `EveryStore`).
-    pub fn latency(&self) -> SimTime {
-        match self.drain {
-            DrainPolicy::EveryStore => SimTime::ZERO,
-            DrainPolicy::Window => DRAIN_LATENCY,
-        }
+        Self { model }
     }
 }
 
@@ -194,25 +139,10 @@ mod tests {
     fn default_is_sequentially_consistent() {
         let cfg = MemoryConfig::default();
         assert!(cfg.model.is_sc());
-        assert!(!cfg.buffered());
-        assert!(!cfg.delay_stretches_drain());
-    }
-
-    #[test]
-    fn every_store_drains_never_stretch_delays() {
-        let cfg = MemoryConfig {
-            model: MemoryModel::Tso,
-            drain: DrainPolicy::EveryStore,
-        };
-        assert!(cfg.buffered());
-        assert!(!cfg.delay_stretches_drain());
-        assert_eq!(cfg.latency(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn weak_window_stretches_delays() {
-        let cfg = MemoryConfig::weak(MemoryModel::Pso);
-        assert!(cfg.delay_stretches_drain());
-        assert_eq!(cfg.latency(), DRAIN_LATENCY);
+        assert!(!cfg.model.is_weak());
+        assert_eq!(
+            MemoryConfig::from_model(MemoryModel::Pso).model,
+            MemoryModel::Pso
+        );
     }
 }

@@ -124,16 +124,6 @@ pub trait Monitor {
         let _ = (parent, task, time);
     }
 
-    /// Called when a pool worker dequeues `task` and starts running it.
-    fn on_task_start(&mut self, task: TaskId, worker: ThreadId, time: SimTime) {
-        let _ = (task, worker, time);
-    }
-
-    /// Called when a task's script completes.
-    fn on_task_end(&mut self, task: TaskId, worker: ThreadId, time: SimTime) {
-        let _ = (task, worker, time);
-    }
-
     /// Called once when the run ends, with the complete result.
     fn on_run_end(&mut self, result: &RunResult) {
         let _ = result;

@@ -59,12 +59,6 @@ pub enum Op {
         /// Script the child executes.
         script: ScriptId,
     },
-    /// Block until every already-forked thread running `script` has
-    /// finished.
-    JoinScript {
-        /// Script whose threads are awaited.
-        script: ScriptId,
-    },
     /// Block until every direct child of this thread has finished.
     JoinChildren,
     /// Acquire a mutex (FIFO queuing).
@@ -131,7 +125,6 @@ impl Op {
         matches!(
             self,
             Op::Fork { .. }
-                | Op::JoinScript { .. }
                 | Op::JoinChildren
                 | Op::Acquire { .. }
                 | Op::Release { .. }

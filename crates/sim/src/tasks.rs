@@ -13,11 +13,11 @@
 //!   into a pool worker: it drains the task queue, running each task's
 //!   ops inline, and finishes when the queue is empty and no spawner can
 //!   add more;
-//! - the [`Monitor`](crate::monitor::Monitor) receives
-//!   `on_task_spawn(spawner, task)` and `on_task_start(task, worker)`
-//!   hooks, which is exactly where an async-local vector clock is cloned
-//!   from the spawner and installed for the task (see
-//!   `waffle-trace`'s async-local recorder mode).
+//! - the [`Monitor`](crate::monitor::Monitor) receives an
+//!   `on_task_spawn(spawner, task)` hook, which is exactly where an
+//!   async-local vector clock is cloned from the spawner, and every
+//!   access inside a task carries that task's id, which is where the
+//!   clock is looked up (see `waffle-trace`'s async-local recorder mode).
 //!
 //! Scheduling is deterministic: tasks start in spawn order (FIFO), pulled
 //! by whichever pool worker is free earliest.

@@ -135,7 +135,7 @@ impl Workload {
                             format!("{at}: skip {skip} runs past the script end"),
                         )?;
                     }
-                    Op::Fork { script } | Op::JoinScript { script } | Op::SpawnTask { script } => {
+                    Op::Fork { script } | Op::SpawnTask { script } => {
                         check(
                             (script.0 as usize) < self.scripts.len(),
                             format!("{at}: script {script} undeclared"),
@@ -355,12 +355,6 @@ impl ScriptBuilder<'_> {
         for _ in 0..n {
             self.fork(script);
         }
-        self
-    }
-
-    /// Wait for every already-forked thread of `script`.
-    pub fn join_script(&mut self, script: ScriptId) -> &mut Self {
-        self.ops.push(Op::JoinScript { script });
         self
     }
 

@@ -8,38 +8,6 @@ use waffle_sim::{
 };
 
 #[test]
-fn join_script_waits_only_for_prior_forks() {
-    // Main joins the workers forked so far, then forks one more: the late
-    // worker is not awaited by the earlier join.
-    let mut b = WorkloadBuilder::new("edge.joinscript");
-    let o = b.object("o");
-    let worker = b.script("worker", move |s| {
-        s.compute(ms(1)).use_(o, "W.use:1", us(10));
-    });
-    let main = b.script("main", move |s| {
-        s.init(o, "M.init:1", us(10))
-            .fork(worker)
-            .fork(worker)
-            .join_script(worker)
-            .dispose(o, "M.dispose:9", us(10))
-            .compute(ms(5))
-            .fork(worker) // late worker would fault on the disposed object
-            .join_children();
-    });
-    b.main(main);
-    let w = b.build();
-    let r = Simulator::run(
-        &w,
-        SimConfig::with_seed(0).deterministic(),
-        &mut NullMonitor,
-    );
-    // The late worker uses a disposed object — a genuine (intended here)
-    // manifestation proving the join only covered the first two.
-    assert!(r.manifested());
-    assert_eq!(r.heap.uses, 2);
-}
-
-#[test]
 fn deadline_cuts_through_a_pending_delay() {
     struct BigDelay;
     impl Monitor for BigDelay {

@@ -43,18 +43,6 @@ fn double_signal_is_idempotent() {
 }
 
 #[test]
-fn join_script_of_self_does_not_deadlock() {
-    let mut b = WorkloadBuilder::new("rob.selfjoin");
-    let m = b.declare_script("main");
-    b.define_script(m, |s| {
-        s.compute(us(1)).join_script(m);
-    });
-    b.main(m);
-    let r = Simulator::run(&b.build(), SimConfig::with_seed(0), &mut NullMonitor);
-    assert_eq!(r.stranded_threads, 0);
-}
-
-#[test]
 fn release_of_unheld_lock_is_ignored() {
     let mut b = WorkloadBuilder::new("rob.release");
     let lk = b.lock("mu");

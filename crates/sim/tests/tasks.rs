@@ -7,12 +7,10 @@ use waffle_sim::{
     ThreadId, Workload, WorkloadBuilder,
 };
 
-/// Monitor that records the task lifecycle and per-access task contexts.
+/// Monitor that records task spawns and per-access task contexts.
 #[derive(Default)]
 struct TaskTap {
     spawns: Vec<(TaskParent, TaskId)>,
-    starts: Vec<(TaskId, ThreadId)>,
-    ends: Vec<(TaskId, ThreadId)>,
     accesses: Vec<AccessRecord>,
 }
 
@@ -20,14 +18,33 @@ impl Monitor for TaskTap {
     fn on_task_spawn(&mut self, parent: TaskParent, task: TaskId, _time: SimTime) {
         self.spawns.push((parent, task));
     }
-    fn on_task_start(&mut self, task: TaskId, worker: ThreadId, _time: SimTime) {
-        self.starts.push((task, worker));
-    }
-    fn on_task_end(&mut self, task: TaskId, worker: ThreadId, _time: SimTime) {
-        self.ends.push((task, worker));
-    }
     fn on_access_post(&mut self, rec: &AccessRecord) {
         self.accesses.push(rec.clone());
+    }
+}
+
+/// Each task with the worker that ran it, in the order `accesses` first
+/// reach the task.
+fn first_per_task<'a>(accesses: impl Iterator<Item = &'a AccessRecord>) -> Vec<(TaskId, ThreadId)> {
+    let mut runs: Vec<(TaskId, ThreadId)> = Vec::new();
+    for a in accesses {
+        if let Some(task) = a.task.filter(|t| runs.iter().all(|(r, _)| r != t)) {
+            runs.push((task, a.thread));
+        }
+    }
+    runs
+}
+
+impl TaskTap {
+    /// Each task with the worker that started it: its first access.
+    fn starts(&self) -> Vec<(TaskId, ThreadId)> {
+        first_per_task(self.accesses.iter())
+    }
+
+    /// Each task with the worker that finished it: its last access,
+    /// latest task first.
+    fn ends(&self) -> Vec<(TaskId, ThreadId)> {
+        first_per_task(self.accesses.iter().rev())
     }
 }
 
@@ -67,10 +84,10 @@ fn all_tasks_run_exactly_once() {
     assert!(!r.manifested());
     assert_eq!(r.tasks_spawned, 6);
     assert_eq!(tap.spawns.len(), 6);
-    assert_eq!(tap.starts.len(), 6);
-    assert_eq!(tap.ends.len(), 6);
+    assert_eq!(tap.starts().len(), 6);
+    assert_eq!(tap.ends().len(), 6);
     // Each task started exactly once, in spawn order overall.
-    let mut started: Vec<u32> = tap.starts.iter().map(|(t, _)| t.0).collect();
+    let mut started: Vec<u32> = tap.starts().iter().map(|(t, _)| t.0).collect();
     started.sort_unstable();
     assert_eq!(started, (0..6).collect::<Vec<_>>());
     // Every object went through its full lifecycle.
@@ -83,7 +100,8 @@ fn tasks_are_shared_across_pool_workers() {
     let w = pool_workload(6, 2);
     let mut tap = TaskTap::default();
     let _ = Simulator::run(&w, SimConfig::with_seed(0).deterministic(), &mut tap);
-    let workers: std::collections::HashSet<ThreadId> = tap.starts.iter().map(|&(_, w)| w).collect();
+    let workers: std::collections::HashSet<ThreadId> =
+        tap.starts().iter().map(|&(_, w)| w).collect();
     assert_eq!(workers.len(), 2, "both pool workers must pull tasks");
 }
 

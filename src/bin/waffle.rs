@@ -1284,7 +1284,7 @@ fn fuzz_cmd(a: &Args) -> Result<(), String> {
                 case: minimized,
             };
             let path = dir.join(format!("s{}-{}.json", d.seed, d.kind.label()));
-            std::fs::write(&path, entry.to_json().map_err(|e| e.to_string())?)
+            write_atomic(&path, &entry.to_json().map_err(|e| e.to_string())?)
                 .map_err(|e| e.to_string())?;
             if !json {
                 println!("minimized corpus case written to {}", path.display());

